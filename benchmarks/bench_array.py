@@ -142,7 +142,7 @@ def run_mode(shape: Shape, skew: float, mode: str, trace: str | None = None):
 
             timelines = [
                 s.timeline
-                for _k, s in sorted(workload.exchanger._senders.items())
+                for _k, s in sorted(workload.exchanger.flows.senders.items())
             ]
             extra = (
                 plane.chrome_instant_events() if plane is not None else []

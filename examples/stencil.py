@@ -71,7 +71,7 @@ def simulate(adaptive: bool):
         elapsed = current_clock().now
         timelines = [
             s.timeline
-            for _k, s in sorted(workload.exchanger._senders.items())
+            for _k, s in sorted(workload.exchanger.flows.senders.items())
         ]
         summary = workload.summary()
         workload.close()

@@ -1,4 +1,4 @@
-"""The built-in rules (HL001-HL010) targeting this codebase's idioms.
+"""The built-in rules (HL001-HL011) targeting this codebase's idioms.
 
 Each rule encodes one of the correctness hazards the heterogeneous
 substrate permits mechanically (see :mod:`repro.hamr.buffer`): the
@@ -34,6 +34,7 @@ __all__ = [
     "PlacementChargeRule",
     "PoolEscapeRule",
     "NondeterministicDecisionRule",
+    "LiteralTagRule",
     "ProjectRule",
     "DEFAULT_RULES",
     "default_rules",
@@ -62,10 +63,17 @@ def _enum_member(node: ast.AST, enum_name: str, enum_cls):
     return None
 
 
+def _int_literal(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, int)
+        and not isinstance(node.value, bool)
+    )
+
+
 def _literal_device_id(node: ast.AST) -> int | None:
     """Literal device ordinals: ints, ``-1``, or ``HOST_DEVICE_ID``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-            and not isinstance(node.value, bool):
+    if _int_literal(node):
         return int(node.value)
     if (
         isinstance(node, ast.UnaryOp)
@@ -797,6 +805,57 @@ class NondeterministicDecisionRule(ProjectRule):
         return None
 
 
+# -- HL011 --------------------------------------------------------------------
+
+class LiteralTagRule(Rule):
+    """An integer message tag minted outside the tag registry.
+
+    Two flows that pick the same literal read each other's frames;
+    tags from :mod:`repro.transport.flows` are derived per plane and
+    checked for overlap when a flow table opens.  Flags an int literal
+    passed as ``tag=`` / ``data_tag=`` / ``ack_tag=`` or assigned to a
+    name ending in ``_TAG``.
+    """
+
+    id = "HL011"
+    severity = Severity.ERROR
+    title = "integer message tag outside the tag registry"
+    hint = (
+        "take the tag from repro.transport.flows (pipeline_tags, "
+        "array_tags, CTRL_TAG, DATA_TAG/ACK_TAG) or add a plane there"
+    )
+
+    #: The registry module: the one place tag integers are written.
+    allowed = ("repro/transport/flows.py",)
+    keywords = ("tag", "data_tag", "ack_tag")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.in_module(*self.allowed):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                named = [
+                    (kw.arg, kw.value) for kw in node.keywords
+                    if kw.arg in self.keywords
+                ]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                named = [
+                    (name, node.value) for name in map(_attr_name, targets)
+                    if name and name.endswith("_TAG")
+                ]
+            else:
+                continue
+            for name, value in named:
+                if _int_literal(value):
+                    yield self.finding(
+                        ctx, value,
+                        f"literal {name}={value.value} bypasses the tag "
+                        "registry",
+                        details={"name": name},
+                    )
+
+
 DEFAULT_RULES: tuple[type[Rule], ...] = (
     RawDataAccessRule,
     AllocatorMismatchRule,
@@ -808,6 +867,7 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     PlacementChargeRule,
     PoolEscapeRule,
     NondeterministicDecisionRule,
+    LiteralTagRule,
 )
 
 
@@ -818,6 +878,6 @@ def default_rules() -> list[Rule]:
 
 def rule_span() -> str:
     """Human-readable id range of the built-in rules, e.g.
-    ``HL001-HL010`` — derived so CLI help can never drift again."""
+    ``HL001-HL011`` — derived so CLI help can never drift again."""
     ids = sorted(cls.id for cls in DEFAULT_RULES)
     return f"{ids[0]}-{ids[-1]}" if len(ids) > 1 else ids[0]

@@ -12,7 +12,7 @@ per-rank busy time or halo traffic skews.
 
 from repro.array.array import DistributedArray, Shard
 from repro.array.coordinate import ArrayCoordinator
-from repro.array.halo import HALO_ACK_TAG, HALO_DATA_TAG, HaloExchanger
+from repro.array.halo import HaloExchanger
 from repro.array.partition import ArrayPartition
 from repro.array.stencil import (
     StencilConfig,
@@ -25,8 +25,6 @@ __all__ = [
     "DistributedArray",
     "Shard",
     "HaloExchanger",
-    "HALO_DATA_TAG",
-    "HALO_ACK_TAG",
     "ArrayCoordinator",
     "StencilConfig",
     "StencilWorkload",

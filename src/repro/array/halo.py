@@ -2,10 +2,9 @@
 
 The :class:`HaloExchanger` moves a :class:`DistributedArray`'s ghost
 rows between owner ranks at step boundaries — and, on a repartition,
-ships whole shards to their new owners.  Both travel through
-:class:`~repro.transport.channel.ReliableSender` /
-:class:`~repro.transport.channel.ReliableReceiver` flows, so halo and
-handoff traffic is codec-compressed, cost-charged, credit-windowed,
+ships whole shards to their new owners.  Both travel through the
+reliable flows of a :class:`~repro.transport.flows.FlowTable`, so halo
+and handoff traffic is codec-compressed, cost-charged, credit-windowed,
 and fault-tolerant exactly like the in-transit data path.
 
 Deadlock freedom comes from scheduling, not threading: every rank
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.errors import ArrayError
 from repro.svtk.table import TableData
-from repro.transport.channel import ReliableReceiver, ReliableSender
+from repro.transport.flows import FlowTable, array_tags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.array.array import DistributedArray
@@ -35,23 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
     from repro.transport.config import TransportConfig
 
-__all__ = [
-    "HALO_DATA_TAG",
-    "HALO_ACK_TAG",
-    "HANDOFF_DATA_TAG",
-    "HANDOFF_ACK_TAG",
-    "halo_plan",
-    "halo_bytes_by_rank",
-    "HaloExchanger",
-]
-
-#: Tag space reserved by the array plane, clear of the transport
-#: plane's DATA/ACK tags (100/101) and the service plane's per-pipeline
-#: stride (100+4k/101+4k).
-HALO_DATA_TAG = 70000
-HALO_ACK_TAG = 70001
-HANDOFF_DATA_TAG = 70002
-HANDOFF_ACK_TAG = 70003
+__all__ = ["halo_plan", "halo_bytes_by_rank", "HaloExchanger"]
 
 
 def halo_plan(
@@ -112,10 +95,11 @@ def halo_bytes_by_rank(
 class HaloExchanger:
     """Step-boundary collective moving ghost rows (and migrating shards).
 
-    One exchanger per array per run.  Reliable flows to each peer are
-    created lazily on first use and reused across steps — halo traffic
-    and handoff traffic ride separate tag pairs so a repartition in
-    flight can never be confused with a ghost update.  Close with
+    One exchanger per array per run, each under its own ``name``: the
+    name picks the exchanger's tags (:func:`~repro.transport.flows.array_tags`),
+    so several arrays exchange over one communicator without reading
+    each other's frames.  Reliable flows to each peer are created
+    lazily on first use and reused across steps.  Close with
     :meth:`close` (a collective) to drain every flow's fin handshake.
     """
 
@@ -125,15 +109,10 @@ class HaloExchanger:
         config: "TransportConfig | None" = None,
         name: str = "halo",
     ):
-        if config is None:
-            from repro.transport.config import TransportConfig
-
-            config = TransportConfig()
         self.comm = comm
         self.config = config
         self.name = str(name)
-        self._senders: dict[tuple[int, str], ReliableSender] = {}
-        self._receivers: dict[tuple[int, str], ReliableReceiver] = {}
+        self.flows = FlowTable(comm, "array", self.name, array_tags(self.name))
         self._rounds: dict[tuple[int, str], int] = {}
         self._edges: set[tuple[int, int, str]] = set()
         self._plan_cache: tuple["ArrayPartition", int, dict] | None = None
@@ -143,40 +122,11 @@ class HaloExchanger:
         self.handoff_bytes_moved = 0
         self._closed = False
 
-    _TAGS = {
-        "halo": (HALO_DATA_TAG, HALO_ACK_TAG),
-        "move": (HANDOFF_DATA_TAG, HANDOFF_ACK_TAG),
-    }
-
     # -- flow management --------------------------------------------------------
-    def _sender(self, dst: int, kind: str) -> ReliableSender:
-        key = (dst, kind)
-        if key not in self._senders:
-            data_tag, ack_tag = self._TAGS[kind]
-            self._senders[key] = ReliableSender(
-                self.comm, dst, self.config,
-                data_tag=data_tag, ack_tag=ack_tag,
-                pipeline=f"{self.name}.{kind}",
-            )
-        return self._senders[key]
-
-    def _receiver(self, src: int, kind: str) -> ReliableReceiver:
-        key = (src, kind)
-        if key not in self._receivers:
-            data_tag, ack_tag = self._TAGS[kind]
-            self._receivers[key] = ReliableReceiver(
-                self.comm, src, self.config,
-                data_tag=data_tag, ack_tag=ack_tag,
-                pipeline=f"{self.name}.{kind}",
-            )
-        return self._receivers[key]
-
     @property
     def drops_recovered(self) -> int:
         """Chunk losses recovered across this exchanger's send flows."""
-        return sum(
-            s.metrics.drops_recovered for s in self._senders.values()
-        )
+        return self.flows.sender_totals()["drops_recovered"]
 
     def _next_round(self, peer: int, kind: str) -> int:
         key = (peer, kind)
@@ -251,13 +201,14 @@ class HaloExchanger:
                 ])
                 table = TableData(f"{self.name}.halo")
                 table.add_host_column("halo", payload)
-                self._sender(dst, "halo").send_step(
+                self.flows.sender("halo", dst, self.config).send_step(
                     self._next_round(dst, "halo"), float(step), table
                 )
                 self._edges.add((src, dst, "halo"))
                 sent += payload.nbytes
             elif rank == dst:
-                result = self._receiver(src, "halo").receive_step()
+                flow = self.flows.receiver("halo", src, self.config)
+                result = flow.receive_step()
                 if result is None:
                     raise ArrayError(
                         f"halo flow from rank {src} drained mid-run",
@@ -306,13 +257,14 @@ class HaloExchanger:
                     values = array.shards[b].interior.copy()
                     table.add_host_column(f"b{b}", values)
                     nbytes += values.nbytes
-                self._sender(dst, "move").send_step(
+                self.flows.sender("move", dst, self.config).send_step(
                     self._next_round(dst, "move"), float(event), table
                 )
                 self._edges.add((src, dst, "move"))
                 self.handoff_bytes_moved += nbytes
             elif rank == dst:
-                result = self._receiver(src, "move").receive_step()
+                flow = self.flows.receiver("move", src, self.config)
+                result = flow.receive_step()
                 if result is None:
                     raise ArrayError(
                         f"handoff flow from rank {src} drained mid-run",
@@ -341,9 +293,10 @@ class HaloExchanger:
         for src, dst, kind in sorted(self._edges):
             rank = self.comm.rank
             if rank == src:
-                self._senders[(dst, kind)].close()
+                self.flows.senders[(kind, dst)].close()
             elif rank == dst:
-                receiver = self._receivers[(src, kind)]
+                receiver = self.flows.receivers[(kind, src)]
                 while receiver.receive_step() is not None:
                     pass
+        self.flows.release()
         self._closed = True

@@ -5,9 +5,9 @@ asynchronous execution, the Eq. 1 placement parameters, the transport
 codec — as static, user-supplied configuration.  This package closes
 the loop: per-step observations (solver time, in situ busy time,
 transfer bytes/time, compression ratio, device load) feed controller
-primitives (EWMA estimators, hysteresis bands, a discounted-UCB
-bandit), which drive *governors* that retune the knobs online through
-narrow actuator hooks:
+primitives (EWMA estimators, hysteresis bands), which drive
+*governors* that retune the knobs online through narrow actuator
+hooks:
 
 - :class:`~repro.control.governors.CodecGovernor` — picks the wire
   codec per endpoint from the observed compression ratio and the
@@ -68,7 +68,7 @@ from repro.control.governors import (
     PoolTrimGovernor,
 )
 from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
-from repro.control.policy import EWMA, DiscountedUCB, Hysteresis
+from repro.control.policy import EWMA, Hysteresis
 from repro.control.quota import QuotaGovernor, ShardGovernor
 from repro.control.repartition import RepartitionGovernor
 from repro.control.signals import SignalBuffer, StepObservation
@@ -79,7 +79,6 @@ __all__ = [
     "ControlConfig",
     "ControlPlane",
     "Decision",
-    "DiscountedUCB",
     "EWMA",
     "ExecutionModeGovernor",
     "FlowBounds",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.control.policy import EWMA, DiscountedUCB, Hysteresis
+from repro.control.policy import EWMA, Hysteresis
 from repro.hamr.runtime import current_clock
 from repro.hw.contention import ContentionModel, SharedResource
 from repro.sensei.execution import ExecutionMethod
@@ -142,11 +142,7 @@ class CodecGovernor(Governor):
                      + (payload/ratio)/bw_link
 
     and switches only when the current codec is worse than the best by
-    more than ``margin`` (anti-flap).  With ``policy="bandit"`` the
-    model is replaced by a discounted-UCB bandit over the candidate
-    codecs rewarded with the negative observed cost per raw byte —
-    useful when the cost model is not trusted; deterministic under the
-    configured seed.
+    more than ``margin`` (anti-flap).
     """
 
     name = "codec"
@@ -160,25 +156,19 @@ class CodecGovernor(Governor):
         alpha: float = 0.5,
         probe_bytes: int = 8192,
         probe_interval: int = 8,
-        policy: str = "model",
-        seed: int = 0,
         enabled: bool = True,
         frozen: bool = False,
     ):
         super().__init__(actuator, enabled, frozen)
-        if policy not in ("model", "bandit"):
-            raise ValueError(f"policy must be 'model' or 'bandit': {policy!r}")
         self.codecs = tuple(codecs)
         self.current = str(initial)
         self.margin = float(margin)
         self.probe_bytes = int(probe_bytes)
         self.probe_interval = int(probe_interval)
-        self.policy = policy
         self._bandwidth = EWMA(alpha)
         self._payload = EWMA(alpha)
         self._ratio = EWMA(alpha)
         self._last_probe_step: int | None = None
-        self._bandit = DiscountedUCB(self.codecs, seed=seed)
 
     # -- sensors ---------------------------------------------------------------
     def observe(
@@ -187,7 +177,6 @@ class CodecGovernor(Governor):
         raw_bytes: int,
         wire_bytes: int,
         transfer_time: float,
-        apparent_time: float | None = None,
         sample: bytes | None = None,
     ) -> None:
         """Feed one step's transport measurements.
@@ -210,9 +199,6 @@ class CodecGovernor(Governor):
             )
             if due:
                 self._probe(step, sample)
-        if apparent_time is not None and raw_bytes > 0:
-            # Reward for the bandit: cheap steps per raw byte are good.
-            self._bandit.update(self.current, -apparent_time / raw_bytes)
 
     def _probe(self, step: int, sample: bytes) -> None:
         """Measure the achievable ratio on a payload sample.
@@ -254,42 +240,29 @@ class CodecGovernor(Governor):
     def decide(self, step: int, t: float | None = None) -> Decision | None:
         if not self.enabled:
             return None
-        if self.policy == "bandit":
-            choice = self._bandit.select()
-            if choice == self.current:
-                return None
-            reason = (
-                f"discounted-UCB over {self.codecs}: "
-                f"score({choice})={self._bandit.score(choice):.3g}"
-            )
-            detail = {"policy": "bandit", "pulls": self._bandit.pulls}
-        else:
-            costs = {c: self.predict_cost(c) for c in self.codecs}
-            if any(costs[c] is None for c in self.codecs):
-                return None  # estimates not warm yet
-            choice = min(self.codecs, key=lambda c: costs[c])
-            if choice == self.current:
-                return None
-            if costs[self.current] <= self.margin * costs[choice]:
-                return None  # not enough predicted improvement to switch
-            reason = (
-                f"predicted step cost {costs[self.current]:.3g}s under "
-                f"{self.current!r} vs {costs[choice]:.3g}s under {choice!r} "
-                f"(ratio~{self._ratio.get(1.0):.2f}, "
-                f"bw~{self._bandwidth.get(0.0):.3g} B/s)"
-            )
-            detail = {
-                "policy": "model",
-                "cost_current": costs[self.current],
-                "cost_best": costs[choice],
-            }
+        costs = {c: self.predict_cost(c) for c in self.codecs}
+        if any(costs[c] is None for c in self.codecs):
+            return None  # estimates not warm yet
+        choice = min(self.codecs, key=lambda c: costs[c])
+        if choice == self.current:
+            return None
+        if costs[self.current] <= self.margin * costs[choice]:
+            return None  # not enough predicted improvement to switch
+        reason = (
+            f"predicted step cost {costs[self.current]:.3g}s under "
+            f"{self.current!r} vs {costs[choice]:.3g}s under {choice!r} "
+            f"(ratio~{self._ratio.get(1.0):.2f}, "
+            f"bw~{self._bandwidth.get(0.0):.3g} B/s)"
+        )
         applied = self._actuate(choice)
         previous = self.current
         if applied:
             self.current = choice
+        # "policy" stays in the record: golden traces carry it.
         return self._decision(
             step, t, f"codec={choice}", reason, applied,
-            previous=previous, **detail,
+            previous=previous, policy="model",
+            cost_current=costs[previous], cost_best=costs[choice],
         )
 
 

@@ -67,6 +67,7 @@ from repro.hamr.runtime import current_clock
 from repro.svtk.table import TableData
 from repro.transport.wire import SERIALIZE_BANDWIDTH
 from repro.units import KiB
+from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
 
 __all__ = [
     "GovernorSetting",
@@ -86,16 +87,14 @@ class GovernorSetting:
 
     @classmethod
     def parse(cls, raw: str) -> "GovernorSetting":
-        key = str(raw).strip().lower()
-        if key in ("on", "1", "true", "yes"):
-            return cls(enabled=True, frozen=False)
-        if key in ("off", "0", "false", "no"):
-            return cls(enabled=False, frozen=False)
-        if key in ("freeze", "frozen", "observe"):
+        if str(raw).strip().lower() in ("freeze", "frozen", "observe"):
             return cls(enabled=True, frozen=True)
-        raise ConfigError(
-            f"governor setting must be on/off/freeze, got {raw!r}"
-        )
+        try:
+            return cls(enabled=parse_bool(raw), frozen=False)
+        except ValueError:
+            raise ConfigError(
+                f"governor setting must be on/off/freeze, got {raw!r}"
+            ) from None
 
     @property
     def value(self) -> str:
@@ -198,117 +197,28 @@ class ControlConfig:
         governor's actuation range.
         """
         attrs = dict(attrs)
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<control>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        enabled_raw = attrs.pop("enabled", "1").strip().lower()
-        if enabled_raw in ("1", "true", "yes", "on"):
-            enabled = True
-        elif enabled_raw in ("0", "false", "no", "off"):
-            enabled = False
-        else:
-            raise ConfigError(f"invalid enabled value {enabled_raw!r}")
-        settings = {}
-        for name in ("codec", "execution", "placement", "pool"):
-            raw = attrs.pop(name, None)
-            settings[name] = (
-                GovernorSetting.parse(raw) if raw is not None else _ON
-            )
-        raw_flow = attrs.pop("flow", None)
-        settings["flow"] = (
-            GovernorSetting.parse(raw_flow) if raw_flow is not None else _OFF
-        )
-        raw_quota = attrs.pop("quota", None)
-        settings["quota"] = (
-            GovernorSetting.parse(raw_quota) if raw_quota is not None else _OFF
-        )
-        raw_repart = attrs.pop("repartition", None)
-        settings["repartition"] = (
-            GovernorSetting.parse(raw_repart)
-            if raw_repart is not None else _OFF
-        )
-        raw_growth = attrs.pop("pool_growth", "off").strip().lower()
-        if raw_growth in ("1", "true", "yes", "on"):
-            pool_growth = True
-        elif raw_growth in ("0", "false", "no", "off"):
-            pool_growth = False
-        else:
-            raise ConfigError(f"invalid pool_growth value {raw_growth!r}")
-        watermark = _num("pool_watermark_kib", None, float)
-        coordination = attrs.pop("coordination", "off").strip().lower()
+        own = read_attrs("<control>", attrs, cls)
+        reject_unknown("<control>", attrs)
+        if "coordination" in own:
+            own["coordination"] = own["coordination"].strip().lower()
         flow_attrs = dict(flow_attrs) if flow_attrs else {}
-        defaults = FlowBounds()
-
-        def _flow_num(key: str, default: int) -> int:
-            raw = flow_attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<flow>: attribute {key!r} must be an int, got {raw!r}"
-                ) from None
-
         try:
-            flow_bounds = FlowBounds(
-                min_credits=_flow_num("min_credits", defaults.min_credits),
-                max_credits=_flow_num("max_credits", defaults.max_credits),
-                min_chunk=_flow_num("min_chunk", defaults.min_chunk),
-                max_chunk=_flow_num("max_chunk", defaults.max_chunk),
-            )
+            bounds = FlowBounds(**read_attrs("<flow>", flow_attrs, FlowBounds))
         except ValueError as exc:
             raise ConfigError(f"<flow>: {exc}") from None
-        if flow_attrs:
-            raise ConfigError(
-                f"<flow>: unknown attribute(s) {sorted(flow_attrs)}"
-            )
-        config = cls(
-            flow_bounds=flow_bounds,
-            enabled=enabled,
-            seed=_num("seed", 0, int),
-            interval=_num("interval", 1, int),
-            window=_num("window", 64, int),
-            mode_low=_num("mode_low", 0.05, float),
-            mode_high=_num("mode_high", 0.15, float),
-            codec_margin=_num("codec_margin", 1.05, float),
-            overload=_num("overload", 1.30, float),
-            repartition_skew=_num("repartition_skew", 1.25, float),
-            repartition_cooldown=_num("repartition_cooldown", 2, int),
-            pool_watermark_kib=watermark,
-            pool_growth=pool_growth,
-            coordination=coordination,
-            coordination_interval=_num("coordination_interval", 1, int),
-            **settings,
-        )
-        if attrs:
-            raise ConfigError(
-                f"<control>: unknown attribute(s) {sorted(attrs)}"
-            )
-        return config
+        reject_unknown("<flow>", flow_attrs)
+        return cls(flow_bounds=bounds, **own)
+
+
+def _tables(data) -> list[TableData]:
+    """Every table the data adaptor currently publishes."""
+    meshes = (data.get_mesh(name) for name in data.get_mesh_names())
+    return [mesh for mesh in meshes if isinstance(mesh, TableData)]
 
 
 def payload_nbytes(data) -> int:
     """Raw bytes of every table the data adaptor currently publishes."""
-    total = 0
-    for name in data.get_mesh_names():
-        mesh = data.get_mesh(name)
-        if not isinstance(mesh, TableData):
-            continue
-        for col_name in mesh.column_names:
-            col = mesh.column(col_name)
-            total += int(col.n_values) * np.dtype(col.dtype).itemsize
-    return total
+    return sum(table.nbytes for table in _tables(data))
 
 
 def estimate_deep_copy_time(data) -> float:
@@ -322,15 +232,10 @@ def estimate_deep_copy_time(data) -> float:
     from repro.hamr.copier import transfer_duration
 
     total = 0.0
-    for name in data.get_mesh_names():
-        mesh = data.get_mesh(name)
-        if not isinstance(mesh, TableData):
-            continue
-        for col_name in mesh.column_names:
-            col = mesh.column(col_name)
-            nbytes = int(col.n_values) * np.dtype(col.dtype).itemsize
+    for table in _tables(data):
+        for col in table.items().values():
             device = getattr(col, "device_id", HOST_DEVICE_ID)
-            total += transfer_duration(nbytes, device, device)
+            total += transfer_duration(col.nbytes, device, device)
     return total
 
 
@@ -339,7 +244,7 @@ class ControlPlane:
 
     One plane serves one rank's bridge and/or transport endpoints.
     Attach with :meth:`repro.sensei.bridge.Bridge.attach_control` /
-    :meth:`repro.sensei.intransit.InTransitBridge.attach_control`; the
+    :meth:`repro.service.router.ServiceBridge.attach_control`; the
     taps wire governors lazily on first observation, so attachment
     order does not matter.
 
@@ -514,7 +419,6 @@ class ControlPlane:
                 codecs=available_codecs(),
                 initial=sender.codec.name,
                 margin=cfg.codec_margin,
-                seed=cfg.seed,
                 frozen=cfg.codec.frozen,
             )
             self._codec_governors[id(sender)] = gov
@@ -685,10 +589,7 @@ class ControlPlane:
         sample = None
         if codec.name == "none" and table is not None:
             sample = self._payload_sample(table, gov.probe_bytes)
-        gov.observe(
-            step, d_raw, d_out, transfer_time,
-            apparent_time=apparent, sample=sample,
-        )
+        gov.observe(step, d_raw, d_out, transfer_time, sample=sample)
         if self._due(step):
             self._log(gov.decide(step, t=clock.now))
         self._decide_pools(step, clock.now)

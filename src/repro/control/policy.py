@@ -1,18 +1,13 @@
-"""Controller primitives: estimators, hysteresis, a discrete bandit.
+"""Controller primitives: an estimator and a hysteresis band.
 
-These are the reusable decision mechanics the governors compose.  All
-of them are deterministic under a fixed seed: the EWMA and hysteresis
-are pure functions of their inputs, and the discounted-UCB bandit only
-consults its seeded RNG to break exact score ties.
+These are the reusable decision mechanics the governors compose.  Both
+are pure functions of their inputs, so every governor built on them is
+deterministic.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from typing import Hashable, Sequence
-
-__all__ = ["EWMA", "Hysteresis", "DiscountedUCB"]
+__all__ = ["EWMA", "Hysteresis"]
 
 
 class EWMA:
@@ -69,75 +64,3 @@ class Hysteresis:
         elif value < self.low:
             self.state = False
         return self.state
-
-
-class DiscountedUCB:
-    """Discounted upper-confidence-bound bandit over discrete arms.
-
-    Rewards decay geometrically (``discount`` per update), so the
-    bandit tracks drifting conditions — exactly the regime a run-time
-    knob lives in (link quality and analysis cost change over a run).
-    ``select`` plays each arm once in declaration order, then
-    maximizes ``mean + exploration * sqrt(log(N) / n)``; exact score
-    ties are broken by the seeded RNG so behavior is reproducible
-    under a fixed seed.
-    """
-
-    def __init__(
-        self,
-        arms: Sequence[Hashable],
-        discount: float = 0.95,
-        exploration: float = 0.5,
-        seed: int = 0,
-    ):
-        if not arms:
-            raise ValueError("need at least one arm")
-        if not 0.0 < discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1]: {discount}")
-        if exploration < 0.0:
-            raise ValueError(f"exploration must be >= 0: {exploration}")
-        self.arms = tuple(arms)
-        if len(set(self.arms)) != len(self.arms):
-            raise ValueError(f"duplicate arms: {self.arms}")
-        self.discount = float(discount)
-        self.exploration = float(exploration)
-        self._rng = random.Random(seed)
-        self._counts: dict[Hashable, float] = {a: 0.0 for a in self.arms}
-        self._rewards: dict[Hashable, float] = {a: 0.0 for a in self.arms}
-        self.pulls = 0
-
-    def mean(self, arm: Hashable) -> float:
-        """Discounted mean reward of one arm (0.0 while unplayed)."""
-        c = self._counts[arm]
-        return self._rewards[arm] / c if c > 0 else 0.0
-
-    def score(self, arm: Hashable) -> float:
-        """The UCB score ``select`` maximizes (inf while unplayed)."""
-        c = self._counts[arm]
-        if c <= 0:
-            return math.inf
-        n = sum(self._counts.values())
-        return self.mean(arm) + self.exploration * math.sqrt(
-            math.log(max(n, math.e)) / c
-        )
-
-    def select(self) -> Hashable:
-        """The arm to play next (does not record the pull)."""
-        for arm in self.arms:  # round-robin through unplayed arms first
-            if self._counts[arm] <= 0:
-                return arm
-        scores = {a: self.score(a) for a in self.arms}
-        best = max(scores.values())
-        tied = [a for a in self.arms if scores[a] == best]
-        return tied[0] if len(tied) == 1 else self._rng.choice(tied)
-
-    def update(self, arm: Hashable, reward: float) -> None:
-        """Record ``reward`` for ``arm``, decaying all history first."""
-        if arm not in self._counts:
-            raise ValueError(f"unknown arm {arm!r}; have {self.arms}")
-        for a in self.arms:
-            self._counts[a] *= self.discount
-            self._rewards[a] *= self.discount
-        self._counts[arm] += 1.0
-        self._rewards[arm] += float(reward)
-        self.pulls += 1

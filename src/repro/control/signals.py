@@ -1,7 +1,7 @@
 """Per-step observations: the control plane's sensor layer.
 
 Signals are sampled where the work happens — :class:`repro.sensei.bridge.Bridge`
-taps solver/in situ time, :class:`repro.sensei.intransit.InTransitBridge`
+taps solver/in situ time, :class:`repro.service.router.ServiceBridge`
 taps transport counters — and pushed into a bounded
 :class:`SignalBuffer` ring.  Governors read aggregate views (windowed
 means, totals, deltas) rather than raw events, so a burst of steps

@@ -49,12 +49,7 @@ from repro.sensei.backends import (
     HistogramAnalysis,
     PosthocIO,
 )
-from repro.sensei.intransit import (
-    EndpointRunner,
-    InTransitBridge,
-    InTransitLayout,
-    run_in_transit,
-)
+from repro.sensei.intransit import InTransitLayout, run_in_transit
 
 __all__ = [
     "DataAdaptor",
@@ -71,7 +66,5 @@ __all__ = [
     "PosthocIO",
     "CallbackAnalysis",
     "InTransitLayout",
-    "InTransitBridge",
-    "EndpointRunner",
     "run_in_transit",
 ]

@@ -14,13 +14,16 @@ substrate, complementing the on-node placements:
   pluggable partitioner (``block`` — the default, ``cyclic``, or
   ``weighted``; see :mod:`repro.transport.partition`);
 - the simulation side instruments exactly like the in situ case —
-  :class:`InTransitBridge` has the ``initialize`` / ``execute`` /
-  ``finalize`` surface of :class:`repro.sensei.bridge.Bridge`, so a
-  solver switches between in situ and in transit without code changes
-  (SENSEI's run-time-switchable promise);
-- each endpoint assembles its producers' tables and runs ordinary
-  analysis back-ends against the endpoints' own sub-communicator, so
-  reductions span the full dataset.
+  :func:`run_in_transit` hands each producer a
+  :class:`~repro.service.router.ServiceBridge`, which has the
+  ``initialize`` / ``execute`` / ``finalize`` surface of
+  :class:`repro.sensei.bridge.Bridge`, so a solver switches between
+  in situ and in transit without code changes (SENSEI's
+  run-time-switchable promise);
+- each endpoint (a :class:`~repro.service.runtime.ServiceEndpoint`)
+  assembles its producers' tables and runs ordinary analysis back-ends
+  against the endpoints' own sub-communicator, so reductions span the
+  full dataset.
 
 Data moves over :mod:`repro.transport`: a versioned, checksummed,
 chunked wire format with pluggable compression, reliable delivery
@@ -34,21 +37,19 @@ robustness is testable without touching this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ExecutionError, MPIError
-from repro.hamr.runtime import current_clock
-from repro.mpi.comm import CommCostModel, Communicator, run_spmd
+from repro.mpi.comm import CommCostModel, Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
-from repro.sensei.data_adaptor import DataAdaptor, TableDataAdaptor
-from repro.svtk.table import TableData
-from repro.transport.channel import ReliableReceiver, ReliableSender
 from repro.transport.config import TransportConfig
 from repro.transport.partition import get_partitioner
 
-__all__ = ["InTransitLayout", "InTransitBridge", "EndpointRunner", "run_in_transit"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.router import ServiceBridge
+    from repro.service.runtime import ServiceEndpoint
+
+__all__ = ["InTransitLayout", "run_in_transit"]
 
 
 @dataclass(frozen=True)
@@ -110,211 +111,23 @@ class InTransitLayout:
         return [p for p in range(self.m) if self.endpoint_of(p) == endpoint]
 
 
-class InTransitBridge:
-    """The simulation-side instrumentation for in transit analysis.
-
-    Drop-in for :class:`repro.sensei.bridge.Bridge`: ``initialize``,
-    ``execute(data_adaptor)``, ``finalize``.  Each ``execute`` ships the
-    published mesh to this producer's endpoint through a
-    :class:`~repro.transport.channel.ReliableSender`; ``finalize``
-    drains the connection gracefully.
-    """
-
-    def __init__(
-        self,
-        layout: InTransitLayout,
-        mesh_name: str = "bodies",
-        transport: TransportConfig | None = None,
-    ):
-        self.layout = layout
-        self.mesh_name = str(mesh_name)
-        self.transport = transport if transport is not None else TransportConfig()
-        self._world: Communicator | None = None
-        self._endpoint: int | None = None
-        self._sender: ReliableSender | None = None
-        self._initialized = False
-        self._finalized = False
-        self._control = None
-        self.step_costs: list[float] = []
-
-    def attach_control(self, plane) -> None:
-        """Attach a :class:`repro.control.ControlPlane` to this producer.
-
-        Every ``execute`` then feeds the plane this step's transport
-        measurements (raw/wire byte deltas, estimated wire time,
-        retries, the ACK round-trip EWMA, and the in-flight high-water)
-        and the plane's governors may retarget this endpoint's wire
-        codec (``<control codec="on">``) and its credit window / chunk
-        size (``<control flow="on">``, the AIMD flow governor).  Pair
-        with ``TransportConfig(compression="adaptive")`` to retire the
-        static codec choice entirely.
-        """
-        self._control = plane
-
-    def initialize(self, world_comm: Communicator) -> None:
-        if self._initialized:
-            raise ExecutionError("in transit bridge already initialized")
-        if not self.layout.is_producer(world_comm.rank):
-            raise ExecutionError(
-                f"rank {world_comm.rank} is not a producer in this layout"
-            )
-        self._world = world_comm
-        self._endpoint = self.layout.endpoint_of(world_comm.rank)
-        self._sender = ReliableSender(
-            world_comm, self._endpoint, self.transport
-        )
-        self._initialized = True
-
-    def execute(self, data: DataAdaptor) -> bool:
-        if not self._initialized:
-            raise ExecutionError("initialize the in transit bridge first")
-        if self._finalized:
-            raise ExecutionError("in transit bridge already finalized")
-        clock = current_clock()
-        t0 = clock.now
-        table = data.get_mesh(self.mesh_name)
-        if not isinstance(table, TableData):
-            raise ExecutionError(
-                f"in transit transport ships tables; {self.mesh_name!r} is "
-                f"{type(table).__name__}"
-            )
-        self._sender.send_step(data.time_step, data.time, table)
-        apparent = clock.now - t0
-        self.step_costs.append(apparent)
-        if self._control is not None:
-            self._control.observe_transport_step(
-                self._sender, data.time_step, apparent, table=table
-            )
-        return True
-
-    def finalize(self) -> None:
-        if self._finalized or not self._initialized:
-            self._finalized = True
-            return
-        self._sender.close()
-        self._finalized = True
-
-    @property
-    def control_plane(self):
-        """The attached control plane, or None (reporting access)."""
-        return self._control
-
-    @property
-    def metrics(self):
-        """Transport counters for this producer (None before init)."""
-        return self._sender.metrics if self._sender is not None else None
-
-    @property
-    def total_apparent_time(self) -> float:
-        """Simulated time the producer spent shipping data."""
-        return sum(self.step_costs)
-
-
-class EndpointRunner:
-    """One analysis endpoint: receives, assembles, analyzes.
-
-    ``serve`` loops until every producer has drained.  Steps are
-    processed in order; each step's tables from all producers are
-    concatenated into one local table, and the analyses run against
-    the endpoints' sub-communicator so reductions are global.
-    """
-
-    def __init__(
-        self,
-        layout: InTransitLayout,
-        world_comm: Communicator,
-        endpoint_comm: Communicator,
-        analyses: Sequence[AnalysisAdaptor],
-        mesh_name: str = "bodies",
-        transport: TransportConfig | None = None,
-    ):
-        if not layout.is_endpoint(world_comm.rank):
-            raise ExecutionError(
-                f"rank {world_comm.rank} is not an endpoint in this layout"
-            )
-        self.layout = layout
-        self.world = world_comm
-        self.endpoint_comm = endpoint_comm
-        self.analyses = list(analyses)
-        self.mesh_name = str(mesh_name)
-        self.transport = transport if transport is not None else TransportConfig()
-        self.producers = layout.producers_of(world_comm.rank)
-        self.receivers = {
-            p: ReliableReceiver(world_comm, p, self.transport)
-            for p in self.producers
-        }
-        self.steps_processed = 0
-
-    @property
-    def receiver_metrics(self) -> dict[int, object]:
-        """Per-producer transport counters."""
-        return {p: r.metrics for p, r in self.receivers.items()}
-
-    def _assemble(self, payloads: list[dict[str, np.ndarray]]) -> TableData:
-        table = TableData(self.mesh_name)
-        if not payloads:
-            return table
-        names = list(payloads[0])
-        for p in payloads[1:]:
-            if list(p) != names:
-                raise MPIError("producers shipped inconsistent column sets")
-        for name in names:
-            table.add_host_column(
-                name, np.concatenate([p[name] for p in payloads])
-            )
-        return table
-
-    def serve(self) -> int:
-        """Process steps until every producer drains; returns the count."""
-        for a in self.analyses:
-            a.initialize(self.endpoint_comm)
-        live = set(self.producers)
-        adaptor = TableDataAdaptor(comm=self.endpoint_comm)
-        while live:
-            step_payloads: list[dict[str, np.ndarray]] = []
-            step_id, step_time = None, 0.0
-            for p in sorted(live):
-                msg = self.receivers[p].receive_step()
-                if msg is None:
-                    live.discard(p)
-                    continue
-                ts, tt, cols = msg
-                if step_id is None:
-                    step_id, step_time = ts, tt
-                elif ts != step_id:
-                    raise MPIError(
-                        f"producer {p} is at step {ts}, expected {step_id}"
-                    )
-                step_payloads.append(cols)
-            if not step_payloads:
-                break
-            table = self._assemble(step_payloads)
-            adaptor.set_table(self.mesh_name, table)
-            adaptor.set_step(step_id, step_time)
-            for a in self.analyses:
-                a.execute(adaptor)
-            self.steps_processed += 1
-        for a in self.analyses:
-            a.finalize()
-        return self.steps_processed
-
-
 def run_in_transit(
     layout: InTransitLayout,
-    producer_main: Callable[[Communicator, InTransitBridge], object],
+    producer_main: Callable[[Communicator, "ServiceBridge"], object],
     analyses_factory: Callable[[], Sequence[AnalysisAdaptor]],
     mesh_name: str = "bodies",
     transport: TransportConfig | None = None,
     cost: CommCostModel | None = None,
     control=None,
     recorder=None,
-) -> tuple[list[object], list[EndpointRunner]]:
+) -> tuple[list[object], list["ServiceEndpoint"]]:
     """Launch an M-producer / N-endpoint in transit run.
 
     ``producer_main(sim_comm, bridge)`` runs on each producer with a
-    sub-communicator spanning the producers only, instrumented with an
-    :class:`InTransitBridge` (call ``bridge.execute`` per step;
-    ``finalize`` is invoked automatically afterwards).
+    sub-communicator spanning the producers only, instrumented with a
+    :class:`~repro.service.router.ServiceBridge` (call
+    ``bridge.execute`` per step; ``finalize`` is invoked automatically
+    afterwards).
     ``analyses_factory()`` builds each endpoint's analysis set.
     ``transport`` configures the wire (codec, chunking, retries, fault
     injection); ``cost`` overrides the interconnect cost model.
@@ -324,15 +137,13 @@ def run_in_transit(
     :class:`repro.trace.TraceRecorder`) captures a deterministic trace
     of the producers' traffic.
 
-    Since the service plane landed this is a thin wrapper over
-    :func:`repro.service.run_service` with a single collective
+    This is :func:`repro.service.run_service` with a single collective
     pipeline: one tenant named ``mesh_name`` sharded over all ``n``
     endpoints, carrying the layout's partitioner and weights.  The
-    single pipeline occupies tag index 0 — the legacy wire tags — and
-    admission control stays off unless the control config arms it, so
-    the classic path is bit-identical.
+    single pipeline occupies tag index 0 (``DATA_TAG``/``ACK_TAG``),
+    and admission control stays off unless the control config arms it.
 
-    Returns ``(producer_results, endpoint_runners)``.
+    Returns ``(producer_results, endpoints)``.
     """
     from repro.service.plan import PipelineSpec, ServiceConfig
     from repro.service.runtime import run_service

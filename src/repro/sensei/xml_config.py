@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.xmlattrs import read_attrs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.plan import ControlConfig
@@ -100,29 +101,23 @@ class AnalysisConfig:
                 f"analysis type={self.type!r} requires attribute {key!r}"
             ) from None
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def _get(self, key: str, default, convert, noun: str):
         raw = self.attrs.get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError:
             raise ConfigError(
-                f"analysis type={self.type!r}: attribute {key!r} must be an "
-                f"integer, got {raw!r}"
+                f"analysis type={self.type!r}: attribute {key!r} must be "
+                f"{noun}, got {raw!r}"
             ) from None
 
+    def get_int(self, key: str, default: int | None = None) -> int | None:
+        return self._get(key, default, int, "an integer")
+
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.attrs.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"analysis type={self.type!r}: attribute {key!r} must be a "
-                f"number, got {raw!r}"
-            ) from None
+        return self._get(key, default, float, "a number")
 
     def get_list(self, key: str, default: list[str] | None = None) -> list[str]:
         raw = self.attrs.get(key)
@@ -147,8 +142,38 @@ class SenseiConfig:
     service: "ServiceConfig | None" = None
 
 
+def _parse_plane(elem: ET.Element):
+    """Parse a ``<transport>``, ``<control>`` or ``<service>`` element.
+
+    The config classes are imported here, not at module scope: their
+    packages import :mod:`repro.sensei`.
+    """
+    if elem.tag == "transport":
+        from repro.transport.config import TransportConfig
+
+        return TransportConfig.from_xml_attrs(elem.attrib)
+    if elem.tag == "service":
+        from repro.service.plan import ServiceConfig
+
+        return ServiceConfig.from_xml_element(elem)
+    from repro.control.plan import ControlConfig
+
+    flows = list(elem)
+    for sub in flows:
+        if sub.tag != "flow":
+            raise ConfigError(
+                f"unexpected element <{sub.tag}> inside <control>; "
+                "only <flow> is allowed"
+            )
+    if len(flows) > 1:
+        raise ConfigError("at most one <flow> element is allowed")
+    return ControlConfig.from_xml_attrs(
+        elem.attrib, flow_attrs=dict(flows[0].attrib) if flows else None
+    )
+
+
 def parse_document(text: str) -> SenseiConfig:
-    """Parse a SENSEI XML document: analyses plus optional transport."""
+    """Parse a SENSEI XML document: analyses plus the optional planes."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -156,44 +181,14 @@ def parse_document(text: str) -> SenseiConfig:
     if root.tag != "sensei":
         raise ConfigError(f"root element must be <sensei>, got <{root.tag}>")
     configs: list[AnalysisConfig] = []
-    transport = None
-    control = None
-    service = None
+    planes: dict[str, object] = {}  # keyed like SenseiConfig's fields
     for child in root:
-        if child.tag == "transport":
-            if transport is not None:
-                raise ConfigError("at most one <transport> element is allowed")
-            from repro.transport.config import TransportConfig
-
-            transport = TransportConfig.from_xml_attrs(child.attrib)
-            continue
-        if child.tag == "control":
-            if control is not None:
-                raise ConfigError("at most one <control> element is allowed")
-            from repro.control.plan import ControlConfig
-
-            flow_attrs = None
-            for sub in child:
-                if sub.tag != "flow":
-                    raise ConfigError(
-                        f"unexpected element <{sub.tag}> inside <control>; "
-                        "only <flow> is allowed"
-                    )
-                if flow_attrs is not None:
-                    raise ConfigError(
-                        "at most one <flow> element is allowed"
-                    )
-                flow_attrs = dict(sub.attrib)
-            control = ControlConfig.from_xml_attrs(
-                child.attrib, flow_attrs=flow_attrs
-            )
-            continue
-        if child.tag == "service":
-            if service is not None:
-                raise ConfigError("at most one <service> element is allowed")
-            from repro.service.plan import ServiceConfig
-
-            service = ServiceConfig.from_xml_element(child)
+        if child.tag in ("transport", "control", "service"):
+            if child.tag in planes:
+                raise ConfigError(
+                    f"at most one <{child.tag}> element is allowed"
+                )
+            planes[child.tag] = _parse_plane(child)
             continue
         if child.tag != "analysis":
             raise ConfigError(
@@ -204,18 +199,11 @@ def parse_document(text: str) -> SenseiConfig:
         atype = attrs.pop("type", None)
         if not atype:
             raise ConfigError("<analysis> element missing the 'type' attribute")
-        enabled_raw = attrs.pop("enabled", "1").strip().lower()
-        if enabled_raw in ("1", "true", "yes", "on"):
-            enabled = True
-        elif enabled_raw in ("0", "false", "no", "off"):
-            enabled = False
-        else:
-            raise ConfigError(f"invalid enabled value {enabled_raw!r}")
-        configs.append(AnalysisConfig(type=atype, enabled=enabled, attrs=attrs))
-    return SenseiConfig(
-        analyses=tuple(configs), transport=transport, control=control,
-        service=service,
-    )
+        # 'enabled' is the one typed field; the rest stay raw strings
+        # for the back-end named by 'type' to interpret.
+        own = read_attrs(f"<analysis type={atype!r}>", attrs, AnalysisConfig)
+        configs.append(AnalysisConfig(type=atype, attrs=attrs, **own))
+    return SenseiConfig(analyses=tuple(configs), **planes)
 
 
 def parse_xml(text: str) -> list[AnalysisConfig]:

@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.transport.channel import ACK_TAG, DATA_TAG
 from repro.transport.config import TransportConfig
+from repro.transport.flows import pipeline_tags
 from repro.transport.partition import get_partitioner
+from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = [
     "PipelineSpec",
@@ -50,19 +51,6 @@ __all__ = [
     "pipeline_tags",
     "route_producers",
 ]
-
-#: Tag stride per pipeline: data/ack pairs with room to grow.  Index 0
-#: lands on the legacy ``DATA_TAG``/``ACK_TAG`` pair, so a one-pipeline
-#: service is wire-identical to the classic in-transit path.
-_TAG_STRIDE = 4
-
-
-def pipeline_tags(index: int) -> tuple[int, int]:
-    """The (data, ack) tag pair for the ``index``-th pipeline."""
-    if index < 0:
-        raise ConfigError(f"pipeline index must be >= 0: {index}")
-    return DATA_TAG + _TAG_STRIDE * index, ACK_TAG + _TAG_STRIDE * index
-
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -193,17 +181,13 @@ class ServiceConfig:
         return tuple(p.name for p in self.pipelines)
 
     def spec(self, name: str) -> PipelineSpec:
-        for p in self.pipelines:
-            if p.name == name:
-                return p
-        raise ConfigError(f"unknown pipeline {name!r}; have {self.names}")
+        return self.pipelines[self.index(name)]
 
     def index(self, name: str) -> int:
         """Position in canonical order — the tag-allocation index."""
-        for i, p in enumerate(self.pipelines):
-            if p.name == name:
-                return i
-        raise ConfigError(f"unknown pipeline {name!r}; have {self.names}")
+        if name not in self.names:
+            raise ConfigError(f"unknown pipeline {name!r}; have {self.names}")
+        return self.names.index(name)
 
     def tags(self, name: str) -> tuple[int, int]:
         return pipeline_tags(self.index(name))
@@ -212,28 +196,8 @@ class ServiceConfig:
     def from_xml_element(cls, elem: ET.Element) -> "ServiceConfig":
         """Parse a ``<service>`` element (nested ``<pipeline>`` children)."""
         attrs = dict(elem.attrib)
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<service>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        budget = _num("budget", 32, int)
-        min_credits = _num("min_credits", 1, int)
-        skew = _num("skew", 1.5, float)
-        cooldown = _num("cooldown", 2, int)
-        interval = _num("interval", 4, int)
-        if attrs:
-            raise ConfigError(
-                f"<service>: unknown attribute(s) {sorted(attrs)}"
-            )
+        own = read_attrs("<service>", attrs, cls)
+        reject_unknown("<service>", attrs)
         pipelines = []
         for child in elem:
             if child.tag != "pipeline":
@@ -242,68 +206,22 @@ class ServiceConfig:
                     "only <pipeline> is allowed"
                 )
             pipelines.append(cls._parse_pipeline(child.attrib))
-        return cls(
-            pipelines=tuple(pipelines),
-            budget=budget,
-            min_credits=min_credits,
-            skew=skew,
-            cooldown=cooldown,
-            interval=interval,
-        )
+        return cls(pipelines=tuple(pipelines), **own)
 
     @staticmethod
     def _parse_pipeline(raw_attrs: Mapping[str, str]) -> PipelineSpec:
         attrs = dict(raw_attrs)
-        name = attrs.pop("name", None)
-        if not name:
+        if not attrs.get("name"):
             raise ConfigError("<pipeline> element missing the 'name' attribute")
-        mesh = attrs.pop("mesh", "")
-
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<pipeline name={name!r}>: attribute {key!r} must be "
-                    f"a {conv.__name__}, got {raw!r}"
-                ) from None
-
-        weight = _num("weight", 1.0, float)
-        shard_size = _num("shard_size", 1, int)
-        raw_collective = attrs.pop("collective", "false").strip().lower()
-        if raw_collective not in ("true", "false", "1", "0"):
-            raise ConfigError(
-                f"<pipeline name={name!r}>: 'collective' must be a "
-                f"boolean, got {raw_collective!r}"
-            )
-        collective = raw_collective in ("true", "1")
-        ranks_raw = attrs.pop("ranks", None)
-        ranks = None
-        if ranks_raw is not None:
-            try:
-                ranks = tuple(
-                    int(r) for r in ranks_raw.split(",") if r.strip()
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"<pipeline name={name!r}>: 'ranks' must be a "
-                    f"comma-separated rank list, got {ranks_raw!r}"
-                ) from None
+        own = read_attrs(
+            f"<pipeline name={attrs['name']!r}>", attrs, PipelineSpec,
+            skip=("partitioner", "producer_weights"),
+        )
         # Everything left is transport configuration for this tenant
         # (including 'partitioner', which TransportConfig validates).
         transport = TransportConfig.from_xml_attrs(attrs)
         return PipelineSpec(
-            name=name,
-            mesh=mesh,
-            weight=weight,
-            shard_size=shard_size,
-            partitioner=transport.partitioner,
-            ranks=ranks,
-            collective=collective,
-            transport=transport,
+            partitioner=transport.partitioner, transport=transport, **own
         )
 
 

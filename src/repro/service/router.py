@@ -1,10 +1,11 @@
 """Producer-side service plane: routing, fan-in, admission actuation.
 
 :class:`Router` owns one producer rank's senders across every pipeline
-it feeds.  Each (pipeline, destination endpoint) pair gets its own
-:class:`~repro.transport.channel.ReliableSender` on the pipeline's tag
-pair, stamping chunks with the pipeline id so a misrouted frame is a
-hard error rather than silent cross-tenant corruption.  Destinations
+it feeds, held in a :class:`~repro.transport.flows.FlowTable`.  Each
+(pipeline, destination endpoint) pair gets its own reliable sender on
+the pipeline's tag pair, stamping chunks with the pipeline id so a
+misrouted frame is a hard error rather than silent cross-tenant
+corruption.  Destinations
 are recomputed from the replicated :class:`~repro.service.plan.ShardMap`
 on every step, so a shard migration takes effect at the next step
 boundary with no sender-side handshake.
@@ -29,24 +30,10 @@ from repro.mpi.comm import Communicator
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.service.plan import ServiceConfig, ShardMap, route_producers
 from repro.svtk.table import TableData
-from repro.transport.channel import ReliableSender
+from repro.transport.flows import CTRL_TAG, FlowTable
 from repro.transport.metrics import new_transport_timeline
 
 __all__ = ["CTRL_TAG", "Router", "ServiceBridge"]
-
-#: Service-plane control messages (membership updates, shutdown) flow
-#: from producer world rank 0 to every endpoint on this tag, outside
-#: the data/ack tag space and uncharged (control plane is free).
-CTRL_TAG = 91
-
-
-def table_nbytes(table: TableData) -> int:
-    """Deterministic raw payload size of one table (demand signal)."""
-    total = 0
-    for name in table.column_names:
-        col = table.column(name)
-        total += int(col.n_values) * np.dtype(col.dtype).itemsize
-    return total
 
 
 class Router:
@@ -72,8 +59,13 @@ class Router:
         self.m = int(m)
         self.n = int(n)
         self.shard_map = shard_map
-        self.load_board = load_board
-        self.senders: dict[tuple[str, int], ReliableSender] = {}
+        self.flows = FlowTable(
+            world, "service", "",
+            {name: config.tags(name) for name in config.names},
+            load_board=load_board,
+        )
+        #: Live senders keyed (pipeline, endpoint world rank).
+        self.senders = self.flows.senders
         self._timelines: dict[str, object] = {}
         #: Quota decisions keyed (pipeline, endpoint index): total
         #: credits granted to the tenant on that endpoint.  Applied to
@@ -81,22 +73,21 @@ class Router:
         #: later (e.g. after a migration).
         self._grants: dict[tuple[str, int], int] = {}
 
-    def members(self, name: str, endpoint_index: int) -> tuple[int, ...]:
-        """Producer world ranks currently routed to ``endpoint_index``."""
+    def routed(self, name: str) -> dict[int, tuple[int, ...]]:
+        """``{endpoint index: producer world ranks}`` under the live map."""
         spec = self.config.spec(name)
-        routed = route_producers(
+        return route_producers(
             spec, self.shard_map.shard(name), spec.producers(self.m)
         )
-        return routed.get(endpoint_index, ())
+
+    def members(self, name: str, endpoint_index: int) -> tuple[int, ...]:
+        """Producer world ranks currently routed to ``endpoint_index``."""
+        return self.routed(name).get(endpoint_index, ())
 
     def endpoint_of(self, name: str, producer: int) -> int:
         """Endpoint *index* currently serving ``producer`` on a pipeline."""
-        spec = self.config.spec(name)
-        routed = route_producers(
-            spec, self.shard_map.shard(name), spec.producers(self.m)
-        )
-        for e in sorted(routed):
-            if producer in routed[e]:
+        for e, producers in self.routed(name).items():
+            if producer in producers:
                 return e
         raise ExecutionError(
             f"rank {producer} does not feed pipeline {name!r}"
@@ -111,24 +102,14 @@ class Router:
             self._timelines[name] = tl
         return tl
 
-    def sender_for(self, name: str, endpoint_index: int) -> ReliableSender:
+    def sender_for(self, name: str, endpoint_index: int):
         dest = self.m + int(endpoint_index)
-        key = (name, dest)
-        sender = self.senders.get(key)
+        sender = self.senders.get((name, dest))
         if sender is None:
-            spec = self.config.spec(name)
-            data_tag, ack_tag = self.config.tags(name)
-            sender = ReliableSender(
-                self.world,
-                dest,
-                spec.transport,
+            sender = self.flows.sender(
+                name, dest, self.config.spec(name).transport,
                 timeline=self._timeline(name),
-                data_tag=data_tag,
-                ack_tag=ack_tag,
-                pipeline=name,
-                load_board=self.load_board,
             )
-            self.senders[key] = sender
             grant = self._grants.get((name, endpoint_index))
             if grant is not None:
                 self._set_window(sender, name, endpoint_index, grant)
@@ -142,8 +123,7 @@ class Router:
                 self.sender_for(spec.name, self.endpoint_of(spec.name, rank))
 
     def _set_window(
-        self, sender: ReliableSender, name: str, endpoint_index: int,
-        credits: int,
+        self, sender, name: str, endpoint_index: int, credits: int
     ) -> None:
         # The tenant's endpoint budget is split evenly across the
         # producers currently routed there; each flow gets the slice.
@@ -158,40 +138,22 @@ class Router:
             self._set_window(sender, name, int(endpoint_index), int(credits))
 
     def close_pipeline(self, name: str) -> None:
-        for key in sorted(k for k in self.senders if k[0] == name):
-            sender = self.senders[key]
-            if not sender._closed:
-                sender.close()
+        self.flows.close_senders(name)
 
     def close_all(self) -> None:
-        for key in sorted(self.senders):
-            sender = self.senders[key]
-            if not sender._closed:
-                sender.close()
+        self.flows.close_senders()
+        self.flows.release()
 
     def pipeline_metrics(self, name: str) -> dict:
         """Summed counters over this rank's senders for one pipeline."""
-        out = {
-            "steps": 0, "raw_bytes": 0, "wire_bytes": 0, "bytes_out": 0,
-            "retries": 0, "drops_recovered": 0, "chunks_sent": 0,
-            "backoff_time": 0.0, "senders": 0,
-        }
-        for key in sorted(k for k in self.senders if k[0] == name):
-            metrics = self.senders[key].metrics
-            out["senders"] += 1
-            for field in (
-                "steps", "raw_bytes", "wire_bytes", "bytes_out", "retries",
-                "drops_recovered", "chunks_sent", "backoff_time",
-            ):
-                out[field] += getattr(metrics, field)
-        return out
+        return self.flows.sender_totals(name)
 
 
 class ServiceBridge:
     """The simulation-side bridge of the multi-pipeline service.
 
-    Drop-in for :class:`repro.sensei.intransit.InTransitBridge` when
-    the service carries one pipeline, and the multi-tenant superset
+    What :func:`repro.sensei.intransit.run_in_transit` hands each
+    producer (a one-pipeline service) and the multi-tenant superset
     otherwise.  Every producer must call :meth:`execute` for the same
     sequence of time steps (ship nothing for a pipeline by simply not
     publishing its mesh) — the coordination round is a collective over
@@ -319,7 +281,7 @@ class ServiceBridge:
             ship0 = clock.now
             sender.send_step(data.time_step, data.time, table)
             self.pipeline_step_costs[spec.name].append(clock.now - ship0)
-            self._demand[spec.name] += table_nbytes(table)
+            self._demand[spec.name] += table.nbytes
             self._shipped[spec.name] += 1
             if self._control is not None:
                 self._control.observe_transport_step(
@@ -416,10 +378,7 @@ class ServiceBridge:
         """
         if self._sim.rank != 0:
             return
-        spec = self.config.spec(name)
-        routed = route_producers(
-            spec, self.shard_map.shard(name), spec.producers(self.m)
-        )
+        routed = self.router.routed(name)
         for e in range(self.n):
             self._world.send(
                 ("svc_migrate", step + 1, name, routed.get(e, ())),
@@ -433,11 +392,10 @@ class ServiceBridge:
         (the legacy bridge surface); per-flow dict otherwise."""
         if self.router is None:
             return None
-        senders = [self.router.senders[k] for k in sorted(self.router.senders)]
-        if len(senders) == 1:
-            return senders[0].metrics
-        return {k: s.metrics for k, s in
-                zip(sorted(self.router.senders), senders)}
+        metrics = {k: s.metrics for k, s in sorted(self.router.senders.items())}
+        if len(metrics) == 1:
+            return next(iter(metrics.values()))
+        return metrics
 
     def pipeline_metrics(self, name: str) -> dict:
         if self.router is None:

@@ -26,9 +26,9 @@ from repro.errors import ExecutionError, MPIError, TransportError
 from repro.mpi.comm import CommCostModel, Communicator, run_spmd
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.service.plan import PipelineRegistry, ServiceConfig, ShardMap, route_producers
-from repro.service.router import CTRL_TAG, ServiceBridge
+from repro.service.router import ServiceBridge
 from repro.svtk.table import TableData
-from repro.transport.channel import ReliableReceiver
+from repro.transport.flows import CTRL_TAG, FlowTable
 from repro.transport.metrics import new_transport_timeline
 
 __all__ = ["StepMerger", "ServiceEndpoint", "run_service"]
@@ -122,11 +122,10 @@ class StepMerger:
 class ServiceEndpoint:
     """One endpoint rank: receives, merges, and analyzes every tenant.
 
-    Keeps the reporting surface of
-    :class:`repro.sensei.intransit.EndpointRunner` when the service
-    carries a single pipeline (``receivers``, ``analyses``,
-    ``producers``, ``steps_processed``), so the legacy in-transit path
-    is a strict subset.
+    What :func:`repro.sensei.intransit.run_in_transit` returns per
+    endpoint: with a single pipeline the reporting surface
+    (``receivers``, ``analyses``, ``producers``, ``steps_processed``)
+    takes its flat one-tenant shape.
     """
 
     def __init__(
@@ -153,10 +152,16 @@ class ServiceEndpoint:
         # a single uniform split keeps the collective call pattern
         # identical across endpoint ranks.
         self._solo = endpoint_comm.split(color=endpoint_comm.rank)
-        self._receivers: dict[tuple[str, int], ReliableReceiver] = {}
+        self.flows = FlowTable(
+            world_comm, "service", "",
+            {name: config.tags(name) for name in config.names},
+        )
+        #: Live receivers keyed (pipeline, producer world rank).
+        self._receivers = self.flows.receivers
         self.mergers: dict[str, StepMerger] = {}
         self._analyses: dict[str, list] = {}
         self._adaptors: dict[str, TableDataAdaptor] = {}
+        self._analysis_comms: dict[str, Communicator] = {}
         self.pipeline_steps: dict[str, int] = {}
         self._initial_members: dict[str, tuple[int, ...]] = {}
         self._timelines = {
@@ -181,12 +186,9 @@ class ServiceEndpoint:
             self.mergers[spec.name] = StepMerger(producers, members)
             self._analyses[spec.name] = list(registry.build(spec.name))
             comm = endpoint_comm if spec.collective else self._solo
+            self._analysis_comms[spec.name] = comm
             self._adaptors[spec.name] = TableDataAdaptor(comm=comm)
             self.pipeline_steps[spec.name] = 0
-        self._analysis_comms = {
-            spec.name: (endpoint_comm if spec.collective else self._solo)
-            for spec in config.pipelines
-        }
         self._single = config.pipelines[0].name if len(
             config.pipelines
         ) == 1 else None
@@ -211,9 +213,8 @@ class ServiceEndpoint:
     @property
     def receivers(self) -> dict:
         """Per-flow receivers.  With a single pipeline, keyed by
-        producer rank over the initial members — the legacy
-        EndpointRunner surface; keyed ``(pipeline, producer)`` over
-        every flow otherwise."""
+        producer rank over the initial members; keyed
+        ``(pipeline, producer)`` over every flow otherwise."""
         if self._single is not None:
             return {
                 p: self._receivers[(self._single, p)]
@@ -238,16 +239,9 @@ class ServiceEndpoint:
         that raced ahead of the control message simply wait in the
         producer's mailbox until the receiver exists.
         """
-        key = (name, producer)
-        if key in self._receivers:
-            return
-        spec = self.config.spec(name)
-        data_tag, ack_tag = self.config.tags(name)
-        self._receivers[key] = ReliableReceiver(
-            self.world, producer, spec.transport,
+        self.flows.receiver(
+            name, producer, self.config.spec(name).transport,
             timeline=self._timelines[name],
-            data_tag=data_tag, ack_tag=ack_tag,
-            pipeline=name,
         )
 
     def _assemble(self, name: str, payloads: list[dict]) -> TableData:
@@ -366,6 +360,7 @@ class ServiceEndpoint:
                     details={"rank": self.world.rank},
                 )
             time.sleep(_IDLE_SLEEP)
+        self.flows.release()
         for name in sorted(self._analyses):
             for analysis in self._analyses[name]:
                 analysis.finalize()

@@ -56,6 +56,11 @@ class DataArray(ABC):
     def dtype(self) -> np.dtype:
         """Component scalar type."""
 
+    @property
+    def nbytes(self) -> int:
+        """Raw payload bytes: ``n_values`` scalars of ``dtype``."""
+        return int(self.n_values) * np.dtype(self.dtype).itemsize
+
     # -- access ------------------------------------------------------------------
     @abstractmethod
     def get_host_accessible(self) -> SharedView:

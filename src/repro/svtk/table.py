@@ -71,6 +71,11 @@ class TableData:
         return len(self._columns)
 
     @property
+    def nbytes(self) -> int:
+        """Raw payload bytes across every column."""
+        return sum(col.nbytes for col in self._columns.values())
+
+    @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(self._columns)
 

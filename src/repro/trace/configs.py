@@ -3,24 +3,35 @@
 The trace header embeds everything the replayer must reconstruct to
 push the recorded traffic back through ``run_service`` bit-identically:
 the service topology (pipelines with their transport wires), the
-interconnect cost model, and the control-plane configuration.  Every
-encoder here is a pure field-by-field mapping of the frozen config
-dataclasses, and ``encode(decode(x)) == encode(x)`` exactly — the
-property the record→replay→re-record fixpoint rests on.
+interconnect cost model, and the control-plane configuration.
+
+The codec walks the config dataclasses' own fields and declared types,
+so a field added to any of them is recorded and replayed with no edit
+here.  A nested dataclass becomes a nested mapping, ``tuple[X, ...]`` a
+list, ``X | None`` passes ``None`` through, a type that round-trips
+through text (``parse(text)`` classmethod plus ``.value``, e.g.
+``GovernorSetting``) its text, and scalars are coerced to the declared
+type on encode so ``weight=8`` and ``weight=8.0`` record the same
+bytes.  ``encode(decode(x)) == encode(x)`` exactly — the property the
+record→replay→re-record fixpoint rests on.
 """
 
 from __future__ import annotations
 
-from repro.control.governors import FlowBounds
-from repro.control.plan import ControlConfig, GovernorSetting
+import dataclasses
+from functools import partial
+from typing import get_args, get_origin, get_type_hints
+
+from repro.control.plan import ControlConfig
 from repro.errors import TraceFormatError
 from repro.mpi.comm import CommCostModel
 from repro.service.plan import PipelineSpec, ServiceConfig
-from repro.transport.channel import FaultSpec
 from repro.transport.config import TransportConfig
-from repro.transport.retry import RetryPolicy
+from repro.xmlattrs import strip_optional
 
 __all__ = [
+    "encode_config",
+    "decode_config",
     "encode_cost",
     "decode_cost",
     "encode_control",
@@ -31,190 +42,77 @@ __all__ = [
     "decode_service",
 ]
 
-
-def _decode(kind: str, builder, payload: dict):
-    """Run a config constructor, wrapping failures as trace errors."""
-    try:
-        return builder(**payload)
-    except Exception as exc:
-        raise TraceFormatError(
-            f"trace header carries an invalid {kind} config: {exc}",
-            details={"section": kind},
-        ) from exc
-
-
-def encode_cost(cost: CommCostModel | None) -> dict | None:
-    if cost is None:
-        return None
-    return {
-        "latency": float(cost.latency),
-        "bandwidth": float(cost.bandwidth),
-        "barrier_cost": float(cost.barrier_cost),
-    }
+#: The header section a decode failure is reported under; a nested
+#: config without an entry (retry policy, fault spec, flow bounds)
+#: reports under the section that contains it.
+_SECTIONS = {
+    CommCostModel: "cost",
+    ControlConfig: "control",
+    TransportConfig: "transport",
+    ServiceConfig: "service",
+    PipelineSpec: "pipeline",
+}
 
 
-def _as_mapping(kind: str, payload) -> dict:
-    """The payload as a dict, with structured failure on type skew."""
-    try:
-        return dict(payload)
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(
-            f"trace header carries a non-mapping {kind} config: {exc}",
-            details={"section": kind},
-        ) from exc
-
-
-def decode_cost(payload: dict | None) -> CommCostModel | None:
-    if payload is None:
-        return None
-    return _decode("cost", CommCostModel, _as_mapping("cost", payload))
-
-
-def encode_control(config: ControlConfig | None) -> dict | None:
+def encode_config(config, tp=None):
+    """The JSON-ready form of a config (``tp``: the declared type of a
+    nested value, supplied by the recursion)."""
     if config is None:
         return None
-    fb = config.flow_bounds
-    return {
-        "enabled": bool(config.enabled),
-        "seed": int(config.seed),
-        "interval": int(config.interval),
-        "window": int(config.window),
-        "codec": config.codec.value,
-        "execution": config.execution.value,
-        "placement": config.placement.value,
-        "pool": config.pool.value,
-        "flow": config.flow.value,
-        "quota": config.quota.value,
-        "repartition": config.repartition.value,
-        "repartition_skew": float(config.repartition_skew),
-        "repartition_cooldown": int(config.repartition_cooldown),
-        "pool_growth": bool(config.pool_growth),
-        "flow_bounds": {
-            "min_credits": int(fb.min_credits),
-            "max_credits": int(fb.max_credits),
-            "min_chunk": int(fb.min_chunk),
-            "max_chunk": int(fb.max_chunk),
-        },
-        "mode_low": float(config.mode_low),
-        "mode_high": float(config.mode_high),
-        "codec_margin": float(config.codec_margin),
-        "overload": float(config.overload),
-        "pool_watermark_kib": (
-            None if config.pool_watermark_kib is None
-            else float(config.pool_watermark_kib)
-        ),
-        "coordination": str(config.coordination),
-        "coordination_interval": int(config.coordination_interval),
-    }
+    tp, _optional = strip_optional(tp or type(config))
+    if hasattr(tp, "parse"):
+        return config.value
+    if dataclasses.is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return {
+            f.name: encode_config(getattr(config, f.name), hints[f.name])
+            for f in dataclasses.fields(tp) if f.init
+        }
+    if get_origin(tp) is tuple:
+        return [encode_config(item, get_args(tp)[0]) for item in config]
+    return tp(config)
 
 
-def decode_control(payload: dict | None) -> ControlConfig | None:
-    if payload is None:
+def decode_config(tp, payload, section: str | None = None):
+    """Rebuild a ``tp`` from :func:`encode_config`'s output.
+
+    ``tp`` may be ``X | None`` to accept a ``None`` payload.  Any
+    malformed payload raises :class:`~repro.errors.TraceFormatError`
+    whose ``details["section"]`` names the offending header section
+    (for a dataclass outside ``_SECTIONS``, its class name).
+    """
+    tp, optional = strip_optional(tp)
+    if optional and payload is None:
         return None
-    fields = _as_mapping("control", payload)
-    try:
-        for name in (
-            "codec", "execution", "placement", "pool", "flow", "quota",
-            "repartition",
-        ):
-            fields[name] = GovernorSetting.parse(fields[name])
-        fields["flow_bounds"] = FlowBounds(**fields["flow_bounds"])
-    except Exception as exc:
-        raise TraceFormatError(
-            f"trace header carries an invalid control config: {exc}",
-            details={"section": "control"},
-        ) from exc
-    return _decode("control", ControlConfig, fields)
+    if hasattr(tp, "parse"):
+        return tp.parse(payload)
+    if dataclasses.is_dataclass(tp):
+        section = _SECTIONS.get(tp) or section or tp.__name__
+        hints = get_type_hints(tp)
+        try:
+            # Unknown keys go to the constructor untouched, which
+            # rejects them; the except below makes that structured.
+            return tp(**{
+                key: decode_config(hints[key], raw, section)
+                if key in hints else raw
+                for key, raw in dict(payload).items()
+            })
+        except TraceFormatError:
+            raise
+        except Exception as exc:
+            raise TraceFormatError(
+                f"trace header carries an invalid {section} config: {exc}",
+                details={"section": section},
+            ) from exc
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        return tuple(decode_config(item, raw, section) for raw in payload)
+    return payload
 
 
-def encode_transport(config: TransportConfig) -> dict:
-    retry, faults = config.retry, config.faults
-    return {
-        "compression": str(config.compression),
-        "chunk_bytes": int(config.chunk_bytes),
-        "max_inflight": int(config.max_inflight),
-        "partitioner": str(config.partitioner),
-        "recv_timeout": float(config.recv_timeout),
-        "pipelined": bool(config.pipelined),
-        "retry": {
-            "max_retries": int(retry.max_retries),
-            "ack_timeout": float(retry.ack_timeout),
-            "backoff_base": float(retry.backoff_base),
-            "backoff_factor": float(retry.backoff_factor),
-            "backoff_max": float(retry.backoff_max),
-            "jitter": float(retry.jitter),
-        },
-        "faults": {
-            "drop": float(faults.drop),
-            "duplicate": float(faults.duplicate),
-            "reorder": float(faults.reorder),
-            "corrupt": float(faults.corrupt),
-            "seed": int(faults.seed),
-            "congestion_bytes": int(faults.congestion_bytes),
-            "congestion_drop": float(faults.congestion_drop),
-        },
-    }
-
-
-def decode_transport(payload: dict) -> TransportConfig:
-    fields = _as_mapping("transport", payload)
-    try:
-        fields["retry"] = RetryPolicy(**fields["retry"])
-        fields["faults"] = FaultSpec(**fields["faults"])
-    except Exception as exc:
-        raise TraceFormatError(
-            f"trace header carries an invalid transport config: {exc}",
-            details={"section": "transport"},
-        ) from exc
-    return _decode("transport", TransportConfig, fields)
-
-
-def encode_service(config: ServiceConfig) -> dict:
-    return {
-        "budget": int(config.budget),
-        "min_credits": int(config.min_credits),
-        "skew": float(config.skew),
-        "cooldown": int(config.cooldown),
-        "interval": int(config.interval),
-        "pipelines": [
-            {
-                "name": spec.name,
-                "mesh": spec.mesh,
-                "weight": float(spec.weight),
-                "shard_size": int(spec.shard_size),
-                "partitioner": str(spec.partitioner),
-                "producer_weights": (
-                    None if spec.producer_weights is None
-                    else [float(w) for w in spec.producer_weights]
-                ),
-                "ranks": (
-                    None if spec.ranks is None
-                    else [int(r) for r in spec.ranks]
-                ),
-                "collective": bool(spec.collective),
-                "transport": encode_transport(spec.transport),
-            }
-            for spec in config.pipelines
-        ],
-    }
-
-
-def decode_service(payload: dict) -> ServiceConfig:
-    fields = _as_mapping("service", payload)
-    try:
-        pipelines = []
-        for raw in fields.pop("pipelines"):
-            spec = dict(raw)
-            spec["transport"] = decode_transport(spec["transport"])
-            if spec.get("producer_weights") is not None:
-                spec["producer_weights"] = tuple(spec["producer_weights"])
-            if spec.get("ranks") is not None:
-                spec["ranks"] = tuple(spec["ranks"])
-            pipelines.append(_decode("pipeline", PipelineSpec, spec))
-        fields["pipelines"] = tuple(pipelines)
-    except (KeyError, TypeError) as exc:
-        raise TraceFormatError(
-            f"trace header carries an invalid service config: {exc}",
-            details={"section": "service"},
-        ) from exc
-    return _decode("service", ServiceConfig, fields)
+# The header's four sections, by name.
+encode_cost = encode_control = encode_transport = encode_service = encode_config
+decode_cost = partial(decode_config, CommCostModel | None)
+decode_control = partial(decode_config, ControlConfig | None)
+decode_transport = partial(decode_config, TransportConfig)
+decode_service = partial(decode_config, ServiceConfig)

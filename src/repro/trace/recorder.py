@@ -181,8 +181,8 @@ class TraceRecorder:
             "m": int(m),
             "n": int(n),
             "service": encode_service(config),
-            "cost": None if cost is None else encode_cost(cost),
-            "control": None if control is None else encode_control(control),
+            "cost": encode_cost(cost),
+            "control": encode_control(control),
         }
 
     def bind(self, rank: int, bridge):

@@ -182,7 +182,13 @@ def replay_trace(trace, registry=None) -> ReplayResult:
                 bridge.inject(op[1])
         return sim_comm.rank
 
-    recorder = TraceRecorder(trace.name, meta=dict(header.get("meta", {})))
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceFormatError(
+            f"trace header carries a non-mapping meta: {meta!r}",
+            details={"section": "meta"},
+        )
+    recorder = TraceRecorder(trace.name, meta=dict(meta))
     recorder.describe(config, m, n, cost=cost, control=control)
     from repro.service.runtime import run_service
 

@@ -9,6 +9,8 @@ package is the transport plane under :mod:`repro.sensei.intransit`:
 - :mod:`repro.transport.channel` — the delivery layer: an injectable
   lossy/duplicating/reordering/corrupting channel for fault testing,
   plus the reliable sender/receiver pair (ACKs, dedup, drain);
+- :mod:`repro.transport.flows` — the tag registry and the
+  :class:`FlowTable` every plane builds its reliable flows through;
 - :mod:`repro.transport.retry` — sender-side retry with exponential
   backoff and jitter;
 - :mod:`repro.transport.flow` — bounded, run-time *resizable*
@@ -34,6 +36,7 @@ from repro.transport.channel import (
 )
 from repro.transport.config import TransportConfig
 from repro.transport.flow import CreditWindow
+from repro.transport.flows import FlowTable
 from repro.transport.metrics import (
     TransportMetrics,
     reset_transport_timelines,
@@ -56,6 +59,7 @@ __all__ = [
     "CreditWindow",
     "FaultSpec",
     "FaultyChannel",
+    "FlowTable",
     "ReliableReceiver",
     "ReliableSender",
     "RetryPolicy",

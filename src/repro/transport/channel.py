@@ -45,6 +45,7 @@ from repro.errors import TransportError
 from repro.hamr.runtime import current_clock
 from repro.hw.clock import EventCategory, Timeline
 from repro.transport.flow import CreditWindow
+from repro.transport.flows import ACK_TAG, DATA_TAG
 from repro.transport.metrics import TransportMetrics, new_transport_timeline
 from repro.transport.wire import Chunk, StepAssembler, encode_step, get_codec
 
@@ -62,10 +63,6 @@ __all__ = [
     "ReliableSender",
     "ReliableReceiver",
 ]
-
-#: Tag space reserved by the transport plane.
-DATA_TAG = 100
-ACK_TAG = 101
 
 #: Wall-clock seconds between receiver mailbox polls.
 _POLL = 0.02

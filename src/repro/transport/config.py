@@ -34,6 +34,7 @@ from repro.transport.partition import available_partitioners
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import DEFAULT_CHUNK_BYTES, available_codecs
 from repro.units import KiB
+from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = ["TransportConfig"]
 
@@ -99,61 +100,25 @@ class TransportConfig:
 
     @classmethod
     def from_xml_attrs(cls, attrs: Mapping[str, str]) -> "TransportConfig":
-        """Build a config from a ``<transport>`` element's attributes."""
-        attrs = dict(attrs)
+        """Build a config from a ``<transport>`` element's attributes.
 
-        def _num(key: str, default, conv):
-            raw = attrs.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"<transport>: attribute {key!r} must be a "
-                    f"{conv.__name__}, got {raw!r}"
-                ) from None
-
-        compression = attrs.pop("compression", "none")
-        chunk_kib = _num("chunk_kib", None, float)
-        chunk_bytes = (
-            int(chunk_kib * KiB) if chunk_kib is not None
-            else _num("chunk_bytes", DEFAULT_CHUNK_BYTES, int)
+        The element flattens the retry policy and the fault spec into
+        its own attribute list; ``chunk_kib`` / ``congestion_kib`` are
+        KiB spellings and ``retries`` names ``RetryPolicy.max_retries``.
+        """
+        attrs, label = dict(attrs), "<transport>"
+        retry = RetryPolicy(**read_attrs(
+            label, attrs, RetryPolicy, names={"retries": "max_retries"},
+            skip=("max_retries", "backoff_base", "backoff_factor",
+                  "backoff_max", "jitter"),
+        ))
+        faults = FaultSpec(**read_attrs(
+            label, attrs, FaultSpec,
+            names={"congestion_kib": ("congestion_bytes", KiB)},
+            skip=("congestion_bytes",),
+        ))
+        own = read_attrs(
+            label, attrs, cls, names={"chunk_kib": ("chunk_bytes", KiB)}
         )
-        max_inflight = _num("max_inflight", 8, int)
-        retry = RetryPolicy(
-            max_retries=_num("retries", 8, int),
-            ack_timeout=_num("ack_timeout", 0.05, float),
-        )
-        faults = FaultSpec(
-            drop=_num("drop", 0.0, float),
-            duplicate=_num("duplicate", 0.0, float),
-            reorder=_num("reorder", 0.0, float),
-            corrupt=_num("corrupt", 0.0, float),
-            seed=_num("seed", 0, int),
-            congestion_bytes=int(_num("congestion_kib", 0.0, float) * KiB),
-            congestion_drop=_num("congestion_drop", 0.0, float),
-        )
-        partitioner = attrs.pop("partitioner", "block")
-        recv_timeout = _num("recv_timeout", 60.0, float)
-        raw_pipelined = attrs.pop("pipelined", "false").strip().lower()
-        if raw_pipelined not in ("true", "false", "1", "0"):
-            raise ConfigError(
-                f"<transport>: attribute 'pipelined' must be a boolean, "
-                f"got {raw_pipelined!r}"
-            )
-        pipelined = raw_pipelined in ("true", "1")
-        if attrs:
-            raise ConfigError(
-                f"<transport>: unknown attribute(s) {sorted(attrs)}"
-            )
-        return cls(
-            compression=compression,
-            chunk_bytes=chunk_bytes,
-            max_inflight=max_inflight,
-            retry=retry,
-            partitioner=partitioner,
-            faults=faults,
-            recv_timeout=recv_timeout,
-            pipelined=pipelined,
-        )
+        reject_unknown(label, attrs)
+        return cls(retry=retry, faults=faults, **own)

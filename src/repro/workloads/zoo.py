@@ -40,7 +40,9 @@ ZOO_WORKLOADS = ("newton", "stencil", "particle", "request-stream")
 GOLDEN_SCENARIOS = ("codec", "flow", "repartition")
 
 #: Generous wall stall-guard: retransmits must be scheduled by the
-#: delivery verdicts (seeded), never by the wall clock.
+#: delivery verdicts (seeded), never by the wall clock.  Every flow of
+#: every scenario carries it — the service pipelines and the stencil /
+#: particle producers' peer-to-peer halo flows alike.
 _PATIENT = RetryPolicy(max_retries=40, ack_timeout=5.0)
 
 
@@ -104,6 +106,7 @@ def _stencil(seed: int, quick: bool) -> dict:
         "config": _single("stencil", transport, 2, 1),
         "producer_main": stencil_producer(
             stencil_cfg, adaptive=True, interval=4, mesh="stencil",
+            transport=TransportConfig(retry=_PATIENT),
         ),
         "m": 2,
         "n": 1,
@@ -129,6 +132,7 @@ def _particle(seed: int, quick: bool) -> dict:
         "config": _single("particles", transport, 2, 1),
         "producer_main": particle_producer(
             particle_cfg, adaptive=True, interval=4, mesh="particles",
+            transport=TransportConfig(retry=_PATIENT),
         ),
         "m": 2,
         "n": 1,

@@ -83,6 +83,12 @@ class TestRuleFixtures:
         assert {f.rule for f in lint_paths([path])} == {"HL010"}
 
 
+    def test_hl011_near_misses_stay_clean(self):
+        """Registry-derived tags, re-exports, signature defaults and
+        look-alike names are not literal tags."""
+        assert lint_paths([FIXTURES / "hl011_near_miss.py"]) == []
+
+
 class TestFindingShape:
     def test_finding_fields(self):
         f = lint_paths([FIXTURES / "hl001.py"], select=["HL001"])[0]

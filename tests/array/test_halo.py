@@ -178,3 +178,51 @@ class TestExchange:
             return True
 
         assert run_spmd(1, main) == [True]
+
+
+class TestTwoExchangersOneCommunicator:
+    """Each exchanger's tags derive from its name, so two arrays can
+    exchange over one communicator; a late duplicate of one array's
+    frame used to be read by the other array's receiver (shared tags)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicates_stay_on_their_own_flow(self, seed):
+        transport = TransportConfig(
+            retry=RetryPolicy(max_retries=3, ack_timeout=0.5),
+        ).with_faults(duplicate=0.2, seed=seed)
+        dense = {
+            "a": np.arange(48, dtype=np.float64) + 1.0,
+            "b": -2.0 * np.arange(48, dtype=np.float64) - 1.0,
+        }
+
+        def main(comm):
+            arrays = {
+                name: DistributedArray.create(
+                    comm, 48, partitioner="cyclic", block_rows=4, halo=1,
+                    device_id=0, name=name,
+                )
+                for name in sorted(dense)
+            }
+            exchangers = {
+                name: HaloExchanger(comm, transport, name=name)
+                for name in sorted(dense)
+            }
+            for name in sorted(dense):
+                arrays[name][:] = dense[name]
+            for step in range(1, 5):
+                for name in sorted(dense):
+                    exchangers[name].exchange(arrays[name], step)
+            failures = []
+            for name in sorted(dense):
+                expected = ghosts_from_dense(arrays[name], dense[name])
+                for b, (left, right) in sorted(expected.items()):
+                    shard = arrays[name].shards[b]
+                    if not (np.array_equal(shard.left_ghost, left)
+                            and np.array_equal(shard.right_ghost, right)):
+                        failures.append((name, b))
+            for name in sorted(dense):
+                exchangers[name].close()
+                arrays[name].close()
+            return failures
+
+        assert run_spmd(3, main) == [[], [], []]

@@ -1,10 +1,10 @@
-"""Tests for the controller primitives: EWMA, hysteresis, bandit."""
+"""Tests for the controller primitives: EWMA, hysteresis."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.control.policy import EWMA, DiscountedUCB, Hysteresis
+from repro.control.policy import EWMA, Hysteresis
 
 
 class TestEWMA:
@@ -63,59 +63,3 @@ class TestHysteresis:
     def test_validation(self):
         with pytest.raises(ValueError):
             Hysteresis(0.2, 0.1)
-
-
-class TestDiscountedUCB:
-    def test_plays_unplayed_arms_in_declaration_order(self):
-        b = DiscountedUCB(("a", "b", "c"))
-        for expected in ("a", "b", "c"):
-            arm = b.select()
-            assert arm == expected
-            b.update(arm, 0.0)
-
-    def test_prefers_the_rewarding_arm(self):
-        b = DiscountedUCB(("bad", "good"), exploration=0.01)
-        for _ in range(20):
-            b.update("bad", -1.0)
-            b.update("good", -0.1)
-        assert b.select() == "good"
-
-    def test_discount_tracks_drift(self):
-        """An arm that was great long ago loses to a recently-good one."""
-        b = DiscountedUCB(("a", "b"), discount=0.5, exploration=0.0)
-        for _ in range(5):
-            b.update("a", 1.0)
-        for _ in range(10):
-            b.update("a", -1.0)
-            b.update("b", 0.5)
-        assert b.select() == "b"
-
-    def test_deterministic_under_seed(self):
-        def run(seed):
-            b = DiscountedUCB(("x", "y", "z"), seed=seed)
-            picks = []
-            for i in range(30):
-                arm = b.select()
-                picks.append(arm)
-                b.update(arm, 0.0)  # all ties: forces RNG tie-breaks
-            return picks
-
-        assert run(7) == run(7)
-
-    def test_unplayed_arm_scores_infinite(self):
-        b = DiscountedUCB(("a", "b"))
-        b.update("a", 1.0)
-        assert b.score("b") == float("inf")
-        assert b.mean("b") == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscountedUCB(())
-        with pytest.raises(ValueError):
-            DiscountedUCB(("a", "a"))
-        with pytest.raises(ValueError):
-            DiscountedUCB(("a",), discount=0.0)
-        with pytest.raises(ValueError):
-            DiscountedUCB(("a",), exploration=-1.0)
-        with pytest.raises(ValueError):
-            DiscountedUCB(("a",)).update("zzz", 0.0)

@@ -14,12 +14,7 @@ from repro.newton.adaptor import NewtonDataAdaptor
 from repro.newton.solver import NewtonSolver, SolverConfig
 from repro.sensei.backends.binning import BinningAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
-from repro.sensei.intransit import (
-    EndpointRunner,
-    InTransitBridge,
-    InTransitLayout,
-    run_in_transit,
-)
+from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
 
 
@@ -287,7 +282,19 @@ class TestInTransitRun:
             run_in_transit(layout, producer_main, _binning_factory())
 
     def test_bridge_misuse(self):
-        layout = InTransitLayout(m=1, n=1)
-        bridge = InTransitBridge(layout)
+        from repro.service import PipelineSpec, ServiceBridge, ServiceConfig
+
+        config = ServiceConfig(pipelines=(PipelineSpec(name="bodies"),))
+        bridge = ServiceBridge(config, m=1, n=1)
         with pytest.raises(ExecutionError):
             bridge.execute(object())  # not initialized
+        with pytest.raises(ExecutionError):
+            bridge.finish_pipeline("bodies")  # not initialized
+
+        def endpoint_as_producer(comm):
+            if comm.rank == 1:  # an endpoint rank is not a producer
+                with pytest.raises(ExecutionError):
+                    ServiceBridge(config, m=1, n=1).initialize(comm, comm)
+            return True
+
+        assert run_spmd(2, endpoint_as_producer) == [True, True]

@@ -1,0 +1,331 @@
+"""One attribute reader, one header codec — both derived from the
+config dataclasses, so a field declared once is parsed and recorded."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import xml.etree.ElementTree as ET
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.control.governors import FlowBounds
+from repro.control.plan import ControlConfig, GovernorSetting
+from repro.errors import ConfigError, TraceFormatError
+from repro.sensei.xml_config import parse_document
+from repro.service.plan import PipelineSpec, ServiceConfig
+from repro.trace.configs import decode_config, encode_config
+from repro.transport.channel import FaultSpec
+from repro.transport.config import TransportConfig
+from repro.transport.partition import available_partitioners
+from repro.transport.retry import RetryPolicy
+from repro.units import KiB
+from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
+
+SETTINGS = dict(max_examples=40, deadline=None)
+
+# -- strategies: every field of every config gets a non-default draw -----------
+
+_prob = st.floats(min_value=0.0, max_value=1.0)
+_pos = st.floats(min_value=1e-6, max_value=1e3)
+_count = st.integers(min_value=1, max_value=1 << 20)
+_settings = st.sampled_from(["on", "off", "freeze"]).map(GovernorSetting.parse)
+_names = st.text("abcdefghij_", min_size=1, max_size=6)
+
+
+@st.composite
+def retries(draw):
+    base = draw(st.floats(min_value=0.0, max_value=1e-3))
+    return RetryPolicy(
+        max_retries=draw(st.integers(0, 64)), ack_timeout=draw(_pos),
+        backoff_base=base,
+        backoff_factor=draw(st.floats(min_value=1.0, max_value=4.0)),
+        backoff_max=base + draw(st.floats(min_value=0.0, max_value=1e-2)),
+        jitter=draw(st.floats(min_value=0.0, max_value=0.99)),
+    )
+
+
+faults = st.builds(
+    FaultSpec, drop=_prob, duplicate=_prob, reorder=_prob, corrupt=_prob,
+    seed=st.integers(0, 1 << 30), congestion_bytes=st.integers(0, 1 << 24),
+    congestion_drop=_prob,
+)
+transports = st.builds(
+    TransportConfig,
+    compression=st.sampled_from(["none", "zlib", "adaptive"]),
+    chunk_bytes=_count, max_inflight=st.integers(1, 256), retry=retries(),
+    partitioner=st.sampled_from(available_partitioners()), faults=faults,
+    recv_timeout=_pos, pipelined=st.booleans(),
+)
+
+
+@st.composite
+def flow_bounds(draw):
+    lo, chunk = draw(st.integers(1, 64)), draw(st.integers(1, 1 << 16))
+    return FlowBounds(
+        min_credits=lo, max_credits=lo + draw(st.integers(0, 64)),
+        min_chunk=chunk, max_chunk=chunk + draw(st.integers(0, 1 << 18)),
+    )
+
+
+@st.composite
+def controls(draw):
+    low = draw(st.floats(min_value=0.0, max_value=0.5))
+    return ControlConfig(
+        enabled=draw(st.booleans()), seed=draw(st.integers(0, 1 << 30)),
+        interval=draw(st.integers(1, 64)), window=draw(st.integers(1, 256)),
+        codec=draw(_settings), execution=draw(_settings),
+        placement=draw(_settings), pool=draw(_settings), flow=draw(_settings),
+        quota=draw(_settings), repartition=draw(_settings),
+        repartition_skew=draw(st.floats(min_value=1.01, max_value=8.0)),
+        repartition_cooldown=draw(st.integers(0, 16)),
+        pool_growth=draw(st.booleans()), flow_bounds=draw(flow_bounds()),
+        mode_low=low, mode_high=low + draw(st.floats(min_value=0.0, max_value=0.5)),
+        codec_margin=draw(st.floats(min_value=1.0, max_value=4.0)),
+        overload=draw(st.floats(min_value=1.0, max_value=4.0)),
+        pool_watermark_kib=draw(st.none() | st.floats(min_value=0.0, max_value=1e6)),
+        coordination=draw(st.sampled_from(["off", "node"])),
+        coordination_interval=draw(st.integers(1, 16)),
+    )
+
+
+@st.composite
+def pipelines(draw, name):
+    return PipelineSpec(
+        name=name, mesh=draw(st.just("") | _names),
+        weight=draw(st.floats(min_value=0.01, max_value=64.0)),
+        shard_size=draw(st.integers(1, 8)),
+        partitioner=draw(st.sampled_from(available_partitioners())),
+        producer_weights=draw(st.none() | st.lists(_pos, min_size=1, max_size=4).map(tuple)),
+        ranks=draw(st.none() | st.lists(st.integers(0, 31), min_size=1, max_size=4).map(tuple)),
+        collective=False, transport=draw(transports),
+    )
+
+
+@st.composite
+def services(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    specs = [draw(pipelines(name)) for name in names]
+    if draw(st.booleans()):  # at most one collective tenant is legal
+        specs[0] = dataclasses.replace(specs[0], collective=True)
+    budget = draw(st.integers(1, 128))
+    return ServiceConfig(
+        pipelines=tuple(specs), budget=budget,
+        min_credits=draw(st.integers(1, budget)),
+        skew=draw(st.floats(min_value=1.01, max_value=8.0)),
+        cooldown=draw(st.integers(0, 16)), interval=draw(st.integers(1, 64)),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    depth: int = 1
+    label: str | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Throwaway:
+    """A config nobody told ``repro.trace`` or ``repro.xmlattrs`` about."""
+
+    gain: float = 0.5
+    mode: GovernorSetting = GovernorSetting()
+    inner: Inner = Inner()
+    brand_new_field: tuple[int, ...] | None = None
+
+
+def _wire(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestHeaderCodec:
+    @settings(**SETTINGS)
+    @given(config=st.one_of(
+        retries(), faults, transports, flow_bounds(), controls(), services(),
+        st.text("abc", min_size=1, max_size=3).flatmap(pipelines),
+    ))
+    def test_every_field_survives_encode_decode_encode(self, config):
+        payload = encode_config(config)
+        wire = _wire(payload)
+        decoded = decode_config(type(config), json.loads(wire))
+        assert decoded == config
+        assert _wire(encode_config(decoded)) == wire
+        # No field is silently left out of the header.
+        assert set(payload) == {
+            f.name for f in dataclasses.fields(config) if f.init
+        }
+
+    def test_declared_type_wins_over_the_value_passed(self):
+        spec = PipelineSpec(name="p", weight=8, ranks=[2, 0])
+        assert _wire(encode_config(spec)) == _wire(
+            encode_config(PipelineSpec(name="p", weight=8.0, ranks=(0, 2)))
+        )
+        assert encode_config(spec)["weight"] == 8.0
+
+    def test_new_field_round_trips_with_no_edit_under_trace(self):
+        config = Throwaway(
+            gain=2, mode=GovernorSetting.parse("freeze"),
+            inner=Inner(depth=3, label="x"), brand_new_field=(4, 5),
+        )
+        payload = json.loads(_wire(encode_config(config)))
+        assert payload == {
+            "gain": 2.0, "mode": "freeze",
+            "inner": {"depth": 3, "label": "x"}, "brand_new_field": [4, 5],
+        }
+        assert decode_config(Throwaway, payload) == config
+        attrs = {"gain": "2", "mode": "freeze", "brand_new_field": "4,5"}
+        assert read_attrs("<t>", attrs, Throwaway) == {
+            "gain": 2.0, "mode": GovernorSetting.parse("freeze"),
+            "brand_new_field": (4, 5),
+        }
+        assert attrs == {}
+        with pytest.raises(TraceFormatError) as err:
+            decode_config(Throwaway, {"inner": {"depth": 1, "bogus": 2}})
+        assert err.value.details["section"] == "Throwaway"
+
+
+# -- the XML side ----------------------------------------------------------------
+
+#: RetryPolicy fields the <transport> element does not expose.
+_HIDDEN_RETRY = ("backoff_base", "backoff_factor", "backoff_max", "jitter")
+
+
+def transport_attrs(t: TransportConfig) -> dict[str, str]:
+    out = {
+        f.name: repr(getattr(t, f.name))
+        for f in dataclasses.fields(t) if f.name not in ("retry", "faults")
+    }
+    out.update(compression=t.compression, partitioner=t.partitioner)
+    out.update(retries=repr(t.retry.max_retries), ack_timeout=repr(t.retry.ack_timeout))
+    for f in dataclasses.fields(t.faults):
+        out[f.name] = repr(getattr(t.faults, f.name))
+    # Dividing by a power of two is exact, so the KiB spelling is lossless.
+    out["congestion_kib"] = repr(int(out.pop("congestion_bytes")) / KiB)
+    return out
+
+
+def _exposed(t: TransportConfig) -> TransportConfig:
+    """``t`` with the XML-hidden retry fields at their defaults."""
+    return dataclasses.replace(t, retry=RetryPolicy(
+        max_retries=t.retry.max_retries, ack_timeout=t.retry.ack_timeout,
+    ))
+
+
+class TestAttributeReader:
+    @settings(**SETTINGS)
+    @given(config=transports)
+    def test_transport_element_reads_back_every_exposed_field(self, config):
+        assert TransportConfig.from_xml_attrs(transport_attrs(config)) == _exposed(config)
+
+    @settings(**SETTINGS)
+    @given(config=controls())
+    def test_control_element_reads_back_every_field(self, config):
+        attrs = {}
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if f.name == "flow_bounds" or value is None:
+                continue
+            attrs[f.name] = value.value if isinstance(value, GovernorSetting) else repr(value)
+        attrs["coordination"] = config.coordination
+        flow = {f.name: repr(getattr(config.flow_bounds, f.name))
+                for f in dataclasses.fields(FlowBounds)}
+        assert ControlConfig.from_xml_attrs(attrs, flow_attrs=flow) == config
+
+    @settings(**SETTINGS)
+    @given(config=services())
+    def test_service_element_reads_back_every_exposed_field(self, config):
+        elem = ET.Element("service", {
+            f.name: repr(getattr(config, f.name))
+            for f in dataclasses.fields(config) if f.name != "pipelines"
+        })
+        expected = []
+        for spec in config.pipelines:
+            attrs = transport_attrs(
+                dataclasses.replace(spec.transport, partitioner=spec.partitioner)
+            )
+            attrs.update(name=spec.name, mesh=spec.mesh, weight=repr(spec.weight),
+                         shard_size=repr(spec.shard_size),
+                         collective="yes" if spec.collective else "off")
+            if spec.ranks is not None:
+                attrs["ranks"] = ",".join(map(str, spec.ranks))
+            ET.SubElement(elem, "pipeline", attrs)
+            # <pipeline> exposes neither producer_weights nor the hidden
+            # retry fields; its partitioner is the transport's.
+            expected.append(dataclasses.replace(
+                spec, producer_weights=None, transport=_exposed(dataclasses.replace(
+                    spec.transport, partitioner=spec.partitioner,
+                )),
+            ))
+        assert ServiceConfig.from_xml_element(elem) == dataclasses.replace(
+            config, pipelines=tuple(expected)
+        )
+
+    @pytest.mark.parametrize("raw,value", [
+        ("1", True), ("true", True), (" Yes ", True), ("ON", True),
+        ("0", False), ("False", False), ("no", False), ("off", False),
+    ])
+    def test_one_boolean_vocabulary_everywhere(self, raw, value):
+        assert parse_bool(raw) is value
+        assert TransportConfig.from_xml_attrs({"pipelined": raw}).pipelined is value
+        control = ControlConfig.from_xml_attrs({"enabled": raw, "pool_growth": raw})
+        assert (control.enabled, control.pool_growth) == (value, value)
+        doc = parse_document(
+            f'<sensei><service><pipeline name="p" collective="{raw}"/></service>'
+            f'<analysis type="histogram" enabled="{raw}"/></sensei>'
+        )
+        assert doc.service.pipelines[0].collective is value
+        assert doc.analyses[0].enabled is value
+
+    @pytest.mark.parametrize("build,element", [
+        (TransportConfig.from_xml_attrs, "<transport>"),
+        (ControlConfig.from_xml_attrs, "<control>"),
+        (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>"),
+        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>"),
+    ])
+    def test_unknown_attribute_names_element_and_attribute(self, build, element):
+        with pytest.raises(ConfigError) as err:
+            build({"no_such_knob": "1"})
+        assert element in str(err.value) and "no_such_knob" in str(err.value)
+
+    @pytest.mark.parametrize("build,element,attribute", [
+        (TransportConfig.from_xml_attrs, "<transport>", "max_inflight"),
+        (TransportConfig.from_xml_attrs, "<transport>", "chunk_kib"),
+        (TransportConfig.from_xml_attrs, "<transport>", "retries"),
+        (ControlConfig.from_xml_attrs, "<control>", "window"),
+        (ControlConfig.from_xml_attrs, "<control>", "pool_watermark_kib"),
+        (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "max_chunk"),
+        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "skew"),
+        (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "ranks"),
+    ])
+    def test_bad_number_names_element_and_attribute(self, build, element, attribute):
+        with pytest.raises(ConfigError) as err:
+            build({attribute: "many"})
+        assert element in str(err.value) and repr(attribute) in str(err.value)
+        assert "'many'" in str(err.value)
+
+    @pytest.mark.parametrize("build,element,attribute", [
+        (TransportConfig.from_xml_attrs, "<transport>", "pipelined"),
+        (ControlConfig.from_xml_attrs, "<control>", "enabled"),
+        (ControlConfig.from_xml_attrs, "<control>", "pool_growth"),
+        (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "collective"),
+    ])
+    def test_bad_boolean_names_element_and_attribute(self, build, element, attribute):
+        with pytest.raises(ConfigError) as err:
+            build({attribute: "maybe"})
+        assert element in str(err.value) and repr(attribute) in str(err.value)
+        assert "boolean" in str(err.value)
+
+    def test_bad_governor_setting_names_element_and_attribute(self):
+        with pytest.raises(ConfigError, match="<control>: attribute 'codec'.*on/off/freeze"):
+            ControlConfig.from_xml_attrs({"codec": "maybe"})
+
+    def test_renamed_fields_have_no_attribute_of_their_own_name(self):
+        for hidden in ("max_retries", "congestion_bytes", *_HIDDEN_RETRY):
+            with pytest.raises(ConfigError, match="unknown attribute"):
+                TransportConfig.from_xml_attrs({hidden: "1"})
+        # chunk_kib wins; a chunk_bytes beside it is left over, so reported.
+        with pytest.raises(ConfigError, match="chunk_bytes"):
+            TransportConfig.from_xml_attrs({"chunk_kib": "4", "chunk_bytes": "9"})
+        assert TransportConfig.from_xml_attrs({"chunk_bytes": "9"}).chunk_bytes == 9
+        reject_unknown("<x>", {})

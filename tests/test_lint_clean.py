@@ -7,12 +7,18 @@ fails pytest the same way a unit-test regression would.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis.lint import lint_paths, main
+from repro.analysis.lint import (
+    UNKNOWN_SUPPRESSION,
+    UNUSED_SUPPRESSION,
+    lint_paths,
+    main,
+)
 from repro.analysis.report import format_text
 
 SRC = Path(repro.__file__).resolve().parent          # src/repro
@@ -28,30 +34,47 @@ def _tree_paths():
     return paths
 
 
-def test_tree_is_lint_clean():
-    findings = lint_paths(_tree_paths())
+_AUDIT_RULES = (UNUSED_SUPPRESSION, UNKNOWN_SUPPRESSION)
+
+
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One timed whole-tree lint + suppression audit, shared by the
+    tree tests below (each used to re-lint the tree itself)."""
+    start = time.perf_counter()
+    findings = lint_paths(_tree_paths(), check_suppressions=True)
+    return findings, time.perf_counter() - start
+
+
+def test_tree_is_lint_clean(tree_lint):
+    findings = [f for f in tree_lint[0] if f.rule not in _AUDIT_RULES]
     assert findings == [], "\n" + format_text(findings)
 
 
-def test_tree_suppressions_are_all_live():
+def test_tree_suppressions_are_all_live(tree_lint):
     """--check-suppressions finds no stale or unknown suppressions."""
-    from repro.analysis.lint import audit_suppressions
-
-    findings = audit_suppressions(_tree_paths())
+    findings = [f for f in tree_lint[0] if f.rule in _AUDIT_RULES]
     assert findings == [], "\n" + format_text(findings)
 
 
-def test_tree_lint_is_byte_identical_across_runs_and_jobs():
+def test_tree_lint_is_byte_identical_across_runs_and_jobs(tree_lint):
+    """``jobs`` only fans out the parse pass, so: the parse pass yields
+    the same files in the same order for every ``jobs``, and a second
+    full run (serial parse) renders the same bytes as the shared one
+    (default ``jobs``)."""
+    from repro.analysis.engine import parse_files
     from repro.analysis.report import format_json
 
-    runs = [
-        format_json(lint_paths(_tree_paths(), jobs=jobs))
-        for jobs in (1, 4, None)
+    parsed = [
+        [(str(c.path), c.source) for c in parse_files(_tree_paths(), jobs)[0]]
+        for jobs in (1, 4)
     ]
-    assert runs[0] == runs[1] == runs[2]
+    assert parsed[0] == parsed[1]
+    rerun = lint_paths(_tree_paths(), check_suppressions=True, jobs=1)
+    assert format_json(rerun) == format_json(tree_lint[0])
 
 
-def test_tree_lint_stays_within_runtime_budget():
+def test_tree_lint_stays_within_runtime_budget(tree_lint):
     """Interprocedural analysis must not blow up whole-tree lint time.
 
     Budget: 2x the pre-interprocedural baseline (~1.3s on the dev
@@ -60,11 +83,7 @@ def test_tree_lint_stays_within_runtime_budget():
     recomputed per call site instead of memoized — lands far above
     this; normal runs land far below it.
     """
-    import time
-
-    start = time.perf_counter()
-    lint_paths(_tree_paths())
-    elapsed = time.perf_counter() - start
+    elapsed = tree_lint[1]
     assert elapsed < 8.0, f"whole-tree lint took {elapsed:.2f}s (budget 8s)"
 
 

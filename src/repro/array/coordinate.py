@@ -2,11 +2,12 @@
 
 The :class:`ArrayCoordinator` is the measurement-and-collective half of
 the load-balance loop: workloads charge per-block busy seconds into it
-each step, and on coordination-due steps it allreduces one vector —
-``[nblocks block costs | ranks busy | ranks halo bytes]`` — over the
-array's communicator using the epoch-checked collective, then feeds
-every rank's :class:`~repro.control.repartition.RepartitionGovernor`
-the identical numbers.  Because the governor is deterministic, every
+each step, and on coordination-due steps it folds three fields — block
+costs, per-rank busy seconds, per-rank halo bytes — over the array's
+communicator in one :func:`~repro.control.rounds.coordination_round`,
+then feeds every rank's
+:class:`~repro.control.repartition.RepartitionGovernor` the identical
+numbers.  Because the governor is deterministic, every
 rank derives the same decision and the same new owner map, and the
 actuator — the array's collective :meth:`repartition` — runs as a
 coordinated step-boundary collective with the shard handoff charged
@@ -17,15 +18,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
 from repro.array.halo import halo_bytes_by_rank
+from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
 from repro.control.repartition import RepartitionGovernor
+from repro.control.rounds import coordination_round
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.array.array import DistributedArray
     from repro.array.halo import HaloExchanger
-    from repro.control.plan import ControlPlane
 
 __all__ = ["ArrayCoordinator"]
 
@@ -35,9 +35,9 @@ class ArrayCoordinator:
 
     ``plane`` supplies the configuration (the ``repartition`` governor
     setting plus ``repartition_skew`` / ``repartition_cooldown`` and
-    the coordination cadence) and receives every decision for the
-    shared log; without a plane the coordinator runs standalone with
-    the governor enabled and the given ``interval``.
+    the coordination cadence), builds the governor and logs every
+    decision; without one the coordinator runs on a private plane with
+    the governor on and a round every ``interval`` steps.
 
     ``warmup`` schedules one cold-start round after that many steps —
     ahead of the regular cadence — so a badly skewed *initial* layout
@@ -51,35 +51,24 @@ class ArrayCoordinator:
         plane: "ControlPlane | None" = None,
         interval: int = 4,
         warmup: int = 1,
-        skew: float | None = None,
-        cooldown: int | None = None,
     ):
+        if warmup < 1:
+            raise ValueError(f"warmup must be >= 1: {warmup}")
+        if plane is None:
+            if interval < 1:
+                raise ValueError(f"interval must be >= 1: {interval}")
+            plane = ControlPlane(ControlConfig(
+                interval=int(interval), repartition=GovernorSetting(),
+            ))
         self.array = array
         self.exchanger = exchanger
         self.plane = plane
-        cfg = plane.config if plane is not None else None
-        if cfg is not None:
-            enabled = cfg.enabled and cfg.repartition.enabled
-            frozen = cfg.repartition.frozen
-            interval = cfg.interval * cfg.coordination_interval
-            if skew is None:
-                skew = cfg.repartition_skew
-            if cooldown is None:
-                cooldown = cfg.repartition_cooldown
-        else:
-            enabled, frozen = True, False
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1: {interval}")
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1: {warmup}")
-        self.interval = int(interval)
+        cfg = plane.config
+        self.interval = cfg.interval * cfg.coordination_interval
         self.warmup = int(warmup)
-        self.governor = RepartitionGovernor(
-            actuator=self._apply,
-            skew=1.25 if skew is None else float(skew),
-            cooldown=2 if cooldown is None else int(cooldown),
-            enabled=enabled,
-            frozen=frozen,
+        #: None when the plane has repartitioning switched off.
+        self.governor = plane.governor(
+            RepartitionGovernor, self, lambda: dict(actuator=self._apply)
         )
         self._block_busy: dict[int, float] = {}
         self._pending_step = 0
@@ -89,12 +78,6 @@ class ArrayCoordinator:
         self.bytes_moved = 0
 
     # -- measurement ------------------------------------------------------------
-    def charge(self, block: int, busy: float) -> None:
-        """Account ``busy`` simulated seconds of work to one owned block."""
-        self._block_busy[block] = self._block_busy.get(block, 0.0) + float(
-            busy
-        )
-
     def observe(
         self, step: int, block_busy: Mapping[int, float], t: float
     ) -> None:
@@ -107,7 +90,9 @@ class ArrayCoordinator:
         scheduling perturbs the simulated clocks.
         """
         for b in sorted(block_busy):
-            self.charge(b, block_busy[b])
+            self._block_busy[b] = self._block_busy.get(b, 0.0) + float(
+                block_busy[b]
+            )
         if self.due(step):
             self.coordinate(step, t)
 
@@ -115,51 +100,43 @@ class ArrayCoordinator:
         return step == self.warmup or step % self.interval == 0
 
     # -- the round --------------------------------------------------------------
-    def coordinate(self, step: int, t: float):
+    def coordinate(self, step: int, t: float) -> list:
         """One coordination round (collective over the array's comm).
 
-        Returns the logged :class:`~repro.control.governors.Decision`,
-        or None when the loop is idle (single rank, disabled governor,
-        balanced load, or cooldown).
+        Returns the logged decisions — empty when the loop is idle
+        (single rank, governor off, balanced load, or cooldown).
         """
         array = self.array
         comm = array.comm
         ranks = comm.size
-        if ranks < 2 or not self.governor.enabled:
+        if ranks < 2 or self.governor is None:
             self._block_busy.clear()
-            return None
+            return []
         partition = array.partition
-        nblocks = partition.nblocks
         rank = comm.rank
-        local = np.zeros(nblocks + 2 * ranks, dtype=np.float64)
+        costs = [0.0] * partition.nblocks
         for b in sorted(self._block_busy):
             if partition.owners[b] == rank:
-                local[b] = self._block_busy[b]
-        local[nblocks + rank] = float(
-            sum(local[b] for b in partition.blocks_of(rank))
-        )
-        halo = halo_bytes_by_rank(
+                costs[b] = self._block_busy[b]
+        busy, halo = [0.0] * ranks, [0.0] * ranks
+        busy[rank] = float(sum(costs[b] for b in partition.blocks_of(rank)))
+        halo[rank] = float(halo_bytes_by_rank(
             partition, array.halo, array.dtype.itemsize
-        )
-        local[nblocks + ranks + rank] = float(halo[rank])
-        board = comm.coordinated_allreduce(local, op="sum")
+        )[rank])
+        board = coordination_round(comm, {
+            "block_costs": costs, "rank_busy": busy, "halo_bytes": halo,
+        })
         self.rounds += 1
-        block_costs = [float(v) for v in board[:nblocks]]
-        rank_busy = [float(v) for v in board[nblocks:nblocks + ranks]]
-        halo_bytes = [float(v) for v in board[nblocks + ranks:]]
         self._pending_step = step
-        decision, _new_owners = self.governor.rebalance(
+        self.governor.observe(
             step,
             partition.owners,
-            block_costs,
-            rank_busy,
-            halo_bytes,
-            t=t,
+            board["block_costs"].tolist(),
+            board["rank_busy"].tolist(),
+            board["halo_bytes"].tolist(),
         )
         self._block_busy.clear()
-        if self.plane is not None:
-            self.plane.record(decision)
-        return decision
+        return self.plane.decide(self.governor, step, t)
 
     def _apply(self, owners: tuple[int, ...]) -> None:
         """Governor actuator: the collective repartition itself.

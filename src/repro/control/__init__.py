@@ -4,53 +4,41 @@ The paper exposes its execution-model knobs — lockstep vs.
 asynchronous execution, the Eq. 1 placement parameters, the transport
 codec — as static, user-supplied configuration.  This package closes
 the loop: per-step observations (solver time, in situ busy time,
-transfer bytes/time, compression ratio, device load) feed controller
-primitives (EWMA estimators, hysteresis bands), which drive
-*governors* that retune the knobs online through narrow actuator
-hooks:
+transfer bytes/time, compression ratio, device load) are fed to
+*governors*, which digest them through their own controller
+primitives (EWMA estimators, hysteresis bands, a skew gate) and retune
+the knobs online through narrow actuator hooks.  All nine speak one
+protocol — ``observe(<signals>)`` then ``decide(step, t=None) ->
+list[Decision]`` — are built from ``<control>`` by
+:meth:`ControlPlane.governor <repro.control.plan.ControlPlane.governor>`
+and log through :meth:`ControlPlane.decide
+<repro.control.plan.ControlPlane.decide>`; the three that act on
+node-wide sums share :func:`~repro.control.rounds.coordination_round`:
 
-- :class:`~repro.control.governors.CodecGovernor` — picks the wire
-  codec per endpoint from the observed compression ratio and the
-  measured link bandwidth (``ReliableSender.set_codec``);
-- :class:`~repro.control.governors.ExecutionModeGovernor` — switches
-  lockstep ↔ asynchronous when the measured in situ / solver time
-  ratio crosses a hysteresis band, accounting for the deep copy's
-  apparent cost (``AnalysisAdaptor.set_execution_method``);
-- :class:`~repro.control.governors.PlacementGovernor` — starts from
-  Eq. 1 and rebalances ``n_use``/``offset`` when the device-load
-  signal shows overload (``AnalysisAdaptor.set_placement``);
-- :class:`~repro.control.governors.PoolTrimGovernor` — trims
-  stream-ordered memory pools above a high watermark
-  (``MemoryPool.trim_above``);
-- :class:`~repro.control.governors.FlowGovernor` — AIMD flow control
-  over a reliable sender's credit window and chunk size from the ACK
-  round-trip EWMA and retry rate (``ReliableSender.set_window`` /
-  ``set_chunk_bytes``); with node coordination its retry/latency
-  signals piggyback on the placement allreduce so every rank converges
-  on the same window;
-- :class:`~repro.control.cluster.ClusterPlacementGovernor` — the
-  cross-rank variant of placement control: device-load vectors are
-  allreduced over the plane's communicator each coordination round, so
-  all ranks apply one node-consistent Eq. 1 re-aim on the same step
-  and neighbor ranks crowding onto one device are detected
-  (``<control coordination="node">``);
-- :class:`~repro.control.quota.QuotaGovernor` /
-  :class:`~repro.control.quota.ShardGovernor` — per-tenant admission
-  control for the service plane (:mod:`repro.service`): weighted-fair
-  endpoint credit budgets with AIMD reclaim of idle quota, and
-  skew-triggered migration of a pipeline's endpoint assignment, both
-  driven by demand vectors allreduced over the producer group
-  (``<control quota="on">``);
-- :class:`~repro.control.repartition.RepartitionGovernor` — distributed
-  -array load balancing (:mod:`repro.array`): re-cuts block ownership
-  with the ``chain`` partitioner when allreduced per-rank busy time or
-  halo traffic skews past a threshold, actuating the array's
-  collective shard handoff (``<control repartition="on">``).
+===========  ===========  ===============================  ===================
+governor     switch       decides                          actuator
+===========  ===========  ===============================  ===================
+codec        codec        wire codec per sender            ``set_codec``
+execution    execution    lockstep vs. asynchronous        ``set_execution_method``
+placement    placement    per-rank Eq. 1 rebalance         ``set_placement``
+cluster      placement    node-consistent Eq. 1 re-aim     ``set_placement``
+pool         pool         pool trim above a watermark      ``trim_above``
+flow         flow         credit window + chunk (AIMD)     ``set_window``, ``set_chunk_bytes``
+quota        quota        per-tenant endpoint budgets      ``Router.grant``
+shard        quota        migrate a tenant off a hot       ``ShardMap.set_shard``
+                          endpoint
+repartition  repartition  re-cut array block ownership     ``DistributedArray.repartition``
+===========  ===========  ===============================  ===================
+
+Each class's docstring has the detail; ``cluster``, ``quota``/``shard``
+and ``repartition`` live in :mod:`~repro.control.cluster`,
+:mod:`~repro.control.quota` and :mod:`~repro.control.repartition`, the
+rest in :mod:`~repro.control.governors`.
 
 A :class:`~repro.control.plan.ControlPlane` owns the governors, the
-signal ring buffer, and the decision log; every decision is also
-exported as a Chrome-trace *instant* event so it is visible on the
-same timeline as the work it re-routed.  Configuration comes from the
+ring buffer of recent observations, and the decision log; every
+decision is also exported as a Chrome-trace *instant* event so it is
+visible on the same timeline as the work it re-routed.  Configuration comes from the
 ``<control>`` XML element (:class:`~repro.control.plan.ControlConfig`)
 with per-governor enable/freeze.  With no control plane attached,
 behavior is bit-identical to the static configuration.
@@ -68,9 +56,10 @@ from repro.control.governors import (
     PoolTrimGovernor,
 )
 from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
-from repro.control.policy import EWMA, Hysteresis
+from repro.control.policy import EWMA, Hysteresis, SkewGate
 from repro.control.quota import QuotaGovernor, ShardGovernor
 from repro.control.repartition import RepartitionGovernor
+from repro.control.rounds import coordination_round
 from repro.control.signals import SignalBuffer, StepObservation
 
 __all__ = [
@@ -92,5 +81,7 @@ __all__ = [
     "RepartitionGovernor",
     "ShardGovernor",
     "SignalBuffer",
+    "SkewGate",
     "StepObservation",
+    "coordination_round",
 ]

@@ -11,9 +11,9 @@ and neither can see the other deciding the same thing.  The
    (busy fraction dilated by contention sharers, its own contribution
    to its current device, resident pool bytes, and a one-hot of the
    device Eq. 1 currently resolves to for it);
-2. one :meth:`~repro.mpi.comm.Communicator.coordinated_allreduce`
-   folds the vectors — the epoch counter turns cadence skew between
-   ranks into a structured error instead of a deadlock;
+2. one :func:`~repro.control.rounds.coordination_round` folds the
+   vectors — its epoch counter turns cadence skew between ranks into
+   a structured error instead of a deadlock;
 3. every rank derives the *same* external-load picture (node busy
    minus what the governed ranks themselves contribute — the load that
    will not move when they do), detects **crowding** (>= 2 ranks
@@ -39,8 +39,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.control.governors import Decision, Governor
-from repro.hw.contention import ContentionModel, SharedResource
+from repro.control.governors import Decision, PlacementGovernor
+from repro.control.rounds import coordination_round
 from repro.hw.node import num_devices
 from repro.mpi.comm import Communicator
 from repro.sensei.placement import DevicePlacement, reaim
@@ -48,20 +48,22 @@ from repro.sensei.placement import DevicePlacement, reaim
 __all__ = ["ClusterPlacementGovernor"]
 
 
-class ClusterPlacementGovernor(Governor):
+class ClusterPlacementGovernor(PlacementGovernor):
     """Allreduce-coordinated Eq. 1 re-aim, node-consistent across ranks.
 
-    One instance lives on each participating rank; :meth:`coordinate`
-    is **collective** — every rank of ``comm`` must call it with the
-    same step, the way ranks call any blocking collective together.
-    ``resident_weight`` folds resident pool bytes into the device
-    score (a device whose pool hoards memory is a worse target even
-    when idle); ``overload`` is the re-aim trigger threshold relative
-    to the node-mean external load, matching the per-rank governor's
-    knob.
+    One instance lives on each participating rank; :meth:`decide` is
+    **collective** — every rank of ``comm`` must call it with the same
+    step, the way ranks call any blocking collective together.
+    ``overload`` is the re-aim trigger threshold relative to the
+    node-mean external load, matching the per-rank governor's knob.
     """
 
     name = "cluster"
+    switch = "placement"
+
+    #: Weight folding resident pool bytes into the device score (a
+    #: device whose pool hoards memory is a worse target even when idle).
+    RESIDENT_WEIGHT = 0.25
 
     def __init__(
         self,
@@ -69,27 +71,16 @@ class ClusterPlacementGovernor(Governor):
         actuator: Callable[[DevicePlacement], None] | None = None,
         rank: int | None = None,
         base: DevicePlacement | None = None,
-        n_devices: int | None = None,
         overload: float = 1.30,
-        resident_weight: float = 0.25,
-        contention: ContentionModel | None = None,
         enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(
+            actuator, comm.rank if rank is None else rank, base, overload,
+            enabled, frozen,
+        )
         self.comm = comm
-        self.rank = comm.rank if rank is None else int(rank)
-        self.placement = base if base is not None else DevicePlacement.auto()
-        self.n_devices = (
-            int(n_devices) if n_devices is not None else num_devices()
-        )
-        self.overload = float(overload)
-        self.resident_weight = float(resident_weight)
-        self.contention = (
-            contention if contention is not None else ContentionModel()
-        )
-        self._loads: dict[int, float] = {}
-        self._parties: dict[int, int] = {}
+        self.n_devices = num_devices()
         self._resident: dict[int, int] = {}
         self._self_load = 0.0
         #: Flow governor fed node-mean retry/latency signals each round.
@@ -127,10 +118,7 @@ class ClusterPlacementGovernor(Governor):
         fraction this rank itself produced (the load that moves with
         it); ``resident_bytes`` is per-device resident pool footprint.
         """
-        self._loads = {int(d): float(v) for d, v in loads.items()}
-        self._parties = (
-            {int(d): int(v) for d, v in parties.items()} if parties else {}
-        )
+        super().observe(step, loads, parties)
         self._self_load = max(0.0, float(self_load))
         self._resident = (
             {int(d): int(v) for d, v in resident_bytes.items()}
@@ -139,33 +127,35 @@ class ClusterPlacementGovernor(Governor):
         )
 
     # -- the collective round -----------------------------------------------------
-    def _local_vector(self, current: int) -> np.ndarray:
-        """[busy(n) | self(n) | resident(n) | one-hot(n) | participation |
-        retry-rate | ack-latency].
+    def _contribution(self, current: int) -> dict[str, list[float]]:
+        """This rank's fields of the round, ``n`` slots per device field.
 
-        The two trailing flow slots are *always* present (zeros when no
-        flow governor is attached) so vector lengths match across ranks
-        regardless of which ranks govern their transport.
+        ``busy`` is the dilated node load, ``own`` this rank's slice of
+        its current device, ``aimed`` a one-hot of that device, ``ranks``
+        the participation count.  The flow fields are *always* present
+        (zeros when no flow governor is attached) so layouts match
+        across ranks regardless of which ranks govern their transport.
         """
         n = self.n_devices
-        vec = np.zeros(4 * n + 3)
-        for d in range(n):
-            sharers = max(0, self._parties.get(d, 1) - 1)
-            dil = self.contention.dilation(SharedResource.GPU_COMPUTE, sharers)
-            vec[d] = self._loads.get(d, 0.0) * dil
-            vec[2 * n + d] = float(self._resident.get(d, 0))
-            if d == current:
-                vec[n + d] = self._self_load * dil
+        own, aimed = [0.0] * n, [0.0] * n
         if 0 <= current < n:
-            vec[3 * n + current] = 1.0
-        vec[4 * n] = 1.0
-        if self._flow is not None:
-            vec[4 * n + 1] = self._flow.local_retry_rate
-            vec[4 * n + 2] = self._flow.local_ack_estimate
-        return vec
+            own[current] = self._self_load * self.dilation(current)
+            aimed[current] = 1.0
+        flow = self._flow
+        return {
+            "busy": [
+                self._loads.get(d, 0.0) * self.dilation(d) for d in range(n)
+            ],
+            "own": own,
+            "resident": [float(self._resident.get(d, 0)) for d in range(n)],
+            "aimed": aimed,
+            "ranks": [1.0],
+            "retry": [flow.local_retry_rate if flow is not None else 0.0],
+            "ack": [flow.local_ack_estimate if flow is not None else 0.0],
+        }
 
-    def coordinate(self, step: int, t: float | None = None) -> list[Decision]:
-        """One coordination round; returns the decisions to log.
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
+        """One coordination round: a crowding finding and/or a re-aim.
 
         Collective over ``comm`` — every rank calls with the same step.
         Disabled governors still participate (contributing zeros and
@@ -178,36 +168,37 @@ class ClusterPlacementGovernor(Governor):
             if self.enabled
             else -1
         )
-        local = (
-            self._local_vector(current)
-            if self.enabled
-            else np.zeros(4 * n + 3)
-        )
-        total = self.comm.coordinated_allreduce(local, op="sum")
+        local = self._contribution(current)
+        if not self.enabled:
+            local = {
+                name: [0.0] * len(values)
+                for name, values in sorted(local.items())
+            }
+        total = coordination_round(self.comm, local)
         self.rounds += 1
         if not self.enabled:
             return []
-        ranks_total = int(round(total[4 * n]))
+        ranks_total = int(round(total["ranks"][0]))
         if ranks_total < 1:
             return []
         if self._flow is not None:
             # Node-consistent windows: every rank's flow governor acts
             # on the same node-mean retry/latency signals from here on.
             self._flow.ingest_node(
-                float(total[4 * n + 1]) / ranks_total,
-                float(total[4 * n + 2]) / ranks_total,
+                float(total["retry"][0]) / ranks_total,
+                float(total["ack"][0]) / ranks_total,
             )
-        busy_mean = total[:n] / ranks_total
-        self_sum = total[n : 2 * n]
-        resident = total[2 * n : 3 * n]
-        counts = total[3 * n : 4 * n]
+        busy_mean = total["busy"] / ranks_total
+        self_sum = total["own"]
+        resident = total["resident"]
+        counts = total["aimed"]
         # External load: what stays on a device when the governed ranks
         # move off it.  Resident pool bytes tip ties toward devices
         # with headroom.
         external = np.maximum(0.0, busy_mean - self_sum)
         resident_total = float(resident.sum())
         score = external + (
-            self.resident_weight * resident / resident_total
+            self.RESIDENT_WEIGHT * resident / resident_total
             if resident_total > 0
             else 0.0
         )
@@ -270,9 +261,3 @@ class ClusterPlacementGovernor(Governor):
             )
         )
         return decisions
-
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
-        """Collective; see :meth:`coordinate`.  Returns the re-aim (if any)."""
-        out = self.coordinate(step, t)
-        reaims = [d for d in out if d.action.startswith("placement=")]
-        return reaims[-1] if reaims else None

@@ -8,17 +8,14 @@ decisions but never actuates — the ``<control>`` element's per-governor
 ``freeze`` mode, useful for dry-running a policy against a production
 configuration.
 
-The five concrete governors map to the paper's knobs:
-
-==================  =====================================  =========================
-governor            decides                                actuator
-==================  =====================================  =========================
-CodecGovernor       wire codec per transport endpoint      ``ReliableSender.set_codec``
-ExecutionModeGov.   lockstep vs. asynchronous execution    ``AnalysisAdaptor.set_execution_method``
-PlacementGovernor   Eq. 1 ``n_use``/``offset`` rebalance   ``AnalysisAdaptor.set_placement``
-PoolTrimGovernor    pool high-watermark trim               ``MemoryPool.trim_above``
-FlowGovernor        credit window + chunk size (AIMD)      ``ReliableSender.set_window`` / ``set_chunk_bytes``
-==================  =====================================  =========================
+Every governor speaks one protocol — ``observe(<its signals>)`` then
+``decide(step, t=None) -> list[Decision]`` — and declares, as class
+attributes, everything the rest of the system needs to know about it:
+which ``ControlConfig`` setting switches it, which config fields feed
+its constructor, and how the trace plane treats its decisions.  The
+package docstring (:mod:`repro.control`) tabulates all nine; the five
+here turn the paper's own knobs, the service, array and cluster
+governors live in their own modules.
 """
 
 from __future__ import annotations
@@ -81,9 +78,40 @@ class Decision:
 
 
 class Governor:
-    """Base class: enable/freeze plumbing plus decision construction."""
+    """Base class: the protocol, enable/freeze plumbing, self-description.
+
+    A subclass sets ``name`` (the ``Decision.governor`` it logs under)
+    and overrides the class attributes below where the defaults do not
+    fit; :meth:`repro.control.plan.ControlPlane.governor` and
+    :mod:`repro.trace` read them instead of naming governors.
+    """
 
     name = "governor"
+    #: ``ControlConfig`` field (a ``GovernorSetting``) switching this
+    #: governor on/freeze/off; None means the field named ``name``.
+    switch: str | None = None
+    #: ``{constructor argument: ControlConfig field}`` knobs.
+    config_args: Mapping[str, str] = {}
+    #: True when a trace replay re-executes the path driving this
+    #: governor, so its decisions are regenerated rather than re-injected.
+    replayed = False
+    #: ``Decision.args`` quoting measured (jittery) signals; canonical
+    #: traces scrub them together with the free-text ``reason``.
+    measured_args: tuple[str, ...] = ()
+
+    @classmethod
+    def kinds(cls) -> list[type["Governor"]]:
+        """Every governor class defined below this one."""
+        found: list[type[Governor]] = []
+        for sub in cls.__subclasses__():
+            found.append(sub)
+            found.extend(sub.kinds())
+        return found
+
+    @classmethod
+    def named(cls, name: str) -> type["Governor"]:
+        """The class logging as ``name``; this base class when unknown."""
+        return next((k for k in cls.kinds() if k.name == name), cls)
 
     def __init__(
         self,
@@ -121,9 +149,20 @@ class Governor:
             args=tuple(sorted(args.items())),
         )
 
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
-        """Evaluate the loop; a Decision when the setting should change."""
-        raise NotImplementedError
+    def observe(self, step: int, *signals) -> None:
+        """Feed one round's signals (each subclass names its own).
+
+        The default suits a governor that samples its target when it
+        decides and so has nothing to be fed.
+        """
+
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
+        """Evaluate the loop over the latest signals.
+
+        Returns every verdict of this round — empty when the setting
+        should stay — applied through the actuator unless frozen.
+        """
+        return []
 
 
 class CodecGovernor(Governor):
@@ -146,6 +185,13 @@ class CodecGovernor(Governor):
     """
 
     name = "codec"
+    config_args = {"margin": "codec_margin"}
+    replayed = True
+
+    #: Payload bytes the ratio probe compresses, and the steps between
+    #: probes while running uncompressed.
+    PROBE_BYTES = 8192
+    PROBE_INTERVAL = 8
 
     def __init__(
         self,
@@ -154,8 +200,6 @@ class CodecGovernor(Governor):
         initial: str = "none",
         margin: float = 1.05,
         alpha: float = 0.5,
-        probe_bytes: int = 8192,
-        probe_interval: int = 8,
         enabled: bool = True,
         frozen: bool = False,
     ):
@@ -163,8 +207,6 @@ class CodecGovernor(Governor):
         self.codecs = tuple(codecs)
         self.current = str(initial)
         self.margin = float(margin)
-        self.probe_bytes = int(probe_bytes)
-        self.probe_interval = int(probe_interval)
         self._bandwidth = EWMA(alpha)
         self._payload = EWMA(alpha)
         self._ratio = EWMA(alpha)
@@ -195,7 +237,7 @@ class CodecGovernor(Governor):
             due = (
                 self._ratio.value is None
                 or self._last_probe_step is None
-                or step - self._last_probe_step >= self.probe_interval
+                or step - self._last_probe_step >= self.PROBE_INTERVAL
             )
             if due:
                 self._probe(step, sample)
@@ -203,7 +245,7 @@ class CodecGovernor(Governor):
     def _probe(self, step: int, sample: bytes) -> None:
         """Measure the achievable ratio on a payload sample.
 
-        The probe compresses up to ``probe_bytes`` with the first
+        The probe compresses up to ``PROBE_BYTES`` with the first
         compressing candidate and charges that CPU to the simulated
         clock, so adaptivity is never free in the measurements.
         """
@@ -211,7 +253,7 @@ class CodecGovernor(Governor):
         if not names:
             return
         codec = get_codec(names[0])
-        probe = bytes(sample[: self.probe_bytes])
+        probe = bytes(sample[: self.PROBE_BYTES])
         if not probe:
             return
         compressed = codec.compress(probe)
@@ -237,17 +279,17 @@ class CodecGovernor(Governor):
             + (payload / ratio) / bandwidth
         )
 
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
         if not self.enabled:
-            return None
+            return []
         costs = {c: self.predict_cost(c) for c in self.codecs}
         if any(costs[c] is None for c in self.codecs):
-            return None  # estimates not warm yet
+            return []  # estimates not warm yet
         choice = min(self.codecs, key=lambda c: costs[c])
         if choice == self.current:
-            return None
+            return []
         if costs[self.current] <= self.margin * costs[choice]:
-            return None  # not enough predicted improvement to switch
+            return []  # not enough predicted improvement to switch
         reason = (
             f"predicted step cost {costs[self.current]:.3g}s under "
             f"{self.current!r} vs {costs[choice]:.3g}s under {choice!r} "
@@ -259,11 +301,11 @@ class CodecGovernor(Governor):
         if applied:
             self.current = choice
         # "policy" stays in the record: golden traces carry it.
-        return self._decision(
+        return [self._decision(
             step, t, f"codec={choice}", reason, applied,
             previous=previous, policy="model",
             cost_current=costs[previous], cost_best=costs[choice],
-        )
+        )]
 
 
 class ExecutionModeGovernor(Governor):
@@ -281,6 +323,7 @@ class ExecutionModeGovernor(Governor):
     """
 
     name = "execution"
+    config_args = {"low": "mode_low", "high": "mode_high"}
 
     def __init__(
         self,
@@ -323,13 +366,13 @@ class ExecutionModeGovernor(Governor):
                 and copy_estimate > 0:
             self._copy.update(copy_estimate)
 
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
         if not self.enabled:
-            return None
+            return []
         sim = self._sim.value
         insitu = self._insitu.value
         if not sim or insitu is None:
-            return None
+            return []
         copy = self._copy.get(0.0)
         ratio = (insitu - copy) / sim
         self.last_ratio = ratio
@@ -339,12 +382,12 @@ class ExecutionModeGovernor(Governor):
             else ExecutionMethod.LOCKSTEP
         )
         if target is self.mode:
-            return None
+            return []
         applied = self._actuate(target)
         previous = self.mode
         if applied:
             self.mode = target
-        return self._decision(
+        return [self._decision(
             step, t, f"execution={target.value}",
             f"(insitu-copy)/sim = ({insitu:.3g}-{copy:.3g})/{sim:.3g} = "
             f"{ratio:.3f} crossed the [{self._band.low}, {self._band.high}] "
@@ -355,7 +398,7 @@ class ExecutionModeGovernor(Governor):
             insitu=insitu,
             copy=copy,
             sim=sim,
-        )
+        )]
 
 
 class PlacementGovernor(Governor):
@@ -374,6 +417,10 @@ class PlacementGovernor(Governor):
     """
 
     name = "placement"
+    config_args = {"overload": "overload"}
+
+    #: The dilation model device loads are scored with.
+    CONTENTION = ContentionModel()
 
     def __init__(
         self,
@@ -381,7 +428,6 @@ class PlacementGovernor(Governor):
         rank: int = 0,
         base: DevicePlacement | None = None,
         overload: float = 1.30,
-        contention: ContentionModel | None = None,
         enabled: bool = True,
         frozen: bool = False,
     ):
@@ -389,7 +435,6 @@ class PlacementGovernor(Governor):
         self.rank = int(rank)
         self.placement = base if base is not None else DevicePlacement.auto()
         self.overload = float(overload)
-        self.contention = contention if contention is not None else ContentionModel()
         self._loads: dict[int, float] = {}
         self._parties: dict[int, int] = {}
 
@@ -405,43 +450,44 @@ class PlacementGovernor(Governor):
             {int(d): int(v) for d, v in parties.items()} if parties else {}
         )
 
+    def dilation(self, device: int) -> float:
+        """Slowdown of ``device`` under its observed sharer count."""
+        sharers = max(0, self._parties.get(device, 1) - 1)
+        return self.CONTENTION.dilation(SharedResource.GPU_COMPUTE, sharers)
+
     def scores(self) -> dict[int, float]:
         """Effective load per device: busy fraction × contention dilation."""
-        out = {}
-        for d, load in sorted(self._loads.items()):
-            sharers = max(0, self._parties.get(d, 1) - 1)
-            out[d] = load * self.contention.dilation(
-                SharedResource.GPU_COMPUTE, sharers
-            )
-        return out
+        return {
+            d: load * self.dilation(d)
+            for d, load in sorted(self._loads.items())
+        }
 
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
-        if not self.enabled or not self._loads:
-            return None
-        n_available = len(self._loads)
-        current = self.placement.resolve(self.rank, n_available=n_available)
-        if current < 0 or current not in self._loads:
-            return None  # host placement is not this governor's business
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
         s = self.scores()
+        if not self.enabled or not s:
+            return []
+        current = self.placement.resolve(self.rank, n_available=len(s))
+        if current < 0 or current not in s:
+            return []  # host placement is not this governor's business
         mean = sum(s.values()) / len(s)
         if mean <= 0 or s[current] <= self.overload * mean:
-            return None
+            return []
         calm = sorted(
             (d for d in s if s[d] <= self.overload * mean),
             key=lambda d: (s[d], d),
         )
         if not calm:
-            return None  # everything is overloaded: nowhere better to go
+            return []  # everything is overloaded: nowhere better to go
         new = DevicePlacement.auto(
             n_use=len(calm), stride=1, offset=calm[0]
         )
         if new == self.placement:
-            return None
+            return []
         applied = self._actuate(new)
         previous = self.placement
         if applied:
             self.placement = new
-        return self._decision(
+        return [self._decision(
             step, t, f"placement=auto(n_use={new.n_use}, offset={new.offset})",
             f"device {current} effective load {s[current]:.3f} exceeds "
             f"{self.overload:.2f}x node mean {mean:.3f}; calm set {calm}",
@@ -450,7 +496,7 @@ class PlacementGovernor(Governor):
             overloaded_device=current,
             load=round(s[current], 4),
             mean=round(mean, 4),
-        )
+        )]
 
 
 class PoolTrimGovernor(Governor):
@@ -474,6 +520,7 @@ class PoolTrimGovernor(Governor):
     """
 
     name = "pool"
+    config_args = {"adaptive": "pool_growth"}
 
     #: Watermark growth/decay factor per adaptation.
     GROWTH = 2.0
@@ -568,25 +615,25 @@ class PoolTrimGovernor(Governor):
             watermark=new, previous=old, misses=d_misses,
         )
 
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
         if not self.enabled:
-            return None
+            return []
         if self.adaptive:
             moved = self._adapt(step, t)
             if moved is not None:
                 self._trimmed_last = False
-                return moved
+                return [moved]
         pooled = self.pool.pooled_bytes
         if pooled <= self.watermark:
             self._trimmed_last = False
-            return None
+            return []
         freed = 0
         applied = not self.frozen
         if applied:
             freed = self.actuator(self.watermark)
             self.trimmed_bytes += freed
         self._trimmed_last = applied
-        return self._decision(
+        return [self._decision(
             step, t, f"trim {freed} B",
             f"pooled {pooled} B exceeds watermark {self.watermark} B on "
             f"{self.pool.resource.name}",
@@ -594,7 +641,7 @@ class PoolTrimGovernor(Governor):
             pooled=pooled,
             watermark=self.watermark,
             freed=freed,
-        )
+        )]
 
 
 @dataclass(frozen=True)
@@ -636,7 +683,7 @@ class FlowGovernor(Governor):
     - **Additive increase**: while the ACK latency stays flat (within
       ``latency_slack`` × the lowest EWMA seen) *and* the window
       saturates (the step's in-flight high-water reaches the credit
-      limit), grow the window by ``grow`` credits — there is demand and
+      limit), grow the window by ``GROW`` credits — there is demand and
       the link shows no strain.
     - **Multiplicative decrease**: when the retry-rate EWMA crosses the
       hysteresis band's high threshold, halve both the window and the
@@ -656,6 +703,14 @@ class FlowGovernor(Governor):
     """
 
     name = "flow"
+    config_args = {"bounds": "flow_bounds"}
+    replayed = True
+    measured_args = ("retry_rate", "ack_latency", "inflight_peak")
+
+    #: Hysteresis band on the retry-rate EWMA (low, high).
+    RETRY_BAND = (0.01, 0.10)
+    #: Credits added per additive-increase step.
+    GROW = 1
 
     def __init__(
         self,
@@ -664,11 +719,8 @@ class FlowGovernor(Governor):
         credits: int = 8,
         chunk_bytes: int = 64 * KiB,
         bounds: FlowBounds | None = None,
-        retry_low: float = 0.01,
-        retry_high: float = 0.10,
         latency_slack: float = 1.5,
         alpha: float = 0.5,
-        grow: int = 1,
         cooldown: int = 2,
         enabled: bool = True,
         frozen: bool = False,
@@ -684,9 +736,8 @@ class FlowGovernor(Governor):
             self.bounds.min_chunk, min(self.bounds.max_chunk, int(chunk_bytes))
         )
         self.latency_slack = float(latency_slack)
-        self.grow = int(grow)
         self.cooldown = int(cooldown)
-        self._band = Hysteresis(retry_low, retry_high, state=False)
+        self._band = Hysteresis(*self.RETRY_BAND, state=False)
         self._retry = EWMA(alpha)
         self._ack = EWMA(alpha)
         self._floor: float | None = None
@@ -755,9 +806,9 @@ class FlowGovernor(Governor):
         )
 
     # -- the loop ---------------------------------------------------------------
-    def decide(self, step: int, t: float | None = None) -> Decision | None:
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
         if not self.enabled or self._samples == 0:
-            return None
+            return []
         retry_rate = self.retry_rate
         ack = self.ack_estimate
         if ack > 0 and (self._floor is None or ack < self._floor):
@@ -785,7 +836,7 @@ class FlowGovernor(Governor):
                 or ack <= self.latency_slack * max(self._floor, 1e-12)
             )
             if flat and self._last_peak >= credits:
-                new_credits = min(self.bounds.max_credits, credits + self.grow)
+                new_credits = min(self.bounds.max_credits, credits + self.GROW)
                 if new_credits != credits:
                     why.append(
                         f"ack latency {ack:.3g}s within "
@@ -800,7 +851,7 @@ class FlowGovernor(Governor):
                         f"{self._band.low:.3f}: chunk rung up"
                     )
         if new_credits == credits and new_chunk == chunk:
-            return None
+            return []
         applied = not self.frozen
         if applied:
             if new_credits != credits and self.window_actuator is not None:
@@ -808,7 +859,7 @@ class FlowGovernor(Governor):
             if new_chunk != chunk and self.chunk_actuator is not None:
                 self.chunk_actuator(new_chunk)
             self.credits, self.chunk_bytes = new_credits, new_chunk
-        return self._decision(
+        return [self._decision(
             step, t, f"window={new_credits} chunk={new_chunk}",
             "; ".join(why), applied,
             previous_window=credits,
@@ -817,4 +868,4 @@ class FlowGovernor(Governor):
             ack_latency=round(ack, 9),
             inflight_peak=self._last_peak,
             coordinated=self._node_retry is not None,
-        )
+        )]

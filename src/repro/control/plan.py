@@ -50,6 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.control.cluster import ClusterPlacementGovernor
 from repro.control.governors import (
     CodecGovernor,
     Decision,
@@ -64,8 +65,9 @@ from repro.control.signals import SignalBuffer, StepObservation
 from repro.errors import ConfigError
 from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hamr.runtime import current_clock
+from repro.sensei.execution import ExecutionMethod
 from repro.svtk.table import TableData
-from repro.transport.wire import SERIALIZE_BANDWIDTH
+from repro.transport.wire import SERIALIZE_BANDWIDTH, available_codecs
 from repro.units import KiB
 from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
 
@@ -239,6 +241,20 @@ def estimate_deep_copy_time(data) -> float:
     return total
 
 
+@dataclass
+class _Target:
+    """One wired object and what the plane keeps for it.
+
+    Holding ``obj`` keeps its ``id`` — the key it is filed under —
+    from being reused by a later object while the entry lives.
+    """
+
+    obj: object
+    governors: dict[str, Governor] = field(default_factory=dict)
+    #: Cumulative sender counters at the previous transport tap.
+    marks: tuple = (0, 0, 0, 0.0, 0, 0)
+
+
 class ControlPlane:
     """Owns the governors, the signal buffer, and the decision log.
 
@@ -246,7 +262,8 @@ class ControlPlane:
     Attach with :meth:`repro.sensei.bridge.Bridge.attach_control` /
     :meth:`repro.service.router.ServiceBridge.attach_control`; the
     taps wire governors lazily on first observation, so attachment
-    order does not matter.
+    order does not matter.  Every governor is built by
+    :meth:`governor` and every decision is logged by :meth:`decide`.
 
     ``comm`` is this rank's communicator over the ranks that
     coordinate (``coordination="node"``); the taps carry it to the
@@ -262,16 +279,10 @@ class ControlPlane:
         self.decisions: list[Decision] = []
         self.governors: list[Governor] = []
         self._comm = comm
-        self._mode_governor: ExecutionModeGovernor | None = None
-        self._placement_governor: PlacementGovernor | None = None
-        self._cluster_governor = None  # ClusterPlacementGovernor | None
-        self._codec_governors: dict[int, CodecGovernor] = {}
-        self._pool_governors: dict[int, PoolTrimGovernor] = {}
-        self._flow_governors: dict[int, FlowGovernor] = {}
-        # Per-tap bookkeeping for delta extraction.
+        self._targets: dict[int, _Target] = {}
+        # Bridge-tap bookkeeping for delta extraction.
         self._bridge_prev_end: float | None = None
         self._bridge_insitu_total = 0.0
-        self._sender_marks: dict[int, tuple] = {}
         self._recorder = None
 
     @property
@@ -294,7 +305,7 @@ class ControlPlane:
         the first bridge/load observation); once rounds have started
         the communicator cannot change under them.
         """
-        if self._cluster_governor is not None and comm is not self._comm:
+        if self._named("cluster") and comm is not self._comm:
             raise ConfigError(
                 "cannot change the coordination communicator after the "
                 "cluster governor is wired"
@@ -307,31 +318,67 @@ class ControlPlane:
         ``recorder`` needs ``on_decision(decision)`` and
         ``on_observation(observation, origin)`` callables — the
         :class:`repro.trace.recorder.RankSink` protocol.  Every
-        decision the plane logs (its own governors' plus the
-        externally-driven ones handed to :meth:`record`) and every
-        step observation pushed through the taps is forwarded as it
-        lands, in this rank's program order, so the recorder sees the
-        exact stream the determinism contract is made over.  One sink
-        per plane; attaching again replaces it.
+        decision :meth:`decide` logs and every step observation pushed
+        through the taps is forwarded as it lands, in this rank's
+        program order, so the recorder sees the exact stream the
+        determinism contract is made over.  One sink per plane;
+        attaching again replaces it.
         """
         self._recorder = recorder
 
-    def _log(self, decision: Decision | None) -> Decision | None:
-        if decision is not None:
+    def _target(self, obj) -> _Target:
+        state = self._targets.get(id(obj))
+        if state is None:
+            state = self._targets[id(obj)] = _Target(obj)
+        return state
+
+    def governor(self, cls: type[Governor], target, wiring=dict):
+        """Build (or return) ``cls``'s governor for ``target``.
+
+        The one place a governor is constructed, for the plane's own
+        taps and for the drivers that run their own rounds (the service
+        bridge, the array coordinator) alike: ``cls.switch`` names the
+        ``ControlConfig`` setting (off means None is returned, freeze
+        builds it frozen), ``cls.config_args`` the config knobs, and
+        ``wiring()`` returns what only the caller knows — the actuator
+        and the target's initial state — and is called only when the
+        governor is actually built, so a switched-off governor never
+        touches its target.  One governor per (class, target),
+        registered in :attr:`governors`.
+        """
+        setting = getattr(self.config, cls.switch or cls.name)
+        if not (self.enabled and setting.enabled):
+            return None
+        state = self._target(target)
+        gov = state.governors.get(cls.name)
+        if gov is None:
+            knobs = {
+                arg: getattr(self.config, name)
+                for arg, name in sorted(cls.config_args.items())
+            }
+            gov = cls(**wiring(), **knobs, frozen=setting.frozen)
+            state.governors[cls.name] = gov
+            self.governors.append(gov)
+        return gov
+
+    def _named(self, name: str) -> list[Governor]:
+        return [g for g in self.governors if g.name == name]
+
+    def decide(
+        self, governor: Governor, step: int, t: float | None = None
+    ) -> list[Decision]:
+        """Run one governor's loop and log every decision it made.
+
+        The single logging path: the taps below and the externally
+        driven rounds both decide through here, so one plane owns the
+        complete log, the recorder mirror and the Chrome-trace export.
+        """
+        decisions = governor.decide(step, t)
+        for decision in decisions:
             self.decisions.append(decision)
             if self._recorder is not None:
                 self._recorder.on_decision(decision)
-        return decision
-
-    def record(self, decision: Decision | None) -> Decision | None:
-        """Log a decision made by an externally-driven governor.
-
-        The service plane's quota/shard governors run their own
-        coordination rounds (they need the whole producer group, not
-        one sender tap) and hand their decisions here so one plane owns
-        the complete log and the Chrome-trace export.
-        """
-        return self._log(decision)
+        return decisions
 
     def _push(self, obs: StepObservation, origin: str) -> None:
         """Ring-buffer an observation and mirror it to the recorder.
@@ -345,85 +392,48 @@ class ControlPlane:
         if self._recorder is not None:
             self._recorder.on_observation(obs, origin)
 
-    def _due(self, step: int) -> bool:
+    def due(self, step: int) -> bool:
+        """Is ``step`` on the decision cadence?"""
         return step % self.config.interval == 0
 
     # -- wiring ------------------------------------------------------------------
     def wire_bridge(self, bridge) -> None:
         """Create the execution-mode and placement governors for a bridge."""
-        cfg = self.config
-        if cfg.execution.enabled and self._mode_governor is None:
-            analyses = bridge.analyses
+        analyses = bridge.analyses
+        first = analyses[0] if analyses else None
 
-            def set_mode(method):
-                for a in analyses:
-                    a.set_execution_method(method)
+        def set_mode(method):
+            for a in analyses:
+                a.set_execution_method(method)
 
-            initial = (
-                analyses[0].execution_method if analyses
-                else ExecutionModeGovernor().mode
-            )
-            self._mode_governor = ExecutionModeGovernor(
-                actuator=set_mode,
-                low=cfg.mode_low,
-                high=cfg.mode_high,
-                initial=initial,
-                frozen=cfg.execution.frozen,
-            )
-            self.governors.append(self._mode_governor)
-        if cfg.placement.enabled and self._placement_governor is None \
-                and self._cluster_governor is None:
-            analyses = bridge.analyses
+        def set_placement(placement):
+            for a in analyses:
+                a.set_placement(placement)
 
-            def set_placement(placement):
-                for a in analyses:
-                    a.set_placement(placement)
-
-            base = analyses[0].placement if analyses else None
-            comm = self._comm or getattr(bridge, "_comm", None)
-            if self.coordinating and comm is not None:
-                from repro.control.cluster import ClusterPlacementGovernor
-
-                self._cluster_governor = ClusterPlacementGovernor(
-                    comm,
-                    actuator=set_placement,
-                    base=base,
-                    overload=cfg.overload,
-                    frozen=cfg.placement.frozen,
-                )
-                self.governors.append(self._cluster_governor)
-                for fgov in self._flow_governors.values():
-                    self._cluster_governor.attach_flow(fgov)
-            else:
-                rank = getattr(comm, "rank", 0)
-                self._placement_governor = PlacementGovernor(
-                    actuator=set_placement,
-                    rank=rank,
-                    base=base,
-                    overload=cfg.overload,
-                    frozen=cfg.placement.frozen,
-                )
-                self.governors.append(self._placement_governor)
+        self.governor(ExecutionModeGovernor, bridge, lambda: dict(
+            actuator=set_mode,
+            initial=(
+                first.execution_method if first else ExecutionMethod.LOCKSTEP
+            ),
+        ))
+        base = first.placement if first else None
+        comm = self._comm or getattr(bridge, "_comm", None)
+        if self.coordinating and comm is not None:
+            self.governor(ClusterPlacementGovernor, bridge, lambda: dict(
+                comm=comm, actuator=set_placement, base=base,
+            ))
+        else:
+            self.governor(PlacementGovernor, bridge, lambda: dict(
+                actuator=set_placement, rank=getattr(comm, "rank", 0),
+                base=base,
+            ))
 
     def wire_sender(self, sender) -> CodecGovernor | None:
         """Create (or return) the codec governor for one sender."""
-        cfg = self.config
-        if not cfg.codec.enabled:
-            return None
-        gov = self._codec_governors.get(id(sender))
-        if gov is None:
-            from repro.transport.wire import available_codecs
-
-            gov = CodecGovernor(
-                actuator=sender.set_codec,
-                codecs=available_codecs(),
-                initial=sender.codec.name,
-                margin=cfg.codec_margin,
-                frozen=cfg.codec.frozen,
-            )
-            self._codec_governors[id(sender)] = gov
-            self.governors.append(gov)
-        return gov
+        return self.governor(CodecGovernor, sender, lambda: dict(
+            actuator=sender.set_codec, codecs=available_codecs(),
+            initial=sender.codec.name,
+        ))
 
     def wire_flow(self, sender) -> FlowGovernor | None:
         """Create (or return) the flow governor for one sender.
@@ -432,47 +442,25 @@ class ControlPlane:
         ``set_chunk_bytes`` actuation hooks; anything else (a test
         double, a non-reliable sender) is silently not governed.
         """
-        cfg = self.config
-        if not cfg.flow.enabled:
-            return None
         if not hasattr(sender, "set_window") or not hasattr(
             sender, "set_chunk_bytes"
         ):
             return None
-        gov = self._flow_governors.get(id(sender))
-        if gov is None:
-            gov = FlowGovernor(
-                window_actuator=sender.set_window,
-                chunk_actuator=sender.set_chunk_bytes,
-                credits=sender.window.credits,
-                chunk_bytes=sender.chunk_bytes,
-                bounds=cfg.flow_bounds,
-                frozen=cfg.flow.frozen,
-            )
-            self._flow_governors[id(sender)] = gov
-            self.governors.append(gov)
-            if self._cluster_governor is not None:
-                self._cluster_governor.attach_flow(gov)
-        return gov
+        return self.governor(FlowGovernor, sender, lambda: dict(
+            window_actuator=sender.set_window,
+            chunk_actuator=sender.set_chunk_bytes,
+            credits=sender.window.credits, chunk_bytes=sender.chunk_bytes,
+        ))
 
     def wire_pool(self, pool, watermark_bytes: int | None = None) -> PoolTrimGovernor | None:
         """Create (or return) the trim governor for one memory pool."""
-        cfg = self.config
-        if not cfg.pool.enabled:
-            return None
         if watermark_bytes is None:
-            if cfg.pool_watermark_kib is None:
+            if self.config.pool_watermark_kib is None:
                 return None  # no watermark configured: nothing to govern
-            watermark_bytes = int(cfg.pool_watermark_kib * KiB)
-        gov = self._pool_governors.get(id(pool))
-        if gov is None:
-            gov = PoolTrimGovernor(
-                pool, watermark_bytes, frozen=cfg.pool.frozen,
-                adaptive=cfg.pool_growth,
-            )
-            self._pool_governors[id(pool)] = gov
-            self.governors.append(gov)
-        return gov
+            watermark_bytes = int(self.config.pool_watermark_kib * KiB)
+        return self.governor(PoolTrimGovernor, pool, lambda: dict(
+            pool=pool, watermark_bytes=watermark_bytes,
+        ))
 
     # -- taps --------------------------------------------------------------------
     def observe_bridge_step(self, bridge, data, t_start: float, apparent: float) -> None:
@@ -484,7 +472,9 @@ class ControlPlane:
         """
         if not self.enabled:
             return
-        self.wire_bridge(bridge)
+        if id(bridge) not in self._targets:
+            self.wire_bridge(bridge)
+        wired = self._target(bridge).governors
         clock = current_clock()
         step = data.time_step
         sim_time = (
@@ -508,7 +498,7 @@ class ControlPlane:
             ),
             origin="bridge",
         )
-        gov = self._mode_governor
+        gov = wired.get(ExecutionModeGovernor.name)
         if gov is not None and sim_time > 0:
             copy_est = (
                 estimate_deep_copy_time(data) if payload > 0 else None
@@ -516,10 +506,11 @@ class ControlPlane:
             gov.observe(
                 step, sim_time, insitu, apparent, copy_estimate=copy_est
             )
-            if self._due(step):
-                self._log(gov.decide(step, t=clock.now))
-        if self._placement_governor is not None and self._due(step):
-            self._log(self._placement_governor.decide(step, t=clock.now))
+            if self.due(step):
+                self.decide(gov, step, clock.now)
+        placement = wired.get(PlacementGovernor.name)
+        if placement is not None and self.due(step):
+            self.decide(placement, step, clock.now)
         self._decide_pools(step, clock.now)
 
     def observe_transport_step(self, sender, step: int, apparent: float, table=None) -> None:
@@ -532,23 +523,23 @@ class ControlPlane:
         """
         if not self.enabled:
             return
-        gov = self.wire_sender(sender)
-        fgov = self.wire_flow(sender)
+        state = self._targets.get(id(sender))
+        if state is None:
+            self.wire_sender(sender)
+            self.wire_flow(sender)
+            state = self._target(sender)
+        gov = state.governors.get(CodecGovernor.name)
+        fgov = state.governors.get(FlowGovernor.name)
         clock = current_clock()
         m = sender.metrics
-        prev = self._sender_marks.get(
-            id(sender), (0, 0, 0, 0.0, 0, 0)
-        )
-        d_raw = m.raw_bytes - prev[0]
-        d_wire = m.wire_bytes - prev[1]
-        d_out = m.bytes_out - prev[2]
-        d_backoff = m.backoff_time - prev[3]
-        d_retries = m.retries - prev[4]
-        d_chunks = m.chunks_sent - prev[5]
-        self._sender_marks[id(sender)] = (
+        marks = (
             m.raw_bytes, m.wire_bytes, m.bytes_out, m.backoff_time,
             m.retries, m.chunks_sent,
         )
+        d_raw, d_wire, d_out, d_backoff, d_retries, d_chunks = (
+            now - before for now, before in zip(marks, state.marks)
+        )
+        state.marks = marks
         codec = sender.codec
         encode = d_raw / SERIALIZE_BANDWIDTH
         if codec.name != "none":
@@ -580,18 +571,18 @@ class ControlPlane:
             # on per-rank measurements first would let windows diverge
             # before coordination can make them node-consistent.
             pending_round = (
-                self._cluster_governor is not None and not fgov.coordinated
+                bool(self._named("cluster")) and not fgov.coordinated
             )
-            if self._due(step) and not pending_round:
-                self._log(fgov.decide(step, t=clock.now))
+            if self.due(step) and not pending_round:
+                self.decide(fgov, step, clock.now)
         if gov is None:
             return
         sample = None
         if codec.name == "none" and table is not None:
-            sample = self._payload_sample(table, gov.probe_bytes)
+            sample = self._payload_sample(table, gov.PROBE_BYTES)
         gov.observe(step, d_raw, d_out, transfer_time, sample=sample)
-        if self._due(step):
-            self._log(gov.decide(step, t=clock.now))
+        if self.due(step):
+            self.decide(gov, step, clock.now)
         self._decide_pools(step, clock.now)
 
     def observe_device_loads(
@@ -611,37 +602,32 @@ class ControlPlane:
         step (``self_load`` is this rank's own contribution to its
         current device; ``resident_bytes`` the per-device pool
         footprint), and on coordination-due steps the cluster
-        governor's allreduce round runs here.
+        governor's allreduce round runs here — carrying the signals of
+        the most recently wired flow governor, if any.
         """
         if not self.enabled:
             return
         t = current_clock().now
-        if self._cluster_governor is not None:
-            self._cluster_governor.observe(
-                step,
-                loads,
-                parties=parties,
-                self_load=self_load,
+        for cluster in self._named("cluster"):
+            cluster.observe(
+                step, loads, parties=parties, self_load=self_load,
                 resident_bytes=resident_bytes,
             )
-            if self._coordination_due(step):
-                for d in self._cluster_governor.coordinate(step, t=t):
-                    self._log(d)
-            return
-        if self._placement_governor is None:
-            return
-        self._placement_governor.observe(step, loads, parties=parties)
-        if self._due(step):
-            self._log(self._placement_governor.decide(step, t=t))
-
-    def _coordination_due(self, step: int) -> bool:
-        period = self.config.interval * self.config.coordination_interval
-        return step % period == 0
+            period = self.config.interval * self.config.coordination_interval
+            if step % period == 0:
+                flows = self._named(FlowGovernor.name)
+                if flows:
+                    cluster.attach_flow(flows[-1])
+                self.decide(cluster, step, t)
+        for placement in self._named("placement"):
+            placement.observe(step, loads, parties=parties)
+            if self.due(step):
+                self.decide(placement, step, t)
 
     def _decide_pools(self, step: int, t: float) -> None:
-        for gov in self._pool_governors.values():
-            if self._due(step):
-                self._log(gov.decide(step, t=t))
+        if self.due(step):
+            for gov in self._named("pool"):
+                self.decide(gov, step, t)
 
     @staticmethod
     def _payload_sample(table: TableData, nbytes: int) -> bytes | None:

@@ -1,13 +1,15 @@
-"""Controller primitives: an estimator and a hysteresis band.
+"""Controller primitives: an estimator, a hysteresis band, a skew gate.
 
-These are the reusable decision mechanics the governors compose.  Both
+These are the reusable decision mechanics the governors compose.  All
 are pure functions of their inputs, so every governor built on them is
 deterministic.
 """
 
 from __future__ import annotations
 
-__all__ = ["EWMA", "Hysteresis"]
+from typing import Sequence
+
+__all__ = ["EWMA", "Hysteresis", "SkewGate"]
 
 
 class EWMA:
@@ -64,3 +66,49 @@ class Hysteresis:
         elif value < self.low:
             self.state = False
         return self.state
+
+
+class SkewGate:
+    """The trigger the two movers (shard migration, array re-cut) share.
+
+    A ``max / mean`` threshold over per-bin load, the guard refusing a
+    move that does not lower the worst bin, and a cooldown of
+    ``cooldown`` rounds after every applied move so the new layout is
+    observed before it is judged again.  Which unit moves where stays
+    with each governor.
+    """
+
+    def __init__(self, skew: float, cooldown: int):
+        if skew <= 1.0:
+            raise ValueError(f"skew threshold must be > 1: {skew}")
+        if cooldown < 0:
+            raise ValueError(f"cooldown must be >= 0: {cooldown}")
+        self.skew = float(skew)
+        self.cooldown = int(cooldown)
+        self._hold = 0
+
+    @staticmethod
+    def ratio(values: Sequence[float]) -> float:
+        """max / mean, or 0 when the signal is silent."""
+        total = float(sum(values))
+        if total <= 0.0:
+            return 0.0
+        return max(float(v) for v in values) * len(values) / total
+
+    def cooling(self) -> bool:
+        """True while settling after a move (consumes one round)."""
+        if self._hold > 0:
+            self._hold -= 1
+            return True
+        return False
+
+    def tripped(self, *ratios: float) -> bool:
+        return max(ratios) >= self.skew
+
+    @staticmethod
+    def improves(worst_before: float, worst_after: float) -> bool:
+        return worst_after < worst_before
+
+    def moved(self) -> None:
+        """An applied move starts the cooldown."""
+        self._hold = self.cooldown

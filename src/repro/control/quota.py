@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.control.governors import Decision, Governor
+from repro.control.policy import SkewGate
 
 __all__ = ["QuotaGovernor", "ShardGovernor"]
 
@@ -48,6 +49,7 @@ class QuotaGovernor(Governor):
     """
 
     name = "quota"
+    replayed = True
 
     def __init__(
         self,
@@ -76,6 +78,7 @@ class QuotaGovernor(Governor):
         #: Fractional credit state per (endpoint, pipeline); the
         #: actuated value is the floor, never below ``min_credits``.
         self._alloc: dict[tuple[int, str], float] = {}
+        self._round: tuple | None = None
 
     def credits_for(self, name: str, endpoint: int) -> int | None:
         """Current integer allocation, or None before the first round."""
@@ -84,23 +87,26 @@ class QuotaGovernor(Governor):
             return None
         return max(self.min_credits, int(alloc))
 
-    def rebalance(
+    def observe(
         self,
         step: int,
         demand: Mapping[str, int],
         active: Mapping[str, bool],
         shards: Mapping[str, tuple[int, ...]],
-        t: float | None = None,
-    ) -> list[Decision]:
-        """One admission round over node-wide (allreduced) demand.
+    ) -> None:
+        """Node-wide (allreduced) signals for the next admission round.
 
         ``demand`` is raw payload bytes each pipeline shipped since the
         last round, ``active`` whether it shipped at all, ``shards``
-        the current endpoint assignment.  Returns the decisions for
-        every allocation whose integer value changed.
+        the current endpoint assignment.
         """
-        if not self.enabled:
+        self._round = (demand, active, shards)
+
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
+        """One admission round: a decision per (endpoint, tenant) pair."""
+        if not self.enabled or self._round is None:
             return []
+        demand, active, shards = self._round
         decisions: list[Decision] = []
         endpoints = sorted({e for n in sorted(shards) for e in shards[n]})
         for e in endpoints:
@@ -159,6 +165,8 @@ class ShardGovernor(Governor):
     """
 
     name = "shard"
+    switch = "quota"
+    replayed = True
 
     def __init__(
         self,
@@ -172,14 +180,9 @@ class ShardGovernor(Governor):
         super().__init__(actuator, enabled, frozen)
         if endpoints < 1:
             raise ValueError(f"endpoints must be >= 1: {endpoints}")
-        if skew <= 1.0:
-            raise ValueError(f"skew threshold must be > 1: {skew}")
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0: {cooldown}")
         self.endpoints = int(endpoints)
-        self.skew = float(skew)
-        self.cooldown = int(cooldown)
-        self._hold = 0
+        self.gate = SkewGate(skew, cooldown)
+        self._round: tuple | None = None
 
     @staticmethod
     def offered_loads(
@@ -199,33 +202,27 @@ class ShardGovernor(Governor):
                 loads[e] += share
         return loads
 
-    def rebalance(
+    def observe(
         self,
         step: int,
         demand: Mapping[str, int],
         shards: Mapping[str, tuple[int, ...]],
-        t: float | None = None,
-    ) -> tuple[Decision | None, tuple[str, int, int] | None]:
-        """One skew check; at most one migration.
+    ) -> None:
+        """Node-wide demand and the current endpoint assignment."""
+        self._round = (demand, shards)
 
-        Returns ``(decision, migration)`` where ``migration`` is
-        ``(pipeline, old_endpoint, new_endpoint)`` when a move was
-        *applied* (None while frozen, cooling down, or balanced).
-        """
-        if not self.enabled or self.endpoints < 2:
-            return None, None
-        if self._hold > 0:
-            self._hold -= 1
-            return None, None
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
+        """One skew check; at most one migration."""
+        if not self.enabled or self.endpoints < 2 or self._round is None:
+            return []
+        if self.gate.cooling():
+            return []
+        demand, shards = self._round
         loads = self.offered_loads(demand, shards, self.endpoints)
-        total = sum(loads)
-        if total <= 0:
-            return None, None
-        mean = total / self.endpoints
+        ratio = self.gate.ratio(loads)
+        if not self.gate.tripped(ratio):
+            return []
         hot = max(range(self.endpoints), key=lambda e: (loads[e], -e))
-        ratio = loads[hot] / mean
-        if ratio < self.skew:
-            return None, None
         # The dominant tenant on the hot endpoint, by offered share.
         tenants = [n for n in sorted(shards) if hot in shards[n]]
         movable = [
@@ -233,7 +230,7 @@ class ShardGovernor(Governor):
             if any(e not in shards[n] for e in range(self.endpoints))
         ]
         if len(tenants) < 2 or not movable:
-            return None, None  # nothing to separate
+            return []  # nothing to separate
         dom = max(
             movable,
             key=lambda n: (demand.get(n, 0) / len(shards[n]), n),
@@ -243,15 +240,15 @@ class ShardGovernor(Governor):
             e for e in range(self.endpoints) if e not in shards[dom]
         ]
         cold = min(candidates, key=lambda e: (loads[e], e))
-        if loads[cold] + share >= loads[hot]:
-            return None, None  # the move would not improve the skew
+        if not self.gate.improves(loads[hot], loads[cold] + share):
+            return []  # the move would not improve the skew
         new_shard = tuple(sorted(
             e for e in shards[dom] if e != hot
         ) + [cold])
         applied = self._actuate(dom, new_shard)
         if applied:
-            self._hold = self.cooldown
-        decision = self._decision(
+            self.gate.moved()
+        return [self._decision(
             step, t,
             f"migrate {dom}: ep{hot} -> ep{cold}",
             (
@@ -265,5 +262,4 @@ class ShardGovernor(Governor):
             cold=cold,
             skew=round(ratio, 6),
             demand_bytes=int(demand.get(dom, 0)),
-        )
-        return decision, ((dom, hot, cold) if applied else None)
+        )]

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.control.governors import Decision, Governor
+from repro.control.policy import SkewGate
 from repro.transport.partition import get_partitioner
 
 __all__ = ["RepartitionGovernor"]
@@ -41,33 +42,22 @@ class RepartitionGovernor(Governor):
     """
 
     name = "repartition"
+    config_args = {
+        "skew": "repartition_skew",
+        "cooldown": "repartition_cooldown",
+    }
 
     def __init__(
         self,
         actuator=None,
         skew: float = 1.25,
         cooldown: int = 2,
-        partitioner: str = "chain",
         enabled: bool = True,
         frozen: bool = False,
     ):
         super().__init__(actuator, enabled, frozen)
-        if skew <= 1.0:
-            raise ValueError(f"skew threshold must be > 1: {skew}")
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0: {cooldown}")
-        self.skew = float(skew)
-        self.cooldown = int(cooldown)
-        self.partitioner = str(partitioner)
-        self._hold = 0
-
-    @staticmethod
-    def _skew(values: Sequence[float]) -> float:
-        """max / mean, or 0 when the signal is silent."""
-        total = float(sum(values))
-        if total <= 0.0:
-            return 0.0
-        return max(float(v) for v in values) * len(values) / total
+        self.gate = SkewGate(skew, cooldown)
+        self._round: tuple | None = None
 
     @staticmethod
     def _rank_loads(
@@ -78,53 +68,55 @@ class RepartitionGovernor(Governor):
             loads[r] += float(costs[b])
         return loads
 
-    def rebalance(
+    def observe(
         self,
         step: int,
         owners: Sequence[int],
         block_costs: Sequence[float],
         rank_busy: Sequence[float],
         halo_bytes: Sequence[float],
-        t: float | None = None,
-    ) -> tuple[Decision | None, tuple[int, ...] | None]:
-        """One skew check over node-wide (allreduced) vectors.
+    ) -> None:
+        """Node-wide (allreduced) vectors for the next skew check.
 
-        ``block_costs`` is busy seconds charged per block since the
-        last round, ``rank_busy`` the per-rank sums, ``halo_bytes`` the
-        plan-derived per-rank halo traffic.  Returns
-        ``(decision, new_owners)`` — ``new_owners`` only when a re-cut
-        was *applied* (None while frozen, cooling down, balanced, or
-        when the re-cut would not improve the worst rank).
+        ``owners`` is the current block layout, ``block_costs`` busy
+        seconds charged per block since the last round, ``rank_busy``
+        the per-rank sums, ``halo_bytes`` the plan-derived per-rank
+        halo traffic.
         """
-        if not self.enabled or len(rank_busy) < 2:
-            return None, None
-        if self._hold > 0:
-            self._hold -= 1
-            return None, None
-        busy_skew = self._skew(rank_busy)
-        halo_skew = self._skew(halo_bytes)
-        if max(busy_skew, halo_skew) < self.skew:
-            return None, None
+        self._round = (owners, block_costs, rank_busy, halo_bytes)
+
+    def decide(self, step: int, t: float | None = None) -> list[Decision]:
+        """One skew check; at most one re-cut (none while cooling down,
+        balanced, or when it would not improve the worst rank)."""
+        if not self.enabled or self._round is None:
+            return []
+        owners, block_costs, rank_busy, halo_bytes = self._round
+        if len(rank_busy) < 2 or self.gate.cooling():
+            return []
+        busy_skew = self.gate.ratio(rank_busy)
+        halo_skew = self.gate.ratio(halo_bytes)
+        if not self.gate.tripped(busy_skew, halo_skew):
+            return []
         total_cost = float(sum(block_costs))
         if total_cost <= 0.0:
-            return None, None
+            return []
         ranks = len(rank_busy)
         new_owners = tuple(
-            get_partitioner(self.partitioner).assign(
+            get_partitioner("chain").assign(
                 len(block_costs), ranks, [float(c) for c in block_costs]
             )
         )
         moved = sum(1 for a, b in zip(owners, new_owners) if a != b)
         if moved == 0:
-            return None, None
+            return []
         cur = self._rank_loads(owners, block_costs, ranks)
         new = self._rank_loads(new_owners, block_costs, ranks)
-        if max(new) >= max(cur):
-            return None, None  # the re-cut would not improve the worst rank
+        if not self.gate.improves(max(cur), max(new)):
+            return []  # the re-cut would not improve the worst rank
         applied = self._actuate(new_owners)
         if applied:
-            self._hold = self.cooldown
-        decision = self._decision(
+            self.gate.moved()
+        return [self._decision(
             step, t,
             f"repartition: move {moved} of {len(block_costs)} blocks",
             (
@@ -141,5 +133,4 @@ class RepartitionGovernor(Governor):
             halo_skew=round(halo_skew, 6),
             worst_before=round(max(cur), 9),
             worst_after=round(max(new), 9),
-        )
-        return decision, (new_owners if applied else None)
+        )]

@@ -3,16 +3,17 @@
 Signals are sampled where the work happens — :class:`repro.sensei.bridge.Bridge`
 taps solver/in situ time, :class:`repro.service.router.ServiceBridge`
 taps transport counters — and pushed into a bounded
-:class:`SignalBuffer` ring.  Governors read aggregate views (windowed
-means, totals, deltas) rather than raw events, so a burst of steps
-cannot grow memory and a single noisy step cannot flip a knob.
+:class:`SignalBuffer` ring, the plane's record of what it recently
+saw (and what the trace recorder mirrors).  Governors do not read the
+ring: the taps feed each governor's ``observe`` directly and the
+governors keep their own estimators (EWMAs, hysteresis bands), which
+is what stops a single noisy step from flipping a knob.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass
 
 __all__ = ["StepObservation", "SignalBuffer"]
 
@@ -49,9 +50,8 @@ class StepObservation:
 class SignalBuffer:
     """A bounded ring buffer of :class:`StepObservation` records.
 
-    Appends beyond ``capacity`` evict the oldest sample; aggregate
-    helpers operate over the most recent ``n`` samples (the window a
-    governor reasons about).
+    Appends beyond ``capacity`` evict the oldest sample, so a burst of
+    steps cannot grow memory.
     """
 
     def __init__(self, capacity: int = 64):
@@ -70,39 +70,6 @@ class SignalBuffer:
         """Total observations ever pushed (evictions included)."""
         return self._pushed
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[StepObservation]:
-        return iter(tuple(self._ring))
-
     @property
     def latest(self) -> StepObservation | None:
         return self._ring[-1] if self._ring else None
-
-    def last(self, n: int) -> list[StepObservation]:
-        """The most recent ``n`` observations, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._ring)[-n:]
-
-    def mean(self, attr: str, n: int | None = None) -> float:
-        """Windowed mean of one numeric field (0.0 on an empty window)."""
-        window = self.last(n if n is not None else len(self._ring))
-        if not window:
-            return 0.0
-        return sum(getattr(o, attr) for o in window) / len(window)
-
-    def total(self, attr: str, n: int | None = None) -> float:
-        """Windowed sum of one numeric field."""
-        window = self.last(n if n is not None else len(self._ring))
-        return sum(getattr(o, attr) for o in window)
-
-    def as_dicts(self) -> list[dict]:
-        """JSON-ready dump of the window (reporting/debugging aid)."""
-        out = []
-        for o in self._ring:
-            d = {f.name: getattr(o, f.name) for f in fields(o) if f.name != "extras"}
-            d.update(o.extras_dict)
-            out.append(d)
-        return out

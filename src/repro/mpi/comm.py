@@ -198,7 +198,9 @@ class Communicator:
         no extra barrier for the check); any disagreement raises a
         structured :class:`~repro.errors.MPIError` naming the epochs
         seen, which is the caller's signal that governor cadences have
-        skewed across ranks.
+        skewed across ranks.  Contributions whose shape differs from
+        this rank's fail the same way — numpy would otherwise broadcast
+        a short vector into a long one silently.
         """
         self._coordination_epoch += 1
         epoch = self._coordination_epoch
@@ -213,6 +215,17 @@ class Communicator:
                     "rank": self.rank,
                     "epoch": epoch,
                     "epochs": epochs,
+                },
+            )
+        shapes = [np.shape(v) for _e, v in board]
+        if any(shape != payload.shape for shape in shapes):
+            raise MPIError(
+                f"rank {self.rank}: coordination round layout skew — "
+                f"peers contribute vectors of different shapes ({shapes})",
+                details={
+                    "rank": self.rank,
+                    "epoch": epoch,
+                    "shapes": shapes,
                 },
             )
         fn = self._reducer(op)

@@ -22,8 +22,8 @@ rank 0 notifies endpoints of membership changes over the control tag.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.control.quota import QuotaGovernor, ShardGovernor
+from repro.control.rounds import coordination_round
 from repro.errors import ExecutionError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import Communicator
@@ -178,6 +178,7 @@ class ServiceBridge:
         self._control = None
         self._quota_governor = None
         self._shard_governor = None
+        self._round_step = 0  # step of the admission round in progress
         self._initialized = False
         self._finalized = False
         self._finished: set[str] = set()
@@ -204,35 +205,25 @@ class ServiceBridge:
     def control_plane(self):
         return self._control
 
-    def _admission_on(self) -> bool:
-        plane = self._control
-        return (
-            plane is not None
-            and plane.enabled
-            and plane.config.quota.enabled
-        )
-
     def _wire_admission(self) -> None:
-        from repro.control.quota import QuotaGovernor, ShardGovernor
-
+        """Ask the plane for the admission governors (None when off)."""
         cfg = self.config
         plane = self._control
-        self._quota_governor = QuotaGovernor(
-            weights={p.name: p.weight for p in cfg.pipelines},
-            budget=cfg.budget,
-            actuator=self.router.grant,
-            min_credits=cfg.min_credits,
-            frozen=plane.config.quota.frozen,
+        if plane is None:
+            return
+        self._quota_governor = plane.governor(
+            QuotaGovernor, self, lambda: dict(
+                weights={p.name: p.weight for p in cfg.pipelines},
+                budget=cfg.budget, min_credits=cfg.min_credits,
+                actuator=self.router.grant,
+            ),
         )
-        self._shard_governor = ShardGovernor(
-            endpoints=self.n,
-            actuator=self.shard_map.set_shard,
-            skew=cfg.skew,
-            cooldown=cfg.cooldown,
-            frozen=plane.config.quota.frozen,
+        self._shard_governor = plane.governor(
+            ShardGovernor, self, lambda: dict(
+                endpoints=self.n, skew=cfg.skew, cooldown=cfg.cooldown,
+                actuator=self._migrate,
+            ),
         )
-        plane.governors.append(self._quota_governor)
-        plane.governors.append(self._shard_governor)
 
     # -- lifecycle -------------------------------------------------------------
     def initialize(self, world_comm: Communicator, sim_comm: Communicator) -> None:
@@ -248,8 +239,7 @@ class ServiceBridge:
             self.config, world_comm, self.m, self.n, self.shard_map,
             load_board=self.load_board,
         )
-        if self._admission_on():
-            self._wire_admission()
+        self._wire_admission()
         # Open every flow up front so a zero-step run still drains
         # each receiver with a proper fin handshake.
         self.router.open_initial()
@@ -335,53 +325,43 @@ class ServiceBridge:
         vectors — so the replicated shard map and the credit grants
         never diverge across ranks.
         """
-        if not self._admission_on() or self._quota_governor is None:
-            return
-        plane = self._control
-        if step % plane.config.interval != 0:
+        plane, quota, shard = (
+            self._control, self._quota_governor, self._shard_governor
+        )
+        if quota is None or not plane.due(step):
             return
         names = self.config.names
-        local = np.array(
-            [float(self._demand[n]) for n in names]
-            + [float(self._shipped[n]) for n in names],
-            dtype=np.float64,
-        )
-        if self._sim.size > 1:
-            folded = self._sim.coordinated_allreduce(local, op="sum")
-        else:
-            folded = local
-        count = len(names)
-        demand = {n: int(folded[i]) for i, n in enumerate(names)}
-        active = {
-            n: bool(folded[count + i] > 0) for i, n in enumerate(names)
-        }
-        decision, migration = self._shard_governor.rebalance(
-            step, demand, self.shard_map.as_dict()
-        )
-        plane.record(decision)
-        if migration is not None:
-            self._announce_migration(step, migration[0])
-        for quota_decision in self._quota_governor.rebalance(
-            step, demand, active, self.shard_map.as_dict()
-        ):
-            plane.record(quota_decision)
+        folded = coordination_round(self._sim, {
+            "demand": [self._demand[n] for n in names],
+            "shipped": [self._shipped[n] for n in names],
+        })
+        demand = {n: int(v) for n, v in zip(names, folded["demand"])}
+        active = {n: bool(v > 0) for n, v in zip(names, folded["shipped"])}
+        self._round_step = step
+        shard.observe(step, demand, self.shard_map.as_dict())
+        plane.decide(shard, step)
+        quota.observe(step, demand, active, self.shard_map.as_dict())
+        plane.decide(quota, step)
         for n in names:
             self._demand[n] = 0
             self._shipped[n] = 0
 
-    def _announce_migration(self, step: int, name: str) -> None:
-        """Tell every endpoint the pipeline's new membership.
+    def _migrate(self, name: str, shard: tuple[int, ...]) -> None:
+        """Shard actuator: rewrite the replicated map, tell the endpoints.
 
-        Producers reroute at the next step boundary, so the update
-        takes effect at ``step + 1``.  Rank 0 speaks for the group —
-        the decision is replicated, the notification need not be.
+        Producers reroute at the next step boundary, so the new
+        membership takes effect one step after the round that decided
+        it.  Rank 0 speaks for the group — the decision is replicated,
+        the notification need not be.
         """
+        self.shard_map.set_shard(name, shard)
         if self._sim.rank != 0:
             return
         routed = self.router.routed(name)
+        effective = self._round_step + 1
         for e in range(self.n):
             self._world.send(
-                ("svc_migrate", step + 1, name, routed.get(e, ())),
+                ("svc_migrate", effective, name, routed.get(e, ())),
                 self.m + e, CTRL_TAG, charge=False,
             )
 

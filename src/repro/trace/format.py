@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.control.governors import Governor
 from repro.errors import TraceFormatError, TraceVersionError
 from repro.svtk.table import TableData
 
@@ -67,9 +68,6 @@ TRACE_VERSION = 1
 #: Per-rank stream record kinds, in the order they may appear.
 EVENT_KINDS = ("publish", "fin", "obs", "decision")
 
-#: Flow-governor decision args that quote measured (jittery) signals.
-_FLOW_MEASURED = ("retry_rate", "ack_latency", "inflight_peak")
-
 #: Step-observation fields that are pure functions of the run's seeds.
 _OBS_FIELDS = ("payload_bytes", "wire_bytes", "retries")
 
@@ -89,7 +87,8 @@ def canonical_decision(decision) -> dict:
 
     Accepts a :class:`repro.control.governors.Decision` or its
     ``to_dict()`` form.  Drops the clock stamp, normalizes float args,
-    and scrubs the flow governor's measured-signal context.
+    and scrubs what the governor's class declares measured
+    (``Governor.measured_args``, and the free-text reason quoting them).
     """
     raw = decision if isinstance(decision, dict) else decision.to_dict()
     out = {
@@ -103,9 +102,10 @@ def canonical_decision(decision) -> dict:
         k: canonical_float(v) if isinstance(v, float) else v
         for k, v in sorted(dict(raw["args"]).items())
     }
-    if out["governor"] == "flow":
+    measured = Governor.named(out["governor"]).measured_args
+    if measured:
         out.pop("reason", None)
-        for key in _FLOW_MEASURED:
+        for key in measured:
             args.pop(key, None)
     out["args"] = args
     return out

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.control.governors import Governor
 from repro.errors import TraceFormatError
 from repro.hamr.runtime import current_clock
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
@@ -36,23 +37,12 @@ from repro.trace.recorder import TraceRecorder
 
 __all__ = ["SinkAnalysis", "ReplayResult", "replay_trace", "diff_traces"]
 
-#: Governors whose decisions the replay *regenerates* live: they are
-#: driven entirely by the transport path the replay re-executes (codec
-#: and flow from the per-step transport tap, quota and shard from the
-#: service bridge's coordination rounds).  Every other governor is
-#: driven by workload-side state that does not run under replay
-#: (in situ bridges, pools, device loads, array repartitioning); its
-#: recorded decisions are re-injected from the script instead.
-_REPLAYED_GOVERNORS = frozenset({"codec", "flow", "quota", "shard"})
 
-
-def _regenerated(event: dict) -> bool:
-    """Will the live replay re-emit this recorded event itself?"""
-    if event["kind"] == "obs":
-        return event.get("origin", "transport") == "transport"
-    if event["kind"] == "decision":
-        return event["governor"] in _REPLAYED_GOVERNORS
-    return False
+def _name(value) -> str:
+    """A governor name; ``str`` alone would accept a list."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 class SinkAnalysis(AnalysisAdaptor):
@@ -103,6 +93,14 @@ def _producer_scripts(trace: Trace, m: int) -> dict[int, list]:
     Field conversion (and table decoding) happens here, in the calling
     thread, so a malformed trace fails as a :class:`TraceFormatError`
     before any producer launches — not as a wrapped SPMD rank failure.
+
+    Events the live replay re-emits itself are left out: transport
+    observations, and decisions of governors whose class says the
+    replay re-executes the path driving them (``Governor.replayed``:
+    the per-step transport tap, the service bridge's coordination
+    rounds).  Everything else is driven by workload-side state that
+    does not run under replay (in situ bridges, pools, device loads,
+    array repartitioning) and is re-injected from the script.
     """
     scripts: dict[int, list] = {rank: [] for rank in range(m)}
     for event in sorted(trace.events, key=lambda e: (e["rank"], e["seq"])):
@@ -124,8 +122,12 @@ def _producer_scripts(trace: Trace, m: int) -> dict[int, list]:
                 _field(event, "sim_time", float),
                 {m_: decode_table(m_, meshes[m_]) for m_ in sorted(meshes)},
             )
-        elif _regenerated(event):
-            continue  # the live replay re-emits this one itself
+        elif kind == "obs" and event.get("origin", "transport") == "transport":
+            continue
+        elif kind == "decision" and Governor.named(
+            _field(event, "governor", _name)
+        ).replayed:
+            continue
         else:
             op = ("inject", event)
         scripts[event["rank"]].append(op)

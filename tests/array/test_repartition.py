@@ -16,22 +16,23 @@ RANK_BUSY = [10.0, 2.0]
 QUIET_HALO = [0.0, 0.0]
 
 
-def rebalance(gov, **overrides):
+def rebalance(gov, step=4, **overrides):
+    """One skew check: feed the signals, run the loop."""
     args = dict(
-        step=4, owners=OWNERS, block_costs=BLOCK_COSTS,
-        rank_busy=RANK_BUSY, halo_bytes=QUIET_HALO, t=4.0,
+        owners=OWNERS, block_costs=BLOCK_COSTS,
+        rank_busy=RANK_BUSY, halo_bytes=QUIET_HALO,
     )
     args.update(overrides)
-    return gov.rebalance(**args)
+    gov.observe(step, **args)
+    return gov.decide(step, t=4.0)
 
 
 class TestGovernor:
     def test_busy_skew_triggers_a_chain_recut(self):
         applied = []
         gov = RepartitionGovernor(actuator=applied.append, skew=1.25)
-        decision, owners = rebalance(gov)
-        assert owners == (0, 1, 1, 1)  # hot block isolated
-        assert applied == [owners]
+        (decision,) = rebalance(gov)
+        assert applied == [(0, 1, 1, 1)]  # hot block isolated
         assert decision.applied
         assert decision.governor == "repartition"
         assert decision.action == "repartition: move 1 of 4 blocks"
@@ -42,11 +43,12 @@ class TestGovernor:
         assert decision.args_dict["worst_after"] == 9.0
 
     def test_halo_skew_alone_triggers(self):
-        gov = RepartitionGovernor(actuator=lambda o: None, skew=1.25)
-        decision, owners = rebalance(
+        applied = []
+        gov = RepartitionGovernor(actuator=applied.append, skew=1.25)
+        (decision,) = rebalance(
             gov, rank_busy=[6.0, 6.0], halo_bytes=[3000.0, 100.0]
         )
-        assert owners is not None
+        assert applied
         assert (
             decision.args_dict["halo_skew"]
             > decision.args_dict["busy_skew"]
@@ -54,48 +56,46 @@ class TestGovernor:
 
     def test_quiet_signals_do_nothing(self):
         gov = RepartitionGovernor(actuator=lambda o: None, skew=1.25)
-        assert rebalance(gov, rank_busy=[6.0, 6.1]) == (None, None)
-        assert rebalance(gov, rank_busy=[0.0, 0.0]) == (None, None)
+        assert rebalance(gov, rank_busy=[6.0, 6.1]) == []
+        assert rebalance(gov, rank_busy=[0.0, 0.0]) == []
 
     def test_disabled_and_single_rank_skip(self):
         gov = RepartitionGovernor(enabled=False)
-        assert rebalance(gov) == (None, None)
+        assert rebalance(gov) == []
         gov = RepartitionGovernor()
         assert rebalance(
             gov, owners=(0, 0, 0, 0), rank_busy=[10.0],
             halo_bytes=[0.0],
-        ) == (None, None)
+        ) == []
 
     def test_already_optimal_layout_is_left_alone(self):
         gov = RepartitionGovernor(actuator=lambda o: None)
         # The chain cut of these costs IS the current layout.
-        decision, owners = rebalance(gov, owners=(0, 1, 1, 1))
-        assert (decision, owners) == (None, None)
+        assert rebalance(gov, owners=(0, 1, 1, 1)) == []
 
     def test_non_improving_relabel_is_refused(self):
         gov = RepartitionGovernor(actuator=lambda o: None)
         # Equal block costs: the re-cut would only swap labels.
-        decision, owners = rebalance(
+        assert rebalance(
             gov, owners=(1, 0), block_costs=[2.0, 2.0],
             rank_busy=[4.0, 0.0],
-        )
-        assert (decision, owners) == (None, None)
+        ) == []
 
     def test_cooldown_holds_after_an_applied_recut(self):
-        gov = RepartitionGovernor(actuator=lambda o: None, cooldown=2)
-        _, owners = rebalance(gov)
-        assert owners is not None
-        assert rebalance(gov, step=8) == (None, None)
-        assert rebalance(gov, step=12) == (None, None)
-        _, again = rebalance(gov, step=16)
-        assert again is not None
+        applied = []
+        gov = RepartitionGovernor(actuator=applied.append, cooldown=2)
+        rebalance(gov)
+        assert len(applied) == 1
+        assert rebalance(gov, step=8) == []
+        assert rebalance(gov, step=12) == []
+        rebalance(gov, step=16)
+        assert len(applied) == 2
 
     def test_frozen_logs_but_does_not_actuate(self):
         applied = []
         gov = RepartitionGovernor(actuator=applied.append, frozen=True)
-        decision, owners = rebalance(gov)
-        assert decision is not None and not decision.applied
-        assert owners is None
+        (decision,) = rebalance(gov)
+        assert not decision.applied
         assert applied == []
 
     def test_parameter_validation(self):
@@ -198,7 +198,7 @@ class TestCoordinator:
             plane = ControlPlane(cfg, comm=comm)
             c = ArrayCoordinator(array, None, plane=plane)
             array.close()
-            return c.governor.skew, c.governor.cooldown, c.interval
+            return c.governor.gate.skew, c.governor.gate.cooldown, c.interval
 
         assert set(run_spmd(2, main)) == {(1.5, 5, 2)}
 

@@ -71,7 +71,7 @@ class TestClusterGovernor:
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            decisions = gov.coordinate(0, t=0.0)
+            decisions = gov.decide(0, t=0.0)
             return gov.placement, [d.to_dict() for d in decisions], applied
 
         run = spmd_control(2, body, devices=4)
@@ -92,7 +92,7 @@ class TestClusterGovernor:
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            gov.coordinate(0, t=0.0)
+            gov.decide(0, t=0.0)
             return gov.last_crowding
 
         run = spmd_control(3, body, devices=4)
@@ -131,7 +131,7 @@ class TestClusterGovernor:
                     SharedResource.GPU_COMPUTE, counts[current] - 1
                 )
                 gov.observe(step, loads, self_load=BASE * self_dil)
-                gov.coordinate(step, t=float(step))
+                gov.decide(step, t=float(step))
             return history, gov.rounds
 
         run = spmd_control(2, body, devices=4)
@@ -158,7 +158,7 @@ class TestClusterGovernor:
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            decisions = gov.coordinate(0, t=0.0)
+            decisions = gov.decide(0, t=0.0)
             return gov.placement, decisions, applied
 
         run = spmd_control(2, body, devices=4)
@@ -181,7 +181,7 @@ class TestClusterGovernor:
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            return gov.coordinate(0, t=0.0)
+            return gov.decide(0, t=0.0)
 
         run = spmd_control(2, body, devices=4)
         assert run.results[1] == []  # disabled: contributes zeros only
@@ -200,7 +200,7 @@ class TestClusterGovernor:
                 loads, self_load = crowded_loads(comm.size)
                 gov.observe(step, loads, self_load=self_load)
                 out.extend(
-                    d.to_dict() for d in gov.coordinate(step, t=float(step))
+                    d.to_dict() for d in gov.decide(step, t=float(step))
                 )
             return out
 

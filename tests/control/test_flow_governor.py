@@ -36,11 +36,11 @@ class TestAdditiveIncrease:
         gov, calls = make_gov()
         gov.observe(0, ack_latency=1e-4, retries=0, chunks=10,
                     inflight_peak=2)  # window never filled: no demand
-        d = gov.decide(0)
+        decisions = gov.decide(0)
         assert calls["window"] == []
         # (the chunk rung may still move; the window must not)
         assert gov.credits == 4
-        assert d is None or "window=4" in d.action
+        assert all("window=4" in d.action for d in decisions)
 
     def test_latency_inflation_stops_growth(self):
         gov, calls = make_gov(latency_slack=1.5)
@@ -68,8 +68,8 @@ class TestMultiplicativeDecrease:
         gov, calls = make_gov()
         gov.observe(0, ack_latency=1e-4, retries=5, chunks=10,
                     inflight_peak=4)
-        d = gov.decide(0)
-        assert d is not None and d.applied
+        (d,) = gov.decide(0)
+        assert d.applied
         assert gov.credits == 2 and gov.chunk_bytes == 2048
         assert calls["window"] == [2] and calls["chunk"] == [2048]
         assert "multiplicative decrease" in d.reason
@@ -115,7 +115,7 @@ class TestChunkRungs:
         # moves nothing in either direction.
         gov.observe(0, ack_latency=1e-4, retries=1, chunks=20,
                     inflight_peak=0)
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
         assert calls["chunk"] == [] and calls["window"] == []
 
 
@@ -124,14 +124,14 @@ class TestGovernorPlumbing:
         gov, calls = make_gov(frozen=True)
         gov.observe(0, ack_latency=1e-4, retries=5, chunks=10,
                     inflight_peak=4)
-        d = gov.decide(0)
-        assert d is not None and not d.applied
+        (d,) = gov.decide(0)
+        assert not d.applied
         assert calls["window"] == [] and calls["chunk"] == []
         assert gov.credits == 4  # frozen: internal state holds too
 
     def test_no_decision_before_first_observation(self):
         gov, _ = make_gov()
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
 
     def test_ingest_node_overrides_local_signals(self):
         gov, calls = make_gov()
@@ -156,8 +156,7 @@ class TestGovernorPlumbing:
             ]
             for step, ack, retries, chunks, peak in schedule:
                 gov.observe(step, ack, retries, chunks, peak)
-                d = gov.decide(step)
-                if d is not None:
+                for d in gov.decide(step):
                     log.append((d.step, d.action, d.reason, d.args))
             return log
         first, second = run(), run()

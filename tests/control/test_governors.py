@@ -42,14 +42,13 @@ def feed_codec(gov, steps=4, payload=int(4 * MiB), bandwidth=gbs(0.05),
 class TestCodecGovernor:
     def test_silent_until_estimates_warm(self):
         gov = CodecGovernor()
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
 
     def test_slow_link_switches_to_compression(self):
         rec = Recorder()
         gov = CodecGovernor(actuator=rec, initial="none")
         feed_codec(gov, bandwidth=gbs(0.05))  # zeros compress ~1000x
-        d = gov.decide(4)
-        assert d is not None
+        (d,) = gov.decide(4)
         assert d.action == "codec=zlib"
         assert d.applied
         assert rec.calls == [("zlib",)]
@@ -61,7 +60,7 @@ class TestCodecGovernor:
         rec = Recorder()
         gov = CodecGovernor(actuator=rec, initial="none")
         feed_codec(gov, bandwidth=gbs(100.0))
-        assert gov.decide(4) is None
+        assert gov.decide(4) == []
         assert rec.calls == []
 
     def test_margin_suppresses_marginal_switches(self):
@@ -69,8 +68,8 @@ class TestCodecGovernor:
         gov_wide = CodecGovernor(margin=1e9)
         for g in (gov_tight, gov_wide):
             feed_codec(g, bandwidth=gbs(0.05))
-        assert gov_tight.decide(4) is not None
-        assert gov_wide.decide(4) is None
+        assert len(gov_tight.decide(4)) == 1
+        assert gov_wide.decide(4) == []
 
     def test_probe_charges_the_simulated_clock(self):
         clk = current_clock()
@@ -84,8 +83,8 @@ class TestCodecGovernor:
         rec = Recorder()
         gov = CodecGovernor(actuator=rec, frozen=True)
         feed_codec(gov, bandwidth=gbs(0.05))
-        d = gov.decide(4)
-        assert d is not None and not d.applied
+        (d,) = gov.decide(4)
+        assert not d.applied
         assert rec.calls == []
         assert gov.current == "none"  # state untouched in a dry run
 
@@ -96,8 +95,7 @@ class TestExecutionModeGovernor:
         gov = ExecutionModeGovernor(actuator=rec, low=0.05, high=0.15)
         gov.observe(0, sim_time=1.0, insitu_time=0.5, apparent_time=0.5,
                     copy_estimate=0.02)
-        d = gov.decide(0)
-        assert d is not None
+        (d,) = gov.decide(0)
         assert d.action == "execution=asynchronous"
         assert rec.calls == [(ExecutionMethod.ASYNCHRONOUS,)]
         assert gov.mode is ExecutionMethod.ASYNCHRONOUS
@@ -110,8 +108,7 @@ class TestExecutionModeGovernor:
         for step in range(8):
             gov.observe(step, sim_time=1.0, insitu_time=0.001,
                         apparent_time=0.002)
-        d = gov.decide(8)
-        assert d is not None
+        (d,) = gov.decide(8)
         assert d.action == "execution=lockstep"
         assert gov.mode is ExecutionMethod.LOCKSTEP
 
@@ -119,7 +116,7 @@ class TestExecutionModeGovernor:
         gov = ExecutionModeGovernor(low=0.05, high=0.15)
         gov.observe(0, sim_time=1.0, insitu_time=0.10, apparent_time=0.10,
                     copy_estimate=0.0)
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
         assert gov.mode is ExecutionMethod.LOCKSTEP
 
     def test_copy_cost_counts_against_async(self):
@@ -128,7 +125,7 @@ class TestExecutionModeGovernor:
         # Half the step is in situ, but copying costs nearly as much.
         gov.observe(0, sim_time=1.0, insitu_time=0.5, apparent_time=0.5,
                     copy_estimate=0.45)
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
         assert gov.last_ratio == pytest.approx(0.05, abs=1e-9)
 
     def test_measured_copy_replaces_the_estimate(self):
@@ -145,8 +142,8 @@ class TestExecutionModeGovernor:
         gov = ExecutionModeGovernor(actuator=rec, frozen=True)
         gov.observe(0, sim_time=1.0, insitu_time=0.8, apparent_time=0.8,
                     copy_estimate=0.0)
-        d = gov.decide(0)
-        assert d is not None and not d.applied
+        (d,) = gov.decide(0)
+        assert not d.applied
         assert rec.calls == []
         assert gov.mode is ExecutionMethod.LOCKSTEP
 
@@ -156,8 +153,7 @@ class TestPlacementGovernor:
         rec = Recorder()
         gov = PlacementGovernor(actuator=rec, rank=0)  # Eq. 1 -> device 0
         gov.observe(0, {0: 0.9, 1: 0.10, 2: 0.20, 3: 0.15})
-        d = gov.decide(0)
-        assert d is not None
+        (d,) = gov.decide(0)
         assert rec.calls, "actuator should receive the new placement"
         new = rec.calls[0][0]
         assert isinstance(new, DevicePlacement)
@@ -169,15 +165,15 @@ class TestPlacementGovernor:
     def test_balanced_node_is_left_alone(self):
         gov = PlacementGovernor(rank=0)
         gov.observe(0, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
 
     def test_no_loads_no_opinion(self):
-        assert PlacementGovernor(rank=0).decide(0) is None
+        assert PlacementGovernor(rank=0).decide(0) == []
 
     def test_host_placement_is_out_of_scope(self):
         gov = PlacementGovernor(rank=0, base=DevicePlacement.host())
         gov.observe(0, {0: 0.9, 1: 0.1})
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
 
     def test_contention_dilates_shared_devices(self):
         gov = PlacementGovernor(rank=0)
@@ -190,8 +186,8 @@ class TestPlacementGovernor:
         gov = PlacementGovernor(actuator=rec, rank=0, frozen=True)
         base = gov.placement
         gov.observe(0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1})
-        d = gov.decide(0)
-        assert d is not None and not d.applied
+        (d,) = gov.decide(0)
+        assert not d.applied
         assert rec.calls == []
         assert gov.placement == base
 
@@ -206,8 +202,8 @@ class TestPoolTrimGovernor:
     def test_trims_above_the_watermark(self):
         pool = self._pooled(int(4 * KiB))
         gov = PoolTrimGovernor(pool, int(1 * KiB))
-        d = gov.decide(0)
-        assert d is not None and d.applied
+        (d,) = gov.decide(0)
+        assert d.applied
         assert pool.pooled_bytes <= int(1 * KiB)
         assert gov.trimmed_bytes == int(4 * KiB)
         assert d.args_dict["freed"] == int(4 * KiB)
@@ -215,14 +211,14 @@ class TestPoolTrimGovernor:
     def test_below_watermark_is_quiet(self):
         pool = self._pooled(512)
         gov = PoolTrimGovernor(pool, int(1 * KiB))
-        assert gov.decide(0) is None
+        assert gov.decide(0) == []
         assert pool.pooled_bytes == 512
 
     def test_frozen_reports_without_trimming(self):
         pool = self._pooled(int(4 * KiB))
         gov = PoolTrimGovernor(pool, 0, frozen=True)
-        d = gov.decide(0)
-        assert d is not None and not d.applied
+        (d,) = gov.decide(0)
+        assert not d.applied
         assert pool.pooled_bytes == int(4 * KiB)
         assert gov.trimmed_bytes == 0
 
@@ -259,9 +255,12 @@ class TestPoolGrowth:
         # Trim, refill (a miss), trim, refill ... until the churn
         # streak completes and the governor doubles the watermark.
         for step in range(8):
-            d = gov.decide(step)
-            if d is not None and "->" in d.action and "watermark" in d.action:
-                grown = d
+            moves = [
+                d for d in gov.decide(step)
+                if "->" in d.action and "watermark" in d.action
+            ]
+            if moves:
+                (grown,) = moves
                 break
             self._churn(pool)
         assert grown is not None and grown.applied
@@ -291,15 +290,15 @@ class TestPoolGrowth:
         # Quiet: pool inventory stays below the watermark, no misses.
         shrunk = None
         for step in range(8, 20):
-            d = gov.decide(step)
-            if d is not None and "watermark" in d.action:
-                shrunk = d
+            moves = [d for d in gov.decide(step) if "watermark" in d.action]
+            if moves:
+                (shrunk,) = moves
                 break
         assert shrunk is not None and shrunk.applied
         assert gov.watermark == self.WM
         # Never shrinks below the configured base.
         for step in range(20, 30):
-            assert gov.decide(step) is None
+            assert gov.decide(step) == []
         assert gov.watermark == self.WM
 
     def test_single_quiet_round_does_not_reset_growth(self):
@@ -324,8 +323,7 @@ class TestPoolGrowth:
         self._churn(pool)
         gov = PoolTrimGovernor(pool, self.WM, adaptive=False)
         for step in range(8):
-            d = gov.decide(step)
-            assert d is None or "watermark" not in d.action
+            assert all("watermark" not in d.action for d in gov.decide(step))
             self._churn(pool)
         assert gov.watermark == self.WM
 
@@ -336,9 +334,7 @@ class TestPoolGrowth:
         gov = self._gov(pool, frozen=True)
         decisions = []
         for step in range(8):
-            d = gov.decide(step)
-            if d is not None:
-                decisions.append(d)
+            decisions.extend(gov.decide(step))
             self._churn(pool)
         # Trim decisions are logged but unapplied; the pool is never
         # actually drained, so no refill misses and no growth.
@@ -359,7 +355,7 @@ class TestDecisionRecord:
         gov = ExecutionModeGovernor()
         gov.observe(0, sim_time=1.0, insitu_time=0.9, apparent_time=0.9,
                     copy_estimate=0.0)
-        d = gov.decide(3, t=12.5)
+        (d,) = gov.decide(3, t=12.5)
         out = d.to_dict()
         assert out["governor"] == "execution"
         assert out["step"] == 3

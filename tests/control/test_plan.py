@@ -311,6 +311,23 @@ class TestControlPlaneTransport:
         assert plane.governors == []
         assert plane.signals.pushed == 6  # still observing
 
+    def test_replaced_sender_does_not_inherit_counters(self):
+        """A sender freed and replaced (possibly at the same address)
+        starts from zero: the plane keeps per-target state that holds
+        its target, not marks keyed by a recyclable ``id``."""
+        cfg = ControlConfig.from_xml_attrs({"codec": "off", "flow": "off"})
+        plane = ControlPlane(cfg)
+        for attempt in range(50):
+            old = FakeSender()
+            old.metrics.raw_bytes, old.metrics.bytes_out = 1000, 1089
+            plane.observe_transport_step(old, 2 * attempt, 1e-3)
+            del old
+            new = FakeSender()
+            new.metrics.raw_bytes, new.metrics.bytes_out = 10, 11
+            plane.observe_transport_step(new, 2 * attempt + 1, 1e-3)
+            obs = plane.signals.latest
+            assert (obs.payload_bytes, obs.wire_bytes) == (10, 11)
+
     def test_decisions_deterministic_for_identical_traffic(self):
         def run():
             plane = ControlPlane(ControlConfig(seed=11))

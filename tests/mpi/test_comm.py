@@ -364,3 +364,16 @@ class TestCoordinatedAllreduce:
             return sorted(excinfo.value.details["epochs"])
 
         assert run_spmd(2, fn) == [[1, 2], [1, 2]]
+
+    @pytest.mark.parametrize("lengths", [(1, 3), (2, 3)])
+    def test_shape_skew_raises_instead_of_broadcasting(self, lengths):
+        """numpy would broadcast (1,)+(3,) silently and choke on (2,)+(3,)."""
+
+        def fn(comm):
+            with pytest.raises(MPIError, match="layout skew") as excinfo:
+                comm.coordinated_allreduce(np.ones(lengths[comm.rank]))
+            details = excinfo.value.details
+            return details["rank"], details["epoch"], details["shapes"]
+
+        shapes = [(lengths[0],), (lengths[1],)]
+        assert run_spmd(2, fn) == [(0, 1, shapes), (1, 1, shapes)]

@@ -7,6 +7,18 @@ import pytest
 from repro.control.quota import QuotaGovernor, ShardGovernor
 
 
+def admit(gov, step, demand, active, shards):
+    """One admission round: feed the signals, run the loop."""
+    gov.observe(step, demand, active, shards)
+    return gov.decide(step)
+
+
+def rebalance(gov, step, demand, shards):
+    """One skew check: feed the signals, run the loop."""
+    gov.observe(step, demand, shards)
+    return gov.decide(step)
+
+
 class TestQuotaGovernor:
     def _gov(self, grants, **kw):
         kw.setdefault("weights", {"hot": 3.0, "bulk": 1.0})
@@ -32,7 +44,7 @@ class TestQuotaGovernor:
         active = {"hot": True, "bulk": True}
         demand = {"hot": 1000, "bulk": 1000}
         for step in range(12):
-            gov.rebalance(step, demand, active, shards)
+            admit(gov, step, demand, active, shards)
         # 3:1 weights over a 32-credit budget -> 24 / 8.
         assert gov.credits_for("hot", 0) == 24
         assert gov.credits_for("bulk", 0) == 8
@@ -41,9 +53,9 @@ class TestQuotaGovernor:
         gov = self._gov([])
         shards = {"hot": (0,), "bulk": (0,)}
         active = {"hot": True, "bulk": True}
-        gov.rebalance(0, {}, active, shards)
+        admit(gov, 0, {}, active, shards)
         first = gov.credits_for("hot", 0)
-        gov.rebalance(1, {}, active, shards)
+        admit(gov, 1, {}, active, shards)
         second = gov.credits_for("hot", 0)
         assert first < second < 24  # additive-increase toward fair
 
@@ -52,11 +64,11 @@ class TestQuotaGovernor:
         shards = {"hot": (0,), "bulk": (0,)}
         both = {"hot": True, "bulk": True}
         for step in range(12):
-            gov.rebalance(step, {}, both, shards)
+            admit(gov, step, {}, both, shards)
         assert gov.credits_for("bulk", 0) == 8
         only_hot = {"hot": True, "bulk": False}
         for step in range(12, 24):
-            gov.rebalance(step, {}, only_hot, shards)
+            admit(gov, step, {}, only_hot, shards)
         # The idle tenant multiplicatively decays to the floor and the
         # active one absorbs the reclaimed credits.
         assert gov.credits_for("bulk", 0) == gov.min_credits
@@ -67,7 +79,7 @@ class TestQuotaGovernor:
         shards = {"hot": (0,), "bulk": (1,)}
         active = {"hot": True, "bulk": True}
         for step in range(12):
-            gov.rebalance(step, {}, active, shards)
+            admit(gov, step, {}, active, shards)
         # Alone on its endpoint, each tenant gets the whole budget.
         assert gov.credits_for("hot", 0) == 32
         assert gov.credits_for("bulk", 1) == 32
@@ -75,8 +87,8 @@ class TestQuotaGovernor:
     def test_decisions_and_actuation(self):
         grants = []
         gov = self._gov(grants)
-        decisions = gov.rebalance(
-            4, {"hot": 77, "bulk": 0}, {"hot": True, "bulk": False},
+        decisions = admit(
+            gov, 4, {"hot": 77, "bulk": 0}, {"hot": True, "bulk": False},
             {"hot": (0,), "bulk": (0,)},
         )
         assert len(decisions) == 2  # one per tenant on the endpoint
@@ -90,15 +102,15 @@ class TestQuotaGovernor:
     def test_frozen_logs_without_actuating(self):
         grants = []
         gov = self._gov(grants, frozen=True)
-        decisions = gov.rebalance(
-            0, {}, {"hot": True, "bulk": True}, {"hot": (0,), "bulk": (0,)}
+        decisions = admit(
+            gov, 0, {}, {"hot": True, "bulk": True}, {"hot": (0,), "bulk": (0,)}
         )
         assert decisions and all(not d.applied for d in decisions)
         assert grants == []
 
     def test_disabled_is_silent(self):
         gov = self._gov([], enabled=False)
-        assert gov.rebalance(0, {}, {"hot": True}, {"hot": (0,)}) == []
+        assert admit(gov, 0, {}, {"hot": True}, {"hot": (0,)}) == []
 
     def test_credits_unknown_before_first_round(self):
         assert self._gov([]).credits_for("hot", 0) is None
@@ -125,34 +137,34 @@ class TestShardGovernor:
         gov = self._gov(moves)
         shards = {"a": (0,), "c": (0,), "b": (1,)}
         demand = {"a": 100, "c": 1000, "b": 0}
-        decision, migration = gov.rebalance(0, demand, shards)
-        assert migration == ("c", 0, 1)
+        (decision,) = rebalance(gov, 0, demand, shards)
         assert moves == [("c", (1,))]
         assert decision.applied
         assert decision.args_dict["pipeline"] == "c"
+        assert (decision.args_dict["hot"], decision.args_dict["cold"]) == (0, 1)
 
     def test_cooldown_after_migration(self):
         moves = []
         gov = self._gov(moves, cooldown=2)
         shards = {"a": (0,), "c": (0,)}
         demand = {"a": 100, "c": 1000}
-        _, migration = gov.rebalance(0, demand, shards)
-        assert migration is not None
+        rebalance(gov, 0, demand, shards)
+        assert moves == [("c", (1,))]
         shards = {"a": (0,), "c": (1,)}
         # Two cooldown rounds pass with no decision at all.
-        assert gov.rebalance(1, demand, shards) == (None, None)
-        assert gov.rebalance(2, demand, shards) == (None, None)
+        assert rebalance(gov, 1, demand, shards) == []
+        assert rebalance(gov, 2, demand, shards) == []
 
     def test_balanced_load_is_left_alone(self):
         gov = self._gov([])
         shards = {"a": (0,), "b": (1,)}
-        assert gov.rebalance(0, {"a": 100, "b": 100}, shards) == (None, None)
+        assert rebalance(gov, 0, {"a": 100, "b": 100}, shards) == []
 
     def test_sole_tenant_cannot_be_separated(self):
         gov = self._gov([])
         # Only one tenant on the hot endpoint: nothing to separate.
         shards = {"a": (0,)}
-        assert gov.rebalance(0, {"a": 1000}, shards) == (None, None)
+        assert rebalance(gov, 0, {"a": 1000}, shards) == []
 
     def test_no_move_that_would_not_improve(self):
         gov = self._gov([])
@@ -160,26 +172,22 @@ class TestShardGovernor:
         # swaps which endpoint is hot.
         shards = {"a": (0,), "c": (0,)}
         demand = {"a": 0, "c": 10000}
-        decision, migration = gov.rebalance(0, demand, shards)
-        assert migration is None and decision is None
+        assert rebalance(gov, 0, demand, shards) == []
 
     def test_zero_demand_is_a_no_op(self):
         gov = self._gov([])
-        assert gov.rebalance(0, {}, {"a": (0,)}) == (None, None)
+        assert rebalance(gov, 0, {}, {"a": (0,)}) == []
 
     def test_single_endpoint_never_migrates(self):
         gov = ShardGovernor(endpoints=1)
-        assert gov.rebalance(0, {"a": 9}, {"a": (0,)}) == (None, None)
+        assert rebalance(gov, 0, {"a": 9}, {"a": (0,)}) == []
 
     def test_frozen_logs_but_does_not_move(self):
         moves = []
         gov = self._gov(moves, frozen=True)
         shards = {"a": (0,), "c": (0,)}
-        decision, migration = gov.rebalance(
-            0, {"a": 100, "c": 1000}, shards
-        )
-        assert decision is not None and not decision.applied
-        assert migration is None
+        (decision,) = rebalance(gov, 0, {"a": 100, "c": 1000}, shards)
+        assert not decision.applied
         assert moves == []
 
     def test_offered_loads_spread_over_shard(self):

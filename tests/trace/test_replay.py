@@ -131,6 +131,18 @@ class TestReplayErrors:
             replay_trace(trace)
         assert err.value.details["section"] == "service"
 
+    def test_non_string_governor_raises_structured(self):
+        """The Hypothesis finding: ``["codec"]`` is not a governor name."""
+        trace, _p, _e = record_zoo("codec", seed=0)
+        decision = decisions_of(trace)[0]
+        decision["governor"] = ["codec"]
+        with pytest.raises(TraceFormatError) as err:
+            replay_trace(trace)
+        assert err.value.details == {
+            "kind": "decision", "rank": decision["rank"],
+            "seq": decision["seq"], "field": "governor",
+        }
+
     def test_truncated_trace_raises(self):
         trace, _p, _e = record_zoo("codec", seed=0)
         lines = trace.to_jsonl().splitlines(keepends=True)

@@ -79,12 +79,10 @@ FLOW_ATTRS = {
     "min_chunk": "2048", "max_chunk": "8192",
 }
 
-#: Generous retries (congested points see storms), short wall ACK
-#: timeout (lost chunks stall the thread for real seconds), and a
-#: backoff curve heavy enough that loss visibly costs simulated time.
+#: Generous retries (congested points see storms) and a backoff curve
+#: heavy enough that loss visibly costs simulated time.
 RETRY = RetryPolicy(
-    max_retries=60, ack_timeout=0.02,
-    backoff_base=us(500.0), backoff_max=us(5000.0),
+    max_retries=60, backoff_base=us(500.0), backoff_max=us(5000.0),
 )
 BANDWIDTH = gbs(1.0)
 SEED = 11

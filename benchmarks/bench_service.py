@@ -69,14 +69,11 @@ SEED = 23
 BANDWIDTH = gbs(1.0)
 LATENCY = us(40.0)
 
-def _retry(shape: "Shape") -> RetryPolicy:
-    """Generous retries (bursts cause storms), a backoff curve heavy
-    enough that loss costs simulated time, and a wall ACK timeout wide
-    enough for the shape's endpoint turnaround under 200 live ranks."""
-    return RetryPolicy(
-        max_retries=60, ack_timeout=shape.ack_timeout,
-        backoff_base=us(500.0), backoff_max=us(5000.0),
-    )
+#: Generous retries (bursts cause storms) and a backoff curve heavy
+#: enough that loss costs simulated time.
+RETRY = RetryPolicy(
+    max_retries=60, backoff_base=us(500.0), backoff_max=us(5000.0),
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class Shape:
     bulk_rows: int        # float64 rows per bulk producer per step
     hi_rows: int          # rows per high-priority producer per step
     congestion_kib: int   # shallow-pipe capacity per endpoint
-    ack_timeout: float = 0.02  # wall seconds before a retransmit
     interval: int = 2     # control rounds every this many steps
     warmup: int = 4       # steps the governors get before p99 scoring
     burst_period: int = 4
@@ -105,7 +101,7 @@ class Shape:
 
 FULL = Shape(pipelines=16, producers_per=12, endpoints=8, steps=16,
              budget=96, bulk_rows=2048, hi_rows=256, congestion_kib=144,
-             ack_timeout=0.25, warmup=8)
+             warmup=8)
 QUICK = Shape(pipelines=16, producers_per=2, endpoints=4, steps=16,
               budget=32, bulk_rows=2048, hi_rows=256, congestion_kib=48)
 
@@ -140,7 +136,7 @@ def bursty(tenant: int, step: int, shape: Shape) -> bool:
 def _transport(shape: Shape) -> TransportConfig:
     cfg = TransportConfig(
         compression="none", chunk_bytes=4096, max_inflight=8,
-        retry=_retry(shape), pipelined=True,
+        retry=RETRY, pipelined=True,
     )
     return cfg.with_faults(
         drop=0.0, seed=SEED,

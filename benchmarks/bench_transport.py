@@ -69,7 +69,7 @@ def producer_main(sim_comm, bridge):
 def run_matrix():
     """The 2x2 sweep; returns {(codec, channel): result dict}."""
     results = {}
-    retry = RetryPolicy(max_retries=40, ack_timeout=0.02)
+    retry = RetryPolicy(max_retries=40)
     for codec in ("none", "zlib"):
         for channel in ("clean", "lossy"):
             cfg = TransportConfig(compression=codec, retry=retry)

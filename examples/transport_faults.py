@@ -85,7 +85,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     reset_transport_timelines()
 
-    retry = RetryPolicy(max_retries=40, ack_timeout=0.02)
+    retry = RetryPolicy(max_retries=40)
     hostile = TransportConfig(
         chunk_bytes=1024, retry=retry,
     ).with_faults(drop=0.20, duplicate=0.05, reorder=0.05, seed=42)

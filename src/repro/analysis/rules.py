@@ -1,4 +1,4 @@
-"""The built-in rules (HL001-HL011) targeting this codebase's idioms.
+"""The built-in rules (HL001-HL012) targeting this codebase's idioms.
 
 Each rule encodes one of the correctness hazards the heterogeneous
 substrate permits mechanically (see :mod:`repro.hamr.buffer`): the
@@ -8,7 +8,7 @@ them at run time.
 Most rules are static heuristics over names and keywords — they
 resolve ``Allocator``/``PMKind``/``StreamMode`` members against the
 real enums but do not do type inference.  The *project rules*
-(HL003, HL008, HL009, HL010) additionally opt into the engine's
+(HL003, HL008, HL009, HL010, HL012) additionally opt into the engine's
 :class:`~repro.analysis.dataflow.ProjectContext` and reason across
 function and file boundaries through bounded data-flow summaries.
 False positives are expected to be rare in this tree and are silenced
@@ -18,6 +18,7 @@ with ``# lint: disable=HLxxx`` plus a justification comment.
 from __future__ import annotations
 
 import ast
+from pathlib import PurePosixPath
 from typing import Iterator
 
 from repro.analysis.engine import FileContext, Finding, Rule, Severity
@@ -35,6 +36,7 @@ __all__ = [
     "PoolEscapeRule",
     "NondeterministicDecisionRule",
     "LiteralTagRule",
+    "WallClockSemanticsRule",
     "ProjectRule",
     "DEFAULT_RULES",
     "default_rules",
@@ -856,6 +858,71 @@ class LiteralTagRule(Rule):
                     )
 
 
+# -- HL012 --------------------------------------------------------------------
+
+class WallClockSemanticsRule(ProjectRule):
+    """Wall clock in the semantics.
+
+    Whether a wait ends is decided by the SPMD run's wait table
+    (:mod:`repro.mpi.waits`), and everything the library reports is
+    simulated time; a wall-clock read, a ``time.sleep`` or a timed
+    ``threading``/``queue`` wait in library code makes a simulated
+    answer depend on host load (the stall guards this rule keeps out
+    changed retry counts under 200 rank threads).  Flags, anywhere but
+    the analyzer's own tooling and code that legitimately times itself
+    (``benchmarks/``, ``examples/``, test files):
+
+    - the wall-clock reads HL010 knows, plus ``time.sleep``;
+    - a ``timeout=`` keyword on ``.wait`` / ``.wait_for`` / ``.get`` /
+      ``.put`` / ``.join`` / ``.acquire``.
+    """
+
+    id = "HL012"
+    severity = Severity.ERROR
+    title = "wall clock in the semantics"
+    hint = (
+        "charge simulated time (current_clock()) and block through the "
+        "communicator or AsyncRunner: they park on the wait table, which "
+        "reports a wait that cannot end as a DeadlockError"
+    )
+
+    exempt_dirs = ("benchmarks", "examples")
+    exempt_modules = ("repro/analysis/",)
+    _calls = NondeterministicDecisionRule._wallclock | {"time.sleep"}
+    _timed_waits = ("wait", "wait_for", "get", "put", "join", "acquire")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        path = PurePosixPath(ctx.posix)
+        if (
+            set(path.parts) & set(self.exempt_dirs)
+            or any(m in ctx.posix for m in self.exempt_modules)
+            or path.name.startswith(("test_", "conftest"))
+        ):
+            return
+        # The module-level scope: import aliases are all it must resolve.
+        scope = self.project_for(ctx).scope(ctx, ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            canon = scope.canonical(node.func)
+            if canon in self._calls:
+                yield self.finding(
+                    ctx, node, f"'{canon}' in library code",
+                    details={"source": canon},
+                )
+            elif (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._timed_waits
+                and "timeout" in _keywords(node)
+            ):
+                yield self.finding(
+                    ctx, node,
+                    f"timed wait '.{node.func.attr}(timeout=...)' in "
+                    "library code",
+                    details={"source": f"{node.func.attr}(timeout=)"},
+                )
+
+
 DEFAULT_RULES: tuple[type[Rule], ...] = (
     RawDataAccessRule,
     AllocatorMismatchRule,
@@ -868,6 +935,7 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     PoolEscapeRule,
     NondeterministicDecisionRule,
     LiteralTagRule,
+    WallClockSemanticsRule,
 )
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "ShapeMismatchError",
     "MPIError",
     "RankMismatchError",
+    "DeadlockError",
     "TransportError",
     "ConfigError",
     "PlacementError",
@@ -116,12 +117,25 @@ class RankMismatchError(MPIError):
     """A collective was invoked with inconsistent participation."""
 
 
+class DeadlockError(MPIError):
+    """No blocked execution context of an SPMD run can ever be woken.
+
+    Raised in every context parked on the run's wait table
+    (:mod:`repro.mpi.waits`) when the last live context parks, when a
+    rank finishes and strands the rest, or when a rank raises.
+    ``details["cause"]`` says which; ``details["parked"]`` lists each
+    parked context (``context``), what it waits on (``waits_on``) and
+    the non-empty mailboxes addressed to it (``mailboxes``);
+    ``details["finished"]`` names the contexts that already returned.
+    """
+
+
 class TransportError(MPIError):
     """Failure in the data-transport plane (:mod:`repro.transport`).
 
     Raised for wire-format violations (unknown codec, version or
     checksum mismatch on a complete set) and for delivery giving up
-    (retry budget exhausted, drain timeout); ``details`` carries the
+    (retry budget exhausted); ``details`` carries the
     peer, step, and sequence context.
     """
 

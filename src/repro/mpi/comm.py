@@ -3,16 +3,19 @@
 Design notes
 ------------
 Ranks are threads sharing one process.  A :class:`_World` holds the
-shared state: per-destination mailboxes for point-to-point traffic, a
-scratch board plus reusable barrier for collectives, and the
-communication cost model.
+shared state of one communicator: per-destination mailboxes for
+point-to-point traffic, the open collective round, and the
+communication cost model.  Everything that blocks — ``recv``, a
+collective, an idle endpoint — parks on the run's one
+:class:`~repro.mpi.waits.WaitTable`; no wait is ever ended by the wall
+clock, and a wait nobody can end is a
+:class:`~repro.errors.DeadlockError` naming who waits on what.
 
 Simulated time: every operation charges an alpha-beta cost
 (``latency + nbytes / bandwidth``) to the calling rank's thread-local
 clock.  Blocking collectives additionally *align* participants' clocks
 to the latest arrival plus the collective's cost — the same
-synchronization a real blocking collective imposes — using a
-``threading.Barrier`` rendezvous.
+synchronization a real blocking collective imposes.
 
 Reductions on numpy arrays avoid pickling; object-mode methods accept
 anything.
@@ -20,17 +23,18 @@ anything.
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import MPIError, RankMismatchError
+from repro.errors import DeadlockError, MPIError, RankMismatchError
 from repro.hamr.runtime import current_clock, use_clock
 from repro.hw.clock import SimClock
 from repro.mpi.request import Request
+from repro.mpi.waits import WaitTable
 from repro.units import gbs, us
 
 __all__ = [
@@ -64,12 +68,6 @@ class CommCostModel:
         """Tree-algorithm collective over ``size`` ranks."""
         rounds = max(1, int(np.ceil(np.log2(max(size, 2)))))
         return rounds * self.message(nbytes)
-
-
-#: Wall-clock fallback applied when ``recv`` is called without a timeout;
-#: hitting it means a peer died or the program deadlocked, reported as a
-#: structured :class:`MPIError` (tests shrink this to keep failures fast).
-DEFAULT_RECV_TIMEOUT = 60.0
 
 
 def _payload_bytes(obj: Any) -> int:
@@ -112,13 +110,26 @@ class Communicator:
         """
         raise NotImplementedError
 
-    def recv(
-        self,
-        source: int,
-        tag: int = 0,
-        timeout: float | None = None,
-        charge: bool = True,
-    ) -> Any:
+    def recv(self, source: int, tag: int = 0, charge: bool = True) -> Any:
+        """Block until a message from ``source`` with ``tag`` arrives."""
+        raise NotImplementedError
+
+    def try_recv(
+        self, source: int, tag: int = 0, charge: bool = True
+    ) -> tuple[bool, Any]:
+        """Nonblocking receive: ``(True, obj)``, or ``(False, None)`` —
+        charging nothing — when no such message is waiting."""
+        raise NotImplementedError
+
+    def wait_arrival(self, seen: int) -> int:
+        """Block until more than ``seen`` messages were ever addressed
+        to this rank on this communicator; returns the new count.
+
+        The idle wait of a loop that multiplexes many mailboxes with
+        :meth:`try_recv`: take the count the previous call returned
+        (0 at first), sweep, and call again only after a sweep that
+        found nothing — anything that arrived mid-sweep returns at once.
+        """
         raise NotImplementedError
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
@@ -126,7 +137,9 @@ class Communicator:
         return Request.completed()
 
     def irecv(self, source: int, tag: int = 0) -> Request:
-        return Request(lambda timeout: self.recv(source, tag, timeout))
+        return Request(
+            lambda: self.recv(source, tag), lambda: self.try_recv(source, tag)
+        )
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
         req = self.isend(obj, dest, tag)
@@ -286,8 +299,10 @@ class SelfCommunicator(Communicator):
     def send(self, obj, dest, tag=0, charge=True):
         raise MPIError("cannot send on a size-1 communicator")
 
-    def recv(self, source, tag=0, timeout=None, charge=True):
+    def recv(self, source, tag=0, charge=True):
         raise MPIError("cannot recv on a size-1 communicator")
+
+    try_recv = recv
 
     def barrier(self):
         return None
@@ -330,29 +345,70 @@ class SelfCommunicator(Communicator):
         return SelfCommunicator(self.cost)
 
 
+class _Round:
+    """One generation of a communicator's collective rendezvous."""
+
+    __slots__ = ("index", "board", "latest", "arrived", "result")
+
+    def __init__(self, size: int, index: int):
+        self.index = index
+        self.board: list[Any] = [None] * size
+        self.latest = 0.0
+        self.arrived = 0
+        #: ``(board, latest clock)``, published once by the last arriver
+        #: and never mutated, so nobody rendezvouses again to recycle it.
+        self.result: tuple[tuple, float] | None = None
+
+
 class _World:
-    """Shared state behind all rank endpoints of one SPMD region."""
+    """Shared state behind all rank endpoints of one communicator.
 
-    def __init__(self, size: int, cost: CommCostModel):
-        self.size = size
+    Mailboxes and the open collective round, guarded by the lock of the
+    run's :class:`~repro.mpi.waits.WaitTable` — shared with every world
+    made by ``dup``/``split``, so a deadlock across communicators is
+    still seen.  ``members`` names each local rank's context in the
+    root world's terms, for the deadlock report.
+    """
+
+    def __init__(
+        self, table: WaitTable, members: Sequence[str], cost: CommCostModel,
+        label: str = "world",
+    ):
+        self.table = table
+        self.members = list(members)
+        self.size = len(self.members)
         self.cost = cost
-        self.barrier = threading.Barrier(size)
-        # Mailboxes: (dest, source, tag) -> queue of payloads.
-        self._boxes: dict[tuple[int, int, int], queue.Queue] = {}
-        self._boxes_lock = threading.Lock()
-        # Scratch board for collectives: rank -> contribution.
-        self.scratch: list[Any] = [None] * size
-        self.clock_marks: list[float] = [0.0] * size
-        self.failed = threading.Event()
+        self.label = label
+        # Mailboxes: (dest, source, tag) -> (payload, sent_at) in order.
+        self.boxes: defaultdict[tuple[int, int, int], deque] = defaultdict(deque)
+        #: Messages ever addressed to each rank (the idle-wait counter).
+        self.arrivals = [0] * self.size
+        self.round = _Round(self.size, 0)
 
-    def box(self, dest: int, source: int, tag: int) -> queue.Queue:
-        key = (dest, source, tag)
-        with self._boxes_lock:
-            q = self._boxes.get(key)
-            if q is None:
-                q = queue.Queue()
-                self._boxes[key] = q
-            return q
+    def child(self, ranks: Sequence[int], suffix: str) -> "_World":
+        """The world of a ``dup``/``split`` over ``ranks`` of this one."""
+        return _World(
+            self.table, [self.members[r] for r in ranks], self.cost,
+            f"{self.label}.{suffix}",
+        )
+
+    def describe(self, rank: int, what: str) -> dict:
+        """The deadlock-report entry for ``rank`` blocked on ``what``."""
+        return {
+            "waits_on": f"{what} on {self.label}",
+            "mailboxes": [
+                {"source": source, "tag": tag, "messages": len(box)}
+                for (dest, source, tag), box in sorted(self.boxes.items())
+                if dest == rank and box
+            ],
+        }
+
+    def peer(self, rank: int) -> str:
+        """``rank`` as the report spells it: root-world name, and whether
+        it already returned (the usual reason nobody will ever send)."""
+        name = self.members[rank]
+        done = ", finished" if name in self.table.finished else ""
+        return f"{rank} ({name}{done})"
 
 
 class ThreadCommunicator(Communicator):
@@ -363,27 +419,6 @@ class ThreadCommunicator(Communicator):
         self.rank = rank
         self.size = world.size
         self.cost = world.cost
-
-    # -- internal rendezvous -----------------------------------------------------
-    def _rendezvous(self) -> None:
-        """Wait on the world barrier, aborting if a peer failed."""
-        if self._world.failed.is_set():
-            raise MPIError("a peer rank failed; aborting collective")
-        try:
-            self._world.barrier.wait(timeout=60.0)
-        except threading.BrokenBarrierError:
-            raise MPIError(
-                "collective barrier broken (peer failure or deadlock)"
-            ) from None
-
-    def _align_clocks(self, extra: float) -> None:
-        """Align all ranks' simulated clocks to the latest arrival + extra."""
-        clk = current_clock()
-        self._world.clock_marks[self.rank] = clk.now
-        self._rendezvous()
-        latest = max(self._world.clock_marks)
-        clk.wait_for(latest + extra)
-        self._rendezvous()
 
     # -- point to point ------------------------------------------------------------
     def _check_peer(self, peer: int) -> None:
@@ -398,63 +433,103 @@ class ThreadCommunicator(Communicator):
         self, obj: Any, dest: int, tag: int = 0, charge: bool = True
     ) -> None:
         self._check_peer(dest)
-        if charge:
-            current_clock().advance(self.cost.message(_payload_bytes(obj)))
-        self._world.box(dest, self.rank, tag).put((obj, current_clock().now))
-
-    def recv(
-        self,
-        source: int,
-        tag: int = 0,
-        timeout: float | None = None,
-        charge: bool = True,
-    ) -> Any:
-        self._check_peer(source)
-        q = self._world.box(self.rank, source, tag)
-        try:
-            obj, sent_at = q.get(
-                timeout=timeout if timeout is not None else DEFAULT_RECV_TIMEOUT
-            )
-        except queue.Empty:
-            if timeout is not None:
-                # The caller opted into polling; TimeoutError is the
-                # contract it loops on.
-                raise TimeoutError(
-                    f"rank {self.rank}: no message from {source} (tag {tag})"
-                ) from None
-            # Blocking recv hit the wall-clock fallback: a peer died or
-            # the exchange pattern deadlocked.  Structured, like every
-            # other substrate failure (PR-1 convention).
-            raise MPIError(
-                f"rank {self.rank}: blocking recv from {source} (tag {tag}) "
-                f"gave up after the {DEFAULT_RECV_TIMEOUT:.0f}s wall-clock "
-                "fallback",
-                details={
-                    "rank": self.rank,
-                    "source": source,
-                    "tag": tag,
-                    "timeout": DEFAULT_RECV_TIMEOUT,
-                },
-            ) from None
         clk = current_clock()
+        if charge:
+            clk.advance(self.cost.message(_payload_bytes(obj)))
+        w = self._world
+        with w.table.lock:
+            w.boxes[(dest, self.rank, tag)].append((obj, clk.now))
+            w.arrivals[dest] += 1
+            w.table.wake((w, dest, self.rank, tag))
+            w.table.wake((w, dest))
+
+    def recv(self, source: int, tag: int = 0, charge: bool = True) -> Any:
+        self._check_peer(source)
+        w = self._world
+        with w.table.lock:
+            box = w.boxes[(self.rank, source, tag)]
+            while not box:
+                w.table.park(
+                    (w, self.rank, source, tag),
+                    lambda: w.describe(
+                        self.rank, f"recv(source={w.peer(source)}, tag={tag})"
+                    ),
+                )
+            message = box.popleft()
+        return self._deliver(message, charge)
+
+    def try_recv(
+        self, source: int, tag: int = 0, charge: bool = True
+    ) -> tuple[bool, Any]:
+        self._check_peer(source)
+        w = self._world
+        with w.table.lock:
+            box = w.boxes.get((self.rank, source, tag))
+            if not box:
+                return False, None
+            message = box.popleft()
+        return True, self._deliver(message, charge)
+
+    def _deliver(self, message: tuple[Any, float], charge: bool) -> Any:
+        obj, sent_at = message
         if charge:
             # The message cannot be received before it was sent
             # (simulated time).
+            clk = current_clock()
             clk.wait_for(sent_at)
             clk.advance(self.cost.message(_payload_bytes(obj)))
         return obj
 
+    def wait_arrival(self, seen: int) -> int:
+        w = self._world
+        with w.table.lock:
+            while w.arrivals[self.rank] <= seen:
+                w.table.park(
+                    (w, self.rank),
+                    lambda: w.describe(self.rank, "idle(any message to me)"),
+                )
+            return w.arrivals[self.rank]
+
     # -- collectives -----------------------------------------------------------------
     def barrier(self) -> None:
-        self._align_clocks(self.cost.barrier_cost)
+        self._rendezvous(None, self.cost.barrier_cost)
+
+    def _rendezvous(self, contribution: Any, extra: float) -> tuple:
+        """Post a contribution and park — once — until every rank has.
+
+        The last arriver publishes the round's board and the latest
+        arrival clock and opens the next round; every rank then aligns
+        its simulated clock to that latest arrival plus ``extra``.
+        """
+        w, clk = self._world, current_clock()
+        with w.table.lock:
+            rnd = w.round
+            rnd.board[self.rank] = contribution
+            rnd.latest = max(rnd.latest, clk.now)
+            rnd.arrived += 1
+            if rnd.arrived == self.size:
+                rnd.result = (tuple(rnd.board), rnd.latest)
+                w.round = _Round(self.size, rnd.index + 1)
+                for rank in range(self.size):
+                    w.table.wake((rnd, rank))
+            while rnd.result is None:
+                w.table.park(
+                    (rnd, self.rank),
+                    lambda: w.describe(
+                        self.rank,
+                        f"collective #{rnd.index} "
+                        f"({rnd.arrived}/{self.size} arrived)",
+                    ),
+                )
+        board, latest = rnd.result
+        clk.wait_for(latest + extra)
+        return board
 
     def _exchange(self, contribution: Any, nbytes: int) -> list[Any]:
         """All ranks post a contribution; everyone sees the full board."""
-        self._world.scratch[self.rank] = contribution
-        self._align_clocks(self.cost.collective(nbytes, self.size))
-        board = list(self._world.scratch)
-        self._rendezvous()  # all copied the board; scratch reusable
-        return board
+        return list(self._rendezvous(
+            contribution, self.cost.collective(nbytes, self.size)
+        ))
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         self._check_root(root)
@@ -474,13 +549,10 @@ class ThreadCommunicator(Communicator):
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         self._check_root(root)
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                self._world.failed.set()
-                self._world.barrier.abort()
-                raise RankMismatchError(
-                    f"scatter needs exactly {self.size} items at root"
-                )
+        if self.rank == root and (objs is None or len(objs) != self.size):
+            raise RankMismatchError(
+                f"scatter needs exactly {self.size} items at root"
+            )
         board = self._exchange(
             list(objs) if self.rank == root else None,
             _payload_bytes(objs) if self.rank == root else 0,
@@ -489,8 +561,6 @@ class ThreadCommunicator(Communicator):
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         if len(objs) != self.size:
-            self._world.failed.set()
-            self._world.barrier.abort()
             raise RankMismatchError(
                 f"alltoall needs exactly {self.size} items, got {len(objs)}"
             )
@@ -512,7 +582,8 @@ class ThreadCommunicator(Communicator):
 
     def dup(self) -> "ThreadCommunicator":
         """Collective duplication: all ranks must call ``dup`` together."""
-        child = _World(self.size, self.cost) if self.rank == 0 else None
+        w = self._world
+        child = w.child(range(self.size), "dup") if self.rank == 0 else None
         board = self._exchange(child, 0)
         return ThreadCommunicator(board[0], self.rank)
 
@@ -529,7 +600,10 @@ class ThreadCommunicator(Communicator):
         # The lowest old rank of each color creates its group's world;
         # a second exchange distributes the worlds.
         leader = min(ranks)
-        child = _World(len(ranks), self.cost) if self.rank == leader else None
+        child = (
+            self._world.child(ranks, f"split({color})")
+            if self.rank == leader else None
+        )
         board2 = self._exchange(child, 0)
         if len(ranks) == 1:
             return SelfCommunicator(self.cost)  # type: ignore[return-value]
@@ -556,8 +630,9 @@ def run_spmd(
 
     Each rank gets a fresh simulated clock starting at ``start_time``.
     The first exception raised by any rank is re-raised in the caller
-    (wrapped with the failing rank's id); surviving ranks are unblocked
-    by aborting the world barrier.
+    (wrapped with the failing rank's id); ranks blocked at that moment
+    wake with a :class:`~repro.errors.DeadlockError`, which is also
+    what a run whose ranks all block on each other raises.
     """
     if size < 1:
         raise MPIError(f"size must be >= 1: {size}")
@@ -567,10 +642,10 @@ def run_spmd(
         with use_clock(SimClock(start_time, name="rank0")):
             return [fn(comm, *args)]
 
-    world = _World(size, cost)
+    table = WaitTable()
+    world = _World(table, [f"rank {r}" for r in range(size)], cost)
     results: list[Any] = [None] * size
     errors: list[tuple[int, BaseException]] = []
-    errors_lock = threading.Lock()
 
     def runner(rank: int) -> None:
         comm = ThreadCommunicator(world, rank)
@@ -578,27 +653,23 @@ def run_spmd(
             try:
                 results[rank] = fn(comm, *args)
             except BaseException as exc:  # noqa: BLE001 - propagated below
-                with errors_lock:
-                    errors.append((rank, exc))
-                world.failed.set()
-                world.barrier.abort()
+                errors.append((rank, exc))
+                table.fail(world.members[rank], exc)
 
-    threads = [
-        # SPMD ranks are peers, not analysis tasks: each gets its own
-        # clock via use_clock above, so AsyncRunner's single-lane
-        # drain semantics do not apply here.
-        threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}")  # lint: disable=HL005
-        for r in range(size)
+    ranks = [
+        table.spawn(world.members[r], partial(runner, r)) for r in range(size)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for ctx in ranks:
+        ctx.thread.start()
+    for ctx in ranks:
+        ctx.thread.join()
 
     if errors:
-        # Peers of a failing rank die on the aborted barrier with a
-        # secondary MPIError; report the original failure instead.
-        errors.sort(key=lambda e: (isinstance(e[1], MPIError), e[0]))
+        # Peers blocked when a rank failed woke with the secondary
+        # DeadlockError; report the original failure instead.
+        errors.sort(key=lambda e: (isinstance(e[1], DeadlockError), e[0]))
         rank, exc = errors[0]
+        if isinstance(exc, DeadlockError):
+            raise exc
         raise MPIError(f"rank {rank} failed: {exc!r}") from exc
     return results

@@ -15,33 +15,33 @@ class Request:
     received object (receives) or ``None`` (sends).  ``test`` polls.
     """
 
-    def __init__(self, resolve: Callable[[float | None], Any]):
-        # ``resolve(timeout)`` performs/completes the operation; it must
-        # raise queue.Empty-style TimeoutError when not ready in time.
-        self._resolve = resolve
+    def __init__(
+        self,
+        complete: Callable[[], Any],
+        poll: Callable[[], tuple[bool, Any]],
+    ):
+        # ``complete()`` blocks until the operation is done and returns
+        # its payload; ``poll()`` is its nonblocking ``(done, payload)``.
+        self._complete = complete
+        self._poll = poll
         self._done = False
         self._value: Any = None
         self._lock = threading.Lock()
 
-    def wait(self, timeout: float | None = None) -> Any:
+    def wait(self) -> Any:
         """Block until complete; returns the payload (or None for sends)."""
         with self._lock:
             if not self._done:
-                self._value = self._resolve(timeout)
+                self._value = self._complete()
                 self._done = True
             return self._value
 
     def test(self) -> tuple[bool, Any]:
         """Nonblocking completion check: ``(done, payload_or_None)``."""
         with self._lock:
-            if self._done:
-                return True, self._value
-            try:
-                self._value = self._resolve(0.0)
-            except TimeoutError:
-                return False, None
-            self._done = True
-            return True, self._value
+            if not self._done:
+                self._done, self._value = self._poll()
+            return self._done, self._value
 
     @property
     def done(self) -> bool:
@@ -51,6 +51,6 @@ class Request:
     @staticmethod
     def completed(value: Any = None) -> "Request":
         """An already-finished request (used by eager sends)."""
-        r = Request(lambda timeout: value)
+        r = Request(lambda: value, lambda: (True, value))
         r.wait()
         return r

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.hamr.copier import transfer
 from repro.hamr.runtime import current_clock, use_clock
 from repro.hamr.view import accessible_view
 from repro.hw.clock import SimClock
+from repro.mpi.waits import current_context
 from repro.svtk.data_array import DataArray, HostDataArray
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.table import TableData
@@ -114,11 +116,16 @@ class AsyncRunner:
     in flight: launching while the previous task still runs first joins
     it (in both real and simulated time).  Exceptions raised inside a
     task surface on the next ``launch``/``drain`` call.
+
+    Inside ``run_spmd`` the worker is a live context of the run's wait
+    table and the join parks there, so a task stuck in a collective on
+    its ``dup``'d communicator is a reported deadlock, not a hang.
     """
 
     def __init__(self, name: str = "insitu"):
         self.name = str(name)
         self._thread: threading.Thread | None = None
+        self._join: Callable[[], None] | None = None
         self._task_end_sim: float = 0.0
         self._error: BaseException | None = None
         self._busy_sim_time: float = 0.0
@@ -181,7 +188,15 @@ class AsyncRunner:
                     self._busy_sim_time += task_clock.now - start_time
                     self._tasks_run += 1
 
-        t = threading.Thread(target=worker, name=f"{self.name}-worker")
+        caller = current_context()
+        if caller is None:
+            # Outside run_spmd there is nobody to deadlock with.
+            t = threading.Thread(target=worker, name=f"{self.name}-worker")
+            self._join = t.join
+        else:
+            task = caller.table.spawn(f"{caller.name}/{self.name}-worker", worker)
+            t = task.thread
+            self._join = partial(caller.table.join, task)
         self._thread = t
         t.start()
         return float(start_time)
@@ -193,9 +208,8 @@ class AsyncRunner:
         end only if the task finished *later* than the caller — i.e.
         only when the simulation genuinely had to wait.
         """
-        t = self._thread
-        if t is not None:
-            t.join()
+        if self._thread is not None:
+            self._join()
             self._thread = None
             clock = current_clock()
             with self._lock:

@@ -16,7 +16,6 @@ membership update simply parks until the update arrives.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Callable, Mapping, Sequence
 
@@ -32,9 +31,6 @@ from repro.transport.flows import CTRL_TAG, FlowTable
 from repro.transport.metrics import new_transport_timeline
 
 __all__ = ["StepMerger", "ServiceEndpoint", "run_service"]
-
-#: Idle backoff of the endpoint sweep loop (wall seconds).
-_IDLE_SLEEP = 0.0005
 
 
 class StepMerger:
@@ -263,9 +259,8 @@ class ServiceEndpoint:
         """Returns (made_progress, saw_shutdown)."""
         progress, shutdown = False, False
         while True:
-            try:
-                msg = self.world.recv(0, CTRL_TAG, timeout=0, charge=False)
-            except TimeoutError:
+            found, msg = self.world.try_recv(0, CTRL_TAG, charge=False)
+            if not found:
                 return progress, shutdown
             progress = True
             if msg[0] == "svc_shutdown":
@@ -324,11 +319,8 @@ class ServiceEndpoint:
         for name in sorted(self._analyses):
             for analysis in self._analyses[name]:
                 analysis.initialize(self._analysis_comms[name])
-        patience = max(
-            spec.transport.recv_timeout for spec in self.config.pipelines
-        )
-        deadline = time.monotonic() + patience
         shutdown = False
+        arrivals = 0
         while True:
             ctrl_progress, saw_shutdown = self._drain_control()
             shutdown = shutdown or saw_shutdown
@@ -336,7 +328,6 @@ class ServiceEndpoint:
             progress |= self._poll_flows()
             progress |= self._process_ready()
             if progress:
-                deadline = time.monotonic() + patience
                 continue
             if shutdown:
                 stuck = {
@@ -353,13 +344,12 @@ class ServiceEndpoint:
                         },
                     )
                 break
-            if time.monotonic() > deadline:
-                raise TransportError(
-                    f"service endpoint starved for {patience:.1f}s wall "
-                    "time with no traffic and no shutdown",
-                    details={"rank": self.world.rank},
-                )
-            time.sleep(_IDLE_SLEEP)
+            # Park until a message arrives that this sweep has not
+            # seen.  Counting arrivals (not "some mailbox is non-empty")
+            # matters: chunks for a flow whose svc_migrate has not
+            # landed sit unread and must not spin the loop.  A starved
+            # endpoint is the wait table's DeadlockError.
+            arrivals = self.world.wait_arrival(arrivals)
         self.flows.release()
         for name in sorted(self._analyses):
             for analysis in self._analyses[name]:

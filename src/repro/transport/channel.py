@@ -18,9 +18,9 @@ On top of the channel sit the two reliable endpoints:
   retry counts are a pure function of the seeds, immune to CPU
   contention.  Backoff is charged to the sender's simulated clock, so
   fault recovery is visible on the timeline and a clean run costs
-  exactly serialization plus wire time.  ``RetryPolicy.ack_timeout``
-  survives only as the wall-clock stall guard that detects a peer
-  that never serves.
+  exactly serialization plus wire time.  Waiting for an ACK is a plain
+  blocking receive: a peer that will never serve is the communicator's
+  :class:`~repro.errors.DeadlockError`, not a timeout here.
 - :class:`ReliableReceiver` — verifies checksums (a corrupt chunk is
   silently dropped: the missing ACK triggers retransmission), dedups
   by (step, chunk) sequence number, ACKs idempotently, and honors the
@@ -36,7 +36,6 @@ transport runs beside the application.
 from __future__ import annotations
 
 import random
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -63,9 +62,6 @@ __all__ = [
     "ReliableSender",
     "ReliableReceiver",
 ]
-
-#: Wall-clock seconds between receiver mailbox polls.
-_POLL = 0.02
 
 #: Simulated wire bytes of a control frame (fin / ack).
 _CONTROL_NBYTES = 16
@@ -242,8 +238,7 @@ class _InFlight:
 
     ``delivered`` is the channel's verdict for the last transmission:
     True means an ACK is coming (block for it), False means the frame
-    was lost or corrupted and must be retransmitted.  The stall guard
-    demotes delivered chunks to lost when the peer never serves.
+    was lost or corrupted and must be retransmitted.
     """
 
     __slots__ = ("chunk", "attempts", "delivered", "sent_at")
@@ -429,28 +424,16 @@ class ReliableSender:
         return delivered
 
     def _await_acks(self, step: int, inflight: dict[int, _InFlight]) -> None:
-        """Block until one ACK lands (or the mute-peer guard fires).
+        """Block until one ACK lands.
 
         Every chunk marked ``delivered`` WILL be ACKed once the peer
         processes it — loss was ruled out at send time — so blocking
         here is safe and keeps retry counts independent of wall-clock
-        load.  The ``ack_timeout`` stall guard exists only for a peer
-        that never serves: on expiry every in-flight chunk is demoted
-        to lost, handing it to the retry path and its bounded budget.
+        load.
         """
         clock = current_clock()
-        guard = time.monotonic() + self.policy.ack_timeout
         while True:
-            try:
-                frame = self.comm.recv(
-                    self.dest, self.ack_tag, timeout=_POLL, charge=False
-                )
-            except TimeoutError:
-                if time.monotonic() >= guard:
-                    for f in inflight.values():
-                        f.delivered = False
-                    return
-                continue
+            frame = self.comm.recv(self.dest, self.ack_tag, charge=False)
             if frame[0] != "ack" or frame[1] != step:
                 continue  # stale control traffic from an earlier step
             progressed = False
@@ -519,9 +502,7 @@ class ReliableSender:
         backoff charged to the simulated clock, and a timeline event —
         fault recovery during drain is just as visible as mid-step.
         A fin the channel reports lost is retransmitted immediately
-        (no wall-clock wait — the verdict is already in); the
-        ``ack_timeout`` wait survives only as the stall guard for a
-        delivered fin whose peer never answers.
+        (the verdict is already in); a delivered one is simply awaited.
         """
         if self._closed:
             return
@@ -547,14 +528,8 @@ class ReliableSender:
                 if cost is not None:
                     clock.advance(cost.message(_CONTROL_NBYTES))
             self.channel.flush(self.dest, self.data_tag)
-            deadline = time.monotonic() + self.policy.ack_timeout
-            while delivered and time.monotonic() < deadline:
-                try:
-                    frame = self.comm.recv(
-                        self.dest, self.ack_tag, timeout=_POLL, charge=False
-                    )
-                except TimeoutError:
-                    continue
+            while delivered:
+                frame = self.comm.recv(self.dest, self.ack_tag, charge=False)
                 if frame[0] == "fin_ack":
                     self._closed = True
                     return
@@ -662,37 +637,13 @@ class ReliableReceiver:
 
     def receive_step(self):
         """The next complete ``(step, time, columns)``, or None after fin."""
-        if self.finished:
-            return None
-        deadline = time.monotonic() + self.config.recv_timeout
-        while True:
-            try:
-                frame = self.comm.recv(
-                    self.source, self.data_tag, timeout=_POLL
-                )
-            except TimeoutError:
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        f"no traffic from producer {self.source} within "
-                        f"{self.config.recv_timeout}s",
-                        details={
-                            "rank": self.comm.rank,
-                            "source": self.source,
-                            "timeout": self.config.recv_timeout,
-                        },
-                    ) from None
-                continue
-            kind, value = self._ingest(frame)
-            if kind == "fin":
-                return None
-            if kind == "drop":
-                continue
-            # A verified frame is progress: reset the patience window
-            # so a long multi-chunk step on a lossy link is never
-            # aborted while chunks are steadily arriving.
-            deadline = time.monotonic() + self.config.recv_timeout
+        while not self.finished:
+            kind, value = self._ingest(
+                self.comm.recv(self.source, self.data_tag)
+            )
             if kind == "step":
                 return value
+        return None
 
     def poll(self):
         """Drain available frames without blocking (service-plane hook).
@@ -707,9 +658,8 @@ class ReliableReceiver:
         if self.finished:
             return None
         while True:
-            try:
-                frame = self.comm.recv(self.source, self.data_tag, timeout=0)
-            except TimeoutError:
+            found, frame = self.comm.try_recv(self.source, self.data_tag)
+            if not found:
                 return None
             kind, value = self._ingest(frame)
             if kind == "fin":

@@ -4,7 +4,7 @@ Schema (all attributes optional; defaults shown)::
 
     <sensei>
       <transport compression="none" chunk_kib="64" max_inflight="8"
-                 retries="8" ack_timeout="0.05" partitioner="block"
+                 retries="8" partitioner="block"
                  drop="0.0" duplicate="0.0" reorder="0.0"
                  corrupt="0.0" seed="0" pipelined="false"
                  congestion_kib="0" congestion_drop="0.0"/>
@@ -49,7 +49,6 @@ class TransportConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     partitioner: str = "block"
     faults: FaultSpec = field(default_factory=FaultSpec)
-    recv_timeout: float = 60.0  # wall-clock patience of a receiver
     #: Pipelined wire-cost model: the sender charges each chunk
     #: ``latency / in_flight + bytes / bandwidth``, so a deeper credit
     #: window amortizes link latency (and the flow governor has a real
@@ -76,8 +75,6 @@ class TransportConfig:
             raise ConfigError(f"chunk_bytes must be >= 1: {self.chunk_bytes}")
         if self.max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1: {self.max_inflight}")
-        if self.recv_timeout <= 0:
-            raise ConfigError(f"recv_timeout must be > 0: {self.recv_timeout}")
 
     @property
     def adaptive(self) -> bool:

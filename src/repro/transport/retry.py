@@ -1,26 +1,21 @@
 """Sender-side retry: exponential backoff with jitter.
 
-The policy separates two time bases on purpose:
-
-- ``ack_timeout`` is *wall-clock* seconds — the stall guard that
-  detects a peer that never serves.  Retransmit *scheduling* does not
-  use it: the channel reports each frame's delivery verdict at send
-  time (faults are injected sender-side from a seeded RNG), so lost
-  chunks are retransmitted at deterministic points in the send
-  sequence and retry counts are load-proof.  The guard fires only
-  when a chunk that *was* delivered is never ACKed — a mute endpoint
-  — and demotes it to the retry path so the budget still bounds the
-  wait;
-- ``backoff(attempt)`` is *simulated* seconds — the delay a real
-  sender would insert before retransmitting, charged to the sender's
-  :class:`~repro.hw.clock.SimClock` so fault recovery is visible on
-  the simulated timeline (and absent from clean runs).
+Everything here is *simulated* seconds.  ``backoff(attempt)`` is the
+delay a real sender would insert before retransmitting, charged to the
+sender's :class:`~repro.hw.clock.SimClock` so fault recovery is visible
+on the simulated timeline (and absent from clean runs).  Retransmit
+*scheduling* needs no timer at all: the channel reports each frame's
+delivery verdict at send time (faults are injected sender-side from a
+seeded RNG), so lost chunks are retransmitted at deterministic points
+in the send sequence and ``max_retries`` bounds them.  A peer that
+never answers a *delivered* frame is not this module's business — the
+communicator reports it as a :class:`~repro.errors.DeadlockError`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from repro.errors import TransportError
 from repro.units import us
@@ -33,13 +28,17 @@ class RetryPolicy:
     """How hard delivery tries before giving up."""
 
     max_retries: int = 8
-    ack_timeout: float = 0.05  # wall-clock stall guard per attempt
     backoff_base: float = us(50.0)  # simulated seconds, first retry
     backoff_factor: float = 2.0
     backoff_max: float = us(5000.0)
     jitter: float = 0.25  # +/- fraction applied to each backoff
+    #: Not a knob: accepted and discarded so ``benchmarks/core``
+    #: (frozen) can keep passing the wall stall guard this policy no
+    #: longer has.  Never stored, read, validated, serialised or
+    #: accepted from XML; goes with the next ``[benchmark]`` PR.
+    ack_timeout: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, ack_timeout):
         if self.max_retries < 0:
             raise TransportError(f"max_retries must be >= 0: {self.max_retries}")
         if not 0.0 <= self.jitter < 1.0:
@@ -48,8 +47,6 @@ class RetryPolicy:
             raise TransportError(
                 f"backoff_factor must be >= 1: {self.backoff_factor}"
             )
-        if self.ack_timeout <= 0:
-            raise TransportError(f"ack_timeout must be > 0: {self.ack_timeout}")
         if self.backoff_base < 0 or self.backoff_max < self.backoff_base:
             raise TransportError(
                 f"need 0 <= backoff_base <= backoff_max: "

@@ -21,7 +21,7 @@ class TestDerivedHelp:
     def test_rule_span_is_derived_from_default_rules(self):
         ids = sorted(r.id for r in default_rules())
         assert rule_span() == f"{ids[0]}-{ids[-1]}"
-        assert rule_span() == "HL001-HL011"
+        assert rule_span() == "HL001-HL012"
 
     def test_describe_mentions_the_span(self):
         assert rule_span() in describe()

@@ -78,15 +78,21 @@ class TestRuleFixtures:
         assert expected and all(rule == "HL010" for rule, _ in expected)
         findings = lint_paths([path], select=["HL010"])
         assert [(f.rule, f.line) for f in findings] == expected
-        # The fixture stays single-rule so the whole-dir tag check
-        # above keeps its exact rule-set equality.
-        assert {f.rule for f in lint_paths([path])} == {"HL010"}
+        # Beyond HL010 only the module-wide wall-clock rule may speak.
+        assert {f.rule for f in lint_paths([path])} <= {"HL010", "HL012"}
 
 
     def test_hl011_near_misses_stay_clean(self):
         """Registry-derived tags, re-exports, signature defaults and
         look-alike names are not literal tags."""
         assert lint_paths([FIXTURES / "hl011_near_miss.py"]) == []
+
+    def test_hl012_near_misses_stay_clean(self):
+        """Simulated-clock ``wait_for``, blocking through the
+        communicator, untimed waits — and ``time.perf_counter`` in a
+        benchmark file, which legitimately times itself."""
+        assert lint_paths([FIXTURES / "hl012_near_miss.py"]) == []
+        assert lint_paths([FIXTURES / "benchmarks"]) == []
 
 
 class TestFindingShape:

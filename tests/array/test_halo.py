@@ -131,7 +131,7 @@ class TestExchange:
         dense = np.arange(48, dtype=np.float64)
         hostile = TransportConfig(
             chunk_bytes=64,
-            retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+            retry=RetryPolicy(max_retries=40),
         ).with_faults(drop=0.2, duplicate=0.05, reorder=0.1, seed=7)
 
         def main(comm):
@@ -188,7 +188,7 @@ class TestTwoExchangersOneCommunicator:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_duplicates_stay_on_their_own_flow(self, seed):
         transport = TransportConfig(
-            retry=RetryPolicy(max_retries=3, ack_timeout=0.5),
+            retry=RetryPolicy(max_retries=3),
         ).with_faults(duplicate=0.2, seed=seed)
         dense = {
             "a": np.arange(48, dtype=np.float64) + 1.0,

@@ -28,7 +28,7 @@ RANKS = 4
 
 TRANSPORT = TransportConfig(
     chunk_bytes=256,
-    retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+    retry=RetryPolicy(max_retries=40),
 ).with_faults(drop=0.15, duplicate=0.05, reorder=0.10, seed=23)
 
 #: Three of sixteen ownership blocks run hot from step 1 — enough busy

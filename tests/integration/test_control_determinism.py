@@ -62,7 +62,7 @@ CONTROL = ControlConfig.from_xml_attrs(
 TRANSPORT = TransportConfig(
     compression="adaptive",
     chunk_bytes=1024,
-    retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+    retry=RetryPolicy(max_retries=40),
 ).with_faults(drop=0.10, duplicate=0.05, reorder=0.10, seed=41)
 SLOW_FABRIC = CommCostModel(latency=us(5.0), bandwidth=gbs(0.05))
 
@@ -151,8 +151,7 @@ def run_once():
     # dropped, measured floats are normalized to 9 significant digits,
     # and flow decisions additionally shed their measured-signal
     # context (retry_rate, ack_latency, inflight_peak, and the reason
-    # string quoting them) — ACK-timeout retransmissions fire on
-    # *wall-clock* deadlines, so the AIMD trajectory (the window/chunk
+    # string quoting them): the AIMD trajectory (the window/chunk
     # actions and their ordering, asserted below) is what must
     # reproduce bit-identically.
     fresh_substrate("determinism")

@@ -35,7 +35,7 @@ FIN_STEP = 3   # gamma has finned before this step
 TRANSPORT = TransportConfig(
     compression="none",
     chunk_bytes=1024,
-    retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+    retry=RetryPolicy(max_retries=40),
 ).with_faults(drop=0.10, duplicate=0.05, reorder=0.10, seed=41)
 
 CONFIG = ServiceConfig(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import MPIError, RankMismatchError
+from repro.errors import DeadlockError, MPIError, RankMismatchError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import (
     CommCostModel,
@@ -129,15 +129,6 @@ class TestPointToPoint:
         out = run_spmd(2, fn)
         assert out[1] > 5.0  # receiver clock pulled past the send time
 
-    def test_recv_timeout(self):
-        def fn(comm):
-            if comm.rank == 1:
-                with pytest.raises(TimeoutError):
-                    comm.recv(source=0, timeout=0.05)
-            comm.barrier()
-
-        run_spmd(2, fn)
-
 
 class TestCollectives:
     def test_bcast(self):
@@ -245,35 +236,27 @@ class TestCollectives:
 
 
 class TestRecvFallback:
-    def test_blocking_recv_fallback_raises_structured_mpierror(self, monkeypatch):
-        """A blocking recv that never completes reports structured details."""
-        import repro.mpi.comm as comm_mod
-
-        monkeypatch.setattr(comm_mod, "DEFAULT_RECV_TIMEOUT", 0.05)
+    def test_blocking_recv_fallback_raises_structured_mpierror(self):
+        """A blocking recv that can never complete reports structured details."""
 
         def fn(comm):
             if comm.rank == 1:
                 try:
                     comm.recv(source=0, tag=9)  # rank 0 never sends
-                except MPIError as exc:
+                except DeadlockError as exc:
                     return exc.details
             return None
 
         details = run_spmd(2, fn)[1]
         assert details == {
-            "rank": 1, "source": 0, "tag": 9, "timeout": 0.05,
+            "cause": "deadlock",
+            "parked": [{
+                "context": "rank 1",
+                "waits_on": "recv(source=0 (rank 0, finished), tag=9) on world",
+                "mailboxes": [],
+            }],
+            "finished": ["rank 0"],
         }
-
-    def test_explicit_timeout_is_polling_contract(self):
-        """Callers that pass timeout= get TimeoutError, not MPIError."""
-
-        def fn(comm):
-            if comm.rank == 1:
-                with pytest.raises(TimeoutError):
-                    comm.recv(source=0, tag=9, timeout=0.01)
-            return None
-
-        run_spmd(2, fn)
 
     def test_uncharged_recv_does_not_advance_clock(self):
         """charge=False marks control-plane traffic off the simulated clock."""

@@ -302,3 +302,99 @@ class TestLoadBoardIntegration:
         )
         # Everything drained: the ledger returns to zero everywhere.
         assert all(v == 0 for v in board.snapshot().values())
+
+
+class TestEndpointIdleWait:
+    def test_unread_chunks_for_an_unmigrated_flow_park_the_endpoint(self):
+        """Chunks that race ahead of ``svc_migrate`` wait unread in the
+        mailbox.  The endpoint must park on them — not spin its sweep
+        loop — and resume when the control message lands.  Asserted
+        from the wait table's own state, never from timing."""
+        import time
+
+        from repro.mpi import run_spmd
+        from repro.mpi.waits import current_context
+        from repro.service.plan import PipelineRegistry
+        from repro.service.runtime import ServiceEndpoint
+        from repro.transport.flows import CTRL_TAG
+        from repro.transport.wire import encode_step
+
+        config = _two_pipeline_config()
+        data_tag, ack_tag = config.tags("alpha")
+        sweeps, arrivals = [], []
+
+        def producer(comm):
+            comm.split(color=0, key=comm.rank)
+            table = current_context().table
+            chunks = encode_step(
+                _table("alpha", 600, 1.0), 0, 0.0, "none", 1024,
+                pipeline="alpha",
+            )
+            assert len(chunks) > 1
+            # Everything rank 2 will ever be sent: the chunks, then the
+            # migrate, the fin and the shutdown.
+            arrivals.append(len(chunks) + 3)
+            # alpha is sharded to endpoint 0 (rank 1); ship it to
+            # endpoint 1 (rank 2) before telling it about the move.
+            for chunk in chunks:
+                comm.send(("chunk", chunk), 2, data_tag)
+
+            def parked_on_unread_mail():
+                with table.lock:
+                    for ctx, describe in table.parked.values():
+                        if ctx.name == "rank 2":
+                            entry = describe()
+                            return (
+                                entry["waits_on"].startswith("idle(")
+                                and entry["mailboxes"] == [{
+                                    "source": 0, "tag": data_tag,
+                                    "messages": len(chunks),
+                                }]
+                            )
+                return False
+
+            while not parked_on_unread_mail():
+                time.sleep(0)  # yield; state, not time, ends the loop
+            swept = len(sweeps)
+            for _ in range(200):
+                time.sleep(0)
+            assert parked_on_unread_mail() and len(sweeps) == swept
+
+            comm.send(("svc_migrate", 0, "alpha", (0,)), 2, CTRL_TAG,
+                      charge=False)
+            acked = set()
+            while len(acked) < len(chunks):
+                frame = comm.recv(2, ack_tag, charge=False)
+                acked.update(frame[2])
+            comm.send(("fin", 1), 2, data_tag)
+            assert comm.recv(2, ack_tag, charge=False) == ("fin_ack",)
+            for endpoint in (1, 2):
+                comm.send(("svc_shutdown",), endpoint, CTRL_TAG, charge=False)
+            return None
+
+        def world_main(comm):
+            if comm.rank == 0:
+                return producer(comm)
+            endpoint_comm = comm.split(color=1, key=comm.rank)
+            endpoint = ServiceEndpoint(
+                config, PipelineRegistry(_registry()), comm, endpoint_comm,
+                1, 2,
+            )
+            if comm.rank == 2:
+                poll = endpoint._poll_flows
+
+                def counted():
+                    sweeps.append(None)
+                    return poll()
+
+                endpoint._poll_flows = counted
+            endpoint.serve()
+            return endpoint.pipeline_steps
+
+        out = run_spmd(3, world_main)
+        assert out[1] == {"alpha": 0, "beta": 0}
+        assert out[2] == {"alpha": 1, "beta": 0}
+        # A few sweeps per arrival at most (one that finds it, one that
+        # finds nothing more, one after a stale count) — a busy loop
+        # would have swept thousands of times by now.
+        assert len(sweeps) <= 4 * arrivals[0] + 4

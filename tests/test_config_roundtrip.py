@@ -39,8 +39,7 @@ _names = st.text("abcdefghij_", min_size=1, max_size=6)
 def retries(draw):
     base = draw(st.floats(min_value=0.0, max_value=1e-3))
     return RetryPolicy(
-        max_retries=draw(st.integers(0, 64)), ack_timeout=draw(_pos),
-        backoff_base=base,
+        max_retries=draw(st.integers(0, 64)), backoff_base=base,
         backoff_factor=draw(st.floats(min_value=1.0, max_value=4.0)),
         backoff_max=base + draw(st.floats(min_value=0.0, max_value=1e-2)),
         jitter=draw(st.floats(min_value=0.0, max_value=0.99)),
@@ -57,7 +56,7 @@ transports = st.builds(
     compression=st.sampled_from(["none", "zlib", "adaptive"]),
     chunk_bytes=_count, max_inflight=st.integers(1, 256), retry=retries(),
     partitioner=st.sampled_from(available_partitioners()), faults=faults,
-    recv_timeout=_pos, pipelined=st.booleans(),
+    pipelined=st.booleans(),
 )
 
 
@@ -197,7 +196,7 @@ def transport_attrs(t: TransportConfig) -> dict[str, str]:
         for f in dataclasses.fields(t) if f.name not in ("retry", "faults")
     }
     out.update(compression=t.compression, partitioner=t.partitioner)
-    out.update(retries=repr(t.retry.max_retries), ack_timeout=repr(t.retry.ack_timeout))
+    out.update(retries=repr(t.retry.max_retries))
     for f in dataclasses.fields(t.faults):
         out[f.name] = repr(getattr(t.faults, f.name))
     # Dividing by a power of two is exact, so the KiB spelling is lossless.
@@ -207,9 +206,9 @@ def transport_attrs(t: TransportConfig) -> dict[str, str]:
 
 def _exposed(t: TransportConfig) -> TransportConfig:
     """``t`` with the XML-hidden retry fields at their defaults."""
-    return dataclasses.replace(t, retry=RetryPolicy(
-        max_retries=t.retry.max_retries, ack_timeout=t.retry.ack_timeout,
-    ))
+    return dataclasses.replace(
+        t, retry=RetryPolicy(max_retries=t.retry.max_retries)
+    )
 
 
 class TestAttributeReader:

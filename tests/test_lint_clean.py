@@ -57,6 +57,19 @@ def test_tree_suppressions_are_all_live(tree_lint):
     assert findings == [], "\n" + format_text(findings)
 
 
+def test_no_wall_clock_suppressions_in_the_tree():
+    """HL012 (wall clock in the semantics) is held with zero
+    suppressions: library code has no legitimate use to argue for."""
+    offenders = [
+        f"{path}:{n}"
+        for root in _tree_paths()
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "lint: disable" in line and "HL012" in line
+    ]
+    assert offenders == []
+
+
 def test_tree_lint_is_byte_identical_across_runs_and_jobs(tree_lint):
     """``jobs`` only fans out the parse pass, so: the parse pass yields
     the same files in the same order for every ``jobs``, and a second

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError, TraceFormatError
-from repro.trace import Trace, replay_trace
+from repro.trace import TRACE_VERSION, Trace, replay_trace
 from repro.trace.configs import (
     decode_control,
     decode_cost,
@@ -133,7 +133,11 @@ class TestCorruptionProperties:
             Trace.from_jsonl("\n".join(lines) + "\n")
 
     @settings(max_examples=20, deadline=None)
-    @given(version=st.integers(min_value=-3, max_value=200).filter(lambda v: v != 1))
+    @given(
+        version=st.integers(min_value=-3, max_value=200).filter(
+            lambda v: v != TRACE_VERSION
+        )
+    )
     def test_any_version_skew_is_detected(self, version):
         header = json.loads(_LINES[0])
         header["version"] = version

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import TraceFormatError, TraceVersionError
 from repro.trace import (
+    TRACE_VERSION,
     Trace,
     diff_traces,
     fresh_substrate,
@@ -119,7 +120,9 @@ class TestReplaySemantics:
 class TestReplayErrors:
     def test_version_skew_raises_structured(self):
         trace, _p, _e = record_zoo("codec", seed=0)
-        text = trace.to_jsonl().replace('"version":1', '"version":99')
+        text = trace.to_jsonl().replace(
+            f'"version":{TRACE_VERSION}', '"version":99'
+        )
         with pytest.raises(TraceVersionError) as err:
             replay_trace(text)
         assert err.value.details["found"] == 99

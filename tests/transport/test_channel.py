@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import DeadlockError, TransportError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import CommCostModel, run_spmd
 from repro.svtk.table import TableData
@@ -173,7 +173,7 @@ class TestFaultyDelivery:
         config = TransportConfig(
             chunk_bytes=2048,
             faults=faults,
-            retry=RetryPolicy(max_retries=30, ack_timeout=0.03),
+            retry=RetryPolicy(max_retries=30),
         )
         (_, m, _), (_, rm, got) = sender_receiver_run(config, steps=3, n=2048)
         assert [s for s, _, _ in got] == [0, 1, 2]
@@ -188,25 +188,45 @@ class TestFaultyDelivery:
             assert m.backoff_time > 0.0
 
     def test_retry_budget_exhaustion_is_structured(self):
-        """A peer that never ACKs exhausts the budget with details."""
+        """A link that loses every transmit exhausts the budget with details."""
 
         def fn(comm):
             if comm.rank == 0:
                 cfg = TransportConfig(
-                    retry=RetryPolicy(max_retries=1, ack_timeout=0.01)
-                )
+                    retry=RetryPolicy(max_retries=1)
+                ).with_faults(drop=1.0)
                 sender = ReliableSender(comm, 1, cfg)
                 try:
                     sender.send_step(0, 0.0, make_table(64))
                 except TransportError as exc:
                     return exc.details
                 return None
-            # Endpoint never serves: drain the barrier only.
-            return "mute"
+            return "nothing ever arrives"
 
         details = run_spmd(2, fn)[0]
         assert details["dest"] == 1
         assert details["retries"] == 1
+
+    def test_peer_that_returns_without_serving_is_named_finished(self):
+        """A delivered chunk nobody will ACK is a deadlock report naming
+        the peer as finished — no retry is burnt against a wall guard."""
+        metrics = {}
+
+        def fn(comm):
+            if comm.rank == 0:
+                sender = ReliableSender(comm, 1, TransportConfig())
+                metrics["sender"] = sender.metrics
+                sender.send_step(0, 0.0, make_table(64))
+            return "mute"
+
+        with pytest.raises(DeadlockError) as err:
+            run_spmd(2, fn)
+        details = err.value.details
+        assert details["finished"] == ["rank 1"]
+        (parked,) = details["parked"]
+        assert parked["context"] == "rank 0"
+        assert "recv(source=1 (rank 1, finished)" in parked["waits_on"]
+        assert metrics["sender"].retries == 0
 
 
 class TestFaultyChannelUnit:
@@ -317,7 +337,7 @@ class TestDeliveryVerdict:
         config = TransportConfig(
             chunk_bytes=1024,
             faults=FaultSpec(drop=0.25, corrupt=0.1, seed=17),
-            retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+            retry=RetryPolicy(max_retries=40),
         )
         runs = []
         for _ in range(2):

@@ -1,17 +1,13 @@
 """Regression tests for reliable-channel correctness fixes.
 
-Three historical bugs, each reproduced with a deterministic stub comm
-(wall-clock schedules under our control, no SPMD timing races):
+Two historical bugs, each reproduced with a deterministic stub comm
+(no SPMD run, no scheduling races):
 
-1. ``ReliableReceiver.receive_step`` computed its ``recv_timeout``
-   deadline once per call, so a long multi-chunk step on a slow/faulty
-   link timed out even while verified chunks were steadily arriving.
-   Progress must reset the deadline.
-2. ``ReliableSender.close()`` fin retransmissions bypassed the retry
+1. ``ReliableSender.close()`` fin retransmissions bypassed the retry
    accounting of the data path: no ``metrics.retries``, no simulated
    backoff charge, no timeline event — drain-phase fault recovery was
    invisible.
-3. The receiver dropped corrupt chunks before counting ``bytes_in``,
+2. The receiver dropped corrupt chunks before counting ``bytes_in``,
    so checksum-failed traffic vanished from wire accounting (the byte
    assertion lives in ``test_faults.py``; the unit-level check here).
 
@@ -21,8 +17,6 @@ actuates: ``set_window`` / ``set_chunk_bytes`` and the ACK round-trip
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -38,13 +32,8 @@ from .test_channel import make_table, sender_receiver_run
 
 
 class _ScriptedComm:
-    """A comm whose ``recv`` plays back a (delay, result) script.
-
-    Each script entry is ``(sleep_seconds, frame-or-None)``; None
-    raises TimeoutError after the sleep, a frame is delivered.  Sends
-    are recorded.  The script wraps around, so trailing timeouts can
-    repeat forever.
-    """
+    """A comm whose ``recv`` plays back a script of frames (the last
+    one repeats); sends are recorded."""
 
     rank = 0
     cost = None
@@ -57,76 +46,29 @@ class _ScriptedComm:
     def send(self, frame, dest, tag, charge=True):
         self.sent.append((frame, dest, tag))
 
-    def recv(self, source, tag, timeout=None, charge=True):
-        delay, frame = self.script[min(self._i, len(self.script) - 1)]
+    def recv(self, source, tag, charge=True):
+        frame = self.script[min(self._i, len(self.script) - 1)]
         self._i += 1
-        if delay:
-            time.sleep(delay)
-        if frame is None:
-            raise TimeoutError
         return frame
 
 
-class TestReceiverDeadlineReset:
-    """Bug 1: progress must extend the receiver's patience window."""
-
-    def _scripted_step(self, pause: float):
-        """A few chunks, each preceded by a timeout poll and a pause."""
-        chunks = encode_step(make_table(256), 0, 0.0, "none", 1024)
-        assert len(chunks) >= 4
-        script = []
-        for c in chunks:
-            script.append((pause, None))            # slow link: a poll times out
-            script.append((pause, ("chunk", c)))    # ...then a chunk lands
-        return chunks, script
-
-    def test_steady_arrivals_slower_than_recv_timeout_deliver(self):
-        """Inter-chunk gaps stay under recv_timeout but the whole step
-        takes several times longer — the once-per-call deadline raised
-        here; the per-chunk reset must not."""
-        chunks, script = self._scripted_step(pause=0.06)
-        comm = _ScriptedComm(script)
-        recv = ReliableReceiver(
-            comm, 0, TransportConfig(recv_timeout=0.25)
-        )
-        step, _t, cols = recv.receive_step()  # total wall time ~0.7s
-        assert step == 0
-        assert recv.metrics.chunks_received == len(chunks)
-
-    def test_genuine_silence_still_times_out(self):
-        """The fix must not remove the watchdog: a link that goes quiet
-        after partial progress still raises."""
-        chunks, script = self._scripted_step(pause=0.01)
-        # Deliver only the first chunk, then silence forever.
-        script = script[:2] + [(0.02, None)]
-        comm = _ScriptedComm(script)
-        recv = ReliableReceiver(
-            comm, 0, TransportConfig(recv_timeout=0.15)
-        )
-        with pytest.raises(TransportError, match="no traffic"):
-            recv.receive_step()
-        assert recv.metrics.chunks_received == 1
-
-
 class TestCloseRetryAccounting:
-    """Bug 2: drain-phase retransmits use data-path retry accounting."""
+    """Bug 1: drain-phase retransmits use data-path retry accounting."""
 
     def _drain(self, fin_acks_after: int):
-        policy = RetryPolicy(ack_timeout=0.02, jitter=0.0)
-        config = TransportConfig(retry=policy)
-        # Time out every poll until the Nth fin went out, then ack.
-        comm = _ScriptedComm([(0.0, None)])
+        config = TransportConfig(retry=RetryPolicy(jitter=0.0))
+        comm = _ScriptedComm([("fin_ack",)])
         sender = ReliableSender(comm, 1, config)
+        # The channel reports every fin before the Nth lost, so the
+        # sender retransmits on the verdict and only then waits.
+        verdicts = iter([False] * (fin_acks_after - 1) + [True])
+        clean_send = sender.channel.send
 
-        real_recv = comm.recv
+        def send(frame, dest, tag, load=0):
+            clean_send(frame, dest, tag, load)
+            return next(verdicts)
 
-        def recv(source, tag, timeout=None, charge=True):
-            fins = sum(1 for f, _, _ in comm.sent if f[0] == "fin")
-            if fins >= fin_acks_after:
-                return ("fin_ack",)
-            return real_recv(source, tag, timeout=timeout, charge=charge)
-
-        comm.recv = recv
+        sender.channel.send = send
         t0 = current_clock().now
         sender.close()
         return sender, current_clock().now - t0
@@ -154,14 +96,12 @@ class TestCloseRetryAccounting:
 
 
 class TestReceiverByteAccounting:
-    """Bug 3: corrupt arrivals count toward bytes_in, not wire_bytes."""
+    """Bug 2: corrupt arrivals count toward bytes_in, not wire_bytes."""
 
     def test_corrupt_chunk_counts_bytes_in_only(self):
         chunks = encode_step(make_table(256), 0, 0.0, "none", 4096)
         bad = chunks[0].corrupted()
-        comm = _ScriptedComm(
-            [(0.0, ("chunk", bad)), (0.0, ("chunk", chunks[0]))]
-        )
+        comm = _ScriptedComm([("chunk", bad), ("chunk", chunks[0])])
         recv = ReliableReceiver(comm, 0, TransportConfig())
         step, _t, _cols = recv.receive_step()
         assert step == 0

@@ -38,8 +38,6 @@ class TestTransportConfig:
             TransportConfig(chunk_bytes=0)
         with pytest.raises(ConfigError):
             TransportConfig(max_inflight=0)
-        with pytest.raises(ConfigError):
-            TransportConfig(recv_timeout=0)
 
     def test_with_faults(self):
         cfg = TransportConfig().with_faults(drop=0.2, seed=7)
@@ -55,26 +53,28 @@ class TestFromXmlAttrs:
                 "chunk_kib": "16",
                 "max_inflight": "4",
                 "retries": "3",
-                "ack_timeout": "0.1",
                 "partitioner": "cyclic",
                 "drop": "0.1",
                 "duplicate": "0.05",
                 "seed": "42",
-                "recv_timeout": "30",
             }
         )
         assert cfg.compression == "zlib"
         assert cfg.chunk_bytes == 16 * KiB
         assert cfg.max_inflight == 4
         assert cfg.retry.max_retries == 3
-        assert cfg.retry.ack_timeout == 0.1
         assert cfg.partitioner == "cyclic"
         assert cfg.faults == FaultSpec(drop=0.1, duplicate=0.05, seed=42)
-        assert cfg.recv_timeout == 30.0
 
     def test_unknown_attr_rejected(self):
         with pytest.raises(ConfigError):
             TransportConfig.from_xml_attrs({"compresion": "zlib"})
+
+    @pytest.mark.parametrize("gone", ["ack_timeout", "recv_timeout"])
+    def test_removed_wall_clock_attrs_are_unknown(self, gone):
+        """Gone, not silently ignored."""
+        with pytest.raises(ConfigError, match="unknown attribute"):
+            TransportConfig.from_xml_attrs({gone: "0.1"})
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):

@@ -74,7 +74,7 @@ class TestFaultInjectionAcceptance:
         layout = InTransitLayout(m=8, n=2)
         transport = TransportConfig(
             chunk_bytes=256,
-            retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+            retry=RetryPolicy(max_retries=40),
         ).with_faults(drop=0.20, duplicate=0.05, seed=1234)
 
         producers, endpoints = run_in_transit(
@@ -106,7 +106,7 @@ class TestFaultInjectionAcceptance:
         transport = TransportConfig(
             compression="zlib",
             chunk_bytes=256,
-            retry=RetryPolicy(max_retries=40, ack_timeout=0.02),
+            retry=RetryPolicy(max_retries=40),
         ).with_faults(drop=0.1, corrupt=0.1, seed=77)
 
         _, endpoints = run_in_transit(

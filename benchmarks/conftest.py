@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
-from repro.hw.node import reset_node
+from repro.trace.harness import fresh_substrate
 
 
 @pytest.fixture(autouse=True)
 def clean_substrate():
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name="bench"))
-    set_active_device(0)
+    fresh_substrate("bench")
     yield
-    reset_node()
-    reset_default_streams()
-    reset_pools()
+    fresh_substrate("bench")

@@ -28,20 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.array import StencilConfig, StencilWorkload, stencil_producer
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import (
-    current_clock,
-    set_active_device,
-    set_current_clock,
-)
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
-from repro.hw.node import reset_node
+from repro.hamr.runtime import current_clock
 from repro.hw.trace import write_chrome_trace
 from repro.mpi import run_spmd
 from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
+from repro.trace.harness import fresh_substrate
 from repro.units import gbs, us
 
 RANKS = 4
@@ -50,15 +43,6 @@ CONFIG = StencilConfig(
     hotspot=(0.0, 0.125), hotspot_cost=6.0, hotspot_from=1,
 )
 COST = CommCostModel(latency=us(20.0), bandwidth=gbs(2.0))
-
-
-def fresh_substrate(name: str) -> None:
-    """Compared runs must not share clocks, streams, or pools."""
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name=name))
-    set_active_device(0)
 
 
 def simulate(adaptive: bool):

@@ -185,7 +185,10 @@ def copy_stream(device_id: int = 0, pm: PMKind = PMKind.CUDA) -> Stream:
 
 
 def reset_default_streams() -> None:
-    """Drop all default and copy streams (test helper)."""
+    """Drop all default and copy streams (test helper), and the native
+    registry, which otherwise pins every stream ever made."""
     with _default_lock:
         _default_streams.clear()
         _copy_streams.clear()
+    with _registry_lock:
+        _native_registry.clear()

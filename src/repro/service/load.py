@@ -2,7 +2,7 @@
 
 In a multi-pipeline service many :class:`ReliableSender` instances on
 *different* simulated ranks (threads) target the same endpoint.  The
-congestion model in :class:`~repro.transport.channel.FaultyChannel`
+congestion model in :class:`~repro.transport.channel.Channel`
 keys its drop probability off the offered load stamped on each frame,
 so senders sharing an endpoint need a common ledger of in-flight bytes
 — otherwise each sender sees only its own traffic and the endpoint

@@ -17,6 +17,7 @@ from repro.hamr.stream import reset_default_streams
 from repro.hw.clock import SimClock
 from repro.hw.node import reset_node
 from repro.trace.format import canonical_decision, canonical_float
+from repro.transport.metrics import reset_transport_timelines
 
 __all__ = [
     "fresh_substrate",
@@ -32,12 +33,14 @@ def fresh_substrate(name: str = "determinism") -> None:
 
     Equivalent to the per-test ``clean_substrate`` fixture, for code
     that runs a scenario *multiple times inside one test* (reruns,
-    record-then-replay): node, default streams, pools, a fresh
-    ``SimClock`` at zero, active device 0.
+    record-then-replay): node, streams (default, copy and the native
+    registry), pools, transport timelines, a fresh ``SimClock`` at
+    zero, active device 0.
     """
     reset_node()
     reset_default_streams()
     reset_pools()
+    reset_transport_timelines()
     set_current_clock(SimClock(name=name))
     set_active_device(0)
 

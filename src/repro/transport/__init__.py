@@ -6,9 +6,11 @@ package is the transport plane under :mod:`repro.sensei.intransit`:
 - :mod:`repro.transport.wire` — a versioned wire format: column
   payloads chunked with per-chunk CRC32 checksums and pluggable
   compression codecs whose CPU cost is charged to the simulated clock;
+- :mod:`repro.transport.protocol` — what the reliable protocol decides
+  (window, retransmits, dedup, ACKs, drain): two step machines, no I/O;
 - :mod:`repro.transport.channel` — the delivery layer: an injectable
   lossy/duplicating/reordering/corrupting channel for fault testing,
-  plus the reliable sender/receiver pair (ACKs, dedup, drain);
+  plus the reliable sender/receiver pair that drives the machines;
 - :mod:`repro.transport.flows` — the tag registry and the
   :class:`FlowTable` every plane builds its reliable flows through;
 - :mod:`repro.transport.retry` — sender-side retry with exponential
@@ -30,7 +32,6 @@ from __future__ import annotations
 from repro.transport.channel import (
     Channel,
     FaultSpec,
-    FaultyChannel,
     ReliableReceiver,
     ReliableSender,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "Chunk",
     "CreditWindow",
     "FaultSpec",
-    "FaultyChannel",
     "FlowTable",
     "ReliableReceiver",
     "ReliableSender",

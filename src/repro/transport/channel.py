@@ -1,33 +1,19 @@
-"""The delivery layer: channels, fault injection, reliable endpoints.
+"""The delivery layer: the fault-injectable channel and the I/O driver.
 
-A :class:`Channel` is the thin seam between the transport plane and a
-:class:`~repro.mpi.comm.Communicator`; :class:`FaultyChannel` makes
-that seam injectable, perturbing the *data* direction with drops,
-duplicates, reordering, and payload corruption so delivery robustness
-can be rehearsed deterministically (seeded).
+This module owns everything the reliable protocol *touches* — the
+communicator, the simulated clock, the timelines, the cost model — and
+nothing it *decides*: that is :mod:`repro.transport.protocol`, two pure
+step machines.  :class:`ReliableSender` / :class:`ReliableReceiver` feed
+the machines events and perform the actions they answer with, in a
+fixed order (DESIGN.md §5: vocabulary, effect order, who charges what).
 
-On top of the channel sit the two reliable endpoints:
+Data frames pass through a :class:`Channel`, the seam to the
+:class:`~repro.mpi.comm.Communicator` where seeded faults are injected.
+Waiting for an ACK is a plain blocking receive: a peer that will never
+serve is the communicator's :class:`~repro.errors.DeadlockError`, not a
+timeout here.
 
-- :class:`ReliableSender` — transmits chunks under a bounded credit
-  window (:mod:`repro.transport.flow`), collects per-chunk ACKs, and
-  retransmits lost chunks with exponential backoff
-  (:mod:`repro.transport.retry`).  Loss is decided on the send side
-  (faults are injected from a seeded RNG), so the channel reports each
-  frame's delivery verdict at send time and the sender schedules
-  retransmissions from that verdict instead of a wall-clock timer:
-  retry counts are a pure function of the seeds, immune to CPU
-  contention.  Backoff is charged to the sender's simulated clock, so
-  fault recovery is visible on the timeline and a clean run costs
-  exactly serialization plus wire time.  Waiting for an ACK is a plain
-  blocking receive: a peer that will never serve is the communicator's
-  :class:`~repro.errors.DeadlockError`, not a timeout here.
-- :class:`ReliableReceiver` — verifies checksums (a corrupt chunk is
-  silently dropped: the missing ACK triggers retransmission), dedups
-  by (step, chunk) sequence number, ACKs idempotently, and honors the
-  graceful drain protocol: the producer's ``fin`` frame is answered
-  with ``fin_ack`` only once everything before it was delivered.
-
-ACK and ``fin`` traffic is control plane: it moves through the
+ACK and ``fin_ack`` traffic is control plane: it moves through the
 communicator's mailboxes but is *not* charged to the simulated clock
 (``charge=False``), modeling the asynchronous progress engine a real
 transport runs beside the application.
@@ -36,35 +22,31 @@ transport runs beside the application.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import TransportError
 from repro.hamr.runtime import current_clock
 from repro.hw.clock import EventCategory, Timeline
+from repro.transport import flows
 from repro.transport.flow import CreditWindow
-from repro.transport.flows import ACK_TAG, DATA_TAG
 from repro.transport.metrics import TransportMetrics, new_transport_timeline
-from repro.transport.wire import Chunk, StepAssembler, encode_step, get_codec
+from repro.transport.protocol import (
+    AWAIT,
+    CONTROL_NBYTES,
+    DONE,
+    TRANSMIT,
+    ReceiverMachine,
+    SenderMachine,
+)
+from repro.transport.wire import encode_step, get_codec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Communicator
     from repro.svtk.table import TableData
     from repro.transport.config import TransportConfig
 
-__all__ = [
-    "DATA_TAG",
-    "ACK_TAG",
-    "FaultSpec",
-    "Channel",
-    "FaultyChannel",
-    "ReliableSender",
-    "ReliableReceiver",
-]
-
-#: Simulated wire bytes of a control frame (fin / ack).
-_CONTROL_NBYTES = 16
+__all__ = ["FaultSpec", "Channel", "ReliableSender", "ReliableReceiver"]
 
 
 @dataclass(frozen=True)
@@ -100,157 +82,108 @@ class FaultSpec:
                 f"congestion_bytes must be >= 0: {self.congestion_bytes}"
             )
 
-    @property
-    def congested(self) -> bool:
-        """True when the shallow-pipe congestion model is active."""
-        return bool(self.congestion_bytes and self.congestion_drop)
-
-    @property
-    def any(self) -> bool:
-        return bool(
-            self.drop or self.duplicate or self.reorder or self.corrupt
-            or self.congested
-        )
-
-
-def _frame_nbytes(frame: tuple) -> int:
-    """Simulated wire size of one data-direction frame."""
-    if frame[0] == "chunk":
-        return frame[1].wire_nbytes
-    return _CONTROL_NBYTES
-
 
 class Channel:
-    """Direct, reliable, in-order delivery over a communicator.
+    """Delivery over a communicator, with seeded fault injection.
+
+    Faults perturb the *data* direction only and are applied on the
+    send side, deterministically from ``faults.seed`` and the sender's
+    rank, in a fixed order per frame: corrupt, drop, reorder,
+    duplicate.  A dropped frame still charges its wire cost to the
+    sender's clock (the bytes left the NIC; delivery is what failed).
+    Reordering holds one frame back and releases it after the next send
+    (or on :meth:`flush`), the minimal perturbation that breaks
+    in-order assumptions.  Under the zero :class:`FaultSpec` every
+    probability test short-circuits before its draw: the clean channel
+    is this class, not another one.
 
     ``charge`` controls whether data-direction sends bill the sender's
-    simulated clock through the communicator's cost model.  The
-    reliable sender flips it off when it charges pipelined wire time
-    itself (``TransportConfig.pipelined``) so bytes are never billed
-    twice.  ``load`` is the sender's current in-flight byte count —
-    ignored here, consumed by :class:`FaultyChannel`'s congestion
-    model.
+    simulated clock through the communicator's cost model (``cost``,
+    resolved here once; a test double may have none).  The reliable
+    sender flips it off when it charges pipelined wire time itself
+    (``TransportConfig.pipelined``) so bytes are never billed twice.
+    ``load`` is the sender's current in-flight byte count, the
+    congestion model's input.
 
     :meth:`send` returns the frame's *delivery verdict*: True when the
     frame will reach the peer's mailbox intact, False when it was lost
-    or corrupted en route.  A clean channel always delivers; the faulty
-    channel knows the verdict at send time because it injects the
-    faults itself.  The reliable sender consumes the verdict purely for
-    retransmit *scheduling* — it produces the same retransmission
-    sequence a timeout-driven sender would, minus the wall-clock
-    sensitivity.
+    or corrupted en route — known at send time because the channel
+    injects the faults itself.  The reliable sender consumes the
+    verdict purely for retransmit *scheduling*: it produces the same
+    retransmission sequence a timeout-driven sender would, minus the
+    wall-clock sensitivity.
     """
 
-    def __init__(self, comm: "Communicator"):
+    def __init__(self, comm: "Communicator", faults: FaultSpec = FaultSpec()):
         self.comm = comm
+        self.cost = getattr(comm, "cost", None)
         self.charge = True
-
-    def send(self, frame: tuple, dest: int, tag: int, load: int = 0) -> bool:
-        self.comm.send(frame, dest, tag, charge=self.charge)
-        return True
-
-    def flush(self, dest: int, tag: int) -> None:
-        """Release any frames the channel is holding back (no-op)."""
-
-
-class FaultyChannel(Channel):
-    """A channel that loses, duplicates, reorders, and corrupts frames.
-
-    Faults are applied on the send side, deterministically from
-    ``faults.seed`` and the sender's rank.  A dropped frame still
-    charges its wire cost to the sender's clock (the bytes left the
-    NIC; delivery is what failed).  Reordering holds one frame back
-    and releases it after the next send (or on :meth:`flush`), the
-    minimal perturbation that breaks in-order assumptions.
-    """
-
-    def __init__(self, comm: "Communicator", faults: FaultSpec):
-        super().__init__(comm)
         self.faults = faults
         self._rng = random.Random(f"{faults.seed}:{getattr(comm, 'rank', 0)}")
         self._stash: tuple | None = None  # (frame, dest, tag)
-        self.injected = {
-            "drop": 0, "duplicate": 0, "reorder": 0, "corrupt": 0,
-            "congestion": 0,
-        }
-
-    def _drop_probability(self, frame: tuple, load: int) -> float:
-        """Per-frame loss probability, inflated by pipe overshoot."""
-        f = self.faults
-        p = f.drop
-        if (
-            frame[0] == "chunk"
-            and f.congested
-            and load > f.congestion_bytes
-        ):
-            over = (load - f.congestion_bytes) / f.congestion_bytes
-            p = min(0.95, p + f.congestion_drop * over)
-        return p
 
     def send(self, frame: tuple, dest: int, tag: int, load: int = 0) -> bool:
         f = self.faults
+        is_chunk = frame[0] == "chunk"
         deliverable = True
-        if (
-            frame[0] == "chunk"
-            and f.corrupt
-            and self._rng.random() < f.corrupt
-        ):
+        if is_chunk and f.corrupt and self._rng.random() < f.corrupt:
             # The corrupt frame still travels (and bills wire bytes at
             # the receiver) but fails its checksum there, so no ACK
             # will ever come back: the verdict is already "lost".
             frame = ("chunk", frame[1].corrupted())
-            self.injected["corrupt"] += 1
             deliverable = False
-        p_drop = self._drop_probability(frame, load)
+        p_drop = f.drop
+        if is_chunk and f.congestion_drop and 0 < f.congestion_bytes < load:
+            # The shallow pipe: loss inflated by the overshoot.
+            over = (load - f.congestion_bytes) / f.congestion_bytes
+            p_drop = min(0.95, p_drop + f.congestion_drop * over)
         if p_drop and self._rng.random() < p_drop:
-            self.injected["drop"] += 1
-            if p_drop > f.drop:
-                self.injected["congestion"] += 1
-            if self.charge:
-                cost = getattr(self.comm, "cost", None)
-                if cost is not None:
-                    current_clock().advance(cost.message(_frame_nbytes(frame)))
-            self._release(dest, tag)
+            if self.charge and self.cost is not None:
+                nbytes = frame[1].wire_nbytes if is_chunk else CONTROL_NBYTES
+                current_clock().advance(self.cost.message(nbytes))
+            self.flush()
             return False
         if f.reorder and self._stash is None and self._rng.random() < f.reorder:
-            self.injected["reorder"] += 1
             self._stash = (frame, dest, tag)
             return deliverable
         self.comm.send(frame, dest, tag, charge=self.charge)
         if f.duplicate and self._rng.random() < f.duplicate:
-            self.injected["duplicate"] += 1
             self.comm.send(frame, dest, tag, charge=self.charge)
-        self._release(dest, tag)
+        self.flush()
         return deliverable
 
-    def _release(self, dest: int, tag: int) -> None:
+    def flush(self) -> None:
+        """Release the frame held back for reordering, if any."""
         if self._stash is not None:
-            stashed, sdest, stag = self._stash
+            stashed, dest, tag = self._stash
             self._stash = None
-            self.comm.send(stashed, sdest, stag, charge=self.charge)
-
-    def flush(self, dest: int, tag: int) -> None:
-        self._release(dest, tag)
+            self.comm.send(stashed, dest, tag, charge=self.charge)
 
 
-class _InFlight:
-    """Book-keeping for one transmitted-but-unACKed chunk.
+class _Endpoint:
+    """What the two reliable endpoints share: communicator, tag pair,
+    flow label, and the defaulting of config, counters and timeline."""
 
-    ``delivered`` is the channel's verdict for the last transmission:
-    True means an ACK is coming (block for it), False means the frame
-    was lost or corrupted and must be retransmitted.
-    """
+    def _setup(self, role, comm, source, dest, config, metrics, timeline,
+               data_tag, ack_tag, pipeline) -> None:
+        if config is None:
+            from repro.transport.config import TransportConfig
 
-    __slots__ = ("chunk", "attempts", "delivered", "sent_at")
+            config = TransportConfig()
+        self.comm, self.config, self.pipeline = comm, config, pipeline
+        self.data_tag, self.ack_tag = int(data_tag), int(ack_tag)
+        peer = f"rank{source}->rank{dest}"
+        if pipeline:
+            peer = f"{pipeline}:{peer}"
+        if metrics is None:
+            metrics = TransportMetrics(role=role, peer=peer)
+        if timeline is None:
+            suffix = "" if role == "sender" else ".recv"
+            timeline = new_transport_timeline(f"transport.{peer}{suffix}")
+        self.metrics, self.timeline = metrics, timeline
 
-    def __init__(self, chunk: Chunk, delivered: bool, sent_at: float):
-        self.chunk = chunk
-        self.attempts = 1
-        self.delivered = delivered
-        self.sent_at = sent_at  # simulated clock at last transmit
 
-
-class ReliableSender:
+class ReliableSender(_Endpoint):
     """Producer-side reliable delivery of step payloads to one endpoint."""
 
     def __init__(
@@ -260,21 +193,15 @@ class ReliableSender:
         config: "TransportConfig | None" = None,
         metrics: TransportMetrics | None = None,
         timeline: Timeline | None = None,
-        data_tag: int = DATA_TAG,
-        ack_tag: int = ACK_TAG,
+        data_tag: int = flows.DATA_TAG,
+        ack_tag: int = flows.ACK_TAG,
         pipeline: str = "",
         load_board=None,
     ):
-        if config is None:
-            from repro.transport.config import TransportConfig
-
-            config = TransportConfig()
-        self.comm = comm
         self.dest = int(dest)
-        self.config = config
-        self.data_tag = int(data_tag)
-        self.ack_tag = int(ack_tag)
-        self.pipeline = pipeline
+        self._setup("sender", comm, comm.rank, dest, config, metrics,
+                    timeline, data_tag, ack_tag, pipeline)
+        config = self.config
         #: Optional service-plane aggregate of in-flight bytes per
         #: endpoint, shared by every sender targeting that endpoint.
         #: When set, the congestion model sees the *sum* of all tenants'
@@ -282,33 +209,22 @@ class ReliableSender:
         #: admission control matter.
         self.load_board = load_board
         self.codec = get_codec(config.initial_codec)
-        self.policy = config.retry
         self.window = CreditWindow(config.max_inflight)
         self.chunk_bytes = int(config.chunk_bytes)
-        self.channel: Channel = (
-            FaultyChannel(comm, config.faults)
-            if config.faults.any
-            else Channel(comm)
+        self.channel = Channel(comm, config.faults)
+        # Pipelined wire time is charged here, amortizing link latency
+        # over the in-flight depth; the channel must not bill it again.
+        self.channel.charge = not config.pipelined
+        self.core = SenderMachine(
+            config.retry, self.window, self.metrics,
+            random.Random(f"{config.faults.seed}:{comm.rank}:backoff"),
+            {"rank": comm.rank, "dest": self.dest},
         )
-        self._pipelined = bool(getattr(config, "pipelined", False))
-        if self._pipelined:
-            # Wire time is charged here, amortizing link latency over
-            # the in-flight depth; the channel must not bill it again.
-            self.channel.charge = False
-        self._inflight_bytes = 0
-        self._rng = random.Random(f"{config.faults.seed}:{comm.rank}:backoff")
-        peer = (
-            f"{pipeline}:rank{comm.rank}->rank{dest}"
-            if pipeline else f"rank{comm.rank}->rank{dest}"
-        )
-        self.metrics = metrics if metrics is not None else TransportMetrics(
-            role="sender", peer=peer
-        )
-        self.timeline = timeline if timeline is not None else (
-            new_transport_timeline(f"transport.{peer}")
-        )
-        self.steps_sent = 0
-        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        """True once the drain handshake completed."""
+        return self.core.closed
 
     def set_codec(self, name: str) -> None:
         """Switch the wire codec for subsequent steps (control-plane hook).
@@ -340,11 +256,10 @@ class ReliableSender:
             raise TransportError(f"chunk_bytes must be >= 1: {nbytes}")
         self.chunk_bytes = int(nbytes)
 
-    # -- data path -------------------------------------------------------------
     def send_step(self, step: int, sim_time: float, table: "TableData") -> None:
         """Deliver one step's table reliably; blocks until fully ACKed."""
-        if self._closed:
-            raise TransportError("sender already drained", details=self._ids())
+        if self.closed:
+            raise TransportError("sender already drained", details=self.core.ids)
         clock = current_clock()
         t0 = clock.now
         chunks = encode_step(
@@ -355,196 +270,82 @@ class ReliableSender:
             t0, clock.now, name=f"encode step {step}",
             category=EventCategory.COMPUTE,
         )
-        self.metrics.steps += 1
-        self.metrics.raw_bytes += chunks[0].raw_nbytes
-        self.metrics.wire_bytes += sum(c.wire_nbytes for c in chunks)
+        self.core.offer_step(chunks)
+        self._drive()
 
-        pending = deque(chunks)
-        inflight: dict[int, _InFlight] = {}
-        peak = 0
-        while pending or inflight:
-            while pending and self.window.try_acquire():
-                c = pending.popleft()
-                self._load_add(c.wire_nbytes)
-                peak = max(peak, self.window.in_flight)
-                delivered = self._transmit(c)
-                inflight[c.index] = _InFlight(c, delivered, clock.now)
-            self.channel.flush(self.dest, self.data_tag)
-            if any(f.delivered for f in inflight.values()):
-                self._await_acks(step, inflight)
-            elif inflight:
-                # Nothing in flight is awaiting an ACK: the sweep's
-                # position in the send sequence is a pure function of
-                # the fault seeds, never of wall-clock scheduling.
-                self._retransmit_lost(step, inflight)
-        if self._inflight_bytes:
-            self._load_add(-self._inflight_bytes)
-        self.metrics.inflight_peak = peak
-        self.metrics.max_queue_depth = max(
-            self.metrics.max_queue_depth, self.window.max_depth
-        )
-        self.steps_sent += 1
-
-    def _load_add(self, delta: int) -> None:
-        """Mirror in-flight byte accounting into the shared board."""
-        self._inflight_bytes = max(0, self._inflight_bytes + delta)
-        if self.load_board is not None:
-            self.load_board.add(self.dest, delta)
-
-    def _offered_load(self) -> int:
-        """In-flight bytes the congestion model should see for this link."""
-        if self.load_board is not None:
-            return self.load_board.load(self.dest)
-        return self._inflight_bytes
-
-    def _transmit(self, chunk: Chunk) -> bool:
-        clock = current_clock()
-        t0 = clock.now
-        delivered = self.channel.send(
-            ("chunk", chunk), self.dest, self.data_tag,
-            load=self._offered_load(),
-        )
-        if self._pipelined:
-            # Pipelined wire model: a window of W outstanding chunks
-            # overlaps W handshakes, so each transmit pays 1/W of the
-            # link latency plus its serialization time on the pipe.
-            cost = getattr(self.comm, "cost", None)
-            if cost is not None:
-                depth = max(1, self.window.in_flight)
-                clock.advance(
-                    cost.latency / depth + chunk.wire_nbytes / cost.bandwidth
-                )
-        self.timeline.record(
-            t0, clock.now,
-            name=f"send s{chunk.step}c{chunk.index}",
-            category=EventCategory.COMM,
-        )
-        self.metrics.chunks_sent += 1
-        self.metrics.bytes_out += chunk.wire_nbytes
-        return delivered
-
-    def _await_acks(self, step: int, inflight: dict[int, _InFlight]) -> None:
-        """Block until one ACK lands.
-
-        Every chunk marked ``delivered`` WILL be ACKed once the peer
-        processes it — loss was ruled out at send time — so blocking
-        here is safe and keeps retry counts independent of wall-clock
-        load.
-        """
-        clock = current_clock()
-        while True:
-            frame = self.comm.recv(self.dest, self.ack_tag, charge=False)
-            if frame[0] != "ack" or frame[1] != step:
-                continue  # stale control traffic from an earlier step
-            progressed = False
-            for idx in frame[2]:
-                state = inflight.pop(idx, None)
-                if state is None:
-                    continue  # duplicate ACK
-                self.window.release()
-                self._load_add(
-                    -min(state.chunk.wire_nbytes, self._inflight_bytes)
-                )
-                self.metrics.acks_received += 1
-                self.metrics.observe_ack_latency(clock.now - state.sent_at)
-                if state.attempts > 1:
-                    self.metrics.drops_recovered += 1
-                progressed = True
-            if progressed:
-                return
-
-    def _retransmit_lost(self, step: int, inflight: dict[int, _InFlight]) -> None:
-        """Retransmit every in-flight chunk the channel reported lost.
-
-        Reached only when nothing in flight is awaiting an ACK, so the
-        sweep happens at a deterministic point in the send sequence and
-        every fault draw — hence every retry count — is a pure function
-        of the seeds.  One backoff per sweep: the sender pauses, then
-        retransmits everything lost — charged to the simulated clock so
-        fault recovery shows up in the trace (and never on a clean run).
-        """
-        lost = sorted(inflight.values(), key=lambda s: s.chunk.index)
-        exhausted = [f for f in lost if f.attempts > self.policy.max_retries]
-        if exhausted:
-            c = exhausted[0].chunk
-            raise TransportError(
-                f"chunk {c.seq} to rank {self.dest} unacknowledged after "
-                f"{self.policy.max_retries} retries",
-                details={
-                    **self._ids(), "step": c.step, "chunk": c.index,
-                    "retries": self.policy.max_retries,
-                },
-            )
-        clock = current_clock()
-        delay = self.policy.backoff(
-            min(f.attempts for f in lost), self._rng
-        )
-        t0 = clock.now
-        clock.advance(delay)
-        self.timeline.record(
-            t0, clock.now, name=f"backoff step {step}",
-            category=EventCategory.SYNC,
-        )
-        self.metrics.backoff_time += delay
-        for f in lost:
-            self.metrics.retries += 1
-            f.attempts += 1
-            f.delivered = self._transmit(f.chunk)
-            f.sent_at = clock.now
-        self.channel.flush(self.dest, self.data_tag)
-
-    # -- drain ------------------------------------------------------------------
     def close(self) -> None:
         """Graceful drain: ``fin`` / ``fin_ack`` handshake with retries.
 
-        Drain-phase retransmissions use the same accounting as the
-        data path (:meth:`_retransmit_lost`): a retry counter, a
-        backoff charged to the simulated clock, and a timeline event —
-        fault recovery during drain is just as visible as mid-step.
-        A fin the channel reports lost is retransmitted immediately
-        (the verdict is already in); a delivered one is simply awaited.
+        ``fin`` rides the same in-flight table as the data, so a lost
+        one gets the same retry counter, the same backoff charged to
+        the simulated clock and the same timeline event — fault
+        recovery during drain is just as visible as mid-step.
         """
-        if self._closed:
-            return
-        clock = current_clock()
-        attempts = 0
+        if not self.closed:
+            self.core.offer_fin()
+            self._drive()
+
+    def _drive(self) -> None:
+        """Perform the core's actions until nothing is left in flight."""
+        core, clock = self.core, current_clock()
         while True:
-            attempts += 1
-            if attempts > 1:
-                self.metrics.retries += 1
-                delay = self.policy.backoff(attempts - 1, self._rng)
+            kind, arg = core.next_action()
+            if kind is TRANSMIT:
+                self._transmit(arg, clock)
+                continue
+            if kind is DONE:
+                return
+            self.channel.flush()
+            if kind is AWAIT:
+                released = 0
+                while not released:
+                    released = core.ack(
+                        self.comm.recv(self.dest, self.ack_tag, charge=False),
+                        clock.now,
+                    )
+                if self.load_board is not None:
+                    self.load_board.add(self.dest, -released)
+            else:
+                # BACKOFF, charged to the simulated clock: fault recovery
+                # is visible on the timeline, and a clean run costs
+                # exactly serialization plus wire time.
+                delay, label = arg
                 t0 = clock.now
                 clock.advance(delay)
                 self.timeline.record(
-                    t0, clock.now, name="backoff fin",
+                    t0, clock.now, name=f"backoff {label}",
                     category=EventCategory.SYNC,
                 )
-                self.metrics.backoff_time += delay
-            delivered = self.channel.send(
-                ("fin", self.steps_sent), self.dest, self.data_tag
+
+    def _transmit(self, frame, clock) -> None:
+        t0 = clock.now
+        # The congestion model sees this link's in-flight bytes: the
+        # core's own count, or every tenant's through the shared board.
+        load, board = self.core.inflight_bytes, self.load_board
+        if board is not None:
+            if not frame.attempts:
+                board.add(self.dest, frame.nbytes)
+            load = board.load(self.dest)
+        delivered = self.channel.send(
+            frame.wire, self.dest, self.data_tag, load=load
+        )
+        cost = self.channel.cost
+        if self.config.pipelined and cost is not None:
+            # Pipelined wire model: a window of W outstanding frames
+            # overlaps W handshakes, so each transmit pays 1/W of the
+            # link latency plus its serialization time on the pipe.
+            depth = max(1, self.window.in_flight)
+            clock.advance(cost.latency / depth + frame.nbytes / cost.bandwidth)
+        if frame.chunk is not None:
+            self.timeline.record(
+                t0, clock.now,
+                name=f"send s{frame.chunk.step}c{frame.chunk.index}",
+                category=EventCategory.COMM,
             )
-            if self._pipelined:
-                cost = getattr(self.comm, "cost", None)
-                if cost is not None:
-                    clock.advance(cost.message(_CONTROL_NBYTES))
-            self.channel.flush(self.dest, self.data_tag)
-            while delivered:
-                frame = self.comm.recv(self.dest, self.ack_tag, charge=False)
-                if frame[0] == "fin_ack":
-                    self._closed = True
-                    return
-            if attempts > self.policy.max_retries:
-                raise TransportError(
-                    f"drain to rank {self.dest} never acknowledged "
-                    f"({attempts} attempts)",
-                    details={**self._ids(), "attempts": attempts},
-                )
-
-    def _ids(self) -> dict:
-        return {"rank": self.comm.rank, "dest": self.dest}
+        self.core.sent(frame, delivered, clock.now)
 
 
-class ReliableReceiver:
+class ReliableReceiver(_Endpoint):
     """Endpoint-side reliable reception from one producer."""
 
     def __init__(
@@ -554,96 +355,58 @@ class ReliableReceiver:
         config: "TransportConfig | None" = None,
         metrics: TransportMetrics | None = None,
         timeline: Timeline | None = None,
-        data_tag: int = DATA_TAG,
-        ack_tag: int = ACK_TAG,
+        data_tag: int = flows.DATA_TAG,
+        ack_tag: int = flows.ACK_TAG,
         pipeline: str = "",
     ):
-        if config is None:
-            from repro.transport.config import TransportConfig
-
-            config = TransportConfig()
-        self.comm = comm
         self.source = int(source)
-        self.config = config
-        self.data_tag = int(data_tag)
-        self.ack_tag = int(ack_tag)
-        self.pipeline = pipeline
-        self.assembler = StepAssembler()
-        peer = (
-            f"{pipeline}:rank{source}->rank{comm.rank}"
-            if pipeline else f"rank{source}->rank{comm.rank}"
+        self._setup("receiver", comm, source, comm.rank, config, metrics,
+                    timeline, data_tag, ack_tag, pipeline)
+        self.core = ReceiverMachine(
+            pipeline, self.metrics, {"rank": comm.rank, "source": self.source}
         )
-        self.metrics = metrics if metrics is not None else TransportMetrics(
-            role="receiver", peer=peer
-        )
-        self.timeline = timeline if timeline is not None else (
-            new_transport_timeline(f"transport.{peer}.recv")
-        )
-        self.finished = False
-        self.steps_delivered = 0
 
-    def _ingest(self, frame: tuple):
-        """Process one data-direction frame.
+    @property
+    def finished(self) -> bool:
+        """True once the producer's ``fin`` was answered."""
+        return self.core.finished
 
-        Returns ``("fin", None)`` after answering the drain handshake,
-        ``("step", (step, time, columns))`` when the frame completed a
-        step, ``("chunk", None)`` for verified mid-step progress, and
-        ``("drop", None)`` for corrupt frames (ACK withheld).
+    def _ingest(self, blocking: bool):
+        """The one ingest loop: feed arriving frames to the core.
+
+        Returns ``("step", (step, time, columns))`` when a frame
+        completed a step, ``("fin", None)`` when it was the producer's
+        drain, and None when the flow had already finished or — only
+        if not ``blocking`` — the mailbox is empty.
         """
-        if frame[0] == "fin":
-            self._ack(("fin_ack",))
-            self.finished = True
-            return ("fin", None)
-        chunk: Chunk = frame[1]
-        # Every arriving chunk hits the wire — corrupt ones too —
-        # so bytes_in must count it before the checksum verdict;
-        # wire_bytes below stays unique-verified-only.
-        self.metrics.bytes_in += chunk.wire_nbytes
-        if not chunk.verify():
-            # Withhold the ACK; the retransmission carries clean bytes.
-            self.metrics.checksum_failures += 1
-            return ("drop", None)
-        if self.pipeline and chunk.pipeline and chunk.pipeline != self.pipeline:
-            raise TransportError(
-                f"misrouted chunk: pipeline {chunk.pipeline!r} arrived on "
-                f"the {self.pipeline!r} flow from producer {self.source}",
-                details={
-                    "rank": self.comm.rank,
-                    "source": self.source,
-                    "expected": self.pipeline,
-                    "got": chunk.pipeline,
-                },
-            )
-        self.metrics.chunks_received += 1
-        status = self.assembler.offer(chunk)
-        self._ack(("ack", chunk.step, (chunk.index,)))
-        if status == "duplicate":
-            self.metrics.duplicates_dropped += 1
-            return ("chunk", None)
-        self.metrics.wire_bytes += chunk.wire_nbytes  # unique chunks only
-        if status == "complete":
-            clock = current_clock()
-            t0 = clock.now
-            step, sim_time, columns = self.assembler.take(chunk.step)
-            self.timeline.record(
-                t0, clock.now, name=f"decode step {step}",
-                category=EventCategory.COMPUTE,
-            )
-            self.metrics.steps += 1
-            self.metrics.raw_bytes += chunk.raw_nbytes
-            self.steps_delivered += 1
-            return ("step", (step, sim_time, columns))
-        return ("chunk", None)
+        core, comm = self.core, self.comm
+        while not core.finished:
+            if blocking:
+                frame = comm.recv(self.source, self.data_tag)
+            else:
+                found, frame = comm.try_recv(self.source, self.data_tag)
+                if not found:
+                    return None
+            reply, step = core.ingest(frame)
+            if reply is not None:
+                comm.send(reply, self.source, self.ack_tag, charge=False)
+            if step is not None:
+                clock = current_clock()
+                t0 = clock.now
+                value = core.assembler.take(step)
+                self.timeline.record(
+                    t0, clock.now, name=f"decode step {step}",
+                    category=EventCategory.COMPUTE,
+                )
+                return ("step", value)
+            if core.finished:
+                return ("fin", None)
+        return None
 
     def receive_step(self):
         """The next complete ``(step, time, columns)``, or None after fin."""
-        while not self.finished:
-            kind, value = self._ingest(
-                self.comm.recv(self.source, self.data_tag)
-            )
-            if kind == "step":
-                return value
-        return None
+        out = self._ingest(blocking=True)
+        return out and out[1]
 
     def poll(self):
         """Drain available frames without blocking (service-plane hook).
@@ -655,18 +418,4 @@ class ReliableReceiver:
         thread can multiplex many flows without a slow producer
         stalling its siblings.
         """
-        if self.finished:
-            return None
-        while True:
-            found, frame = self.comm.try_recv(self.source, self.data_tag)
-            if not found:
-                return None
-            kind, value = self._ingest(frame)
-            if kind == "fin":
-                return ("fin", None)
-            if kind == "step":
-                return ("step", value)
-
-    def _ack(self, frame: tuple) -> None:
-        self.comm.send(frame, self.source, self.ack_tag, charge=False)
-        self.metrics.acks_sent += 1
+        return self._ingest(blocking=False)

@@ -2,8 +2,8 @@
 
 Every integer tag the data path puts on a communicator is defined
 below, as a pure function of *(plane, declared name or index)* — never
-of which thread asked first (README "In transit & transport" has the
-tag map as one table).
+of which thread asked first (DESIGN.md §5 has the tag map as one
+table).
 
 A :class:`FlowTable` is one rank's set of reliable flows under one
 ``(plane, name)``: it builds :class:`~repro.transport.channel.ReliableSender`
@@ -151,7 +151,7 @@ class FlowTable:
         """Drain every open sender (of one flow, or all) in key order."""
         for key in sorted(self.senders):
             sender = self.senders[key]
-            if flow in (None, key[0]) and not sender._closed:
+            if flow in (None, key[0]) and not sender.closed:
                 sender.close()
 
     def sender_totals(self, flow: str | None = None) -> dict:

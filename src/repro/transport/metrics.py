@@ -12,7 +12,7 @@ timelines they explain.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.hw.clock import Timeline
 
@@ -75,30 +75,10 @@ class TransportMetrics:
         return self.raw_bytes / self.wire_bytes if self.wire_bytes else 1.0
 
     def as_dict(self) -> dict:
-        out = {
-            "role": self.role,
-            "peer": self.peer,
-            "steps": self.steps,
-            "raw_bytes": self.raw_bytes,
-            "wire_bytes": self.wire_bytes,
-            "bytes_out": self.bytes_out,
-            "bytes_in": self.bytes_in,
-            "chunks_sent": self.chunks_sent,
-            "chunks_received": self.chunks_received,
-            "acks_sent": self.acks_sent,
-            "acks_received": self.acks_received,
-            "retries": self.retries,
-            "drops_recovered": self.drops_recovered,
-            "duplicates_dropped": self.duplicates_dropped,
-            "checksum_failures": self.checksum_failures,
-            "backoff_time": self.backoff_time,
-            "max_queue_depth": self.max_queue_depth,
-            "ack_latency": self.ack_latency,
-            "ack_samples": self.ack_samples,
-            "inflight_peak": self.inflight_peak,
-            "compression_ratio": self.compression_ratio,
-        }
-        out.update(self.extras)
+        """Every counter by field name, the ratio, then the extras."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["compression_ratio"] = self.compression_ratio
+        out.update(out.pop("extras"))
         return out
 
     def chrome_counter_events(self, tid: int = 0, ts: float = 0.0) -> list[dict]:

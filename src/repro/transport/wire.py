@@ -16,7 +16,8 @@ simulated timings and the Chrome trace.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,7 +115,7 @@ def register_codec(cls: type[Codec]) -> type[Codec]:
 def get_codec(name: str) -> Codec:
     try:
         return _CODECS[name]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable "name"
         raise TransportError(
             f"unknown codec {name!r}; available: {', '.join(available_codecs())}",
             details={"codec": name},
@@ -164,11 +165,7 @@ class Chunk:
             return self
         flipped = bytearray(self.payload)
         flipped[0] ^= 0xFF
-        return Chunk(
-            self.version, self.step, self.sim_time, self.index, self.total,
-            self.checksum, self.codec, self.raw_nbytes, self.meta,
-            bytes(flipped), self.pipeline,
-        )
+        return replace(self, payload=bytes(flipped))
 
 
 def encode_step(
@@ -224,46 +221,83 @@ def encode_step(
     return chunks
 
 
+#: Header fields every chunk of one step must agree on.
+_SET_FIELDS = ("version", "step", "total", "codec", "raw_nbytes", "meta")
+_set_header = attrgetter(*_SET_FIELDS)
+
+
+def _bad_header(first: Chunk, field: str, why: str) -> TransportError:
+    """The error for a chunk set whose header cannot be believed."""
+    return TransportError(
+        f"step {first.step}: bad header field {field!r}: {why}",
+        details={"step": first.step, "field": field},
+    )
+
+
 def decode_step(chunks: list[Chunk]) -> tuple[int, float, dict[str, np.ndarray]]:
     """Reassemble a complete chunk set into ``(step, time, columns)``.
 
-    Charges decompression CPU to the receiver's simulated clock.
+    Charges decompression CPU to the receiver's simulated clock.  The
+    CRC covers only each payload, so the header is validated here, once:
+    whatever it claims, the outcome is the payload's own bytes cut into
+    columns or a :class:`~repro.errors.TransportError` whose ``details``
+    name the step and the field — never another exception.
     """
     if not chunks:
         raise TransportError("cannot decode an empty chunk set")
     first = chunks[0]
     if first.version != WIRE_VERSION:
-        raise TransportError(
-            f"wire version mismatch: got {first.version}, "
-            f"speak {WIRE_VERSION}",
-            details={"version": first.version},
+        raise _bad_header(
+            first, "version", f"got {first.version}, speak {WIRE_VERSION}"
         )
-    ordered = sorted(chunks, key=lambda c: c.index)
-    if [c.index for c in ordered] != list(range(first.total)):
-        raise TransportError(
-            f"incomplete chunk set for step {first.step}: have "
-            f"{sorted(c.index for c in chunks)} of {first.total}",
-            details={"step": first.step, "total": first.total},
+    have = {c.index: c for c in chunks if isinstance(c.index, int)}
+    if first.total != len(chunks) or sorted(have) != list(range(len(chunks))):
+        raise _bad_header(
+            first, "total", f"incomplete set, have {sorted(have)} of {first.total}"
         )
-    wire_blob = b"".join(c.payload for c in ordered)
+    ordered = [have[i] for i in range(len(chunks))]
+    want = _set_header(first)
+    for c in ordered:
+        if _set_header(c) != want:
+            field = next(
+                f for f in _SET_FIELDS if getattr(c, f) != getattr(first, f)
+            )
+            raise _bad_header(first, field, "the chunks of one set disagree")
+    try:
+        layout = [
+            (name, np.dtype(dtype_str), int(length))
+            for name, dtype_str, length in first.meta
+        ]
+    except (TypeError, ValueError, SyntaxError, OverflowError) as exc:
+        raise _bad_header(first, "meta", f"unreadable layout ({exc})") from None
+    names = {name for name, _, _ in layout if isinstance(name, str)}
+    if len(names) != len(layout) or any(
+        n < 0 or not dt.itemsize or dt.hasobject for _, dt, n in layout
+    ):
+        raise _bad_header(
+            first, "meta", "needs distinct names, sized dtypes, lengths >= 0"
+        )
+    if sum(dt.itemsize * n for _, dt, n in layout) != first.raw_nbytes:
+        raise _bad_header(first, "raw_nbytes", "columns do not add up to it")
     codec = get_codec(first.codec)
-    blob = codec.decompress(wire_blob)
+    try:
+        # Codecs are pluggable: what a wrong payload raises is theirs.
+        blob = codec.decompress(b"".join(c.payload for c in ordered))
+    except Exception as exc:
+        raise _bad_header(
+            first, "codec", f"{codec.name} cannot decode the payload ({exc})"
+        ) from exc
     if codec.name != "none":
         current_clock().advance(codec.decompress_time(first.raw_nbytes))
     if len(blob) != first.raw_nbytes:
-        raise TransportError(
-            f"decoded {len(blob)} bytes, header promised {first.raw_nbytes}",
-            details={"step": first.step},
-        )
+        raise _bad_header(first, "raw_nbytes", f"decoded {len(blob)} bytes")
     columns: dict[str, np.ndarray] = {}
     offset = 0
-    for name, dtype_str, length in first.meta:
-        dt = np.dtype(dtype_str)
-        nbytes = dt.itemsize * length
+    for name, dt, length in layout:
         columns[name] = np.frombuffer(
             blob, dtype=dt, count=length, offset=offset
         ).copy()
-        offset += nbytes
+        offset += dt.itemsize * length
     return first.step, first.sim_time, columns
 
 
@@ -278,9 +312,6 @@ class StepAssembler:
     def __init__(self):
         self._pending: dict[int, dict[int, Chunk]] = {}
         self._done: set[int] = set()
-
-    def is_done(self, step: int) -> bool:
-        return step in self._done
 
     def offer(self, chunk: Chunk) -> str:
         """Add a chunk; returns ``"new"``, ``"duplicate"``, or ``"complete"``."""

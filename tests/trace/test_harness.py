@@ -1,0 +1,47 @@
+"""The shared determinism harness scrubs *every* run-global registry."""
+
+from __future__ import annotations
+
+from repro.hamr import stream as streams
+from repro.hamr.stream import Stream, default_stream
+from repro.mpi.comm import run_spmd
+from repro.trace.harness import fresh_substrate, rerun
+from repro.transport.channel import ReliableReceiver, ReliableSender
+from repro.transport.metrics import transport_timelines
+
+from ..transport.test_channel import make_table
+
+
+def _registries() -> tuple[int, int]:
+    return len(streams._native_registry), len(transport_timelines())
+
+
+def _scenario():
+    """Report what the run inherited, then leave streams and transport
+    timelines behind the way any real run does."""
+    inherited = _registries()
+    default_stream(0)
+    Stream(device_id=1, name="scratch")
+
+    def fn(comm):
+        if comm.rank == 0:
+            sender = ReliableSender(comm, 1)
+            sender.send_step(0, 0.0, make_table(64))
+            sender.close()
+        else:
+            receiver = ReliableReceiver(comm, 0)
+            while receiver.receive_step() is not None:
+                pass
+
+    run_spmd(2, fn)
+    assert min(_registries()) >= 2
+    return inherited
+
+
+def test_no_registry_survives_a_fresh_substrate():
+    """``_native_registry`` pinned every Stream (and its timeline) for
+    the life of the process and ``_timelines`` grew by two per transport
+    run, ``fresh_substrate()`` or not; both now start every run empty."""
+    assert rerun(_scenario, times=3) == [(0, 0)] * 3
+    fresh_substrate()
+    assert _registries() == (0, 0)

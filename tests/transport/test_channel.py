@@ -10,13 +10,13 @@ from repro.hamr.runtime import current_clock
 from repro.mpi.comm import CommCostModel, run_spmd
 from repro.svtk.table import TableData
 from repro.transport.channel import (
-    DATA_TAG,
+    Channel,
     FaultSpec,
-    FaultyChannel,
     ReliableReceiver,
     ReliableSender,
 )
 from repro.transport.config import TransportConfig
+from repro.transport.flows import DATA_TAG
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import SERIALIZE_BANDWIDTH, encode_step
 
@@ -245,31 +245,32 @@ class TestFaultyChannelUnit:
 
     def test_deterministic_across_instances(self):
         frames = [("chunk", c) for c in self._chunks()] * 10
-        counts = []
+        runs = []
         for _ in range(2):
             comm = self._StubComm()
-            ch = FaultyChannel(comm, FaultSpec(drop=0.3, duplicate=0.2, seed=9))
-            for f in frames:
-                ch.send(f, 1, DATA_TAG)
-            ch.flush(1, DATA_TAG)
-            counts.append((dict(ch.injected), len(comm.sent)))
-        assert counts[0] == counts[1]
-        assert counts[0][0]["drop"] > 0
+            ch = Channel(comm, FaultSpec(drop=0.3, duplicate=0.2, seed=9))
+            verdicts = [ch.send(f, 1, DATA_TAG) for f in frames]
+            ch.flush()
+            runs.append((verdicts, [id(f[1]) for f, _, _ in comm.sent]))
+        assert runs[0] == runs[1]
+        verdicts, sent = runs[0]
+        assert False in verdicts  # something was dropped ...
+        assert len(sent) > len(set(sent))  # ... and something duplicated
 
     def test_reorder_holds_then_releases(self):
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(reorder=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(reorder=1.0, seed=1))
         a, b = [("chunk", c) for c in self._chunks()[:2]]
         ch.send(a, 1, DATA_TAG)  # stashed
         assert comm.sent == []
         ch.send(b, 1, DATA_TAG)  # b goes out, then a releases
         assert [f for f, _, _ in comm.sent][0] is b
-        ch.flush(1, DATA_TAG)
+        ch.flush()
         assert len(comm.sent) == 2
 
     def test_corrupt_flips_payload_only_for_chunks(self):
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(corrupt=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(corrupt=1.0, seed=1))
         (frame,) = [("chunk", self._chunks()[0])]
         ch.send(frame, 1, DATA_TAG)
         assert not comm.sent[0][0][1].verify()
@@ -297,20 +298,24 @@ class TestDeliveryVerdict:
         return ("chunk", encode_step(make_table(64), 0, 0.0, "none", 1024)[0])
 
     def test_clean_channel_always_delivers(self):
-        from repro.transport.channel import Channel
-
+        """The clean channel is the zero FaultSpec: same class, and not
+        one random number is drawn for it."""
         comm = self._StubComm()
-        assert Channel(comm).send(self._chunk_frame(), 1, DATA_TAG) is True
+        ch = Channel(comm)
+        before = ch._rng.getstate()
+        assert ch.send(self._chunk_frame(), 1, DATA_TAG) is True
+        assert ch.send(("fin", 1), 1, DATA_TAG) is True
+        assert len(comm.sent) == 2 and ch._rng.getstate() == before
 
     def test_drop_verdict_is_lost(self):
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(drop=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(drop=1.0, seed=1))
         assert ch.send(self._chunk_frame(), 1, DATA_TAG) is False
         assert comm.sent == []  # the frame never reached the mailbox
 
     def test_corrupt_verdict_is_lost_but_frame_travels(self):
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(corrupt=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(corrupt=1.0, seed=1))
         assert ch.send(self._chunk_frame(), 1, DATA_TAG) is False
         # The corrupt frame still bills wire bytes at the receiver; it
         # is "lost" only in the sense that no ACK will ever come back.
@@ -319,11 +324,11 @@ class TestDeliveryVerdict:
 
     def test_reorder_and_duplicate_verdicts_are_delivered(self):
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(reorder=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(reorder=1.0, seed=1))
         # Stashed for reordering, but it WILL arrive: still delivered.
         assert ch.send(self._chunk_frame(), 1, DATA_TAG) is True
         comm = self._StubComm()
-        ch = FaultyChannel(comm, FaultSpec(duplicate=1.0, seed=1))
+        ch = Channel(comm, FaultSpec(duplicate=1.0, seed=1))
         assert ch.send(self._chunk_frame(), 1, DATA_TAG) is True
         assert len(comm.sent) == 2
 

@@ -23,7 +23,7 @@ class TestTransportConfig:
         assert cfg.compression == "none"
         assert cfg.partitioner == "block"
         assert cfg.max_inflight == 8
-        assert not cfg.faults.any
+        assert cfg.faults == FaultSpec()  # the clean channel
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigError):

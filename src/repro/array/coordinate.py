@@ -35,9 +35,11 @@ class ArrayCoordinator:
 
     ``plane`` supplies the configuration (the ``repartition`` governor
     setting plus ``repartition_skew`` / ``repartition_cooldown`` and
-    the coordination cadence), builds the governor and logs every
-    decision; without one the coordinator runs on a private plane with
-    the governor on and a round every ``interval`` steps.
+    the decision cadence, :meth:`ControlPlane.due
+    <repro.control.plan.ControlPlane.due>`, that rounds run on), builds
+    the governor and logs every decision; without one the coordinator
+    runs on a private plane with the governor on and a round every
+    ``interval`` steps.
 
     ``warmup`` schedules one cold-start round after that many steps —
     ahead of the regular cadence — so a badly skewed *initial* layout
@@ -63,8 +65,6 @@ class ArrayCoordinator:
         self.array = array
         self.exchanger = exchanger
         self.plane = plane
-        cfg = plane.config
-        self.interval = cfg.interval * cfg.coordination_interval
         self.warmup = int(warmup)
         #: None when the plane has repartitioning switched off.
         self.governor = plane.governor(
@@ -97,7 +97,7 @@ class ArrayCoordinator:
             self.coordinate(step, t)
 
     def due(self, step: int) -> bool:
-        return step == self.warmup or step % self.interval == 0
+        return step == self.warmup or self.plane.due(step)
 
     # -- the round --------------------------------------------------------------
     def coordinate(self, step: int, t: float) -> list:

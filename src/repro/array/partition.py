@@ -108,13 +108,6 @@ class ArrayPartition:
             b for b in range(self.nblocks) if self.owners[b] == rank
         )
 
-    def rows_of(self, rank: int) -> int:
-        """Total global rows owned by ``rank``."""
-        return sum(
-            self.block_span(b)[1] - self.block_span(b)[0]
-            for b in self.blocks_of(rank)
-        )
-
     # -- derivation -------------------------------------------------------------
     def with_owners(self, owners: Sequence[int]) -> "ArrayPartition":
         """The same geometry under a new block-to-rank assignment."""
@@ -124,20 +117,6 @@ class ArrayPartition:
             block_rows=self.block_rows,
             owners=owners,
         )
-
-    def rebalanced(
-        self, costs: Sequence[float], partitioner: str = "chain"
-    ) -> "ArrayPartition":
-        """Re-cut with one measured cost per block as the weight."""
-        if len(costs) != self.nblocks:
-            raise ArrayError(
-                f"need one cost per block: got {len(costs)} "
-                f"for {self.nblocks} blocks"
-            )
-        owners = get_partitioner(partitioner).assign(
-            self.nblocks, self.ranks, [float(c) for c in costs]
-        )
-        return self.with_owners(owners)
 
     def __eq__(self, other) -> bool:
         return (

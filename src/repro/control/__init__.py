@@ -7,21 +7,23 @@ the loop: per-step observations (solver time, in situ busy time,
 transfer bytes/time, compression ratio, device load) are fed to
 *governors*, which digest them through their own controller
 primitives (EWMA estimators, hysteresis bands, a skew gate) and retune
-the knobs online through narrow actuator hooks.  All nine speak one
+the knobs online through narrow actuator hooks.  All eight speak one
 protocol — ``observe(<signals>)`` then ``decide(step, t=None) ->
 list[Decision]`` — are built from ``<control>`` by
 :meth:`ControlPlane.governor <repro.control.plan.ControlPlane.governor>`
 and log through :meth:`ControlPlane.decide
-<repro.control.plan.ControlPlane.decide>`; the three that act on
-node-wide sums share :func:`~repro.control.rounds.coordination_round`:
+<repro.control.plan.ControlPlane.decide>`.  None holds a communicator:
+the four that act on node-wide sums (placement, quota/shard,
+repartition) are handed them by the three drivers that call
+:func:`~repro.control.rounds.coordination_round` — the plane, the
+service bridge, the array coordinator:
 
 ===========  ===========  ===============================  ===================
 governor     switch       decides                          actuator
 ===========  ===========  ===============================  ===================
 codec        codec        wire codec per sender            ``set_codec``
 execution    execution    lockstep vs. asynchronous        ``set_execution_method``
-placement    placement    per-rank Eq. 1 rebalance         ``set_placement``
-cluster      placement    node-consistent Eq. 1 re-aim     ``set_placement``
+placement    placement    node-consistent Eq. 1 re-aim     ``set_placement``
 pool         pool         pool trim above a watermark      ``trim_above``
 flow         flow         credit window + chunk (AIMD)     ``set_window``, ``set_chunk_bytes``
 quota        quota        per-tenant endpoint budgets      ``Router.grant``
@@ -30,21 +32,20 @@ shard        quota        migrate a tenant off a hot       ``ShardMap.set_shard`
 repartition  repartition  re-cut array block ownership     ``DistributedArray.repartition``
 ===========  ===========  ===============================  ===================
 
-Each class's docstring has the detail; ``cluster``, ``quota``/``shard``
-and ``repartition`` live in :mod:`~repro.control.cluster`,
-:mod:`~repro.control.quota` and :mod:`~repro.control.repartition`, the
-rest in :mod:`~repro.control.governors`.
+Each class's docstring has the detail; ``quota``/``shard`` and
+``repartition`` live in :mod:`~repro.control.quota` and
+:mod:`~repro.control.repartition`, the rest in
+:mod:`~repro.control.governors`.
 
-A :class:`~repro.control.plan.ControlPlane` owns the governors, the
-ring buffer of recent observations, and the decision log; every
-decision is also exported as a Chrome-trace *instant* event so it is
-visible on the same timeline as the work it re-routed.  Configuration comes from the
-``<control>`` XML element (:class:`~repro.control.plan.ControlConfig`)
-with per-governor enable/freeze.  With no control plane attached,
-behavior is bit-identical to the static configuration.
+A :class:`~repro.control.plan.ControlPlane` owns the governors and the
+decision log; every decision is also exported as a Chrome-trace
+*instant* event so it is visible on the same timeline as the work it
+re-routed.  Configuration comes from the ``<control>`` XML element
+(:class:`~repro.control.plan.ControlConfig`) with per-governor
+enable/freeze.  With no control plane attached, behavior is
+bit-identical to the static configuration.
 """
 
-from repro.control.cluster import ClusterPlacementGovernor
 from repro.control.governors import (
     CodecGovernor,
     Decision,
@@ -60,10 +61,9 @@ from repro.control.policy import EWMA, Hysteresis, SkewGate
 from repro.control.quota import QuotaGovernor, ShardGovernor
 from repro.control.repartition import RepartitionGovernor
 from repro.control.rounds import coordination_round
-from repro.control.signals import SignalBuffer, StepObservation
+from repro.control.signals import StepObservation
 
 __all__ = [
-    "ClusterPlacementGovernor",
     "CodecGovernor",
     "ControlConfig",
     "ControlPlane",
@@ -80,7 +80,6 @@ __all__ = [
     "QuotaGovernor",
     "RepartitionGovernor",
     "ShardGovernor",
-    "SignalBuffer",
     "SkewGate",
     "StepObservation",
     "coordination_round",

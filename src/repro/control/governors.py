@@ -12,10 +12,13 @@ Every governor speaks one protocol — ``observe(<its signals>)`` then
 ``decide(step, t=None) -> list[Decision]`` — and declares, as class
 attributes, everything the rest of the system needs to know about it:
 which ``ControlConfig`` setting switches it, which config fields feed
-its constructor, and how the trace plane treats its decisions.  The
-package docstring (:mod:`repro.control`) tabulates all nine; the five
-here turn the paper's own knobs, the service, array and cluster
-governors live in their own modules.
+its constructor, and how the trace plane treats its decisions.  No
+governor holds a communicator or blocks in ``decide``: one that acts on
+node-wide sums exposes its per-rank ``contribution()`` and is handed
+the folded sums by the driver that owns the round.  The package
+docstring (:mod:`repro.control`) tabulates all eight; the five here
+turn the paper's own knobs, the service and array governors live in
+their own modules.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.control.policy import EWMA, Hysteresis
 from repro.hamr.runtime import current_clock
 from repro.hw.contention import ContentionModel, SharedResource
+from repro.hw.node import num_devices
 from repro.sensei.execution import ExecutionMethod
-from repro.sensei.placement import DevicePlacement
+from repro.sensei.placement import DevicePlacement, reaim
 from repro.transport.wire import SERIALIZE_BANDWIDTH, get_codec
 from repro.units import KiB
 
@@ -300,10 +306,9 @@ class CodecGovernor(Governor):
         previous = self.current
         if applied:
             self.current = choice
-        # "policy" stays in the record: golden traces carry it.
         return [self._decision(
             step, t, f"codec={choice}", reason, applied,
-            previous=previous, policy="model",
+            previous=previous,
             cost_current=costs[previous], cost_best=costs[choice],
         )]
 
@@ -402,18 +407,39 @@ class ExecutionModeGovernor(Governor):
 
 
 class PlacementGovernor(Governor):
-    """Rebalances Eq. 1's ``n_use``/``offset`` under device overload.
+    """Re-aims Eq. 1's ``n_use``/``stride``/``offset`` from node-wide sums.
 
-    The load signal is a per-device busy fraction (windowed
-    utilization); an optional per-device sharer count is translated
-    into an effective load through the
-    :class:`~repro.hw.contention.ContentionModel` dilation — a device
-    two parties time-share is worth more than its raw busy fraction
-    says.  When the device Eq. 1 resolves to for this rank scores
-    above ``overload`` × the node mean while calmer devices exist, the
-    governor re-aims ``offset`` at the calmest device and widens
-    ``n_use`` to the calm set, keeping the paper's placement formula as
-    the mechanism and changing only its parameters.
+    A rank that judges device load from its own view alone has a blind
+    spot: two ranks on one node can independently "flee" an overloaded
+    device to the *same* calm one and crowd it — each local view says
+    the move is good, and neither can see the other deciding the same
+    thing.  So this governor decides on sums over every governed rank,
+    and leaves the summing to whoever drives it:
+
+    1. :meth:`contribution` is this rank's named fields — the node's
+       busy fractions dilated by contention sharers, its own share of
+       its current device, resident pool bytes, and a one-hot of the
+       device Eq. 1 currently resolves to for it;
+    2. the driver (:meth:`ControlPlane.observe_device_loads
+       <repro.control.plan.ControlPlane.observe_device_loads>`) folds
+       the fields over the communicator it was wired on — or, at one
+       rank, folds nothing — and hands the sums to :meth:`ingest`;
+    3. :meth:`decide` derives the external-load picture (node busy
+       minus what the governed ranks themselves contribute — the load
+       that will not move when they do), detects **crowding** (>= 2
+       ranks resolved to one device while another sits idle), and, when
+       triggered, re-aims through :func:`repro.sensei.placement.reaim`
+       — new Eq. 1 parameters whose rank image spreads the participants
+       over the calmest devices.
+
+    The trigger and the re-aim are pure functions of the ingested sums,
+    so every rank fed the same sums applies the identical
+    :class:`~repro.sensei.placement.DevicePlacement` on the same step —
+    per-rank Eq. 1 resolution then fans the ranks out across the target
+    set instead of piling them onto one device.  Crowding findings are
+    logged as decisions (and so exported as Chrome-trace instant events)
+    even when no re-aim results.  ``overload`` is the re-aim trigger
+    relative to the node-mean external load.
     """
 
     name = "placement"
@@ -421,6 +447,9 @@ class PlacementGovernor(Governor):
 
     #: The dilation model device loads are scored with.
     CONTENTION = ContentionModel()
+    #: Weight folding resident pool bytes into the device score (a
+    #: device whose pool hoards memory is a worse target even when idle).
+    RESIDENT_WEIGHT = 0.25
 
     def __init__(
         self,
@@ -435,19 +464,41 @@ class PlacementGovernor(Governor):
         self.rank = int(rank)
         self.placement = base if base is not None else DevicePlacement.auto()
         self.overload = float(overload)
+        self.n_devices = num_devices()
         self._loads: dict[int, float] = {}
         self._parties: dict[int, int] = {}
+        self._resident: dict[int, int] = {}
+        self._self_load = 0.0
+        self._total: dict[str, np.ndarray] | None = None
+        #: Crowding finding of the latest decision (reporting access).
+        self.last_crowding: Decision | None = None
 
+    # -- sensors ---------------------------------------------------------------
     def observe(
         self,
         step: int,
         loads: Mapping[int, float],
         parties: Mapping[int, int] | None = None,
+        self_load: float = 0.0,
+        resident_bytes: Mapping[int, int] | None = None,
     ) -> None:
-        """Latest per-device busy fractions (and optional sharer counts)."""
+        """This rank's latest per-device measurements.
+
+        ``loads`` are node-wide busy fractions as this rank sees them
+        (``parties`` optional sharer counts); ``self_load`` is the
+        slice of its *own* current device's busy fraction this rank
+        itself produced (the load that moves with it);
+        ``resident_bytes`` is per-device resident pool footprint.
+        """
         self._loads = {int(d): float(v) for d, v in loads.items()}
         self._parties = (
             {int(d): int(v) for d, v in parties.items()} if parties else {}
+        )
+        self._self_load = max(0.0, float(self_load))
+        self._resident = (
+            {int(d): int(v) for d, v in resident_bytes.items()}
+            if resident_bytes
+            else {}
         )
 
     def dilation(self, device: int) -> float:
@@ -455,48 +506,121 @@ class PlacementGovernor(Governor):
         sharers = max(0, self._parties.get(device, 1) - 1)
         return self.CONTENTION.dilation(SharedResource.GPU_COMPUTE, sharers)
 
-    def scores(self) -> dict[int, float]:
-        """Effective load per device: busy fraction × contention dilation."""
-        return {
-            d: load * self.dilation(d)
-            for d, load in sorted(self._loads.items())
+    # -- the round ---------------------------------------------------------------
+    def contribution(self) -> dict[str, list[float]]:
+        """This rank's fields of a round, ``n_devices`` slots per device field.
+
+        ``busy`` is the dilated node load, ``own`` this rank's slice of
+        its current device, ``aimed`` a one-hot of that device, ``ranks``
+        the participation count.  A disabled governor still declares
+        every field, as zeros, so an enable-state mismatch between
+        ranks shows up as one participant fewer, never as a layout the
+        other ranks cannot fold.
+        """
+        n = self.n_devices
+        fields = {
+            name: [0.0] * n for name in ("busy", "own", "resident", "aimed")
+        }
+        fields["ranks"] = [float(self.enabled)]
+        if not self.enabled:
+            return fields
+        for d in range(n):
+            fields["busy"][d] = self._loads.get(d, 0.0) * self.dilation(d)
+            fields["resident"][d] = float(self._resident.get(d, 0))
+        current = self.placement.resolve(self.rank, n_available=n)
+        if 0 <= current < n:
+            fields["own"][current] = self._self_load * self.dilation(current)
+            fields["aimed"][current] = 1.0
+        return fields
+
+    def ingest(self, total: Mapping[str, Sequence[float]]) -> None:
+        """Take the round's folded sums back — at one rank, simply this
+        rank's own :meth:`contribution`."""
+        self._total = {
+            name: np.asarray(values, dtype=np.float64)
+            for name, values in total.items()
         }
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        s = self.scores()
-        if not self.enabled or not s:
+        """A crowding finding and/or a re-aim from the ingested sums."""
+        total = self._total
+        if not self.enabled or total is None:
             return []
-        current = self.placement.resolve(self.rank, n_available=len(s))
-        if current < 0 or current not in s:
-            return []  # host placement is not this governor's business
-        mean = sum(s.values()) / len(s)
-        if mean <= 0 or s[current] <= self.overload * mean:
+        ranks_total = int(round(total["ranks"][0]))
+        if ranks_total < 1:
             return []
-        calm = sorted(
-            (d for d in s if s[d] <= self.overload * mean),
-            key=lambda d: (s[d], d),
+        n = self.n_devices
+        counts = total["aimed"]
+        resident = total["resident"]
+        # External load: what stays on a device when the governed ranks
+        # move off it.  Resident pool bytes tip ties toward devices
+        # with headroom.
+        external = np.maximum(0.0, total["busy"] / ranks_total - total["own"])
+        resident_total = float(resident.sum())
+        score = external + (
+            self.RESIDENT_WEIGHT * resident / resident_total
+            if resident_total > 0
+            else 0.0
         )
-        if not calm:
-            return []  # everything is overloaded: nowhere better to go
-        new = DevicePlacement.auto(
-            n_use=len(calm), stride=1, offset=calm[0]
-        )
-        if new == self.placement:
-            return []
-        applied = self._actuate(new)
+
+        decisions: list[Decision] = []
+        crowded = [
+            (d, int(round(counts[d]))) for d in range(n) if counts[d] >= 2
+        ]
+        idle = [d for d in range(n) if counts[d] == 0]
+        self.last_crowding = None
+        if crowded and idle:
+            self.last_crowding = self._decision(
+                step,
+                t,
+                "crowding",
+                f"devices {[d for d, _c in crowded]} carry >=2 ranks each "
+                f"while {idle} sit idle",
+                applied=False,
+                crowded=tuple(crowded),
+                idle=tuple(idle),
+                counts=tuple(int(round(c)) for c in counts),
+            )
+            decisions.append(self.last_crowding)
+
+        mean_score = float(score.mean())
+        occupied = [d for d in range(n) if counts[d] > 0]
+        overloaded = [
+            d for d in occupied if mean_score > 0
+            and score[d] > self.overload * mean_score
+        ]
+        if not (crowded and idle) and not overloaded:
+            return decisions
+        k = min(ranks_total, n)
+        order = sorted(range(n), key=lambda d: (score[d], d))
+        targets = order[:k]
+        proposal = reaim(targets, n_available=n)
+        if proposal == self.placement:
+            return decisions
+        applied = self._actuate(proposal)
         previous = self.placement
         if applied:
-            self.placement = new
-        return [self._decision(
-            step, t, f"placement=auto(n_use={new.n_use}, offset={new.offset})",
-            f"device {current} effective load {s[current]:.3f} exceeds "
-            f"{self.overload:.2f}x node mean {mean:.3f}; calm set {calm}",
-            applied,
-            previous=f"auto(n_use={previous.n_use}, offset={previous.offset})",
-            overloaded_device=current,
-            load=round(s[current], 4),
-            mean=round(mean, 4),
-        )]
+            self.placement = proposal
+        decisions.append(
+            self._decision(
+                step,
+                t,
+                f"placement=auto(n_use={proposal.n_use}, "
+                f"stride={proposal.stride}, offset={proposal.offset})",
+                f"re-aim over {ranks_total} ranks: targets "
+                f"{targets} (external loads "
+                f"{[round(float(s), 3) for s in score]})",
+                applied,
+                previous=(
+                    f"auto(n_use={previous.n_use}, stride={previous.stride}, "
+                    f"offset={previous.offset})"
+                ),
+                targets=tuple(targets),
+                ranks=ranks_total,
+                crowding=bool(crowded and idle),
+            )
+        )
+        return decisions
 
 
 class PoolTrimGovernor(Governor):
@@ -697,9 +821,10 @@ class FlowGovernor(Governor):
 
     Shrinks actuate through :meth:`ReliableSender.set_window`, whose
     deferred-shrink semantics guarantee in-flight credits are never
-    stranded.  With node coordination, :meth:`ingest_node` overrides
-    the local signals with node means so every rank converges on the
-    same window.
+    stranded.  When the plane folds device loads over more than one
+    rank, this rank's EWMAs ride that round as :meth:`contribution` and
+    :meth:`ingest_node` overrides the local signals with the node means,
+    so every rank converges on the same window.
     """
 
     name = "flow"
@@ -711,6 +836,9 @@ class FlowGovernor(Governor):
     RETRY_BAND = (0.01, 0.10)
     #: Credits added per additive-increase step.
     GROW = 1
+    #: What a rank with no flow governor puts in a round's flow fields,
+    #: so layouts match whichever ranks govern their transport.
+    ABSENT = {"ack": [0.0], "retry": [0.0]}
 
     def __init__(
         self,
@@ -764,6 +892,12 @@ class FlowGovernor(Governor):
         self._last_peak = int(inflight_peak)
         self._samples += 1
 
+    def contribution(self) -> dict[str, list[float]]:
+        """This rank's fields of a round: its own retry/ACK EWMAs."""
+        return {
+            "ack": [self._ack.get(0.0)], "retry": [self._retry.get(0.0)],
+        }
+
     def ingest_node(self, retry_rate: float, ack_latency: float) -> None:
         """Override local signals with node means (coordinated mode).
 
@@ -780,21 +914,11 @@ class FlowGovernor(Governor):
         return self._node_retry is not None
 
     @property
-    def local_retry_rate(self) -> float:
-        """This rank's own retry-rate EWMA (the collective contribution)."""
-        return self._retry.get(0.0)
-
-    @property
-    def local_ack_estimate(self) -> float:
-        """This rank's own ACK-latency EWMA (the collective contribution)."""
-        return self._ack.get(0.0)
-
-    @property
     def retry_rate(self) -> float:
         """The retry-rate signal the next decision will act on."""
         return (
             self._node_retry if self._node_retry is not None
-            else self.local_retry_rate
+            else self._retry.get(0.0)
         )
 
     @property
@@ -802,7 +926,7 @@ class FlowGovernor(Governor):
         """The ACK-latency signal the next decision will act on."""
         return (
             self._node_ack if self._node_ack is not None
-            else self.local_ack_estimate
+            else self._ack.get(0.0)
         )
 
     # -- the loop ---------------------------------------------------------------

@@ -1,21 +1,21 @@
 """The control plane: configuration, wiring, taps, and the decision log.
 
 :class:`ControlPlane` is the one object harness code touches.  It owns
-the signal ring buffer, the governors, and the decision log; bridges
-and senders that have a plane *attached* call its ``observe_*`` taps
-once per step, and the plane turns those measurements into governor
-decisions on the configured cadence.  Nothing here runs unless a plane
+the governors and the decision log; bridges and senders that have a
+plane *attached* call its ``observe_*`` taps once per step, and the
+plane turns those measurements into governor decisions on the
+configured cadence.  Nothing here runs unless a plane
 is attached — with no control plane, behavior is bit-identical to the
 static configuration.
 
 Configuration is the ``<control>`` element::
 
     <sensei>
-      <control enabled="1" seed="0" interval="1" window="64"
+      <control enabled="1" seed="0" interval="1"
                codec="on" execution="freeze" placement="off" pool="on"
-               flow="on" coordination="node" coordination_interval="4"
-               mode_low="0.05" mode_high="0.15" codec_margin="1.05"
-               overload="1.3" pool_watermark_kib="1024">
+               flow="on" mode_low="0.05" mode_high="0.15"
+               codec_margin="1.05" overload="1.3"
+               pool_watermark_kib="1024">
         <flow min_credits="1" max_credits="64"
               min_chunk="4096" max_chunk="262144"/>
       </control>
@@ -30,17 +30,18 @@ flow-control governor is opt-in, so static ``max_inflight`` /
 ``<flow>`` element bounds its actuation range (chunk bounds in bytes,
 stepped on power-of-two rungs).
 
-``coordination="node"`` replaces the per-rank placement governor with
-the allreduce-coordinated
-:class:`~repro.control.cluster.ClusterPlacementGovernor`: device-load
-rounds every ``interval * coordination_interval`` steps are collective
-over the plane's communicator, so every rank applies the same Eq. 1
-re-aim on the same step (and crowding — several ranks resolved onto
-one device while another idles — is detected and logged).  A plane
-coordinating needs its communicator: pass ``comm=`` at construction,
-call :meth:`ControlPlane.attach_comm`, or let ``wire_bridge`` pick it
-up from the bridge.  The ``placement`` setting still gates the
-mechanism (``freeze`` dry-runs coordination, ``off`` disables it).
+Placement has no coordination switch: whether
+:meth:`ControlPlane.observe_device_loads` is a collective follows from
+the communicator the plane was wired on (``comm=`` at construction,
+else the bridge's, adopted by ``wire_bridge``).  Over more than one
+rank the placement governor's per-rank fields are folded in one
+:func:`~repro.control.rounds.coordination_round` every ``interval``
+steps, so every rank applies the same Eq. 1 re-aim on the same step
+(and crowding — several ranks resolved onto one device while another
+idles — is detected and logged); at one rank there is nothing to fold
+and the same governor decides on its own contribution.  The
+``placement`` setting gates the mechanism (``freeze`` joins every round
+and dry-runs the re-aim, ``off`` builds no governor and runs no round).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.control.cluster import ClusterPlacementGovernor
 from repro.control.governors import (
     CodecGovernor,
     Decision,
@@ -61,7 +61,8 @@ from repro.control.governors import (
     PlacementGovernor,
     PoolTrimGovernor,
 )
-from repro.control.signals import SignalBuffer, StepObservation
+from repro.control.rounds import coordination_round
+from repro.control.signals import StepObservation
 from repro.errors import ConfigError
 from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hamr.runtime import current_clock
@@ -115,8 +116,7 @@ class ControlConfig:
 
     enabled: bool = True
     seed: int = 0
-    interval: int = 1          # decide every N observed steps
-    window: int = 64           # signal ring-buffer capacity
+    interval: int = 1          # decide (and fold rounds) every N steps
     codec: GovernorSetting = field(default_factory=lambda: _ON)
     execution: GovernorSetting = field(default_factory=lambda: _ON)
     placement: GovernorSetting = field(default_factory=lambda: _ON)
@@ -143,23 +143,10 @@ class ControlConfig:
     codec_margin: float = 1.05  # predicted-cost ratio needed to switch
     overload: float = 1.30     # placement rebalance threshold (x mean)
     pool_watermark_kib: float | None = None
-    coordination: str = "off"  # "node": cross-rank placement rounds
-    coordination_interval: int = 1  # rounds every N-th decision interval
 
     def __post_init__(self):
         if self.interval < 1:
             raise ConfigError(f"interval must be >= 1: {self.interval}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1: {self.window}")
-        if self.coordination not in ("off", "node"):
-            raise ConfigError(
-                f"coordination must be 'node' or 'off': {self.coordination!r}"
-            )
-        if self.coordination_interval < 1:
-            raise ConfigError(
-                f"coordination_interval must be >= 1: "
-                f"{self.coordination_interval}"
-            )
         if self.mode_low > self.mode_high:
             raise ConfigError(
                 f"need mode_low <= mode_high: "
@@ -201,8 +188,6 @@ class ControlConfig:
         attrs = dict(attrs)
         own = read_attrs("<control>", attrs, cls)
         reject_unknown("<control>", attrs)
-        if "coordination" in own:
-            own["coordination"] = own["coordination"].strip().lower()
         flow_attrs = dict(flow_attrs) if flow_attrs else {}
         try:
             bounds = FlowBounds(**read_attrs("<flow>", flow_attrs, FlowBounds))
@@ -256,7 +241,7 @@ class _Target:
 
 
 class ControlPlane:
-    """Owns the governors, the signal buffer, and the decision log.
+    """Owns the governors, the coordination round, and the decision log.
 
     One plane serves one rank's bridge and/or transport endpoints.
     Attach with :meth:`repro.sensei.bridge.Bridge.attach_control` /
@@ -265,20 +250,24 @@ class ControlPlane:
     order does not matter.  Every governor is built by
     :meth:`governor` and every decision is logged by :meth:`decide`.
 
-    ``comm`` is this rank's communicator over the ranks that
-    coordinate (``coordination="node"``); the taps carry it to the
-    cluster governor.  Left None, ``wire_bridge`` adopts the bridge's
-    communicator on first observation.
+    ``comm`` is this rank's communicator over the ranks whose
+    placement is governed together; left None, ``wire_bridge`` adopts
+    the bridge's.  Its size — nothing else — decides whether
+    :meth:`observe_device_loads` folds a round or decides on this
+    rank's own contribution.
     """
 
     def __init__(
         self, config: ControlConfig | None = None, comm=None
     ):
         self.config = config if config is not None else ControlConfig()
-        self.signals = SignalBuffer(self.config.window)
+        self.observations = 0  # step observations the taps have pushed
         self.decisions: list[Decision] = []
         self.governors: list[Governor] = []
         self._comm = comm
+        # Set by the first device-load round folded over > 1 rank: from
+        # then on flow governors wait for node means before they act.
+        self._loads_shared = False
         self._targets: dict[int, _Target] = {}
         # Bridge-tap bookkeeping for delta extraction.
         self._bridge_prev_end: float | None = None
@@ -288,29 +277,6 @@ class ControlPlane:
     @property
     def enabled(self) -> bool:
         return self.config.enabled
-
-    @property
-    def coordinating(self) -> bool:
-        """True when cross-rank placement rounds are configured."""
-        return (
-            self.enabled
-            and self.config.coordination == "node"
-            and self.config.placement.enabled
-        )
-
-    def attach_comm(self, comm) -> None:
-        """Bind the communicator coordination rounds run over.
-
-        Must happen before the cluster governor is wired (i.e. before
-        the first bridge/load observation); once rounds have started
-        the communicator cannot change under them.
-        """
-        if self._named("cluster") and comm is not self._comm:
-            raise ConfigError(
-                "cannot change the coordination communicator after the "
-                "cluster governor is wired"
-            )
-        self._comm = comm
 
     def attach_recorder(self, recorder) -> None:
         """Mirror the plane's traffic into a trace recorder sink.
@@ -381,19 +347,21 @@ class ControlPlane:
         return decisions
 
     def _push(self, obs: StepObservation, origin: str) -> None:
-        """Ring-buffer an observation and mirror it to the recorder.
+        """Count an observation and mirror it to the recorder.
 
         ``origin`` tells the trace replayer whether the observation is
         regenerated by replaying the transport (``"transport"``) or
         must be re-injected from the script (``"bridge"`` — the in situ
         side does not run under replay).
         """
-        self.signals.push(obs)
+        self.observations += 1
         if self._recorder is not None:
             self._recorder.on_observation(obs, origin)
 
     def due(self, step: int) -> bool:
-        """Is ``step`` on the decision cadence?"""
+        """Is ``step`` on the decision cadence?  Every driver's
+        coordination rounds (this plane's, the service bridge's, the
+        array coordinator's) run on it too."""
         return step % self.config.interval == 0
 
     # -- wiring ------------------------------------------------------------------
@@ -416,17 +384,12 @@ class ControlPlane:
                 first.execution_method if first else ExecutionMethod.LOCKSTEP
             ),
         ))
-        base = first.placement if first else None
-        comm = self._comm or getattr(bridge, "_comm", None)
-        if self.coordinating and comm is not None:
-            self.governor(ClusterPlacementGovernor, bridge, lambda: dict(
-                comm=comm, actuator=set_placement, base=base,
-            ))
-        else:
-            self.governor(PlacementGovernor, bridge, lambda: dict(
-                actuator=set_placement, rank=getattr(comm, "rank", 0),
-                base=base,
-            ))
+        if self._comm is None:
+            self._comm = getattr(bridge, "_comm", None)
+        self.governor(PlacementGovernor, bridge, lambda: dict(
+            actuator=set_placement, rank=getattr(self._comm, "rank", 0),
+            base=first.placement if first else None,
+        ))
 
     def wire_sender(self, sender) -> CodecGovernor | None:
         """Create (or return) the codec governor for one sender."""
@@ -508,9 +471,6 @@ class ControlPlane:
             )
             if self.due(step):
                 self.decide(gov, step, clock.now)
-        placement = wired.get(PlacementGovernor.name)
-        if placement is not None and self.due(step):
-            self.decide(placement, step, clock.now)
         self._decide_pools(step, clock.now)
 
     def observe_transport_step(self, sender, step: int, apparent: float, table=None) -> None:
@@ -566,13 +526,11 @@ class ControlPlane:
             fgov.observe(
                 step, m.ack_latency, d_retries, d_chunks, m.inflight_peak
             )
-            # Under node coordination, hold actuation until the first
-            # allreduce round has delivered node-mean signals: acting
-            # on per-rank measurements first would let windows diverge
-            # before coordination can make them node-consistent.
-            pending_round = (
-                bool(self._named("cluster")) and not fgov.coordinated
-            )
+            # Once device loads are folded over several ranks, hold
+            # actuation until a round has delivered node-mean signals:
+            # acting on per-rank measurements first would let windows
+            # diverge before the rounds can make them node-consistent.
+            pending_round = self._loads_shared and not fgov.coordinated
             if self.due(step) and not pending_round:
                 self.decide(fgov, step, clock.now)
         if gov is None:
@@ -597,32 +555,48 @@ class ControlPlane:
 
         Harness code (or a benchmark) computes the loads from device
         timeline utilization over its window of interest; the plane
-        does not guess at them.  Under ``coordination="node"`` this tap
-        is **collective**: every coordinating rank must call it each
-        step (``self_load`` is this rank's own contribution to its
-        current device; ``resident_bytes`` the per-device pool
-        footprint), and on coordination-due steps the cluster
-        governor's allreduce round runs here — carrying the signals of
-        the most recently wired flow governor, if any.
+        does not guess at them.  ``self_load`` is this rank's own
+        contribution to its current device, ``resident_bytes`` the
+        per-device pool footprint.  The one tap placement is decided
+        from, and the one place this plane runs a collective: when its
+        communicator has more than one rank **every rank must call it
+        each step**, and on due steps the governor's fields — and the
+        retry/ACK estimates of the most recently wired flow governor,
+        zeros without one — are folded in one
+        :func:`~repro.control.rounds.coordination_round`.  With no
+        communicator, or one rank, nothing is exchanged and the
+        governor decides on its own contribution.
         """
         if not self.enabled:
             return
         t = current_clock().now
-        for cluster in self._named("cluster"):
-            cluster.observe(
+        comm = self._comm
+        flows = self._named(FlowGovernor.name)
+        flow = flows[-1] if flows else None
+        for gov in self._named(PlacementGovernor.name):
+            gov.observe(
                 step, loads, parties=parties, self_load=self_load,
                 resident_bytes=resident_bytes,
             )
-            period = self.config.interval * self.config.coordination_interval
-            if step % period == 0:
-                flows = self._named(FlowGovernor.name)
-                if flows:
-                    cluster.attach_flow(flows[-1])
-                self.decide(cluster, step, t)
-        for placement in self._named("placement"):
-            placement.observe(step, loads, parties=parties)
-            if self.due(step):
-                self.decide(placement, step, t)
+            if not self.due(step):
+                continue
+            fields = gov.contribution()
+            if comm is not None and comm.size > 1:
+                fields.update(
+                    flow.contribution() if flow else FlowGovernor.ABSENT
+                )
+                fields = coordination_round(comm, fields)
+                self._loads_shared = True
+                ranks = int(round(fields["ranks"][0]))
+                if flow is not None and ranks >= 1:
+                    # Node-consistent windows: every rank's flow governor
+                    # acts on the same node-mean signals from here on.
+                    flow.ingest_node(
+                        float(fields["retry"][0]) / ranks,
+                        float(fields["ack"][0]) / ranks,
+                    )
+            gov.ingest(fields)
+            self.decide(gov, step, t)
 
     def _decide_pools(self, step: int, t: float) -> None:
         if self.due(step):
@@ -677,7 +651,7 @@ class ControlPlane:
             by_governor[d.governor] = by_governor.get(d.governor, 0) + 1
         return {
             "enabled": self.enabled,
-            "observations": self.signals.pushed,
+            "observations": self.observations,
             "decisions": len(self.decisions),
             "by_governor": by_governor,
             "governors": [g.name for g in self.governors],

@@ -22,7 +22,7 @@ existing governors:
 
 Neither governor measures anything itself: the service's coordination
 round allreduces per-pipeline demand over the producer group (the same
-epoch-checked collective the cluster placement governor uses) and
+epoch-checked collective the placement round uses) and
 feeds both governors the identical node-wide vectors, so every rank
 derives the same decisions on the same step.  Inputs are deterministic
 byte counts — never wall-jittery retry or latency signals — so seeded

@@ -2,20 +2,19 @@
 
 Signals are sampled where the work happens — :class:`repro.sensei.bridge.Bridge`
 taps solver/in situ time, :class:`repro.service.router.ServiceBridge`
-taps transport counters — and pushed into a bounded
-:class:`SignalBuffer` ring, the plane's record of what it recently
-saw (and what the trace recorder mirrors).  Governors do not read the
-ring: the taps feed each governor's ``observe`` directly and the
-governors keep their own estimators (EWMAs, hysteresis bands), which
-is what stops a single noisy step from flipping a knob.
+taps transport counters — as one :class:`StepObservation` per step,
+which the plane counts and the trace recorder mirrors.  Governors do
+not read observations back: the taps feed each governor's ``observe``
+directly and the governors keep their own estimators (EWMAs,
+hysteresis bands), which is what stops a single noisy step from
+flipping a knob.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["StepObservation", "SignalBuffer"]
+__all__ = ["StepObservation"]
 
 
 @dataclass(frozen=True)
@@ -46,30 +45,3 @@ class StepObservation:
     def extras_dict(self) -> dict:
         return dict(self.extras)
 
-
-class SignalBuffer:
-    """A bounded ring buffer of :class:`StepObservation` records.
-
-    Appends beyond ``capacity`` evict the oldest sample, so a burst of
-    steps cannot grow memory.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.capacity = int(capacity)
-        self._ring: deque[StepObservation] = deque(maxlen=self.capacity)
-        self._pushed = 0
-
-    def push(self, obs: StepObservation) -> None:
-        self._ring.append(obs)
-        self._pushed += 1
-
-    @property
-    def pushed(self) -> int:
-        """Total observations ever pushed (evictions included)."""
-        return self._pushed
-
-    @property
-    def latest(self) -> StepObservation | None:
-        return self._ring[-1] if self._ring else None

@@ -87,7 +87,7 @@ class AnalysisAdaptor(ABC):
         self._method = method
 
     def set_asynchronous(self, asynchronous: bool = True) -> None:
-        self._method = (
+        self.set_execution_method(
             ExecutionMethod.ASYNCHRONOUS if asynchronous else ExecutionMethod.LOCKSTEP
         )
 

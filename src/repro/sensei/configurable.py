@@ -11,143 +11,165 @@ children in document order.
 
 from __future__ import annotations
 
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 from repro.binning.axes import AxisSpec
 from repro.binning.operator import BinRequest
 from repro.binning.reduce import ReductionOp
+from repro.binning.strategies import BinningStrategy
 from repro.errors import ConfigError
 from repro.mpi.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.backends.binning import BinningAnalysis
 from repro.sensei.backends.histogram import HistogramAnalysis
+from repro.sensei.backends.stats import StatisticsAnalysis
 from repro.sensei.backends.writer import PosthocIO
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.sensei.placement import DevicePlacement, PlacementMode
-from repro.sensei.xml_config import AnalysisConfig, parse_document
+from repro.sensei.xml_config import (
+    AnalysisCommon,
+    AnalysisConfig,
+    parse_document,
+)
+from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = ["ConfigurableAnalysis", "register_backend"]
 
 
-def _build_data_binning(cfg: AnalysisConfig) -> AnalysisAdaptor:
-    mesh = cfg.require("mesh")
-    axis_names = cfg.get_list("axes")
-    if not axis_names:
+# One dataclass per built-in back-end: its attributes beyond the common
+# set, typed by field.  A field without a default is required.
+
+
+@dataclass(frozen=True)
+class _DataBinning:
+    mesh: str
+    axes: tuple[str, ...] = ()
+    bins: tuple[int, ...] = ()
+    low: tuple[float, ...] = ()
+    high: tuple[float, ...] = ()
+    variables: tuple[str, ...] = ()
+    strategy: BinningStrategy | None = None
+
+
+@dataclass(frozen=True)
+class _Histogram:
+    mesh: str
+    array: str
+    bins: int = 10
+    low: float | None = None
+    high: float | None = None
+
+
+@dataclass(frozen=True)
+class _Statistics:
+    mesh: str
+    columns: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _PosthocIO:
+    mesh: str
+    output_dir: str
+    format: str = "vtk"
+
+
+def _build_data_binning(a: _DataBinning, name: str) -> AnalysisAdaptor:
+    n_axes = len(a.axes)
+    if not n_axes:
         raise ConfigError("data_binning requires axes=\"col[,col...]\"")
-    bins = cfg.get_list("bins")
-    if len(bins) == 1:
-        bins = bins * len(axis_names)
-    if len(bins) != len(axis_names):
+    bins = a.bins * n_axes if len(a.bins) == 1 else a.bins
+    if len(bins) != n_axes:
         raise ConfigError(
-            f"data_binning: {len(axis_names)} axes but {len(bins)} bin counts"
+            f"data_binning: {n_axes} axes but {len(bins)} bin counts"
         )
-    lows = cfg.get_list("low") or [None] * len(axis_names)
-    highs = cfg.get_list("high") or [None] * len(axis_names)
-    if len(lows) != len(axis_names) or len(highs) != len(axis_names):
+    lows = a.low or (None,) * n_axes
+    highs = a.high or (None,) * n_axes
+    if len(lows) != n_axes or len(highs) != n_axes:
         raise ConfigError("data_binning: low/high must match the axis count")
-    axes = []
-    for name, nb, lo, hi in zip(axis_names, bins, lows, highs):
-        try:
-            n_bins = int(nb)
-        except ValueError:
-            raise ConfigError(f"data_binning: bad bin count {nb!r}") from None
-        axes.append(
-            AxisSpec(
-                name,
-                n_bins,
-                float(lo) if lo is not None else None,
-                float(hi) if hi is not None else None,
-            )
-        )
+    axes = [AxisSpec(*spec) for spec in zip(a.axes, bins, lows, highs)]
     requests = []
-    for spec in cfg.get_list("variables"):
+    for spec in a.variables:
         if ":" not in spec:
             raise ConfigError(
                 f"data_binning: variables entries are 'name:op', got {spec!r}"
             )
         var, op = spec.rsplit(":", 1)
         requests.append(BinRequest(ReductionOp.parse(op), var.strip()))
-    analysis = BinningAnalysis(mesh, axes, requests, name=cfg.get("name", ""))
-    strategy = cfg.get("strategy")
-    if strategy is not None:
-        from repro.binning.strategies import BinningStrategy
-
-        analysis.binner.device_strategy = BinningStrategy.parse(strategy)
+    analysis = BinningAnalysis(a.mesh, axes, requests, name=name)
+    if a.strategy is not None:
+        analysis.binner.device_strategy = a.strategy
     return analysis
 
 
-def _build_histogram(cfg: AnalysisConfig) -> AnalysisAdaptor:
-    bins = cfg.get_int("bins", 10)
+def _build_histogram(a: _Histogram, name: str) -> AnalysisAdaptor:
     return HistogramAnalysis(
-        cfg.require("mesh"),
-        cfg.require("array"),
-        bins=bins,
-        low=cfg.get_float("low"),
-        high=cfg.get_float("high"),
-        name=cfg.get("name", ""),
+        a.mesh, a.array, bins=a.bins, low=a.low, high=a.high, name=name
     )
 
 
-def _build_statistics(cfg: AnalysisConfig) -> AnalysisAdaptor:
-    from repro.sensei.backends.stats import StatisticsAnalysis
-
-    columns = cfg.get_list("columns") or None
+def _build_statistics(a: _Statistics, name: str) -> AnalysisAdaptor:
     return StatisticsAnalysis(
-        cfg.require("mesh"), columns=columns, name=cfg.get("name", "")
+        a.mesh, columns=list(a.columns) or None, name=name
     )
 
 
-def _build_posthoc_io(cfg: AnalysisConfig) -> AnalysisAdaptor:
-    return PosthocIO(
-        cfg.require("mesh"),
-        cfg.require("output_dir"),
-        frequency=cfg.get_int("frequency", 1),
-        fmt=cfg.get("format", "vtk"),
-        name=cfg.get("name", ""),
-    )
+def _build_posthoc_io(a: _PosthocIO, name: str) -> AnalysisAdaptor:
+    # The write cadence is the common ``frequency`` attribute.
+    return PosthocIO(a.mesh, a.output_dir, fmt=a.format, name=name)
+
+
+def _builtin(schema, build) -> Callable[[AnalysisConfig], AnalysisAdaptor]:
+    """A registry factory that reads ``schema`` off the element, rejects
+    whatever neither it nor the common set names, then builds."""
+
+    def factory(cfg: AnalysisConfig) -> AnalysisAdaptor:
+        label = f"<analysis type={cfg.type!r}>"
+        attrs = dict(cfg.attrs)
+        own = read_attrs(label, attrs, schema)
+        reject_unknown(label, attrs)
+        for f in fields(schema):
+            if f.default is MISSING and f.name not in own:
+                raise ConfigError(f"{label} requires attribute {f.name!r}")
+        return build(schema(**own), cfg.common.name)
+
+    return factory
 
 
 _REGISTRY: dict[str, Callable[[AnalysisConfig], AnalysisAdaptor]] = {
-    "data_binning": _build_data_binning,
-    "histogram": _build_histogram,
-    "statistics": _build_statistics,
-    "posthoc_io": _build_posthoc_io,
+    "data_binning": _builtin(_DataBinning, _build_data_binning),
+    "histogram": _builtin(_Histogram, _build_histogram),
+    "statistics": _builtin(_Statistics, _build_statistics),
+    "posthoc_io": _builtin(_PosthocIO, _build_posthoc_io),
 }
 
 
 def register_backend(
     type_name: str, factory: Callable[[AnalysisConfig], AnalysisAdaptor]
 ) -> None:
-    """Register a custom back-end type for XML configuration."""
+    """Register a custom back-end type for XML configuration.
+
+    ``factory(cfg)`` gets the element's attributes beyond the common
+    set raw, in ``cfg.attrs``; reading and validating them is its job.
+    """
     _REGISTRY[str(type_name)] = factory
 
 
-def _apply_common_controls(analysis: AnalysisAdaptor, cfg: AnalysisConfig) -> None:
+def _apply_common_controls(analysis: AnalysisAdaptor, c: AnalysisCommon) -> None:
     """Apply the paper's execution/placement attributes to a back-end."""
-    execution = cfg.get("execution")
-    if execution is not None:
-        analysis.set_execution_method(execution)
-    frequency = cfg.get_int("frequency")
-    if frequency is not None:
-        analysis.set_frequency(frequency)
-    placement = cfg.get("placement")
-    n_use = cfg.get_int("n_use", cfg.get_int("devices_per_node"))
-    stride = cfg.get_int("stride", 1)
-    offset = cfg.get_int("offset", 0)
-    if placement is not None:
-        mode = PlacementMode.parse(placement)
-        if mode is PlacementMode.HOST:
-            analysis.set_placement(DevicePlacement.host())
-        elif mode is PlacementMode.MANUAL:
-            device = cfg.get_int("device")
-            if device is None:
-                raise ConfigError("manual placement requires device=\"N\"")
-            analysis.set_device_id(device)
-        else:
-            analysis.set_auto_placement(n_use, stride, offset)
-    elif any(k in cfg.attrs for k in ("n_use", "devices_per_node", "stride", "offset")):
-        analysis.set_auto_placement(n_use, stride, offset)
+    if c.execution is not None:
+        analysis.set_execution_method(c.execution)
+    if c.frequency is not None:
+        analysis.set_frequency(c.frequency)
+    if c.placement is PlacementMode.HOST:
+        analysis.set_placement(DevicePlacement.host())
+    elif c.placement is PlacementMode.MANUAL:
+        if c.device is None:
+            raise ConfigError("manual placement requires device=\"N\"")
+        analysis.set_device_id(c.device)
+    elif c.placement is not None or (c.n_use, c.stride, c.offset) != (None, 1, 0):
+        analysis.set_auto_placement(c.n_use, c.stride, c.offset)
 
 
 class ConfigurableAnalysis(AnalysisAdaptor):
@@ -181,7 +203,7 @@ class ConfigurableAnalysis(AnalysisAdaptor):
                     f"{sorted(_REGISTRY)}"
                 )
             analysis = factory(cfg)
-            _apply_common_controls(analysis, cfg)
+            _apply_common_controls(analysis, cfg.common)
             self.children.append(analysis)
 
     # ConfigurableAnalysis delegates whole-sale; the acquire/process

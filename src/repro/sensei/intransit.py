@@ -36,14 +36,13 @@ robustness is testable without touching this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ExecutionError, MPIError
 from repro.mpi.comm import CommCostModel, Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.transport.config import TransportConfig
-from repro.transport.partition import get_partitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.router import ServiceBridge
@@ -67,11 +66,6 @@ class InTransitLayout:
     partitioner: str = "block"
     weights: tuple[float, ...] | None = None
 
-    #: Cached producer -> endpoint-index assignment.
-    _assignment: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ExecutionError(f"need m >= 1 and n >= 1, got {self.m}/{self.n}")
@@ -81,12 +75,20 @@ class InTransitLayout:
                 "defeats the purpose of in transit analysis"
             )
         try:
-            assignment = get_partitioner(self.partitioner).assign(
-                self.m, self.n, self.weights
-            )
+            self._routed()
         except MPIError as exc:
             raise ExecutionError(str(exc), details=exc.details) from exc
-        object.__setattr__(self, "_assignment", tuple(assignment))
+
+    def _routed(self) -> dict[int, tuple[int, ...]]:
+        """``{endpoint index: producers}``, asked of the service's one
+        routing function so this map cannot disagree with the router."""
+        from repro.service.plan import PipelineSpec, route_producers
+
+        spec = PipelineSpec(
+            name="layout", partitioner=self.partitioner,
+            producer_weights=self.weights,
+        )
+        return route_producers(spec, range(self.n), range(self.m))
 
     @property
     def world_size(self) -> int:
@@ -102,13 +104,15 @@ class InTransitLayout:
         """World rank of the endpoint serving ``producer``."""
         if not self.is_producer(producer):
             raise ExecutionError(f"rank {producer} is not a producer")
-        return self.m + self._assignment[producer]
+        return self.m + next(
+            e for e, ps in self._routed().items() if producer in ps
+        )
 
     def producers_of(self, endpoint: int) -> list[int]:
         """World ranks of the producers an endpoint serves."""
         if not self.is_endpoint(endpoint):
             raise ExecutionError(f"rank {endpoint} is not an endpoint")
-        return [p for p in range(self.m) if self.endpoint_of(p) == endpoint]
+        return list(self._routed()[endpoint - self.m])
 
 
 def run_in_transit(

@@ -72,8 +72,8 @@ def reaim(
 ) -> "DevicePlacement":
     """Translate a target device set back into Eq. 1 parameters.
 
-    Coordination (the cluster placement governor) decides *which*
-    devices a node's ranks should occupy; ``reaim`` expresses that
+    The placement governor decides *which* devices a node's ranks
+    should occupy; ``reaim`` expresses that
     decision as an automatic placement — ``(n_use, stride, offset)``
     such that Eq. 1's rank image ``{(i*s + d_0) mod n_a : i < n_u}``
     lies entirely within ``targets`` — so a re-aim stays inside the

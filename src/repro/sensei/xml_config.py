@@ -9,8 +9,7 @@ attributes.  The schema::
       <transport compression="zlib" chunk_kib="64" max_inflight="8"
                  retries="8" partitioner="block"/>
       <control enabled="1" codec="on" execution="freeze"
-               placement="off" pool="on" flow="on" interval="1" seed="0"
-               coordination="node" coordination_interval="4">
+               placement="off" pool="on" flow="on" interval="1" seed="0">
         <flow min_credits="1" max_credits="64"
               min_chunk="4096" max_chunk="262144"/>
       </control>
@@ -29,10 +28,10 @@ plane (see :class:`repro.transport.config.TransportConfig`); it is
 ignored by purely in situ runs.  At most one ``<control>`` element
 configures the adaptive control plane (see
 :class:`repro.control.plan.ControlConfig`) — each governor attribute
-takes ``on``, ``off``, or ``freeze`` (observe and log, never actuate);
-``coordination="node"`` upgrades placement control to the
-allreduce-coordinated cross-rank governor.  Without the element no
-control plane exists and every knob keeps its static setting.
+takes ``on``, ``off``, or ``freeze`` (observe and log, never actuate).
+Placement control coordinates across ranks whenever the plane's
+communicator has more than one; there is no switch for it.  Without the
+element no control plane exists and every knob keeps its static setting.
 
 At most one ``<service>`` element declares the multi-pipeline
 in-transit service plane (see
@@ -46,16 +45,27 @@ the admission-control knobs (``budget``, ``skew``, ``cooldown``,
       <pipeline name="bulk" weight="1" partitioner="cyclic"/>
     </service>
 
-Common attributes (every ``<analysis>``):
+Common attributes (every ``<analysis>``; :class:`AnalysisCommon`):
 
 - ``type`` (required) — back-end registry key;
 - ``enabled`` — "1"/"0" (default enabled);
+- ``name`` — the instance's name in timings and reports;
 - ``execution`` — ``lockstep`` (default) or ``asynchronous``;
+- ``frequency`` — run every N-th step (default every step);
 - ``placement`` — ``auto`` (default), ``host``, or ``manual``;
 - ``device`` — device ordinal for manual placement;
 - ``n_use`` / ``stride`` / ``offset`` — Eq. 1 parameters for auto
-  placement (``devices_per_node`` is accepted as an alias of
+  placement (``devices_per_node`` is accepted as a spelling of
   ``n_use``).
+
+They are read like every other element's — through
+:func:`repro.xmlattrs.read_attrs`, typed by the dataclass field — and
+so is each built-in back-end's own set
+(:mod:`repro.sensei.configurable`), after which anything left over is
+an unknown-attribute :class:`~repro.errors.ConfigError`: a misspelt
+``exection=`` cannot silently run lockstep.  A back-end added through
+``register_backend`` receives its leftovers raw in
+:attr:`AnalysisConfig.attrs`.
 """
 
 from __future__ import annotations
@@ -66,6 +76,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.sensei.execution import ExecutionMethod
+from repro.sensei.placement import PlacementMode
 from repro.xmlattrs import read_attrs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,6 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.config import TransportConfig
 
 __all__ = [
+    "AnalysisCommon",
     "AnalysisConfig",
     "SenseiConfig",
     "parse_document",
@@ -83,47 +96,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class AnalysisCommon:
+    """The attributes every ``<analysis>`` takes: the paper's
+    execution/placement controls plus the instance name and cadence."""
+
+    name: str = ""
+    execution: ExecutionMethod | None = None
+    frequency: int | None = None
+    placement: PlacementMode | None = None
+    device: int | None = None
+    n_use: int | None = None
+    stride: int = 1
+    offset: int = 0
+
+
+@dataclass(frozen=True)
 class AnalysisConfig:
-    """One parsed ``<analysis>`` element."""
+    """One parsed ``<analysis>`` element.
+
+    ``attrs`` holds what the common set did not claim, as raw strings
+    for the back-end named by ``type`` to read.
+    """
 
     type: str
     enabled: bool = True
+    common: AnalysisCommon = field(default_factory=AnalysisCommon)
     attrs: dict[str, str] = field(default_factory=dict)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.attrs.get(key, default)
-
-    def require(self, key: str) -> str:
-        try:
-            return self.attrs[key]
-        except KeyError:
-            raise ConfigError(
-                f"analysis type={self.type!r} requires attribute {key!r}"
-            ) from None
-
-    def _get(self, key: str, default, convert, noun: str):
-        raw = self.attrs.get(key)
-        if raw is None:
-            return default
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(
-                f"analysis type={self.type!r}: attribute {key!r} must be "
-                f"{noun}, got {raw!r}"
-            ) from None
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return self._get(key, default, int, "an integer")
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return self._get(key, default, float, "a number")
-
-    def get_list(self, key: str, default: list[str] | None = None) -> list[str]:
-        raw = self.attrs.get(key)
-        if raw is None:
-            return list(default or [])
-        return [item.strip() for item in raw.split(",") if item.strip()]
 
 
 @dataclass(frozen=True)
@@ -199,10 +197,14 @@ def parse_document(text: str) -> SenseiConfig:
         atype = attrs.pop("type", None)
         if not atype:
             raise ConfigError("<analysis> element missing the 'type' attribute")
-        # 'enabled' is the one typed field; the rest stay raw strings
-        # for the back-end named by 'type' to interpret.
-        own = read_attrs(f"<analysis type={atype!r}>", attrs, AnalysisConfig)
-        configs.append(AnalysisConfig(type=atype, attrs=attrs, **own))
+        label = f"<analysis type={atype!r}>"
+        own = read_attrs(label, attrs, AnalysisConfig)
+        common = AnalysisCommon(**read_attrs(
+            label, attrs, AnalysisCommon, names={"devices_per_node": "n_use"}
+        ))
+        configs.append(
+            AnalysisConfig(type=atype, common=common, attrs=attrs, **own)
+        )
     return SenseiConfig(analyses=tuple(configs), **planes)
 
 

@@ -35,14 +35,12 @@ from repro.service.plan import (
     PipelineSpec,
     ServiceConfig,
     ShardMap,
-    pipeline_tags,
     route_producers,
 )
-from repro.service.router import CTRL_TAG, Router, ServiceBridge
+from repro.service.router import Router, ServiceBridge
 from repro.service.runtime import ServiceEndpoint, StepMerger, run_service
 
 __all__ = [
-    "CTRL_TAG",
     "LoadBoard",
     "PipelineRegistry",
     "PipelineSpec",
@@ -52,7 +50,6 @@ __all__ = [
     "ServiceEndpoint",
     "ShardMap",
     "StepMerger",
-    "pipeline_tags",
     "route_producers",
     "run_service",
 ]

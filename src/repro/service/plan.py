@@ -48,7 +48,6 @@ __all__ = [
     "ServiceConfig",
     "PipelineRegistry",
     "ShardMap",
-    "pipeline_tags",
     "route_producers",
 ]
 
@@ -339,8 +338,3 @@ class ShardMap:
 
     def as_dict(self) -> dict[str, tuple[int, ...]]:
         return dict(self._shards)
-
-    def tenants_of(self, endpoint_index: int) -> tuple[str, ...]:
-        return tuple(
-            sorted(n for n, s in self._shards.items() if endpoint_index in s)
-        )

@@ -33,7 +33,7 @@ from repro.svtk.table import TableData
 from repro.transport.flows import CTRL_TAG, FlowTable
 from repro.transport.metrics import new_transport_timeline
 
-__all__ = ["CTRL_TAG", "Router", "ServiceBridge"]
+__all__ = ["Router", "ServiceBridge"]
 
 
 class Router:

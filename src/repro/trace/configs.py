@@ -19,7 +19,6 @@ record→replay→re-record fixpoint rests on.
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 from typing import get_args, get_origin, get_type_hints
 
 from repro.control.plan import ControlConfig
@@ -29,18 +28,7 @@ from repro.service.plan import PipelineSpec, ServiceConfig
 from repro.transport.config import TransportConfig
 from repro.xmlattrs import strip_optional
 
-__all__ = [
-    "encode_config",
-    "decode_config",
-    "encode_cost",
-    "decode_cost",
-    "encode_control",
-    "decode_control",
-    "encode_transport",
-    "decode_transport",
-    "encode_service",
-    "decode_service",
-]
+__all__ = ["encode_config", "decode_config"]
 
 #: The header section a decode failure is reported under; a nested
 #: config without an entry (retry policy, fault spec, flow bounds)
@@ -108,11 +96,3 @@ def decode_config(tp, payload, section: str | None = None):
         item = get_args(tp)[0]
         return tuple(decode_config(item, raw, section) for raw in payload)
     return payload
-
-
-# The header's four sections, by name.
-encode_cost = encode_control = encode_transport = encode_service = encode_config
-decode_cost = partial(decode_config, CommCostModel | None)
-decode_control = partial(decode_config, ControlConfig | None)
-decode_transport = partial(decode_config, TransportConfig)
-decode_service = partial(decode_config, ServiceConfig)

@@ -33,11 +33,7 @@ import threading
 
 from repro.hamr.runtime import current_clock
 from repro.svtk.table import TableData
-from repro.trace.configs import (
-    encode_control,
-    encode_cost,
-    encode_service,
-)
+from repro.trace.configs import encode_config
 from repro.trace.format import (
     TRACE_VERSION,
     Trace,
@@ -180,9 +176,9 @@ class TraceRecorder:
         self._topology = {
             "m": int(m),
             "n": int(n),
-            "service": encode_service(config),
-            "cost": encode_cost(cost),
-            "control": encode_control(control),
+            "service": encode_config(config),
+            "cost": encode_config(cost),
+            "control": encode_config(control),
         }
 
     def bind(self, rank: int, bridge):

@@ -27,11 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.control.governors import Governor
+from repro.control.plan import ControlConfig
 from repro.errors import TraceFormatError
 from repro.hamr.runtime import current_clock
+from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
-from repro.trace.configs import decode_control, decode_cost, decode_service
+from repro.service.plan import ServiceConfig
+from repro.trace.configs import decode_config
 from repro.trace.format import Trace, decode_table
 from repro.trace.recorder import TraceRecorder
 
@@ -145,9 +148,9 @@ def replay_trace(trace, registry=None) -> ReplayResult:
     if isinstance(trace, str):
         trace = Trace.from_jsonl(trace)
     header = trace.header
-    config = decode_service(header["service"])
-    cost = decode_cost(header.get("cost"))
-    control = decode_control(header.get("control"))
+    config = decode_config(ServiceConfig, header["service"])
+    cost = decode_config(CommCostModel | None, header.get("cost"))
+    control = decode_config(ControlConfig | None, header.get("control"))
     try:
         m, n = int(header["m"]), int(header["n"])
         if m < 1 or n < 1:

@@ -24,30 +24,23 @@ __all__ = ["CreditWindow"]
 
 
 class CreditWindow:
-    """A resizable pool of transmission credits with high-water tracking."""
+    """A resizable pool of transmission credits."""
 
     def __init__(self, credits: int):
         if credits < 1:
             raise TransportError(f"need at least one credit: {credits}")
         self.credits = int(credits)
         self._in_flight = 0
-        self.max_depth = 0
-        self.resizes = 0
 
     @property
     def in_flight(self) -> int:
         return self._in_flight
-
-    @property
-    def available(self) -> int:
-        return max(0, self.credits - self._in_flight)
 
     def try_acquire(self) -> bool:
         """Take a credit if one is free; False means backpressure."""
         if self._in_flight >= self.credits:
             return False
         self._in_flight += 1
-        self.max_depth = max(self.max_depth, self._in_flight)
         return True
 
     def release(self, n: int = 1) -> None:
@@ -65,16 +58,11 @@ class CreditWindow:
         below the current in-flight count defers — outstanding chunks
         keep their credits (``release`` still accounts for every one of
         them) and ``try_acquire`` stays refused until ACKs drain the
-        count under the new limit.  ``max_depth`` is monotonic: a
-        shrink never erases the high-water mark already reached.
+        count under the new limit.
         """
         if credits < 1:
             raise TransportError(f"need at least one credit: {credits}")
         self.credits = int(credits)
-        self.resizes += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CreditWindow({self._in_flight}/{self.credits}, "
-            f"max_depth={self.max_depth})"
-        )
+        return f"CreditWindow({self._in_flight}/{self.credits})"

@@ -1,7 +1,7 @@
 """The one typed XML-attribute reader behind every config element.
 
-``<transport>``, ``<control>`` / ``<flow>``, ``<service>`` and
-``<pipeline>`` are all read the same way: an attribute is named like
+``<transport>``, ``<control>`` / ``<flow>``, ``<service>``,
+``<pipeline>`` and ``<analysis>`` are all read the same way: an attribute is named like
 the dataclass field it sets, is converted by the field's declared
 type, and — when absent — leaves the field to its dataclass default.
 An element declares only what the fields cannot say: extra spellings
@@ -11,9 +11,9 @@ is therefore one line in the dataclass; the XML attribute (and the
 trace-header entry, see :mod:`repro.trace.configs`) follow from it.
 
 Scalar vocabulary, identical for every element: ``int`` and ``float``
-literals; booleans ``1/true/yes/on`` and ``0/false/no/off``; integer
-lists ``"0,2,5"``; and any type with a ``parse(text)`` classmethod
-(``GovernorSetting``: ``on/off/freeze``).  Every failure is a
+literals; booleans ``1/true/yes/on`` and ``0/false/no/off``; lists
+``"0,2,5"`` / ``"x, y"``; and any type with a ``parse(text)``
+classmethod (``GovernorSetting``: ``on/off/freeze``).  Every failure is a
 :class:`~repro.errors.ConfigError` naming the element and attribute.
 """
 
@@ -55,10 +55,12 @@ def _converter(tp):
         return tp, f"a{'n' if tp is int else ''} {tp.__name__}"
     if hasattr(tp, "parse"):
         return tp.parse, tp.__name__
-    if get_origin(tp) is tuple and get_args(tp)[0] in (int, float):
+    if get_origin(tp) is tuple and get_args(tp)[0] in (int, float, str):
         item = get_args(tp)[0]
         return (
-            lambda raw: tuple(item(x) for x in raw.split(",") if x.strip()),
+            lambda raw: tuple(
+                item(x.strip()) for x in raw.split(",") if x.strip()
+            ),
             f"a comma-separated {item.__name__} list",
         )
     return None  # nested configs and the like: not an attribute

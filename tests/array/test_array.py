@@ -34,7 +34,8 @@ class TestConstruction:
         def body(comm, array):
             blocks = array.partition.blocks_of(comm.rank)
             assert tuple(sorted(array.shards)) == blocks
-            assert array.owned_rows() == array.partition.rows_of(comm.rank)
+            spans = [array.partition.block_span(b) for b in blocks]
+            assert array.owned_rows() == sum(hi - lo for lo, hi in spans)
             return True
 
         assert all(spmd_array(4, body))

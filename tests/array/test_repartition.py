@@ -198,9 +198,11 @@ class TestCoordinator:
             plane = ControlPlane(cfg, comm=comm)
             c = ArrayCoordinator(array, None, plane=plane)
             array.close()
-            return c.governor.gate.skew, c.governor.gate.cooldown, c.interval
+            due = [step for step in range(1, 7) if c.due(step)]
+            return c.governor.gate.skew, c.governor.gate.cooldown, due
 
-        assert set(run_spmd(2, main)) == {(1.5, 5, 2)}
+        # Rounds follow the plane's interval, plus the warmup round.
+        assert run_spmd(2, main) == [(1.5, 5, [1, 2, 4, 6])] * 2
 
     def test_parameter_validation(self):
         def main(comm):

@@ -1,31 +1,44 @@
-"""Multi-rank tests for the cluster placement governor and its wiring.
+"""The placement governor: its pure core, and its rounds across ranks.
 
-Every scenario runs on the ``spmd_control`` fixture: N thread-backed
-ranks, fresh seeded clocks, one ``ControlPlane`` per rank built from a
-shared config.  The canonical crowding scenario mirrors the benchmark:
-4 devices, background load on devices 1 and 2, every rank aimed at
-device 0 by Eq. 1 — per-rank governors flap (each rank flees to the
-same calm device), the coordinated governor spreads the ranks in one
-round.
+One governor decides placement.  ``TestPlacementGovernor`` feeds it
+folded sums by hand at one rank (no communicator anywhere);
+``TestClusterGovernor`` spells the driver's round out — fold
+``contribution()``, ``ingest`` the sums, ``decide`` — over N
+thread-backed ranks; ``TestPlaneCoordination`` goes through the real
+driver, ``ControlPlane.observe_device_loads``, on the ``spmd_control``
+fixture (fresh seeded clocks, one plane per rank built from a shared
+config).  The canonical crowding scenario mirrors the benchmark: 4
+devices, background load on devices 1 and 2, every rank aimed at device
+0 by Eq. 1 — one round spreads the ranks.
+
+(The file keeps the name it had when the multi-rank half was a separate
+``cluster`` governor, so the test ids that survive stay stable.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.control.cluster import ClusterPlacementGovernor
+from repro.control.governors import PlacementGovernor
 from repro.control.plan import ControlConfig, ControlPlane
-from repro.errors import ConfigError
+from repro.control.rounds import coordination_round
+from repro.errors import MPIError
 from repro.hw.contention import ContentionModel, SharedResource
+from repro.mpi import run_spmd
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.bridge import Bridge
+from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.placement import DevicePlacement
-from repro.sensei.xml_config import parse_document
+from repro.svtk.table import TableData
+
+from tests.control.test_governors import Recorder
 
 BG = {1: 1.25, 2: 1.25}  # external load pinned to devices 1 and 2
 BASE = 0.5               # busy fraction each governed rank adds
-DIL = ContentionModel().dilation(SharedResource.GPU_COMPUTE, 1)
+AIMED_AT_0 = DevicePlacement.auto(n_use=1)
 
 
 def crowded_loads(size):
@@ -38,40 +51,84 @@ def crowded_loads(size):
     return loads, BASE * crowd_dil
 
 
-class NullAnalysis(AnalysisAdaptor):
-    def __init__(self, name="null"):
-        super().__init__(name)
-
-    def acquire(self, data, deep):
-        return None
-
-    def process(self, payload, comm, device_id):
-        pass
+def decide_alone(gov, step=0, t=None):
+    """One rank, no driver: the folded sums are its own contribution."""
+    gov.ingest(gov.contribution())
+    return gov.decide(step, t)
 
 
-def coordination_config(**extra):
-    attrs = {
-        "coordination": "node",
-        "execution": "off",
-        "codec": "off",
-        "pool": "off",
-    }
-    attrs.update(extra)
-    return ControlConfig.from_xml_attrs(attrs)
+def decide_together(comm, gov, step, t):
+    """The driver's round spelled out: fold, hand the sums back, decide."""
+    gov.ingest(coordination_round(comm, gov.contribution()))
+    return gov.decide(step, t)
+
+
+class TestPlacementGovernor:
+    def test_overload_reaims_at_the_calm_set(self):
+        rec = Recorder()
+        gov = PlacementGovernor(actuator=rec, rank=0)  # Eq. 1 -> device 0
+        gov.observe(0, {0: 0.9, 1: 0.10, 2: 0.20, 3: 0.15})
+        (d,) = decide_alone(gov)
+        assert rec.calls, "actuator should receive the new placement"
+        new = rec.calls[0][0]
+        assert isinstance(new, DevicePlacement)
+        # One rank needs one device: the calmest.
+        assert (new.n_use, new.offset) == (1, 1)
+        assert new.resolve(0, n_available=4) == 1
+        assert gov.placement == new
+        assert d.args_dict["targets"] == (1,) and d.args_dict["ranks"] == 1
+
+    def test_balanced_node_is_left_alone(self):
+        gov = PlacementGovernor(rank=0)
+        gov.observe(0, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
+        assert decide_alone(gov) == []
+
+    def test_no_loads_no_opinion(self):
+        gov = PlacementGovernor(rank=0)
+        assert gov.decide(0) == []  # nothing ingested yet
+        assert decide_alone(gov) == []  # ... and an idle node is fine
+
+    def test_host_placement_is_out_of_scope(self):
+        gov = PlacementGovernor(rank=0, base=DevicePlacement.host())
+        gov.observe(0, {0: 0.9, 1: 0.1})
+        assert decide_alone(gov) == []
+
+    def test_contention_dilates_shared_devices(self):
+        gov = PlacementGovernor(rank=0)
+        gov.observe(0, {0: 0.5, 1: 0.5}, parties={0: 3, 1: 1})
+        busy = gov.contribution()["busy"]
+        assert busy[0] > busy[1]  # same busy fraction, but device 0 is shared
+
+    def test_frozen_observes_only(self):
+        rec = Recorder()
+        gov = PlacementGovernor(actuator=rec, rank=0, frozen=True)
+        base = gov.placement
+        gov.observe(0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1})
+        (d,) = decide_alone(gov)
+        assert not d.applied
+        assert rec.calls == []
+        assert gov.placement == base
+
+    def test_resident_pool_bytes_break_ties_toward_headroom(self):
+        gov = PlacementGovernor(rank=0)
+        gov.observe(
+            0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1},
+            resident_bytes={1: 1 << 20, 2: 1 << 10},
+        )
+        (d,) = decide_alone(gov)
+        assert d.args_dict["targets"] == (3,)  # equally calm, hoards nothing
 
 
 class TestClusterGovernor:
     def test_reaim_is_node_consistent_across_ranks(self, spmd_control):
         def body(comm, plane):
             applied = []
-            gov = ClusterPlacementGovernor(
-                comm,
-                actuator=applied.append,
-                base=DevicePlacement.auto(n_use=1),
+            gov = PlacementGovernor(
+                actuator=applied.append, rank=comm.rank, base=AIMED_AT_0
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            decisions = gov.decide(0, t=0.0)
+            decisions = decide_together(comm, gov, 0, 0.0)
             return gov.placement, [d.to_dict() for d in decisions], applied
 
         run = spmd_control(2, body, devices=4)
@@ -87,12 +144,10 @@ class TestClusterGovernor:
 
     def test_crowding_decision_carries_counts(self, spmd_control):
         def body(comm, plane):
-            gov = ClusterPlacementGovernor(
-                comm, base=DevicePlacement.auto(n_use=1)
-            )
+            gov = PlacementGovernor(rank=comm.rank, base=AIMED_AT_0)
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            gov.decide(0, t=0.0)
+            decide_together(comm, gov, 0, 0.0)
             return gov.last_crowding
 
         run = spmd_control(3, body, devices=4)
@@ -109,10 +164,9 @@ class TestClusterGovernor:
         """The acceptance loop: re-aim round 0, non-overlap from step 1."""
 
         def body(comm, plane):
-            gov = ClusterPlacementGovernor(
-                comm,
+            gov = PlacementGovernor(
                 actuator=lambda p: None,  # applied; state kept by governor
-                base=DevicePlacement.auto(n_use=1),
+                rank=comm.rank, base=AIMED_AT_0,
             )
             contention = ContentionModel()
             history = []
@@ -131,39 +185,32 @@ class TestClusterGovernor:
                     SharedResource.GPU_COMPUTE, counts[current] - 1
                 )
                 gov.observe(step, loads, self_load=BASE * self_dil)
-                gov.decide(step, t=float(step))
-            return history, gov.rounds
+                decide_together(comm, gov, step, float(step))
+            return history, comm.coordination_epoch
 
         run = spmd_control(2, body, devices=4)
         history, rounds = run.results[0]
         assert rounds == 6
         assert history[0] == (0, 0)  # both ranks crowded at the start
-        for assignment in history[1:5]:
-            if len(set(assignment)) == len(assignment):
-                break
-        else:
-            pytest.fail(f"no non-overlapping round within 5: {history}")
+        assert len(set(history[1])) == 2  # ... and spread one round later
         # ... and the spread assignment is stable, not a flap.
-        assert history[-1] == history[-2]
-        assert len(set(history[-1])) == 2
+        assert history[-1] == history[-2] == history[1]
 
     def test_frozen_governor_dry_runs(self, spmd_control):
         def body(comm, plane):
             applied = []
-            gov = ClusterPlacementGovernor(
-                comm,
-                actuator=applied.append,
-                base=DevicePlacement.auto(n_use=1),
+            gov = PlacementGovernor(
+                actuator=applied.append, rank=comm.rank, base=AIMED_AT_0,
                 frozen=True,
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            decisions = gov.decide(0, t=0.0)
+            decisions = decide_together(comm, gov, 0, 0.0)
             return gov.placement, decisions, applied
 
         run = spmd_control(2, body, devices=4)
         for placement, decisions, applied in run.results:
-            assert placement == DevicePlacement.auto(n_use=1)
+            assert placement == AIMED_AT_0
             assert applied == []
             reaims = [
                 d for d in decisions if d.action.startswith("placement=")
@@ -174,33 +221,34 @@ class TestClusterGovernor:
         """Enable-state mismatch must not deadlock the collective."""
 
         def body(comm, plane):
-            gov = ClusterPlacementGovernor(
-                comm,
-                base=DevicePlacement.auto(n_use=1),
-                enabled=comm.rank == 0,
+            gov = PlacementGovernor(
+                rank=comm.rank, base=AIMED_AT_0, enabled=comm.rank == 0,
             )
             loads, self_load = crowded_loads(comm.size)
             gov.observe(0, loads, self_load=self_load)
-            return gov.decide(0, t=0.0)
+            contributed = gov.contribution()
+            return decide_together(comm, gov, 0, 0.0), contributed
 
         run = spmd_control(2, body, devices=4)
-        assert run.results[1] == []  # disabled: contributes zeros only
+        decisions, contributed = run.results[1]
+        assert decisions == []  # disabled: contributes zeros only
+        assert sorted(contributed) == sorted(run.results[0][1])
+        assert not any(np.any(v) for v in contributed.values())
         # Rank 0 sees a single participant and no crowding.
         assert all(
-            d.action != "crowding" for d in run.results[0]
+            d.action != "crowding" for d in run.results[0][0]
         )
 
     def test_identical_runs_log_identical_decisions(self, spmd_control):
         def body(comm, plane):
-            gov = ClusterPlacementGovernor(
-                comm, base=DevicePlacement.auto(n_use=1)
-            )
+            gov = PlacementGovernor(rank=comm.rank, base=AIMED_AT_0)
             out = []
             for step in range(4):
                 loads, self_load = crowded_loads(comm.size)
                 gov.observe(step, loads, self_load=self_load)
                 out.extend(
-                    d.to_dict() for d in gov.decide(step, t=float(step))
+                    d.to_dict()
+                    for d in decide_together(comm, gov, step, float(step))
                 )
             return out
 
@@ -209,35 +257,58 @@ class TestClusterGovernor:
         assert first.results == second.results
 
 
+class NullAnalysis(AnalysisAdaptor):
+    def __init__(self, name="null"):
+        super().__init__(name)
+
+    def acquire(self, data, deep):
+        return None
+
+    def process(self, payload, comm, device_id):
+        pass
+
+
+def placement_config(**extra):
+    attrs = {"execution": "off", "codec": "off", "pool": "off"}
+    attrs.update(extra)
+    return ControlConfig.from_xml_attrs(attrs)
+
+
+def wired(plane, base=AIMED_AT_0):
+    """An analysis aimed by ``base`` behind a bridge wired on ``plane``."""
+    bridge = Bridge()
+    analysis = NullAnalysis()
+    analysis.set_placement(base)
+    bridge.initialize(analyses=[analysis])
+    bridge.attach_control(plane)
+    plane.wire_bridge(bridge)
+    return analysis
+
+
 class TestPlaneCoordination:
     def run_plane(self, spmd_control, config, size=2, steps=1):
         def body(comm, plane):
-            bridge = Bridge()
-            analysis = NullAnalysis()
-            analysis.set_placement(DevicePlacement.auto(n_use=1))
-            bridge.initialize(analyses=[analysis])
-            bridge.attach_control(plane)
-            plane.wire_bridge(bridge)
+            analysis = wired(plane)
             for step in range(steps):
                 loads, self_load = crowded_loads(comm.size)
                 plane.observe_device_loads(step, loads, self_load=self_load)
-            return analysis.placement
+            return analysis.placement, comm.coordination_epoch
 
         return spmd_control(size, body, config=config, devices=4)
 
     def test_plane_applies_node_consistent_reaim(self, spmd_control):
-        run = self.run_plane(spmd_control, coordination_config())
-        placements = run.results
+        run = self.run_plane(spmd_control, placement_config())
+        placements = [placement for placement, _rounds in run.results]
         assert placements[0] == placements[1]
         assert placements[0].n_use == 2
         for rank in range(2):
             names = {d.governor for d in run.decisions(rank)}
-            assert names == {"cluster"}
+            assert names == {"placement"}
             assert "crowding" in run.actions(rank)
         assert run.decisions(0)[0].to_dict() == run.decisions(1)[0].to_dict()
 
     def test_crowding_exported_as_instant_events(self, spmd_control):
-        run = self.run_plane(spmd_control, coordination_config())
+        run = self.run_plane(spmd_control, placement_config())
         events = run.planes[0].chrome_instant_events()
         crowding = [e for e in events if "crowding" in e["name"]]
         assert crowding
@@ -245,89 +316,150 @@ class TestPlaneCoordination:
         assert ev["ph"] == "i" and ev["s"] == "g" and ev["cat"] == "control"
         assert ev["args"]["crowded"] and ev["args"]["idle"]
 
-    def test_coordination_off_keeps_per_rank_governor(self, spmd_control):
-        cfg = ControlConfig.from_xml_attrs(
-            {"execution": "off", "codec": "off", "pool": "off"}
-        )
-        run = self.run_plane(spmd_control, cfg)
-        for plane in run.planes:
-            assert [g.name for g in plane.governors] == ["placement"]
-            assert not plane.coordinating
-
     def test_placement_off_disables_coordination(self, spmd_control):
-        cfg = coordination_config(placement="off")
-        run = self.run_plane(spmd_control, cfg)
-        for plane in run.planes:
+        run = self.run_plane(spmd_control, placement_config(placement="off"))
+        for plane, (_placement, rounds) in zip(run.planes, run.results):
             assert plane.governors == []
-            assert not plane.coordinating
+            assert rounds == 0  # no governor, no round
 
     def test_placement_freeze_dry_runs_coordination(self, spmd_control):
         run = self.run_plane(
-            spmd_control, coordination_config(placement="freeze")
+            spmd_control, placement_config(placement="freeze"), steps=3
         )
-        for rank, placement in enumerate(run.results):
-            assert placement == DevicePlacement.auto(n_use=1)
+        for rank, (placement, rounds) in enumerate(run.results):
+            assert placement == AIMED_AT_0
+            assert rounds == 3  # frozen still joins every round
             reaims = [
                 d for d in run.decisions(rank)
                 if d.action.startswith("placement=")
             ]
-            assert reaims and not reaims[0].applied
+            assert reaims and not any(d.applied for d in reaims)
 
-    def test_coordination_interval_gates_rounds(self, spmd_control):
-        cfg = coordination_config(coordination_interval="2")
-        run = self.run_plane(spmd_control, cfg, steps=4)
-        for plane in run.planes:
-            (gov,) = [g for g in plane.governors if g.name == "cluster"]
-            assert gov.rounds == 2  # steps 0 and 2 only
+    def test_interval_gates_rounds(self, spmd_control):
+        """Rounds run on the plane's one cadence, ``interval``."""
+        run = self.run_plane(
+            spmd_control, placement_config(interval="2"), steps=4
+        )
+        assert [rounds for _p, rounds in run.results] == [2, 2]  # steps 0, 2
 
-    def test_attach_comm_after_wiring_rejected(self, spmd_control):
+    def test_wired_but_disabled_governor_contributes_zeros(self, spmd_control):
+        """An enable-state mismatch is one participant fewer, not a hang."""
+
         def body(comm, plane):
-            bridge = Bridge()
-            analysis = NullAnalysis()
-            bridge.initialize(analyses=[analysis])
-            plane.wire_bridge(bridge)
-            plane.attach_comm(comm)  # same comm: fine
-            with pytest.raises(ConfigError, match="cannot change"):
-                plane.attach_comm(object())
+            wired(plane)
+            (gov,) = plane.governors
+            gov.enabled = comm.rank == 0
+            loads, self_load = crowded_loads(comm.size)
+            plane.observe_device_loads(0, loads, self_load=self_load)
+            return comm.coordination_epoch
+
+        run = spmd_control(2, body, config=placement_config(), devices=4)
+        assert run.results == [1, 1]
+        assert run.decisions(1) == []
+        # Rank 0 is alone in the round: nobody crowds it.
+        assert "crowding" not in run.actions(0)
+
+    def test_cadence_skew_between_ranks_is_a_structured_error(
+        self, spmd_control
+    ):
+        def body(comm, plane):
+            wired(plane)
+            loads, self_load = crowded_loads(comm.size)
+            if comm.rank == 1:  # one round ahead of rank 0
+                comm._coordination_epoch += 1
+            with pytest.raises(MPIError, match="round skew"):
+                plane.observe_device_loads(0, loads, self_load=self_load)
             return True
 
-        run = spmd_control(2, body, config=coordination_config(), devices=4)
+        run = spmd_control(2, body, config=placement_config(), devices=4)
         assert run.results == [True, True]
 
+    def test_uneven_bridge_steps_finish(self, spmd_control):
+        """No collective hides in ``observe_bridge_step``: ranks may call
+        ``bridge.execute`` a different number of times."""
+
+        def body(comm, plane):
+            bridge = Bridge()
+            bridge.initialize(comm, analyses=[NullAnalysis()])
+            bridge.attach_control(plane)
+            for step in range(2 + comm.rank):
+                table = TableData("bodies")
+                table.add_host_column("x", np.zeros(8))
+                data = TableDataAdaptor({"bodies": table})
+                data.set_step(step, 0.1 * step)
+                bridge.execute(data)
+            bridge.finalize()
+            return len(bridge.step_costs), comm.coordination_epoch
+
+        run = spmd_control(2, body, config=ControlConfig())
+        assert run.results == [(2, 0), (3, 0)]
+        for plane in run.planes:
+            assert "placement" in plane.summary()["governors"]
+
     def test_coordinating_plane_without_comm_falls_back(self):
-        plane = ControlPlane(coordination_config())
-        bridge = Bridge()
-        bridge.initialize(analyses=[NullAnalysis()])
-        plane.wire_bridge(bridge)
-        # The bridge's own SelfCommunicator was adopted instead.
-        assert [g.name for g in plane.governors] == ["cluster"]
+        """No communicator given: the bridge's own is adopted, and at
+        its one rank the governor decides on its own contribution."""
+        plane = ControlPlane(placement_config())
+        analysis = wired(plane)
+        assert [g.name for g in plane.governors] == ["placement"]
+        plane.observe_device_loads(0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.0})
+        (d,) = plane.decisions
+        assert d.applied and d.args_dict["ranks"] == 1
+        assert analysis.placement.resolve(0, n_available=4) == 3
 
 
-class TestCoordinationConfig:
-    def test_xml_round_trip(self):
-        doc = parse_document(
-            """
-            <sensei>
-              <control coordination="node" coordination_interval="4"/>
-              <analysis type="histogram" mesh="m" array="a"/>
-            </sensei>
-            """
+DEVICE_LOADS = st.lists(
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+    min_size=4, max_size=4,
+)
+
+
+class TestOneRankIsTheSizeOneCase:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        loads=DEVICE_LOADS,
+        resident=st.lists(st.integers(0, 1 << 20), min_size=4, max_size=4),
+        self_load=st.floats(min_value=0.0, max_value=1.0),
+        size=st.integers(2, 3),
+        n_use=st.integers(1, 4),
+    )
+    def test_any_rank_count_decides_as_one_rank_fed_the_same_sums(
+        self, loads, resident, self_load, size, n_use
+    ):
+        base = DevicePlacement.auto(n_use=n_use)
+        feed = dict(
+            loads=dict(enumerate(loads)), self_load=self_load,
+            resident_bytes=dict(enumerate(resident)),
         )
-        assert doc.control.coordination == "node"
-        assert doc.control.coordination_interval == 4
 
-    def test_defaults_off(self):
-        cfg = ControlConfig()
-        assert cfg.coordination == "off"
-        assert cfg.coordination_interval == 1
-        assert not ControlPlane(cfg).coordinating
-
-    def test_bad_coordination_rejected(self):
-        with pytest.raises(ConfigError, match="coordination"):
-            ControlConfig(coordination="rack")
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ConfigError, match="coordination_interval"):
-            ControlConfig.from_xml_attrs(
-                {"coordination": "node", "coordination_interval": "0"}
+        def main(comm):
+            plane = ControlPlane(placement_config(), comm=comm)
+            wired(plane, base)
+            (gov,) = plane.governors
+            gov.observe(0, **feed)
+            contributed = gov.contribution()
+            plane.observe_device_loads(0, **feed)
+            return (
+                contributed, [d.to_dict() for d in plane.decisions],
+                comm.coordination_epoch,
             )
+
+        together = run_spmd(size, main)
+        logs = [log for _fields, log, _rounds in together]
+        assert all(log == logs[0] for log in logs)
+        assert [rounds for _f, _l, rounds in together] == [1] * size
+
+        # A governor that never saw a communicator, handed the sums.
+        lone = PlacementGovernor(lambda p: None, rank=0, base=base)
+        lone.ingest({
+            name: np.sum([fields[name] for fields, _l, _r in together], axis=0)
+            for name in together[0][0]
+        })
+        assert [d.to_dict() for d in lone.decide(0, t=0.0)] == logs[0]
+
+        # ... and a one-rank run is that, with no round at all.
+        ((contributed, log, rounds),) = run_spmd(1, main)
+        assert rounds == 0
+        alone = PlacementGovernor(lambda p: None, rank=0, base=base)
+        alone.ingest(contributed)
+        assert [d.to_dict() for d in alone.decide(0, t=0.0)] == log

@@ -143,7 +143,8 @@ class TestGovernorPlumbing:
         # Node mean says the link is clean: grow, don't shrink.
         assert calls["window"] == [5]
         # Local EWMAs stay intact as this rank's collective contribution.
-        assert gov.local_retry_rate == pytest.approx(0.5)
+        assert gov.contribution()["retry"] == [pytest.approx(0.5)]
+        assert sorted(gov.contribution()) == sorted(gov.ABSENT)
 
     def test_decisions_deterministic_across_reruns(self):
         def run():

@@ -1,4 +1,6 @@
-"""Tests for the four governors: decisions, actuation, freeze."""
+"""Tests for the codec, execution-mode and pool governors: decisions,
+actuation, freeze.  (Placement: ``test_cluster.py``; flow:
+``test_flow_governor.py``.)"""
 
 from __future__ import annotations
 
@@ -7,14 +9,12 @@ import pytest
 from repro.control.governors import (
     CodecGovernor,
     ExecutionModeGovernor,
-    PlacementGovernor,
     PoolTrimGovernor,
 )
 from repro.hamr.pool import pool_for
 from repro.hamr.runtime import current_clock
 from repro.hw.node import get_node
 from repro.sensei.execution import ExecutionMethod
-from repro.sensei.placement import DevicePlacement
 from repro.units import KiB, MiB, gbs
 
 
@@ -146,50 +146,6 @@ class TestExecutionModeGovernor:
         assert not d.applied
         assert rec.calls == []
         assert gov.mode is ExecutionMethod.LOCKSTEP
-
-
-class TestPlacementGovernor:
-    def test_overload_reaims_at_the_calm_set(self):
-        rec = Recorder()
-        gov = PlacementGovernor(actuator=rec, rank=0)  # Eq. 1 -> device 0
-        gov.observe(0, {0: 0.9, 1: 0.10, 2: 0.20, 3: 0.15})
-        (d,) = gov.decide(0)
-        assert rec.calls, "actuator should receive the new placement"
-        new = rec.calls[0][0]
-        assert isinstance(new, DevicePlacement)
-        assert new.offset == 1        # calmest device
-        assert new.n_use == 3         # the calm set
-        assert gov.placement == new
-        assert d.args_dict["overloaded_device"] == 0
-
-    def test_balanced_node_is_left_alone(self):
-        gov = PlacementGovernor(rank=0)
-        gov.observe(0, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
-        assert gov.decide(0) == []
-
-    def test_no_loads_no_opinion(self):
-        assert PlacementGovernor(rank=0).decide(0) == []
-
-    def test_host_placement_is_out_of_scope(self):
-        gov = PlacementGovernor(rank=0, base=DevicePlacement.host())
-        gov.observe(0, {0: 0.9, 1: 0.1})
-        assert gov.decide(0) == []
-
-    def test_contention_dilates_shared_devices(self):
-        gov = PlacementGovernor(rank=0)
-        gov.observe(0, {0: 0.5, 1: 0.5}, parties={0: 3, 1: 1})
-        s = gov.scores()
-        assert s[0] > s[1]  # same busy fraction, but device 0 is shared
-
-    def test_frozen_observes_only(self):
-        rec = Recorder()
-        gov = PlacementGovernor(actuator=rec, rank=0, frozen=True)
-        base = gov.placement
-        gov.observe(0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1})
-        (d,) = gov.decide(0)
-        assert not d.applied
-        assert rec.calls == []
-        assert gov.placement == base
 
 
 class TestPoolTrimGovernor:

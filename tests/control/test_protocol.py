@@ -2,12 +2,17 @@
 
 Everything here is parametrised over the governor classes found by
 walking ``Governor.__subclasses__()`` (``Governor.kinds()``), so a new
-governor is held to the same contract the day it is defined.
+governor is held to the same contract the day it is defined.  No
+scenario has a communicator: a governor that acts on node-wide sums is
+handed them (``feed`` does the driver's job by hand), and
+``TestGovernorsArePure`` keeps it that way.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +31,7 @@ from repro.control.governors import Decision
 from repro.errors import MPIError
 from repro.hamr.pool import pool_for
 from repro.hw.node import get_node
-from repro.mpi import SelfCommunicator, run_spmd
-from repro.sensei.placement import DevicePlacement
+from repro.mpi import run_spmd
 from repro.service import PipelineSpec, ServiceConfig, run_service
 from repro.trace.format import canonical_decision
 from repro.trace.recorder import RankSink
@@ -64,14 +68,9 @@ SCENARIOS = {
     ),
     "placement": (
         lambda act: dict(actuator=act, rank=0),
-        lambda gov: gov.observe(0, HOT_DEVICE),
-    ),
-    "cluster": (
-        lambda act: dict(
-            comm=SelfCommunicator(), actuator=act,
-            base=DevicePlacement.auto(n_use=1),
+        lambda gov: (
+            gov.observe(0, HOT_DEVICE), gov.ingest(gov.contribution())
         ),
-        lambda gov: gov.observe(0, HOT_DEVICE),
     ),
     "pool": (
         lambda act: dict(pool=_pool(0), watermark_bytes=0),
@@ -114,7 +113,7 @@ def build(cls, calls, **extra):
 class TestConformance:
     def test_names_are_unique(self):
         names = [cls.name for cls in KINDS]
-        assert len(names) == len(set(names)) == 9
+        assert len(names) == len(set(names)) == 8
 
     @pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.name)
     def test_switch_and_knobs_are_config_fields(self, cls):
@@ -149,6 +148,38 @@ class TestConformance:
         feed(gov)
         decisions = gov.decide(4, t=1.0)
         assert any(d.applied for d in decisions) and calls
+
+
+class TestGovernorsArePure:
+    """No governor module can reach a communicator or run a round, so
+    no ``decide()`` can park a thread: collectives live in the three
+    drivers (plane, service bridge, array coordinator)."""
+
+    @pytest.mark.parametrize("module", ["governors", "quota", "repartition"])
+    def test_module_imports_no_mpi_and_no_round(self, module):
+        import repro.control
+
+        path = Path(repro.control.__file__).with_name(f"{module}.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                )
+        bad = sorted(
+            name for name in imported
+            if name.startswith("repro.mpi") or "coordination_round" in name
+        )
+        assert not bad, f"control/{module}.py imports {bad}"
+        names = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+        } | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "coordination_round" not in names
+        assert "coordinated_allreduce" not in names
 
 
 class TestRegistration:

@@ -1,6 +1,6 @@
 """Acceptance: a fault-injected 4-rank in transit run with every
-governor active (codec, execution mode, per-rank placement upgraded to
-cluster coordination, pool trim) produces bit-identical decision logs
+governor active (codec, execution mode, placement coordinated over the
+producer group, pool trim, flow) produces bit-identical decision logs
 across two seeded runs.
 
 The layout is 2 producers + 2 endpoints — each endpoint serves
@@ -11,7 +11,7 @@ and the in transit bridge (compressible payload over a slow, lossy
 link — drives the codec governor through retries and backoff), churns
 a memory pool past the configured watermark (pool governor), and
 feeds crowded synthetic device loads into the collective coordination
-rounds (cluster governor).  Everything runs on simulated clocks with
+rounds (placement governor).  Everything runs on simulated clocks with
 seeded fault injection, so the *entire* decision log — steps, times,
 actions, reasons, structured args — must reproduce exactly.
 """
@@ -47,7 +47,6 @@ BG = {1: 1.25, 2: 1.25}
 CONTROL = ControlConfig.from_xml_attrs(
     {
         "seed": "13",
-        "coordination": "node",
         "pool_watermark_kib": "64",
         "mode_high": "0.15",
         "flow": "on",
@@ -109,7 +108,7 @@ def producer_main(sim_comm, bridge):
         clk.advance(math.ceil(clk.now / tick) * tick - clk.now)
         clk.advance(1.0)  # the solver
         da = make_adaptor(step)
-        insitu.execute(da)  # wires mode + cluster governors
+        insitu.execute(da)  # wires mode + placement governors
         pool.acquire(int(256 * KiB))
         pool.release(int(256 * KiB))  # inventory above the 64 KiB watermark
         current = heavy.placement.resolve(sim_comm.rank, n_available=4)
@@ -172,7 +171,7 @@ class TestControlDeterminism:
         logs = run_once()
         assert len(logs) == M
         governors = {d["governor"] for log in logs for d in log}
-        assert {"execution", "codec", "pool", "cluster", "flow"} <= governors
+        assert {"execution", "codec", "pool", "placement", "flow"} <= governors
         # The flow governor acted on the lossy link, and its windows
         # stayed node-consistent: both producers, having ingested the
         # same node-mean retry/latency signals from the coordination
@@ -183,7 +182,7 @@ class TestControlDeterminism:
         ]
         assert all(flow_actions)
         assert flow_actions[0] == flow_actions[1]
-        # Faults were present, the cluster still re-aimed consistently.
+        # Faults were present, placement still re-aimed consistently.
         reaims = [
             [d for d in log if d["action"].startswith("placement=")]
             for log in logs

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,35 @@ class TestAnalysisAdaptorExecution:
         assert a.resolve_device() == HOST_DEVICE_ID
         a.set_auto_placement(n_use=1, offset=2)
         assert a.resolve_device() == 2
+
+    def test_set_asynchronous_false_drains_like_set_execution_method(self):
+        """Back to lockstep with a task in flight: wait for it, so the
+        next ``process`` neither overtakes it nor runs beside it."""
+        gate = threading.Event()
+
+        class Slow(RecordingAnalysis):
+            def process(self, payload, comm, device_id):
+                if payload == 0:
+                    assert gate.wait(10), "the gate was never opened"
+                super().process(payload, comm, device_id)
+
+        a = Slow()
+        a.set_device_id(HOST_DEVICE_ID)
+        a.set_asynchronous()
+        a.execute(make_adaptor(0))
+        assert a._runner.in_flight
+        opener = threading.Timer(0.05, gate.set)
+        opener.start()
+        try:
+            a.set_asynchronous(False)
+            assert not a._runner.in_flight
+            assert a.processed == [(0, HOST_DEVICE_ID)]
+            a.execute(make_adaptor(1))
+            assert [step for step, _device in a.processed] == [0, 1]
+        finally:
+            gate.set()
+            opener.join(10)
+            a.finalize()
 
     def test_placement_resolution_uses_rank(self):
         def fn(comm):

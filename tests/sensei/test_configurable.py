@@ -13,7 +13,7 @@ from repro.sensei.configurable import ConfigurableAnalysis, register_backend
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.execution import ExecutionMethod
 from repro.sensei.placement import PlacementMode
-from repro.sensei.xml_config import parse_xml
+from repro.sensei.xml_config import AnalysisCommon, parse_xml
 from repro.svtk.table import TableData
 
 
@@ -39,7 +39,7 @@ class TestParseXml:
         assert len(cfgs) == 2
         assert cfgs[0].type == "histogram"
         assert cfgs[0].enabled
-        assert cfgs[0].get_int("bins") == 16
+        assert cfgs[0].attrs == {"mesh": "bodies", "array": "mass", "bins": "16"}
         assert not cfgs[1].enabled
 
     def test_malformed_xml(self):
@@ -63,18 +63,22 @@ class TestParseXml:
             parse_xml("<sensei><analysis type='x' enabled='maybe'/></sensei>")
 
     def test_attr_accessors(self):
+        """Common attributes arrive typed (``cfg.common``), the rest raw
+        (``cfg.attrs``); the hand-rolled typed getters are gone."""
         cfg = parse_xml(
-            "<sensei><analysis type='t' a='1' b='2.5' c='x, y ,z'/></sensei>"
+            "<sensei><analysis type='t' name='n' execution='async' "
+            "frequency='3' placement='auto' devices_per_node='2' stride='2' "
+            "a='1' c='x, y ,z'/></sensei>"
         )[0]
-        assert cfg.get_int("a") == 1
-        assert cfg.get_float("b") == 2.5
-        assert cfg.get_list("c") == ["x", "y", "z"]
-        assert cfg.get("missing") is None
-        assert cfg.get_int("missing", 9) == 9
-        with pytest.raises(ConfigError):
-            cfg.require("missing")
-        with pytest.raises(ConfigError):
-            cfg.get_int("c")
+        assert cfg.common == AnalysisCommon(
+            name="n", execution=ExecutionMethod.ASYNCHRONOUS, frequency=3,
+            placement=PlacementMode.AUTO, n_use=2, stride=2,
+        )
+        assert cfg.attrs == {"a": "1", "c": "x, y ,z"}
+
+    def test_bad_common_attribute_names_element_and_attribute(self):
+        with pytest.raises(ConfigError, match="type='t'.*'offset'.*int"):
+            parse_xml("<sensei><analysis type='t' offset='far'/></sensei>")
 
 
 class TestConfigurableAnalysis:
@@ -148,6 +152,49 @@ class TestConfigurableAnalysis:
         """)
         assert ca.children[0].resolve_device() == HOST_DEVICE_ID
 
+    def test_misspelt_common_attribute_rejected(self):
+        """It used to parse and silently run lockstep."""
+        with pytest.raises(ConfigError, match="histogram.*exection"):
+            ConfigurableAnalysis(xml="""
+                <sensei>
+                  <analysis type="histogram" mesh="bodies" array="mass"
+                            exection="asynchronous"/>
+                </sensei>
+            """)
+
+    @pytest.mark.parametrize("xml, match", [
+        ('type="histogram" mesh="m" array="a" binz="4"', "unknown.*binz"),
+        ('type="histogram" mesh="m" array="a" bins="many"', "'bins'.*int"),
+        ('type="histogram" array="a"', "requires attribute 'mesh'"),
+        ('type="data_binning" mesh="m" axes="x" bins="4,x"', "'bins'.*int list"),
+        ('type="posthoc_io" mesh="m"', "requires attribute 'output_dir'"),
+        ('type="statistics" mesh="m" n_use="2" devices_per_node="2"',
+         "unknown.*n_use"),
+    ])
+    def test_backend_attribute_errors_name_element_and_attribute(
+        self, xml, match
+    ):
+        with pytest.raises(ConfigError, match=match) as err:
+            ConfigurableAnalysis(xml=f"<sensei><analysis {xml}/></sensei>")
+        assert "<analysis type=" in str(err.value)
+
+    def test_backend_attributes_reach_the_backend_typed(self):
+        ca = ConfigurableAnalysis(xml="""
+            <sensei>
+              <analysis type="histogram" mesh="m" array="a" bins="7"
+                        low="-1.5" high="2" name="h" frequency="3"/>
+              <analysis type="statistics" mesh="m" columns="x, y"/>
+              <analysis type="posthoc_io" mesh="m" output_dir="o"
+                        format="csv" frequency="10"/>
+            </sensei>
+        """)
+        hist, stats, writer = ca.children
+        (axis,) = hist.binner.axes
+        assert (hist.name, hist.bins) == ("h", 7)
+        assert (axis.low, axis.high) == (-1.5, 2.0)
+        assert hist.frequency == 3 and writer.frequency == 10
+        assert stats.columns == ["x", "y"] and writer.fmt == "csv"
+
     def test_unknown_type(self):
         with pytest.raises(ConfigError, match="unknown analysis type"):
             ConfigurableAnalysis(xml="<sensei><analysis type='nope'/></sensei>")
@@ -218,13 +265,22 @@ class TestConfigurableAnalysis:
             def process(self, payload, comm, device_id):
                 built["ran"] = True
 
-        register_backend("custom_probe", lambda cfg: Custom("custom"))
+        def factory(cfg):
+            built["attrs"] = cfg.attrs
+            return Custom(cfg.common.name)
+
+        register_backend("custom_probe", factory)
         ca = ConfigurableAnalysis(
-            xml="<sensei><analysis type='custom_probe'/></sensei>"
+            xml="<sensei><analysis type='custom_probe' name='c' knob='7' "
+                "execution='asynchronous'/></sensei>"
         )
         ca.execute(make_adaptor())
         ca.finalize()
         assert built["ran"]
+        # Its own attributes arrive raw and unvalidated; the common set
+        # was read (and applied) for it.
+        assert built["attrs"] == {"knob": "7"}
+        assert ca.children[0].execution_method is ExecutionMethod.ASYNCHRONOUS
 
     def test_paper_nine_coordinate_systems(self):
         """The evaluation's layout: 9 binning operator instances, each a

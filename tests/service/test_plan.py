@@ -11,10 +11,10 @@ from repro.service.plan import (
     PipelineSpec,
     ServiceConfig,
     ShardMap,
-    pipeline_tags,
     route_producers,
 )
 from repro.transport.config import TransportConfig
+from repro.transport.flows import pipeline_tags
 
 
 class TestPipelineSpec:
@@ -193,7 +193,6 @@ class TestShardMap:
         assert shards.shard("hot") == (0,)
         assert shards.shard("bulk") == (1,)
         assert shards.shard("aux") == (1,)
-        assert shards.tenants_of(1) == ("aux", "bulk")
 
     def test_collective_spans_all_endpoints(self):
         cfg = self._cfg(

@@ -74,7 +74,7 @@ def controls(draw):
     low = draw(st.floats(min_value=0.0, max_value=0.5))
     return ControlConfig(
         enabled=draw(st.booleans()), seed=draw(st.integers(0, 1 << 30)),
-        interval=draw(st.integers(1, 64)), window=draw(st.integers(1, 256)),
+        interval=draw(st.integers(1, 64)),
         codec=draw(_settings), execution=draw(_settings),
         placement=draw(_settings), pool=draw(_settings), flow=draw(_settings),
         quota=draw(_settings), repartition=draw(_settings),
@@ -85,8 +85,6 @@ def controls(draw):
         codec_margin=draw(st.floats(min_value=1.0, max_value=4.0)),
         overload=draw(st.floats(min_value=1.0, max_value=4.0)),
         pool_watermark_kib=draw(st.none() | st.floats(min_value=0.0, max_value=1e6)),
-        coordination=draw(st.sampled_from(["off", "node"])),
-        coordination_interval=draw(st.integers(1, 16)),
     )
 
 
@@ -226,7 +224,6 @@ class TestAttributeReader:
             if f.name == "flow_bounds" or value is None:
                 continue
             attrs[f.name] = value.value if isinstance(value, GovernorSetting) else repr(value)
-        attrs["coordination"] = config.coordination
         flow = {f.name: repr(getattr(config.flow_bounds, f.name))
                 for f in dataclasses.fields(FlowBounds)}
         assert ControlConfig.from_xml_attrs(attrs, flow_attrs=flow) == config
@@ -291,7 +288,7 @@ class TestAttributeReader:
         (TransportConfig.from_xml_attrs, "<transport>", "max_inflight"),
         (TransportConfig.from_xml_attrs, "<transport>", "chunk_kib"),
         (TransportConfig.from_xml_attrs, "<transport>", "retries"),
-        (ControlConfig.from_xml_attrs, "<control>", "window"),
+        (ControlConfig.from_xml_attrs, "<control>", "interval"),
         (ControlConfig.from_xml_attrs, "<control>", "pool_watermark_kib"),
         (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "max_chunk"),
         (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "skew"),

@@ -203,6 +203,15 @@ class TestTraceValidation:
         assert e.value.details["supported"] == TRACE_VERSION
         assert isinstance(e.value, TraceError)
 
+    def test_previous_version_is_refused_by_number(self):
+        """Version 2 headers carried three ``control`` keys this build's
+        config no longer has; refuse them up front, naming both."""
+        trace = small_trace()
+        trace.header["version"] = 2
+        with pytest.raises(TraceVersionError, match="2.*3") as e:
+            Trace.from_jsonl(trace.to_jsonl())
+        assert e.value.details == {"found": 2, "supported": 3}
+
     def test_missing_footer(self):
         text = small_trace().to_jsonl()
         body = "".join(text.splitlines(keepends=True)[:-1])

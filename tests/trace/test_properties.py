@@ -18,19 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.plan import ControlConfig
 from repro.errors import TraceError, TraceFormatError
+from repro.mpi.comm import CommCostModel
+from repro.service.plan import ServiceConfig
 from repro.trace import TRACE_VERSION, Trace, replay_trace
-from repro.trace.configs import (
-    decode_control,
-    decode_cost,
-    decode_service,
-    decode_transport,
-    encode_control,
-    encode_cost,
-    encode_service,
-    encode_transport,
-)
+from repro.trace.configs import decode_config, encode_config
 from repro.trace.format import canonical_float
+from repro.transport.config import TransportConfig
 from repro.workloads.zoo import record_zoo
 
 # Scenario cost is 0.01-0.05 s each; keep the example budget modest.
@@ -69,29 +64,30 @@ class TestConfigRoundTrips:
 
         for name in ("newton", "request-stream", "flow"):
             entry = zoo_entry(name, seed=3)
-            payload = encode_service(entry["config"])
-            assert encode_service(decode_service(payload)) == payload
-            control = encode_control(entry.get("control"))
-            assert encode_control(decode_control(control)) == control
-            cost = encode_cost(entry.get("cost"))
-            assert encode_cost(decode_cost(cost)) == cost
+            for tp, config in (
+                (ServiceConfig, entry["config"]),
+                (ControlConfig | None, entry.get("control")),
+                (CommCostModel | None, entry.get("cost")),
+            ):
+                payload = encode_config(config)
+                assert encode_config(decode_config(tp, payload)) == payload
 
     def test_transport_roundtrip_preserves_faults(self):
-        from repro.transport.config import TransportConfig
-
         t = TransportConfig(compression="zlib", chunk_bytes=512).with_faults(
             drop=0.1, duplicate=0.05, seed=42,
             congestion_bytes=4096, congestion_drop=0.25,
         )
-        payload = encode_transport(t)
-        back = decode_transport(payload)
-        assert encode_transport(back) == payload
+        payload = encode_config(t)
+        back = decode_config(TransportConfig, payload)
+        assert encode_config(back) == payload
         assert back.faults.drop == t.faults.drop
         assert back.faults.seed == t.faults.seed
 
     def test_bad_section_is_structured(self):
         with pytest.raises(TraceFormatError) as err:
-            decode_transport({"compression": "zlib", "retry": "nope"})
+            decode_config(
+                TransportConfig, {"compression": "zlib", "retry": "nope"}
+            )
         assert err.value.details["section"] == "transport"
 
 

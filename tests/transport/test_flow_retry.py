@@ -20,7 +20,7 @@ class TestCreditWindow:
         w = CreditWindow(2)
         assert w.try_acquire() and w.try_acquire()
         assert not w.try_acquire()  # back-pressure
-        assert w.in_flight == 2 and w.available == 0
+        assert w.in_flight == 2
 
     def test_release_restores_credit(self):
         w = CreditWindow(1)
@@ -28,13 +28,6 @@ class TestCreditWindow:
         assert not w.try_acquire()
         w.release()
         assert w.try_acquire()
-
-    def test_high_water_mark(self):
-        w = CreditWindow(4)
-        for _ in range(3):
-            w.try_acquire()
-        w.release(3)
-        assert w.max_depth == 3
 
     def test_invalid_credits(self):
         with pytest.raises(TransportError):
@@ -47,7 +40,6 @@ class TestCreditWindow:
         w.resize(3)
         assert w.try_acquire() and w.try_acquire()
         assert not w.try_acquire()
-        assert w.resizes == 1
 
     def test_resize_shrink_below_inflight_defers(self):
         """A shrink never strands in-flight credits: outstanding chunks
@@ -58,7 +50,6 @@ class TestCreditWindow:
             assert w.try_acquire()
         w.resize(2)
         assert w.in_flight == 4  # nothing stranded or clawed back
-        assert w.available == 0
         assert not w.try_acquire()
         w.release()  # 3 in flight, still over the new limit
         assert not w.try_acquire()
@@ -68,22 +59,12 @@ class TestCreditWindow:
         assert not w.try_acquire()
         w.release(2)  # draining all the way round-trips cleanly
 
-    def test_resize_max_depth_monotonic(self):
-        w = CreditWindow(4)
-        for _ in range(4):
-            w.try_acquire()
-        w.resize(2)
-        assert w.max_depth == 4  # shrink never erases the high-water
-        w.release(4)
-        w.try_acquire()
-        assert w.max_depth == 4
-
     def test_resize_rejects_less_than_one_credit(self):
         w = CreditWindow(2)
         for bad in (0, -1):
             with pytest.raises(TransportError):
                 w.resize(bad)
-        assert w.credits == 2 and w.resizes == 0
+        assert w.credits == 2
 
 
 class TestRetryPolicy:

@@ -37,17 +37,10 @@ from dataclasses import dataclass, replace
 
 from repro.array import StencilConfig, StencilWorkload
 from repro.control.plan import ControlConfig, ControlPlane
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import (
-    current_clock,
-    set_active_device,
-    set_current_clock,
-)
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
-from repro.hw.node import reset_node
+from repro.hamr.runtime import current_clock
 from repro.mpi import run_spmd
 from repro.mpi.comm import CommCostModel
+from repro.trace.harness import fresh_substrate
 from repro.units import gbs, us
 
 try:
@@ -84,15 +77,6 @@ FULL = Shape(ranks=8, length=16384, steps=32, block_rows=128,
              interval=4, skews=(0.0, 3.0, 6.0))
 QUICK = Shape(ranks=4, length=2048, steps=16, block_rows=128,
               interval=4, skews=(0.0, 6.0))
-
-
-def fresh_substrate(name: str) -> None:
-    """Compared runs must not share clocks, pools, or devices."""
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name=name))
-    set_active_device(0)
 
 
 def stencil_config(shape: Shape, skew: float) -> StencilConfig:

@@ -44,12 +44,9 @@ import sys
 import numpy as np
 
 from repro.control.plan import ControlConfig, ControlPlane
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import current_clock, set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
+from repro.hamr.runtime import current_clock
 from repro.hw.contention import ContentionModel, SharedResource
-from repro.hw.node import VirtualNode, reset_node, set_node
+from repro.hw.node import VirtualNode, set_node
 from repro.hw.spec import NodeSpec
 from repro.hw.trace import chrome_trace
 from repro.mpi.comm import CommCostModel, run_spmd
@@ -59,6 +56,7 @@ from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.sensei.placement import DevicePlacement
 from repro.svtk.table import TableData
+from repro.trace.harness import fresh_substrate
 from repro.transport import TransportConfig
 from repro.units import gbs, us
 
@@ -74,15 +72,6 @@ FULL_BANDWIDTHS = (0.25, 0.5, 1.0, 4.0, 16.0, 50.0)   # GB/s
 QUICK_BANDWIDTHS = (0.25, 50.0)
 FULL_COSTS = (0.02, 0.1, 0.3, 0.6, 1.2)               # x solver step
 QUICK_COSTS = (0.02, 1.2)
-
-
-def fresh_substrate(name: str) -> None:
-    """Benchmark points must not share clocks, pools, or devices."""
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name=name))
-    set_active_device(0)
 
 
 # -- link-quality sweep ------------------------------------------------------------

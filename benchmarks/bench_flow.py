@@ -40,17 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.plan import ControlConfig
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
-from repro.hw.node import reset_node
 from repro.hw.trace import chrome_trace
 from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
+from repro.trace.harness import fresh_substrate
 from repro.transport import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import KiB, gbs, us
@@ -108,15 +104,6 @@ FULL_POINTS = (
               congestion_kib=8, congestion_drop=0.15),
 )
 QUICK_POINTS = (FULL_POINTS[0], FULL_POINTS[-1])
-
-
-def fresh_substrate(name: str) -> None:
-    """Benchmark points must not share clocks, pools, or devices."""
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name=name))
-    set_active_device(0)
 
 
 class NullAnalysis(AnalysisAdaptor):

@@ -40,16 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.plan import ControlConfig
-from repro.hamr.pool import reset_pools
-from repro.hamr.runtime import set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
-from repro.hw.clock import SimClock
-from repro.hw.node import reset_node
 from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.service import LoadBoard, PipelineSpec, ServiceConfig, run_service
 from repro.svtk.table import TableData
+from repro.trace.harness import fresh_substrate
 from repro.transport import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import KiB, gbs, us
@@ -104,15 +100,6 @@ FULL = Shape(pipelines=16, producers_per=12, endpoints=8, steps=16,
              warmup=8)
 QUICK = Shape(pipelines=16, producers_per=2, endpoints=4, steps=16,
               budget=32, bulk_rows=2048, hi_rows=256, congestion_kib=48)
-
-
-def fresh_substrate(name: str) -> None:
-    """Compared runs must not share clocks, pools, or devices."""
-    reset_node()
-    reset_default_streams()
-    reset_pools()
-    set_current_clock(SimClock(name=name))
-    set_active_device(0)
 
 
 class NullAnalysis(AnalysisAdaptor):

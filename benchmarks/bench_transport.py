@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hw.node import get_node
 from repro.hw.trace import chrome_trace
 from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
-from repro.transport import (
-    TransportConfig,
-    reset_transport_timelines,
-    transport_timelines,
-)
+from repro.transport import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import gbs, us
 
@@ -95,7 +92,6 @@ def run_matrix():
 
 
 def test_transport_matrix(benchmark):
-    reset_transport_timelines()
     results = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
 
     for key, r in results.items():
@@ -122,7 +118,7 @@ def test_transport_matrix(benchmark):
     sample = TransportMetrics(role="bench", peer="matrix")
     sample.retries = lossy_none["retries_recovered"]
     counters.extend(sample.chrome_counter_events())
-    events = chrome_trace(transport_timelines(), extra_events=counters)
+    events = chrome_trace(get_node().timelines(), extra_events=counters)
     assert any(e.get("ph") == "C" for e in events)
     assert any(
         e.get("ph") == "X" and str(e.get("name", "")).startswith(("encode", "send"))
@@ -132,4 +128,3 @@ def test_transport_matrix(benchmark):
     benchmark.extra_info["ship_time_none"] = clean_none["ship_time"]
     benchmark.extra_info["ship_time_zlib"] = clean_zlib["ship_time"]
     benchmark.extra_info["compression_ratio"] = clean_zlib["compression_ratio"]
-    reset_transport_timelines()

@@ -38,17 +38,17 @@ def main() -> None:
           f"solver/iter {fmt_time(result.solver_per_iter)}")
 
     node = get_node()
-    timelines = [r.timeline for r in node.iter_resources()]
+    timelines = node.timelines()
     end = result.total_time
 
     print("\nper-resource utilization over the run:")
     for tl in timelines:
         u = utilization(tl, 0.0, end)
         cats = ", ".join(f"{k}={fmt_time(v)}" for k, v in sorted(u.by_category.items()))
-        print(f"  {tl.name:<12} {100 * u.fraction:6.2f}%  ({cats or 'idle'})")
+        print(f"  {tl.name:<16} {100 * u.fraction:6.2f}%  ({cats or 'idle'})")
 
     print("\nlargest idle gaps per device (opportunities for placement):")
-    for tl in timelines[1:]:
+    for tl in (d.timeline for d in node.devices):
         gaps = sorted(idle_gaps(tl, 0.0, end), key=lambda g: g[1] - g[0],
                       reverse=True)[:3]
         desc = ", ".join(f"{fmt_time(b - a)} @ {fmt_time(a)}" for a, b in gaps)

@@ -20,16 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.hw.node import get_node
 from repro.hw.trace import write_chrome_trace
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
-from repro.transport import (
-    TransportConfig,
-    reset_transport_timelines,
-    transport_timelines,
-)
+from repro.transport import TransportConfig
 from repro.transport.retry import RetryPolicy
 
 M_PRODUCERS, N_ENDPOINTS = 8, 2
@@ -83,7 +80,6 @@ def run_once(transport: TransportConfig):
 def main() -> None:
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    reset_transport_timelines()
 
     retry = RetryPolicy(max_retries=40)
     hostile = TransportConfig(
@@ -133,7 +129,7 @@ def main() -> None:
                 tid += 1
     trace_path = outdir / "transport_trace.json"
     write_chrome_trace(
-        trace_path, transport_timelines(), extra_events=counters
+        trace_path, get_node().timelines(), extra_events=counters
     )
     print(f"wrote {trace_path}")
 

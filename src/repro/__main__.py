@@ -145,8 +145,7 @@ def _cmd_trace(args) -> int:
     from repro.hw.trace import write_chrome_trace
 
     _run_one(args)
-    node = get_node()
-    write_chrome_trace(args.out, [r.timeline for r in node.iter_resources()])
+    write_chrome_trace(args.out, get_node().timelines())
     print(f"wrote {args.out}")
     return 0
 

@@ -10,7 +10,9 @@ built on (Loring, "HAMR the Heterogeneous Accelerator Memory Resource",
   allocates and manages the memory;
 - :class:`~repro.hamr.stream.Stream` / ``StreamMode`` — the
   ``svtkStream`` abstraction over PM streams, with automatic conversion
-  to and from native handles;
+  to and from native handles; streams, their timelines and the memory
+  pools hang off the current :class:`~repro.hw.node.VirtualNode`, never
+  off this package;
 - :class:`~repro.hamr.buffer.Buffer` — a location-tagged, stream-ordered
   managed allocation; supports zero-copy wrapping of externally
   allocated memory with coordinated life-cycle management;

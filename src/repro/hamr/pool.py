@@ -21,7 +21,7 @@ from collections import defaultdict
 from repro.hw.device import ComputeResource
 from repro.units import us
 
-__all__ = ["MemoryPool", "pool_for", "reset_pools"]
+__all__ = ["MemoryPool", "pool_for"]
 
 #: Cost of servicing an allocation from the pool (pointer bump).
 POOL_HIT_COST = us(1.0)
@@ -125,26 +125,10 @@ class MemoryPool:
         )
 
 
-_pools_lock = threading.Lock()
-# Keyed by the resource itself (identity hash), NOT id(resource): an id
-# holds no reference, so a collected resource's id can be reused by a
-# new object, silently aliasing it onto the dead resource's pool.  The
-# strong reference pins registered resources for the registry's
-# lifetime; reset_pools() is the release valve.
-_pools: dict[ComputeResource, MemoryPool] = {}
-
-
 def pool_for(resource: ComputeResource) -> MemoryPool:
-    """The (process-wide) pool bound to ``resource``."""
-    with _pools_lock:
-        pool = _pools.get(resource)
-        if pool is None:
-            pool = MemoryPool(resource)
-            _pools[resource] = pool
-        return pool
-
-
-def reset_pools() -> None:
-    """Drop all pools (test helper)."""
-    with _pools_lock:
-        _pools.clear()
+    """The pool bound to ``resource``: made on first use and kept on the
+    resource itself, so it lives exactly as long as the node does."""
+    with resource.lock:
+        if resource.pool is None:
+            resource.pool = MemoryPool(resource)
+        return resource.pool

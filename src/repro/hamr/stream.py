@@ -7,22 +7,21 @@ The svtkStream is used for ordering operations and explicit
 synchronization."
 
 In the simulation a *native stream* is an opaque integer handle (what a
-``cudaStream_t`` degrades to once you cannot dereference it) kept in a
-per-PM registry so conversion round-trips preserve identity.  Each
-stream owns a :class:`~repro.hw.clock.Timeline`: operations enqueued on
-a stream execute in order, and independent streams may overlap — the
-same guarantees real PM streams give.
+``cudaStream_t`` degrades to once you cannot dereference it) kept in the
+current node's handle table so conversion round-trips preserve identity.
+Each stream schedules on one :class:`~repro.hw.clock.Timeline` — a lane
+of its device, reachable from ``get_node().timelines()``: operations
+enqueued on a stream execute in order, and independent streams may
+overlap — the same guarantees real PM streams give.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import threading
 
-from repro.errors import StreamError
 from repro.hamr.allocator import HOST_DEVICE_ID, PMKind
 from repro.hw.clock import EventCategory, SimClock, Timeline, TimedEvent
+from repro.hw.node import get_node
 
 __all__ = ["StreamMode", "Stream", "default_stream", "copy_stream"]
 
@@ -41,24 +40,39 @@ class StreamMode(enum.Enum):
     ASYNC = "async"
 
 
-_handle_counter = itertools.count(1)
-_registry_lock = threading.Lock()
-# (pm, handle) -> Stream, so from_native/to_native round-trip.
-_native_registry: dict[tuple[PMKind, int], "Stream"] = {}
+def _loc(device_id: int) -> str:
+    return "host" if device_id == HOST_DEVICE_ID else f"dev{device_id}"
 
 
 class Stream:
     """An ordered queue of device (or host) operations."""
 
     def __init__(self, device_id: int = 0, name: str | None = None, pm: PMKind = PMKind.CUDA):
+        self._attach(device_id, pm, name)
+
+    def _attach(self, device_id: int, pm: PMKind, name: str | None = None,
+                handle: int | None = None, timeline: Timeline | None = None) -> None:
+        """Register with the current node: the handle (a fresh one unless
+        given) in its table and — unless ``timeline`` is one of the
+        device's two default lanes — a timeline of this stream's own as
+        an extra lane, so the default lanes' cursors never move for it."""
         self.device_id = int(device_id)
         self.pm = pm
-        self._handle = next(_handle_counter)
-        loc = "host" if self.device_id == HOST_DEVICE_ID else f"dev{self.device_id}"
-        self.name = name if name is not None else f"stream{self._handle}@{loc}"
-        self.timeline = Timeline(self.name)
-        with _registry_lock:
-            _native_registry[(self.pm, self._handle)] = self
+        node = get_node()
+        resource = node.resource(self.device_id)
+        with node.lock:
+            if handle is None:
+                # Past every handle held, adopted ones included: a
+                # handle in use is never issued again.
+                handle = 1 + max((h for _, h in node.native_streams), default=0)
+            self._handle = int(handle)
+            node.native_streams[(pm, self._handle)] = self
+        self.name = name if name is not None else f"stream{handle}@{_loc(self.device_id)}"
+        self.timeline = timeline
+        if timeline is None:
+            self.timeline = Timeline(self.name)
+            with resource.lock:
+                resource.lanes.append(self.timeline)
 
     # -- native-handle interchange --------------------------------------------
     def to_native(self, pm: PMKind | None = None) -> int:
@@ -70,26 +84,22 @@ class Stream:
         and interop bookkeeping only.
         """
         if pm is not None and pm is not self.pm:
-            with _registry_lock:
-                _native_registry[(pm, self._handle)] = self
+            node = get_node()
+            with node.lock:
+                node.native_streams[(pm, self._handle)] = self
         return self._handle
 
     @classmethod
     def from_native(cls, pm: PMKind, handle: int, device_id: int = 0) -> "Stream":
         """Wrap a PM-native stream handle (identity-preserving)."""
-        with _registry_lock:
-            existing = _native_registry.get((pm, int(handle)))
+        node = get_node()
+        with node.lock:
+            existing = node.native_streams.get((pm, int(handle)))
         if existing is not None:
             return existing
         # An externally created native stream we have not seen: adopt it.
         s = cls.__new__(cls)
-        s.device_id = int(device_id)
-        s.pm = pm
-        s._handle = int(handle)
-        s.name = f"native{handle}@{pm.value}"
-        s.timeline = Timeline(s.name)
-        with _registry_lock:
-            _native_registry[(pm, int(handle))] = s
+        s._attach(device_id, pm, f"native{handle}@{pm.value}", handle=handle)
         return s
 
     # -- scheduling -------------------------------------------------------------
@@ -140,33 +150,36 @@ class Stream:
         return f"Stream({self.name!r}, device={self.device_id}, pm={self.pm.value})"
 
 
-# Per-(device, thread-agnostic) default streams, like CUDA's stream 0.
-_default_lock = threading.Lock()
-_default_streams: dict[int, Stream] = {}
+def _lane_stream(device_id: int, pm: PMKind, lane: str, label: str) -> Stream:
+    """The stream that schedules on ``resource.<lane>`` of the current
+    node's ``device_id``, made on first use and kept on the resource."""
+    device_id = int(device_id)
+    resource = get_node().resource(device_id)
+    with resource.lock:
+        s = resource.streams.get(lane)
+        if s is None:
+            s = Stream.__new__(Stream)
+            s._attach(
+                device_id, pm, f"{label}@{_loc(device_id)}",
+                timeline=getattr(resource, lane),
+            )
+            resource.streams[lane] = s
+        return s
 
 
 def default_stream(device_id: int = 0, pm: PMKind = PMKind.CUDA) -> Stream:
-    """The process-wide default stream for ``device_id``.
+    """The current node's default stream for ``device_id``, like CUDA's
+    stream 0; it schedules on ``resource.timeline``.
 
     This is what the paper's listings call ``svtkStream()`` — the stream
     used when the caller does not manage one explicitly.
     """
-    device_id = int(device_id)
-    with _default_lock:
-        s = _default_streams.get(device_id)
-        if s is None:
-            loc = "host" if device_id == HOST_DEVICE_ID else f"dev{device_id}"
-            s = Stream(device_id=device_id, name=f"default@{loc}", pm=pm)
-            _default_streams[device_id] = s
-        return s
-
-
-# Per-device dedicated copy streams (the DMA-engine lanes).
-_copy_streams: dict[int, Stream] = {}
+    return _lane_stream(device_id, pm, "timeline", "default")
 
 
 def copy_stream(device_id: int = 0, pm: PMKind = PMKind.CUDA) -> Stream:
-    """The per-device dedicated copy stream for ``device_id``.
+    """The per-device dedicated copy stream for ``device_id``; it
+    schedules on ``resource.copy_timeline``.
 
     Staging copies issued without an explicit stream order here — the
     copy-engine lane — rather than on the device's default compute
@@ -174,21 +187,4 @@ def copy_stream(device_id: int = 0, pm: PMKind = PMKind.CUDA) -> Stream:
     never on the node-wide host stream (whose shared cursor would
     couple unrelated ranks' simulated clocks in wall arrival order).
     """
-    device_id = int(device_id)
-    with _default_lock:
-        s = _copy_streams.get(device_id)
-        if s is None:
-            loc = "host" if device_id == HOST_DEVICE_ID else f"dev{device_id}"
-            s = Stream(device_id=device_id, name=f"copy@{loc}", pm=pm)
-            _copy_streams[device_id] = s
-        return s
-
-
-def reset_default_streams() -> None:
-    """Drop all default and copy streams (test helper), and the native
-    registry, which otherwise pins every stream ever made."""
-    with _default_lock:
-        _default_streams.clear()
-        _copy_streams.clear()
-    with _registry_lock:
-        _native_registry.clear()
+    return _lane_stream(device_id, pm, "copy_timeline", "copy")

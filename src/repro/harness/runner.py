@@ -290,17 +290,14 @@ def execute_small(
     :func:`repro.harness.calibrate.scaled_node_spec` for runs whose
     simulated solver should dominate at laptop body counts).
     """
-    from repro.hamr.stream import reset_default_streams
     from repro.hw.node import VirtualNode, set_node
     from repro.hw.spec import NodeSpec
 
     w = workload if workload is not None else SmallWorkload()
     base = node_spec if node_spec is not None else NodeSpec()
-    # Fresh node and fresh default streams: stream timelines are global
-    # and would otherwise carry the previous case's simulated time into
-    # this one.
+    # A fresh node: it owns every stream timeline, so none of the
+    # previous case's simulated time carries into this one.
     set_node(VirtualNode(base.with_devices(spec.gpus_per_node)))
-    reset_default_streams()
     outs = run_spmd(spec.ranks_per_node, _rank_main, spec, w)
 
     total = max(o[0] for o in outs)

@@ -23,7 +23,9 @@ Public surface
 - :class:`~repro.hw.device.VirtualDevice`, :class:`~repro.hw.device.HostCPU`.
 - :class:`~repro.hw.node.VirtualNode` plus the module-level topology
   queries (:func:`~repro.hw.node.get_node`,
-  :func:`~repro.hw.node.num_devices`, ...).
+  :func:`~repro.hw.node.num_devices`, ...).  The node owns all of a
+  run's simulated-time state — :meth:`~repro.hw.node.VirtualNode.timelines`
+  lists it — so installing a fresh one is the only reset there is.
 - :class:`~repro.hw.contention.ContentionModel`.
 """
 

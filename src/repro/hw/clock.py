@@ -129,11 +129,11 @@ class Timeline:
     ) -> TimedEvent:
         """Append an event *without* serializing against existing work.
 
-        Used to mirror work scheduled on a stream onto the owning
-        device's timeline for utilization reporting: streams on one
-        device may overlap, so mirrored events must not queue behind
-        each other.  ``available_at`` still advances to ``end`` so
-        cross-resource dependencies observe the activity.
+        Used by the transport plane, whose flows time themselves on
+        their ranks' clocks: frames of one flow may overlap, so its
+        events must not queue behind each other.  ``available_at``
+        still advances to ``end`` so cross-resource dependencies
+        observe the activity.
         """
         if end < start:
             raise ValueError(f"event ends before it starts: {start}..{end}")

@@ -10,8 +10,10 @@ expose:
 - *memory accounting* — simulated capacity tracking so that the
   out-of-memory behaviour of resource-hungry simulations (a central
   concern motivating zero-copy transfer in the paper) is reproducible;
-- an execution :class:`~repro.hw.clock.Timeline` that orders the work
-  scheduled on the part.
+- the *lanes* — the :class:`~repro.hw.clock.Timeline` objects that order
+  and record all simulated work on the part: ``timeline`` (the default
+  stream's queue), ``copy_timeline`` (the DMA engine) and one more per
+  explicitly constructed stream.  Nothing else holds a device's time.
 
 Kernel durations use the roofline form::
 
@@ -42,6 +44,16 @@ class ComputeResource:
         # Dedicated timeline for DMA traffic so copies can overlap compute,
         # as they do on real parts with copy engines.
         self.copy_timeline = Timeline(f"{name}.copy")
+        #: Every timeline work on this part is scheduled on: the two
+        #: above, then one per explicitly constructed stream.
+        self.lanes: list[Timeline] = [self.timeline, self.copy_timeline]
+        # Slots repro.hamr fills (hw imports nothing from it): the
+        # streams that schedule on the two default lanes, keyed by the
+        # lane's attribute name, and the stream-ordered memory pool.
+        self.streams: dict = {}
+        self.pool = None
+        #: Guards ``lanes`` and the slots.
+        self.lock = threading.Lock()
         self._mem_capacity = int(mem_capacity)
         self._mem_used = 0
         self._mem_lock = threading.Lock()
@@ -85,14 +97,6 @@ class ComputeResource:
         nbytes = int(nbytes)
         with self._mem_lock:
             self._mem_used = max(0, self._mem_used - nbytes)
-
-    def reset(self) -> None:
-        """Rewind timelines and memory accounting (test helper)."""
-        self.timeline.reset()
-        self.copy_timeline.reset()
-        with self._mem_lock:
-            self._mem_used = 0
-            self._peak_mem = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

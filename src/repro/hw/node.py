@@ -10,6 +10,12 @@ for a real process: ``num_devices()`` is the equivalent of
 automatic device selection (Eq. 1 in the paper) queries at run time.
 Tests and the harness install their own nodes via :func:`set_node` /
 :func:`use_node`.
+
+The node is also the one owner of a run's simulated-time state: every
+resource's lanes, streams and memory pool, the native stream-handle
+table and the transport timelines hang off it
+(:meth:`VirtualNode.timelines` enumerates the ledger), so installing a
+fresh node *is* the reset — there is no other.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import threading
 from typing import Iterator
 
 from repro.errors import LocationError
+from repro.hw.clock import Timeline
 from repro.hw.device import HostCPU, VirtualDevice
 from repro.hw.spec import NodeSpec
 
@@ -45,6 +52,13 @@ class VirtualNode:
             VirtualDevice(i, self.spec.device, node_id=self.node_id)
             for i in range(self.spec.num_devices)
         ]
+        # Slots the owning layers fill (hw imports nothing from them):
+        # repro.hamr's (pm, native handle) -> Stream table and
+        # repro.transport's per-endpoint timelines.
+        self.native_streams: dict = {}
+        self.transport_timelines: list[Timeline] = []
+        #: Guards the two slots above.
+        self.lock = threading.Lock()
 
     # -- lookup -------------------------------------------------------------
     @property
@@ -90,15 +104,20 @@ class VirtualNode:
             bw = link.d2d_bandwidth
         return link.latency + int(nbytes) / bw
 
-    def reset(self) -> None:
-        """Rewind all timelines and memory accounting (test helper)."""
-        self.host.reset()
-        for d in self.devices:
-            d.reset()
-
     def iter_resources(self) -> Iterator[VirtualDevice | HostCPU]:
         yield self.host
         yield from self.devices
+
+    def timelines(self) -> list[Timeline]:
+        """Every timeline this node's simulated time is kept on: each
+        resource's lanes (host first), then the transport timelines."""
+        out: list[Timeline] = []
+        for r in self.iter_resources():
+            with r.lock:
+                out.extend(r.lanes)
+        with self.lock:
+            out.extend(self.transport_timelines)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualNode(id={self.node_id}, devices={self.num_devices})"

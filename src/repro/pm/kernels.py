@@ -3,7 +3,7 @@
 A kernel here is a Python callable operating on the numpy arrays behind
 a set of buffers.  The callable runs eagerly (numerics are real), while
 the simulated duration — from the target resource's roofline model — is
-scheduled on a stream and recorded against the device timeline.  Output
+scheduled on a stream, whose timeline is a lane of the device.  Output
 buffers carry the completion event as a pending dependency, so
 downstream synchronization behaves exactly as stream-ordered device
 work does.
@@ -111,9 +111,6 @@ def launch(
     ev = stream.enqueue(
         clock, dur, name=name, category=EventCategory.COMPUTE, mode=mode, after=after
     )
-    # Mirror onto the device's own timeline for utilization reporting
-    # (without serializing: independent streams may overlap on a device).
-    resource.timeline.record(ev.start, ev.end, name=name, category=EventCategory.COMPUTE)
     for b in writes:
         b.mark_pending(ev)
     return ev

@@ -31,7 +31,6 @@ from repro.sensei.data_adaptor import DataAdaptor
 from repro.service.plan import ServiceConfig, ShardMap, route_producers
 from repro.svtk.table import TableData
 from repro.transport.flows import CTRL_TAG, FlowTable
-from repro.transport.metrics import new_transport_timeline
 
 __all__ = ["Router", "ServiceBridge"]
 
@@ -66,7 +65,6 @@ class Router:
         )
         #: Live senders keyed (pipeline, endpoint world rank).
         self.senders = self.flows.senders
-        self._timelines: dict[str, object] = {}
         #: Quota decisions keyed (pipeline, endpoint index): total
         #: credits granted to the tenant on that endpoint.  Applied to
         #: live senders immediately and replayed onto senders created
@@ -93,22 +91,12 @@ class Router:
             f"rank {producer} does not feed pipeline {name!r}"
         )
 
-    def _timeline(self, name: str):
-        tl = self._timelines.get(name)
-        if tl is None:
-            tl = new_transport_timeline(
-                f"service.{name}.rank{self.world.rank}"
-            )
-            self._timelines[name] = tl
-        return tl
-
     def sender_for(self, name: str, endpoint_index: int):
         dest = self.m + int(endpoint_index)
         sender = self.senders.get((name, dest))
         if sender is None:
             sender = self.flows.sender(
-                name, dest, self.config.spec(name).transport,
-                timeline=self._timeline(name),
+                name, dest, self.config.spec(name).transport
             )
             grant = self._grants.get((name, endpoint_index))
             if grant is not None:

@@ -28,7 +28,6 @@ from repro.service.plan import PipelineRegistry, ServiceConfig, ShardMap, route_
 from repro.service.router import ServiceBridge
 from repro.svtk.table import TableData
 from repro.transport.flows import CTRL_TAG, FlowTable
-from repro.transport.metrics import new_transport_timeline
 
 __all__ = ["StepMerger", "ServiceEndpoint", "run_service"]
 
@@ -160,12 +159,6 @@ class ServiceEndpoint:
         self._analysis_comms: dict[str, Communicator] = {}
         self.pipeline_steps: dict[str, int] = {}
         self._initial_members: dict[str, tuple[int, ...]] = {}
-        self._timelines = {
-            spec.name: new_transport_timeline(
-                f"service.{spec.name}.endpoint{self.endpoint_index}"
-            )
-            for spec in config.pipelines
-        }
         for spec in config.pipelines:
             producers = spec.producers(self.m)
             routed = route_producers(
@@ -235,10 +228,7 @@ class ServiceEndpoint:
         that raced ahead of the control message simply wait in the
         producer's mailbox until the receiver exists.
         """
-        self.flows.receiver(
-            name, producer, self.config.spec(name).transport,
-            timeline=self._timelines[name],
-        )
+        self.flows.receiver(name, producer, self.config.spec(name).transport)
 
     def _assemble(self, name: str, payloads: list[dict]) -> TableData:
         spec = self.config.spec(name)

@@ -1,9 +1,8 @@
 """Shared harness for determinism suites and trace-gated tests.
 
 Every determinism test has the same skeleton: scrub the process-global
-substrate state (node, streams, pools, clock, active device), run a
-seeded scenario, scrub again, run it again, and compare canonical
-logs.  Before :mod:`repro.trace` landed each suite hand-rolled that
+substrate state (node, clock, active device), run a seeded scenario,
+scrub again, run it again, and compare canonical logs.  Before :mod:`repro.trace` landed each suite hand-rolled that
 scaffolding plus its own decision-canonicalization helper; this module
 is the single copy they now share, and the golden-trace tests reuse it
 to re-record fixtures under identical conditions.
@@ -11,13 +10,10 @@ to re-record fixtures under identical conditions.
 
 from __future__ import annotations
 
-from repro.hamr.pool import reset_pools
 from repro.hamr.runtime import set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
 from repro.hw.clock import SimClock
 from repro.hw.node import reset_node
 from repro.trace.format import canonical_decision, canonical_float
-from repro.transport.metrics import reset_transport_timelines
 
 __all__ = [
     "fresh_substrate",
@@ -33,14 +29,11 @@ def fresh_substrate(name: str = "determinism") -> None:
 
     Equivalent to the per-test ``clean_substrate`` fixture, for code
     that runs a scenario *multiple times inside one test* (reruns,
-    record-then-replay): node, streams (default, copy and the native
-    registry), pools, transport timelines, a fresh ``SimClock`` at
-    zero, active device 0.
+    record-then-replay): a fresh node — which owns every stream, pool
+    and timeline of a run — a fresh ``SimClock`` at zero, active
+    device 0.
     """
     reset_node()
-    reset_default_streams()
-    reset_pools()
-    reset_transport_timelines()
     set_current_clock(SimClock(name=name))
     set_active_device(0)
 

@@ -38,11 +38,7 @@ from repro.transport.channel import (
 from repro.transport.config import TransportConfig
 from repro.transport.flow import CreditWindow
 from repro.transport.flows import FlowTable
-from repro.transport.metrics import (
-    TransportMetrics,
-    reset_transport_timelines,
-    transport_timelines,
-)
+from repro.transport.metrics import TransportMetrics
 from repro.transport.partition import available_partitioners, get_partitioner
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import (
@@ -72,6 +68,4 @@ __all__ = [
     "encode_step",
     "get_codec",
     "get_partitioner",
-    "reset_transport_timelines",
-    "transport_timelines",
 ]

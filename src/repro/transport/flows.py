@@ -8,7 +8,8 @@ table).
 A :class:`FlowTable` is one rank's set of reliable flows under one
 ``(plane, name)``: it builds :class:`~repro.transport.channel.ReliableSender`
 / ``ReliableReceiver`` pairs on demand, caches them by ``(flow, peer)``,
-drains and sums them in sorted key order, and *claims* its tags on the
+gives each flow one timeline on the node's ledger, drains and sums them
+in sorted key order, and *claims* its tags on the
 communicator while open — a second table whose tags overlap (the same
 name reused, or two names hashing to one array slot) is a structured
 :class:`~repro.errors.ConfigError` at open time instead of two flows
@@ -21,8 +22,10 @@ import zlib
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigError
+from repro.transport.metrics import new_transport_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hw.clock import Timeline
     from repro.transport.channel import ReliableReceiver, ReliableSender
 
 __all__ = [
@@ -82,7 +85,8 @@ class FlowTable:
     ``tags`` maps each flow this table may open to its (data, ack)
     pair — the table claims all of them on ``comm`` until
     :meth:`release`.  ``senders`` / ``receivers`` are the live caches,
-    keyed ``(flow, peer rank)``.
+    keyed ``(flow, peer rank)``; ``timelines`` holds one transport
+    timeline per flow opened here, named by plane, flow and rank.
     """
 
     def __init__(
@@ -100,6 +104,7 @@ class FlowTable:
         self.load_board = load_board
         self.senders: dict[tuple[str, int], "ReliableSender"] = {}
         self.receivers: dict[tuple[str, int], "ReliableReceiver"] = {}
+        self.timelines: dict[str, "Timeline"] = {}
         claims = getattr(comm, "_flow_tag_claims", None)
         if claims is None:
             claims = comm._flow_tag_claims = {}
@@ -123,29 +128,31 @@ class FlowTable:
         key = (flow, int(peer))
         if key not in cache:
             data_tag, ack_tag = self.tags[flow]
+            pipeline = f"{self.name}.{flow}" if self.name else flow
+            if flow not in self.timelines:
+                self.timelines[flow] = new_transport_timeline(
+                    f"{self.plane}.{pipeline}.rank{self.comm.rank}"
+                )
             cache[key] = endpoint(
                 self.comm, peer, *args, data_tag=data_tag, ack_tag=ack_tag,
-                pipeline=f"{self.name}.{flow}" if self.name else flow, **kw,
+                pipeline=pipeline, timeline=self.timelines[flow], **kw,
             )
         return cache[key]
 
-    def sender(self, flow: str, peer: int, config=None, timeline=None):
+    def sender(self, flow: str, peer: int, config=None):
         """The cached sender of ``flow`` to ``peer`` (built on first use)."""
         from repro.transport.channel import ReliableSender
 
         return self._open(
             self.senders, ReliableSender, flow, peer, config,
-            timeline=timeline, load_board=self.load_board,
+            load_board=self.load_board,
         )
 
-    def receiver(self, flow: str, peer: int, config=None, timeline=None):
+    def receiver(self, flow: str, peer: int, config=None):
         """The cached receiver of ``flow`` from ``peer``."""
         from repro.transport.channel import ReliableReceiver
 
-        return self._open(
-            self.receivers, ReliableReceiver, flow, peer, config,
-            timeline=timeline,
-        )
+        return self._open(self.receivers, ReliableReceiver, flow, peer, config)
 
     def close_senders(self, flow: str | None = None) -> None:
         """Drain every open sender (of one flow, or all) in key order."""

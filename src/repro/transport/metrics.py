@@ -1,9 +1,9 @@
 """Transport observability: counters + timeline events for the trace.
 
-Every sender/receiver owns a :class:`TransportMetrics` and a dedicated
-:class:`~repro.hw.clock.Timeline` registered process-wide, so
-``repro.hw.trace.chrome_trace`` picks transport activity up exactly
-like device/stream activity.  The counters additionally export
+Every sender/receiver owns a :class:`TransportMetrics` and records on a
+:class:`~repro.hw.clock.Timeline` kept on the current node, so
+``get_node().timelines()`` hands ``repro.hw.trace.chrome_trace``
+transport activity next to device/stream activity.  The counters additionally export
 Chrome-trace *counter* events (``"ph": "C"``) so retries, bytes, and
 the compression ratio are inspectable in Perfetto next to the
 timelines they explain.
@@ -11,10 +11,10 @@ timelines they explain.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
 
 from repro.hw.clock import Timeline
+from repro.hw.node import get_node
 
 __all__ = [
     "TransportMetrics",
@@ -105,25 +105,26 @@ class TransportMetrics:
         ]
 
 
-_registry_lock = threading.Lock()
-_timelines: list[Timeline] = []
-
-
 def new_transport_timeline(name: str) -> Timeline:
-    """A fresh, registry-tracked timeline for one transport endpoint."""
+    """A fresh timeline for one transport endpoint, kept on the current
+    node's ledger."""
     tl = Timeline(name)
-    with _registry_lock:
-        _timelines.append(tl)
+    node = get_node()
+    with node.lock:
+        node.transport_timelines.append(tl)
     return tl
 
 
 def transport_timelines() -> list[Timeline]:
-    """Every transport timeline created since the last reset."""
-    with _registry_lock:
-        return list(_timelines)
+    """Every transport timeline created on the current node."""
+    node = get_node()
+    with node.lock:
+        return list(node.transport_timelines)
 
 
 def reset_transport_timelines() -> None:
-    """Drop registered timelines (test/benchmark helper)."""
-    with _registry_lock:
-        _timelines.clear()
+    """Clear the current node's transport timelines.  A fresh node starts
+    with none; this exists only because ``benchmarks/core`` calls it."""
+    node = get_node()
+    with node.lock:
+        node.transport_timelines.clear()

@@ -1,8 +1,9 @@
 """Shared test fixtures.
 
-The substrate keeps a little process-global state (the current virtual
-node, default streams, each thread's clock and active device).  Every
-test starts from a clean slate so simulated times are deterministic.
+The substrate keeps a little process-global state: the current virtual
+node — which owns every stream, pool and timeline of a run — and each
+thread's clock and active device.  Every test starts from a clean slate
+so simulated times are deterministic.
 
 Multi-rank control-plane scenarios share the :func:`spmd_control`
 fixture: it wraps :func:`repro.mpi.comm.run_spmd` (thread-backed
@@ -54,8 +55,8 @@ def update_golden(request) -> bool:
 
 @pytest.fixture(autouse=True)
 def clean_substrate():
-    """Fresh node, streams, pools, transport timelines, clock, and
-    active device per test — and nothing left pinned after it."""
+    """Fresh node, clock and active device per test — and nothing left
+    pinned after it."""
     fresh_substrate("test")
     yield
     fresh_substrate("test")

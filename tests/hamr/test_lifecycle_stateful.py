@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 from repro.hamr.buffer import Buffer
 from repro.hamr.runtime import set_active_device, set_current_clock
-from repro.hamr.stream import reset_default_streams
 from repro.hamr.view import accessible_view
 from repro.hw.clock import SimClock
 from repro.hw.node import VirtualNode, get_node, set_node
@@ -50,11 +49,7 @@ class BufferLifecycle(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        from repro.hamr.pool import reset_pools
-
         set_node(VirtualNode())
-        reset_default_streams()
-        reset_pools()
         set_current_clock(SimClock(name="stateful"))
         set_active_device(0)
         self.shadow: dict[int, np.ndarray] = {}  # id(buffer) -> contents

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import DeviceOutOfMemoryError
 from repro.hamr.allocator import Allocator
 from repro.hamr.buffer import Buffer
-from repro.hamr.pool import MemoryPool, pool_for, reset_pools
+from repro.hamr.pool import MemoryPool, pool_for
 from repro.hamr.runtime import current_clock
 from repro.hw.node import VirtualNode, get_node, set_node
 from repro.hw.spec import small_node_spec
@@ -57,14 +57,12 @@ class TestMemoryPool:
         assert pool_for(node.devices[0]) is pool_for(node.devices[0])
         assert pool_for(node.devices[0]) is not pool_for(node.devices[1])
 
-    def test_registry_pins_resource_against_id_reuse(self):
-        """Regression: keying by id(resource) aliased pools after GC.
-
-        An ``id()`` holds no reference — once a registered resource was
-        collected, a new resource could be allocated at the same id and
-        silently inherit the dead resource's pool (and its buckets).
-        The registry must hold a strong reference instead, released
-        only by reset_pools().
+    def test_pool_lives_and_dies_with_its_resource(self):
+        """Regression: a registry keyed by id(resource) aliased pools
+        after GC — a new resource allocated at a collected one's id
+        silently inherited its pool (and its buckets).  The pool is an
+        attribute of the resource now: it cannot outlive it, nothing
+        else pins either, and no reset call is needed to release them.
         """
         import gc
         import weakref
@@ -77,16 +75,14 @@ class TestMemoryPool:
         ref = weakref.ref(dev)
         del dev
         gc.collect()
-        assert ref() is not None, "registry must pin the resource"
+        assert ref() is not None, "a live pool keeps its resource"
         assert pool_for(ref()) is pool
-        del pool  # the pool object itself also references the resource
-        reset_pools()
+        del pool
         gc.collect()
-        assert ref() is None, "reset_pools must release the resource"
+        assert ref() is None, "nothing but the pair pins the pair"
 
     def test_oom_propagates_through_pool(self):
         set_node(VirtualNode(small_node_spec(mem_capacity=KiB)))
-        reset_pools()
         pool = pool_for(get_node().devices[0])
         with pytest.raises(DeviceOutOfMemoryError):
             pool.acquire(MiB)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hamr.allocator import HOST_DEVICE_ID, PMKind
-from repro.hamr.stream import Stream, StreamMode, default_stream
+import numpy as np
+
+from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
+from repro.hamr.buffer import Buffer
+from repro.hamr.pool import pool_for
+from repro.hamr.stream import Stream, StreamMode, copy_stream, default_stream
 from repro.hw.clock import EventCategory, SimClock
+from repro.hw.node import VirtualNode, get_node, set_node
 
 
 class TestEnqueue:
@@ -93,6 +98,15 @@ class TestNativeInterchange:
         a, b = Stream(device_id=0), Stream(device_id=0)
         assert a.to_native() != b.to_native()
 
+    def test_adopted_handle_is_never_issued_again(self):
+        """Regression: the handle counter knew nothing of adopted
+        handles, so it issued 3 again and the new stream took the
+        table entry — work ordered on ``ext`` landed on a stranger."""
+        ext = Stream.from_native(PMKind.CUDA, 3)
+        made = [Stream(), Stream(), Stream()]
+        assert 3 not in [s.to_native() for s in made]
+        assert Stream.from_native(PMKind.CUDA, 3) is ext
+
 
 class TestDefaultStream:
     def test_per_device_singleton(self):
@@ -102,6 +116,39 @@ class TestDefaultStream:
     def test_host_default_stream(self):
         s = default_stream(HOST_DEVICE_ID)
         assert s.device_id == HOST_DEVICE_ID
+
+    @pytest.mark.parametrize("device_id", [HOST_DEVICE_ID, 0, 3])
+    def test_default_and_copy_streams_are_the_resource_lanes(self, device_id):
+        r = get_node().resource(device_id)
+        assert default_stream(device_id).timeline is r.timeline
+        assert copy_stream(device_id).timeline is r.copy_timeline
+        assert r.lanes == [r.timeline, r.copy_timeline]
+
+    def test_explicit_stream_is_an_extra_lane(self):
+        """Its work is on the node's ledger, and the default lanes'
+        cursors — which simulated numbers depend on — never move."""
+        r = get_node().resource(1)
+        s = Stream(device_id=1)
+        ev = s.enqueue(SimClock(), 2.0, mode=StreamMode.ASYNC)
+        assert r.lanes == [r.timeline, r.copy_timeline, s.timeline]
+        assert r.timeline.available_at == r.copy_timeline.available_at == 0.0
+        assert ev in [e for tl in get_node().timelines() for e in tl.events]
+
+    def test_a_fresh_node_has_fresh_streams_and_pools(self):
+        """Installing a node is the whole reset: no stream cursor and
+        no pooled block survives it."""
+        for _ in range(2):
+            set_node(VirtualNode())
+            clk = SimClock()
+            b = Buffer.allocate(
+                512, np.float64, Allocator.CUDA_ASYNC, device_id=0, clock=clk
+            )
+            (alloc,) = default_stream(0).timeline.events
+            assert alloc.start == 0.0
+            pool = pool_for(get_node().resource(0))
+            assert (pool.hits, pool.misses) == (0, 1)
+            b.free(clock=clk)
+            assert pool.pooled_bytes == b.nbytes
 
     def test_synchronize_records_sync_event(self):
         clk = SimClock()

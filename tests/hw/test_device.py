@@ -59,13 +59,6 @@ class TestMemoryAccounting:
         gpu.release_memory(GiB)
         assert gpu.mem_used == 0
 
-    def test_reset(self, gpu):
-        gpu.claim_memory(MiB)
-        gpu.timeline.schedule(0.0, 1.0)
-        gpu.reset()
-        assert gpu.mem_used == 0
-        assert gpu.timeline.available_at == 0.0
-
 
 class TestGPUKernelTime:
     def test_launch_latency_floor(self, gpu):

@@ -119,9 +119,7 @@ class TestChromeTrace:
         execute_small(spec, SmallWorkload(n_bodies=100, steps=2,
                                           n_coordinate_systems=1,
                                           n_variables=1))
-        node = get_node()
-        timelines = [r.timeline for r in node.iter_resources()]
         p = tmp_path / "run.json"
-        write_chrome_trace(p, timelines)
+        write_chrome_trace(p, get_node().timelines())
         data = json.loads(p.read_text())
         assert any(e.get("ph") == "X" for e in data)

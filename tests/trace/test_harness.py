@@ -1,9 +1,9 @@
-"""The shared determinism harness scrubs *every* run-global registry."""
+"""A fresh substrate is a fresh node, and the node owns every ledger."""
 
 from __future__ import annotations
 
-from repro.hamr import stream as streams
 from repro.hamr.stream import Stream, default_stream
+from repro.hw.node import get_node
 from repro.mpi.comm import run_spmd
 from repro.trace.harness import fresh_substrate, rerun
 from repro.transport.channel import ReliableReceiver, ReliableSender
@@ -13,7 +13,7 @@ from ..transport.test_channel import make_table
 
 
 def _registries() -> tuple[int, int]:
-    return len(streams._native_registry), len(transport_timelines())
+    return len(get_node().native_streams), len(transport_timelines())
 
 
 def _scenario():
@@ -39,9 +39,9 @@ def _scenario():
 
 
 def test_no_registry_survives_a_fresh_substrate():
-    """``_native_registry`` pinned every Stream (and its timeline) for
-    the life of the process and ``_timelines`` grew by two per transport
-    run, ``fresh_substrate()`` or not; both now start every run empty."""
+    """The native-handle table and the transport timelines once lived in
+    module-level registries that outlived ``fresh_substrate()``; they
+    hang off the node now, so every run starts with both empty."""
     assert rerun(_scenario, times=3) == [(0, 0)] * 3
     fresh_substrate()
     assert _registries() == (0, 0)

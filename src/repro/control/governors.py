@@ -706,28 +706,22 @@ class PoolTrimGovernor(Governor):
         else:
             self._churn_streak = 0
             self._quiet_streak = 0
-        old = self.watermark
-        if (
-            self._churn_streak >= self.churn_window
-            and old < self.max_watermark
-        ):
+        old = new = self.watermark
+        if self._churn_streak >= self.churn_window:
             new = min(self.max_watermark, int(old * self.GROWTH))
             reason = (
                 f"{self._churn_streak} consecutive trim+refill cycles on "
                 f"{self.pool.resource.name}: trimming fights the workload"
             )
             self._churn_streak = 0
-        elif (
-            self._quiet_streak >= self.quiet_window
-            and old > self.base_watermark
-        ):
+        elif self._quiet_streak >= self.quiet_window:
             new = max(self.base_watermark, int(old / self.GROWTH))
             reason = (
                 f"{self._quiet_streak} consecutive quiet decisions on "
                 f"{self.pool.resource.name}: decay toward base watermark"
             )
             self._quiet_streak = 0
-        else:
+        if new == old:  # at a bound, or a zero mark that cannot grow
             return None
         applied = not self.frozen
         if applied:

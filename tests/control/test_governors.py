@@ -274,6 +274,19 @@ class TestPoolGrowth:
         gov.decide(101)  # churn again: quiet streak was reset
         assert gov.watermark == grown
 
+    def test_zero_watermark_logs_no_move_and_trims_every_round(self):
+        """Doubling 0 B is still 0 B: a move that moves nothing is no
+        decision, and the round trims as usual."""
+        pool = self._pool()
+        self._churn(pool)
+        gov = PoolTrimGovernor(pool, 0, adaptive=True, churn_window=2)
+        actions = []
+        for step in range(9):
+            actions += [d.action for d in gov.decide(step)]
+            self._churn(pool)
+        assert actions == [f"trim {int(4 * KiB)} B"] * 9
+        assert gov.watermark == 0 and gov.trimmed_bytes == 9 * int(4 * KiB)
+
     def test_non_adaptive_never_moves(self):
         pool = self._pool()
         self._churn(pool)

@@ -329,11 +329,12 @@ class UnownedWrapRule(Rule):
 # -- HL005 --------------------------------------------------------------------
 
 class ThreadOutsideRunnerRule(Rule):
-    """Direct ``threading.Thread`` use outside :class:`AsyncRunner`.
+    """Direct ``threading.Thread`` use outside the wait table.
 
     Ad-hoc threads bypass the simulated-clock hand-off, back-pressure,
-    and exception propagation that :class:`AsyncRunner` provides; a
-    thread without its own :class:`SimClock` silently reads the
+    and exception propagation that :class:`AsyncRunner` provides, and
+    the baton of :class:`~repro.mpi.waits.WaitTable` that decides who
+    runs; a thread without its own :class:`SimClock` silently reads the
     launching thread's clock and corrupts simulated time.
     """
 
@@ -346,7 +347,7 @@ class ThreadOutsideRunnerRule(Rule):
     )
 
     #: The module that implements the sanctioned threading machinery.
-    allowed = ("repro/sensei/execution.py",)
+    allowed = ("repro/mpi/waits.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*self.allowed):

@@ -657,12 +657,12 @@ def run_spmd(
                 table.fail(world.members[rank], exc)
 
     ranks = [
-        table.spawn(world.members[r], partial(runner, r)) for r in range(size)
+        table.spawn(world.members[r], partial(runner, r), start_time)
+        for r in range(size)
     ]
+    table.start()
     for ctx in ranks:
-        ctx.thread.start()
-    for ctx in ranks:
-        ctx.thread.join()
+        table.join(ctx)
 
     if errors:
         # Peers blocked when a rank failed woke with the secondary

@@ -33,7 +33,7 @@ from repro.hamr.copier import transfer
 from repro.hamr.runtime import current_clock, use_clock
 from repro.hamr.view import accessible_view
 from repro.hw.clock import SimClock
-from repro.mpi.waits import current_context
+from repro.mpi.waits import WaitTable, current_context
 from repro.svtk.data_array import DataArray, HostDataArray
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.table import TableData
@@ -119,12 +119,13 @@ class AsyncRunner:
 
     Inside ``run_spmd`` the worker is a live context of the run's wait
     table and the join parks there, so a task stuck in a collective on
-    its ``dup``'d communicator is a reported deadlock, not a hang.
+    its ``dup``'d communicator is a reported deadlock, not a hang, and
+    the task runs when the run's baton reaches it.  Outside, it is the
+    one context of a table of its own, beside the caller.
     """
 
     def __init__(self, name: str = "insitu"):
         self.name = str(name)
-        self._thread: threading.Thread | None = None
         self._join: Callable[[], None] | None = None
         self._task_end_sim: float = 0.0
         self._error: BaseException | None = None
@@ -190,15 +191,13 @@ class AsyncRunner:
 
         caller = current_context()
         if caller is None:
-            # Outside run_spmd there is nobody to deadlock with.
-            t = threading.Thread(target=worker, name=f"{self.name}-worker")
-            self._join = t.join
+            # Outside run_spmd the task is the only context of its table.
+            table, name = WaitTable(), f"{self.name}-worker"
         else:
-            task = caller.table.spawn(f"{caller.name}/{self.name}-worker", worker)
-            t = task.thread
-            self._join = partial(caller.table.join, task)
-        self._thread = t
-        t.start()
+            table, name = caller.table, f"{caller.name}/{self.name}-worker"
+        task = table.spawn(name, worker, start_time)
+        table.start()
+        self._join = partial(table.join, task)
         return float(start_time)
 
     def drain(self) -> None:
@@ -208,9 +207,9 @@ class AsyncRunner:
         end only if the task finished *later* than the caller — i.e.
         only when the simulation genuinely had to wait.
         """
-        if self._thread is not None:
+        if self._join is not None:
             self._join()
-            self._thread = None
+            self._join = None
             clock = current_clock()
             with self._lock:
                 end = self._task_end_sim
@@ -225,5 +224,5 @@ class AsyncRunner:
 
     @property
     def in_flight(self) -> bool:
-        t = self._thread
-        return t is not None and t.is_alive()
+        """True from a launch until the drain that joins it."""
+        return self._join is not None

@@ -304,7 +304,7 @@ class ReliableSender(_Endpoint):
                         clock.now,
                     )
                 if self.load_board is not None:
-                    self.load_board.add(self.dest, -released)
+                    self.load_board.add(self.dest, -released, clock.now)
             else:
                 # BACKOFF, charged to the simulated clock: fault recovery
                 # is visible on the timeline, and a clean run costs
@@ -324,8 +324,8 @@ class ReliableSender(_Endpoint):
         load, board = self.core.inflight_bytes, self.load_board
         if board is not None:
             if not frame.attempts:
-                board.add(self.dest, frame.nbytes)
-            load = board.load(self.dest)
+                board.add(self.dest, frame.nbytes, t0)
+            load = board.load(self.dest, t0)
         delivered = self.channel.send(
             frame.wire, self.dest, self.data_tag, load=load
         )

@@ -177,6 +177,25 @@ class TestExecuteSmall:
         )
 
 
+class TestExecuteSmallDeterminism:
+    def test_table1_makespans_repeat_bit_for_bit(self):
+        """On the default 4-device node ranks share devices, so their
+        alloc, free and stream charges land on common timelines in the
+        order the ranks run — which the wait table's baton fixes."""
+        small = SmallWorkload(n_bodies=256, steps=2,
+                              n_coordinate_systems=2, n_variables=5)
+
+        def makespans():
+            return [
+                execute_small(case, small).total_time
+                for case in table1_matrix(nodes=1)
+            ]
+
+        first = makespans()
+        assert makespans() == first
+        assert makespans() == first
+
+
 class TestReport:
     def test_table1_contains_paper_rows(self):
         text = format_table1(table1_matrix())

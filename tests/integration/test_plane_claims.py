@@ -289,6 +289,13 @@ class TestServiceClaim:
         naive, fair = admission
         assert "quota" in fair["governors"] and naive["governors"] == []
 
+    def test_naive_p99_repeats_bit_for_bit(self, admission):
+        """Congestion loss reads the in-flight bytes of every tenant,
+        which the LoadBoard answers in simulated time."""
+        naive, _fair = admission
+        for _ in range(2):
+            assert run_tenants(fair=False)["hi_p99"] == naive["hi_p99"]
+
 
 # -- control: codec and execution-mode governors vs both static choices ------------
 

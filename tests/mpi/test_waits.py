@@ -7,13 +7,25 @@ cases fail at once.
 
 from __future__ import annotations
 
+import threading
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, ExecutionError, MPIError
 from repro.hamr.runtime import current_clock
 from repro.mpi import run_spmd
+from repro.mpi.waits import WaitTable, current_context, off_scheduler
+from repro.sensei.analysis_adaptor import AnalysisAdaptor
+from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.execution import AsyncRunner
+from repro.sensei.intransit import InTransitLayout, run_in_transit
+from repro.svtk.table import TableData
+from repro.transport.config import TransportConfig
+from repro.transport.wire import ZlibCodec
+from repro.units import KiB
 
 
 def _parked(details: dict) -> dict[str, str]:
@@ -208,6 +220,154 @@ class TestNonblocking:
             return at_once, comm.wait_arrival(2)
 
         assert run_spmd(2, fn)[1] == ((2, 2), 3)
+
+
+class TestBaton:
+    """One context runs at a time, chosen by (simulated clock, spawn order)."""
+
+    def test_the_baton_goes_by_clock_then_rank(self):
+        log = []
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.recv(source=3, tag=1)  # every other rank has parked
+                for dest in (1, 2, 3):
+                    comm.send(None, dest=dest)
+                return
+            current_clock().advance((1.0, 1.0, 0.5)[comm.rank - 1])
+            if comm.rank == 3:
+                comm.send(None, dest=0, tag=1, charge=False)
+            comm.recv(source=0)
+            log.append(comm.rank)
+
+        run_spmd(4, fn)
+        # Rank 3 parked at 0.5 s, ranks 1 and 2 tie at 1.0 s.
+        assert log == [3, 1, 2]
+
+    def test_asynchronous_tasks_come_after_the_ranks(self):
+        log = []
+
+        def fn(comm):
+            if comm.rank == 1:
+                log.append("rank 1")
+                comm.send(None, dest=0)
+                return
+            runner = AsyncRunner("insitu")
+            runner.launch(lambda: log.append("task"))
+            comm.recv(source=1)
+            log.append("rank 0")
+            runner.drain()
+
+        run_spmd(2, fn)
+        # All three are ready at 0 s: ranks by id, then the task, which
+        # runs once rank 0 parks in the drain.
+        assert log == ["rank 1", "rank 0", "task"]
+
+    def test_only_the_context_that_gets_the_baton_is_notified(self, monkeypatch):
+        notified = []
+
+        class Counted(threading.Condition):
+            def notify(self, n=1):
+                notified.append(n)
+                super().notify(n)
+
+        spawn = WaitTable.spawn
+
+        def counted_spawn(self, *args):
+            ctx = spawn(self, *args)
+            ctx._wake = Counted(self.lock)
+            return ctx
+
+        monkeypatch.setattr(WaitTable, "spawn", counted_spawn)
+        tables = []
+
+        def fn(comm):
+            tables.append(current_context().table)
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            total = 0
+            for step in range(5):
+                comm.send(step, dest=right)
+                total += comm.recv(source=left)
+                total = comm.allreduce(total)
+            return total
+
+        run_spmd(8, fn)  # more ranks than cores
+        (table,) = set(tables)
+        assert table.handoffs > 0
+        assert len(notified) == table.handoffs
+
+    def test_producer_encode_and_endpoint_decode_overlap(self, monkeypatch):
+        """The one place two contexts run at once: pure codec calls."""
+        inside = {"compress": 0, "decompress": 0}
+        overlaps = []
+        lock = threading.Lock()
+
+        def watched(kind):
+            method = getattr(ZlibCodec, kind)
+
+            def wrapper(self, data):
+                with lock:
+                    inside[kind] += 1
+                    if inside["compress"] and inside["decompress"]:
+                        overlaps.append(kind)
+                try:
+                    return method(self, data)
+                finally:
+                    with lock:
+                        inside[kind] -= 1
+
+            return wrapper
+
+        for kind in inside:
+            monkeypatch.setattr(ZlibCodec, kind, watched(kind))
+        rng = np.random.default_rng(0)
+        fields = [np.round(rng.normal(size=1 << 18) * 64) / 64 for _ in range(4)]
+
+        def producer_main(sim_comm, bridge):
+            for step, field in enumerate(fields):
+                table = TableData("field")
+                table.add_host_column("rho", field)
+                adaptor = TableDataAdaptor({"field": table})
+                adaptor.set_step(step, 0.0)
+                bridge.execute(adaptor)
+
+        run_in_transit(
+            InTransitLayout(1, 1), producer_main, lambda: [Sink("field")],
+            mesh_name="field",
+            transport=TransportConfig(compression="zlib", chunk_bytes=64 * KiB),
+        )
+        assert overlaps
+
+    def test_deadlock_names_everyone_while_a_context_was_away(self):
+        """Ranks 1 and 2 park while rank 0 is inside a codec call: not
+        a deadlock yet.  Rank 0 comes back and parks: now it is, and
+        the report names all three."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                current_clock().advance(1.0)  # the others go first
+                with off_scheduler():
+                    zlib.compress(bytes(1 << 24))
+                comm.recv(source=1, tag=9)
+            else:
+                comm.recv(source=0, tag=comm.rank)
+
+        with pytest.raises(DeadlockError) as err:
+            run_spmd(3, fn)
+        assert err.value.details["cause"] == "deadlock"
+        assert _parked(err.value.details) == {
+            "rank 0": "recv(source=1 (rank 1), tag=9) on world",
+            "rank 1": "recv(source=0 (rank 0), tag=1) on world",
+            "rank 2": "recv(source=0 (rank 0), tag=2) on world",
+        }
+
+
+class Sink(AnalysisAdaptor):
+    def acquire(self, data, deep):
+        return None
+
+    def process(self, payload, comm, device_id):
+        pass
 
 
 # -- property: small random scripts against a sequential reference -------------

@@ -310,8 +310,6 @@ class TestEndpointIdleWait:
         mailbox.  The endpoint must park on them — not spin its sweep
         loop — and resume when the control message lands.  Asserted
         from the wait table's own state, never from timing."""
-        import time
-
         from repro.mpi import run_spmd
         from repro.mpi.waits import current_context
         from repro.service.plan import PipelineRegistry
@@ -321,44 +319,34 @@ class TestEndpointIdleWait:
 
         config = _two_pipeline_config()
         data_tag, ack_tag = config.tags("alpha")
-        sweeps, arrivals = [], []
+        chunks = encode_step(
+            _table("alpha", 600, 1.0), 0, 0.0, "none", 1024, pipeline="alpha",
+        )
+        assert len(chunks) > 1
+        # Everything rank 2 will ever be sent: the chunks, then the
+        # migrate, the fin and the shutdown.
+        arrivals = len(chunks) + 3
+        sweeps = []
 
         def producer(comm):
             comm.split(color=0, key=comm.rank)
             table = current_context().table
-            chunks = encode_step(
-                _table("alpha", 600, 1.0), 0, 0.0, "none", 1024,
-                pipeline="alpha",
-            )
-            assert len(chunks) > 1
-            # Everything rank 2 will ever be sent: the chunks, then the
-            # migrate, the fin and the shutdown.
-            arrivals.append(len(chunks) + 3)
             # alpha is sharded to endpoint 0 (rank 1); ship it to
             # endpoint 1 (rank 2) before telling it about the move.
             for chunk in chunks:
                 comm.send(("chunk", chunk), 2, data_tag)
-
-            def parked_on_unread_mail():
-                with table.lock:
-                    for ctx, describe in table.parked.values():
-                        if ctx.name == "rank 2":
-                            entry = describe()
-                            return (
-                                entry["waits_on"].startswith("idle(")
-                                and entry["mailboxes"] == [{
-                                    "source": 0, "tag": data_tag,
-                                    "messages": len(chunks),
-                                }]
-                            )
-                return False
-
-            while not parked_on_unread_mail():
-                time.sleep(0)  # yield; state, not time, ends the loop
-            swept = len(sweeps)
-            for _ in range(200):
-                time.sleep(0)
-            assert parked_on_unread_mail() and len(sweeps) == swept
+            # Rank 2 says so as it parks on the unread chunks; the baton
+            # reaches this rank only once it has parked.
+            assert comm.recv(2, CTRL_TAG, charge=False) == ("idle",)
+            with table.lock:
+                (entry,) = [
+                    describe() for ctx, describe in table.parked.values()
+                    if ctx.name == "rank 2"
+                ]
+            assert entry["waits_on"].startswith("idle(")
+            assert entry["mailboxes"] == [
+                {"source": 0, "tag": data_tag, "messages": len(chunks)},
+            ]
 
             comm.send(("svc_migrate", 0, "alpha", (0,)), 2, CTRL_TAG,
                       charge=False)
@@ -381,13 +369,18 @@ class TestEndpointIdleWait:
                 1, 2,
             )
             if comm.rank == 2:
-                poll = endpoint._poll_flows
+                poll, wait = endpoint._poll_flows, comm.wait_arrival
 
                 def counted():
                     sweeps.append(None)
                     return poll()
 
-                endpoint._poll_flows = counted
+                def idle(seen):
+                    if seen == len(chunks):  # every chunk here, none read
+                        comm.send(("idle",), 0, CTRL_TAG, charge=False)
+                    return wait(seen)
+
+                endpoint._poll_flows, comm.wait_arrival = counted, idle
             endpoint.serve()
             return endpoint.pipeline_steps
 
@@ -397,4 +390,4 @@ class TestEndpointIdleWait:
         # A few sweeps per arrival at most (one that finds it, one that
         # finds nothing more, one after a stale count) — a busy loop
         # would have swept thousands of times by now.
-        assert len(sweeps) <= 4 * arrivals[0] + 4
+        assert len(sweeps) <= 4 * arrivals + 4

@@ -16,7 +16,7 @@ This package reproduces all of that on the simulated substrate:
 - :mod:`~repro.newton.ic` — uniform-random initial conditions (with the
   massive central body of Figure 1) and a Plummer-sphere galaxy
   initializer standing in for MAGI;
-- :mod:`~repro.newton.forces` — tiled all-pairs softened gravity;
+- :mod:`~repro.newton.forces` — all-pairs softened gravity on SoA tiles;
 - :mod:`~repro.newton.integrator` — kick-drift-kick leapfrog (second
   order, time reversible, symplectic);
 - :mod:`~repro.newton.domain` — slab subdomains and repartitioning;

@@ -1,12 +1,10 @@
 """All-pairs softened gravity (direct summation).
 
 Newton++ is a *direct* n-body code: every local body interacts with
-every body in the system.  The kernel is tiled over the source bodies
-so memory stays bounded at large n (the guides' vectorize-and-broadcast
-idiom without materializing the full n x n matrix at once).
-
-G = 1 units.  ~20 FLOPs per pairwise interaction is the figure used
-for simulated-cost accounting (:func:`pair_flops`).
+every body in the system.  One pair loop, tiled over the sources,
+serves forces and energy, per coordinate on contiguous ``n_t x tile``
+arrays (the bodies' SoA layout) cut from one block per call, as fresh
+temporaries page-fault.  G = 1; :func:`pair_flops` charges ~20 FLOPs a pair.
 """
 
 from __future__ import annotations
@@ -32,6 +30,21 @@ def pair_flops(n_targets: int, n_sources: int) -> float:
     return FLOPS_PER_PAIR * float(n_targets) * float(n_sources)
 
 
+def _pair_tiles(targets_pos, sources_pos, softening, tile):
+    """Per source tile: (start, d, softened r2, scratch), n_t x tile views of
+    one coordinate-major block allocated once; d[k] is target -> source."""
+    n_s = sources_pos.shape[0]
+    block = np.empty((5, targets_pos.shape[0], min(tile, n_s)))
+    for start in range(0, n_s, tile):
+        s = sources_pos[start : start + tile].T
+        view = block[:, :, : s.shape[1]]
+        d, r2, scratch = view[:3], view[3], view[4]
+        np.subtract(s[:, None, :], targets_pos.T[:, :, None], out=d)
+        np.einsum("kij,kij->ij", d, d, out=r2)
+        r2 += softening * softening
+        yield start, d, r2, scratch
+
+
 def accelerations(
     targets_pos: np.ndarray,
     sources_pos: np.ndarray,
@@ -47,13 +60,13 @@ def accelerations(
         ``(n_t, 3)`` positions receiving force.
     sources_pos, sources_mass:
         ``(n_s, 3)`` positions and ``(n_s,)`` masses exerting force.
-        Self-interaction (distance 0) contributes nothing thanks to the
-        softened kernel's zeroed diagonal handling.
+        Self-interaction (distance 0) contributes nothing: the softened
+        kernel stays finite and a true self-pair has ``d == 0``.
     softening:
         Plummer softening length; must be positive (it is also what
         silences the self-interaction singularity).
     tile:
-        Source-tile width bounding the temporary to ``n_t x tile``.
+        Source-tile width bounding each temporary to ``n_t x tile``.
     """
     if softening <= 0:
         raise SolverError(f"softening must be positive: {softening}")
@@ -67,21 +80,13 @@ def accelerations(
     if sources_pos.shape != (sources_mass.size, 3):
         raise SolverError("sources_pos/sources_mass shape mismatch")
 
-    n_t = targets_pos.shape[0]
-    acc = np.zeros((n_t, 3))
-    eps2 = softening * softening
-    for start in range(0, sources_mass.size, tile):
-        sp = sources_pos[start : start + tile]
-        sm = sources_mass[start : start + tile]
-        # (n_t, n_tile, 3) displacement target -> source.
-        d = sp[None, :, :] - targets_pos[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
-        inv_r3 = r2 ** -1.5
-        # Bodies at (numerically) zero distance are the body itself:
-        # the softened kernel keeps this finite and the contribution of
-        # a true self-pair is exactly zero because d == 0.
-        w = sm[None, :] * inv_r3
-        acc += np.einsum("ij,ijk->ik", w, d)
+    acc = np.zeros((targets_pos.shape[0], 3))
+    for start, d, r2, w in _pair_tiles(targets_pos, sources_pos, softening, tile):
+        # w = m / (r2 sqrt(r2)): no fractional power.
+        np.multiply(r2, np.sqrt(r2, out=w), out=w)
+        np.divide(sources_mass[None, start : start + tile], w, out=w)
+        for k in range(3):
+            acc[:, k] += np.einsum("ij,ij->i", w, d[k])
     return acc
 
 
@@ -91,19 +96,12 @@ def potential_energy(
     """Total softened potential energy (each pair counted once)."""
     pos = np.asarray(pos, dtype=np.float64)
     mass = np.asarray(mass, dtype=np.float64)
-    n = mass.size
-    eps2 = softening * softening
     total = 0.0
-    for start in range(0, n, tile):
-        sp = pos[start : start + tile]
-        sm = mass[start : start + tile]
-        d = sp[None, :, :] - pos[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
-        inv_r = r2 ** -0.5
-        # Zero the self-pairs (global row i with tile column i-start).
-        rows = np.arange(start, min(start + tile, n))
-        inv_r[rows, rows - start] = 0.0
-        total += float(np.einsum("i,ij,j->", mass, inv_r, sm))
+    for start, _, r2, _ in _pair_tiles(pos, pos, softening, tile):
+        inv_r = np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
+        # Zero the self-pairs: global row start + j is tile column j.
+        np.fill_diagonal(inv_r[start:], 0.0)
+        total += float(mass @ inv_r @ mass[start : start + tile])
     return -0.5 * total
 
 

@@ -61,6 +61,10 @@ class SolverConfig:
             raise SolverError(f"n_bodies must be >= 1: {self.n_bodies}")
         if self.dt <= 0:
             raise SolverError(f"dt must be positive: {self.dt}")
+        if self.softening <= 0:
+            raise SolverError(f"softening must be positive: {self.softening}")
+        if self.tile < 1:
+            raise SolverError(f"tile must be >= 1: {self.tile}")
         if self.ic not in ("uniform", "plummer"):
             raise SolverError(f"unknown ic {self.ic!r}; use 'uniform' or 'plummer'")
         if self.repartition_every < 0:
@@ -219,12 +223,9 @@ class NewtonSolver:
 
     def global_energy(self) -> float:
         """Total system energy (collective; every rank gets the value)."""
+        # positions / velocities are already fresh (n, 3) copies.
         parts = self.comm.allgather(
-            (
-                self.bodies.positions.copy(),
-                self.bodies.velocities.copy(),
-                self.bodies.mass.copy(),
-            )
+            (self.bodies.positions, self.bodies.velocities, self.bodies.mass.copy())
         )
         pos = np.concatenate([p[0] for p in parts])
         vel = np.concatenate([p[1] for p in parts])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.harness.calibrate import PaperWorkload, SmallWorkload
@@ -177,23 +178,34 @@ class TestExecuteSmall:
         )
 
 
+def _table1_makespans():
+    small = SmallWorkload(n_bodies=256, steps=2,
+                          n_coordinate_systems=2, n_variables=5)
+    return [
+        execute_small(case, small).total_time
+        for case in table1_matrix(nodes=1)
+    ]
+
+
 class TestExecuteSmallDeterminism:
     def test_table1_makespans_repeat_bit_for_bit(self):
         """On the default 4-device node ranks share devices, so their
         alloc, free and stream charges land on common timelines in the
         order the ranks run — which the wait table's baton fixes."""
-        small = SmallWorkload(n_bodies=256, steps=2,
-                              n_coordinate_systems=2, n_variables=5)
+        first = _table1_makespans()
+        assert _table1_makespans() == first
+        assert _table1_makespans() == first
 
-        def makespans():
-            return [
-                execute_small(case, small).total_time
-                for case in table1_matrix(nodes=1)
-            ]
-
-        first = makespans()
-        assert makespans() == first
-        assert makespans() == first
+    def test_simulated_time_does_not_depend_on_force_values(self, monkeypatch):
+        """The kernel's charge is a function of counts, so a kernel that
+        returns zeros gives the same makespans bit for bit: any rewrite
+        of the force arithmetic leaves simulated time alone."""
+        real = _table1_makespans()
+        monkeypatch.setattr(
+            "repro.newton.solver.accelerations",
+            lambda targets, *args, **kwargs: np.zeros((len(targets), 3)),
+        )
+        assert _table1_makespans() == real
 
 
 class TestReport:

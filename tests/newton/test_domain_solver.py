@@ -90,6 +90,12 @@ class TestSolverConfig:
             SolverConfig(ic="magic")
         with pytest.raises(SolverError):
             SolverConfig(repartition_every=-1)
+        # Rejected at construction, not inside the first force
+        # evaluation on a rank thread.
+        with pytest.raises(SolverError, match="softening"):
+            SolverConfig(softening=0.0)
+        with pytest.raises(SolverError, match="tile"):
+            SolverConfig(tile=0)
 
 
 class TestNewtonSolver:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from repro.array.halo import halo_bytes_by_rank
 from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
 from repro.control.repartition import RepartitionGovernor
 from repro.control.rounds import coordination_round
@@ -120,9 +119,7 @@ class ArrayCoordinator:
                 costs[b] = self._block_busy[b]
         busy, halo = [0.0] * ranks, [0.0] * ranks
         busy[rank] = float(sum(costs[b] for b in partition.blocks_of(rank)))
-        halo[rank] = float(halo_bytes_by_rank(
-            partition, array.halo, array.dtype.itemsize
-        )[rank])
+        halo[rank] = float(self.exchanger.planned_halo_bytes(array))
         board = coordination_round(comm, {
             "block_costs": costs, "rank_busy": busy, "halo_bytes": halo,
         })

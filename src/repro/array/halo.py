@@ -115,7 +115,7 @@ class HaloExchanger:
         self.flows = FlowTable(comm, "array", self.name, array_tags(self.name))
         self._rounds: dict[tuple[int, str], int] = {}
         self._edges: set[tuple[int, int, str]] = set()
-        self._plan_cache: tuple["ArrayPartition", int, dict] | None = None
+        self._cache: _Schedule | None = None
         self.exchanges = 0
         self.handoffs = 0
         self.halo_bytes_moved = 0
@@ -133,43 +133,24 @@ class HaloExchanger:
         self._rounds[key] = self._rounds.get(key, 0) + 1
         return self._rounds[key]
 
-    # -- plan -------------------------------------------------------------------
-    def _plan(self, array: "DistributedArray") -> dict:
-        cached = self._plan_cache
+    # -- compiled schedule ------------------------------------------------------
+    def _schedule(self, array: "DistributedArray") -> "_Schedule":
+        """This rank's share of the plan, compiled to shard views once per
+        ``(array, partition)`` (``repartition`` installs a new partition
+        object).  A closed array is recompiled, so its freed buffers raise
+        :class:`~repro.errors.AllocationError` instead of being written."""
+        cached = self._cache
         if (
-            cached is not None
-            and cached[0] == array.partition
-            and cached[1] == array.halo
+            cached is not None and cached.array is array
+            and cached.partition is array.partition and not array._closed
         ):
-            return cached[2]
-        plan = halo_plan(array.partition, array.halo)
-        self._plan_cache = (array.partition, array.halo, plan)
-        return plan
+            return cached
+        self._cache = _Schedule(array, self.comm.rank)
+        return self._cache
 
-    @staticmethod
-    def _read_rows(array: "DistributedArray", lo: int, hi: int) -> np.ndarray:
-        """Owned global rows ``[lo, hi)`` (may span several shards)."""
-        out = np.empty(hi - lo, dtype=array.dtype)
-        filled = 0
-        for glo, ghi, view in array._local_overlaps(lo, hi):
-            out[glo - lo:ghi - lo] = view
-            filled += ghi - glo
-        if filled != hi - lo:
-            raise ArrayError(
-                f"rank {array.rank} asked to source rows [{lo}, {hi}) "
-                f"but owns only {filled} of them",
-                details={"rank": array.rank, "lo": lo, "hi": hi},
-            )
-        return out
-
-    @staticmethod
-    def _ghost_view(
-        array: "DistributedArray", block: int, side: str, lo: int, hi: int
-    ) -> np.ndarray:
-        shard = array.shards[block]
-        ghost = shard.left_ghost if side == "L" else shard.right_ghost
-        base = shard.start - shard.halo if side == "L" else shard.stop
-        return ghost[lo - base:hi - base]
+    def planned_halo_bytes(self, array: "DistributedArray") -> int:
+        """This rank's entry of :func:`halo_bytes_by_rank`, from the cache."""
+        return self._schedule(array).wire_bytes
 
     # -- halo exchange ----------------------------------------------------------
     def exchange(self, array: "DistributedArray", step: int) -> int:
@@ -182,31 +163,21 @@ class HaloExchanger:
         """
         if self._closed:
             raise ArrayError("halo exchanger already closed")
-        plan = self._plan(array)
+        schedule = self._schedule(array)
         rank = self.comm.rank
-        itemsize = array.dtype.itemsize
+        for ghost, source in schedule.local:
+            ghost[:] = source
         sent = 0
-        for src, dst in sorted(plan):
-            entries = plan[(src, dst)]
-            if src == dst:
-                if src == rank:
-                    for b, side, lo, hi in entries:
-                        view = self._ghost_view(array, b, side, lo, hi)
-                        view[:] = self._read_rows(array, lo, hi)
-                continue
+        for src, dst, views in schedule.edges:
             if rank == src:
-                payload = np.concatenate([
-                    self._read_rows(array, lo, hi)
-                    for _b, _s, lo, hi in entries
-                ])
+                payload = np.concatenate(views)
                 table = TableData(f"{self.name}.halo")
                 table.add_host_column("halo", payload)
                 self.flows.sender("halo", dst, self.config).send_step(
                     self._next_round(dst, "halo"), float(step), table
                 )
-                self._edges.add((src, dst, "halo"))
                 sent += payload.nbytes
-            elif rank == dst:
+            else:
                 flow = self.flows.receiver("halo", src, self.config)
                 result = flow.receive_step()
                 if result is None:
@@ -217,12 +188,10 @@ class HaloExchanger:
                 _round, _t, columns = result
                 values = np.asarray(columns["halo"], dtype=array.dtype)
                 offset = 0
-                for b, side, lo, hi in entries:
-                    n = hi - lo
-                    view = self._ghost_view(array, b, side, lo, hi)
-                    view[:] = values[offset:offset + n]
-                    offset += n
-                self._edges.add((src, dst, "halo"))
+                for view in views:
+                    view[:] = values[offset:offset + len(view)]
+                    offset += len(view)
+            self._edges.add((src, dst, "halo"))
         self.exchanges += 1
         self.halo_bytes_moved += sent
         return sent
@@ -300,3 +269,54 @@ class HaloExchanger:
                     pass
         self.flows.release()
         self._closed = True
+
+
+class _Schedule:
+    """One rank's exchange for one ``(array, partition)``: ``local``
+    ``(ghost, interior)`` view pairs, and ``edges`` — its remote edges in
+    global order as ``(src, dst, views)``, the interior views a payload
+    concatenates or the ghost views it is split into.  A span over several
+    shards (``halo > block_rows``) becomes one view per shard."""
+
+    def __init__(self, array: "DistributedArray", rank: int):
+        self.array, self.partition = array, array.partition
+        self.local, self.edges, self.wire_bytes = [], [], 0
+        plan = halo_plan(array.partition, array.halo)
+        for src, dst in sorted(plan):
+            entries = plan[(src, dst)]
+            if rank == src == dst:
+                self.local += [
+                    (self._ghost(b, side, glo, ghi), view)
+                    for b, side, lo, hi in entries
+                    for glo, ghi, view in self._sources(lo, hi)
+                ]
+            elif rank in (src, dst):
+                views = [
+                    view for _b, _s, lo, hi in entries
+                    for _lo, _hi, view in self._sources(lo, hi)
+                ] if rank == src else [self._ghost(*e) for e in entries]
+                self.edges.append((src, dst, views))
+                self.wire_bytes += sum(map(len, views)) * array.dtype.itemsize
+
+    def _ghost(self, block: int, side: str, lo: int, hi: int) -> np.ndarray:
+        shard = self.array.shards[block]
+        ghost = shard.left_ghost if side == "L" else shard.right_ghost
+        base = shard.start - shard.halo if side == "L" else shard.stop
+        return ghost[lo - base:hi - base]
+
+    def _sources(self, lo: int, hi: int) -> list[tuple]:
+        """Owned ``(global_lo, global_hi, interior_view)`` over ``[lo, hi)``."""
+        rows, pieces = self.partition.block_rows, []
+        for b in range(lo // rows, (hi - 1) // rows + 1):
+            shard = self.array.shards.get(b)
+            if shard is None:
+                raise ArrayError(
+                    f"rank {self.array.rank} asked to source rows "
+                    f"[{lo}, {hi}) but does not own block {b}",
+                    details={"rank": self.array.rank, "lo": lo, "hi": hi},
+                )
+            glo, ghi = max(lo, shard.start), min(hi, shard.stop)
+            pieces.append(
+                (glo, ghi, shard.interior[glo - shard.start:ghi - shard.start])
+            )
+        return pieces

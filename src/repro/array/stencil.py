@@ -143,18 +143,31 @@ class StencilWorkload:
         self.u[:] = np.sin(2.0 * np.pi * x / config.length)
         self.busy_time = 0.0
         self.steps_run = 0
+        self._swept: tuple = (None, [])
         self._closed = False
 
-    def _block_cost(self, start: int, stop: int, step: int) -> float:
-        """Charged seconds for one block's update at ``step``."""
+    def _block_cost(self, start: int, stop: int, live: bool) -> float:
+        """Charged seconds for one block's update (``live``: hotspot on)."""
         cfg = self.config
         rows = stop - start
         cost = rows / cfg.compute_rate
-        if cfg.hotspot_cost > 0.0 and step >= cfg.hotspot_from:
+        if cfg.hotspot_cost > 0.0 and live:
             hlo, hhi = cfg.hotspot_rows
             hot = max(0, min(stop, hhi) - max(start, hlo))
             cost += hot * cfg.hotspot_cost / cfg.compute_rate
         return cost
+
+    def _sweep(self) -> list[tuple]:
+        """``(block, left, mid, right, cold_cost, hot_cost)`` per owned
+        block, rebuilt only when a repartition installs a new partition."""
+        u = self.u
+        if self._swept[0] is not u.partition:
+            self._swept = (u.partition, [(
+                b, s.padded[:s.rows], s.padded[1:-1], s.padded[2:],
+                self._block_cost(s.start, s.stop, False),
+                self._block_cost(s.start, s.stop, True),
+            ) for b, s in sorted(u.shards.items())])
+        return self._swept[1]
 
     def step(self, step: int) -> dict[int, float]:
         """One Jacobi sweep; returns the per-block charged seconds."""
@@ -163,14 +176,11 @@ class StencilWorkload:
         cfg = self.config
         self.exchanger.exchange(self.u, step)
         clock = current_clock()
+        hot = step >= cfg.hotspot_from
         block_busy: dict[int, float] = {}
-        for b in sorted(self.u.shards):
-            shard = self.u.shards[b]
-            padded = shard.padded
-            n = shard.rows
-            left, mid, right = padded[:n], padded[1:n + 1], padded[2:n + 2]
-            shard.interior[:] = mid + cfg.alpha * (left - 2.0 * mid + right)
-            cost = self._block_cost(shard.start, shard.stop, step)
+        for b, left, mid, right, cold_cost, hot_cost in self._sweep():
+            mid[:] = mid + cfg.alpha * (left - 2.0 * mid + right)
+            cost = hot_cost if hot else cold_cost
             clock.advance(cost)
             block_busy[b] = cost
             self.busy_time += cost

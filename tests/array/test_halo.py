@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.array import ArrayPartition, DistributedArray, HaloExchanger
+from repro.array import (
+    ArrayPartition, DistributedArray, HaloExchanger, StencilConfig,
+    StencilWorkload,
+)
+from repro.array import halo as halo_module
 from repro.array.halo import halo_bytes_by_rank, halo_plan
-from repro.errors import ArrayError
+from repro.errors import AllocationError, ArrayError
 from repro.mpi import run_spmd
 from repro.transport.config import TransportConfig
 from repro.transport.retry import RetryPolicy
@@ -31,20 +35,23 @@ def ghosts_from_dense(array, dense):
     return out
 
 
+def ghost_failures(array, dense):
+    """Shards whose ghosts differ from the dense neighbourhood."""
+    failures = []
+    for b, (left, right) in sorted(ghosts_from_dense(array, dense).items()):
+        shard = array.shards[b]
+        if not (np.array_equal(shard.left_ghost, left)
+                and np.array_equal(shard.right_ghost, right)):
+            failures.append(b)
+    return failures
+
+
 def exchange_and_check(comm, array, dense, transport=None, steps=1):
     array[:] = dense
     exchanger = HaloExchanger(comm, transport)
     for step in range(1, steps + 1):
         exchanger.exchange(array, step)
-    expected = ghosts_from_dense(array, dense)
-    failures = []
-    for b in sorted(array.shards):
-        s = array.shards[b]
-        left, right = expected[b]
-        if not np.array_equal(s.left_ghost, left):
-            failures.append((b, "L", s.left_ghost.copy(), left))
-        if not np.array_equal(s.right_ghost, right):
-            failures.append((b, "R", s.right_ghost.copy(), right))
+    failures = ghost_failures(array, dense)
     exchanger.close()
     return failures, exchanger.halo_bytes_moved
 
@@ -212,17 +219,141 @@ class TestTwoExchangersOneCommunicator:
             for step in range(1, 5):
                 for name in sorted(dense):
                     exchangers[name].exchange(arrays[name], step)
-            failures = []
-            for name in sorted(dense):
-                expected = ghosts_from_dense(arrays[name], dense[name])
-                for b, (left, right) in sorted(expected.items()):
-                    shard = arrays[name].shards[b]
-                    if not (np.array_equal(shard.left_ghost, left)
-                            and np.array_equal(shard.right_ghost, right)):
-                        failures.append((name, b))
+            failures = [
+                (name, b) for name in sorted(dense)
+                for b in ghost_failures(arrays[name], dense[name])
+            ]
             for name in sorted(dense):
                 exchangers[name].close()
                 arrays[name].close()
             return failures
 
         assert run_spmd(3, main) == [[], [], []]
+
+
+class TestScheduleInvalidation:
+    """The exchange is compiled to shard views once per (array,
+    partition); these pin when that compiled schedule must be rebuilt."""
+
+    @pytest.mark.parametrize("partitioner", ["block", "cyclic"])
+    @pytest.mark.parametrize("halo", [1, 3])
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_repartition_moving_every_block(self, ranks, halo, partitioner):
+        # block_rows 2 < halo 3: ghost spans cross several source shards.
+        dense = np.arange(40, dtype=np.float64) + 1.0
+
+        def main(comm):
+            array = DistributedArray.create(
+                comm, 40, partitioner=partitioner, block_rows=2,
+                halo=halo, device_id=0,
+            )
+            array[:] = dense
+            exchanger = HaloExchanger(comm)
+            exchanger.exchange(array, 1)
+            before = ghost_failures(array, dense)
+            owners = [(o + 1) % ranks for o in array.partition.owners]
+            array.repartition(owners, exchanger, 2)
+            exchanger.exchange(array, 3)
+            after = ghost_failures(array, dense)
+            exchanger.close()
+            array.close()
+            return before, after
+
+        assert run_spmd(ranks, main) == [([], [])] * ranks
+
+    def test_equal_partitions_of_two_arrays_keep_their_own_ghosts(self):
+        dense = {
+            "a": np.arange(32, dtype=np.float64) + 1.0,
+            "b": -3.0 * np.arange(32, dtype=np.float64) - 2.0,
+        }
+
+        def main(comm):
+            # One partition object shared by both arrays: equal *and*
+            # identical, so only the array tells the two apart.
+            partition = ArrayPartition(
+                32, comm.size, partitioner="cyclic", block_rows=4
+            )
+            arrays = {
+                name: DistributedArray(
+                    comm, partition, halo=2, device_id=0, name=name,
+                )
+                for name in sorted(dense)
+            }
+            exchanger = HaloExchanger(comm)
+            failures = []
+            for step, name in enumerate(["a", "b", "a", "b"], start=1):
+                arrays[name][:] = dense[name] * step
+                exchanger.exchange(arrays[name], step)
+                failures += [
+                    (name, b)
+                    for b in ghost_failures(arrays[name], dense[name] * step)
+                ]
+            exchanger.close()
+            for name in sorted(arrays):
+                arrays[name].close()
+            return failures
+
+        assert run_spmd(2, main) == [[], []]
+
+    def test_exchange_after_array_close_raises(self):
+        def main(comm):
+            array = DistributedArray.create(
+                comm, 16, block_rows=4, halo=1, device_id=0,
+            )
+            exchanger = HaloExchanger(comm)
+            exchanger.exchange(array, 1)
+            array.close()
+            with pytest.raises(AllocationError):
+                exchanger.exchange(array, 2)
+            exchanger.close()
+            return True
+
+        assert run_spmd(1, main) == [True]
+
+    @pytest.mark.parametrize("partitioner", ["block", "cyclic"])
+    @pytest.mark.parametrize("halo", [1, 3])
+    def test_planned_bytes_match_the_pure_plan(self, partitioner, halo):
+        def main(comm):
+            array = DistributedArray.create(
+                comm, 40, partitioner=partitioner, block_rows=2, halo=halo,
+            )
+            exchanger = HaloExchanger(comm)
+            planned = exchanger.planned_halo_bytes(array)
+            array.close()
+            return planned
+
+        p = ArrayPartition(40, 4, partitioner=partitioner, block_rows=2)
+        assert run_spmd(4, main) == halo_bytes_by_rank(p, halo, 8)
+
+
+class TestPlanIsBuiltOncePerPartition:
+    def test_adaptive_stencil_plans_once_per_rank_and_partition(
+        self, monkeypatch
+    ):
+        """The array benchmark's shape (8 ranks, 16384 rows, 32 steps,
+        repartitioning on): neither the exchange nor the coordination
+        rounds may re-derive the plan of a partition they already hold."""
+        calls = []
+
+        def counting_plan(partition, halo):
+            calls.append(partition.owners)
+            return halo_plan(partition, halo)
+
+        monkeypatch.setattr(halo_module, "halo_plan", counting_plan)
+        config = StencilConfig(
+            length=16384, steps=32, block_rows=128, compute_rate=2.0e6,
+            hotspot=(0.0, 0.0859375), hotspot_cost=6.0, hotspot_from=1,
+        )
+        ranks = 8
+
+        def main(comm):
+            workload = StencilWorkload(comm, config, adaptive=True)
+            for k in range(1, config.steps + 1):
+                workload.step(k)
+            repartitions = workload.coordinator.repartitions
+            workload.close()
+            return repartitions
+
+        (repartitions,) = set(run_spmd(ranks, main))
+        assert repartitions >= 1
+        assert len(calls) == ranks * (1 + repartitions)

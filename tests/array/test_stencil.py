@@ -98,6 +98,50 @@ class TestAccounting:
             assert index == owned
 
 
+def per_block_cost(config, start, stop, step):
+    """The per-block charge, spelled out as the workload has always
+    computed it."""
+    rows = stop - start
+    cost = rows / config.compute_rate
+    if config.hotspot_cost > 0.0 and step >= config.hotspot_from:
+        hlo, hhi = config.hotspot_rows
+        hot = max(0, min(stop, hhi) - max(start, hlo))
+        cost += hot * config.hotspot_cost / config.compute_rate
+    return cost
+
+
+class TestCompiledSweep:
+    def test_charges_bit_identical_across_hotspot_and_repartition(self):
+        config = StencilConfig(
+            length=96, steps=8, block_rows=8,
+            hotspot=(0.0, 0.25), hotspot_cost=8.0, hotspot_from=3,
+        )
+
+        def main(comm):
+            workload = StencilWorkload(comm, config, adaptive=True)
+            mismatches, expected_busy = [], 0.0
+            for k in range(1, config.steps + 1):
+                partition = workload.u.partition
+                got = workload.step(k)
+                want = {}
+                for b in partition.blocks_of(comm.rank):
+                    want[b] = per_block_cost(
+                        config, *partition.block_span(b), k
+                    )
+                    expected_busy += want[b]
+                if got != want:
+                    mismatches.append((k, got, want))
+            busy = workload.busy_time
+            repartitions = workload.coordinator.repartitions
+            workload.close()
+            return mismatches, busy == expected_busy, repartitions
+
+        for mismatches, busy_equal, repartitions in run_spmd(3, main):
+            assert mismatches == []
+            assert busy_equal
+            assert repartitions >= 1
+
+
 class TestValidation:
     def test_config_rejects_bad_values(self):
         with pytest.raises(ArrayError):

@@ -5,12 +5,11 @@ the load-balance loop: workloads charge per-block busy seconds into it
 each step, and on coordination-due steps it folds three fields — block
 costs, per-rank busy seconds, per-rank halo bytes — over the array's
 communicator in one :func:`~repro.control.rounds.coordination_round`,
-then feeds every rank's
-:class:`~repro.control.repartition.RepartitionGovernor` the identical
-numbers.  Because the governor is deterministic, every
-rank derives the same decision and the same new owner map, and the
-actuator — the array's collective :meth:`repartition` — runs as a
-coordinated step-boundary collective with the shard handoff charged
+and one rank's :class:`~repro.control.repartition.RepartitionGovernor`
+decides on the node-wide numbers for the group.  Every rank adopts
+that governor's state, logs the same decision and, on a re-cut, calls
+the array's collective :meth:`repartition` with the same owner map —
+a coordinated step-boundary collective with the shard handoff charged
 through the transport cost model.
 """
 
@@ -67,8 +66,10 @@ class ArrayCoordinator:
         self.warmup = int(warmup)
         #: None when the plane has repartitioning switched off.
         self.governor = plane.governor(
-            RepartitionGovernor, self, lambda: dict(actuator=self._apply)
+            RepartitionGovernor, self,
+            lambda: dict(actuator=lambda owners: self._recuts.append(owners)),
         )
+        self._recuts: list[tuple[int, ...]] = []  # what the governor actuated
         self._block_busy: dict[int, float] = {}
         self._pending_step = 0
         self.rounds = 0
@@ -120,28 +121,36 @@ class ArrayCoordinator:
         busy, halo = [0.0] * ranks, [0.0] * ranks
         busy[rank] = float(sum(costs[b] for b in partition.blocks_of(rank)))
         halo[rank] = float(self.exchanger.planned_halo_bytes(array))
-        board = coordination_round(comm, {
+        gov = self.governor
+
+        def decide(board):  # on one rank, for the whole group
+            gov.observe(
+                step,
+                partition.owners,
+                board["block_costs"].tolist(),
+                board["rank_busy"].tolist(),
+                board["halo_bytes"].tolist(),
+            )
+            self._recuts = recuts = []
+            return recuts, gov.decide(step, t), (gov.gate._hold, gov._round)
+
+        _board, (recuts, decisions, state) = coordination_round(comm, {
             "block_costs": costs, "rank_busy": busy, "halo_bytes": halo,
-        })
+        }, decide)
         self.rounds += 1
         self._pending_step = step
-        self.governor.observe(
-            step,
-            partition.owners,
-            board["block_costs"].tolist(),
-            board["rank_busy"].tolist(),
-            board["halo_bytes"].tolist(),
-        )
+        gov.gate._hold, gov._round = state
         self._block_busy.clear()
-        return self.plane.decide(self.governor, step, t)
+        for owners in recuts:
+            self._apply(owners)
+        return self.plane.log(decisions)
 
     def _apply(self, owners: tuple[int, ...]) -> None:
         """Governor actuator: the collective repartition itself.
 
-        Every rank's governor computed the identical ``owners`` from
-        the identical allreduced vectors, so every rank reaches this
-        call on the same step — the handoff collective lines up by
-        construction.
+        One rank's governor decided ``owners`` for the round and every
+        rank replays it here on the same step — the handoff collective
+        lines up by construction.
         """
         before = self.array.partition.owners
         self.bytes_moved += self.array.repartition(

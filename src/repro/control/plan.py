@@ -333,13 +333,13 @@ class ControlPlane:
     def decide(
         self, governor: Governor, step: int, t: float | None = None
     ) -> list[Decision]:
-        """Run one governor's loop and log every decision it made.
+        """Run one governor's loop and :meth:`log` every decision it made."""
+        return self.log(governor.decide(step, t))
 
-        The single logging path: the taps below and the externally
-        driven rounds both decide through here, so one plane owns the
-        complete log, the recorder mirror and the Chrome-trace export.
-        """
-        decisions = governor.decide(step, t)
+    def log(self, decisions: list[Decision]) -> list[Decision]:
+        """The single logging path: the taps below and the rounds their
+        drivers decide on one rank for a group log here, so one plane owns
+        the complete log, the recorder mirror and the Chrome-trace export."""
         for decision in decisions:
             self.decisions.append(decision)
             if self._recorder is not None:

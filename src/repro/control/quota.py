@@ -22,9 +22,9 @@ existing governors:
 
 Neither governor measures anything itself: the service's coordination
 round allreduces per-pipeline demand over the producer group (the same
-epoch-checked collective the placement round uses) and
-feeds both governors the identical node-wide vectors, so every rank
-derives the same decisions on the same step.  Inputs are deterministic
+epoch-checked collective the placement round uses), one rank's pair
+decides on the node-wide vectors, and every rank adopts that pair's
+state and applies its decisions on the same step.  Inputs are deterministic
 byte counts — never wall-jittery retry or latency signals — so seeded
 reruns produce bit-identical decision logs.
 """
@@ -42,8 +42,8 @@ __all__ = ["QuotaGovernor", "ShardGovernor"]
 class QuotaGovernor(Governor):
     """Weighted-fair credit budgets per (endpoint, pipeline) tenant pair.
 
-    ``actuator(name, endpoint, credits)`` is called for every changed
-    allocation; the service's router translates that into
+    ``actuator(name, endpoint, credits)`` is called for every
+    allocation; each producer's router translates that into
     ``set_window`` on whichever of its local senders carry the
     pipeline (ranks without a local sender simply no-op).
     """
@@ -158,10 +158,10 @@ class QuotaGovernor(Governor):
 class ShardGovernor(Governor):
     """Migrates a pipeline off a skewed endpoint at step boundaries.
 
-    ``actuator(name, new_shard)`` rewrites the shared shard map; the
-    caller is responsible for replicating the same call on every rank
-    (the decision is a pure function of allreduced inputs, so each
-    rank computes it independently and identically).
+    ``actuator(name, new_shard)`` rewrites the shard map.  The
+    decision is a pure function of allreduced inputs and the gate's
+    cooldown, so the service bridge runs it on one rank and replays
+    the call on every rank's replicated map.
     """
 
     name = "shard"
@@ -243,8 +243,8 @@ class ShardGovernor(Governor):
         if not self.gate.improves(loads[hot], loads[cold] + share):
             return []  # the move would not improve the skew
         new_shard = tuple(sorted(
-            e for e in shards[dom] if e != hot
-        ) + [cold])
+            [e for e in shards[dom] if e != hot] + [cold]
+        ))
         applied = self._actuate(dom, new_shard)
         if applied:
             self.gate.moved()

@@ -10,10 +10,10 @@ Like the service plane's quota/shard governors, this governor measures
 nothing itself: :class:`repro.array.coordinate.ArrayCoordinator`
 allreduces per-block busy seconds and per-rank halo bytes over the
 array's communicator (the epoch-checked collective, so a rank that
-skipped a round fails loudly instead of diverging) and feeds every
-rank the identical vectors.  Each rank then computes the identical
-decision — including the identical new owner map — so actuation is
-just every rank calling the same collective repartition on the same
+skipped a round fails loudly instead of diverging), and one rank's
+governor decides on the node-wide vectors for the group.  Every rank
+adopts its state and replays its new owner map, so actuation is
+every rank calling the same collective repartition on the same
 step.  Inputs are simulated-clock charges and plan-derived byte
 counts, never wall-jittery signals: seeded reruns produce bit-identical
 decision logs.
@@ -35,8 +35,8 @@ class RepartitionGovernor(Governor):
     the threshold.
 
     ``actuator(owners)`` receives the new owner tuple; the coordinator
-    wires it to the array's collective repartition (every rank makes
-    the identical call, so the shard handoff is itself coordinated).
+    records it and every rank replays it into the array's collective
+    repartition, so the shard handoff is itself coordinated.
     A cooldown of ``cooldown`` rounds follows every applied re-cut so
     the new layout's costs are observed before it can be judged again.
     """

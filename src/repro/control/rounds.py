@@ -5,7 +5,7 @@ the service bridge, the array coordinator), never by the governor."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -13,25 +13,34 @@ __all__ = ["coordination_round"]
 
 
 def coordination_round(
-    comm, fields: Mapping[str, Sequence[float]]
-) -> dict[str, np.ndarray]:
+    comm, fields: Mapping[str, Sequence[float]], decide: Callable | None = None
+):
     """Sum named per-rank vectors over ``comm``; return them by name.
 
     Collective: every rank of ``comm`` calls with the same field names
     and lengths on the same round.  The primitive owns the layout —
     fields packed in sorted-name order into one float64 vector — and
-    folds it with :meth:`~repro.mpi.comm.Communicator.coordinated_allreduce`,
-    so a rank on a different round or declaring a different layout gets
-    a structured :class:`~repro.errors.MPIError` instead of mismatched
-    sums.  A single-rank group has nothing to exchange and gets its own
-    contribution back.
+    folds it once for the group with
+    :meth:`~repro.mpi.comm.Communicator.coordinated_allreduce`, so a
+    rank on a different round or declaring a different layout gets a
+    structured :class:`~repro.errors.MPIError` instead of mismatched
+    sums.  Given ``decide``, returns ``(folded, verdict)``:
+    ``decide(folded)`` runs once per round, on the first rank out of
+    the rendezvous at the aligned clock every rank would stamp.
     """
     names = sorted(fields)
     parts = [
         np.asarray(fields[name], dtype=np.float64).ravel() for name in names
     ]
     local = np.concatenate(parts) if parts else np.zeros(0)
-    if comm.size > 1:
-        local = comm.coordinated_allreduce(local, op="sum")
     cuts = np.cumsum([part.size for part in parts])[:-1]
-    return dict(zip(names, np.split(local, cuts)))
+
+    def unpack(vector: np.ndarray) -> dict[str, np.ndarray]:
+        return dict(zip(names, np.split(vector, cuts)))
+
+    if decide is None:
+        return unpack(comm.coordinated_allreduce(local, op="sum"))
+    vector, verdict = comm.coordinated_allreduce(
+        local, op="sum", decide=lambda v: decide(unpack(v))
+    )
+    return unpack(vector), verdict

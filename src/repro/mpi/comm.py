@@ -70,6 +70,29 @@ class CommCostModel:
         return rounds * self.message(nbytes)
 
 
+def _fold(fn: Callable[[Any, Any], Any], board: Sequence[Any]) -> Any:
+    """``fn`` over the board, left to right (an ndarray start is copied)."""
+    acc = board[0]
+    if isinstance(acc, np.ndarray):
+        acc = acc.copy()
+    for item in board[1:]:
+        acc = fn(acc, item)
+    return acc
+
+
+def _coordinated_fold(fn, board: Sequence[tuple[int, np.ndarray]]):
+    """A coordination round's board of ``(epoch, vector)``: the folded
+    vector, or ``(what, details)`` naming the skew every rank reports."""
+    epochs, shapes = [e for e, _v in board], [v.shape for _e, v in board]
+    if len(set(epochs)) > 1:
+        return (f"coordination round skew — peers disagree on the allreduce "
+                f"epoch ({sorted(set(epochs))})", {"epochs": epochs})
+    if len(set(shapes)) > 1:
+        return (f"coordination round layout skew — peers contribute vectors "
+                f"of different shapes ({shapes})", {"shapes": shapes})
+    return _fold(fn, [v for _e, v in board])
+
+
 def _payload_bytes(obj: Any) -> int:
     wire = getattr(obj, "wire_nbytes", None)
     if wire is not None:
@@ -175,10 +198,20 @@ class Communicator:
         raise NotImplementedError
 
     def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any | None:
-        raise NotImplementedError
+        self._check_root(root)
+        out = self._reduction(obj, partial(_fold, self._reducer(op)))
+        return out if self.rank == root else None
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        raise NotImplementedError
+        return self._reduction(obj, partial(_fold, self._reducer(op)))
+
+    def _reduction(self, contribution: Any, fold: Callable, then=None):
+        """Charged as an allreduce (free here, on one rank): ``fold(board)``
+        runs once for the group and every rank gets the result (an ndarray
+        as its own copy).  Given ``then``, the first rank out runs
+        ``then(result)`` once too; every rank gets ``(result, verdict)``."""
+        result = fold((contribution,))
+        return result if then is None else (result, then(result))
 
     def Allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
         """Buffer allreduce: returns the reduced array."""
@@ -195,57 +228,42 @@ class Communicator:
         return self._coordination_epoch
 
     def coordinated_allreduce(
-        self, array: np.ndarray, op: str = "sum"
-    ) -> np.ndarray:
+        self, array: np.ndarray, op: str = "sum", decide=None
+    ):
         """Epoch-checked buffer allreduce for control-plane rounds.
 
-        Coordination rounds (cross-rank governor decisions) interleave
-        with transport point-to-point traffic and application
-        collectives.  A rank that enters round ``k`` while a peer is
-        still on round ``k - 1`` must fail fast instead of silently
-        folding vectors from different rounds — or, worse, parking in
-        a blocking collective that deadlocks against a peer waiting on
-        transport progress.  Every call therefore increments a
-        per-endpoint epoch counter and ships it alongside the payload
-        in a *single* exchange (nonblocking-friendly: one rendezvous,
-        no extra barrier for the check); any disagreement raises a
-        structured :class:`~repro.errors.MPIError` naming the epochs
-        seen, which is the caller's signal that governor cadences have
-        skewed across ranks.  Contributions whose shape differs from
-        this rank's fail the same way — numpy would otherwise broadcast
-        a short vector into a long one silently.
+        A rank that enters round ``k`` while a peer is still on round
+        ``k - 1`` must fail fast instead of folding vectors from
+        different rounds, or deadlocking against a peer waiting on
+        transport progress.  Every call therefore ships a per-endpoint
+        epoch counter alongside the payload in the *same* exchange, and
+        any disagreement — or a peer's vector of another shape, which
+        numpy would broadcast silently — raises a structured
+        :class:`~repro.errors.MPIError` on every rank: the caller's
+        signal that governor cadences have skewed across ranks.  Checks
+        and fold run once for the group.  Given ``decide``, one rank
+        runs ``decide(folded)`` for the round and every rank returns
+        ``(folded, verdict)``.
         """
+        fn = self._reducer(op)
         self._coordination_epoch += 1
         epoch = self._coordination_epoch
-        payload = np.ascontiguousarray(array)
-        board = self.allgather((epoch, payload))
-        epochs = [e for e, _v in board]
-        if len(set(epochs)) > 1:
+        out = self._reduction(
+            (epoch, np.ascontiguousarray(array)),
+            partial(_coordinated_fold, fn),
+            None if decide is None else (
+                # A skewed round decides nothing: every rank raises.
+                lambda v: decide(v) if isinstance(v, np.ndarray) else None
+            ),
+        )
+        folded = out if decide is None else out[0]
+        if not isinstance(folded, np.ndarray):
+            what, seen = folded
             raise MPIError(
-                f"rank {self.rank}: coordination round skew — peers "
-                f"disagree on the allreduce epoch ({sorted(set(epochs))})",
-                details={
-                    "rank": self.rank,
-                    "epoch": epoch,
-                    "epochs": epochs,
-                },
+                f"rank {self.rank}: {what}",
+                details={"rank": self.rank, "epoch": epoch, **seen},
             )
-        shapes = [np.shape(v) for _e, v in board]
-        if any(shape != payload.shape for shape in shapes):
-            raise MPIError(
-                f"rank {self.rank}: coordination round layout skew — "
-                f"peers contribute vectors of different shapes ({shapes})",
-                details={
-                    "rank": self.rank,
-                    "epoch": epoch,
-                    "shapes": shapes,
-                },
-            )
-        fn = self._reducer(op)
-        acc = np.array(board[0][1], copy=True)
-        for _e, contribution in board[1:]:
-            acc = fn(acc, np.asarray(contribution))
-        return np.asarray(acc)
+        return out
 
     def dup(self) -> "Communicator":
         """Duplicate the communicator (``MPI_Comm_dup``).
@@ -329,15 +347,6 @@ class SelfCommunicator(Communicator):
             raise RankMismatchError("alltoall on size-1 needs exactly one item")
         return list(objs)
 
-    def reduce(self, obj, op="sum", root=0):
-        self._check_root(root)
-        self._reducer(op)
-        return obj
-
-    def allreduce(self, obj, op="sum"):
-        self._reducer(op)
-        return obj
-
     def dup(self) -> "SelfCommunicator":
         return SelfCommunicator(self.cost)
 
@@ -348,16 +357,18 @@ class SelfCommunicator(Communicator):
 class _Round:
     """One generation of a communicator's collective rendezvous."""
 
-    __slots__ = ("index", "board", "latest", "arrived", "result")
+    __slots__ = ("index", "board", "latest", "arrived", "result", "verdict")
 
     def __init__(self, size: int, index: int):
         self.index = index
         self.board: list[Any] = [None] * size
         self.latest = 0.0
         self.arrived = 0
-        #: ``(board, latest clock)``, published once by the last arriver
-        #: and never mutated, so nobody rendezvouses again to recycle it.
-        self.result: tuple[tuple, float] | None = None
+        #: ``(fold(board), latest clock)``, published once by the last
+        #: arriver and never mutated, so nobody rendezvouses again to
+        #: recycle it; ``verdict`` is ``(then(result),)`` once decided.
+        self.result: tuple[Any, float] | None = None
+        self.verdict: tuple | None = None
 
 
 class _World:
@@ -494,12 +505,13 @@ class ThreadCommunicator(Communicator):
     def barrier(self) -> None:
         self._rendezvous(None, self.cost.barrier_cost)
 
-    def _rendezvous(self, contribution: Any, extra: float) -> tuple:
+    def _rendezvous(self, contribution: Any, extra: float, fold=tuple, then=None):
         """Post a contribution and park — once — until every rank has.
 
-        The last arriver publishes the round's board and the latest
-        arrival clock and opens the next round; every rank then aligns
-        its simulated clock to that latest arrival plus ``extra``.
+        The last arriver publishes ``fold(board)`` (the board itself by
+        default) and the latest arrival clock and opens the next round;
+        every rank then aligns its simulated clock to that latest
+        arrival plus ``extra``.  See :meth:`_reduction` for the rest.
         """
         w, clk = self._world, current_clock()
         with w.table.lock:
@@ -508,7 +520,7 @@ class ThreadCommunicator(Communicator):
             rnd.latest = max(rnd.latest, clk.now)
             rnd.arrived += 1
             if rnd.arrived == self.size:
-                rnd.result = (tuple(rnd.board), rnd.latest)
+                rnd.result = (fold(rnd.board), rnd.latest)
                 w.round = _Round(self.size, rnd.index + 1)
                 for rank in range(self.size):
                     w.table.wake((rnd, rank))
@@ -521,9 +533,22 @@ class ThreadCommunicator(Communicator):
                         f"({rnd.arrived}/{self.size} arrived)",
                     ),
                 )
-        board, latest = rnd.result
+        result, latest = rnd.result
         clk.wait_for(latest + extra)
-        return board
+        if isinstance(result, np.ndarray):
+            result = result.copy()
+        if then is None:
+            return result
+        if rnd.verdict is None:  # only the baton holder runs: decide alone
+            rnd.verdict = (then(result),)
+        return result, rnd.verdict[0]
+
+    def _reduction(self, contribution, fold, then=None):
+        return self._rendezvous(
+            contribution,
+            self.cost.collective(_payload_bytes(contribution), self.size),
+            fold, then,
+        )
 
     def _exchange(self, contribution: Any, nbytes: int) -> list[Any]:
         """All ranks post a contribution; everyone sees the full board."""
@@ -567,19 +592,6 @@ class ThreadCommunicator(Communicator):
         board = self._exchange(list(objs), _payload_bytes(objs))
         return [board[src][self.rank] for src in range(self.size)]
 
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any | None:
-        self._check_root(root)
-        fn = self._reducer(op)
-        board = self._exchange(obj, _payload_bytes(obj))
-        if self.rank != root:
-            return None
-        return self._fold(board, fn)
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        fn = self._reducer(op)
-        board = self._exchange(obj, _payload_bytes(obj))
-        return self._fold(board, fn)
-
     def dup(self) -> "ThreadCommunicator":
         """Collective duplication: all ranks must call ``dup`` together."""
         w = self._world
@@ -608,15 +620,6 @@ class ThreadCommunicator(Communicator):
         if len(ranks) == 1:
             return SelfCommunicator(self.cost)  # type: ignore[return-value]
         return ThreadCommunicator(board2[leader], new_rank)
-
-    @staticmethod
-    def _fold(board: list[Any], fn: Callable[[Any, Any], Any]) -> Any:
-        acc = board[0]
-        if isinstance(acc, np.ndarray):
-            acc = acc.copy()
-        for item in board[1:]:
-            acc = fn(acc, item)
-        return acc
 
 
 def run_spmd(

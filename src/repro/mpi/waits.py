@@ -62,16 +62,6 @@ else:  # no per-thread affinity on this platform: run unpinned
         pass
 
 
-@contextlib.contextmanager
-def _unpinned():
-    """A context's thread on every CPU for the block, then home again."""
-    _pin(_ALL_CPUS)
-    try:
-        yield
-    finally:
-        _pin(_HOME_CPU)
-
-
 def current_context() -> "Context | None":
     """The calling thread's execution context (None outside ``run_spmd``)."""
     return getattr(_tls, "context", None)
@@ -81,7 +71,8 @@ class Context:
     """One thread of an SPMD run: a rank, or an asynchronous task of one."""
 
     __slots__ = (
-        "table", "name", "order", "now", "tid", "thread", "finished", "_wake",
+        "table", "name", "order", "now", "tid", "cpus", "thread", "finished",
+        "_wake",
     )
 
     def __init__(
@@ -95,6 +86,7 @@ class Context:
         self.order = order
         self.now = now
         self.finished = False
+        self.cpus: frozenset | None = None  # last pinned to (None: inherited)
         # Its own condition on the shared lock: a handoff wakes exactly
         # this thread, never a herd.
         self._wake = threading.Condition(table.lock)
@@ -102,18 +94,24 @@ class Context:
         def main() -> None:
             _tls.context = self
             self.tid = threading.get_native_id()
-            _pin(_HOME_CPU)
+            self.pin(_HOME_CPU)
             with table.lock:
                 table._await_baton(self)
             try:
                 fn()
             finally:
                 table._finish(self)
-                _pin(_ALL_CPUS)
+                self.pin(_ALL_CPUS)
 
         # The table is what gives every context its clock discipline
         # and its turn, so the one thread constructor lives here.
         self.thread = threading.Thread(target=main, name=name)
+
+    def pin(self, cpus: frozenset) -> None:
+        """Move this context's thread to ``cpus``, unless it is there."""
+        if cpus != self.cpus:
+            _pin(cpus, self.tid)
+            self.cpus = cpus
 
 
 class WaitTable:
@@ -165,9 +163,13 @@ class WaitTable:
         # Threads start on every CPU, as they finish: a thread that
         # lingers in its start or exit on the baton's CPU contends for
         # malloc arenas with it, and glibc answers with new arenas.
-        with _unpinned() if current_context() else contextlib.nullcontext():
-            for ctx in new:
-                ctx.thread.start()
+        caller = current_context()
+        if caller:
+            caller.pin(_ALL_CPUS)
+        for ctx in new:
+            ctx.thread.start()
+        if caller:
+            caller.pin(_HOME_CPU)
 
     def park(self, key: Hashable, describe: Callable[[], dict]) -> None:
         """Block until :meth:`wake` names ``key``; the caller holds the lock.
@@ -240,7 +242,7 @@ class WaitTable:
         # rebalanced, which is most of a codec call.
         cpus = _ALL_CPUS if self.holder is None else _AWAY_CPUS
         for away in self._away:
-            _pin(cpus, away.tid)
+            away.pin(cpus)
 
     def _await_baton(self, ctx: Context) -> None:
         while self.holder is not ctx:
@@ -303,7 +305,7 @@ def off_scheduler():
     finally:
         with table.lock:
             table._away.discard(ctx)
-            _pin(_HOME_CPU)
+            ctx.pin(_HOME_CPU)
             if table.holder is None:
                 table._pass()
             table._await_baton(ctx)

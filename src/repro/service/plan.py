@@ -285,9 +285,9 @@ def route_producers(
 class ShardMap:
     """The live pipeline -> endpoint-shard assignment (replicated).
 
-    Every rank holds its own copy and mutates it only through
-    governor decisions that are pure functions of allreduced inputs,
-    so the copies never diverge.  Endpoints are tracked by *index*
+    Every rank holds its own copy and mutates it only by replaying
+    the moves one rank decided for the admission round, so the
+    copies never diverge.  Endpoints are tracked by *index*
     (0-based within the endpoint group), not world rank.
     """
 

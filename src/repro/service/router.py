@@ -15,9 +15,9 @@ keeps the ``initialize`` / ``execute(data_adaptor)`` / ``finalize``
 surface of :class:`repro.sensei.bridge.Bridge`, ships every pipeline
 whose mesh the adaptor publishes, and — when admission control is on
 (``<control quota="on">``) — runs the coordination round at step
-boundaries: demand vectors are allreduced over the producer group,
-the shard and quota governors decide identically on every rank, and
-rank 0 notifies endpoints of membership changes over the control tag.
+boundaries: demand is allreduced over the producer group, one rank
+decides for the group, every rank applies that, and rank 0 notifies
+endpoints of membership changes over the control tag.
 """
 
 from __future__ import annotations
@@ -167,6 +167,7 @@ class ServiceBridge:
         self._quota_governor = None
         self._shard_governor = None
         self._round_step = 0  # step of the admission round in progress
+        self._calls: list[tuple] = []  # what the admission governors actuated
         self._initialized = False
         self._finalized = False
         self._finished: set[str] = set()
@@ -203,13 +204,13 @@ class ServiceBridge:
             QuotaGovernor, self, lambda: dict(
                 weights={p.name: p.weight for p in cfg.pipelines},
                 budget=cfg.budget, min_credits=cfg.min_credits,
-                actuator=self.router.grant,
+                actuator=lambda *call: self._calls.append(call),
             ),
         )
         self._shard_governor = plane.governor(
             ShardGovernor, self, lambda: dict(
                 endpoints=self.n, skew=cfg.skew, cooldown=cfg.cooldown,
-                actuator=self._migrate,
+                actuator=lambda *call: self._calls.append(call),
             ),
         )
 
@@ -307,11 +308,10 @@ class ServiceBridge:
     def _maybe_coordinate(self, step: int) -> None:
         """Run the admission round at the plane's decision cadence.
 
-        A collective over the producer group: every rank folds its
-        per-pipeline demand into one epoch-checked allreduce, then
-        runs the shard and quota governors on the identical node-wide
-        vectors — so the replicated shard map and the credit grants
-        never diverge across ranks.
+        A collective over the producer group: one rank runs both
+        governors on the folded demand against a recording actuator;
+        every rank adopts their post-round state, replays their calls on
+        its own router and shard map, and logs the same decisions.
         """
         plane, quota, shard = (
             self._control, self._quota_governor, self._shard_governor
@@ -319,17 +319,34 @@ class ServiceBridge:
         if quota is None or not plane.due(step):
             return
         names = self.config.names
-        folded = coordination_round(self._sim, {
-            "demand": [self._demand[n] for n in names],
-            "shipped": [self._shipped[n] for n in names],
-        })
-        demand = {n: int(v) for n, v in zip(names, folded["demand"])}
-        active = {n: bool(v > 0) for n, v in zip(names, folded["shipped"])}
         self._round_step = step
-        shard.observe(step, demand, self.shard_map.as_dict())
-        plane.decide(shard, step)
-        quota.observe(step, demand, active, self.shard_map.as_dict())
-        plane.decide(quota, step)
+
+        def decide(folded):
+            demand = {n: int(v) for n, v in zip(names, folded["demand"])}
+            active = {n: bool(v > 0) for n, v in zip(names, folded["shipped"])}
+            shard.observe(step, demand, self.shard_map.as_dict())
+            self._calls = moves = []
+            decisions = shard.decide(step)
+            shards = {**self.shard_map.as_dict(), **dict(moves)}
+            quota.observe(step, demand, active, shards)
+            self._calls = grants = []
+            decisions += quota.decide(step)
+            state = dict(quota._alloc), quota._round, shard.gate._hold, shard._round
+            return moves, grants, decisions, state
+
+        _folded, (moves, grants, decisions, state) = coordination_round(
+            self._sim, {
+                "demand": [self._demand[n] for n in names],
+                "shipped": [self._shipped[n] for n in names],
+            }, decide,
+        )
+        alloc, quota._round, shard.gate._hold, shard._round = state
+        quota._alloc = dict(alloc)
+        for move in moves:
+            self._migrate(*move)
+        for grant in grants:
+            self.router.grant(*grant)
+        plane.log(decisions)
         for n in names:
             self._demand[n] = 0
             self._shipped[n] = 0
@@ -339,8 +356,8 @@ class ServiceBridge:
 
         Producers reroute at the next step boundary, so the new
         membership takes effect one step after the round that decided
-        it.  Rank 0 speaks for the group — the decision is replicated,
-        the notification need not be.
+        it.  Every rank replays the round's moves; rank 0 speaks for
+        the group, since the notification need not be replicated.
         """
         self.shard_map.set_shard(name, shard)
         if self._sim.rank != 0:

@@ -162,6 +162,30 @@ class TestCoordinator:
         # bytes_moved counts *shipped* payload: the losing rank paid it.
         assert sum(c.bytes_moved for c, _co, _d in out) > 0
 
+    def test_one_rank_decides_each_round_for_every_rank(self, monkeypatch):
+        calls = []
+        decide = RepartitionGovernor.decide
+
+        def spy(gov, step, t=None):
+            calls.append(step)
+            return decide(gov, step, t)
+
+        monkeypatch.setattr(RepartitionGovernor, "decide", spy)
+        cfg = ControlConfig.from_xml_attrs(
+            {"execution": "off", "codec": "off", "placement": "off",
+             "pool": "off", "repartition": "on", "interval": "2"},
+        )
+        out = run_loop(4, control=cfg)
+        assert calls == [1, 2, 4, 6, 8]  # warmup, then every interval
+        assert {c.rounds for c, _co, _d in out} == {5}
+        (log,) = {tuple(map(str, d)) for _c, _co, d in out}
+        assert log and {c.repartitions for c, _co, _d in out} == {1}
+        states = {
+            (c.governor.gate._hold, repr(c.governor._round))
+            for c, _co, _d in out
+        }
+        assert len(states) == 1
+
     def test_single_rank_loop_is_idle(self):
         out = run_loop(1)
         coordinator = out[0][0]

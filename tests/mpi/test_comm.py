@@ -9,6 +9,7 @@ from repro.errors import DeadlockError, MPIError, RankMismatchError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import (
     CommCostModel,
+    Communicator,
     SelfCommunicator,
     run_spmd,
 )
@@ -360,3 +361,118 @@ class TestCoordinatedAllreduce:
 
         shapes = [(lengths[0],), (lengths[1],)]
         assert run_spmd(2, fn) == [(0, 1, shapes), (1, 1, shapes)]
+
+
+class TestFoldOnce:
+    """A reduction's board is folded once for the group, not per rank."""
+
+    @pytest.mark.parametrize("size", [8, 64])
+    def test_reducer_runs_once_per_round(self, size, monkeypatch):
+        from repro.mpi import comm as comm_module
+
+        calls = []
+
+        def spy(a, b):
+            calls.append(None)
+            return a + b
+
+        monkeypatch.setitem(comm_module._REDUCTIONS, "sum", spy)
+
+        def fn(comm):
+            comm.allreduce(np.ones(4))
+            comm.reduce(1.0, op="sum", root=1)
+            comm.coordinated_allreduce(np.ones(2))
+
+        run_spmd(size, fn)
+        # Three rounds of size - 1 binary ops each; P folds would be P x.
+        assert len(calls) == 3 * (size - 1)
+
+    def test_each_rank_gets_its_own_result(self):
+        def fn(comm):
+            plain = comm.allreduce(np.full(3, float(comm.rank)))
+            checked = comm.coordinated_allreduce(np.full(3, float(comm.rank)))
+            if comm.rank == 0:
+                plain[:] = -1.0
+                checked[:] = -1.0
+            comm.barrier()
+            return plain, checked
+
+        for rank, (plain, checked) in enumerate(run_spmd(4, fn)):
+            want = -1.0 if rank == 0 else 6.0
+            np.testing.assert_array_equal(plain, [want] * 3)
+            np.testing.assert_array_equal(checked, [want] * 3)
+
+    @pytest.mark.parametrize("op", ["sum", "prod", "min", "max"])
+    def test_results_equal_a_left_to_right_fold(self, op):
+        rng = np.random.default_rng(3)
+        vectors = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, 5)
+                   for _ in range(8)]
+        scalars = [float(v[0]) for v in vectors]
+        fn = Communicator._reducer(op)
+
+        def fold(board):
+            acc = board[0]
+            for item in board[1:]:
+                acc = fn(acc, item)
+            return acc
+
+        def main(comm):
+            return (
+                comm.allreduce(vectors[comm.rank], op=op),
+                comm.allreduce(scalars[comm.rank], op=op),
+                comm.reduce(vectors[comm.rank], op=op, root=3),
+                comm.coordinated_allreduce(vectors[comm.rank], op=op),
+            )
+
+        out = run_spmd(8, main)
+        for rank, (vec, scalar, reduced, checked) in enumerate(out):
+            assert np.array_equal(vec, fold(vectors))
+            assert scalar == fold(scalars)
+            assert np.array_equal(checked, fold(vectors))
+            if rank == 3:
+                assert np.array_equal(reduced, fold(vectors))
+            else:
+                assert reduced is None
+
+    def test_skews_raise_on_every_rank_with_its_rank(self):
+        def epoch_skew(comm):
+            if comm.rank == 5:
+                comm._coordination_epoch += 1
+            with pytest.raises(MPIError, match="round skew") as err:
+                comm.coordinated_allreduce(np.ones(3))
+            return err.value.details
+
+        def layout_skew(comm):
+            with pytest.raises(MPIError, match="layout skew") as err:
+                comm.coordinated_allreduce(np.ones(2 + (comm.rank == 6)))
+            return err.value.details
+
+        for rank, details in enumerate(run_spmd(8, epoch_skew)):
+            assert details["rank"] == rank
+            assert details["epochs"] == [2 if r == 5 else 1 for r in range(8)]
+        for rank, details in enumerate(run_spmd(8, layout_skew)):
+            assert (details["rank"], details["epoch"]) == (rank, 1)
+            assert details["shapes"] == [
+                (3,) if r == 6 else (2,) for r in range(8)
+            ]
+
+    def test_decide_runs_once_on_the_aligned_clock(self):
+        calls = []
+
+        def decide(folded):
+            calls.append(current_clock().now)
+            return float(folded.sum())
+
+        def fn(comm):
+            current_clock().advance(0.01 * comm.rank)
+            out = comm.coordinated_allreduce(np.ones(2), decide=decide)
+            return out[1], current_clock().now
+
+        out = run_spmd(8, fn)
+        assert len(calls) == 1
+        assert out == [(16.0, calls[0])] * 8
+        # A single rank decides on its own contribution.
+        folded, verdict = SelfCommunicator().coordinated_allreduce(
+            np.ones(2), decide=decide
+        )
+        assert verdict == 2.0 and len(calls) == 2

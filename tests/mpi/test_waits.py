@@ -362,6 +362,39 @@ class TestBaton:
         }
 
 
+    def test_no_pin_repeats_a_threads_current_mask(self, monkeypatch):
+        """Every pass used to re-pin each context away from the baton's
+        CPU, though it was already there."""
+        from repro.mpi import waits
+
+        masks: dict[int, frozenset] = {}
+        repeats = []
+
+        def spy(cpus, tid=0):
+            tid = tid or threading.get_native_id()
+            if masks.get(tid) == cpus:
+                repeats.append((tid, sorted(cpus)))
+            masks[tid] = cpus
+
+        monkeypatch.setattr(waits, "_pin", spy)
+
+        def fn(comm):
+            if comm.rank == 0:
+                current_clock().advance(1.0)  # the others run meanwhile
+                with off_scheduler():
+                    zlib.compress(bytes(1 << 24))
+                return None
+            peer = 3 - comm.rank
+            for step in range(20):
+                comm.send(step, dest=peer)
+                comm.recv(source=peer)
+            return None
+
+        run_spmd(3, fn)
+        assert masks
+        assert repeats == []
+
+
 class Sink(AnalysisAdaptor):
     def acquire(self, data, deep):
         return None

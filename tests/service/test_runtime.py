@@ -391,3 +391,156 @@ class TestEndpointIdleWait:
         # finds nothing more, one after a stale count) — a busy loop
         # would have swept thousands of times by now.
         assert len(sweeps) <= 4 * arrivals + 4
+
+
+class TestAdmissionDecidedOnce:
+    """One rank decides each admission round; every rank applies it."""
+
+    M = 16
+
+    def _run(self, monkeypatch, quota="on", steps=8):
+        from repro.control.quota import QuotaGovernor
+        from repro.mpi.comm import ThreadCommunicator
+        from repro.mpi.waits import current_context
+        from repro.service import router as router_module
+        from repro.transport.flows import CTRL_TAG
+
+        rounds, deciders, notices = [], [], []
+        coordinate = router_module.coordination_round
+
+        def spy_round(comm, fields, *decide):
+            out = coordinate(comm, fields, *decide)
+            folded = out[0] if decide else out
+            if comm.rank == 0:
+                rounds.append({k: v.tolist() for k, v in folded.items()})
+            return out
+
+        decide = QuotaGovernor.decide
+
+        def spy_decide(gov, step, t=None):
+            if current_context() is not None:  # not the test's replica
+                deciders.append((step, current_context().name))
+            return decide(gov, step, t)
+
+        send = ThreadCommunicator.send
+
+        def spy_send(comm, obj, dest, tag=0, charge=True):
+            if tag == CTRL_TAG and obj[0] == "svc_migrate":
+                notices.append((comm.rank, obj))
+            return send(comm, obj, dest, tag, charge)
+
+        monkeypatch.setattr(router_module, "coordination_round", spy_round)
+        monkeypatch.setattr(QuotaGovernor, "decide", spy_decide)
+        monkeypatch.setattr(ThreadCommunicator, "send", spy_send)
+
+        def producer_main(sim_comm, bridge):
+            states = []
+            for step in range(steps):
+                bridge.execute(_adaptor({
+                    "a": _table("a", 64, 1.0),
+                    "b": _table("b", 8, 2.0),
+                    "c": _table("c", 4096, 3.0),
+                }, step))
+                q, s = bridge._quota_governor, bridge._shard_governor
+                states.append((dict(q._alloc), q._round, s.gate._hold, s._round))
+            return bridge.control_plane.decisions, states
+
+        control = ControlConfig.from_xml_attrs(
+            {"quota": quota, "interval": "2", "codec": "off"}
+        )
+        out, endpoints = run_service(
+            TestAdmissionControl()._config(), producer_main,
+            TestAdmissionControl()._registry(), m=self.M, n=2,
+            control=control,
+        )
+        return out, endpoints, rounds, deciders, notices
+
+    @staticmethod
+    def _replica(config, rounds, steps=8):
+        """Fresh governors fed the folded vectors, one step at a time."""
+        from repro.control.quota import QuotaGovernor, ShardGovernor
+        from repro.service.plan import ShardMap
+
+        grants, moves = [], []
+        quota = QuotaGovernor(
+            {p.name: p.weight for p in config.pipelines}, config.budget,
+            actuator=lambda *call: grants.append(call),
+            min_credits=config.min_credits,
+        )
+        shard = ShardGovernor(
+            2, actuator=lambda *call: moves.append(call),
+            skew=config.skew, cooldown=config.cooldown,
+        )
+        shards = ShardMap.initial(config, 2)
+        decisions, states, folded = [], [], iter(rounds)
+        for step in range(steps):
+            if step % 2 == 0:
+                fields = next(folded)
+                names = config.names
+                demand = {n: int(v) for n, v in zip(names, fields["demand"])}
+                active = {n: v > 0 for n, v in zip(names, fields["shipped"])}
+                shard.observe(step, demand, shards.as_dict())
+                decisions += shard.decide(step)
+                for name, new in moves:
+                    shards.set_shard(name, new)
+                moves.clear()
+                quota.observe(step, demand, active, shards.as_dict())
+                decisions += quota.decide(step)
+            states.append(
+                (dict(quota._alloc), quota._round, shard.gate._hold, shard._round)
+            )
+        return decisions, states, grants
+
+    def test_every_rank_equals_an_independent_replica(self, monkeypatch):
+        out, _eps, rounds, _deciders, _notices = self._run(monkeypatch)
+        assert len(rounds) == 4
+        decisions, states, grants = self._replica(
+            TestAdmissionControl()._config(), rounds
+        )
+        assert grants and any(d.governor == "shard" for d in decisions)
+        untimed = lambda log: [
+            {k: v for k, v in d.to_dict().items() if k != "time"} for d in log
+        ]
+        for log, rank_states in out:
+            assert untimed(log) == untimed(decisions)
+            assert rank_states == states
+        # Every rank logged the very same stamps, too.
+        assert len({tuple(d.time for d in log) for log, _s in out}) == 1
+
+    def test_quota_decides_once_per_round(self, monkeypatch):
+        out, _eps, rounds, deciders, _notices = self._run(monkeypatch)
+        assert [step for step, _who in deciders] == [0, 2, 4, 6]
+        assert len(rounds) == 4
+
+    def test_migration_decided_off_rank_0_is_announced_by_rank_0(
+        self, monkeypatch
+    ):
+        out, endpoints, _rounds, deciders, notices = self._run(monkeypatch)
+        migrated = {
+            d.step for log, _s in out for d in log
+            if d.governor == "shard" and d.applied
+        }
+        assert migrated
+        who = dict(deciders)
+        assert all(who[step] != "rank 0" for step in migrated)
+        assert notices and {rank for rank, _msg in notices} == {0}
+        assert {msg[1] for _rank, msg in notices} == {s + 1 for s in migrated}
+        assert all(ep.pipeline_steps["c"] > 0 for ep in endpoints)
+
+    def test_freeze_actuates_nothing_on_any_rank(self, monkeypatch):
+        from repro.service.router import Router, ServiceBridge
+
+        calls = []
+        monkeypatch.setattr(
+            Router, "grant", lambda self, *a: calls.append(("grant", a))
+        )
+        monkeypatch.setattr(
+            ServiceBridge, "_migrate", lambda self, *a: calls.append(a)
+        )
+        out, _eps, _rounds, deciders, notices = self._run(
+            monkeypatch, quota="freeze"
+        )
+        assert len(deciders) == 4
+        assert calls == [] and notices == []
+        for log, _states in out:
+            assert log and not any(d.applied for d in log)

@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 
 from repro.errors import TransportError
 from repro.hamr.runtime import current_clock
+from repro.mpi import run_spmd
+from repro.mpi.waits import current_context, off_scheduler
+from repro.transport import wire
 from repro.transport.wire import (
+    AWAY_MIN_BYTES,
     DEFAULT_CHUNK_BYTES,
     SERIALIZE_BANDWIDTH,
     WIRE_VERSION,
     Chunk,
     Codec,
     StepAssembler,
+    ZlibCodec,
     available_codecs,
     decode_step,
     encode_step,
@@ -269,3 +274,69 @@ class TestStepAssembler:
         )
         # Late duplicate after delivery: permanently recognized.
         assert asm.offer(chunks[1]) == "duplicate"
+
+
+class TestWhereCodecCallsRun:
+    """Small codec calls take their turn on the baton; big ones go away."""
+
+    @pytest.fixture
+    def aways(self, monkeypatch):
+        """The ``away`` flag of every real-codec call, in call order."""
+        flags: list[bool] = []
+
+        def spy(away=True):
+            flags.append(away)
+            return off_scheduler(away=away)
+
+        monkeypatch.setattr(wire, "off_scheduler", spy)
+        return flags
+
+    def test_a_seeded_run_records_the_same_trace_either_way(
+        self, monkeypatch, aways
+    ):
+        from repro.workloads import record_zoo
+
+        def record() -> str:
+            aways.clear()
+            return record_zoo("request-stream", seed=7, quick=True)[0].to_jsonl()
+
+        on_baton = record()
+        assert aways and not any(aways)  # every chunk set is small
+        monkeypatch.setattr(wire, "AWAY_MIN_BYTES", 0)
+        away = record()
+        assert aways and all(aways)
+        assert away == on_baton
+
+    def test_a_large_step_still_goes_away(self, monkeypatch, aways):
+        """The overlap a bulk transfer relies on: a step of
+        AWAY_MIN_BYTES is encoded and decoded beside the baton holder,
+        one byte less on it."""
+        seen = []
+
+        def watched(method):
+            def wrapper(codec, data):
+                ctx = current_context()
+                seen.append(
+                    "away" if ctx in ctx.table._away
+                    else "baton" if ctx.table.holder is ctx else "?"
+                )
+                return method(codec, data)
+
+            return wrapper
+
+        for name in ("compress", "decompress"):
+            monkeypatch.setattr(
+                ZlibCodec, name, watched(getattr(ZlibCodec, name))
+            )
+
+        def fn(comm):
+            if comm.rank:
+                return
+            for nbytes in (AWAY_MIN_BYTES, AWAY_MIN_BYTES - 1):
+                t = TableData("bulk")
+                t.add_host_column("b", np.zeros(nbytes, dtype=np.uint8))
+                decode_step(encode_step(t, 0, 0.0, codec="zlib"))
+
+        run_spmd(2, fn)
+        assert aways == [True, True, False, False]
+        assert seen == ["away", "away", "baton", "baton"]

@@ -11,18 +11,27 @@ binning is not an ideal algorithm for GPUs".
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.binning.cpu import apply_binned_update
 from repro.binning.reduce import ReductionOp
+from repro.binning.strategies import (
+    BinningStrategy,
+    apply_sorted_update,
+    effective_strategy,
+    strategy_kernel_cost,
+)
 from repro.errors import BinningError
-from repro.hamr.allocator import Allocator
+from repro.hamr.allocator import HOST_DEVICE_ID, Allocator
 from repro.hamr.buffer import Buffer
 from repro.hamr.stream import Stream, StreamMode
 from repro.hw.clock import SimClock, TimedEvent
 from repro.pm.kernels import KernelCost, launch
 
-__all__ = ["bin_device", "binning_kernel_cost"]
+__all__ = ["BinPlan", "bin_device", "binning_kernel_cost"]
 
 #: Fraction of the binning kernel's traffic that is atomic updates.
 #: Derived from the access pattern: per realization we stream the index
@@ -48,60 +57,69 @@ def binning_kernel_cost(n_rows: int, op: ReductionOp) -> KernelCost:
     )
 
 
+@dataclass(frozen=True)
+class BinPlan:
+    """The constants of binning one variable on tables of one shape.
+
+    :meth:`of` works them out once per (reduction, device, row count);
+    every step with that shape then only stages, launches, reads back
+    and frees.  ``strategy`` is ``None`` on the host, which charges
+    :func:`binning_kernel_cost`.
+    """
+
+    op: ReductionOp
+    n_cells: int
+    strategy: BinningStrategy | None
+    cost: KernelCost
+    shape: tuple[int, ...]
+    fill: float
+    kernel_name: str
+
+    @classmethod
+    def of(cls, op: ReductionOp, n_rows: int, n_cells: int, device_id: int,
+           strategy: BinningStrategy = BinningStrategy.ATOMIC) -> "BinPlan":
+        if device_id == HOST_DEVICE_ID:
+            strategy, cost, kernel_name = None, binning_kernel_cost(n_rows, op), ""
+        else:
+            strategy = effective_strategy(strategy, n_cells, op)
+            cost = strategy_kernel_cost(strategy, n_rows, n_cells, op)
+            kernel_name = f"binning[{op.value},{strategy.value}]"
+        return cls(
+            op, int(n_cells), strategy, cost, op.accumulator_shape(n_cells),
+            0.0 if op is ReductionOp.AVERAGE else float(op.identity),
+            kernel_name,
+        )
+
+
 def bin_device(
     flat_idx: Buffer,
     values: Buffer | None,
-    op: ReductionOp,
-    n_cells: int,
+    plan: BinPlan,
     device_id: int,
     stream: Stream | None = None,
     mode: StreamMode = StreamMode.SYNC,
     clock: SimClock | None = None,
-    strategy=None,
 ) -> tuple[Buffer, TimedEvent]:
-    """Bin one variable on a virtual device.
+    """Bin one variable on a virtual device, as ``plan`` says.
 
     ``flat_idx`` (int64) and ``values`` (float64, unless COUNT) must be
     accessible on ``device_id``.  Returns the raw accumulator grid as a
     device buffer plus the kernel's completion event; callers finalize
-    after any cross-rank merge.
+    after any cross-rank merge.  If the memset or the kernel raises, the
+    accumulator is freed before the error propagates.
 
-    ``strategy`` selects how races are resolved — the paper's atomic
-    implementation by default, or one of the optimized strategies from
-    :mod:`repro.binning.strategies` (its Section 5 future work).
+    ``plan.strategy`` selects how races are resolved — the paper's
+    atomic implementation by default, or one of the optimized strategies
+    from :mod:`repro.binning.strategies` (its Section 5 future work).
     """
-    from repro.binning.strategies import (
-        BinningStrategy,
-        apply_sorted_update,
-        effective_strategy,
-        strategy_kernel_cost,
-    )
-
+    op, n_cells, shape = plan.op, plan.n_cells, plan.shape
     if op.needs_values and values is None:
         raise BinningError(f"{op.value} reduction requires values")
-    if strategy is None:
-        strategy = BinningStrategy.ATOMIC
-    strategy = effective_strategy(strategy, n_cells, op)
-    n_acc = int(np.prod(op.accumulator_shape(n_cells)))
     acc = Buffer.allocate(
-        n_acc,
-        np.float64,
-        allocator=Allocator.CUDA,
-        device_id=device_id,
-        stream=stream,
-        stream_mode=mode,
-        name=f"bins[{op.value}]",
+        math.prod(shape), np.float64, Allocator.CUDA, device_id, stream,
+        mode, f"bins[{op.value}]",
     )
-    shape = op.accumulator_shape(n_cells)
-    # Device memset through the buffer API (charges the simulated
-    # memset and keeps the raw storage behind the location tag).
-    if op is ReductionOp.AVERAGE:
-        acc.fill(0.0)
-    else:
-        acc.fill(float(op.identity))
-
-    cost = strategy_kernel_cost(strategy, flat_idx.size, n_cells, op)
-    reads = [flat_idx] + ([values] if values is not None else [])
+    sorted_update = plan.strategy is BinningStrategy.SORTED
 
     def kernel(*arrays: np.ndarray) -> None:
         idx = arrays[0].astype(np.int64, copy=False)
@@ -114,24 +132,32 @@ def bin_device(
         out = arrays[-1].reshape(shape)
         if not idx.size:
             return
-        if strategy is BinningStrategy.SORTED:
+        if sorted_update:
             apply_sorted_update(out, idx, vals, op)
         else:
             # ATOMIC and PRIVATIZED differ in cost, not in the scatter
             # result; privatization is a scheduling optimization.
             apply_binned_update(out, idx, vals, op, n_cells)
 
-    ev = launch(
-        kernel,
-        reads=reads,
-        writes=[acc],
-        device_id=device_id,
-        flops=cost.flops,
-        bytes_moved=cost.bytes_moved,
-        atomic_fraction=cost.atomic_fraction,
-        stream=stream,
-        mode=mode,
-        clock=clock,
-        name=f"binning[{op.value},{strategy.value}]",
-    )
+    cost = plan.cost
+    try:
+        # Device memset through the buffer API (charges the simulated
+        # memset and keeps the raw storage behind the location tag).
+        acc.fill(plan.fill)
+        ev = launch(
+            kernel,
+            reads=(flat_idx,) if values is None else (flat_idx, values),
+            writes=(acc,),
+            device_id=device_id,
+            flops=cost.flops,
+            bytes_moved=cost.bytes_moved,
+            atomic_fraction=cost.atomic_fraction,
+            stream=stream,
+            mode=mode,
+            clock=clock,
+            name=plan.kernel_name,
+        )
+    except BaseException:
+        acc.free(clock)
+        raise
     return acc, ev

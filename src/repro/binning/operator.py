@@ -17,6 +17,7 @@ instance orchestrated by SENSEI's XML configuration — see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,13 +25,15 @@ import numpy as np
 
 from repro.binning.axes import AxisSpec, compute_bounds, flat_bin_index
 from repro.binning.cpu import bin_cpu
-from repro.binning.cuda import bin_device
+from repro.binning.cuda import BinPlan, bin_device
 from repro.binning.reduce import ReductionOp
 from repro.errors import BinningError
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 from repro.hamr.buffer import Buffer
+from repro.hamr.runtime import current_clock
 from repro.hamr.stream import Stream, StreamMode, default_stream
 from repro.hamr.view import SharedView, accessible_view
+from repro.hw.node import get_node
 from repro.mpi.comm import Communicator
 from repro.pm.kernels import launch
 from repro.svtk.data_array import DataArray
@@ -102,6 +105,24 @@ class DataBinner:
         #: How device kernels resolve races (the paper's atomic baseline
         #: or one of the Section 5 optimized strategies).
         self.device_strategy = device_strategy
+        self._compiled: tuple | None = None
+
+    def _compile(self, device_id: int, n_rows: int) -> tuple:
+        """Per request ``(variable, result name, MPI op, BinPlan)`` for
+        tables of ``n_rows`` binned on ``device_id``: worked out on the
+        first step with that shape and kept until the shape (or the
+        device strategy) changes."""
+        key = (device_id, n_rows, self.device_strategy)
+        compiled = self._compiled
+        if compiled is None or compiled[0] != key:
+            n_cells = math.prod(ax.n_bins for ax in self.axes)
+            compiled = self._compiled = (key, tuple(
+                (r.variable, r.result_name, r.op.mpi_op, BinPlan.of(
+                    r.op, n_rows, n_cells, device_id, self.device_strategy,
+                ))
+                for r in self.requests
+            ))
+        return compiled[1]
 
     # -- column staging ------------------------------------------------------------
     @staticmethod
@@ -164,13 +185,13 @@ class DataBinner:
             compute_bounds(ax, vals, comm) for ax, vals in zip(self.axes, coords)
         ]
         dims = [ax.n_bins for ax in self.axes]
-        n_cells = int(np.prod(dims))
+        steps = self._compile(device_id, table.n_rows)
 
         if device_id == HOST_DEVICE_ID:
-            grids = self._execute_host(table, coords, bounds, dims, n_cells, cores)
+            grids = self._execute_host(table, coords, bounds, dims, steps, cores)
         else:
             grids = self._execute_device(
-                table, bounds, dims, n_cells, device_id, stream, mode
+                table, bounds, dims, steps, device_id, stream, mode
             )
 
         # Merge partial grids across ranks, then finalize.
@@ -180,10 +201,10 @@ class DataBinner:
             spacing=[(hi - lo) / nb for (lo, hi), nb in zip(bounds, dims)],
             name=self.name,
         )
-        for req, acc in zip(self.requests, grids):
+        for (_var, result_name, mpi_op, plan), acc in zip(steps, grids):
             if comm is not None:
-                acc = comm.Allreduce(acc, op=req.op.mpi_op)
-            mesh.add_host_cell_array(req.result_name, req.op.finalize(acc))
+                acc = comm.Allreduce(acc, op=mpi_op)
+            mesh.add_host_cell_array(result_name, plan.op.finalize(acc))
         return mesh
 
     def _execute_host(
@@ -192,27 +213,22 @@ class DataBinner:
         coords: list[np.ndarray],
         bounds: list[tuple[float, float]],
         dims: list[int],
-        n_cells: int,
+        steps: tuple,
         cores: int | None,
     ) -> list[np.ndarray]:
         """CPU path: index once, then one pass per request."""
-        from repro.binning.cuda import binning_kernel_cost
-        from repro.hw.node import get_node
-
         flat = flat_bin_index(coords, bounds, dims)
         grids = []
         # Charge the host roofline for the work (numerics below are real).
         host = get_node().host
-        from repro.hamr.runtime import current_clock
-
         clock = current_clock()
-        for req in self.requests:
+        for variable, _name, _mpi_op, plan in steps:
             values = (
-                self._column_values(table.column(req.variable))
-                if req.variable is not None
+                self._column_values(table.column(variable))
+                if variable is not None
                 else None
             )
-            cost = binning_kernel_cost(flat.size, req.op)
+            cost = plan.cost
             clock.advance(
                 host.kernel_time(
                     flops=cost.flops,
@@ -221,7 +237,7 @@ class DataBinner:
                     cores=cores,
                 )
             )
-            grids.append(bin_cpu(flat, values, req.op, n_cells))
+            grids.append(bin_cpu(flat, values, plan.op, plan.n_cells))
         return grids
 
     def _execute_device(
@@ -229,69 +245,83 @@ class DataBinner:
         table: TableData,
         bounds: list[tuple[float, float]],
         dims: list[int],
-        n_cells: int,
+        steps: tuple,
         device_id: int,
         stream: Stream | None,
         mode: StreamMode,
     ) -> list[np.ndarray]:
-        """Device path: stage columns, index kernel, binning kernels."""
+        """Device path: stage columns, index kernel, binning kernels.
+
+        Every charged buffer it makes — staged views, the flat index,
+        the accumulators — is released even when a later step raises.
+        """
         if stream is None:
             stream = default_stream(device_id)
-        coord_views = [
-            self._device_view(table.column(ax.column), device_id, stream, mode)
-            for ax in self.axes
-        ]
-        n_rows = table.n_rows
-        idx = Buffer.allocate(
-            n_rows, np.int64, Allocator.CUDA, device_id=device_id,
-            stream=stream, stream_mode=mode, name="flat-bin-idx",
-        )
-
-        def index_kernel(*arrays: np.ndarray) -> None:
-            cs = [np.asarray(a, dtype=np.float64) for a in arrays[:-1]]
-            arrays[-1][:] = flat_bin_index(cs, bounds, dims)
-
-        launch(
-            index_kernel,
-            reads=[v.buffer for v in coord_views],
-            writes=[idx],
-            device_id=device_id,
-            flops=6.0 * n_rows * len(self.axes),
-            bytes_moved=8.0 * n_rows * (len(self.axes) + 1),
-            stream=stream,
-            mode=mode,
-            name="binning-index",
-        )
-
+        coord_views: list[SharedView] = []
+        idx = None
         grids = []
-        for req in self.requests:
-            val_view = None
-            val_buf = None
-            if req.variable is not None:
-                val_view = self._device_view(
-                    table.column(req.variable), device_id, stream, mode
+        try:
+            for ax in self.axes:
+                coord_views.append(
+                    self._device_view(table.column(ax.column), device_id, stream, mode)
                 )
-                val_buf = val_view.buffer
-            acc, _ev = bin_device(
-                idx, val_buf, req.op, n_cells, device_id, stream=stream,
-                mode=mode, strategy=self.device_strategy,
+            n_rows = table.n_rows
+            idx = Buffer.allocate(
+                n_rows, np.int64, Allocator.CUDA, device_id=device_id,
+                stream=stream, stream_mode=mode, name="flat-bin-idx",
             )
-            acc.synchronize()
-            # Read the device accumulator back through the access API:
-            # the host is the wrong side of the bus here, so this stages
-            # a temporary and charges the D2H transfer the raw `.data`
-            # read used to get for free.
-            with accessible_view(acc, PMKind.HOST, HOST_DEVICE_ID,
-                                 stream=stream, mode=mode) as acc_view:
-                acc_view.synchronize()
-                grids.append(
-                    np.array(acc_view.get(), copy=True)
-                    .reshape(req.op.accumulator_shape(n_cells))
+
+            def index_kernel(*arrays: np.ndarray) -> None:
+                cs = [np.asarray(a, dtype=np.float64) for a in arrays[:-1]]
+                arrays[-1][:] = flat_bin_index(cs, bounds, dims)
+
+            launch(
+                index_kernel,
+                reads=[v.buffer for v in coord_views],
+                writes=[idx],
+                device_id=device_id,
+                flops=6.0 * n_rows * len(self.axes),
+                bytes_moved=8.0 * n_rows * (len(self.axes) + 1),
+                stream=stream,
+                mode=mode,
+                name="binning-index",
+            )
+            for variable, _name, _mpi_op, plan in steps:
+                grids.append(self._bin_one(
+                    table, variable, plan, idx, device_id, stream, mode,
+                ))
+        finally:
+            for v in coord_views:
+                v.release()
+            if idx is not None:
+                idx.free()
+        return grids
+
+    def _bin_one(self, table, variable, plan, idx, device_id, stream, mode):
+        """One request on the device: stage its column, launch, read the
+        accumulator back, free; the column view and the accumulator are
+        released even if a step raises."""
+        val_view = None
+        try:
+            if variable is not None:
+                val_view = self._device_view(
+                    table.column(variable), device_id, stream, mode
                 )
-            acc.free()
+            acc, _ev = bin_device(
+                idx, None if val_view is None else val_view.buffer, plan,
+                device_id, stream=stream, mode=mode,
+            )
+            try:
+                acc.synchronize()
+                # Read the device accumulator back through the access
+                # API: the host is the wrong side of the bus here, so
+                # this stages a temporary and charges the D2H transfer.
+                with accessible_view(acc, PMKind.HOST, HOST_DEVICE_ID,
+                                     stream=stream, mode=mode) as acc_view:
+                    acc_view.synchronize()
+                    return np.array(acc_view.get(), copy=True).reshape(plan.shape)
+            finally:
+                acc.free()
+        finally:
             if val_view is not None:
                 val_view.release()
-        for v in coord_views:
-            v.release()
-        idx.free()
-        return grids

@@ -44,6 +44,24 @@ class PMKind(enum.Enum):
         return self is not PMKind.HOST
 
 
+#: The capability sets, by allocator value (the class resolves them
+#: into per-member attributes once).
+_PM_OF = {
+    "malloc": PMKind.HOST, "new": PMKind.HOST,
+    "cuda": PMKind.CUDA, "cuda_async": PMKind.CUDA,
+    "cuda_uva": PMKind.CUDA, "cuda_host": PMKind.CUDA,
+    "hip": PMKind.HIP, "hip_async": PMKind.HIP,
+    "hip_uva": PMKind.HIP, "hip_host": PMKind.HIP,
+    "openmp": PMKind.OPENMP,
+    "sycl": PMKind.SYCL, "sycl_shared": PMKind.SYCL, "sycl_host": PMKind.SYCL,
+    "kokkos": PMKind.KOKKOS,
+}
+_HOST_RESIDENT = {"malloc", "new", "cuda_host", "hip_host", "sycl_host"}
+_ASYNC = {"cuda_async", "hip_async"}
+_UVA = {"cuda_uva", "hip_uva", "sycl_shared"}
+_PINNED_HOST = {"cuda_host", "hip_host", "sycl_host"}
+
+
 class Allocator(enum.Enum):
     """Which PM, and which method within the PM, manages an allocation."""
 
@@ -74,50 +92,20 @@ class Allocator(enum.Enum):
     # Kokkos memory spaces (paper Section 5 future work).
     KOKKOS = "kokkos"                  # Kokkos::kokkos_malloc<DeviceSpace>()
 
-    # -- capability queries ---------------------------------------------------
-    @property
-    def pm_kind(self) -> PMKind:
-        """The programming model that owns allocations of this kind."""
-        return _PM_OF[self]
-
-    @property
-    def is_host_resident(self) -> bool:
-        """True if allocations live in host memory (pinned ones included)."""
-        return self in (
-            Allocator.MALLOC,
-            Allocator.NEW,
-            Allocator.CUDA_HOST,
-            Allocator.HIP_HOST,
-            Allocator.SYCL_HOST,
-        )
-
-    @property
-    def is_device_resident(self) -> bool:
-        """True if allocations live in device memory."""
-        return not self.is_host_resident
-
-    @property
-    def is_async(self) -> bool:
-        """True for stream-ordered allocation variants."""
-        return self in (Allocator.CUDA_ASYNC, Allocator.HIP_ASYNC)
-
-    @property
-    def is_uva(self) -> bool:
-        """True for universally addressable (managed/unified) variants."""
-        return self in (
-            Allocator.CUDA_UVA,
-            Allocator.HIP_UVA,
-            Allocator.SYCL_SHARED,
-        )
-
-    @property
-    def is_pinned_host(self) -> bool:
-        """True for device-visible (page-locked) host variants."""
-        return self in (
-            Allocator.CUDA_HOST,
-            Allocator.HIP_HOST,
-            Allocator.SYCL_HOST,
-        )
+    # -- capability queries: resolved once per member -----------------------
+    def __init__(self, value: str):
+        #: The programming model that owns allocations of this kind.
+        self.pm_kind = _PM_OF[value]
+        #: Allocations live in host memory (pinned ones included).
+        self.is_host_resident = value in _HOST_RESIDENT
+        #: Allocations live in device memory.
+        self.is_device_resident = not self.is_host_resident
+        #: Stream-ordered allocation variants.
+        self.is_async = value in _ASYNC
+        #: Universally addressable (managed/unified) variants.
+        self.is_uva = value in _UVA
+        #: Device-visible (page-locked) host variants.
+        self.is_pinned_host = value in _PINNED_HOST
 
     def validate_device(self, device_id: int) -> None:
         """Raise unless ``device_id`` is legal for this allocator."""
@@ -132,25 +120,6 @@ class Allocator(enum.Enum):
                     f"device allocator {self.name} requires a device, "
                     f"got device_id={device_id}"
                 )
-
-
-_PM_OF = {
-    Allocator.MALLOC: PMKind.HOST,
-    Allocator.NEW: PMKind.HOST,
-    Allocator.CUDA: PMKind.CUDA,
-    Allocator.CUDA_ASYNC: PMKind.CUDA,
-    Allocator.CUDA_UVA: PMKind.CUDA,
-    Allocator.CUDA_HOST: PMKind.CUDA,
-    Allocator.HIP: PMKind.HIP,
-    Allocator.HIP_ASYNC: PMKind.HIP,
-    Allocator.HIP_UVA: PMKind.HIP,
-    Allocator.HIP_HOST: PMKind.HIP,
-    Allocator.OPENMP: PMKind.OPENMP,
-    Allocator.SYCL: PMKind.SYCL,
-    Allocator.SYCL_SHARED: PMKind.SYCL,
-    Allocator.SYCL_HOST: PMKind.SYCL,
-    Allocator.KOKKOS: PMKind.KOKKOS,
-}
 
 
 def default_allocator_for(pm: PMKind, device_id: int) -> Allocator:

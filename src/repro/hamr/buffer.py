@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import AllocationError, StreamError
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator
+from repro.hamr.pool import POOL_HIT_COST, pool_for
 from repro.hamr.runtime import current_clock, get_active_device
 from repro.hamr.stream import Stream, StreamMode, default_stream
 from repro.hw.clock import EventCategory, SimClock, TimedEvent
@@ -100,18 +101,17 @@ class Buffer:
                     "stream_mode": stream_mode.value,
                 },
             )
+        host = allocator.is_host_resident
         if device_id is None:
-            device_id = (
-                HOST_DEVICE_ID if allocator.is_host_resident else get_active_device()
-            )
+            device_id = HOST_DEVICE_ID if host else get_active_device()
         allocator.validate_device(device_id)
-        node = get_node()
         # Pinned-host and UVA memory is accounted where it physically lives.
-        resource = node.resource(HOST_DEVICE_ID if allocator.is_host_resident else device_id)
-        clock = clock if clock is not None else current_clock()
+        resource = get_node().resource(HOST_DEVICE_ID if host else device_id)
+        if clock is None:
+            clock = current_clock()
         if stream is None:
             stream = default_stream(device_id)
-        elif stream.device_id not in (device_id, HOST_DEVICE_ID) and not allocator.is_host_resident:
+        elif stream.device_id not in (device_id, HOST_DEVICE_ID) and not host:
             raise StreamError(
                 f"stream {stream.name} targets device {stream.device_id}, "
                 f"cannot order allocation on device {device_id}",
@@ -124,38 +124,23 @@ class Buffer:
             )
 
         data = np.empty(size, dtype=dtype)
+        nbytes = data.nbytes
         if allocator.is_async:
             # Stream-ordered allocators are pool allocators: a freed
             # block of the same size is reused at pointer-bump cost.
-            from repro.hamr.pool import POOL_HIT_COST, pool_for
-
-            hit = pool_for(resource).acquire(data.nbytes)
-            dur = (
-                POOL_HIT_COST
-                if hit
-                else resource.alloc_time(data.nbytes, asynchronous=True)
-            )
+            hit = pool_for(resource).acquire(nbytes)
+            dur = POOL_HIT_COST if hit else resource.alloc_time(nbytes, True)
         else:
-            resource.claim_memory(data.nbytes)
-            dur = resource.alloc_time(data.nbytes, asynchronous=False)
+            resource.claim_memory(nbytes)
+            dur = resource.alloc_time(nbytes, False)
         buf = cls(
-            data,
-            allocator,
-            device_id,
-            stream,
-            stream_mode,
-            owns_memory=True,
-            name=name or f"alloc[{size}x{np.dtype(dtype).name}]",
-            resource=resource,
+            data, allocator, device_id, stream, stream_mode, True,
+            name or f"alloc[{size}x{data.dtype.name}]", resource=resource,
         )
         ev = stream.enqueue(
-            clock,
-            dur,
-            name=f"alloc {buf.name}",
-            category=EventCategory.ALLOC,
-            mode=stream_mode,
+            clock, dur, f"alloc {buf.name}", EventCategory.ALLOC, stream_mode,
         )
-        buf.mark_pending(ev)
+        buf._ready_at = ev.end
         return buf
 
     @classmethod
@@ -245,13 +230,13 @@ class Buffer:
     @property
     def ready_at(self) -> float:
         """Simulated time at which the contents are valid."""
-        with self._lock:
-            return self._ready_at
+        return self._ready_at
 
     def mark_pending(self, event: TimedEvent) -> None:
         """Record that ``event`` must complete before the contents are valid."""
         with self._lock:
-            self._ready_at = max(self._ready_at, event.end)
+            if event.end > self._ready_at:
+                self._ready_at = event.end
 
     def synchronize(self, clock: SimClock | None = None) -> float:
         """Block the issuing clock until in-flight operations complete.
@@ -260,9 +245,7 @@ class Buffer:
         (paper Listing 3).
         """
         clock = clock if clock is not None else current_clock()
-        with self._lock:
-            t = self._ready_at
-        return clock.wait_for(max(t, 0.0))
+        return clock.wait_for(max(self._ready_at, 0.0))
 
     def host_accessible(self) -> bool:
         """True if the bytes can be read from the host without a move."""
@@ -270,24 +253,23 @@ class Buffer:
 
     def device_accessible(self, device_id: int) -> bool:
         """True if the bytes can be read from ``device_id`` without a move."""
+        a = self.allocator
         if device_id == HOST_DEVICE_ID:
-            return self.host_accessible()
+            return a.is_host_resident or a.is_uva
         return (
-            self.device_id == device_id and not self.on_host
-        ) or self.allocator.is_uva or self.allocator.is_pinned_host
+            self.device_id == device_id and not a.is_host_resident
+        ) or a.is_uva or a.is_pinned_host
 
     # -- mutation ------------------------------------------------------------------
     def fill(self, value: float, clock: SimClock | None = None) -> TimedEvent:
         """Set every element to ``value`` (device memset / host fill)."""
-        clock = clock if clock is not None else current_clock()
-        resource = self._resource
-        self._data.fill(value)
+        if clock is None:
+            clock = current_clock()
+        data = self._data
+        data.fill(value)
         ev = self.stream.enqueue(
-            clock,
-            resource.memset_time(self.nbytes),
-            name=f"fill {self.name}",
-            category=EventCategory.COMPUTE,
-            mode=self.stream_mode,
+            clock, self._resource.memset_time(data.nbytes), f"fill {self.name}",
+            EventCategory.COMPUTE, self.stream_mode,
         )
         self.mark_pending(ev)
         return ev
@@ -296,23 +278,20 @@ class Buffer:
         """Release the allocation (to the resource it came from).  Idempotent."""
         if self._freed:
             return
-        clock = clock if clock is not None else current_clock()
-        resource = self._resource
         if self._owns_memory:
-            if self.allocator.is_async:
+            resource = self._resource
+            nbytes = self._data.nbytes
+            asynchronous = self.allocator.is_async
+            if asynchronous:
                 # Back to the stream-ordered pool: the footprint stays
                 # on the device until the pool is trimmed.
-                from repro.hamr.pool import pool_for
-
-                pool_for(resource).release(self.nbytes)
+                pool_for(resource).release(nbytes)
             else:
-                resource.release_memory(self.nbytes)
+                resource.release_memory(nbytes)
             self.stream.enqueue(
-                clock,
-                resource.free_time(asynchronous=self.allocator.is_async),
-                name=f"free {self.name}",
-                category=EventCategory.FREE,
-                mode=self.stream_mode,
+                clock if clock is not None else current_clock(),
+                resource.free_time(asynchronous), f"free {self.name}",
+                EventCategory.FREE, self.stream_mode,
             )
         if self._deleter is not None:
             self._deleter()

@@ -67,10 +67,14 @@ def transfer(
     while the move is in progress and both buffers carry the completion
     as a pending event.
     """
-    clock = clock if clock is not None else current_clock()
-    mode = mode if mode is not None else src.stream_mode
+    if clock is None:
+        clock = current_clock()
+    if mode is None:
+        mode = src.stream_mode
     if allocator is None:
         allocator = default_allocator_for(pm, device_id)
+    src_host = src.allocator.is_host_resident
+    dst_host = allocator.is_host_resident
     if stream is None:
         # Order the move where an async memcpy would be ordered: on the
         # source device's dedicated copy stream (the DMA-engine lane).
@@ -81,40 +85,28 @@ def transfer(
         # the copy behind the source's in-flight producer.  Any
         # device-resident destination keeps the destination device's
         # default stream (the allocation must be ordered there).
-        to_host = (
-            device_id == HOST_DEVICE_ID
-            or (allocator is not None and allocator.is_host_resident)
-        )
-        if to_host and not src.on_host:
+        if (device_id == HOST_DEVICE_ID or dst_host) and not src_host:
             stream = copy_stream(src.device_id)
         else:
             stream = default_stream(device_id)
 
-    src_loc = HOST_DEVICE_ID if src.on_host else src.device_id
+    dst_loc = HOST_DEVICE_ID if dst_host else device_id
     dst = Buffer.allocate(
-        src.size,
-        src.dtype,
-        allocator=allocator,
-        device_id=device_id if not allocator.is_host_resident else HOST_DEVICE_ID,
-        stream=stream,
-        stream_mode=mode,
-        name=name or f"copy-of-{src.name}",
-        clock=clock,
+        src.size, src.dtype, allocator, dst_loc, stream, mode,
+        name or f"copy-of-{src.name}", clock,
     )
-    dst_loc = HOST_DEVICE_ID if dst.on_host else dst.device_id
     # The movement engine sits below the view layer; it is the code
     # that makes everyone else's access legal.
     np.copyto(dst.data, src.data)  # lint: disable=HL001
 
-    pinned = src.allocator.is_pinned_host or dst.allocator.is_pinned_host
-    dur = transfer_duration(src.nbytes, src_loc, dst_loc, pinned=pinned)
+    pinned = src.allocator.is_pinned_host or allocator.is_pinned_host
+    dur = transfer_duration(
+        src.nbytes, HOST_DEVICE_ID if src_host else src.device_id, dst_loc,
+        pinned=pinned,
+    )
     ev = stream.enqueue(
-        clock,
-        dur,
-        name=f"copy {src.name}->{dst.name}",
-        category=EventCategory.COPY,
-        mode=mode,
-        after=max(src.ready_at, dst.ready_at),
+        clock, dur, f"copy {src.name}->{dst.name}", EventCategory.COPY, mode,
+        max(src.ready_at, dst.ready_at),
     )
     src.mark_pending(ev)
     dst.mark_pending(ev)

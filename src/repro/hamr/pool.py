@@ -128,7 +128,10 @@ class MemoryPool:
 def pool_for(resource: ComputeResource) -> MemoryPool:
     """The pool bound to ``resource``: made on first use and kept on the
     resource itself, so it lives exactly as long as the node does."""
-    with resource.lock:
-        if resource.pool is None:
-            resource.pool = MemoryPool(resource)
-        return resource.pool
+    pool = resource.pool
+    if pool is None:
+        with resource.lock:
+            if resource.pool is None:
+                resource.pool = MemoryPool(resource)
+            pool = resource.pool
+    return pool

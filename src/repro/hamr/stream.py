@@ -119,11 +119,11 @@ class Stream:
         issuing clock blocks until completion.
         """
         issue = clock.now
-        if after is not None:
-            issue = max(issue, float(after))
-        ev = self.timeline.schedule(issue, duration, name=name, category=category)
+        if after is not None and after > issue:
+            issue = float(after)
+        ev = self.timeline.schedule(issue, duration, name, category)
         if mode is StreamMode.SYNC:
-            clock.wait_event(ev)
+            clock.wait_for(ev.end)
         return ev
 
     def wait_event(self, event: TimedEvent) -> None:
@@ -152,19 +152,21 @@ class Stream:
 
 def _lane_stream(device_id: int, pm: PMKind, lane: str, label: str) -> Stream:
     """The stream that schedules on ``resource.<lane>`` of the current
-    node's ``device_id``, made on first use and kept on the resource."""
-    device_id = int(device_id)
+    node's ``device_id``, made on first use and kept on the resource:
+    after that a lookup is one dict read, without the resource's lock."""
     resource = get_node().resource(device_id)
-    with resource.lock:
-        s = resource.streams.get(lane)
-        if s is None:
-            s = Stream.__new__(Stream)
-            s._attach(
-                device_id, pm, f"{label}@{_loc(device_id)}",
-                timeline=getattr(resource, lane),
-            )
-            resource.streams[lane] = s
-        return s
+    s = resource.streams.get(lane)
+    if s is None:
+        with resource.lock:
+            s = resource.streams.get(lane)
+            if s is None:
+                s = Stream.__new__(Stream)
+                s._attach(
+                    device_id, pm, f"{label}@{_loc(device_id)}",
+                    timeline=getattr(resource, lane),
+                )
+                resource.streams[lane] = s
+    return s
 
 
 def default_stream(device_id: int = 0, pm: PMKind = PMKind.CUDA) -> Stream:

@@ -33,6 +33,8 @@ class SharedView:
     host-only data-array baseline); such views are always in place.
     """
 
+    __slots__ = ("_array", "_source", "_temporary", "_released")
+
     def __init__(
         self,
         array: np.ndarray,
@@ -126,16 +128,10 @@ def accessible_view(
     *location* plus allocator bookkeeping, which is exactly how the
     temporary is allocated (with ``pm``'s own allocator).
     """
-    clock = clock if clock is not None else current_clock()
     if buffer.device_accessible(device_id):
-        return SharedView(buffer.data, buffer, temporary=None)
+        return SharedView(buffer.data, buffer)
     tmp = transfer(
-        buffer,
-        device_id,
-        pm=pm,
-        stream=stream,
-        mode=mode,
-        clock=clock,
-        name=f"view-of-{buffer.name}",
+        buffer, device_id, pm, None, stream, mode, clock,
+        f"view-of-{buffer.name}",
     )
-    return SharedView(tmp.data, buffer, temporary=tmp)
+    return SharedView(tmp.data, buffer, tmp)

@@ -25,8 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = ["EventCategory", "TimedEvent", "Timeline", "SimClock"]
 
@@ -47,20 +46,21 @@ class EventCategory(enum.Enum):
 _event_ids = itertools.count()
 
 
-@dataclass(frozen=True, order=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     """One scheduled operation on a timeline.
 
     Ordering is by ``(start, end, seq)`` so sorted event lists read as a
-    trace.
+    trace: ``seq`` is unique, so a comparison never reaches the later
+    fields.  A named tuple, so an event is built in one step and its
+    fields cannot be assigned.
     """
 
     start: float
     end: float
-    seq: int = field(compare=True)
-    name: str = field(compare=False, default="")
-    category: EventCategory = field(compare=False, default=EventCategory.OTHER)
-    resource: str = field(compare=False, default="")
+    seq: int
+    name: str = ""
+    category: EventCategory = EventCategory.OTHER
+    resource: str = ""
 
     @property
     def duration(self) -> float:
@@ -88,8 +88,7 @@ class Timeline:
     @property
     def available_at(self) -> float:
         """Simulated time at which this resource next becomes free."""
-        with self._lock:
-            return self._available_at
+        return self._available_at
 
     def schedule(
         self,
@@ -106,16 +105,11 @@ class Timeline:
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")
         with self._lock:
-            start = max(float(issue_time), self._available_at)
+            start = float(issue_time)
+            if self._available_at > start:
+                start = self._available_at
             end = start + float(duration)
-            ev = TimedEvent(
-                start=start,
-                end=end,
-                seq=next(_event_ids),
-                name=name,
-                category=category,
-                resource=self.name,
-            )
+            ev = TimedEvent(start, end, next(_event_ids), name, category, self.name)
             self._available_at = end
             self._events.append(ev)
             return ev
@@ -139,12 +133,8 @@ class Timeline:
             raise ValueError(f"event ends before it starts: {start}..{end}")
         with self._lock:
             ev = TimedEvent(
-                start=float(start),
-                end=float(end),
-                seq=next(_event_ids),
-                name=name,
-                category=category,
-                resource=self.name,
+                float(start), float(end), next(_event_ids), name, category,
+                self.name,
             )
             self._events.append(ev)
             if end > self._available_at:
@@ -207,8 +197,8 @@ class SimClock:
 
     @property
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        # One attribute read is atomic; only the updates need the lock.
+        return self._now
 
     def advance(self, dt: float) -> float:
         """Move forward by ``dt`` seconds of local work; returns new time."""

@@ -130,12 +130,18 @@ _current_node: VirtualNode | None = None
 
 
 def get_node() -> VirtualNode:
-    """Return the current node, creating a default one on first use."""
+    """Return the current node, creating a default one on first use.
+
+    Reading the installed node is one atomic load, so only the first
+    use of a fresh slot takes the lock."""
     global _current_node
-    with _lock:
-        if _current_node is None:
-            _current_node = VirtualNode()
-        return _current_node
+    node = _current_node
+    if node is None:
+        with _lock:
+            if _current_node is None:
+                _current_node = VirtualNode()
+            node = _current_node
+    return node
 
 
 def set_node(node: VirtualNode) -> VirtualNode:

@@ -80,16 +80,17 @@ def launch(
     cores:
         For host execution, how many CPU cores the kernel may use.
     """
-    clock = clock if clock is not None else current_clock()
-    node = get_node()
-    resource = node.resource(device_id)
+    if clock is None:
+        clock = current_clock()
+    resource = get_node().resource(device_id)
     if stream is None:
         stream = default_stream(device_id)
 
     # A kernel may not start before its operands are valid.
     after = 0.0
     for b in (*reads, *writes):
-        after = max(after, b.ready_at)
+        if b.ready_at > after:
+            after = b.ready_at
 
     # Real numerics, simulated time.  The launcher is the execution
     # engine: operands were staged by the access APIs (launch's
@@ -97,20 +98,11 @@ def launch(
     fn(*[b.data for b in reads], *[b.data for b in writes])  # lint: disable=HL001
 
     if resource.is_host:
-        dur = resource.kernel_time(
-            flops=flops,
-            bytes_moved=bytes_moved,
-            atomic_fraction=atomic_fraction,
-            cores=cores,
-        )
+        dur = resource.kernel_time(flops, bytes_moved, atomic_fraction, cores)
     else:
-        dur = resource.kernel_time(
-            flops=flops, bytes_moved=bytes_moved, atomic_fraction=atomic_fraction
-        )
+        dur = resource.kernel_time(flops, bytes_moved, atomic_fraction)
 
-    ev = stream.enqueue(
-        clock, dur, name=name, category=EventCategory.COMPUTE, mode=mode, after=after
-    )
+    ev = stream.enqueue(clock, dur, name, EventCategory.COMPUTE, mode, after)
     for b in writes:
         b.mark_pending(ev)
     return ev

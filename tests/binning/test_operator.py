@@ -215,6 +215,34 @@ class TestDeviceBinning:
         assert get_node().devices[1].mem_used == 0
 
 
+    def test_failed_step_releases_device_memory(self):
+        """The AVERAGE accumulator does not fit; everything the step had
+        staged or allocated before that must be back on the device."""
+        from repro.errors import DeviceOutOfMemoryError
+        from repro.hw.node import VirtualNode, set_node
+        from repro.hw.spec import small_node_spec
+
+        node = VirtualNode(small_node_spec(1, 40_000))
+        set_node(node)
+        rng = np.random.default_rng(0)
+        t = TableData("bodies")
+        for name in ("x", "m"):
+            t.add_host_column(name, rng.random(1000))
+        binner = DataBinner(
+            [AxisSpec("x", 1024)],
+            [BinRequest(ReductionOp.SUM, "m"),
+             BinRequest(ReductionOp.AVERAGE, "m"),
+             BinRequest(ReductionOp.MAX, "m")],
+        )
+        before = node.device(0).mem_used
+        with pytest.raises(DeviceOutOfMemoryError) as err:
+            binner.execute(t, device_id=0)
+        # Checked while the traceback still holds the failed frames, so
+        # nothing here relies on garbage collection.
+        assert err.value.requested == 16384
+        assert node.device(0).mem_used == before
+
+
 class TestMPIBinning:
     def test_grids_merged_across_ranks(self):
         """Each rank holds part of the data; results are global."""

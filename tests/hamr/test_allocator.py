@@ -91,6 +91,26 @@ class TestVariantFlags:
         assert not Allocator.MALLOC.is_pinned_host
 
 
+class TestCapabilityContract:
+    """Each flag is resolved once per member; for every member it must
+    equal membership in the set the allocator docs name."""
+
+    DOCUMENTED = {
+        "is_host_resident": set(HOST_ALLOCS),
+        "is_device_resident": set(DEVICE_ALLOCS),
+        "is_async": {Allocator.CUDA_ASYNC, Allocator.HIP_ASYNC},
+        "is_uva": {Allocator.CUDA_UVA, Allocator.HIP_UVA, Allocator.SYCL_SHARED},
+        "is_pinned_host": {
+            Allocator.CUDA_HOST, Allocator.HIP_HOST, Allocator.SYCL_HOST,
+        },
+    }
+
+    @pytest.mark.parametrize("flag", sorted(DOCUMENTED))
+    @pytest.mark.parametrize("alloc", list(Allocator), ids=lambda a: a.name)
+    def test_flag_is_membership(self, alloc, flag):
+        assert getattr(alloc, flag) is (alloc in self.DOCUMENTED[flag])
+
+
 class TestValidateDevice:
     def test_host_allocator_rejects_device(self):
         with pytest.raises(InvalidAllocatorError):

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw.clock import EventCategory, SimClock, Timeline, merge_events
+from repro.hw.clock import (
+    EventCategory,
+    SimClock,
+    TimedEvent,
+    Timeline,
+    merge_events,
+)
 
 
 class TestSimClock:
@@ -46,6 +52,37 @@ class TestSimClock:
         c = SimClock(7.0)
         c.reset()
         assert c.now == 0.0
+
+
+class TestTimedEvent:
+    """The event record's contract: what code that sorts, compares or
+    reads events relies on."""
+
+    def test_field_names(self):
+        ev = TimedEvent(start=1.0, end=2.0, seq=7, name="k",
+                        category=EventCategory.COPY, resource="gpu0")
+        assert (ev.start, ev.end, ev.seq, ev.name, ev.category, ev.resource) == (
+            1.0, 2.0, 7, "k", EventCategory.COPY, "gpu0"
+        )
+        assert ev.duration == 1.0
+        bare = TimedEvent(0.0, 1.0, 3)
+        assert (bare.name, bare.category, bare.resource) == (
+            "", EventCategory.OTHER, ""
+        )
+
+    def test_sorts_by_start_end_seq(self):
+        a = TimedEvent(0.0, 2.0, 9, name="z")
+        b = TimedEvent(0.0, 1.0, 8, name="y")
+        c = TimedEvent(0.0, 1.0, 5, name="x", category=EventCategory.COMPUTE)
+        d = TimedEvent(-1.0, 5.0, 1, name="w")
+        assert sorted([a, b, c, d]) == [d, c, b, a]
+
+    def test_rejects_assignment(self):
+        ev = TimedEvent(0.0, 1.0, 0)
+        for field in ("start", "end", "seq", "name", "category", "resource"):
+            with pytest.raises(AttributeError):
+                setattr(ev, field, 5)
+        assert ev.start == 0.0 and ev.end == 1.0
 
 
 class TestTimeline:

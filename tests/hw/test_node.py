@@ -101,6 +101,33 @@ class TestGlobalNode:
             assert get_node() is inner
         assert get_node() is outer
 
+    def test_set_and_reset_seen_from_another_thread(self):
+        """``get_node`` reads the slot without the lock: a node installed
+        or discarded on one thread is what any thread sees next."""
+        import threading
+
+        def from_thread():
+            out = []
+            t = threading.Thread(target=lambda: out.append(get_node()))
+            t.start()
+            t.join()
+            return out[0]
+
+        node = VirtualNode(small_node_spec(num_devices=2))
+        set_node(node)
+        assert get_node() is node
+        assert from_thread() is node
+        reset_node()
+        fresh = from_thread()
+        assert fresh is not node and fresh.num_devices == 4
+        assert get_node() is fresh
+        other = VirtualNode(small_node_spec(num_devices=1))
+        set_node(other)
+        assert from_thread() is other
+        reset_node()
+        fresh = get_node()
+        assert fresh is not other and from_thread() is fresh
+
     def test_query_helpers(self):
         assert get_device(0) is get_node().devices[0]
         assert host_cpu() is get_node().host

@@ -24,7 +24,7 @@ per-rank partial results over MPI.
 from repro.binning.axes import AxisSpec, compute_bounds, flat_bin_index
 from repro.binning.reduce import ReductionOp
 from repro.binning.cpu import bin_cpu
-from repro.binning.cuda import bin_device
+from repro.binning.cuda import BinPlan, bin_device
 from repro.binning.strategies import BinningStrategy
 from repro.binning.operator import BinRequest, DataBinner
 
@@ -34,6 +34,7 @@ __all__ = [
     "flat_bin_index",
     "ReductionOp",
     "bin_cpu",
+    "BinPlan",
     "bin_device",
     "BinningStrategy",
     "BinRequest",

@@ -185,13 +185,13 @@ class DataBinner:
             compute_bounds(ax, vals, comm) for ax, vals in zip(self.axes, coords)
         ]
         dims = [ax.n_bins for ax in self.axes]
-        steps = self._compile(device_id, table.n_rows)
+        plans = self._compile(device_id, table.n_rows)
 
         if device_id == HOST_DEVICE_ID:
-            grids = self._execute_host(table, coords, bounds, dims, steps, cores)
+            grids = self._execute_host(table, coords, bounds, dims, plans, cores)
         else:
             grids = self._execute_device(
-                table, bounds, dims, steps, device_id, stream, mode
+                table, bounds, dims, plans, device_id, stream, mode
             )
 
         # Merge partial grids across ranks, then finalize.
@@ -201,7 +201,7 @@ class DataBinner:
             spacing=[(hi - lo) / nb for (lo, hi), nb in zip(bounds, dims)],
             name=self.name,
         )
-        for (_var, result_name, mpi_op, plan), acc in zip(steps, grids):
+        for (_var, result_name, mpi_op, plan), acc in zip(plans, grids):
             if comm is not None:
                 acc = comm.Allreduce(acc, op=mpi_op)
             mesh.add_host_cell_array(result_name, plan.op.finalize(acc))
@@ -213,7 +213,7 @@ class DataBinner:
         coords: list[np.ndarray],
         bounds: list[tuple[float, float]],
         dims: list[int],
-        steps: tuple,
+        plans: tuple,
         cores: int | None,
     ) -> list[np.ndarray]:
         """CPU path: index once, then one pass per request."""
@@ -222,7 +222,7 @@ class DataBinner:
         # Charge the host roofline for the work (numerics below are real).
         host = get_node().host
         clock = current_clock()
-        for variable, _name, _mpi_op, plan in steps:
+        for variable, _name, _mpi_op, plan in plans:
             values = (
                 self._column_values(table.column(variable))
                 if variable is not None
@@ -245,7 +245,7 @@ class DataBinner:
         table: TableData,
         bounds: list[tuple[float, float]],
         dims: list[int],
-        steps: tuple,
+        plans: tuple,
         device_id: int,
         stream: Stream | None,
         mode: StreamMode,
@@ -286,7 +286,7 @@ class DataBinner:
                 mode=mode,
                 name="binning-index",
             )
-            for variable, _name, _mpi_op, plan in steps:
+            for variable, _name, _mpi_op, plan in plans:
                 grids.append(self._bin_one(
                     table, variable, plan, idx, device_id, stream, mode,
                 ))
@@ -297,7 +297,16 @@ class DataBinner:
                 idx.free()
         return grids
 
-    def _bin_one(self, table, variable, plan, idx, device_id, stream, mode):
+    def _bin_one(
+        self,
+        table: TableData,
+        variable: str | None,
+        plan: BinPlan,
+        idx: Buffer,
+        device_id: int,
+        stream: Stream,
+        mode: StreamMode,
+    ) -> np.ndarray:
         """One request on the device: stage its column, launch, read the
         accumulator back, free; the column view and the accumulator are
         released even if a step raises."""

@@ -44,9 +44,9 @@ class Buffer:
         stream: Stream,
         stream_mode: StreamMode,
         owns_memory: bool,
+        resource,
         name: str = "",
         deleter: Callable[[], None] | None = None,
-        resource=None,
     ):
         if data.ndim != 1:
             data = np.ascontiguousarray(data).reshape(-1)
@@ -64,10 +64,6 @@ class Buffer:
         # The compute resource this allocation belongs to.  Captured at
         # construction: memory must be returned to the device it came
         # from, even if a different node is current when we are freed.
-        if resource is None:
-            resource = get_node().resource(
-                HOST_DEVICE_ID if allocator.is_host_resident else self.device_id
-            )
         self._resource = resource
 
     # -- constructors ---------------------------------------------------------
@@ -129,18 +125,21 @@ class Buffer:
             # Stream-ordered allocators are pool allocators: a freed
             # block of the same size is reused at pointer-bump cost.
             hit = pool_for(resource).acquire(nbytes)
-            dur = POOL_HIT_COST if hit else resource.alloc_time(nbytes, True)
+            dur = (
+                POOL_HIT_COST if hit
+                else resource.alloc_time(nbytes, asynchronous=True)
+            )
         else:
             resource.claim_memory(nbytes)
-            dur = resource.alloc_time(nbytes, False)
+            dur = resource.alloc_time(nbytes, asynchronous=False)
         buf = cls(
-            data, allocator, device_id, stream, stream_mode, True,
-            name or f"alloc[{size}x{data.dtype.name}]", resource=resource,
+            data, allocator, device_id, stream, stream_mode, True, resource,
+            name or f"alloc[{size}x{data.dtype.name}]",
         )
         ev = stream.enqueue(
             clock, dur, f"alloc {buf.name}", EventCategory.ALLOC, stream_mode,
         )
-        buf._ready_at = ev.end
+        buf.mark_pending(ev)
         return buf
 
     @classmethod
@@ -171,18 +170,14 @@ class Buffer:
                 HOST_DEVICE_ID if allocator.is_host_resident else get_active_device()
             )
         allocator.validate_device(device_id)
-        get_node().resource(HOST_DEVICE_ID if allocator.is_host_resident else device_id)
+        resource = get_node().resource(
+            HOST_DEVICE_ID if allocator.is_host_resident else device_id
+        )
         if stream is None:
             stream = default_stream(device_id)
         buf = cls(
-            data,
-            allocator,
-            int(device_id),
-            stream,
-            stream_mode,
-            owns_memory=False,
-            name=name or "wrapped",
-            deleter=deleter,
+            data, allocator, int(device_id), stream, stream_mode, False,
+            resource, name or "wrapped", deleter,
         )
         buf._owner = owner  # keep-alive reference
         return buf

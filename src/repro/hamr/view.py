@@ -131,7 +131,7 @@ def accessible_view(
     if buffer.device_accessible(device_id):
         return SharedView(buffer.data, buffer)
     tmp = transfer(
-        buffer, device_id, pm, None, stream, mode, clock,
-        f"view-of-{buffer.name}",
+        buffer, device_id, pm, stream=stream, mode=mode, clock=clock,
+        name=f"view-of-{buffer.name}",
     )
     return SharedView(tmp.data, buffer, tmp)

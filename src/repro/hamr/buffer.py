@@ -248,9 +248,9 @@ class Buffer:
 
     def device_accessible(self, device_id: int) -> bool:
         """True if the bytes can be read from ``device_id`` without a move."""
-        a = self.allocator
         if device_id == HOST_DEVICE_ID:
-            return a.is_host_resident or a.is_uva
+            return self.host_accessible()
+        a = self.allocator
         return (
             self.device_id == device_id and not a.is_host_resident
         ) or a.is_uva or a.is_pinned_host

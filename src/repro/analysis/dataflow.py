@@ -55,6 +55,9 @@ __all__ = [
     "PoolAnalysis",
     "DecisionPaths",
     "ProjectContext",
+    "tail_name",
+    "call_keywords",
+    "literal_device_id",
 ]
 
 #: How deep summary computation follows call edges before widening.
@@ -76,7 +79,8 @@ DECISION_TYPES = (
 )
 
 
-def _tail_name(node: ast.AST) -> str | None:
+def tail_name(node: ast.AST) -> str | None:
+    """Trailing identifier of a Name/Attribute chain, else None."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -84,7 +88,7 @@ def _tail_name(node: ast.AST) -> str | None:
     return None
 
 
-def _keywords(call: ast.Call) -> dict[str, ast.expr]:
+def call_keywords(call: ast.Call) -> dict[str, ast.expr]:
     return {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
 
 
@@ -204,7 +208,7 @@ def collect_stream_facts(
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             call = node.value
-            fresh = _tail_name(call.func) == "Stream"
+            fresh = tail_name(call.func) == "Stream"
             if not fresh and analysis is not None:
                 _, cs = analysis.summary_of_call(scope, call, depth)
                 fresh = cs is not None and cs.returns_fresh
@@ -213,19 +217,19 @@ def collect_stream_facts(
                     if isinstance(tgt, ast.Name):
                         facts.created[tgt.id] = call
         if isinstance(node, ast.Call):
-            fname = _tail_name(node.func)
+            fname = tail_name(node.func)
             if fname in SYNC_METHODS:
                 facts.any_sync = True
                 if isinstance(node.func, ast.Attribute) and isinstance(
                     node.func.value, ast.Name
                 ):
                     facts.synced.add(node.func.value.id)
-            kws = _keywords(node)
+            kws = call_keywords(node)
             stream_kw = kws.get("stream")
             mode_kw = kws.get("mode") or kws.get("stream_mode")
             if (
                 isinstance(stream_kw, ast.Name)
-                and _tail_name(mode_kw) == "ASYNC"
+                and tail_name(mode_kw) == "ASYNC"
             ):
                 facts.async_used.add(stream_kw.id)
             if analysis is not None:
@@ -302,7 +306,7 @@ def literal_device_id(node: ast.AST) -> int | None:
         and isinstance(node.operand.value, int)
     ):
         return -int(node.operand.value)
-    if _tail_name(node) == "HOST_DEVICE_ID":
+    if tail_name(node) == "HOST_DEVICE_ID":
         return -1
     return None
 
@@ -332,15 +336,15 @@ def collect_charge_facts(
     params = set(params)
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _tail_name(node.value.func) in RESOLVER_NAMES:
+            if tail_name(node.value.func) in RESOLVER_NAMES:
                 for tgt in node.targets:
                     if isinstance(tgt, ast.Name):
                         facts.resolved_names.add(tgt.id)
         if not isinstance(node, ast.Call):
             continue
-        if _tail_name(node.func) in RESOLVER_NAMES:
+        if tail_name(node.func) in RESOLVER_NAMES:
             continue  # the resolving call itself never "charges"
-        kws = _keywords(node)
+        kws = call_keywords(node)
         dev_kw = kws.get("device_id")
         if dev_kw is not None:
             dev = literal_device_id(dev_kw)
@@ -447,7 +451,7 @@ def collect_pool_facts(
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             call = node.value
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if _tail_name(call.func) == "pool_for":
+            if tail_name(call.func) == "pool_for":
                 for name in names:
                     facts.local_pools[name] = call
             else:

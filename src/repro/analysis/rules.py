@@ -21,6 +21,12 @@ import ast
 from pathlib import PurePosixPath
 from typing import Iterator
 
+from repro.analysis.dataflow import (
+    ProjectContext,
+    call_keywords,
+    literal_device_id,
+    tail_name,
+)
 from repro.analysis.engine import FileContext, Finding, Rule, Severity
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 
@@ -46,20 +52,11 @@ __all__ = [
 
 # -- helpers ------------------------------------------------------------------
 
-def _attr_name(node: ast.AST) -> str | None:
-    """Trailing identifier of a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _enum_member(node: ast.AST, enum_name: str, enum_cls):
     """Resolve ``EnumName.MEMBER`` attribute nodes to the real member."""
     if (
         isinstance(node, ast.Attribute)
-        and _attr_name(node.value) == enum_name
+        and tail_name(node.value) == enum_name
     ):
         return getattr(enum_cls, node.attr, None)
     return None
@@ -71,26 +68,6 @@ def _int_literal(node: ast.AST) -> bool:
         and isinstance(node.value, int)
         and not isinstance(node.value, bool)
     )
-
-
-def _literal_device_id(node: ast.AST) -> int | None:
-    """Literal device ordinals: ints, ``-1``, or ``HOST_DEVICE_ID``."""
-    if _int_literal(node):
-        return int(node.value)
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, ast.USub)
-        and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, int)
-    ):
-        return -int(node.operand.value)
-    if _attr_name(node) == "HOST_DEVICE_ID":
-        return HOST_DEVICE_ID
-    return None
-
-
-def _keywords(call: ast.Call) -> dict[str, ast.expr]:
-    return {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
 
 
 # -- HL001 --------------------------------------------------------------------
@@ -161,13 +138,13 @@ class AllocatorMismatchRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            kws = _keywords(node)
+            kws = call_keywords(node)
             alloc = _enum_member(kws.get("allocator"), "Allocator", Allocator)
             if alloc is None:
                 continue
             details = {"allocator": alloc.name}
             dev = (
-                _literal_device_id(kws["device_id"])
+                literal_device_id(kws["device_id"])
                 if "device_id" in kws
                 else None
             )
@@ -218,8 +195,6 @@ class ProjectRule(Rule):
     def project_for(self, ctx: FileContext):
         if self.project is not None:
             return self.project
-        from repro.analysis.dataflow import ProjectContext
-
         return ProjectContext.build([ctx])
 
 
@@ -307,14 +282,14 @@ class UnownedWrapRule(Rule):
                 continue
             attr = node.func.attr
             if attr == "wrap":
-                recv = _attr_name(node.func.value)
+                recv = tail_name(node.func.value)
                 if recv is None or not recv.endswith("Buffer"):
                     continue
             elif attr != "zero_copy":
                 continue
             if any(kw.arg is None for kw in node.keywords):
                 continue  # **kwargs forwarding: cannot see statically
-            kws = _keywords(node)
+            kws = call_keywords(node)
             if "owner" in kws or "deleter" in kws:
                 continue
             yield self.finding(
@@ -359,7 +334,7 @@ class ThreadOutsideRunnerRule(Rule):
             is_thread = (
                 isinstance(func, ast.Attribute)
                 and func.attr == "Thread"
-                and _attr_name(func.value) == "threading"
+                and tail_name(func.value) == "threading"
             ) or (isinstance(func, ast.Name) and func.id == "Thread")
             if is_thread:
                 yield self.finding(
@@ -393,7 +368,7 @@ class SwallowedErrorRule(Rule):
     def _catches_stream_error(self, handler: ast.ExceptHandler) -> bool:
         t = handler.type
         nodes = t.elts if isinstance(t, ast.Tuple) else [t]
-        return any(_attr_name(n) in self._stream_errors for n in nodes if n)
+        return any(tail_name(n) in self._stream_errors for n in nodes if n)
 
     @staticmethod
     def _body_swallows(handler: ast.ExceptHandler) -> bool:
@@ -452,9 +427,9 @@ class PoolLeakRule(Rule):
 
     @staticmethod
     def _is_pool_receiver(recv: ast.AST, pool_names: set[str]) -> bool:
-        if isinstance(recv, ast.Call) and _attr_name(recv.func) == "pool_for":
+        if isinstance(recv, ast.Call) and tail_name(recv.func) == "pool_for":
             return True
-        name = _attr_name(recv)
+        name = tail_name(recv)
         return name is not None and name in pool_names
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -467,7 +442,7 @@ class PoolLeakRule(Rule):
             escaped: set[str] = set()
             for node in ast.walk(fn):
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    if _attr_name(node.value.func) == "pool_for":
+                    if tail_name(node.value.func) == "pool_for":
                         for tgt in node.targets:
                             if isinstance(tgt, ast.Name):
                                 pool_names.add(tgt.id)
@@ -497,7 +472,7 @@ class PoolLeakRule(Rule):
             if discharged:
                 continue
             for call in acquires:
-                recv_name = _attr_name(call.func.value)
+                recv_name = tail_name(call.func.value)
                 if recv_name in escaped:
                     continue
                 yield self.finding(
@@ -844,7 +819,7 @@ class LiteralTagRule(Rule):
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = getattr(node, "targets", None) or [node.target]
                 named = [
-                    (name, node.value) for name in map(_attr_name, targets)
+                    (name, node.value) for name in map(tail_name, targets)
                     if name and name.endswith("_TAG")
                 ]
             else:
@@ -914,7 +889,7 @@ class WallClockSemanticsRule(ProjectRule):
             elif (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in self._timed_waits
-                and "timeout" in _keywords(node)
+                and "timeout" in call_keywords(node)
             ):
                 yield self.finding(
                     ctx, node,

@@ -32,8 +32,7 @@ class ArrayCoordinator:
     """Runs the repartition loop for one array over one communicator.
 
     ``plane`` supplies the configuration (the ``repartition`` governor
-    setting plus ``repartition_skew`` / ``repartition_cooldown`` and
-    the decision cadence, :meth:`ControlPlane.due
+    setting and the decision cadence, :meth:`ControlPlane.due
     <repro.control.plan.ControlPlane.due>`, that rounds run on), builds
     the governor and logs every decision; without one the coordinator
     runs on a private plane with the governor on and a round every

@@ -42,7 +42,7 @@ decision log; every decision is also exported as a Chrome-trace
 *instant* event so it is visible on the same timeline as the work it
 re-routed.  Configuration comes from the ``<control>`` XML element
 (:class:`~repro.control.plan.ControlConfig`) with per-governor
-enable/freeze.  With no control plane attached, behavior is
+on/off/freeze.  With no control plane attached, behavior is
 bit-identical to the static configuration.
 """
 

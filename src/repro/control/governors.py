@@ -11,11 +11,11 @@ configuration.
 Every governor speaks one protocol — ``observe(<its signals>)`` then
 ``decide(step, t=None) -> list[Decision]`` — and declares, as class
 attributes, everything the rest of the system needs to know about it:
-which ``ControlConfig`` setting switches it, which config fields feed
-its constructor, and how the trace plane treats its decisions.  No
-governor holds a communicator or blocks in ``decide``: one that acts on
-node-wide sums exposes its per-rank ``contribution()`` and is handed
-the folded sums by the driver that owns the round.  The package
+which ``ControlConfig`` setting switches it and how the trace plane
+treats its decisions.  No governor holds a communicator or blocks in
+``decide``: one that acts on node-wide sums exposes its per-rank
+``contribution()`` and is handed the folded sums by the driver that
+owns the round.  The package
 docstring (:mod:`repro.control`) tabulates all eight; the five here
 turn the paper's own knobs, the service and array governors live in
 their own modules.
@@ -84,7 +84,7 @@ class Decision:
 
 
 class Governor:
-    """Base class: the protocol, enable/freeze plumbing, self-description.
+    """Base class: the protocol, freeze plumbing, self-description.
 
     A subclass sets ``name`` (the ``Decision.governor`` it logs under)
     and overrides the class attributes below where the defaults do not
@@ -96,8 +96,6 @@ class Governor:
     #: ``ControlConfig`` field (a ``GovernorSetting``) switching this
     #: governor on/freeze/off; None means the field named ``name``.
     switch: str | None = None
-    #: ``{constructor argument: ControlConfig field}`` knobs.
-    config_args: Mapping[str, str] = {}
     #: True when a trace replay re-executes the path driving this
     #: governor, so its decisions are regenerated rather than re-injected.
     replayed = False
@@ -122,11 +120,9 @@ class Governor:
     def __init__(
         self,
         actuator: Callable | None = None,
-        enabled: bool = True,
         frozen: bool = False,
     ):
         self.actuator = actuator
-        self.enabled = bool(enabled)
         self.frozen = bool(frozen)
 
     def _actuate(self, *args) -> bool:
@@ -191,7 +187,6 @@ class CodecGovernor(Governor):
     """
 
     name = "codec"
-    config_args = {"margin": "codec_margin"}
     replayed = True
 
     #: Payload bytes the ratio probe compresses, and the steps between
@@ -206,10 +201,9 @@ class CodecGovernor(Governor):
         initial: str = "none",
         margin: float = 1.05,
         alpha: float = 0.5,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         self.codecs = tuple(codecs)
         self.current = str(initial)
         self.margin = float(margin)
@@ -286,8 +280,6 @@ class CodecGovernor(Governor):
         )
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        if not self.enabled:
-            return []
         costs = {c: self.predict_cost(c) for c in self.codecs}
         if any(costs[c] is None for c in self.codecs):
             return []  # estimates not warm yet
@@ -328,7 +320,6 @@ class ExecutionModeGovernor(Governor):
     """
 
     name = "execution"
-    config_args = {"low": "mode_low", "high": "mode_high"}
 
     def __init__(
         self,
@@ -337,10 +328,9 @@ class ExecutionModeGovernor(Governor):
         high: float = 0.15,
         alpha: float = 0.5,
         initial: ExecutionMethod = ExecutionMethod.LOCKSTEP,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         self.mode = initial
         self._band = Hysteresis(
             low, high, state=(initial is ExecutionMethod.ASYNCHRONOUS)
@@ -372,8 +362,6 @@ class ExecutionModeGovernor(Governor):
             self._copy.update(copy_estimate)
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        if not self.enabled:
-            return []
         sim = self._sim.value
         insitu = self._insitu.value
         if not sim or insitu is None:
@@ -443,7 +431,6 @@ class PlacementGovernor(Governor):
     """
 
     name = "placement"
-    config_args = {"overload": "overload"}
 
     #: The dilation model device loads are scored with.
     CONTENTION = ContentionModel()
@@ -457,10 +444,9 @@ class PlacementGovernor(Governor):
         rank: int = 0,
         base: DevicePlacement | None = None,
         overload: float = 1.30,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         self.rank = int(rank)
         self.placement = base if base is not None else DevicePlacement.auto()
         self.overload = float(overload)
@@ -512,18 +498,13 @@ class PlacementGovernor(Governor):
 
         ``busy`` is the dilated node load, ``own`` this rank's slice of
         its current device, ``aimed`` a one-hot of that device, ``ranks``
-        the participation count.  A disabled governor still declares
-        every field, as zeros, so an enable-state mismatch between
-        ranks shows up as one participant fewer, never as a layout the
-        other ranks cannot fold.
+        the participation count.
         """
         n = self.n_devices
         fields = {
             name: [0.0] * n for name in ("busy", "own", "resident", "aimed")
         }
-        fields["ranks"] = [float(self.enabled)]
-        if not self.enabled:
-            return fields
+        fields["ranks"] = [1.0]
         for d in range(n):
             fields["busy"][d] = self._loads.get(d, 0.0) * self.dilation(d)
             fields["resident"][d] = float(self._resident.get(d, 0))
@@ -544,7 +525,7 @@ class PlacementGovernor(Governor):
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
         """A crowding finding and/or a re-aim from the ingested sums."""
         total = self._total
-        if not self.enabled or total is None:
+        if total is None:
             return []
         ranks_total = int(round(total["ranks"][0]))
         if ranks_total < 1:
@@ -644,7 +625,6 @@ class PoolTrimGovernor(Governor):
     """
 
     name = "pool"
-    config_args = {"adaptive": "pool_growth"}
 
     #: Watermark growth/decay factor per adaptation.
     GROWTH = 2.0
@@ -655,14 +635,13 @@ class PoolTrimGovernor(Governor):
         self,
         pool,
         watermark_bytes: int,
-        enabled: bool = True,
         frozen: bool = False,
         adaptive: bool = False,
         churn_window: int = 3,
         quiet_window: int = 3,
         max_watermark: int | None = None,
     ):
-        super().__init__(pool.trim_above, enabled, frozen)
+        super().__init__(pool.trim_above, frozen)
         if watermark_bytes < 0:
             raise ValueError(f"watermark must be >= 0: {watermark_bytes}")
         if churn_window < 1 or quiet_window < 1:
@@ -734,8 +713,6 @@ class PoolTrimGovernor(Governor):
         )
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        if not self.enabled:
-            return []
         if self.adaptive:
             moved = self._adapt(step, t)
             if moved is not None:
@@ -822,7 +799,6 @@ class FlowGovernor(Governor):
     """
 
     name = "flow"
-    config_args = {"bounds": "flow_bounds"}
     replayed = True
     measured_args = ("retry_rate", "ack_latency", "inflight_peak")
 
@@ -844,10 +820,9 @@ class FlowGovernor(Governor):
         latency_slack: float = 1.5,
         alpha: float = 0.5,
         cooldown: int = 2,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(None, enabled, frozen)
+        super().__init__(None, frozen)
         self.window_actuator = window_actuator
         self.chunk_actuator = chunk_actuator
         self.bounds = bounds if bounds is not None else FlowBounds()
@@ -925,7 +900,7 @@ class FlowGovernor(Governor):
 
     # -- the loop ---------------------------------------------------------------
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        if not self.enabled or self._samples == 0:
+        if self._samples == 0:
             return []
         retry_rate = self.retry_rate
         ack = self.ack_estimate

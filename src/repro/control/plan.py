@@ -11,11 +11,9 @@ static configuration.
 Configuration is the ``<control>`` element::
 
     <sensei>
-      <control enabled="1" seed="0" interval="1"
+      <control seed="0" interval="1"
                codec="on" execution="freeze" placement="off" pool="on"
-               flow="on" mode_low="0.05" mode_high="0.15"
-               codec_margin="1.05" overload="1.3"
-               pool_watermark_kib="1024">
+               flow="on" quota="off" repartition="off">
         <flow min_credits="1" max_credits="64"
               min_chunk="4096" max_chunk="262144"/>
       </control>
@@ -69,7 +67,6 @@ from repro.hamr.runtime import current_clock
 from repro.sensei.execution import ExecutionMethod
 from repro.svtk.table import TableData
 from repro.transport.wire import SERIALIZE_BANDWIDTH, available_codecs
-from repro.units import KiB
 from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
 
 __all__ = [
@@ -101,20 +98,18 @@ class GovernorSetting:
 
     @property
     def value(self) -> str:
-        if not self.enabled:
-            return "off"
-        return "freeze" if self.frozen else "on"
+        return _VALUES.get(self, "off")
 
 
 _ON = GovernorSetting(True, False)
 _OFF = GovernorSetting(False, False)
+_VALUES = {_ON: "on", GovernorSetting(True, True): "freeze"}
 
 
 @dataclass(frozen=True)
 class ControlConfig:
     """Parsed ``<control>`` element (all attributes optional)."""
 
-    enabled: bool = True
     seed: int = 0
     interval: int = 1          # decide (and fold rounds) every N steps
     codec: GovernorSetting = field(default_factory=lambda: _ON)
@@ -132,45 +127,11 @@ class ControlConfig:
     #: :class:`~repro.array.coordinate.ArrayCoordinator` runs its
     #: rounds, and only when this is enabled.
     repartition: GovernorSetting = field(default_factory=lambda: _OFF)
-    repartition_skew: float = 1.25   # rank busy/halo skew (x mean)
-    repartition_cooldown: int = 2    # rounds to settle after a re-cut
-    #: Let the pool governor *raise* its watermark under trim/refill
-    #: churn (and decay it back when quiet) instead of only trimming.
-    pool_growth: bool = False
     flow_bounds: FlowBounds = field(default_factory=FlowBounds)
-    mode_low: float = 0.05     # hysteresis band on (insitu-copy)/sim
-    mode_high: float = 0.15
-    codec_margin: float = 1.05  # predicted-cost ratio needed to switch
-    overload: float = 1.30     # placement rebalance threshold (x mean)
-    pool_watermark_kib: float | None = None
 
     def __post_init__(self):
         if self.interval < 1:
             raise ConfigError(f"interval must be >= 1: {self.interval}")
-        if self.mode_low > self.mode_high:
-            raise ConfigError(
-                f"need mode_low <= mode_high: "
-                f"{self.mode_low} > {self.mode_high}"
-            )
-        if self.codec_margin < 1.0:
-            raise ConfigError(
-                f"codec_margin must be >= 1: {self.codec_margin}"
-            )
-        if self.overload < 1.0:
-            raise ConfigError(f"overload must be >= 1: {self.overload}")
-        if self.repartition_skew <= 1.0:
-            raise ConfigError(
-                f"repartition_skew must be > 1: {self.repartition_skew}"
-            )
-        if self.repartition_cooldown < 0:
-            raise ConfigError(
-                f"repartition_cooldown must be >= 0: "
-                f"{self.repartition_cooldown}"
-            )
-        if self.pool_watermark_kib is not None and self.pool_watermark_kib < 0:
-            raise ConfigError(
-                f"pool_watermark_kib must be >= 0: {self.pool_watermark_kib}"
-            )
 
     @classmethod
     def from_xml_attrs(
@@ -274,10 +235,6 @@ class ControlPlane:
         self._bridge_insitu_total = 0.0
         self._recorder = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
-
     def attach_recorder(self, recorder) -> None:
         """Mirror the plane's traffic into a trace recorder sink.
 
@@ -305,24 +262,19 @@ class ControlPlane:
         taps and for the drivers that run their own rounds (the service
         bridge, the array coordinator) alike: ``cls.switch`` names the
         ``ControlConfig`` setting (off means None is returned, freeze
-        builds it frozen), ``cls.config_args`` the config knobs, and
-        ``wiring()`` returns what only the caller knows — the actuator
-        and the target's initial state — and is called only when the
-        governor is actually built, so a switched-off governor never
-        touches its target.  One governor per (class, target),
-        registered in :attr:`governors`.
+        builds it frozen), and ``wiring()`` returns what only the
+        caller knows — the actuator and the target's initial state — and
+        is called only when the governor is actually built, so a
+        switched-off governor never touches its target.  One governor
+        per (class, target), registered in :attr:`governors`.
         """
         setting = getattr(self.config, cls.switch or cls.name)
-        if not (self.enabled and setting.enabled):
+        if not setting.enabled:
             return None
         state = self._target(target)
         gov = state.governors.get(cls.name)
         if gov is None:
-            knobs = {
-                arg: getattr(self.config, name)
-                for arg, name in sorted(cls.config_args.items())
-            }
-            gov = cls(**wiring(), **knobs, frozen=setting.frozen)
+            gov = cls(**wiring(), frozen=setting.frozen)
             state.governors[cls.name] = gov
             self.governors.append(gov)
         return gov
@@ -413,14 +365,11 @@ class ControlPlane:
             window_actuator=sender.set_window,
             chunk_actuator=sender.set_chunk_bytes,
             credits=sender.window.credits, chunk_bytes=sender.chunk_bytes,
+            bounds=self.config.flow_bounds,
         ))
 
-    def wire_pool(self, pool, watermark_bytes: int | None = None) -> PoolTrimGovernor | None:
+    def wire_pool(self, pool, watermark_bytes: int) -> PoolTrimGovernor | None:
         """Create (or return) the trim governor for one memory pool."""
-        if watermark_bytes is None:
-            if self.config.pool_watermark_kib is None:
-                return None  # no watermark configured: nothing to govern
-            watermark_bytes = int(self.config.pool_watermark_kib * KiB)
         return self.governor(PoolTrimGovernor, pool, lambda: dict(
             pool=pool, watermark_bytes=watermark_bytes,
         ))
@@ -433,8 +382,6 @@ class ControlPlane:
         clock; the solver time is the gap since the previous step's
         bridge exit.
         """
-        if not self.enabled:
-            return
         if id(bridge) not in self._targets:
             self.wire_bridge(bridge)
         wired = self._target(bridge).governors
@@ -481,8 +428,6 @@ class ControlPlane:
         encode and backoff charges out of the apparent time to estimate
         the pure wire time, and feeds the endpoint's codec governor.
         """
-        if not self.enabled:
-            return
         state = self._targets.get(id(sender))
         if state is None:
             self.wire_sender(sender)
@@ -563,16 +508,14 @@ class ControlPlane:
         each step**, and on due steps the governor's fields — and the
         retry/ACK estimates of the most recently wired flow governor,
         zeros without one — are folded in one
-        :func:`~repro.control.rounds.coordination_round`.  With no
+        :func:`~repro.control.rounds.coordination_round`, whose node
+        means every flow governor on the plane then acts on.  With no
         communicator, or one rank, nothing is exchanged and the
         governor decides on its own contribution.
         """
-        if not self.enabled:
-            return
         t = current_clock().now
         comm = self._comm
         flows = self._named(FlowGovernor.name)
-        flow = flows[-1] if flows else None
         for gov in self._named(PlacementGovernor.name):
             gov.observe(
                 step, loads, parties=parties, self_load=self_load,
@@ -583,14 +526,14 @@ class ControlPlane:
             fields = gov.contribution()
             if comm is not None and comm.size > 1:
                 fields.update(
-                    flow.contribution() if flow else FlowGovernor.ABSENT
+                    flows[-1].contribution() if flows else FlowGovernor.ABSENT
                 )
                 fields = coordination_round(comm, fields)
                 self._loads_shared = True
                 ranks = int(round(fields["ranks"][0]))
-                if flow is not None and ranks >= 1:
-                    # Node-consistent windows: every rank's flow governor
-                    # acts on the same node-mean signals from here on.
+                # Node-consistent windows: every flow governor on every
+                # rank acts on the same node-mean signals from here on.
+                for flow in flows:
                     flow.ingest_node(
                         float(fields["retry"][0]) / ranks,
                         float(fields["ack"][0]) / ranks,
@@ -650,7 +593,6 @@ class ControlPlane:
         for d in self.decisions:
             by_governor[d.governor] = by_governor.get(d.governor, 0) + 1
         return {
-            "enabled": self.enabled,
             "observations": self.observations,
             "decisions": len(self.decisions),
             "by_governor": by_governor,

@@ -57,10 +57,9 @@ class QuotaGovernor(Governor):
         budget: int,
         actuator=None,
         min_credits: int = 1,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         if budget < 1:
             raise ValueError(f"budget must be >= 1 credit: {budget}")
         if min_credits < 1:
@@ -104,7 +103,7 @@ class QuotaGovernor(Governor):
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
         """One admission round: a decision per (endpoint, tenant) pair."""
-        if not self.enabled or self._round is None:
+        if self._round is None:
             return []
         demand, active, shards = self._round
         decisions: list[Decision] = []
@@ -174,10 +173,9 @@ class ShardGovernor(Governor):
         actuator=None,
         skew: float = 1.5,
         cooldown: int = 2,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         if endpoints < 1:
             raise ValueError(f"endpoints must be >= 1: {endpoints}")
         self.endpoints = int(endpoints)
@@ -213,7 +211,7 @@ class ShardGovernor(Governor):
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
         """One skew check; at most one migration."""
-        if not self.enabled or self.endpoints < 2 or self._round is None:
+        if self.endpoints < 2 or self._round is None:
             return []
         if self.gate.cooling():
             return []

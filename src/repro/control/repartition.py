@@ -42,20 +42,15 @@ class RepartitionGovernor(Governor):
     """
 
     name = "repartition"
-    config_args = {
-        "skew": "repartition_skew",
-        "cooldown": "repartition_cooldown",
-    }
 
     def __init__(
         self,
         actuator=None,
         skew: float = 1.25,
         cooldown: int = 2,
-        enabled: bool = True,
         frozen: bool = False,
     ):
-        super().__init__(actuator, enabled, frozen)
+        super().__init__(actuator, frozen)
         self.gate = SkewGate(skew, cooldown)
         self._round: tuple | None = None
 
@@ -88,7 +83,7 @@ class RepartitionGovernor(Governor):
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
         """One skew check; at most one re-cut (none while cooling down,
         balanced, or when it would not improve the worst rank)."""
-        if not self.enabled or self._round is None:
+        if self._round is None:
             return []
         owners, block_costs, rank_busy, halo_bytes = self._round
         if len(rank_busy) < 2 or self.gate.cooling():

@@ -8,8 +8,9 @@ attributes.  The schema::
     <sensei>
       <transport compression="zlib" chunk_kib="64" max_inflight="8"
                  retries="8" partitioner="block"/>
-      <control enabled="1" codec="on" execution="freeze"
-               placement="off" pool="on" flow="on" interval="1" seed="0">
+      <control seed="0" interval="1" codec="on" execution="freeze"
+               placement="off" pool="on" flow="on" quota="off"
+               repartition="off">
         <flow min_credits="1" max_credits="64"
               min_chunk="4096" max_chunk="262144"/>
       </control>

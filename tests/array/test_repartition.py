@@ -60,8 +60,9 @@ class TestGovernor:
         assert rebalance(gov, rank_busy=[0.0, 0.0]) == []
 
     def test_disabled_and_single_rank_skip(self):
-        gov = RepartitionGovernor(enabled=False)
-        assert rebalance(gov) == []
+        # Off is the config switch: the plane builds no governor at all.
+        off = ControlPlane(ControlConfig())
+        assert off.governor(RepartitionGovernor, object(), dict) is None
         gov = RepartitionGovernor()
         assert rebalance(
             gov, owners=(0, 0, 0, 0), rank_busy=[10.0],
@@ -210,11 +211,10 @@ class TestCoordinator:
             assert coordinator.repartitions == 0
             assert decisions and not any(d["applied"] for d in decisions)
 
-    def test_plane_config_sets_skew_and_cooldown(self):
+    def test_plane_sets_cadence_governor_sets_thresholds(self):
         cfg = ControlConfig.from_xml_attrs(
             {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "on", "interval": "2",
-             "repartition_skew": "1.5", "repartition_cooldown": "5"},
+             "pool": "off", "repartition": "on", "interval": "2"},
         )
 
         def main(comm):
@@ -225,8 +225,11 @@ class TestCoordinator:
             due = [step for step in range(1, 7) if c.due(step)]
             return c.governor.gate.skew, c.governor.gate.cooldown, due
 
-        # Rounds follow the plane's interval, plus the warmup round.
-        assert run_spmd(2, main) == [(1.5, 5, [1, 2, 4, 6])] * 2
+        # Rounds follow the plane's interval, plus the warmup round; the
+        # thresholds are the governor's own defaults.
+        assert run_spmd(2, main) == [(1.25, 2, [1, 2, 4, 6])] * 2
+        gate = RepartitionGovernor(skew=1.5, cooldown=5).gate
+        assert (gate.skew, gate.cooldown) == (1.5, 5)
 
     def test_parameter_validation(self):
         def main(comm):

@@ -17,6 +17,8 @@ devices, background load on devices 1 and 2, every rank aimed at device
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,9 @@ from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.placement import DevicePlacement
 from repro.svtk.table import TableData
+from repro.transport.metrics import TransportMetrics
+from repro.transport.wire import get_codec
+from repro.units import KiB
 
 from tests.control.test_governors import Recorder
 
@@ -217,28 +222,6 @@ class TestClusterGovernor:
             ]
             assert reaims and not reaims[0].applied
 
-    def test_disabled_rank_still_participates(self, spmd_control):
-        """Enable-state mismatch must not deadlock the collective."""
-
-        def body(comm, plane):
-            gov = PlacementGovernor(
-                rank=comm.rank, base=AIMED_AT_0, enabled=comm.rank == 0,
-            )
-            loads, self_load = crowded_loads(comm.size)
-            gov.observe(0, loads, self_load=self_load)
-            contributed = gov.contribution()
-            return decide_together(comm, gov, 0, 0.0), contributed
-
-        run = spmd_control(2, body, devices=4)
-        decisions, contributed = run.results[1]
-        assert decisions == []  # disabled: contributes zeros only
-        assert sorted(contributed) == sorted(run.results[0][1])
-        assert not any(np.any(v) for v in contributed.values())
-        # Rank 0 sees a single participant and no crowding.
-        assert all(
-            d.action != "crowding" for d in run.results[0][0]
-        )
-
     def test_identical_runs_log_identical_decisions(self, spmd_control):
         def body(comm, plane):
             gov = PlacementGovernor(rank=comm.rank, base=AIMED_AT_0)
@@ -283,6 +266,28 @@ def wired(plane, base=AIMED_AT_0):
     bridge.attach_control(plane)
     plane.wire_bridge(bridge)
     return analysis
+
+
+class FlowSender:
+    """A sender a flow governor can drive: cumulative metrics, a window
+    every step fills, a clean link with a flat ACK round trip."""
+
+    def __init__(self, credits=4):
+        self.metrics = TransportMetrics(role="sender", peer="test")
+        self.codec = get_codec("none")
+        self.window = SimpleNamespace(credits=credits)
+        self.chunk_bytes = 4 * KiB
+
+    def set_window(self, credits):
+        self.window.credits = credits
+
+    def set_chunk_bytes(self, nbytes):
+        self.chunk_bytes = nbytes
+
+    def ship(self):
+        self.metrics.chunks_sent += 4
+        self.metrics.ack_latency = 1e-4
+        self.metrics.inflight_peak = self.window.credits
 
 
 class TestPlaneCoordination:
@@ -342,23 +347,6 @@ class TestPlaneCoordination:
         )
         assert [rounds for _p, rounds in run.results] == [2, 2]  # steps 0, 2
 
-    def test_wired_but_disabled_governor_contributes_zeros(self, spmd_control):
-        """An enable-state mismatch is one participant fewer, not a hang."""
-
-        def body(comm, plane):
-            wired(plane)
-            (gov,) = plane.governors
-            gov.enabled = comm.rank == 0
-            loads, self_load = crowded_loads(comm.size)
-            plane.observe_device_loads(0, loads, self_load=self_load)
-            return comm.coordination_epoch
-
-        run = spmd_control(2, body, config=placement_config(), devices=4)
-        assert run.results == [1, 1]
-        assert run.decisions(1) == []
-        # Rank 0 is alone in the round: nobody crowds it.
-        assert "crowding" not in run.actions(0)
-
     def test_cadence_skew_between_ranks_is_a_structured_error(
         self, spmd_control
     ):
@@ -395,6 +383,33 @@ class TestPlaneCoordination:
         assert run.results == [(2, 0), (3, 0)]
         for plane in run.planes:
             assert "placement" in plane.summary()["governors"]
+
+    def test_every_flow_governor_takes_the_node_means(self, spmd_control):
+        """Two flow-governed senders per plane: the device-load round's
+        node means reach both governors, so neither stalls behind the
+        round and both windows keep growing."""
+
+        def body(comm, plane):
+            wired(plane)
+            senders = [FlowSender(), FlowSender()]
+            for step in range(6):
+                for sender in senders:
+                    sender.ship()
+                    plane.observe_transport_step(sender, step, 1e-3)
+                loads, self_load = crowded_loads(comm.size)
+                plane.observe_device_loads(step, loads, self_load=self_load)
+            flows = [g for g in plane.governors if g.name == "flow"]
+            steps = [d.step for d in plane.decisions if d.governor == "flow"]
+            return (
+                [(g.coordinated, g.credits) for g in flows],
+                [s.window.credits for s in senders], steps,
+            )
+
+        run = spmd_control(2, body, config=placement_config(flow="on"), devices=4)
+        for governors, windows, steps in run.results:
+            assert governors == [(True, 10), (True, 10)]
+            assert windows == [10, 10]
+            assert steps == [step for step in range(6) for _ in range(2)]
 
     def test_coordinating_plane_without_comm_falls_back(self):
         """No communicator given: the bridge's own is adopted, and at

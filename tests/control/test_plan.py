@@ -50,21 +50,10 @@ class TestGovernorSetting:
 class TestControlConfig:
     def test_defaults(self):
         cfg = ControlConfig()
-        assert cfg.enabled and cfg.interval == 1 and cfg.seed == 0
+        assert cfg.interval == 1 and cfg.seed == 0
         assert cfg.codec.value == "on"
-        assert cfg.pool_watermark_kib is None
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"interval": 0},
-            {"repartition_skew": 1.0},
-            {"mode_low": 0.2, "mode_high": 0.1},
-            {"codec_margin": 0.5},
-            {"overload": 0.9},
-            {"pool_watermark_kib": -1},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"interval": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ControlConfig(**kwargs)
@@ -72,24 +61,16 @@ class TestControlConfig:
     def test_from_xml_attrs(self):
         cfg = ControlConfig.from_xml_attrs(
             {
-                "enabled": "1",
                 "seed": "7",
                 "interval": "2",
                 "codec": "freeze",
                 "placement": "off",
-                "mode_low": "0.02",
-                "mode_high": "0.2",
-                "codec_margin": "1.5",
-                "overload": "2.0",
-                "pool_watermark_kib": "512",
             }
         )
         assert cfg.seed == 7 and cfg.interval == 2
         assert cfg.codec.value == "freeze"
         assert not cfg.placement.enabled
         assert cfg.execution.value == "on"  # unmentioned: default on
-        assert cfg.mode_low == 0.02 and cfg.mode_high == 0.2
-        assert cfg.pool_watermark_kib == 512
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ConfigError, match="unknown attribute"):
@@ -100,7 +81,8 @@ class TestControlConfig:
             ControlConfig.from_xml_attrs({"interval": "often"})
 
     def test_bad_enabled_rejected(self):
-        with pytest.raises(ConfigError, match="enabled"):
+        """``enabled`` is gone: attach no plane, or switch governors off."""
+        with pytest.raises(ConfigError, match=r"unknown attribute.*'enabled'"):
             ControlConfig.from_xml_attrs({"enabled": "maybe"})
 
 
@@ -109,7 +91,7 @@ class TestControlXml:
         doc = parse_document(
             """
             <sensei>
-              <control seed="3" execution="freeze" pool_watermark_kib="64"/>
+              <control seed="3" execution="freeze"/>
               <analysis type="histogram" mesh="m" array="a"/>
             </sensei>
             """
@@ -117,7 +99,6 @@ class TestControlXml:
         assert doc.control is not None
         assert doc.control.seed == 3
         assert doc.control.execution.value == "freeze"
-        assert doc.control.pool_watermark_kib == 64
 
     def test_no_control_element_means_none(self):
         doc = parse_document(
@@ -160,6 +141,12 @@ class HeavyAnalysis(AnalysisAdaptor):
 
     def process(self, payload, comm, device_id):
         current_clock().advance(self.cost)
+
+
+#: Every governor switched off: the plane still observes, builds nothing.
+ALL_OFF = ControlConfig.from_xml_attrs(
+    {"codec": "off", "execution": "off", "placement": "off", "pool": "off"}
+)
 
 
 class TestControlPlaneBridge:
@@ -211,16 +198,16 @@ class TestControlPlaneBridge:
         assert frozen and all(not d.applied for d in frozen)
 
     def test_disabled_plane_is_inert(self, spmd_control):
-        run = self.run_bridge(spmd_control, ControlConfig(enabled=False))
+        run = self.run_bridge(spmd_control, ALL_OFF)
         heavy, _ = run.results[0]
         plane = run.planes[0]
         assert heavy.execution_method is ExecutionMethod.LOCKSTEP
-        assert plane.summary()["observations"] == 0
+        assert plane.summary()["observations"] == 6  # still observing
         assert plane.decisions == [] and plane.governors == []
 
     def test_disabled_plane_matches_no_plane_bit_identically(self, spmd_control):
         t_without = None
-        for config in (None, ControlConfig(enabled=False)):
+        for config in (None, ALL_OFF):
             run = self.run_bridge(spmd_control, config)
             _, elapsed = run.results[0]
             if t_without is None:

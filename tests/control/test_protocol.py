@@ -11,7 +11,6 @@ handed them (``feed`` does the driver's job by hand), and
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +116,8 @@ class TestConformance:
 
     @pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.name)
     def test_switch_and_knobs_are_config_fields(self, cls):
-        fields = {f.name: f for f in dataclasses.fields(ControlConfig)}
         switch = cls.switch or cls.name
         assert isinstance(getattr(ControlConfig(), switch), GovernorSetting)
-        for field in cls.config_args.values():
-            assert field in fields, f"{cls.name} reads unknown {field!r}"
 
     @pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.name)
     def test_fresh_instance_has_no_opinion(self, cls):
@@ -262,21 +258,19 @@ def test_a_tenth_governor_needs_no_edit_elsewhere():
 
     class EchoGovernor(Governor):
         name = "echo"
-        switch = "pool"                      # rides an existing setting
-        config_args = {"limit": "overload"}  # ... and an existing knob
+        switch = "pool"  # rides an existing setting
         replayed = True
         measured_args = ("jitter",)
 
-        def __init__(self, actuator=None, limit=0.0, enabled=True,
-                     frozen=False):
-            super().__init__(actuator, enabled, frozen)
+        def __init__(self, actuator=None, limit=0.0, frozen=False):
+            super().__init__(actuator, frozen)
             self.limit, self.value = limit, None
 
         def observe(self, step, value):
             self.value = value
 
         def decide(self, step, t=None):
-            if not self.enabled or self.value is None:
+            if self.value is None:
                 return []
             applied = self._actuate(self.value)
             return [self._decision(
@@ -286,16 +280,14 @@ def test_a_tenth_governor_needs_no_edit_elsewhere():
 
     assert Governor.named("echo") is EchoGovernor
     target, heard = object(), []
-    wiring = lambda: dict(actuator=heard.append)
+    wiring = lambda: dict(actuator=heard.append, limit=2.5)
 
     off = ControlPlane(ControlConfig.from_xml_attrs({"pool": "off"}))
     assert off.governor(EchoGovernor, target, wiring) is None
     assert off.governors == []
 
     for mode, applied in (("on", True), ("freeze", False)):
-        plane = ControlPlane(ControlConfig.from_xml_attrs(
-            {"pool": mode, "overload": "2.5"}
-        ))
+        plane = ControlPlane(ControlConfig.from_xml_attrs({"pool": mode}))
         sink = RankSink(0)
         plane.attach_recorder(sink)
         gov = plane.governor(EchoGovernor, target, wiring)

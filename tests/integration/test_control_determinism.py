@@ -47,8 +47,6 @@ BG = {1: 1.25, 2: 1.25}
 CONTROL = ControlConfig.from_xml_attrs(
     {
         "seed": "13",
-        "pool_watermark_kib": "64",
-        "mode_high": "0.15",
         "flow": "on",
     },
     flow_attrs={
@@ -96,7 +94,7 @@ def producer_main(sim_comm, bridge):
     insitu.attach_control(plane)
     node = get_node()
     pool = pool_for(node.devices[sim_comm.rank % len(node.devices)])
-    plane.wire_pool(pool)
+    plane.wire_pool(pool, watermark_bytes=64 * KiB)
     contention = ContentionModel()
     clk = current_clock()
     for step in range(STEPS):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.control.plan import ControlConfig, ControlPlane
 from repro.control.quota import QuotaGovernor, ShardGovernor
 
 
@@ -109,8 +110,10 @@ class TestQuotaGovernor:
         assert grants == []
 
     def test_disabled_is_silent(self):
-        gov = self._gov([], enabled=False)
-        assert admit(gov, 0, {}, {"hot": True}, {"hot": (0,)}) == []
+        # ``quota`` is off by default: the plane builds no governor.
+        plane = ControlPlane(ControlConfig())
+        assert plane.governor(QuotaGovernor, object(), dict) is None
+        assert plane.governors == [] and plane.decisions == []
 
     def test_credits_unknown_before_first_round(self):
         assert self._gov([]).credits_for("hot", 0) is None

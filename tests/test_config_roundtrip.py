@@ -71,20 +71,12 @@ def flow_bounds(draw):
 
 @st.composite
 def controls(draw):
-    low = draw(st.floats(min_value=0.0, max_value=0.5))
     return ControlConfig(
-        enabled=draw(st.booleans()), seed=draw(st.integers(0, 1 << 30)),
-        interval=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 1 << 30)), interval=draw(st.integers(1, 64)),
         codec=draw(_settings), execution=draw(_settings),
         placement=draw(_settings), pool=draw(_settings), flow=draw(_settings),
         quota=draw(_settings), repartition=draw(_settings),
-        repartition_skew=draw(st.floats(min_value=1.01, max_value=8.0)),
-        repartition_cooldown=draw(st.integers(0, 16)),
-        pool_growth=draw(st.booleans()), flow_bounds=draw(flow_bounds()),
-        mode_low=low, mode_high=low + draw(st.floats(min_value=0.0, max_value=0.5)),
-        codec_margin=draw(st.floats(min_value=1.0, max_value=4.0)),
-        overload=draw(st.floats(min_value=1.0, max_value=4.0)),
-        pool_watermark_kib=draw(st.none() | st.floats(min_value=0.0, max_value=1e6)),
+        flow_bounds=draw(flow_bounds()),
     )
 
 
@@ -221,7 +213,7 @@ class TestAttributeReader:
         attrs = {}
         for f in dataclasses.fields(config):
             value = getattr(config, f.name)
-            if f.name == "flow_bounds" or value is None:
+            if f.name == "flow_bounds":
                 continue
             attrs[f.name] = value.value if isinstance(value, GovernorSetting) else repr(value)
         flow = {f.name: repr(getattr(config.flow_bounds, f.name))
@@ -264,8 +256,6 @@ class TestAttributeReader:
     def test_one_boolean_vocabulary_everywhere(self, raw, value):
         assert parse_bool(raw) is value
         assert TransportConfig.from_xml_attrs({"pipelined": raw}).pipelined is value
-        control = ControlConfig.from_xml_attrs({"enabled": raw, "pool_growth": raw})
-        assert (control.enabled, control.pool_growth) == (value, value)
         doc = parse_document(
             f'<sensei><service><pipeline name="p" collective="{raw}"/></service>'
             f'<analysis type="histogram" enabled="{raw}"/></sensei>'
@@ -273,23 +263,29 @@ class TestAttributeReader:
         assert doc.service.pipelines[0].collective is value
         assert doc.analyses[0].enabled is value
 
-    @pytest.mark.parametrize("build,element", [
-        (TransportConfig.from_xml_attrs, "<transport>"),
-        (ControlConfig.from_xml_attrs, "<control>"),
-        (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>"),
-        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>"),
+    @pytest.mark.parametrize("build,element,attribute", [
+        (TransportConfig.from_xml_attrs, "<transport>", "no_such_knob"),
+        (ControlConfig.from_xml_attrs, "<control>", "no_such_knob"),
+        (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "no_such_knob"),
+        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "no_such_knob"),
+        # Attributes ``<control>`` once had: an old config fails loudly.
+        *((ControlConfig.from_xml_attrs, "<control>", gone) for gone in (
+            "enabled", "mode_low", "mode_high", "codec_margin", "overload",
+            "repartition_skew", "repartition_cooldown", "pool_growth",
+            "pool_watermark_kib",
+        )),
     ])
-    def test_unknown_attribute_names_element_and_attribute(self, build, element):
+    def test_unknown_attribute_names_element_and_attribute(self, build, element, attribute):
         with pytest.raises(ConfigError) as err:
-            build({"no_such_knob": "1"})
-        assert element in str(err.value) and "no_such_knob" in str(err.value)
+            build({attribute: "1"})
+        assert element in str(err.value) and attribute in str(err.value)
 
     @pytest.mark.parametrize("build,element,attribute", [
         (TransportConfig.from_xml_attrs, "<transport>", "max_inflight"),
         (TransportConfig.from_xml_attrs, "<transport>", "chunk_kib"),
         (TransportConfig.from_xml_attrs, "<transport>", "retries"),
         (ControlConfig.from_xml_attrs, "<control>", "interval"),
-        (ControlConfig.from_xml_attrs, "<control>", "pool_watermark_kib"),
+        (ControlConfig.from_xml_attrs, "<control>", "seed"),
         (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "max_chunk"),
         (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "skew"),
         (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "ranks"),
@@ -302,8 +298,6 @@ class TestAttributeReader:
 
     @pytest.mark.parametrize("build,element,attribute", [
         (TransportConfig.from_xml_attrs, "<transport>", "pipelined"),
-        (ControlConfig.from_xml_attrs, "<control>", "enabled"),
-        (ControlConfig.from_xml_attrs, "<control>", "pool_growth"),
         (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "collective"),
     ])
     def test_bad_boolean_names_element_and_attribute(self, build, element, attribute):

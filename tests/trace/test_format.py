@@ -204,13 +204,13 @@ class TestTraceValidation:
         assert isinstance(e.value, TraceError)
 
     def test_previous_version_is_refused_by_number(self):
-        """Version 2 headers carried three ``control`` keys this build's
+        """Version 3 headers carried nine ``control`` keys this build's
         config no longer has; refuse them up front, naming both."""
         trace = small_trace()
-        trace.header["version"] = 2
-        with pytest.raises(TraceVersionError, match="2.*3") as e:
+        trace.header["version"] = 3
+        with pytest.raises(TraceVersionError, match="3.*4") as e:
             Trace.from_jsonl(trace.to_jsonl())
-        assert e.value.details == {"found": 2, "supported": 3}
+        assert e.value.details == {"found": 3, "supported": 4}
 
     def test_missing_footer(self):
         text = small_trace().to_jsonl()

@@ -1,7 +1,7 @@
 """Reporting: regenerate the paper's table and figure series as text.
 
-The benches print these; EXPERIMENTS.md records them.  Bar "figures"
-are rendered as ASCII so the series are inspectable in CI logs.
+``python -m repro table1`` and ``study`` print these; EXPERIMENTS.md
+records them.  Bar "figures" are ASCII, inspectable in CI logs.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def verify_findings(results: Iterable[RunResult]) -> dict[str, bool]:
     """Check the paper's five qualitative Section 4.4 findings.
 
     Returns a mapping of finding name to whether the given results
-    preserve it; benches print and assert on this.
+    preserve it; ``study`` prints it and tier-1 asserts on it.
     """
     cases = _by_case(results)
 

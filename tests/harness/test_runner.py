@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.harness.calibrate import PaperWorkload, SmallWorkload
+from repro.harness.calibrate import PaperWorkload, SmallWorkload, scaled_node_spec
 from repro.harness.report import (
     format_fig2,
     format_fig3,
@@ -40,10 +40,12 @@ class TestSimulate:
             assert by[(p, A)].solver_per_iter > by[(p, L)].solver_per_iter
 
     def test_async_apparent_insitu_tiny(self, paper_results):
-        """Paper: '<10 ms across all time steps and all placements'."""
+        """Paper: '<10 ms across all time steps and all placements' —
+        hidden behind the solver, not eliminated."""
         for r in paper_results:
             if r.spec.method is A:
                 assert r.insitu_apparent_per_iter < 0.010
+                assert r.insitu_actual_per_iter > 10 * r.insitu_apparent_per_iter
 
     def test_lockstep_insitu_is_substantial(self, paper_results):
         for r in paper_results:
@@ -176,6 +178,25 @@ class TestExecuteSmall:
         assert r.insitu_apparent_per_iter == pytest.approx(
             r.insitu_actual_per_iter
         )
+
+    def test_fig3_real_stack_cross_check(self):
+        """The genuine pipeline shows Fig. 3's async signature.
+
+        The node is slowed down (:func:`scaled_node_spec`) so the
+        simulated solver dominates the iteration at laptop body counts,
+        as it does at paper scale; the workload is sized so in situ
+        work dominates the asynchronous hand-off's deep copy.
+        """
+        w = SmallWorkload(n_bodies=1200, steps=3, n_coordinate_systems=4,
+                          n_variables=3, bins=(32, 32))
+        node = scaled_node_spec()
+        by = {(r.spec.placement, r.spec.method): r for r in (
+            execute_small(spec, w, node_spec=node) for spec in table1_matrix(nodes=1))}
+        for p in InSituPlacement:
+            lock, asyn = by[(p, L)], by[(p, A)]
+            # Lockstep blocks for the full analysis; async hides most of it.
+            assert asyn.insitu_apparent_per_iter < lock.insitu_apparent_per_iter
+            assert asyn.insitu_actual_per_iter > asyn.insitu_apparent_per_iter
 
 
 def _table1_makespans():

@@ -12,6 +12,7 @@ from repro.harness.scaling import (
 )
 from repro.harness.spec import InSituPlacement
 from repro.sensei.execution import ExecutionMethod
+from tests.harness import paper
 
 NODES = [32, 64, 128, 256]
 L = ExecutionMethod.LOCKSTEP
@@ -66,6 +67,16 @@ class TestAsyncAdvantageAcrossScale:
                 InSituPlacement.HOST, ExecutionMethod.ASYNCHRONOUS, [nodes]
             )[0]
             assert asyn.result.total_time < lock.result.total_time
+
+    def test_saving_grows_with_nodes_up_to_512(self):
+        """As strong scaling shrinks the solver, the in situ share and
+        with it the async saving grow; efficiency decays but stays
+        meaningful."""
+        rows = list(paper.scaling_sweep().values())
+        savings = [r["async_saving"] for r in rows]
+        assert 0.0 < savings[0] and all(a < b for a, b in zip(savings, savings[1:]))
+        assert rows[0]["efficiency"] == 1.0
+        assert 0.3 < rows[-1]["efficiency"] < 1.0
 
 
 class TestHelpers:

@@ -13,7 +13,7 @@ Commands:
   of every resource timeline for Perfetto / chrome://tracing;
 - ``lint``   — static location/stream safety analyzer from
   :mod:`repro.analysis` (the rule range is printed by
-  ``python -m repro lint --help``), text, JSON, or SARIF reports;
+  ``python -m repro lint --help``), text or JSON reports;
 - ``sanitize`` — execute an example script under the runtime
   sanitizer and report cross-location reads, use-after-free, and
   write-while-analyzing races.

@@ -7,8 +7,9 @@ asynchronous in situ thread still reads.  This package makes those
 hazards *detectable*:
 
 - :mod:`repro.analysis.lint` — an AST-based static analyzer with a
-  small rule engine (:mod:`repro.analysis.engine`) and rules targeting
-  this codebase's idioms (:mod:`repro.analysis.rules`, HL001-HL007);
+  small rule engine (:mod:`repro.analysis.engine`) and file-local rules
+  targeting this codebase's idioms (:mod:`repro.analysis.rules`,
+  HL001-HL008, HL011 and HL012);
 - :mod:`repro.analysis.sanitizer` — an opt-in runtime sanitizer that
   instruments :class:`~repro.hamr.buffer.Buffer` and
   :class:`~repro.sensei.execution.AsyncRunner` to catch cross-location

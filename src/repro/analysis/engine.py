@@ -7,13 +7,8 @@ and stable ordering of results.
 
 The engine runs in **two passes**.  Pass one discovers and parses every
 file (in parallel — parsing is embarrassingly independent — with the
-results re-ordered so the outcome is deterministic).  Pass two
-evaluates the rules.  Rules that set :attr:`Rule.uses_project` receive
-a :class:`repro.analysis.dataflow.ProjectContext` on their
-:attr:`Rule.project` attribute before pass two: a whole-tree module
-index, call graph, and interprocedural data-flow summaries, letting
-them reason across function and file boundaries.  Single-file rules
-are unaffected.
+results re-ordered so the outcome is deterministic).  Pass two runs
+every rule over each file on its own: no rule sees another file.
 
 Suppression syntax (same line as the finding)::
 
@@ -178,23 +173,12 @@ class Rule:
     Subclasses set :attr:`id`, :attr:`severity`, :attr:`title`, and
     :attr:`hint`, and implement :meth:`check` as a generator of
     findings (use :meth:`finding` to build them).
-
-    A rule that needs cross-function/cross-file context sets
-    :attr:`uses_project` to True; the engine then builds one
-    :class:`~repro.analysis.dataflow.ProjectContext` over every linted
-    file and assigns it to :attr:`project` before :meth:`check` runs.
     """
 
     id: str = "HL000"
     severity: Severity = Severity.ERROR
     title: str = ""
     hint: str = ""
-
-    #: Opt-in flag: the engine hands project-aware rules a shared
-    #: ProjectContext (module index + data-flow summaries).
-    uses_project: bool = False
-    #: Set by the engine before check() when uses_project is True.
-    project = None  # type: object | None
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -321,22 +305,10 @@ class FileResult:
     raw: list[Finding]       # every finding the rules produced
 
 
-def _build_project(contexts: Sequence[FileContext]):
-    from repro.analysis.dataflow import ProjectContext
-
-    return ProjectContext.build(contexts)
-
-
 def _check_contexts(
     contexts: Sequence[FileContext],
     rules: Sequence[Rule],
 ) -> list[FileResult]:
-    project = None
-    if any(r.uses_project for r in rules):
-        project = _build_project(contexts)
-    for rule in rules:
-        if rule.uses_project:
-            rule.project = project
     out: list[FileResult] = []
     for ctx in contexts:
         kept: list[Finding] = []
@@ -351,12 +323,7 @@ def _check_contexts(
 
 
 def lint_file(path: Path | str, rules: Iterable[Rule]) -> list[Finding]:
-    """Run ``rules`` over one file, honoring suppressions.
-
-    Project-aware rules see a single-file project: cross-function
-    reasoning within the file still works, cross-file edges resolve to
-    nothing.
-    """
+    """Run ``rules`` over one file, honoring suppressions."""
     parsed = parse_file(path)
     if isinstance(parsed, Finding):
         return [parsed]

@@ -19,7 +19,7 @@ from repro.analysis.engine import (
     run_rules,
     run_rules_detailed,
 )
-from repro.analysis.report import format_json, format_sarif, format_text
+from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import default_rules, rule_span
 
 __all__ = ["lint_paths", "audit_suppressions", "main", "describe"]
@@ -169,7 +169,7 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="report format (default: text)",
     )
@@ -195,8 +195,6 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
 def render(findings: Sequence[Finding], fmt: str) -> str:
     if fmt == "json":
         return format_json(findings)
-    if fmt == "sarif":
-        return format_sarif(findings)
     return format_text(findings)
 
 

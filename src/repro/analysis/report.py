@@ -1,15 +1,13 @@
-"""Text, JSON, and SARIF reporters for lint findings and sanitizer
-violations."""
+"""Text and JSON reporters for lint findings and sanitizer violations."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.engine import Finding, Rule, Severity
+from repro.analysis.engine import Finding, Severity
 
-__all__ = ["format_text", "format_json", "format_sarif", "summarize"]
+__all__ = ["format_text", "format_json", "summarize"]
 
 
 def summarize(findings: Sequence[Finding]) -> dict:
@@ -52,97 +50,3 @@ def format_json(findings: Iterable[Finding]) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-_SARIF_LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning"}
-
-#: Descriptions for findings the rule classes don't cover.
-_SYNTHETIC_RULES = {
-    "HL000": "file could not be read, decoded, or parsed",
-    "HLS01": "suppression comment no longer suppresses anything",
-    "HLS02": "suppression comment names an unknown rule id",
-}
-
-
-def _sarif_uri(path: str) -> str:
-    p = Path(path)
-    try:
-        return p.resolve().relative_to(Path.cwd()).as_posix()
-    except ValueError:
-        return p.as_posix()
-
-
-def format_sarif(
-    findings: Iterable[Finding],
-    rules: Sequence[Rule] | None = None,
-) -> str:
-    """SARIF 2.1.0 report — rules, levels, physical locations — for
-    ``github/codeql-action/upload-sarif`` inline PR annotation."""
-    findings = list(findings)
-    if rules is None:
-        from repro.analysis.rules import default_rules
-
-        rules = default_rules()
-    descriptors: dict[str, dict] = {}
-    for r in rules:
-        descriptors[r.id] = {
-            "id": r.id,
-            "shortDescription": {"text": r.title or r.id},
-            "help": {"text": r.hint or r.title or r.id},
-            "defaultConfiguration": {"level": _SARIF_LEVEL[r.severity]},
-        }
-    for f in findings:
-        if f.rule not in descriptors:
-            text = _SYNTHETIC_RULES.get(f.rule, f.rule)
-            descriptors[f.rule] = {
-                "id": f.rule,
-                "shortDescription": {"text": text},
-                "help": {"text": f.hint or text},
-                "defaultConfiguration": {
-                    "level": _SARIF_LEVEL[f.severity]
-                },
-            }
-    results = [
-        {
-            "ruleId": f.rule,
-            "level": _SARIF_LEVEL[f.severity],
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": _sarif_uri(f.path)},
-                        "region": {
-                            "startLine": max(1, f.line),
-                            "startColumn": max(1, f.col + 1),
-                        },
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri":
-                            "https://github.com/paper-repro/sensei-hetero",
-                        "rules": [
-                            descriptors[k] for k in sorted(descriptors)
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -1,18 +1,19 @@
-"""The built-in rules (HL001-HL012) targeting this codebase's idioms.
+"""The built-in rules (HL001-HL008, HL011, HL012) targeting this
+codebase's idioms.
 
 Each rule encodes one of the correctness hazards the heterogeneous
 substrate permits mechanically (see :mod:`repro.hamr.buffer`): the
 linter's job is to make them visible before the sanitizer has to catch
 them at run time.
 
-Most rules are static heuristics over names and keywords — they
+Every rule checks one file, and HL003, HL007 and HL008 one function
+at a time: they are static heuristics over names and keywords that
 resolve ``Allocator``/``PMKind``/``StreamMode`` members against the
-real enums but do not do type inference.  The *project rules*
-(HL003, HL008, HL009, HL010, HL012) additionally opt into the engine's
-:class:`~repro.analysis.dataflow.ProjectContext` and reason across
-function and file boundaries through bounded data-flow summaries.
-False positives are expected to be rare in this tree and are silenced
-with ``# lint: disable=HLxxx`` plus a justification comment.
+real enums but do no type inference and follow no call.  HL012
+additionally resolves the file's own import aliases.  Ids HL009 and HL010 are
+retired and not reused.  False positives are expected to be rare in
+this tree and are silenced with ``# lint: disable=HLxxx`` plus a
+justification comment.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ import ast
 from pathlib import PurePosixPath
 from typing import Iterator
 
-from repro.analysis.dataflow import (
-    ProjectContext,
-    call_keywords,
-    literal_device_id,
-    tail_name,
-)
 from repro.analysis.engine import FileContext, Finding, Rule, Severity
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 
@@ -39,11 +34,8 @@ __all__ = [
     "SwallowedErrorRule",
     "PoolLeakRule",
     "PlacementChargeRule",
-    "PoolEscapeRule",
-    "NondeterministicDecisionRule",
     "LiteralTagRule",
     "WallClockSemanticsRule",
-    "ProjectRule",
     "DEFAULT_RULES",
     "default_rules",
     "rule_span",
@@ -51,6 +43,34 @@ __all__ = [
 
 
 # -- helpers ------------------------------------------------------------------
+
+def tail_name(node: ast.AST) -> str | None:
+    """Trailing identifier of a Name/Attribute chain, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def call_keywords(call: ast.Call) -> dict[str, ast.expr]:
+    return {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+
+
+def literal_device_id(node: ast.AST) -> int | None:
+    """Literal device ordinals: ints, ``-1``, or ``HOST_DEVICE_ID``."""
+    if _int_literal(node):
+        return int(node.value)
+    if (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and _int_literal(node.operand)
+    ):
+        return -int(node.operand.value)
+    if tail_name(node) == "HOST_DEVICE_ID":
+        return HOST_DEVICE_ID
+    return None
+
 
 def _enum_member(node: ast.AST, enum_name: str, enum_cls):
     """Resolve ``EnumName.MEMBER`` attribute nodes to the real member."""
@@ -68,6 +88,12 @@ def _int_literal(node: ast.AST) -> bool:
         and isinstance(node.value, int)
         and not isinstance(node.value, bool)
     )
+
+
+def _functions(tree: ast.AST) -> Iterator[ast.AST]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
 
 
 # -- HL001 --------------------------------------------------------------------
@@ -178,44 +204,17 @@ class AllocatorMismatchRule(Rule):
                 )
 
 
-# -- project rules ------------------------------------------------------------
-
-class ProjectRule(Rule):
-    """Base for rules that reason across function and file boundaries.
-
-    The engine hands these a shared
-    :class:`~repro.analysis.dataflow.ProjectContext` (module index,
-    call graph, data-flow summaries).  Used standalone — outside the
-    engine — they degrade gracefully to a single-file project, keeping
-    cross-function reasoning within the file.
-    """
-
-    uses_project = True
-
-    def project_for(self, ctx: FileContext):
-        if self.project is not None:
-            return self.project
-        return ProjectContext.build([ctx])
-
-
 # -- HL003 --------------------------------------------------------------------
 
-class UnsynchronizedStreamRule(ProjectRule):
+class UnsynchronizedStreamRule(Rule):
     """A stream created and used asynchronously but never synchronized.
 
-    ``s = Stream(...)`` followed by asynchronous use (a call passing
-    ``stream=s`` with ``mode=StreamMode.ASYNC`` / ``stream_mode=...``)
-    is flagged unless the function also synchronizes *something*
-    (``.synchronize()``/``.drain()``), returns the stream, or stores it
-    on ``self`` — i.e. unless the completion is someone's
-    responsibility.
-
-    Interprocedural: the async use may happen inside a callee the
-    stream is passed to, the stream may have been minted by a helper
-    (``s = make_stream()``), and a callee that synchronizes the
-    parameter discharges the obligation — all tracked through
-    :class:`~repro.analysis.dataflow.StreamAnalysis` summaries with
-    bounded call depth.
+    Within one function: ``s = Stream(...)`` followed by a call passing
+    ``stream=s`` together with ``mode=StreamMode.ASYNC`` (or
+    ``stream_mode=StreamMode.ASYNC``) is flagged unless the function
+    also synchronizes *something* (``.synchronize()``/``.drain()``),
+    returns the stream, or stores it on ``self`` — i.e. unless the
+    completion is someone's responsibility.
     """
 
     id = "HL003"
@@ -227,28 +226,45 @@ class UnsynchronizedStreamRule(ProjectRule):
         "stream to a caller that will"
     )
 
+    _sync_methods = ("synchronize", "drain", "wait_event")
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        proj = self.project_for(ctx)
-        seen: set[tuple[int, int, str]] = set()
-        for fn, _fi in proj.iter_file_functions(ctx):
-            scope = proj.scope(ctx, fn)
-            facts = proj.streams.facts(fn, scope)
-            if facts.any_sync:
+        for fn in _functions(ctx.tree):
+            created: dict[str, ast.Call] = {}
+            async_used: set[str] = set()
+            discharged = False
+            escaped: set[str] = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    if tail_name(node.value.func) == "Stream":
+                        for tgt in node.targets:
+                            if isinstance(tgt, ast.Name):
+                                created[tgt.id] = node.value
+                if isinstance(node, ast.Call):
+                    if tail_name(node.func) in self._sync_methods:
+                        discharged = True
+                    kws = call_keywords(node)
+                    stream_kw = kws.get("stream")
+                    mode_kw = kws.get("mode") or kws.get("stream_mode")
+                    if (
+                        isinstance(stream_kw, ast.Name)
+                        and tail_name(mode_kw) == "ASYNC"
+                    ):
+                        async_used.add(stream_kw.id)
+                if isinstance(node, ast.Return) and node.value is not None:
+                    for sub in ast.walk(node.value):
+                        if isinstance(sub, ast.Name):
+                            escaped.add(sub.id)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                    for tgt in node.targets:
+                        if isinstance(tgt, ast.Attribute):
+                            escaped.add(node.value.id)
+            if discharged:
                 continue
-            leaked = (
-                (facts.async_used & set(facts.created))
-                - facts.escaped
-                - facts.synced
-            )
-            for name in sorted(leaked):
-                node = facts.created[name]
-                key = (node.lineno, node.col_offset, name)
-                if key in seen:
-                    continue
-                seen.add(key)
+            for name in sorted(async_used & set(created) - escaped):
                 yield self.finding(
                     ctx,
-                    node,
+                    created[name],
                     f"stream {name!r} orders asynchronous work but is "
                     "never synchronized in this function",
                     details={"stream": name, "stream_mode": "async"},
@@ -435,9 +451,7 @@ class PoolLeakRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module(*self.allowed):
             return
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for fn in _functions(ctx.tree):
             pool_names: set[str] = set()
             escaped: set[str] = set()
             for node in ast.walk(fn):
@@ -486,17 +500,18 @@ class PoolLeakRule(Rule):
 
 # -- HL008 --------------------------------------------------------------------
 
-class PlacementChargeRule(ProjectRule):
+class PlacementChargeRule(Rule):
     """Work charged to a device other than the resolved placement.
 
     The placement formula (Eq. 1) exists so every rank charges its in
     situ work to *its* assigned device.  A function that resolves the
     placement — ``placement.resolve(rank)``, ``resolve_device()``, or
     ``select_device(...)`` — and then passes a *hardcoded* device
-    ordinal as ``device_id=`` to some call is charging work to a device
-    the formula may have assigned to another rank: on a shared node
-    that double-charges one device while the resolved one idles, and
-    the accounting (utilization, contention) silently lies.
+    ordinal as ``device_id=`` to some call in the same function is
+    charging work to a device the formula may have assigned to another
+    rank: on a shared node that double-charges one device while the
+    resolved one idles, and the accounting (utilization, contention)
+    silently lies.
 
     Charging the host (``-1`` / ``HOST_DEVICE_ID``) is exempt — host
     staging next to a device-placed analysis is a legitimate pattern,
@@ -513,274 +528,38 @@ class PlacementChargeRule(ProjectRule):
         "suppress with '# lint: disable=HL008' and a justification"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        proj = self.project_for(ctx)
-        seen: set[tuple[int, int, int]] = set()
-        for fn, _fi in proj.iter_file_functions(ctx):
-            scope = proj.scope(ctx, fn)
-            facts = proj.charges.facts(fn, scope)
-            resolved = facts.resolved_names
-            if resolved:
-                for call, dev in facts.literal_kw:
-                    if dev < 0:
-                        continue  # host staging (exempt)
-                    key = (call.lineno, call.col_offset, dev)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield self.finding(
-                        ctx,
-                        call,
-                        f"call charges device {dev} although this function "
-                        f"resolved the placement into "
-                        f"{'/'.join(sorted(resolved))}",
-                        details={
-                            "device_id": dev,
-                            "resolved": ", ".join(sorted(resolved)),
-                        },
-                    )
-            for call, dev, callee, callee_resolves in facts.literal_via_helper:
-                if dev < 0:
-                    continue  # host staging (exempt)
-                if not (resolved or callee_resolves):
-                    continue  # no placement in sight: manual choice
-                key = (call.lineno, call.col_offset, dev)
-                if key in seen:
-                    continue
-                seen.add(key)
-                where = (
-                    f"this function resolved the placement into "
-                    f"{'/'.join(sorted(resolved))}"
-                    if resolved
-                    else f"'{callee}' resolves the placement itself"
-                )
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"literal device {dev} flows through '{callee}' into "
-                    f"charged work although {where}",
-                    details={
-                        "device_id": dev,
-                        "via": callee,
-                        "resolved": ", ".join(sorted(resolved)),
-                    },
-                )
-
-
-# -- HL009 --------------------------------------------------------------------
-
-class PoolEscapeRule(ProjectRule):
-    """A pool handle leaking across a function boundary.
-
-    HL007 deliberately exempts an acquired pool that *escapes* its
-    function — returned, stored, or handed to a callee — because
-    releasing is then visibly someone else's responsibility.  This rule
-    follows the escape: a ``pool_for``/``acquire`` result handed back
-    by a helper must be released, trimmed, re-escaped, or passed to a
-    releasing callee by the receiver; a handle discarded outright, or
-    passed into a callee that provably never releases it while the
-    local release discharged something *else*, leaks the block's
-    footprint with no path to reclaim it.
-    """
-
-    id = "HL009"
-    severity = Severity.WARNING
-    title = "pool handle leaks across a function boundary"
-    hint = (
-        "release/trim the pool handle the helper returned, hand it to "
-        "an owner that will, or keep the acquire/release pair in one "
-        "scope; deliberate transfer may suppress with "
-        "'# lint: disable=HL009' and a justification"
-    )
-
-    #: Same layers HL007 exempts: they split acquire/release by design.
-    allowed = ("repro/hamr/buffer.py", "repro/hamr/pool.py")
+    _resolvers = ("resolve", "resolve_device", "select_device")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_module(*self.allowed):
-            return
-        proj = self.project_for(ctx)
-        seen: set[tuple[int, int, str]] = set()
-
-        def emit(node, message, **details):
-            key = (node.lineno, node.col_offset, message)
-            if key in seen:
-                return None
-            seen.add(key)
-            return self.finding(ctx, node, message, details=details)
-
-        for fn, _fi in proj.iter_file_functions(ctx):
-            scope = proj.scope(ctx, fn)
-            facts = proj.pools.facts(fn, scope)
-
-            def kept_locally(name):
-                return (
-                    name in facts.released
-                    or name in facts.returned
-                    or name in facts.attr_stored
-                )
-
-            def discharged_by_pass(name):
-                return any(
-                    proj.pools.param_released_by(resolved, param)
-                    for _call, resolved, param in facts.passes.get(name, ())
-                )
-
-            for name in sorted(facts.callee_pools):
-                call, origin = facts.callee_pools[name]
-                if kept_locally(name) or discharged_by_pass(name):
+        for fn in _functions(ctx.tree):
+            resolved: set[str] = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    if tail_name(node.value.func) in self._resolvers:
+                        for tgt in node.targets:
+                            if isinstance(tgt, ast.Name):
+                                resolved.add(tgt.id)
+            if not resolved:
+                continue  # nothing resolved here: not this rule's business
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
                     continue
-                f = emit(
-                    call,
-                    f"pool handle acquired in '{origin}' is never "
-                    "released or trimmed on any path from here",
-                    pool=name,
-                    origin=origin,
-                )
-                if f:
-                    yield f
-            for call, origin in facts.discarded:
-                f = emit(
-                    call,
-                    f"acquired pool handle returned by '{origin}' is "
-                    "discarded without release",
-                    origin=origin,
-                )
-                if f:
-                    yield f
-            # A local acquire whose only escape is into a callee that
-            # provably never releases it: HL007's same-scope discharge
-            # (any release/trim present) hides exactly this case.
-            if not facts.any_release:
-                continue
-            for name in sorted(set(facts.local_pools) & facts.acquired):
-                if kept_locally(name):
-                    continue
-                passes = facts.passes.get(name, ())
-                if not passes or discharged_by_pass(name):
-                    continue
-                call, resolved, _param = passes[0]
-                f = emit(
-                    call,
-                    f"pool handle escapes into '{resolved.func.qualname}' "
-                    "which never releases or trims it",
-                    pool=name,
-                    callee=resolved.func.qualname,
-                )
-                if f:
-                    yield f
-
-
-# -- HL010 --------------------------------------------------------------------
-
-class NondeterministicDecisionRule(ProjectRule):
-    """Nondeterminism feeding a governor :class:`Decision`.
-
-    The control plane's contract (PRs 3-5) is bit-identical decisions
-    across ranks and reruns.  This rule statically guards it: inside
-    any function on a *decision path* — one that constructs a
-    ``repro.control.governors.Decision`` or a
-    ``repro.trace.format.TraceEvent`` (the trace recorder's record
-    type: recorded traces must be byte-reproducible), directly feeds
-    one (its callers), or computes values for one (their callees,
-    bounded depth) — it flags:
-
-    - wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
-      ``datetime.now``/``utcnow``/``today``),
-    - module-level ``random.*`` calls and unseeded ``random.Random()``
-      (a seeded ``random.Random(seed)`` instance is the sanctioned
-      source of randomness),
-    - iteration over ``.keys()``/``.values()``/``.items()`` or
-      ``set(...)`` in ``for`` loops and comprehensions without a
-      ``sorted(...)`` wrapper — insertion order is rank-local, so
-      dict-order dependence breaks cross-rank agreement.
-
-    The simulated clock (``current_clock()``, ``clock.now``) and
-    seeded RNG instances are allowlisted by construction: neither
-    matches the patterns above.
-    """
-
-    id = "HL010"
-    severity = Severity.WARNING
-    title = "nondeterminism on a governor decision path"
-    hint = (
-        "use the simulated clock (current_clock().now), a seeded "
-        "random.Random(seed), and sorted(...) iteration so decisions "
-        "replay bit-identically across ranks and reruns; display-only "
-        "uses may suppress with '# lint: disable=HL010' and a "
-        "justification"
-    )
-
-    _wallclock = frozenset({
-        "time.time", "time.time_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        proj = self.project_for(ctx)
-        if proj.index.module_for(ctx) is None:
-            return
-        seen: set[tuple[int, int, str]] = set()
-        for fn, fi in proj.iter_file_functions(ctx):
-            if fi is None:
-                continue  # nested defs are scanned with their parent
-            anchor = proj.decisions.anchor(fi)
-            if anchor is None:
-                continue
-            scope = proj.scope(ctx, fn)
-            for node, source in self._nondet_sites(fn, scope):
-                key = (node.lineno, node.col_offset, source)
-                if key in seen:
-                    continue
-                seen.add(key)
+                if tail_name(node.func) in self._resolvers:
+                    continue  # the resolving call itself
+                dev = literal_device_id(call_keywords(node).get("device_id"))
+                if dev is None or dev < 0:
+                    continue  # non-literal, or host staging (exempt)
                 yield self.finding(
                     ctx,
                     node,
-                    f"{source} on the decision path through "
-                    f"'{anchor.rsplit('.', 2)[-1]}' breaks bit-identical "
-                    "replay",
-                    details={"anchor": anchor, "source": source},
+                    f"call charges device {dev} although this function "
+                    f"resolved the placement into "
+                    f"{'/'.join(sorted(resolved))}",
+                    details={
+                        "device_id": dev,
+                        "resolved": ", ".join(sorted(resolved)),
+                    },
                 )
-
-    def _nondet_sites(self, fn, scope):
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                canon = scope.canonical(node.func)
-                if canon in self._wallclock:
-                    yield node, f"wall-clock read '{canon}'"
-                elif canon == "random.Random":
-                    if not (node.args or node.keywords):
-                        yield node, "unseeded 'random.Random()'"
-                elif canon is not None and canon.startswith("random."):
-                    yield node, f"module-level RNG call '{canon}'"
-            for it in self._iter_exprs(node):
-                kind = self._unordered_iter(it)
-                if kind is not None:
-                    yield it, f"order-dependent iteration over {kind}"
-
-    @staticmethod
-    def _iter_exprs(node):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for gen in node.generators:
-                yield gen.iter
-
-    @staticmethod
-    def _unordered_iter(it) -> str | None:
-        if not isinstance(it, ast.Call):
-            return None
-        if isinstance(it.func, ast.Attribute) and it.func.attr in (
-            "keys", "values", "items"
-        ):
-            return f"'.{it.func.attr}()'"
-        if isinstance(it.func, ast.Name) and it.func.id == "set":
-            return "'set(...)'"
-        return None
 
 
 # -- HL011 --------------------------------------------------------------------
@@ -836,35 +615,86 @@ class LiteralTagRule(Rule):
 
 # -- HL012 --------------------------------------------------------------------
 
-class WallClockSemanticsRule(ProjectRule):
-    """Wall clock in the semantics.
+def _import_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted target for every import in the file:
+    ``import time as t`` maps ``t`` to ``time``, ``from datetime import
+    datetime`` maps ``datetime`` to ``datetime.datetime``.  A relative
+    import keeps its leading dots, so it never matches a stdlib name."""
+    out: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                out.setdefault(alias.asname or head,
+                               alias.name if alias.asname else head)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if alias.name != "*":
+                    out.setdefault(alias.asname or alias.name,
+                                   f"{base}.{alias.name}")
+    return out
+
+
+def _dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, its head resolved through
+    ``aliases``; None for anything else."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(aliases.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+class WallClockSemanticsRule(Rule):
+    """Wall clock or unseeded randomness in the semantics.
 
     Whether a wait ends is decided by the SPMD run's wait table
     (:mod:`repro.mpi.waits`), and everything the library reports is
     simulated time; a wall-clock read, a ``time.sleep`` or a timed
     ``threading``/``queue`` wait in library code makes a simulated
     answer depend on host load (the stall guards this rule keeps out
-    changed retry counts under 200 rank threads).  Flags, anywhere but
-    the analyzer's own tooling and code that legitimately times itself
-    (``benchmarks/``, ``examples/``, test files):
+    changed retry counts under 200 rank threads), and the process-wide
+    RNG makes it depend on whoever drew from it before.  Flags,
+    anywhere but the analyzer's own tooling and code that legitimately
+    times itself (``benchmarks/``, ``examples/``, test files):
 
-    - the wall-clock reads HL010 knows, plus ``time.sleep``;
+    - wall-clock reads (``time.time``/``monotonic``/``perf_counter``
+      and their ``_ns`` forms, ``datetime.now``/``utcnow``/``today``)
+      and ``time.sleep``;
+    - an unseeded ``random.Random()`` and every other module-level
+      ``random.*`` call (a seeded ``random.Random(seed)`` is the
+      sanctioned source of randomness);
     - a ``timeout=`` keyword on ``.wait`` / ``.wait_for`` / ``.get`` /
       ``.put`` / ``.join`` / ``.acquire``.
+
+    Names are resolved through the file's own imports, so ``import
+    time as t; t.perf_counter()`` is caught too.
     """
 
     id = "HL012"
     severity = Severity.ERROR
     title = "wall clock in the semantics"
     hint = (
-        "charge simulated time (current_clock()) and block through the "
-        "communicator or AsyncRunner: they park on the wait table, which "
-        "reports a wait that cannot end as a DeadlockError"
+        "charge simulated time (current_clock()), draw from a seeded "
+        "random.Random(seed), and block through the communicator or "
+        "AsyncRunner: they park on the wait table, which reports a wait "
+        "that cannot end as a DeadlockError"
     )
 
     exempt_dirs = ("benchmarks", "examples")
     exempt_modules = ("repro/analysis/",)
-    _calls = NondeterministicDecisionRule._wallclock | {"time.sleep"}
+    _calls = frozenset({
+        "time.time", "time.time_ns",
+        "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+        "time.sleep",
+    })
     _timed_waits = ("wait", "wait_for", "get", "put", "join", "acquire")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -875,16 +705,26 @@ class WallClockSemanticsRule(ProjectRule):
             or path.name.startswith(("test_", "conftest"))
         ):
             return
-        # The module-level scope: import aliases are all it must resolve.
-        scope = self.project_for(ctx).scope(ctx, ctx.tree)
+        aliases = _import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            canon = scope.canonical(node.func)
+            canon = _dotted(node.func, aliases)
             if canon in self._calls:
                 yield self.finding(
                     ctx, node, f"'{canon}' in library code",
                     details={"source": canon},
+                )
+            elif canon == "random.Random":
+                if not (node.args or node.keywords):
+                    yield self.finding(
+                        ctx, node, "unseeded 'random.Random()' in library "
+                        "code", details={"source": canon},
+                    )
+            elif canon is not None and canon.startswith("random."):
+                yield self.finding(
+                    ctx, node, f"module-level RNG call '{canon}' in "
+                    "library code", details={"source": canon},
                 )
             elif (
                 isinstance(node.func, ast.Attribute)
@@ -908,8 +748,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     SwallowedErrorRule,
     PoolLeakRule,
     PlacementChargeRule,
-    PoolEscapeRule,
-    NondeterministicDecisionRule,
     LiteralTagRule,
     WallClockSemanticsRule,
 )

@@ -191,9 +191,10 @@ class TraceEvent:
     """One record of a rank's event stream, in canonical form.
 
     ``body`` is the record's payload as sorted ``(key, value)`` tuples
-    — the same structured-args shape governor decisions use, so the
-    static analyzer's determinism rule (HL010) covers every function
-    that feeds a trace record exactly as it covers decision paths.
+    — the same structured-args shape governor decisions use.  Sorting
+    here is what makes a record's bytes independent of the order its
+    producer filled it; the golden traces in ``tests/golden`` re-record
+    byte for byte to keep it so.
     """
 
     kind: str

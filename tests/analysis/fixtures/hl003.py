@@ -35,42 +35,3 @@ def sync_mode_is_fine(copy_fn, buf):
 def suppressed(copy_fn, buf):
     strm = Stream(device_id=1)  # lint: disable=HL003
     copy_fn(buf, stream=strm, mode=StreamMode.ASYNC)
-
-
-# -- cross-function cases (resolved through the project index) ---------------
-
-def leaks_via_helper(copy_fn, buf):
-    strm = Stream(device_id=1)  # expect: HL003
-    run_async(copy_fn, buf, strm)
-
-
-def leaks_minted_stream(copy_fn, buf):
-    strm = make_stream()  # expect: HL003
-    copy_fn(buf, stream=strm, mode=StreamMode.ASYNC)
-
-
-def hands_off_to_syncer(copy_fn, buf, clock):
-    # Near miss: the helper synchronizes on this function's behalf.
-    strm = Stream(device_id=1)
-    copy_fn(buf, stream=strm, mode=StreamMode.ASYNC)
-    finish(strm, clock)
-
-
-def helper_pair_is_clean(copy_fn, buf, clock):
-    # Near miss: async use and sync both delegated.
-    strm = make_stream()
-    run_async(copy_fn, buf, strm)
-    finish(strm, clock)
-
-
-def run_async(copy_fn, buf, strm):
-    copy_fn(buf, stream=strm, mode=StreamMode.ASYNC)
-
-
-def make_stream():
-    strm = Stream(device_id=1)
-    return strm
-
-
-def finish(strm, clock):
-    strm.synchronize(clock)

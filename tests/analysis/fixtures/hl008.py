@@ -53,48 +53,6 @@ def deliberate_cross_device(self, payload, rank):
     return device
 
 
-# -- cross-function cases (resolved through the project index) ---------------
-
-def charges_via_helper(self, payload, rank):
-    device = self.placement.resolve(rank)
-    launch(payload, 1)  # expect: HL008
-    return device
-
-
-def resolver_is_in_the_helper(self, payload):
-    # The helper resolves the placement itself, so a literal pushed
-    # into its charging parameter bypasses it just the same.
-    charge_after_resolve(self, payload, 2)  # expect: HL008
-
-
-def host_via_helper(self, payload, rank):
-    device = self.placement.resolve(rank)
-    launch(payload, -1)  # ok: host is not governed
-    return device
-
-
-def free_choice_via_helper(payload):
-    # Near miss: nothing resolves a placement anywhere on this path.
-    launch(payload, 3)
-
-
-def forwards_resolved_device(self, payload, rank):
-    # Near miss: the resolved ordinal itself rides through the helper.
-    device = self.placement.resolve(rank)
-    launch(payload, device)
-    return device
-
-
-def launch(payload, device_id):
-    run_kernel(payload, device_id=device_id)
-
-
-def charge_after_resolve(self, payload, device_id):
-    dev = self.resolve_device()
-    run_kernel(payload, device_id=device_id)
-    return dev
-
-
 def run_kernel(payload, device_id):
     return payload, device_id
 

@@ -1,8 +1,14 @@
-"""Fixture: HL012 — the wall clock deciding what library code does."""
+"""Fixture: HL012 — the wall clock or the process-wide RNG deciding
+what library code does."""
 
 import queue
+import random
+import random as rnd
 import threading
 import time
+import time as t
+from datetime import datetime
+from random import shuffle
 from time import monotonic as now
 
 _IDLE = 0.0005
@@ -26,6 +32,19 @@ def timed_rendezvous(barrier: threading.Barrier, done: threading.Event):
 
 def stamp():
     return time.perf_counter()  # expect: HL012
+
+
+def stamp_through_aliases():
+    started = t.perf_counter()  # expect: HL012
+    return started, datetime.now()  # expect: HL012
+
+
+def unseeded_draws(items: list):
+    rng = random.Random()  # expect: HL012
+    jitter = random.random()  # expect: HL012
+    pick = rnd.choice(items)  # expect: HL012
+    shuffle(items)  # expect: HL012
+    return rng, jitter, pick
 
 
 def suppressed(worker: threading.Thread):

@@ -1,5 +1,7 @@
 """Fixture: HL012 near misses — waiting and timing the rule must allow."""
 
+import random
+
 from repro.hamr.runtime import current_clock
 
 
@@ -28,3 +30,11 @@ def untimed_waits(done, mailbox, worker):
 def not_a_wait(config, table):
     timeout = config.get("timeout", 5)
     return table.sender("halo", 1, timeout=timeout)
+
+
+def seeded_draws(seed: int, name: str, items: list):
+    """A seeded ``random.Random(seed)`` is the sanctioned RNG."""
+    rng = random.Random(seed)
+    per_tenant = random.Random(f"{seed}:{name}")
+    rng.shuffle(items)
+    return rng.random(), per_tenant.choice(items)

@@ -1,4 +1,4 @@
-"""Rule-engine tests: one fixture file per rule HL001-HL006.
+"""Rule-engine tests: one fixture file per built-in rule.
 
 Each fixture marks violating lines with a trailing ``# expect: HLxxx``
 comment and demonstrates a same-line ``# lint: disable=HLxxx``
@@ -65,23 +65,6 @@ class TestRuleFixtures:
         assert findings
         assert {f.rule for f in findings} == set(ALL_RULE_IDS)
 
-    def test_hl010_covers_trace_recorder_paths(self):
-        """``TraceEvent`` construction anchors HL010 like ``Decision``.
-
-        The recorder fixture marks wall-clock reads, unseeded RNG, and
-        unsorted iteration inside functions on a trace-event path; the
-        canonical shapes (seeded RNG, ``sorted(...)``) and off-path
-        rendering code must stay clean.
-        """
-        path = FIXTURES / "hl010_trace.py"
-        expected = expected_findings(path)
-        assert expected and all(rule == "HL010" for rule, _ in expected)
-        findings = lint_paths([path], select=["HL010"])
-        assert [(f.rule, f.line) for f in findings] == expected
-        # Beyond HL010 only the module-wide wall-clock rule may speak.
-        assert {f.rule for f in lint_paths([path])} <= {"HL010", "HL012"}
-
-
     def test_hl011_near_misses_stay_clean(self):
         """Registry-derived tags, re-exports, signature defaults and
         look-alike names are not literal tags."""
@@ -89,8 +72,9 @@ class TestRuleFixtures:
 
     def test_hl012_near_misses_stay_clean(self):
         """Simulated-clock ``wait_for``, blocking through the
-        communicator, untimed waits — and ``time.perf_counter`` in a
-        benchmark file, which legitimately times itself."""
+        communicator, untimed waits, a seeded ``random.Random(seed)`` —
+        and ``time.perf_counter`` in a benchmark file, which
+        legitimately times itself."""
         assert lint_paths([FIXTURES / "hl012_near_miss.py"]) == []
         assert lint_paths([FIXTURES / "benchmarks"]) == []
 

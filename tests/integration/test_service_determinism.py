@@ -14,6 +14,12 @@ exactly, on every producer rank, across reruns.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.control.plan import ControlConfig
@@ -124,6 +130,31 @@ def run_once():
     return producers, steps
 
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def log_under_hash_seed(seed: int) -> str:
+    """The first producer's decision log, as JSON, from a fresh
+    interpreter whose ``str`` hashes are salted with ``seed``."""
+    code = (
+        "import json\n"
+        "from tests.integration.test_service_determinism import run_once\n"
+        "producers, _ = run_once()\n"
+        "print(json.dumps(producers[0][0], sort_keys=True))\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(seed),
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestServiceDeterminism:
     def test_elastic_tenants_do_not_stall_siblings(self):
         producers, steps = run_once()
@@ -165,3 +196,15 @@ class TestServiceDeterminism:
         assert canon_a == [canonical_decisions(log) for log in logs_b]
         for la, lb in zip(logs_a, logs_b):
             assert [d["time"] for d in la] == [d["time"] for d in lb]
+
+    def test_decision_logs_do_not_depend_on_the_hash_seed(self):
+        """Two interpreters, two ``PYTHONHASHSEED`` values, one log.
+
+        Both runs above share one process, so a governor that walks a
+        ``set`` of pipeline names, whose order follows the per-process
+        string hash, repeats itself there and passes.  Only a second
+        interpreter with another hash seed shows the difference.
+        """
+        first, second = (log_under_hash_seed(seed) for seed in (0, 1))
+        assert json.loads(first), "no decisions were logged"
+        assert first == second

@@ -8,8 +8,8 @@ The package is organized bottom-up:
   discrete-event timelines, contention model);
 - :mod:`repro.hamr` — the HAMR memory resource: allocators, streams,
   managed buffers, data movement, shared views;
-- :mod:`repro.pm` — programming models (CUDA / HIP / OpenMP offload /
-  host) and kernel launch;
+- :mod:`repro.pm` — kernel launch on the virtual devices (a PM is an
+  allocator family, :class:`~repro.hamr.allocator.Allocator`);
 - :mod:`repro.mpi` — an in-process SPMD MPI substitute;
 - :mod:`repro.svtk` — the SENSEI data model: ``DataArray``,
   ``HAMRDataArray`` (the paper's contribution), tables, meshes, writers;
@@ -59,7 +59,7 @@ from repro.hw import (
     num_devices,
     set_node,
 )
-from repro.pm import get_pm, launch
+from repro.pm import launch
 
 __version__ = "1.0.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "num_devices",
     "set_node",
     # pm
-    "get_pm",
     "launch",
     # populated lazily below
     "HAMRDataArray",

@@ -611,123 +611,27 @@ class PoolTrimGovernor(Governor):
     paper worries about); this governor releases them back whenever
     the pool's idle inventory exceeds ``watermark_bytes``, via
     :meth:`repro.hamr.pool.MemoryPool.trim_above`.
-
-    With ``adaptive=True`` the watermark itself closes a loop on
-    trim/refill churn: when ``churn_window`` consecutive decisions each
-    trimmed *and* were followed by pool misses (the trim forced fresh
-    device allocations, so trimming is fighting the workload), the
-    watermark doubles (bounded by ``max_watermark``); after
-    ``quiet_window`` consecutive decisions with neither trims nor
-    misses it halves back toward the configured base.  The two
-    independent streak counters are the hysteresis — a single quiet or
-    churny decision resets only its own streak, so the watermark never
-    flaps on alternating behavior.
     """
 
     name = "pool"
 
-    #: Watermark growth/decay factor per adaptation.
-    GROWTH = 2.0
-    #: Default cap on adaptive growth, as a multiple of the base.
-    MAX_GROWTH = 8.0
-
-    def __init__(
-        self,
-        pool,
-        watermark_bytes: int,
-        frozen: bool = False,
-        adaptive: bool = False,
-        churn_window: int = 3,
-        quiet_window: int = 3,
-        max_watermark: int | None = None,
-    ):
+    def __init__(self, pool, watermark_bytes: int, frozen: bool = False):
         super().__init__(pool.trim_above, frozen)
         if watermark_bytes < 0:
             raise ValueError(f"watermark must be >= 0: {watermark_bytes}")
-        if churn_window < 1 or quiet_window < 1:
-            raise ValueError(
-                f"churn/quiet windows must be >= 1: "
-                f"{churn_window}/{quiet_window}"
-            )
         self.pool = pool
         self.watermark = int(watermark_bytes)
-        self.base_watermark = int(watermark_bytes)
-        self.adaptive = bool(adaptive)
-        self.churn_window = int(churn_window)
-        self.quiet_window = int(quiet_window)
-        self.max_watermark = (
-            int(max_watermark) if max_watermark is not None
-            else int(self.MAX_GROWTH * max(1, self.base_watermark))
-        )
-        if self.max_watermark < self.base_watermark:
-            raise ValueError(
-                f"max_watermark {self.max_watermark} below base "
-                f"{self.base_watermark}"
-            )
         self.trimmed_bytes = 0
-        self._churn_streak = 0
-        self._quiet_streak = 0
-        self._trimmed_last = False
-        self._miss_mark = int(getattr(pool, "misses", 0))
-
-    def _adapt(self, step: int, t: float | None) -> Decision | None:
-        """Move the watermark if a churn or quiet streak completed."""
-        misses = int(getattr(self.pool, "misses", 0))
-        d_misses = misses - self._miss_mark
-        self._miss_mark = misses
-        if self._trimmed_last and d_misses > 0:
-            # The last trim was refilled from the allocator: churn.
-            self._churn_streak += 1
-            self._quiet_streak = 0
-        elif not self._trimmed_last and d_misses == 0:
-            self._quiet_streak += 1
-            self._churn_streak = 0
-        else:
-            self._churn_streak = 0
-            self._quiet_streak = 0
-        old = new = self.watermark
-        if self._churn_streak >= self.churn_window:
-            new = min(self.max_watermark, int(old * self.GROWTH))
-            reason = (
-                f"{self._churn_streak} consecutive trim+refill cycles on "
-                f"{self.pool.resource.name}: trimming fights the workload"
-            )
-            self._churn_streak = 0
-        elif self._quiet_streak >= self.quiet_window:
-            new = max(self.base_watermark, int(old / self.GROWTH))
-            reason = (
-                f"{self._quiet_streak} consecutive quiet decisions on "
-                f"{self.pool.resource.name}: decay toward base watermark"
-            )
-            self._quiet_streak = 0
-        if new == old:  # at a bound, or a zero mark that cannot grow
-            return None
-        applied = not self.frozen
-        if applied:
-            self.watermark = new
-        return self._decision(
-            step, t,
-            f"watermark {old} -> {new} B",
-            reason, applied,
-            watermark=new, previous=old, misses=d_misses,
-        )
 
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        if self.adaptive:
-            moved = self._adapt(step, t)
-            if moved is not None:
-                self._trimmed_last = False
-                return [moved]
         pooled = self.pool.pooled_bytes
         if pooled <= self.watermark:
-            self._trimmed_last = False
             return []
         freed = 0
         applied = not self.frozen
         if applied:
             freed = self.actuator(self.watermark)
             self.trimmed_bytes += freed
-        self._trimmed_last = applied
         return [self._decision(
             step, t, f"trim {freed} B",
             f"pooled {pooled} B exceeds watermark {self.watermark} B on "

@@ -39,10 +39,6 @@ class PMKind(enum.Enum):
     SYCL = "sycl"
     KOKKOS = "kokkos"
 
-    @property
-    def is_device_pm(self) -> bool:
-        return self is not PMKind.HOST
-
 
 #: The capability sets, by allocator value (the class resolves them
 #: into per-member attributes once).
@@ -122,25 +118,28 @@ class Allocator(enum.Enum):
                 )
 
 
+#: Each device PM's plain device allocator (OpenMP has only one).
+_DEVICE_ALLOCATOR_OF = {
+    PMKind.CUDA: Allocator.CUDA,
+    PMKind.HIP: Allocator.HIP,
+    PMKind.OPENMP: Allocator.OPENMP,
+    PMKind.SYCL: Allocator.SYCL,
+    PMKind.KOKKOS: Allocator.KOKKOS,
+}
+
+
 def default_allocator_for(pm: PMKind, device_id: int) -> Allocator:
     """The allocator a PM-agnostic move targets for a given location.
 
     Host destinations use ``MALLOC``; device destinations use the
-    requesting PM's plain device allocator (OpenMP has only one).
+    requesting PM's plain device allocator.
     """
     if device_id == HOST_DEVICE_ID:
         return Allocator.MALLOC
-    if pm is PMKind.CUDA:
-        return Allocator.CUDA
-    if pm is PMKind.HIP:
-        return Allocator.HIP
-    if pm is PMKind.OPENMP:
-        return Allocator.OPENMP
-    if pm is PMKind.SYCL:
-        return Allocator.SYCL
-    if pm is PMKind.KOKKOS:
-        return Allocator.KOKKOS
-    raise InvalidAllocatorError(
-        f"PM {pm} cannot allocate on device {device_id}; "
-        "host PM allocations must target host memory"
-    )
+    try:
+        return _DEVICE_ALLOCATOR_OF[pm]
+    except KeyError:
+        raise InvalidAllocatorError(
+            f"PM {pm} cannot allocate on device {device_id}; "
+            "host PM allocations must target host memory"
+        ) from None

@@ -39,12 +39,7 @@ def transfer_duration(nbytes: int, src_device: int, dst_device: int, pinned: boo
     """
     node = get_node()
     if src_device == dst_device:
-        resource = node.resource(src_device)
-        bw = (
-            resource.spec.mem_bandwidth
-            if hasattr(resource.spec, "mem_bandwidth")
-            else node.spec.host.mem_bandwidth
-        )
+        bw = node.resource(src_device).spec.mem_bandwidth
         return node.spec.link.latency + 2.0 * int(nbytes) / bw
     return node.transfer_time(nbytes, src_device, dst_device, pinned=pinned)
 

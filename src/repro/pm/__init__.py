@@ -1,32 +1,23 @@
-"""Programming-model (PM) layer.
+"""Programming-model (PM) kernel launch.
 
 The paper couples codes written in different PMs — the Newton++
 simulation uses OpenMP target offload, the data-binning analysis uses
-CUDA, and file writers use host-only C++.  This package models each PM
-as an object that knows:
+CUDA, and file writers use host-only C++.  What a PM *is* to the data
+model is an allocator family: :class:`repro.hamr.allocator.Allocator`
+records which PM manages each allocation (``Allocator.pm_kind``).
 
-- which allocators it provides and on which devices it can execute;
-- how to launch kernels on the virtual hardware
-  (:func:`repro.pm.kernels.launch` runs a numpy callable on the tagged
-  storage while charging roofline time to the device's timeline);
-- how its native streams map onto :class:`repro.hamr.stream.Stream`.
-
-PM *interoperability* — the ability of code written in one PM to
-consume data managed by another — is resolved by the registry's
-interop matrix together with the HDA access API.
+PM *interoperability* — code in one PM consuming data managed by
+another — is a question of location plus allocator, answered by
+:func:`repro.hamr.view.accessible_view`.  :func:`launch` runs a numpy
+callable on the tagged storage, charges roofline time to the target's
+timeline, and refuses any operand not accessible where it runs.
 """
 
-from repro.pm.base import ProgrammingModel
-from repro.pm.registry import get_pm, registered_pms, can_interoperate
 from repro.pm.kernels import launch, KernelCost
 from repro.hamr.allocator import PMKind
 
 __all__ = [
-    "ProgrammingModel",
     "PMKind",
-    "get_pm",
-    "registered_pms",
-    "can_interoperate",
     "launch",
     "KernelCost",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.errors import InteropError
 from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hamr.buffer import Buffer
 from repro.hamr.runtime import current_clock
@@ -67,7 +68,8 @@ def launch(
         Its return value is ignored; results go into the write arrays.
     reads, writes:
         Buffers the kernel consumes / produces.  All must already be
-        accessible on ``device_id`` (use the access APIs to stage them).
+        accessible on ``device_id`` (use the access APIs to stage them);
+        one that is not raises :class:`~repro.errors.InteropError`.
     device_id:
         Execution target; ``HOST_DEVICE_ID`` runs on the host CPU.
     flops, bytes_moved, atomic_fraction:
@@ -86,9 +88,17 @@ def launch(
     if stream is None:
         stream = default_stream(device_id)
 
-    # A kernel may not start before its operands are valid.
+    # A kernel may not start before its operands are valid, nor touch
+    # one it cannot address from where it runs.
     after = 0.0
     for b in (*reads, *writes):
+        if not b.device_accessible(device_id):
+            raise InteropError(
+                f"kernel {name!r} on {resource.name} cannot access buffer "
+                f"{b.name!r} resident on "
+                f"{'host' if b.on_host else f'device {b.device_id}'}; "
+                "obtain an accessible view first"
+            )
         if b.ready_at > after:
             after = b.ready_at
 

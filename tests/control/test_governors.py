@@ -184,102 +184,22 @@ class TestPoolTrimGovernor:
 
 
 class TestPoolGrowth:
-    """Adaptive high-watermark: churn grows it, quiet shrinks it back."""
+    """The watermark is fixed: trim/refill churn never moves it."""
 
     WM = int(1 * KiB)
 
     def _pool(self):
         return pool_for(get_node().devices[0])
 
-    def _gov(self, pool, **kw):
-        kw.setdefault("adaptive", True)
-        kw.setdefault("churn_window", 2)
-        kw.setdefault("quiet_window", 2)
-        return PoolTrimGovernor(pool, self.WM, **kw)
-
     def _churn(self, pool, nbytes=int(4 * KiB)):
         """One trim-then-refill cycle: the refill misses the pool."""
         pool.acquire(nbytes)
         pool.release(nbytes)
 
-    def test_churn_streak_raises_the_watermark(self):
-        pool = self._pool()
-        self._churn(pool)
-        gov = self._gov(pool)
-        step = 0
-        grown = None
-        # Trim, refill (a miss), trim, refill ... until the churn
-        # streak completes and the governor doubles the watermark.
-        for step in range(8):
-            moves = [
-                d for d in gov.decide(step)
-                if "->" in d.action and "watermark" in d.action
-            ]
-            if moves:
-                (grown,) = moves
-                break
-            self._churn(pool)
-        assert grown is not None and grown.applied
-        assert gov.watermark == 2 * self.WM
-        assert grown.args_dict["previous"] == self.WM
-        assert grown.args_dict["misses"] >= 1
-
-    def test_growth_capped_at_max_watermark(self):
-        pool = self._pool()
-        self._churn(pool)
-        gov = self._gov(pool, max_watermark=2 * self.WM)
-        for step in range(32):
-            gov.decide(step)
-            self._churn(pool)
-        assert gov.watermark == 2 * self.WM
-
-    def test_quiet_streak_shrinks_back_to_base(self):
-        pool = self._pool()
-        self._churn(pool)
-        gov = self._gov(pool)
-        for step in range(8):
-            if gov.watermark > self.WM:
-                break
-            gov.decide(step)
-            self._churn(pool)
-        assert gov.watermark == 2 * self.WM
-        # Quiet: pool inventory stays below the watermark, no misses.
-        shrunk = None
-        for step in range(8, 20):
-            moves = [d for d in gov.decide(step) if "watermark" in d.action]
-            if moves:
-                (shrunk,) = moves
-                break
-        assert shrunk is not None and shrunk.applied
-        assert gov.watermark == self.WM
-        # Never shrinks below the configured base.
-        for step in range(20, 30):
-            assert gov.decide(step) == []
-        assert gov.watermark == self.WM
-
-    def test_single_quiet_round_does_not_reset_growth(self):
-        """Hysteresis: one quiet decision alone never moves the mark."""
-        pool = self._pool()
-        self._churn(pool)
-        gov = self._gov(pool, quiet_window=3)
-        for step in range(8):
-            if gov.watermark > self.WM:
-                break
-            gov.decide(step)
-            self._churn(pool)
-        grown = gov.watermark
-        assert grown == 2 * self.WM
-        gov.decide(100)  # one quiet round
-        self._churn(pool)
-        gov.decide(101)  # churn again: quiet streak was reset
-        assert gov.watermark == grown
-
     def test_zero_watermark_logs_no_move_and_trims_every_round(self):
-        """Doubling 0 B is still 0 B: a move that moves nothing is no
-        decision, and the round trims as usual."""
         pool = self._pool()
         self._churn(pool)
-        gov = PoolTrimGovernor(pool, 0, adaptive=True, churn_window=2)
+        gov = PoolTrimGovernor(pool, 0)
         actions = []
         for step in range(9):
             actions += [d.action for d in gov.decide(step)]
@@ -290,33 +210,11 @@ class TestPoolGrowth:
     def test_non_adaptive_never_moves(self):
         pool = self._pool()
         self._churn(pool)
-        gov = PoolTrimGovernor(pool, self.WM, adaptive=False)
+        gov = PoolTrimGovernor(pool, self.WM)
         for step in range(8):
             assert all("watermark" not in d.action for d in gov.decide(step))
             self._churn(pool)
         assert gov.watermark == self.WM
-
-    def test_frozen_adaptive_never_moves_the_watermark(self):
-        """Frozen trims are unapplied, so churn never registers."""
-        pool = self._pool()
-        self._churn(pool)
-        gov = self._gov(pool, frozen=True)
-        decisions = []
-        for step in range(8):
-            decisions.extend(gov.decide(step))
-            self._churn(pool)
-        # Trim decisions are logged but unapplied; the pool is never
-        # actually drained, so no refill misses and no growth.
-        assert decisions and all(not d.applied for d in decisions)
-        assert all("watermark" not in d.action for d in decisions)
-        assert gov.watermark == self.WM
-
-    def test_validation(self):
-        pool = self._pool()
-        with pytest.raises(ValueError):
-            self._gov(pool, churn_window=0)
-        with pytest.raises(ValueError):
-            self._gov(pool, max_watermark=self.WM // 2)
 
 
 class TestDecisionRecord:

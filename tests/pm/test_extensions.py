@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
+from repro.hamr.allocator import HOST_DEVICE_ID, Allocator
 from repro.hamr.runtime import set_active_device
 from repro.hw.node import get_node
-from repro.pm.registry import get_pm
+from repro.pm.kernels import launch
 from repro.svtk.hamr_array import HAMRDataArray
 
 
@@ -85,7 +85,7 @@ class TestExtensionKernelLaunch:
         a = HAMRDataArray.new("x", 4, allocator=Allocator.SYCL, device_id=0)
         a.get_data()[:] = 2.0
         out = HAMRDataArray.new("y", 4, allocator=Allocator.SYCL, device_id=0)
-        get_pm(PMKind.SYCL).launch(
+        launch(
             lambda x, y: np.multiply(x, 3.0, out=y),
             reads=[a.buffer], writes=[out.buffer], device_id=0,
         )
@@ -95,6 +95,6 @@ class TestExtensionKernelLaunch:
         """Kokkos host backend: the same kernel API on the CPU."""
         a = HAMRDataArray.new("x", 4, allocator=Allocator.MALLOC)
         a.get_data()[:] = 1.0
-        get_pm(PMKind.KOKKOS).launch(
+        launch(
             lambda x: None, reads=[a.buffer], device_id=HOST_DEVICE_ID,
         )

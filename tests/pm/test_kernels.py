@@ -13,7 +13,6 @@ from repro.hamr.stream import Stream, StreamMode
 from repro.hamr.view import accessible_view
 from repro.hw.node import get_node
 from repro.pm.kernels import KernelCost, launch
-from repro.pm.registry import get_pm
 
 
 def _dev_buffer(values, device_id=0, alloc=Allocator.CUDA):
@@ -82,27 +81,44 @@ class TestLaunch:
 
 
 class TestPMLaunch:
+    """``launch`` refuses any operand it cannot address where it runs."""
+
     def test_pm_launch_checks_accessibility(self):
-        """A CUDA kernel cannot read a buffer resident on another device."""
-        a = _dev_buffer([1.0], device_id=0)
-        with pytest.raises(InteropError):
-            get_pm(PMKind.CUDA).launch(lambda x: None, reads=[a], device_id=1)
+        """A kernel reads and writes only memory accessible where it runs."""
+        dev0 = _dev_buffer([1.0], device_id=0)
+        host = Buffer.wrap(np.zeros(1), Allocator.MALLOC)
+        cases = [
+            ({"reads": [dev0]}, 1, "read on another device"),
+            ({"writes": [dev0]}, 1, "write on another device"),
+            ({"reads": [dev0]}, HOST_DEVICE_ID, "device data, host kernel"),
+            ({"writes": [host]}, 0, "host data, device kernel"),
+        ]
+        ready = dev0.ready_at
+        for operands, device_id, case in cases:
+            with pytest.raises(InteropError, match="accessible view"):
+                launch(lambda x: None, device_id=device_id, **operands)
+            assert dev0.ready_at == ready, case  # nothing was scheduled
 
     def test_pm_launch_with_staged_view(self):
         """The paper's pattern: stage via the access API, then launch."""
         a = _dev_buffer([1.0, 2.0], device_id=0)
         v = accessible_view(a, PMKind.CUDA, 1)
         out = Buffer.allocate(2, np.float64, Allocator.CUDA, device_id=1)
-        get_pm(PMKind.CUDA).launch(
+        launch(
             lambda x, y: np.add(x, x, out=y),
             reads=[v.buffer], writes=[out], device_id=1,
         )
         np.testing.assert_array_equal(out.data, [2.0, 4.0])
 
     def test_uva_buffer_launchable_anywhere(self):
-        a = Buffer.allocate(2, np.float64, Allocator.CUDA_UVA, device_id=0)
-        a.fill(1.0)
-        get_pm(PMKind.HIP).launch(lambda x: None, reads=[a], device_id=3)
+        """Managed and pinned memory need no view on any device."""
+        uva = Buffer.allocate(2, np.float64, Allocator.CUDA_UVA, device_id=0)
+        pinned = Buffer.allocate(2, np.float64, Allocator.CUDA_HOST)
+        for b in (uva, pinned):
+            b.fill(1.0)
+            for device_id in (HOST_DEVICE_ID, 0, 3):
+                launch(lambda x: None, reads=[b], device_id=device_id)
+                launch(lambda y: None, writes=[b], device_id=device_id)
 
 
 class TestKernelCost:

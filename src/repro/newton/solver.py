@@ -107,23 +107,15 @@ class NewtonSolver:
 
     # -- force evaluation ----------------------------------------------------------
     def _gather_sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global source positions/masses via allgather."""
-        if self.comm.size == 1:
-            return self.bodies.positions, self.bodies.mass
-        # Snapshot before posting: the threaded world passes references,
-        # and a peer's in-place integration must not be visible mid-read
-        # (real MPI copies at send time).
-        parts = self.comm.allgather(
-            (
-                self.bodies.x.copy(), self.bodies.y.copy(),
-                self.bodies.z.copy(), self.bodies.mass.copy(),
-            )
-        )
-        xs = np.concatenate([p[0] for p in parts])
-        ys = np.concatenate([p[1] for p in parts])
-        zs = np.concatenate([p[2] for p in parts])
-        ms = np.concatenate([p[3] for p in parts])
-        return np.column_stack((xs, ys, zs)), ms
+        """Global source positions (a view of SoA rows) and masses via allgather."""
+        b = self.bodies
+        # One snapshot before posting: the threaded world passes
+        # references, and a peer's in-place integration must not be
+        # visible mid-read (real MPI copies at send time).
+        soa = np.stack((b.x, b.y, b.z, b.mass))
+        if self.comm.size > 1:
+            soa = np.concatenate(self.comm.allgather(tuple(soa)), axis=1)
+        return soa[:3].T, soa[3]
 
     def _accel_fn(self, positions: np.ndarray) -> np.ndarray:
         """Acceleration evaluation as a device kernel."""

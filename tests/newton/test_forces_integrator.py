@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SolverError
 from repro.newton.bodies import Bodies
 from repro.newton.forces import (
+    ROWS,
     accelerations,
     kinetic_energy,
     pair_flops,
@@ -127,6 +130,87 @@ def test_matches_reference_kernel(n_t, tile):
     )
 
 
+def _parent_pair_tiles(targets_pos, sources_pos, softening, tile):
+    """Per source tile: (start, d, softened r2, scratch), n_t x tile views of
+    one coordinate-major block allocated once; d[k] is target -> source."""
+    n_s = sources_pos.shape[0]
+    block = np.empty((5, targets_pos.shape[0], min(tile, n_s)))
+    for start in range(0, n_s, tile):
+        s = sources_pos[start : start + tile].T
+        view = block[:, :, : s.shape[1]]
+        d, r2, scratch = view[:3], view[3], view[4]
+        np.subtract(s[:, None, :], targets_pos.T[:, :, None], out=d)
+        np.einsum("kij,kij->ij", d, d, out=r2)
+        r2 += softening * softening
+        yield start, d, r2, scratch
+
+
+def parent_accelerations(
+    targets_pos: np.ndarray,
+    sources_pos: np.ndarray,
+    sources_mass: np.ndarray,
+    softening: float = 1e-3,
+    tile: int = 2048,
+) -> np.ndarray:
+    """The source-tiled SoA kernel the row-blocked one replaced, kept
+    verbatim: row blocking must not change a single bit of its output."""
+    if softening <= 0:
+        raise SolverError(f"softening must be positive: {softening}")
+    if tile < 1:
+        raise SolverError(f"tile must be >= 1: {tile}")
+    targets_pos = np.asarray(targets_pos, dtype=np.float64)
+    sources_pos = np.asarray(sources_pos, dtype=np.float64)
+    sources_mass = np.asarray(sources_mass, dtype=np.float64)
+    if targets_pos.ndim != 2 or targets_pos.shape[1] != 3:
+        raise SolverError(f"targets_pos must be (n, 3), got {targets_pos.shape}")
+    if sources_pos.shape != (sources_mass.size, 3):
+        raise SolverError("sources_pos/sources_mass shape mismatch")
+
+    acc = np.zeros((targets_pos.shape[0], 3))
+    for start, d, r2, w in _parent_pair_tiles(targets_pos, sources_pos, softening, tile):
+        # w = m / (r2 sqrt(r2)): no fractional power.
+        np.multiply(r2, np.sqrt(r2, out=w), out=w)
+        np.divide(sources_mass[None, start : start + tile], w, out=w)
+        for k in range(3):
+            acc[:, k] += np.einsum("ij,ij->i", w, d[k])
+    return acc
+
+
+@pytest.mark.parametrize(
+    "n_t, tile",
+    [
+        (128, 2048), (171, 2048), (256, 2048), (512, 2048),  # 512 sources
+        (ROWS + 1, 2048),  # ragged last row block
+        (1, 2048),  # a single target, a single short row block
+        (171, 100),  # ragged last tile: 512 = 5 x 100 + 12
+        (171, 1),
+    ],
+)
+def test_bit_identical_to_parent_kernel(n_t, tile):
+    """Blocking over target rows leaves every summation order as it was."""
+    b = uniform_random(512, seed=12)
+    t, s, m = b.positions[:n_t].copy(), b.positions, b.mass
+    assert np.array_equal(
+        accelerations(t, s, m, softening=1e-2, tile=tile),
+        parent_accelerations(t, s, m, softening=1e-2, tile=tile),
+    )
+
+
+def test_scratch_stays_bounded():
+    """One call at 256 targets x 512 sources allocates at most 1.5 MiB at
+    peak; an n_t-sized scratch block (the parent's) takes 5.1 MiB."""
+    b = uniform_random(512, seed=12)
+    t, s, m = b.positions[:256].copy(), b.positions, b.mass
+    accelerations(t, s, m)  # warm numpy's lazy state outside the window
+    tracemalloc.start()
+    try:
+        accelerations(t, s, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak
+
+
 class TestEnergies:
     def test_two_body_potential(self):
         pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -138,6 +222,17 @@ class TestEnergies:
         w1 = potential_energy(b.positions, b.mass, tile=1000)
         w2 = potential_energy(b.positions, b.mass, tile=5)
         assert w2 == pytest.approx(w1, rel=1e-12)
+
+    def test_validation(self):
+        pos = np.zeros((4, 3))
+        with pytest.raises(SolverError):
+            potential_energy(pos, np.ones(4), tile=0)
+        with pytest.raises(SolverError):
+            potential_energy(pos, np.ones(4), softening=-1.0)
+        with pytest.raises(SolverError):
+            potential_energy(np.zeros((4, 2)), np.ones(4))
+        with pytest.raises(SolverError):
+            potential_energy(pos, np.ones(3))
 
     def test_kinetic(self):
         vel = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])

@@ -256,7 +256,7 @@ class CodecGovernor(Governor):
         probe = bytes(sample[: self.PROBE_BYTES])
         if not probe:
             return
-        compressed = codec.compress(probe)
+        compressed = codec.compress((probe,))
         current_clock().advance(codec.compress_time(len(probe)))
         self._ratio.update(len(probe) / max(len(compressed), 1))
         self._last_probe_step = step

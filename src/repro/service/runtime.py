@@ -239,10 +239,9 @@ class ServiceEndpoint:
         for payload in payloads[1:]:
             if list(payload) != columns:
                 raise MPIError("producers shipped inconsistent column sets")
-        for column in columns:
-            table.add_host_column(
-                column, np.concatenate([p[column] for p in payloads])
-            )
+        for column in columns:  # one producer's array is handed over as is
+            parts = [p[column] for p in payloads]
+            table.add_host_column(column, parts[0] if len(parts) == 1 else np.concatenate(parts))
         return table
 
     def _drain_control(self) -> tuple[bool, bool]:

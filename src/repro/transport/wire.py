@@ -1,9 +1,9 @@
 """The versioned wire format: chunked, checksummed column payloads.
 
-A step's table is serialized into one byte blob (columns concatenated,
-per-column dtype/length metadata kept aside), optionally compressed,
-and split into fixed-size :class:`Chunk`\\ s.  Every chunk carries a
-CRC32 of its payload so the receiver can detect corruption and simply
+A step's columns stream through the codec as they lie in memory into
+one blob (dtype/length metadata aside), cut into :class:`Chunk`\\ s and
+decoded into one buffer the delivered columns view.  Each chunk carries
+a CRC32 of its payload so the receiver can detect corruption and simply
 withhold the ACK — corruption recovery falls out of the retry loop.
 
 Codecs are pluggable.  Compression is *charged to the simulated clock*
@@ -19,7 +19,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -68,11 +68,14 @@ class Codec:
     compress_bandwidth = SERIALIZE_BANDWIDTH
     decompress_bandwidth = SERIALIZE_BANDWIDTH
 
-    def compress(self, data: bytes) -> bytes:
-        return data
+    def compress(self, parts: Sequence) -> bytes:
+        """The wire blob of a sequence of buffers joined end to end."""
+        return b"".join(parts)
 
-    def decompress(self, data: bytes) -> bytes:
-        return data
+    def decompress(self, payloads: Sequence[bytes], nbytes: int) -> bytearray:
+        """The blob cut into ``payloads``, decoded into one new writable
+        buffer (``nbytes`` long if the header is true)."""
+        return bytearray().join(payloads)
 
     def compress_time(self, nbytes: int) -> float:
         return nbytes / self.compress_bandwidth
@@ -94,11 +97,22 @@ class ZlibCodec(Codec):
     def __init__(self, level: int = 1):
         self.level = int(level)
 
-    def compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
+    def compress(self, parts: Sequence) -> bytes:
+        # One stream over the parts: byte for byte zlib.compress(join).
+        z = zlib.compressobj(self.level)
+        return b"".join([*map(z.compress, parts), z.flush()])
 
-    def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
+    def decompress(self, payloads: Sequence[bytes], nbytes: int) -> bytearray:
+        if nbytes > 1032 * sum(map(len, payloads)):  # DEFLATE's top ratio
+            raise ValueError(f"cannot inflate to {nbytes} bytes")
+        out, end, z = bytearray(nbytes), 0, zlib.decompressobj()
+        for data in payloads:
+            piece = z.decompress(data)
+            out[end:end + len(piece)] = piece  # grows only past nbytes
+            end += len(piece)
+        if not z.eof or z.unused_data or end != nbytes:
+            raise ValueError(f"not one deflate stream of {nbytes} bytes")
+        return out
 
 
 _CODECS: dict[str, type[Codec]] = {"none": Codec, "zlib": ZlibCodec}
@@ -212,34 +226,24 @@ def encode_step(
         (name, a.dtype.str, int(a.size))
         for name, a in zip(table.column_names, arrays)
     )
-    blob = b"".join(a.tobytes() for a in arrays)
-    raw_nbytes = len(blob)
+    raw_nbytes = sum(a.nbytes for a in arrays)
     clock = current_clock()
     clock.advance(raw_nbytes / SERIALIZE_BANDWIDTH)
     with _codec_call(codec, raw_nbytes):
-        wire_blob = codec.compress(blob)
+        wire_blob = codec.compress([a.reshape(-1).view(np.uint8) for a in arrays])
     if codec.name != "none":
         clock.advance(codec.compress_time(raw_nbytes))
-    total = max(1, -(-len(wire_blob) // chunk_bytes))
-    chunks = []
-    for i in range(total):
-        payload = wire_blob[i * chunk_bytes:(i + 1) * chunk_bytes]
-        chunks.append(
-            Chunk(
-                version=WIRE_VERSION,
-                step=int(step),
-                sim_time=float(sim_time),
-                index=i,
-                total=total,
-                checksum=zlib.crc32(payload),
-                codec=codec.name,
-                raw_nbytes=raw_nbytes,
-                meta=meta,
-                payload=payload,
-                pipeline=pipeline,
-            )
+    cuts = range(0, len(wire_blob), chunk_bytes)
+    payloads = [wire_blob[i:i + chunk_bytes] for i in cuts] or [b""]
+    return [
+        Chunk(
+            version=WIRE_VERSION, step=int(step), sim_time=float(sim_time),
+            index=i, total=len(payloads), checksum=zlib.crc32(payload),
+            codec=codec.name, raw_nbytes=raw_nbytes, meta=meta,
+            payload=payload, pipeline=pipeline,
         )
-    return chunks
+        for i, payload in enumerate(payloads)
+    ]
 
 
 #: Header fields every chunk of one step must agree on.
@@ -302,10 +306,9 @@ def decode_step(chunks: list[Chunk]) -> tuple[int, float, dict[str, np.ndarray]]
         raise _bad_header(first, "raw_nbytes", "columns do not add up to it")
     codec = get_codec(first.codec)
     try:
-        payload = b"".join(c.payload for c in ordered)
         # Codecs are pluggable: what a wrong payload raises is theirs.
         with _codec_call(codec, first.raw_nbytes):
-            blob = codec.decompress(payload)
+            blob = codec.decompress([c.payload for c in ordered], first.raw_nbytes)
     except Exception as exc:
         raise _bad_header(
             first, "codec", f"{codec.name} cannot decode the payload ({exc})"
@@ -314,12 +317,10 @@ def decode_step(chunks: list[Chunk]) -> tuple[int, float, dict[str, np.ndarray]]
         current_clock().advance(codec.decompress_time(first.raw_nbytes))
     if len(blob) != first.raw_nbytes:
         raise _bad_header(first, "raw_nbytes", f"decoded {len(blob)} bytes")
-    columns: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, dt, length in layout:
-        columns[name] = np.frombuffer(
-            blob, dtype=dt, count=length, offset=offset
-        ).copy()
+    columns, offset = {}, 0
+    for name, dt, length in layout:  # views of the blob, unless misaligned
+        column = np.frombuffer(blob, dtype=dt, count=length, offset=offset)
+        columns[name] = column if column.flags.aligned else column.copy()
         offset += dt.itemsize * length
     return first.step, first.sim_time, columns
 

@@ -305,13 +305,13 @@ class TestBaton:
         def watched(kind):
             method = getattr(ZlibCodec, kind)
 
-            def wrapper(self, data):
+            def wrapper(self, *args):
                 with lock:
                     inside[kind] += 1
                     if inside["compress"] and inside["decompress"]:
                         overlaps.append(kind)
                 try:
-                    return method(self, data)
+                    return method(self, *args)
                 finally:
                     with lock:
                         inside[kind] -= 1

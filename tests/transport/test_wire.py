@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,14 +55,14 @@ class TestCodecs:
 
     def test_none_codec_roundtrip(self):
         c = get_codec("none")
-        assert c.decompress(c.compress(b"abc")) == b"abc"
+        assert c.decompress([c.compress([b"abc"])], 3) == b"abc"
 
     def test_zlib_roundtrip_and_shrinks(self):
         c = get_codec("zlib")
         data = b"\x00" * 4096
-        packed = c.compress(data)
+        packed = c.compress([data])
         assert len(packed) < len(data)
-        assert c.decompress(packed) == data
+        assert c.decompress([packed], len(data)) == data
 
     def test_zlib_costs_more_cpu_than_memcpy(self):
         z = get_codec("zlib")
@@ -153,6 +156,93 @@ class TestEncodeDecode:
             decode_step([])
 
 
+class _Columns:
+    """What ``encode_step`` reads of a table — names and host arrays —
+    without the table's one-row-count, one-component rule."""
+
+    def __init__(self, layout):
+        self.column_names = [name for name, _ in layout]
+        self._arrays = dict(layout)
+
+    def column(self, name):
+        return SimpleNamespace(as_numpy_host=lambda: self._arrays[name])
+
+
+_RNG = np.random.default_rng(3)
+_LAYOUTS = {
+    "int8 then float64": [
+        ("i", _RNG.integers(-100, 100, 37).astype(np.int8)),
+        ("f", _RNG.normal(size=37)),
+    ],
+    "2-component": [
+        ("v", _RNG.normal(size=(37, 2))),
+        ("m", _RNG.normal(size=37).astype(np.float32)),
+    ],
+    "zero-length among others": [
+        ("a", np.arange(3, dtype=np.int8)),
+        ("e", np.zeros(0)),
+        ("f", np.arange(4, dtype=">f8")),
+    ],
+    "all zero-length": [("e", np.zeros(0)), ("b", np.zeros(0, np.int8))],
+}
+
+
+class TestStreamingCodec:
+    """The codec runs over the column buffers and the receiver decodes
+    into the delivered columns: the wire bytes are those of the joined,
+    compressed blob, and no step is held in full more often than needed."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 4096])
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_payloads_are_the_joined_blob_and_columns_its_views(
+        self, layout, codec, chunk_bytes
+    ):
+        arrays = _LAYOUTS[layout]
+        blob = b"".join(a.tobytes() for _, a in arrays)
+        wire_blob = zlib.compress(blob, 1) if codec == "zlib" else blob
+        chunks = encode_step(_Columns(arrays), 0, 0.0, codec, chunk_bytes)
+        assert [c.payload for c in chunks] == [
+            wire_blob[i:i + chunk_bytes]
+            for i in range(0, max(len(wire_blob), 1), chunk_bytes)
+        ]
+        _, _, columns = decode_step(chunks)
+        assert list(columns) == [name for name, _ in arrays]
+        offset = 0
+        for name, a in arrays:
+            got = columns[name]
+            assert got.dtype == a.dtype and got.tobytes() == a.tobytes()
+            assert got.flags.writeable and got.flags.aligned
+            # An empty column counts as aligned wherever it starts.
+            misaligned = a.size > 0 and offset % a.dtype.alignment != 0
+            assert (got.base is None) == misaligned, (name, offset)
+            offset += a.nbytes
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_an_8_mib_step_round_trip_stays_bounded(self, codec):
+        """zlib peaks at the raw step plus two compressed copies, none at
+        2.25 raw steps (11.0 and 16.1 MiB measured); joining `tobytes()`
+        copies, decompressing to `bytes` and copying each column out
+        takes 25.6 and 24.0 MiB."""
+        rng = np.random.default_rng(17)
+        t = TableData("field")
+        t.add_host_column("rho", np.round(rng.normal(size=1 << 20) * 64) / 64)
+        raw = 8 * 2**20
+        decode_step(encode_step(make_table(n=64), 0, 0.0, codec))  # warm up
+        tracemalloc.start()
+        try:
+            chunks = encode_step(t, 0, 0.0, codec)
+            compressed = sum(len(c.payload) for c in chunks)
+            _, _, columns = decode_step(chunks)
+            del chunks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(columns["rho"], t.column("rho").as_numpy_host())
+        bound = raw + 2 * compressed if codec == "zlib" else 2.25 * raw
+        assert peak <= bound, (peak, bound)
+
+
 class TestLyingHeaders:
     """The CRC covers only the payload, so ``decode_step`` must survive
     a header that lies: the payload's own bytes or a ``TransportError``
@@ -180,6 +270,31 @@ class TestLyingHeaders:
             decode_step([dataclasses.replace(c, **{field: value})])
         assert err.value.details["step"] == 4
         assert err.value.details.get("field") == blamed
+
+    @pytest.mark.parametrize("cut", ["trailing junk", "truncated"])
+    def test_a_zlib_payload_that_is_not_one_stream_is_a_lie(self, cut):
+        """The CRC is recomputed over the lie, so only the codec can tell
+        that bytes follow the deflate stream, or that it never ends."""
+        t = TableData("bodies")
+        t.add_host_column("x", np.arange(16.0))
+        (c,) = encode_step(t, 4, 0.5, "zlib")
+        payload = c.payload + b"junk" if cut == "trailing junk" else c.payload[:-1]
+        lying = dataclasses.replace(c, payload=payload, checksum=zlib.crc32(payload))
+        assert lying.verify()
+        with pytest.raises(TransportError) as err:
+            decode_step([lying])
+        assert err.value.details == {"step": 4, "field": "codec"}
+
+    def test_a_size_no_payload_can_inflate_to_is_refused_unallocated(self):
+        """Layout and byte count agree on 1 TiB: the receiver would
+        allocate it before inflating a single byte, so the codec refuses."""
+        t = TableData("bodies")
+        t.add_host_column("x", np.arange(16.0))
+        (c,) = encode_step(t, 4, 0.5, "zlib")
+        lying = dataclasses.replace(c, raw_nbytes=1 << 40, meta=(("x", "<f8", 1 << 37),))
+        with pytest.raises(TransportError) as err:
+            decode_step([lying])
+        assert err.value.details == {"step": 4, "field": "codec"}
 
     def test_chunks_of_one_set_must_agree(self):
         chunks = encode_step(make_table(n=256), 2, 0.0, chunk_bytes=1024)
@@ -314,13 +429,13 @@ class TestWhereCodecCallsRun:
         seen = []
 
         def watched(method):
-            def wrapper(codec, data):
+            def wrapper(codec, *args):
                 ctx = current_context()
                 seen.append(
                     "away" if ctx in ctx.table._away
                     else "baton" if ctx.table.holder is ctx else "?"
                 )
-                return method(codec, data)
+                return method(codec, *args)
 
             return wrapper
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.analysis.engine import Finding, Rule, Severity
 from repro.analysis.lint import lint_paths
 from repro.analysis.rules import DEFAULT_RULES, default_rules
-from repro.analysis.sanitizer import Sanitizer, Violation, note_write
+from repro.analysis.sanitizer import Sanitizer, Violation
 
 __all__ = [
     "Finding",
@@ -42,5 +42,4 @@ __all__ = [
     "default_rules",
     "Sanitizer",
     "Violation",
-    "note_write",
 ]

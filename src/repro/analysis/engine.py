@@ -49,7 +49,6 @@ __all__ = [
     "iter_python_files",
     "parse_file",
     "parse_files",
-    "lint_file",
     "run_rules",
     "run_rules_detailed",
 ]
@@ -320,15 +319,6 @@ def _check_contexts(
                     kept.append(f)
         out.append(FileResult(ctx=ctx, findings=kept, raw=raw))
     return out
-
-
-def lint_file(path: Path | str, rules: Iterable[Rule]) -> list[Finding]:
-    """Run ``rules`` over one file, honoring suppressions."""
-    parsed = parse_file(path)
-    if isinstance(parsed, Finding):
-        return [parsed]
-    results = _check_contexts([parsed], list(rules))
-    return results[0].findings
 
 
 def run_rules_detailed(

@@ -1,7 +1,7 @@
 """Entry point for the static analyzer: ``python -m repro lint``.
 
 ``lint_paths`` is the library surface (used by the CI test
-``tests/test_lint_clean.py``); :func:`audit_suppressions` backs the
+``tests/test_lint_clean.py``), and its ``check_suppressions`` backs the
 ``--check-suppressions`` flag; :func:`main` is the CLI surface wired
 into :mod:`repro.__main__`.
 """
@@ -22,7 +22,7 @@ from repro.analysis.engine import (
 from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import default_rules, rule_span
 
-__all__ = ["lint_paths", "audit_suppressions", "main", "describe"]
+__all__ = ["lint_paths", "main", "describe"]
 
 #: Rule ids the suppression audit itself reports under.
 UNUSED_SUPPRESSION = "HLS01"
@@ -74,7 +74,8 @@ def lint_paths(
 
     ``select`` restricts to the given rule ids (e.g. ``["HL001"]``);
     ``check_suppressions`` additionally audits ``# lint: disable=``
-    comments (see :func:`audit_suppressions`).
+    comments: suppressions that silence nothing (:data:`HLS01`) and
+    suppressions naming unknown rule ids (:data:`HLS02`).
     """
     active = _select_rules(rules, select)
     paths = _check_paths(paths)
@@ -131,26 +132,6 @@ def _audit_file(ctx, raw: Sequence[Finding], rules: Sequence[Rule]) -> list[Find
                 )
             )
     return out
-
-
-def audit_suppressions(
-    paths: Iterable[Path | str],
-    rules: Sequence[Rule] | None = None,
-    jobs: int | None = None,
-) -> list[Finding]:
-    """Audit ``# lint: disable=`` comments under ``paths``.
-
-    Reports suppressions that silence nothing (:data:`HLS01`) and
-    suppressions naming unknown rule ids (:data:`HLS02`).
-    """
-    active = _select_rules(rules, None)
-    paths = _check_paths(paths)
-    results, _errors = run_rules_detailed(paths, active, jobs=jobs)
-    findings: list[Finding] = []
-    for r in results:
-        findings.extend(_audit_file(r.ctx, r.raw, active))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -226,7 +226,7 @@ class UnsynchronizedStreamRule(Rule):
         "stream to a caller that will"
     )
 
-    _sync_methods = ("synchronize", "drain", "wait_event")
+    _sync_methods = ("synchronize", "drain")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for fn in _functions(ctx.tree):
@@ -366,9 +366,8 @@ class SwallowedErrorRule(Rule):
     """Bare ``except:`` or a silently swallowed ``StreamError``.
 
     A bare except hides every substrate error (including sanitizer
-    violations); catching ``StreamError``/``SynchronizationError`` and
-    doing nothing discards exactly the signal the stream layer exists
-    to raise.
+    violations); catching ``StreamError`` and doing nothing discards
+    exactly the signal the stream layer exists to raise.
     """
 
     id = "HL006"
@@ -379,7 +378,7 @@ class SwallowedErrorRule(Rule):
         "either handle it or re-raise; never pass on a StreamError"
     )
 
-    _stream_errors = ("StreamError", "SynchronizationError")
+    _stream_errors = ("StreamError",)
 
     def _catches_stream_error(self, handler: ast.ExceptHandler) -> bool:
         t = handler.type

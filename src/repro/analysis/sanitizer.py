@@ -15,7 +15,7 @@ mechanically:
   :meth:`Buffer.free` ran (and, for zero-copy wraps, its ``deleter``),
   or freeing storage an in-flight asynchronous analysis still reads;
 - **write-while-analyzing races** — the simulation mutating a buffer
-  (``fill`` or an explicit :func:`note_write`) that an in-flight
+  (``fill``) that an in-flight
   :class:`AsyncRunner` task has read and not yet drained.  Detection
   uses per-buffer generation counters plus an access log keyed by the
   simulated clock.
@@ -49,7 +49,7 @@ from repro.hamr.buffer import Buffer
 from repro.hamr.runtime import current_clock, get_active_device
 from repro.sensei.execution import AsyncRunner
 
-__all__ = ["Sanitizer", "Violation", "AccessRecord", "note_write"]
+__all__ = ["Sanitizer", "Violation", "AccessRecord"]
 
 #: Engine modules allowed to touch raw storage (the HL001 allowlist
 #: plus the movement/launch engines that sit below the view layer).
@@ -311,16 +311,6 @@ class Sanitizer:
                 _buffer_details(buf),
             )
 
-    # -- reporting ------------------------------------------------------------
-    def report(self) -> dict:
-        """JSON-ready report (shared format with lint findings)."""
-        with self._lock:
-            return {
-                "violations": [v.to_dict() for v in self.violations],
-                "accesses": len(self.accesses),
-                "dropped_accesses": self.dropped_accesses,
-            }
-
     def format_report(self) -> str:
         with self._lock:
             violations = list(self.violations)
@@ -334,15 +324,3 @@ class Sanitizer:
             for k, val in v.details:
                 lines.append(f"      {k}: {val}")
         return "\n".join(lines)
-
-
-def note_write(buffer: Buffer) -> None:
-    """Report a raw in-place mutation to the active sanitizer (if any).
-
-    Instrumentation hook for code that writes through a numpy view the
-    property wrapper cannot see (e.g. ``buf.data[:] = x`` mutates via
-    the *returned* array; only the read is observable).
-    """
-    san = Sanitizer._active
-    if san is not None:
-        san._on_write(buffer, "write")

@@ -183,9 +183,6 @@ class DistributedArray:
             s = self.shards[b]
             yield b, s.start, s.stop, s.interior
 
-    def owned_rows(self) -> int:
-        return sum(s.rows for s in self.shards.values())
-
     # -- global indexing --------------------------------------------------------
     def _span(self, key) -> tuple[int, int, bool]:
         length = self.length

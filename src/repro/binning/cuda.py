@@ -33,12 +33,6 @@ from repro.pm.kernels import KernelCost, launch
 
 __all__ = ["BinPlan", "bin_device", "binning_kernel_cost"]
 
-#: Fraction of the binning kernel's traffic that is atomic updates.
-#: Derived from the access pattern: per realization we stream the index
-#: (8 B) and value (8 B) and atomically update the bin (~16 B of RMW
-#: traffic), so roughly half the bytes contend.
-ATOMIC_TRAFFIC_FRACTION = 0.5
-
 
 def binning_kernel_cost(n_rows: int, op: ReductionOp) -> KernelCost:
     """Roofline work descriptor for binning ``n_rows`` realizations."""

@@ -58,18 +58,6 @@ class ReductionOp(enum.Enum):
         """COUNT is coordinate-only; the others consume a binned variable."""
         return self is not ReductionOp.COUNT
 
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Merge two partial accumulator grids (MPI reduction step).
-
-        AVERAGE accumulators are ``(sum, count)`` pairs stacked on the
-        leading axis; both components add.
-        """
-        if self is ReductionOp.MIN:
-            return np.minimum(a, b)
-        if self is ReductionOp.MAX:
-            return np.maximum(a, b)
-        return a + b  # COUNT, SUM, and AVERAGE (componentwise)
-
     @property
     def mpi_op(self) -> str:
         """The communicator reduction merging partial grids."""

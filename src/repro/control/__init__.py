@@ -38,9 +38,8 @@ Each class's docstring has the detail; ``quota``/``shard`` and
 :mod:`~repro.control.governors`.
 
 A :class:`~repro.control.plan.ControlPlane` owns the governors and the
-decision log; every decision is also exported as a Chrome-trace
-*instant* event so it is visible on the same timeline as the work it
-re-routed.  Configuration comes from the ``<control>`` XML element
+decision log; every decision is also mirrored to the trace recorder.
+Configuration comes from the ``<control>`` XML element
 (:class:`~repro.control.plan.ControlConfig`) with per-governor
 on/off/freeze.  With no control plane attached, behavior is
 bit-identical to the static configuration.

@@ -425,9 +425,8 @@ class PlacementGovernor(Governor):
     :class:`~repro.sensei.placement.DevicePlacement` on the same step —
     per-rank Eq. 1 resolution then fans the ranks out across the target
     set instead of piling them onto one device.  Crowding findings are
-    logged as decisions (and so exported as Chrome-trace instant events)
-    even when no re-aim results.  ``overload`` is the re-aim trigger
-    relative to the node-mean external load.
+    logged as decisions even when no re-aim results.  ``overload`` is
+    the re-aim trigger relative to the node-mean external load.
     """
 
     name = "placement"

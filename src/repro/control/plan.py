@@ -291,7 +291,7 @@ class ControlPlane:
     def log(self, decisions: list[Decision]) -> list[Decision]:
         """The single logging path: the taps below and the rounds their
         drivers decide on one rank for a group log here, so one plane owns
-        the complete log, the recorder mirror and the Chrome-trace export."""
+        the complete log and the recorder mirror."""
         for decision in decisions:
             self.decisions.append(decision)
             if self._recorder is not None:
@@ -560,33 +560,6 @@ class ControlPlane:
         return None
 
     # -- reporting ---------------------------------------------------------------
-    def chrome_instant_events(self, time_scale: float = 1e6, pid: int = 0, tid: int = 0) -> list[dict]:
-        """Decision log as Chrome-trace instant events.
-
-        Pass as ``extra_events`` to
-        :func:`repro.hw.trace.chrome_trace` so every governor decision
-        is visible on the same timeline as the work it re-routed.
-        """
-        from repro.hw.trace import instant_event
-
-        return [
-            instant_event(
-                f"{d.governor}: {d.action}",
-                d.time,
-                time_scale=time_scale,
-                pid=pid,
-                tid=tid,
-                category="control",
-                args={
-                    "step": d.step,
-                    "reason": d.reason,
-                    "applied": d.applied,
-                    **d.args_dict,
-                },
-            )
-            for d in self.decisions
-        ]
-
     def summary(self) -> dict:
         """Decision counts and governor states (reporting aid)."""
         by_governor: dict[str, int] = {}

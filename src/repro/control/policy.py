@@ -40,9 +40,6 @@ class EWMA:
             self._value += self.alpha * (float(x) - self._value)
         return self._value
 
-    def reset(self) -> None:
-        self._value = None
-
 
 class Hysteresis:
     """A two-threshold (Schmitt trigger) band over a scalar signal.

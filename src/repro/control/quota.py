@@ -79,13 +79,6 @@ class QuotaGovernor(Governor):
         self._alloc: dict[tuple[int, str], float] = {}
         self._round: tuple | None = None
 
-    def credits_for(self, name: str, endpoint: int) -> int | None:
-        """Current integer allocation, or None before the first round."""
-        alloc = self._alloc.get((endpoint, name))
-        if alloc is None:
-            return None
-        return max(self.min_credits, int(alloc))
-
     def observe(
         self,
         step: int,

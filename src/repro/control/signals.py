@@ -40,8 +40,3 @@ class StepObservation:
     ack_latency: float = 0.0     # EWMA of per-chunk ACK RTT (simulated s)
     inflight_peak: int = 0       # credit-window high-water this step
     extras: tuple = ()           # sorted (key, value) pairs, free-form
-
-    @property
-    def extras_dict(self) -> dict:
-        return dict(self.extras)
-

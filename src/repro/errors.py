@@ -14,7 +14,6 @@ __all__ = [
     "DeviceOutOfMemoryError",
     "InvalidAllocatorError",
     "StreamError",
-    "SynchronizationError",
     "LocationError",
     "InteropError",
     "UninitializedArrayError",
@@ -87,10 +86,6 @@ class InvalidAllocatorError(AllocationError):
 
 class StreamError(ReproError):
     """Invalid use of a stream (wrong device, closed stream, ...)."""
-
-
-class SynchronizationError(StreamError):
-    """An operation observed data that was not yet synchronized."""
 
 
 class LocationError(ReproError):

@@ -33,7 +33,7 @@ from repro.hamr.runtime import (
     active_device,
 )
 from repro.hamr.buffer import Buffer
-from repro.hamr.copier import transfer, copy_into
+from repro.hamr.copier import transfer
 from repro.hamr.view import SharedView, accessible_view
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "active_device",
     "Buffer",
     "transfer",
-    "copy_into",
     "SharedView",
     "accessible_view",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeMismatchError
 from repro.hamr.allocator import (
     HOST_DEVICE_ID,
     Allocator,
@@ -28,7 +27,7 @@ from repro.hamr.stream import Stream, StreamMode, copy_stream, default_stream
 from repro.hw.clock import EventCategory, SimClock
 from repro.hw.node import get_node
 
-__all__ = ["transfer", "copy_into", "transfer_duration"]
+__all__ = ["transfer", "transfer_duration"]
 
 
 def transfer_duration(nbytes: int, src_device: int, dst_device: int, pinned: bool = False) -> float:
@@ -106,38 +105,3 @@ def transfer(
     src.mark_pending(ev)
     dst.mark_pending(ev)
     return dst
-
-
-def copy_into(
-    src: Buffer,
-    dst: Buffer,
-    stream: Stream | None = None,
-    mode: StreamMode | None = None,
-    clock: SimClock | None = None,
-) -> None:
-    """Copy ``src`` contents into an existing ``dst`` buffer."""
-    if src.size != dst.size:
-        raise ShapeMismatchError(
-            f"copy_into size mismatch: src={src.size}, dst={dst.size}"
-        )
-    clock = clock if clock is not None else current_clock()
-    mode = mode if mode is not None else dst.stream_mode
-    if stream is None:
-        stream = dst.stream
-    # Movement engine: below the view layer (see transfer above).
-    np.copyto(dst.data, src.data.astype(dst.dtype, copy=False))  # lint: disable=HL001
-
-    src_loc = HOST_DEVICE_ID if src.on_host else src.device_id
-    dst_loc = HOST_DEVICE_ID if dst.on_host else dst.device_id
-    pinned = src.allocator.is_pinned_host or dst.allocator.is_pinned_host
-    dur = transfer_duration(src.nbytes, src_loc, dst_loc, pinned=pinned)
-    ev = stream.enqueue(
-        clock,
-        dur,
-        name=f"copy {src.name}->{dst.name}",
-        category=EventCategory.COPY,
-        mode=mode,
-        after=max(src.ready_at, dst.ready_at),
-    )
-    src.mark_pending(ev)
-    dst.mark_pending(ev)

@@ -34,8 +34,8 @@ class MemoryPool:
       memory claimed), False if a fresh claim was made on the resource;
     - ``release(nbytes)`` returns a block to the pool: the bytes stay
       claimed on the resource (the footprint the paper worries about);
-    - ``trim()`` returns pooled bytes to the device, like
-      ``cudaMemPoolTrimTo(0)``.
+    - ``trim_above(watermark_bytes)`` returns pooled bytes above the
+      watermark to the device, like ``cudaMemPoolTrimTo``.
     """
 
     def __init__(self, resource: ComputeResource):
@@ -78,21 +78,10 @@ class MemoryPool:
             self._buckets[nbytes] += 1
             self._pooled_bytes += nbytes
 
-    def trim(self) -> int:
-        """Release all pooled blocks back to the device; returns bytes."""
-        with self._lock:
-            freed = self._pooled_bytes
-            self._buckets.clear()
-            self._pooled_bytes = 0
-        if freed:
-            self.resource.release_memory(freed)
-        return freed
-
     def trim_above(self, watermark_bytes: int) -> int:
         """Trim pooled inventory down to ``watermark_bytes``; returns freed.
 
-        The high-watermark variant of :meth:`trim`
-        (``cudaMemPoolAttrReleaseThreshold`` semantics): largest
+        ``cudaMemPoolAttrReleaseThreshold`` semantics: largest
         buckets go first so the fewest blocks are evicted, and the pool
         keeps up to the watermark for future hits.  The control plane's
         pool governor drives this.

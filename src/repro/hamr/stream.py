@@ -126,15 +126,6 @@ class Stream:
             clock.wait_for(ev.end)
         return ev
 
-    def wait_event(self, event: TimedEvent) -> None:
-        """Order all future work on this stream after ``event``.
-
-        The ``cudaStreamWaitEvent`` pattern: a cross-stream dependency
-        expressed without blocking the issuing host thread — only the
-        *stream* waits.
-        """
-        self.timeline.delay_until(event.end)
-
     def synchronize(self, clock: SimClock) -> float:
         """Block the issuing clock until all enqueued work completes."""
         t = self.timeline.available_at

@@ -56,11 +56,6 @@ class PaperWorkload:
     node: NodeSpec = field(default_factory=NodeSpec)
 
     @property
-    def binning_operations(self) -> int:
-        """90 in the paper: 10 variables x 9 coordinate systems."""
-        return self.n_coordinate_systems * self.n_variables
-
-    @property
     def n_cells(self) -> int:
         out = 1
         for b in self.bins:
@@ -81,10 +76,6 @@ class SmallWorkload:
     softening: float = 0.05
     seed: int = 1
     mass_range: tuple[float, float] = (0.01, 0.03)
-
-    @property
-    def binning_operations(self) -> int:
-        return self.n_coordinate_systems * self.n_variables
 
 
 def scaled_node_spec(

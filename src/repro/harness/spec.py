@@ -72,11 +72,6 @@ class RunSpec:
         return self.nodes * self.ranks_per_node
 
     @property
-    def sim_gpus_per_node(self) -> int:
-        """GPUs running the simulation."""
-        return self.ranks_per_node
-
-    @property
     def insitu_gpus_per_node(self) -> int:
         """GPUs reserved exclusively for in situ processing."""
         if self.placement is InSituPlacement.DEDICATED_1:
@@ -109,10 +104,6 @@ class RunSpec:
         # DEDICATED_2: ranks 0..k-1 drive sim GPUs 0..k-1, analysis GPUs k..2k-1.
         k = self.ranks_per_node
         return DevicePlacement.auto(n_use=k, offset=k)
-
-    def sim_device_of(self, local_rank: int) -> int:
-        """The simulation GPU of a node-local rank."""
-        return local_rank % self.gpus_per_node
 
     @property
     def label(self) -> str:

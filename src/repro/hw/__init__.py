@@ -29,14 +29,7 @@ Public surface
 - :class:`~repro.hw.contention.ContentionModel`.
 """
 
-from repro.hw.spec import (
-    DeviceSpec,
-    HostSpec,
-    LinkSpec,
-    NodeSpec,
-    PERLMUTTER_GPU_NODE,
-    perlmutter_node_spec,
-)
+from repro.hw.spec import DeviceSpec, HostSpec, LinkSpec, NodeSpec
 from repro.hw.clock import SimClock, Timeline, TimedEvent, EventCategory
 from repro.hw.device import VirtualDevice, HostCPU
 from repro.hw.node import (
@@ -45,8 +38,6 @@ from repro.hw.node import (
     set_node,
     reset_node,
     num_devices,
-    get_device,
-    host_cpu,
 )
 from repro.hw.contention import ContentionModel, SharedResource
 
@@ -55,8 +46,6 @@ __all__ = [
     "HostSpec",
     "LinkSpec",
     "NodeSpec",
-    "PERLMUTTER_GPU_NODE",
-    "perlmutter_node_spec",
     "SimClock",
     "Timeline",
     "TimedEvent",
@@ -68,8 +57,6 @@ __all__ = [
     "set_node",
     "reset_node",
     "num_devices",
-    "get_device",
-    "host_cpu",
     "ContentionModel",
     "SharedResource",
 ]

@@ -66,10 +66,6 @@ class TimedEvent(NamedTuple):
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "TimedEvent") -> bool:
-        """True if the two half-open intervals ``[start, end)`` intersect."""
-        return self.start < other.end and other.start < self.end
-
 
 class Timeline:
     """A serially ordered simulated resource.
@@ -141,25 +137,10 @@ class Timeline:
                 self._available_at = float(end)
             return ev
 
-    def delay_until(self, t: float) -> None:
-        """Prevent the resource from starting new work before time ``t``.
-
-        Used to express cross-resource dependencies (e.g. a kernel that
-        must wait for a copy landing on another timeline).
-        """
-        with self._lock:
-            if t > self._available_at:
-                self._available_at = float(t)
-
     @property
     def events(self) -> list[TimedEvent]:
         with self._lock:
             return list(self._events)
-
-    def events_in(self, t0: float, t1: float) -> list[TimedEvent]:
-        """Events whose interval intersects ``[t0, t1)``."""
-        with self._lock:
-            return [e for e in self._events if e.start < t1 and t0 < e.end]
 
     def busy_time(self, category: EventCategory | None = None) -> float:
         """Total busy duration, optionally restricted to one category."""
@@ -169,12 +150,6 @@ class Timeline:
                 for e in self._events
                 if category is None or e.category is category
             )
-
-    def reset(self) -> None:
-        """Clear history and rewind to t=0 (test helper)."""
-        with self._lock:
-            self._available_at = 0.0
-            self._events.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -214,14 +189,6 @@ class SimClock:
             if t > self._now:
                 self._now = float(t)
             return self._now
-
-    def wait_event(self, event: TimedEvent) -> float:
-        """Block until ``event`` has completed."""
-        return self.wait_for(event.end)
-
-    def reset(self, t: float = 0.0) -> None:
-        with self._lock:
-            self._now = float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock({self.name!r}, now={self.now:.6f})"

@@ -57,27 +57,11 @@ class ComputeResource:
         self._mem_capacity = int(mem_capacity)
         self._mem_used = 0
         self._mem_lock = threading.Lock()
-        self._peak_mem = 0
 
     # -- memory accounting -------------------------------------------------
     @property
     def mem_capacity(self) -> int:
         return self._mem_capacity
-
-    @property
-    def mem_used(self) -> int:
-        with self._mem_lock:
-            return self._mem_used
-
-    @property
-    def mem_available(self) -> int:
-        with self._mem_lock:
-            return self._mem_capacity - self._mem_used
-
-    @property
-    def peak_mem_used(self) -> int:
-        with self._mem_lock:
-            return self._peak_mem
 
     def claim_memory(self, nbytes: int) -> None:
         """Reserve ``nbytes`` of simulated memory or raise OOM."""
@@ -90,7 +74,6 @@ class ComputeResource:
                     self.name, nbytes, self._mem_capacity - self._mem_used
                 )
             self._mem_used += nbytes
-            self._peak_mem = max(self._peak_mem, self._mem_used)
 
     def release_memory(self, nbytes: int) -> None:
         """Return ``nbytes`` to the simulated pool."""

@@ -8,8 +8,7 @@ A process-global *current node* plays the role the local machine plays
 for a real process: ``num_devices()`` is the equivalent of
 ``cudaGetDeviceCount`` / ``omp_get_num_devices`` and is what SENSEI's
 automatic device selection (Eq. 1 in the paper) queries at run time.
-Tests and the harness install their own nodes via :func:`set_node` /
-:func:`use_node`.
+Tests and the harness install their own nodes via :func:`set_node`.
 
 The node is also the one owner of a run's simulated-time state: every
 resource's lanes, streams and memory pool, the native stream-handle
@@ -20,7 +19,6 @@ fresh node *is* the reset — there is no other.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Iterator
 
@@ -34,10 +32,7 @@ __all__ = [
     "get_node",
     "set_node",
     "reset_node",
-    "use_node",
     "num_devices",
-    "get_device",
-    "host_cpu",
 ]
 
 
@@ -159,28 +154,6 @@ def reset_node() -> None:
         _current_node = None
 
 
-@contextlib.contextmanager
-def use_node(node: VirtualNode):
-    """Context manager installing ``node`` for the duration of a block."""
-    prev = set_node(node)
-    try:
-        yield node
-    finally:
-        global _current_node
-        with _lock:
-            _current_node = prev
-
-
 def num_devices() -> int:
     """Number of accelerators on the current node (``n_a`` in Eq. 1)."""
     return get_node().num_devices
-
-
-def get_device(device_id: int) -> VirtualDevice:
-    """Device ``device_id`` on the current node."""
-    return get_node().device(device_id)
-
-
-def host_cpu() -> HostCPU:
-    """The current node's host CPU."""
-    return get_node().host

@@ -32,9 +32,6 @@ __all__ = [
     "HostSpec",
     "LinkSpec",
     "NodeSpec",
-    "PERLMUTTER_GPU_NODE",
-    "perlmutter_node_spec",
-    "small_node_spec",
 ]
 
 
@@ -127,18 +124,3 @@ class NodeSpec:
         if n < 0:
             raise ValueError(f"num_devices must be >= 0, got {n}")
         return replace(self, num_devices=n)
-
-
-#: The node architecture used in the paper's evaluation runs.
-PERLMUTTER_GPU_NODE = NodeSpec()
-
-
-def perlmutter_node_spec() -> NodeSpec:
-    """Return a fresh Perlmutter-GPU-node spec (4x A100 + EPYC 7763)."""
-    return NodeSpec()
-
-
-def small_node_spec(num_devices: int = 4, mem_capacity: int = GiB) -> NodeSpec:
-    """A small-capacity node spec for tests that exercise OOM paths."""
-    dev = replace(DeviceSpec(), mem_capacity=int(mem_capacity))
-    return NodeSpec(device=dev, num_devices=num_devices)

@@ -32,93 +32,9 @@ __all__ = [
     "utilization",
     "idle_gaps",
     "concurrency_profile",
-    "instant_event",
-    "trace_instants",
     "chrome_trace",
     "write_chrome_trace",
 ]
-
-
-def instant_event(
-    name: str,
-    t: float,
-    time_scale: float = 1e6,
-    pid: int = 0,
-    tid: int = 0,
-    category: str = "control",
-    args: Mapping | None = None,
-) -> dict:
-    """One Chrome-trace *instant* event (the vertical marker glyph).
-
-    Instant events mark a point in time rather than a duration —
-    governor decisions, faults, phase boundaries.  Pass the result in
-    ``extra_events`` to :func:`chrome_trace`; scope ``"g"`` (global)
-    draws the marker across the whole track so it is visible at any
-    zoom.
-    """
-    return {
-        "name": str(name),
-        "cat": str(category),
-        "ph": "i",
-        "s": "g",
-        "pid": pid,
-        "tid": tid,
-        "ts": float(t) * time_scale,
-        "args": dict(args) if args else {},
-    }
-
-
-def trace_instants(
-    records: Iterable[Mapping],
-    time_scale: float = 1e6,
-    pid: int = 0,
-) -> list[dict]:
-    """Canonical trace records as Chrome-trace instant events.
-
-    Bridges the deterministic trace plane (:mod:`repro.trace`) into
-    the profiling toolchain: each ``publish``/``fin``/``decision``/
-    ``obs`` record from a recorded trace becomes an instant marker on
-    a per-rank track (``tid`` = rank), placed at the record's
-    simulated time where it carries one (``entry``) and at the track
-    cursor's last known time otherwise.  Feed the result to
-    :func:`chrome_trace` via ``extra_events`` to overlay a recorded
-    run's control activity on the resource timelines.
-    """
-    out: list[dict] = []
-    cursors: dict[int, float] = {}
-    for record in records:
-        kind = record.get("kind")
-        if kind not in ("publish", "fin", "obs", "decision"):
-            continue
-        rank = int(record.get("rank", 0))
-        t = record.get("entry")
-        if t is None:
-            t = cursors.get(rank, 0.0)
-        else:
-            cursors[rank] = float(t)
-        if kind == "publish":
-            name = f"publish step {record.get('step')}"
-            args = {"meshes": sorted(record.get("meshes", ()))}
-        elif kind == "fin":
-            name = f"fin {record.get('pipeline')}"
-            args = {}
-        elif kind == "decision":
-            name = f"{record.get('governor')}: {record.get('action')}"
-            args = dict(record.get("args", {}))
-        else:
-            name = f"obs step {record.get('step')}"
-            args = {
-                "payload_bytes": record.get("payload_bytes", 0),
-                "wire_bytes": record.get("wire_bytes", 0),
-                "retries": record.get("retries", 0),
-            }
-        out.append(
-            instant_event(
-                name, float(t), time_scale=time_scale,
-                pid=pid, tid=rank, category=f"trace.{kind}", args=args,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

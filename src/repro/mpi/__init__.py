@@ -3,9 +3,9 @@
 The paper's evaluation runs 512 MPI ranks across 128 nodes; in this
 reproduction ranks are Python threads inside one process, communicating
 through an in-memory world.  The API follows mpi4py conventions:
-lowercase methods (``send``/``recv``/``bcast``/``allreduce``/...) move
-arbitrary Python objects; uppercase methods (``Send``/``Recv``/
-``Allreduce``) move numpy buffers without pickling.
+lowercase methods (``send``/``recv``/``allreduce``/...) move arbitrary
+Python objects; the uppercase ``Allreduce`` moves a numpy buffer
+without pickling.
 
 Every operation charges simulated communication time (a classical
 alpha-beta cost model) to the calling rank's clock, and collectives
@@ -29,8 +29,7 @@ from repro.mpi.comm import (
     CommCostModel,
     run_spmd,
 )
-from repro.mpi.partition import block_range, slab_bounds, owner_of
-from repro.mpi.request import Request
+from repro.mpi.partition import slab_bounds, owner_of
 
 __all__ = [
     "Communicator",
@@ -38,8 +37,6 @@ __all__ = [
     "ThreadCommunicator",
     "CommCostModel",
     "run_spmd",
-    "block_range",
     "slab_bounds",
     "owner_of",
-    "Request",
 ]

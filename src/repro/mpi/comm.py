@@ -33,7 +33,6 @@ import numpy as np
 from repro.errors import DeadlockError, MPIError, RankMismatchError
 from repro.hamr.runtime import current_clock, use_clock
 from repro.hw.clock import SimClock
-from repro.mpi.request import Request
 from repro.mpi.waits import WaitTable
 from repro.units import gbs, us
 
@@ -155,43 +154,14 @@ class Communicator:
         """
         raise NotImplementedError
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request.completed()
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        return Request(
-            lambda: self.recv(source, tag), lambda: self.try_recv(source, tag)
-        )
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        req = self.isend(obj, dest, tag)
-        out = self.recv(source, tag)
-        req.wait()
-        return out
-
-    # -- numpy buffer variants ---------------------------------------------------
-    def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.send(np.ascontiguousarray(array), dest, tag)
-
-    def Recv(self, out: np.ndarray, source: int, tag: int = 0) -> None:
-        data = self.recv(source, tag)
-        out[...] = np.asarray(data).reshape(out.shape)
-
     # -- collectives ----------------------------------------------------------------
     def barrier(self) -> None:
-        raise NotImplementedError
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
         raise NotImplementedError
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         raise NotImplementedError
 
     def allgather(self, obj: Any) -> list[Any]:
-        raise NotImplementedError
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         raise NotImplementedError
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
@@ -325,22 +295,12 @@ class SelfCommunicator(Communicator):
     def barrier(self):
         return None
 
-    def bcast(self, obj, root=0):
-        self._check_root(root)
-        return obj
-
     def gather(self, obj, root=0):
         self._check_root(root)
         return [obj]
 
     def allgather(self, obj):
         return [obj]
-
-    def scatter(self, objs, root=0):
-        self._check_root(root)
-        if objs is None or len(objs) != 1:
-            raise RankMismatchError("scatter on size-1 needs exactly one item")
-        return objs[0]
 
     def alltoall(self, objs):
         if len(objs) != 1:
@@ -556,14 +516,6 @@ class ThreadCommunicator(Communicator):
             contribution, self.cost.collective(nbytes, self.size)
         ))
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_root(root)
-        board = self._exchange(
-            obj if self.rank == root else None,
-            _payload_bytes(obj) if self.rank == root else 0,
-        )
-        return board[root]
-
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         self._check_root(root)
         board = self._exchange(obj, _payload_bytes(obj))
@@ -571,18 +523,6 @@ class ThreadCommunicator(Communicator):
 
     def allgather(self, obj: Any) -> list[Any]:
         return self._exchange(obj, _payload_bytes(obj))
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if self.rank == root and (objs is None or len(objs) != self.size):
-            raise RankMismatchError(
-                f"scatter needs exactly {self.size} items at root"
-            )
-        board = self._exchange(
-            list(objs) if self.rank == root else None,
-            _payload_bytes(objs) if self.rank == root else 0,
-        )
-        return board[root][self.rank]
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         if len(objs) != self.size:

@@ -1,9 +1,8 @@
 """Domain-decomposition helpers.
 
 Newton++ assigns "a unique spatial subdomain of the simulated volume"
-to each MPI rank (paper Section 4.1).  These helpers implement the two
-decompositions the solver uses: block ranges over item indices, and
-slab subdomains over a coordinate interval.
+to each MPI rank (paper Section 4.1).  These helpers implement the
+solver's decomposition: slab subdomains over a coordinate interval.
 """
 
 from __future__ import annotations
@@ -12,23 +11,7 @@ import numpy as np
 
 from repro.errors import MPIError
 
-__all__ = ["block_range", "slab_bounds", "owner_of"]
-
-
-def block_range(n: int, size: int, rank: int) -> tuple[int, int]:
-    """Contiguous ``[start, stop)`` share of ``n`` items for ``rank``.
-
-    Remainder items go to the lowest ranks, so shares differ by at most
-    one — the standard balanced block distribution.
-    """
-    if size < 1 or not 0 <= rank < size:
-        raise MPIError(f"invalid rank/size: {rank}/{size}")
-    if n < 0:
-        raise MPIError(f"negative item count: {n}")
-    base, extra = divmod(n, size)
-    start = rank * base + min(rank, extra)
-    stop = start + base + (1 if rank < extra else 0)
-    return start, stop
+__all__ = ["slab_bounds", "owner_of"]
 
 
 def slab_bounds(

@@ -23,8 +23,7 @@ This package reproduces all of that on the simulated substrate:
 - :mod:`~repro.newton.solver` — the MPI+offload solver, SENSEI
   instrumented;
 - :mod:`~repro.newton.adaptor` — the SENSEI data adaptor publishing the
-  body table zero-copy;
-- :mod:`~repro.newton.io` — VTK-compatible output and checkpoints.
+  body table zero-copy.
 """
 
 from repro.newton.bodies import Bodies

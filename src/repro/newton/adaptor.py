@@ -79,6 +79,3 @@ class NewtonDataAdaptor(DataAdaptor):
         if self._table is None:
             self._table = self._build_table()
         return self._table
-
-    def release_data(self) -> None:
-        self._table = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.mpi.comm import Communicator
-from repro.mpi.partition import owner_of, slab_bounds
+from repro.mpi.partition import owner_of
 from repro.newton.bodies import Bodies
 
 __all__ = ["SlabDomain"]
@@ -42,11 +42,6 @@ class SlabDomain:
     @classmethod
     def create(cls, lo: float, hi: float, comm: Communicator) -> "SlabDomain":
         return cls(lo=float(lo), hi=float(hi), rank=comm.rank, size=comm.size)
-
-    @property
-    def local_bounds(self) -> tuple[float, float]:
-        """This rank's slab ``[low, high)``."""
-        return slab_bounds(self.lo, self.hi, self.size, self.rank)
 
     def owners(self, bodies: Bodies) -> np.ndarray:
         """The owning rank of each body (by x coordinate)."""

@@ -180,38 +180,10 @@ class NewtonSolver:
                 adaptor.update(self)
                 bridge.execute(adaptor)
 
-    # -- checkpoint / restart ---------------------------------------------------------------
-    def save_checkpoint(self, path) -> None:
-        """Write this rank's state to ``path`` (one file per rank).
-
-        Callers embed the rank in the path (e.g. ``ck_r{rank}.npz``);
-        the file records the step count and physical time so a restart
-        resumes exactly where the run stopped.
-        """
-        from repro.newton.io import write_checkpoint
-
-        write_checkpoint(self.bodies, path, step=self.step_count, time=self.time)
-
-    def load_checkpoint(self, path) -> None:
-        """Restore this rank's state from ``path``.
-
-        The cached accelerations are discarded (they will be
-        re-evaluated on the first step), so a restarted trajectory is
-        identical to an uninterrupted one.
-        """
-        from repro.newton.io import read_checkpoint
-
-        self.bodies, self.step_count, self.time = read_checkpoint(path)
-        self._acc = None
-
     # -- diagnostics ----------------------------------------------------------------------
     @property
     def n_local(self) -> int:
         return self.bodies.n
-
-    def n_global(self) -> int:
-        """Global body count (collective)."""
-        return int(self.comm.allreduce(self.bodies.n, op="sum"))
 
     def global_energy(self) -> float:
         """Total system energy (collective; every rank gets the value)."""

@@ -43,12 +43,7 @@ from repro.sensei.placement import (
 from repro.sensei.execution import ExecutionMethod
 from repro.sensei.bridge import Bridge
 from repro.sensei.configurable import ConfigurableAnalysis
-from repro.sensei.backends import (
-    BinningAnalysis,
-    CallbackAnalysis,
-    HistogramAnalysis,
-    PosthocIO,
-)
+from repro.sensei.backends import BinningAnalysis, HistogramAnalysis, PosthocIO
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "BinningAnalysis",
     "HistogramAnalysis",
     "PosthocIO",
-    "CallbackAnalysis",
     "InTransitLayout",
     "run_in_transit",
 ]

@@ -86,11 +86,6 @@ class AnalysisAdaptor(ABC):
             self._runner.drain()
         self._method = method
 
-    def set_asynchronous(self, asynchronous: bool = True) -> None:
-        self.set_execution_method(
-            ExecutionMethod.ASYNCHRONOUS if asynchronous else ExecutionMethod.LOCKSTEP
-        )
-
     @property
     def execution_method(self) -> ExecutionMethod:
         return self._method

@@ -10,16 +10,13 @@ placement) the paper adds to the base class.
 - :class:`~repro.sensei.backends.histogram.HistogramAnalysis` — a 1-D
   histogram (SENSEI's classic smoke-test back-end);
 - :class:`~repro.sensei.backends.writer.PosthocIO` — particle output
-  for post hoc visualization;
-- :class:`~repro.sensei.backends.callback.CallbackAnalysis` — wraps a
-  user Python callable (the equivalent of SENSEI's Python analysis).
+  for post hoc visualization.
 """
 
 from repro.sensei.backends.binning import BinningAnalysis
 from repro.sensei.backends.histogram import HistogramAnalysis
 from repro.sensei.backends.stats import ColumnStats, StatisticsAnalysis
 from repro.sensei.backends.writer import PosthocIO
-from repro.sensei.backends.callback import CallbackAnalysis
 
 __all__ = [
     "BinningAnalysis",
@@ -27,5 +24,4 @@ __all__ = [
     "StatisticsAnalysis",
     "ColumnStats",
     "PosthocIO",
-    "CallbackAnalysis",
 ]

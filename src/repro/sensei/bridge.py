@@ -61,12 +61,6 @@ class Bridge:
         """The attached control plane, or None (reporting access)."""
         return self._control
 
-    def add_analysis(self, analysis: AnalysisAdaptor) -> None:
-        """Register a back-end; allowed before or after ``initialize``."""
-        self._analyses.append(analysis)
-        if self._initialized:
-            analysis.initialize(self._comm)
-
     def initialize(
         self,
         comm: Communicator | None = None,

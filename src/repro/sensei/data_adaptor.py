@@ -1,10 +1,9 @@
 """SENSEI data adaptors — the simulation-facing side of the interface.
 
 A data adaptor presents the simulation's current state to analysis
-back-ends on demand: named meshes (here: tables or multi-block
-datasets) whose arrays are wrapped zero-copy whenever possible.  The
-adaptor owns nothing; ``release_data`` drops the references taken for
-the current step.
+back-ends on demand: named meshes (here: tables or uniform meshes)
+whose arrays are wrapped zero-copy whenever possible.  The adaptor owns
+nothing.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ class DataAdaptor(ABC):
 
         return metadata_for(self.get_mesh(name), name)
 
-    def release_data(self) -> None:
-        """Drop per-step references (no-op by default)."""
-
 
 class TableDataAdaptor(DataAdaptor):
     """A data adaptor over in-memory tables (the common particle case).
@@ -100,6 +96,3 @@ class TableDataAdaptor(DataAdaptor):
                 f"data adaptor has no mesh {name!r}; available: "
                 f"{sorted(self._tables)}"
             ) from None
-
-    def release_data(self) -> None:
-        self._tables.clear()

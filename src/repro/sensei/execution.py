@@ -140,24 +140,12 @@ class AsyncRunner:
         with self._lock:
             return self._busy_sim_time
 
-    @property
-    def tasks_run(self) -> int:
-        with self._lock:
-            return self._tasks_run
-
-    @property
-    def last_end_time(self) -> float:
-        """Simulated completion time of the most recent task."""
-        with self._lock:
-            return self._task_end_sim
-
     def snapshot(self) -> tuple[float, int, float]:
         """Atomic ``(busy_sim_time, tasks_run, last_end_time)`` triple.
 
-        The individual properties each take the lock separately, so a
-        control-plane tap reading them back to back can see a torn view
-        (a task completing in between).  Deltas fed to governors should
-        come from one snapshot.
+        Read under one lock, so a control-plane tap never sees a torn
+        view (a task completing between two reads).  Deltas fed to
+        governors should come from one snapshot.
         """
         with self._lock:
             return self._busy_sim_time, self._tasks_run, self._task_end_sim

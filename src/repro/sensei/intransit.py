@@ -90,15 +90,8 @@ class InTransitLayout:
         )
         return route_producers(spec, range(self.n), range(self.m))
 
-    @property
-    def world_size(self) -> int:
-        return self.m + self.n
-
     def is_producer(self, world_rank: int) -> bool:
         return 0 <= world_rank < self.m
-
-    def is_endpoint(self, world_rank: int) -> bool:
-        return self.m <= world_rank < self.world_size
 
     def endpoint_of(self, producer: int) -> int:
         """World rank of the endpoint serving ``producer``."""
@@ -107,12 +100,6 @@ class InTransitLayout:
         return self.m + next(
             e for e, ps in self._routed().items() if producer in ps
         )
-
-    def producers_of(self, endpoint: int) -> list[int]:
-        """World ranks of the producers an endpoint serves."""
-        if not self.is_endpoint(endpoint):
-            raise ExecutionError(f"rank {endpoint} is not an endpoint")
-        return list(self._routed()[endpoint - self.m])
 
 
 def run_in_transit(

@@ -2,8 +2,8 @@
 
 SENSEI's data model is based on VTK: an abstract ``svtkDataArray``
 defines array management/access interfaces, and datasets (tables,
-meshes, multi-block collections) are built on top of it.  Stock VTK
-arrays are host-only; the paper's contribution is the
+meshes) are built on top of it.  Stock VTK arrays are host-only; the
+paper's contribution is the
 ``svtkHAMRDataArray`` subclass — reproduced here as
 :class:`~repro.svtk.hamr_array.HAMRDataArray` — which adds host *and*
 device memory management plus programming-model interoperability.
@@ -14,9 +14,7 @@ Datasets:
   the natural container for particle/tabular data and the input shape
   the data-binning analysis consumes;
 - :class:`~repro.svtk.mesh.UniformCartesianMesh` — a uniform Cartesian
-  mesh with cell-centered arrays; the output shape of data binning;
-- :class:`~repro.svtk.multiblock.MultiBlockData` — the per-rank block
-  collection SENSEI passes across the in situ interface.
+  mesh with cell-centered arrays; the output shape of data binning.
 
 Writers in :mod:`repro.svtk.writer` consume any of the above through
 host-accessible views only — they are the ``libB`` of the paper's
@@ -24,24 +22,13 @@ Listing 4.
 """
 
 from repro.svtk.data_array import DataArray, HostDataArray
-from repro.svtk.hamr_array import (
-    HAMRDataArray,
-    HAMRDoubleArray,
-    HAMRFloatArray,
-    HAMRInt64Array,
-)
+from repro.svtk.hamr_array import HAMRDataArray, HAMRDoubleArray
 from repro.svtk.table import TableData
 from repro.svtk.mesh import UniformCartesianMesh
-from repro.svtk.multiblock import MultiBlockData
 from repro.svtk.writer import (
     write_csv_table,
     write_vtk_image,
     write_vtk_particles,
-)
-from repro.svtk.reader import (
-    read_csv_table,
-    read_vtk_image,
-    read_vtk_particles,
 )
 from repro.svtk.metadata import ArrayMetadata, MeshMetadata, metadata_for
 
@@ -50,17 +37,11 @@ __all__ = [
     "HostDataArray",
     "HAMRDataArray",
     "HAMRDoubleArray",
-    "HAMRFloatArray",
-    "HAMRInt64Array",
     "TableData",
     "UniformCartesianMesh",
-    "MultiBlockData",
     "write_csv_table",
     "write_vtk_image",
     "write_vtk_particles",
-    "read_csv_table",
-    "read_vtk_image",
-    "read_vtk_particles",
     "ArrayMetadata",
     "MeshMetadata",
     "metadata_for",

@@ -38,8 +38,6 @@ from repro.svtk.data_array import DataArray
 __all__ = [
     "HAMRDataArray",
     "HAMRDoubleArray",
-    "HAMRFloatArray",
-    "HAMRInt64Array",
 ]
 
 
@@ -165,11 +163,6 @@ class HAMRDataArray(DataArray):
             stream_mode=stream_mode,
             name=self.name,
         )
-
-    # -- introspection ------------------------------------------------------------
-    @property
-    def initialized(self) -> bool:
-        return self._buffer is not None
 
     def _require_buffer(self) -> Buffer:
         if self._buffer is None:
@@ -314,15 +307,3 @@ class HAMRDoubleArray(HAMRDataArray):
     """``svtkHAMRDoubleArray`` — float64 components."""
 
     fixed_dtype = np.dtype(np.float64)
-
-
-class HAMRFloatArray(HAMRDataArray):
-    """``svtkHAMRFloatArray`` — float32 components."""
-
-    fixed_dtype = np.dtype(np.float32)
-
-
-class HAMRInt64Array(HAMRDataArray):
-    """``svtkHAMRLongLongArray`` — int64 components."""
-
-    fixed_dtype = np.dtype(np.int64)

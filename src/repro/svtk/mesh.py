@@ -58,7 +58,6 @@ class UniformCartesianMesh:
         if any(s <= 0 for s in self.spacing):
             raise ShapeMismatchError(f"spacing must be positive: {self.spacing}")
         self._cell_data: dict[str, DataArray] = {}
-        self._point_data: dict[str, DataArray] = {}
 
     # -- geometry ----------------------------------------------------------------
     @property
@@ -75,11 +74,6 @@ class UniformCartesianMesh:
         return tuple(
             (o, o + s * d) for o, s, d in zip(self.origin, self.spacing, self.dims)
         )
-
-    def cell_centers(self, axis: int) -> np.ndarray:
-        """Cell-center coordinates along ``axis``."""
-        o, s, d = self.origin[axis], self.spacing[axis], self.dims[axis]
-        return o + s * (np.arange(d) + 0.5)
 
     def cell_edges(self, axis: int) -> np.ndarray:
         """Cell-edge coordinates along ``axis`` (``dims[axis]+1`` values)."""
@@ -120,43 +114,6 @@ class UniformCartesianMesh:
     @property
     def cell_array_names(self) -> tuple[str, ...]:
         return tuple(self._cell_data)
-
-    # -- point data ----------------------------------------------------------------
-    @property
-    def n_points(self) -> int:
-        """Number of mesh points (cells + 1 along each axis)."""
-        out = 1
-        for d in self.dims:
-            out *= d + 1
-        return out
-
-    def add_point_array(self, array: DataArray) -> None:
-        """Attach a node-centered array (one tuple per mesh point)."""
-        if array.n_tuples != self.n_points:
-            raise ShapeMismatchError(
-                f"point array {array.name!r} has {array.n_tuples} tuples, "
-                f"mesh has {self.n_points} points"
-            )
-        self._point_data[array.name] = array
-
-    def add_host_point_array(self, name: str, values: np.ndarray) -> HostDataArray:
-        """Convenience: attach host values as a point array."""
-        arr = HostDataArray(name, np.asarray(values).reshape(-1))
-        self.add_point_array(arr)
-        return arr
-
-    def point_array(self, name: str) -> DataArray:
-        try:
-            return self._point_data[name]
-        except KeyError:
-            raise KeyError(
-                f"mesh {self.name!r} has no point array {name!r}; "
-                f"available: {sorted(self._point_data)}"
-            ) from None
-
-    @property
-    def point_array_names(self) -> tuple[str, ...]:
-        return tuple(self._point_data)
 
     def __contains__(self, name: str) -> bool:
         return name in self._cell_data

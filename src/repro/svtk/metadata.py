@@ -17,7 +17,6 @@ from repro.hamr.allocator import HOST_DEVICE_ID, Allocator
 from repro.svtk.data_array import DataArray
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.mesh import UniformCartesianMesh
-from repro.svtk.multiblock import MultiBlockData
 from repro.svtk.table import TableData
 
 __all__ = ["ArrayMetadata", "MeshMetadata", "metadata_for"]
@@ -45,13 +44,11 @@ class MeshMetadata:
     """Structure of one published mesh, without touching its data."""
 
     name: str
-    mesh_type: str                 # "table" | "uniform_mesh" | "multiblock"
+    mesh_type: str                 # "table" | "uniform_mesh"
     n_elements: int                # local rows (table) or cells (mesh)
     arrays: tuple[ArrayMetadata, ...] = ()
     dims: tuple[int, ...] | None = None
     bounds: tuple[tuple[float, float], ...] | None = None
-    n_blocks: int | None = None
-    local_blocks: tuple[int, ...] = ()
 
     def array(self, name: str) -> ArrayMetadata:
         for a in self.arrays:
@@ -61,13 +58,6 @@ class MeshMetadata:
             f"mesh {self.name!r} has no array {name!r}; "
             f"available: {[a.name for a in self.arrays]}"
         )
-
-    def has_array(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrays)
-
-    @property
-    def array_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrays)
 
 
 def _array_metadata(arr: DataArray, centering: str) -> ArrayMetadata:
@@ -89,7 +79,7 @@ def _array_metadata(arr: DataArray, centering: str) -> ArrayMetadata:
 
 
 def metadata_for(dataset: object, name: str | None = None) -> MeshMetadata:
-    """Derive metadata for a table, uniform mesh, or multi-block set."""
+    """Derive metadata for a table or a uniform mesh."""
     if isinstance(dataset, TableData):
         return MeshMetadata(
             name=name or dataset.name,
@@ -111,17 +101,5 @@ def metadata_for(dataset: object, name: str | None = None) -> MeshMetadata:
             ),
             dims=dataset.dims,
             bounds=dataset.bounds,
-        )
-    if isinstance(dataset, MultiBlockData):
-        total = 0
-        for _bid, block in dataset.local_blocks():
-            inner = metadata_for(block)
-            total += inner.n_elements
-        return MeshMetadata(
-            name=name or dataset.name,
-            mesh_type="multiblock",
-            n_elements=total,
-            n_blocks=dataset.n_blocks,
-            local_blocks=dataset.local_block_ids,
         )
     raise TypeError(f"no metadata rule for {type(dataset).__name__}")

@@ -53,22 +53,12 @@ class TableData:
         self.add_column(col)
         return col
 
-    def remove_column(self, name: str) -> DataArray:
-        try:
-            return self._columns.pop(name)
-        except KeyError:
-            raise KeyError(f"table {self.name!r} has no column {name!r}") from None
-
     # -- access ----------------------------------------------------------------
     @property
     def n_rows(self) -> int:
         if not self._columns:
             return 0
         return next(iter(self._columns.values())).n_tuples
-
-    @property
-    def n_columns(self) -> int:
-        return len(self._columns)
 
     @property
     def nbytes(self) -> int:
@@ -87,9 +77,6 @@ class TableData:
                 f"table {self.name!r} has no column {name!r}; "
                 f"available: {sorted(self._columns)}"
             ) from None
-
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
 
     def __getitem__(self, name: str) -> DataArray:
         return self.column(name)

@@ -53,17 +53,6 @@ def write_vtk_image(mesh: UniformCartesianMesh, path: str | os.PathLike) -> None
         f.write(f"DIMENSIONS {dims[0] + 1} {dims[1] + 1} {dims[2] + 1}\n")
         f.write(f"ORIGIN {origin[0]} {origin[1]} {origin[2]}\n")
         f.write(f"SPACING {spacing[0]} {spacing[1]} {spacing[2]}\n")
-        if mesh.point_array_names:
-            f.write(f"POINT_DATA {mesh.n_points}\n")
-            for name in mesh.point_array_names:
-                arr = mesh.point_array(name)
-                values = _host_values(arr)
-                f.write(
-                    f"SCALARS {_sanitize(name)} {_vtk_type(values.dtype)} "
-                    f"{arr.n_components}\n"
-                )
-                f.write("LOOKUP_TABLE default\n")
-                _write_values(f, values)
         f.write(f"CELL_DATA {mesh.n_cells}\n")
         for name in mesh.cell_array_names:
             arr = mesh.cell_array(name)

@@ -17,8 +17,8 @@ up as a byte diff.
   for the trace header;
 - :mod:`repro.trace.recorder` — the ``run_service(recorder=...)`` tap;
 - :mod:`repro.trace.replayer` — scripted replay + re-record;
-- :mod:`repro.trace.harness` — the shared rerun/canonicalization
-  scaffolding the determinism suites build on.
+- :mod:`repro.trace.harness` — a fresh substrate per run and the
+  canonical form of a decision, which the determinism suites compare.
 """
 
 from repro.trace.format import (
@@ -40,17 +40,8 @@ from repro.trace.recorder import (
     TraceRecorder,
     record_service_run,
 )
-from repro.trace.replayer import (
-    ReplayResult,
-    SinkAnalysis,
-    diff_traces,
-    replay_trace,
-)
-from repro.trace.harness import (
-    canonical_decisions,
-    fresh_substrate,
-    rerun,
-)
+from repro.trace.replayer import ReplayResult, SinkAnalysis, replay_trace
+from repro.trace.harness import fresh_substrate
 
 __all__ = [
     "TRACE_VERSION",
@@ -58,7 +49,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "canonical_decision",
-    "canonical_decisions",
     "canonical_float",
     "canonical_observation",
     "encode_array",
@@ -72,7 +62,5 @@ __all__ = [
     "ReplayResult",
     "SinkAnalysis",
     "replay_trace",
-    "diff_traces",
     "fresh_substrate",
-    "rerun",
 ]

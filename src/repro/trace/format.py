@@ -247,13 +247,6 @@ class Trace:
     def name(self) -> str:
         return str(self.header.get("name", ""))
 
-    def rank_events(self, rank: int, kinds: tuple = EVENT_KINDS) -> list:
-        """One rank's stream, in ``seq`` order, filtered by kind."""
-        return [
-            e for e in self.events
-            if e["rank"] == rank and e["kind"] in kinds
-        ]
-
     @property
     def ranks(self) -> tuple:
         return tuple(sorted({e["rank"] for e in self.events}))

@@ -1,11 +1,11 @@
-"""Shared harness for determinism suites and trace-gated tests.
+"""A fresh substrate for every run of a determinism scenario.
 
-Every determinism test has the same skeleton: scrub the process-global
-substrate state (node, clock, active device), run a seeded scenario,
-scrub again, run it again, and compare canonical logs.  Before :mod:`repro.trace` landed each suite hand-rolled that
-scaffolding plus its own decision-canonicalization helper; this module
-is the single copy they now share, and the golden-trace tests reuse it
-to re-record fixtures under identical conditions.
+A determinism check scrubs the process-global substrate state (node,
+clock, active device), runs a seeded scenario, scrubs again, runs it
+again and compares canonical logs (:func:`canonical_decision`).
+:func:`record_zoo <repro.workloads.zoo.record_zoo>` scrubs the same way
+before it records, so a golden trace is re-recorded under identical
+conditions.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from repro.trace.format import canonical_decision, canonical_float
 
 __all__ = [
     "fresh_substrate",
-    "rerun",
     "canonical_decision",
-    "canonical_decisions",
     "canonical_float",
 ]
 
@@ -36,21 +34,3 @@ def fresh_substrate(name: str = "determinism") -> None:
     reset_node()
     set_current_clock(SimClock(name=name))
     set_active_device(0)
-
-
-def rerun(scenario, times: int = 2, name: str = "determinism") -> list:
-    """Run ``scenario()`` ``times`` times, each from a fresh substrate.
-
-    Returns the per-run results; determinism suites assert the
-    canonical forms are equal across entries.
-    """
-    out = []
-    for _ in range(times):
-        fresh_substrate(name)
-        out.append(scenario())
-    return out
-
-
-def canonical_decisions(decisions) -> list:
-    """Canonicalize a decision log (see :func:`canonical_decision`)."""
-    return [canonical_decision(d) for d in decisions]

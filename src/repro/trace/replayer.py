@@ -38,7 +38,7 @@ from repro.trace.configs import decode_config
 from repro.trace.format import Trace, decode_table
 from repro.trace.recorder import TraceRecorder
 
-__all__ = ["SinkAnalysis", "ReplayResult", "replay_trace", "diff_traces"]
+__all__ = ["SinkAnalysis", "ReplayResult", "replay_trace"]
 
 
 def _name(value) -> str:
@@ -210,24 +210,3 @@ def replay_trace(trace, registry=None) -> ReplayResult:
     return ReplayResult(
         trace=recorder.trace(), producers=producers, endpoints=endpoints
     )
-
-
-def diff_traces(a: Trace, b: Trace, limit: int = 20) -> list[str]:
-    """Human-readable record-level differences between two traces.
-
-    Empty when the traces are byte-identical; otherwise up to ``limit``
-    lines naming the first diverging records — the error message the
-    golden gate prints when a trace drifts.
-    """
-    lines_a = a.to_jsonl().splitlines()
-    lines_b = b.to_jsonl().splitlines()
-    out = []
-    for i in range(max(len(lines_a), len(lines_b))):
-        if len(out) >= limit:
-            out.append("... (diff truncated)")
-            break
-        ra = lines_a[i] if i < len(lines_a) else "<missing>"
-        rb = lines_b[i] if i < len(lines_b) else "<missing>"
-        if ra != rb:
-            out.append(f"record {i}: {ra!r} != {rb!r}")
-    return out

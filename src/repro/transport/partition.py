@@ -30,7 +30,6 @@ __all__ = [
     "ChainPartitioner",
     "available_partitioners",
     "get_partitioner",
-    "register_partitioner",
 ]
 
 
@@ -171,12 +170,6 @@ _PARTITIONERS: dict[str, type[Partitioner]] = {
 
 def available_partitioners() -> tuple[str, ...]:
     return tuple(sorted(_PARTITIONERS))
-
-
-def register_partitioner(cls: type[Partitioner]) -> type[Partitioner]:
-    """Register a partitioner class under its ``name``."""
-    _PARTITIONERS[cls.name] = cls
-    return cls
 
 
 def get_partitioner(name: str) -> Partitioner:

@@ -38,7 +38,6 @@ __all__ = [
     "StepAssembler",
     "available_codecs",
     "get_codec",
-    "register_codec",
     "encode_step",
     "decode_step",
 ]
@@ -138,12 +137,6 @@ def _codec_call(codec: Codec, nbytes: int):
 
 def available_codecs() -> tuple[str, ...]:
     return tuple(sorted(_CODECS))
-
-
-def register_codec(cls: type[Codec]) -> type[Codec]:
-    """Register a codec class under its ``name`` (decorator-friendly)."""
-    _CODECS[cls.name] = cls
-    return cls
 
 
 def get_codec(name: str) -> Codec:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 __all__ = [
     "KiB", "MiB", "GiB",
-    "KB", "MB", "GB", "TB",
-    "US", "MS",
+    "KB", "MB", "GB", "US", "MS",
     "gbs", "tflops", "gflops", "us", "ms",
-    "fmt_bytes", "fmt_time",
 ]
 
 # Binary sizes.
@@ -25,7 +23,6 @@ GiB = 1024 * MiB
 KB = 1000
 MB = 1000 * KB
 GB = 1000 * MB
-TB = 1000 * GB
 
 # Time.
 US = 1e-6
@@ -55,15 +52,6 @@ def us(x: float) -> float:
 def ms(x: float) -> float:
     """Convert milliseconds to seconds."""
     return float(x) * MS
-
-
-def fmt_bytes(n: int) -> str:
-    """Human-readable byte count, e.g. ``fmt_bytes(3 * GiB) == '3.00 GiB'``."""
-    n = int(n)
-    for unit, name in ((GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")):
-        if abs(n) >= unit:
-            return f"{n / unit:.2f} {name}"
-    return f"{n} B"
 
 
 def fmt_time(t: float) -> str:

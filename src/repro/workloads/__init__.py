@@ -27,7 +27,7 @@ from repro.workloads.request_stream import (
     TenantSpec,
     request_stream_producer,
 )
-from repro.workloads.zoo import GOLDEN_SCENARIOS, ZOO_WORKLOADS, record_zoo
+from repro.workloads.zoo import record_zoo
 
 __all__ = [
     "ParticleConfig",
@@ -36,7 +36,5 @@ __all__ = [
     "TenantSpec",
     "RequestStreamConfig",
     "request_stream_producer",
-    "ZOO_WORKLOADS",
-    "GOLDEN_SCENARIOS",
     "record_zoo",
 ]

@@ -29,13 +29,8 @@ from repro.transport.config import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import gbs, us
 
-__all__ = ["ZOO_WORKLOADS", "GOLDEN_SCENARIOS", "zoo_entry", "record_zoo"]
+__all__ = ["zoo_entry", "record_zoo"]
 
-#: The four structurally different workloads the zoo guarantees.
-ZOO_WORKLOADS = ("newton", "stencil", "particle", "request-stream")
-
-#: The scenarios whose traces are pinned under ``tests/golden/``.
-GOLDEN_SCENARIOS = ("codec", "flow", "repartition")
 
 #: Retry budget of every flow of every scenario — the service
 #: pipelines and the stencil / particle producers' peer-to-peer halo

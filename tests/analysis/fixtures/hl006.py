@@ -1,6 +1,6 @@
 """Fixture: HL006 — bare except / silently swallowed StreamError."""
 
-from repro.errors import StreamError, SynchronizationError
+from repro.errors import StreamError
 
 
 def bare(work):
@@ -20,7 +20,7 @@ def swallowed(work):
 def swallowed_tuple(work):
     try:
         work()
-    except (ValueError, SynchronizationError):  # expect: HL006
+    except (ValueError, StreamError):  # expect: HL006
         pass
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.lint import (
     UNKNOWN_SUPPRESSION,
     UNUSED_SUPPRESSION,
-    audit_suppressions,
     describe,
     lint_paths,
     main,
@@ -42,7 +41,10 @@ class TestSuppressionAudit:
 
     def test_stale_and_unknown_suppressions_reported(self, tmp_path):
         p = self._write(tmp_path)
-        findings = audit_suppressions([p])
+        findings = [
+            f for f in lint_paths([p], check_suppressions=True)
+            if f.rule in (UNUSED_SUPPRESSION, UNKNOWN_SUPPRESSION)
+        ]
         # HL009 and HL010 are retired: naming one is an unknown id.
         assert [(f.rule, f.line) for f in findings] == [
             (UNUSED_SUPPRESSION, 4),

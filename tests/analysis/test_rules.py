@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import Severity, lint_file, parse_suppressions
+from repro.analysis.engine import Severity, parse_suppressions
 from repro.analysis.lint import lint_paths
-from repro.analysis.rules import DEFAULT_RULES, default_rules
+from repro.analysis.rules import DEFAULT_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(HL\d{3})")
@@ -115,7 +115,7 @@ class TestEngineMechanics:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         p = tmp_path / "broken.py"
         p.write_text("def f(:\n")
-        findings = lint_file(p, default_rules())
+        findings = lint_paths([p])
         assert len(findings) == 1
         assert findings[0].rule == "HL000"
 

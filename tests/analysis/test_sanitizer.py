@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.analysis.sanitizer import Sanitizer, Violation, note_write
+from repro.analysis.sanitizer import Sanitizer, Violation
 from repro.errors import AllocationError, SanitizerError
 from repro.hamr.allocator import Allocator
 from repro.hamr.buffer import Buffer
@@ -68,17 +68,6 @@ class TestWriteWhileAnalyzing:
         with Sanitizer(mode="record") as san:
             _race(buf, lambda b: b.free())
         assert [v.kind for v in san.violations] == ["use-after-free"]
-
-    def test_note_write_reports_view_mutations(self):
-        buf = _host_buffer()
-
-        def mutate(b):
-            b.data[:] = 3.0  # the property only sees the read
-            note_write(b)
-
-        with Sanitizer(mode="record") as san:
-            _race(buf, mutate)
-        assert "write-while-analyzing" in [v.kind for v in san.violations]
 
     def test_write_after_drain_is_clean(self):
         buf = _host_buffer()
@@ -156,12 +145,12 @@ class TestLifecycle:
         buf = _host_buffer()
         with Sanitizer(mode="record") as san:
             _race(buf, lambda b: b.fill(1.0))
-        rep = san.report()
-        assert rep["violations"][0]["kind"] == "write-while-analyzing"
-        assert set(rep["violations"][0]["details"]) >= {
+        violation = san.violations[0].to_dict()
+        assert violation["kind"] == "write-while-analyzing"
+        assert set(violation["details"]) >= {
             "buffer", "device_id", "stream_mode",
         }
-        assert rep["accesses"] >= 1
+        assert len(san.accesses) >= 1
         text = san.format_report()
         assert "write-while-analyzing" in text and "violation(s)" in text
 

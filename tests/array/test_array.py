@@ -35,7 +35,8 @@ class TestConstruction:
             blocks = array.partition.blocks_of(comm.rank)
             assert tuple(sorted(array.shards)) == blocks
             spans = [array.partition.block_span(b) for b in blocks]
-            assert array.owned_rows() == sum(hi - lo for lo, hi in spans)
+            owned = sum(s.rows for s in array.shards.values())
+            assert owned == sum(hi - lo for lo, hi in spans)
             return True
 
         assert all(spmd_array(4, body))

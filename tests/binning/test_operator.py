@@ -212,7 +212,7 @@ class TestDeviceBinning:
 
         t, _ = make_table(100)
         DataBinner([AxisSpec("x", 4)]).execute(t, device_id=1)
-        assert get_node().devices[1].mem_used == 0
+        assert get_node().devices[1]._mem_used == 0
 
 
     def test_failed_step_releases_device_memory(self):
@@ -220,7 +220,7 @@ class TestDeviceBinning:
         staged or allocated before that must be back on the device."""
         from repro.errors import DeviceOutOfMemoryError
         from repro.hw.node import VirtualNode, set_node
-        from repro.hw.spec import small_node_spec
+        from tests.support import small_node_spec
 
         node = VirtualNode(small_node_spec(1, 40_000))
         set_node(node)
@@ -234,13 +234,13 @@ class TestDeviceBinning:
              BinRequest(ReductionOp.AVERAGE, "m"),
              BinRequest(ReductionOp.MAX, "m")],
         )
-        before = node.device(0).mem_used
+        before = node.device(0)._mem_used
         with pytest.raises(DeviceOutOfMemoryError) as err:
             binner.execute(t, device_id=0)
         # Checked while the traceback still holds the failed frames, so
         # nothing here relies on garbage collection.
         assert err.value.requested == 16384
-        assert node.device(0).mem_used == before
+        assert node.device(0)._mem_used == before
 
 
 class TestMPIBinning:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.binning.reduce import ReductionOp
 from repro.errors import BinningError
+from repro.mpi.comm import run_spmd
 
 
 class TestParse:
@@ -49,20 +50,26 @@ class TestAccumulators:
             assert op.needs_values
 
 
+def combine(op: ReductionOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two ranks' partial grids merged the way DataBinner merges them."""
+    parts = (a, b)
+    return run_spmd(2, lambda comm: comm.Allreduce(parts[comm.rank], op=op.mpi_op))[0]
+
+
 class TestCombine:
     def test_sum_combines_additively(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        np.testing.assert_array_equal(ReductionOp.SUM.combine(a, b), [4.0, 6.0])
+        np.testing.assert_array_equal(combine(ReductionOp.SUM, a, b), [4.0, 6.0])
 
     def test_min_max(self):
         a, b = np.array([1.0, 5.0]), np.array([3.0, 4.0])
-        np.testing.assert_array_equal(ReductionOp.MIN.combine(a, b), [1.0, 4.0])
-        np.testing.assert_array_equal(ReductionOp.MAX.combine(a, b), [3.0, 5.0])
+        np.testing.assert_array_equal(combine(ReductionOp.MIN, a, b), [1.0, 4.0])
+        np.testing.assert_array_equal(combine(ReductionOp.MAX, a, b), [3.0, 5.0])
 
     def test_average_componentwise(self):
         a = np.array([[1.0, 2.0], [1.0, 1.0]])  # sums, counts
         b = np.array([[3.0, 0.0], [2.0, 0.0]])
-        out = ReductionOp.AVERAGE.combine(a, b)
+        out = combine(ReductionOp.AVERAGE, a, b)
         np.testing.assert_array_equal(out, [[4.0, 2.0], [3.0, 1.0]])
 
     def test_mpi_ops(self):

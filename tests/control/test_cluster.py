@@ -312,14 +312,13 @@ class TestPlaneCoordination:
             assert "crowding" in run.actions(rank)
         assert run.decisions(0)[0].to_dict() == run.decisions(1)[0].to_dict()
 
-    def test_crowding_exported_as_instant_events(self, spmd_control):
+    def test_crowding_logged_with_its_devices(self, spmd_control):
         run = self.run_plane(spmd_control, placement_config())
-        events = run.planes[0].chrome_instant_events()
-        crowding = [e for e in events if "crowding" in e["name"]]
+        crowding = [d for d in run.planes[0].decisions if d.action == "crowding"]
         assert crowding
-        ev = crowding[0]
-        assert ev["ph"] == "i" and ev["s"] == "g" and ev["cat"] == "control"
-        assert ev["args"]["crowded"] and ev["args"]["idle"]
+        decision = crowding[0]
+        assert decision.governor == "placement" and not decision.applied
+        assert decision.args_dict["crowded"] and decision.args_dict["idle"]
 
     def test_placement_off_disables_coordination(self, spmd_control):
         run = self.run_plane(spmd_control, placement_config(placement="off"))

@@ -14,7 +14,6 @@ from repro.control.plan import (
 )
 from repro.errors import ConfigError
 from repro.hamr.runtime import current_clock
-from repro.hw.trace import chrome_trace
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
@@ -296,7 +295,7 @@ class TestControlPlaneTransport:
         assert any(d.action == "codec=zlib" for d in plane.decisions)
         obs = sink.latest
         assert obs.payload_bytes == int(1 * MiB)
-        assert obs.extras_dict["codec"] == "zlib"
+        assert dict(obs.extras)["codec"] == "zlib"
 
     def test_fast_link_keeps_raw(self):
         plane = ControlPlane(ControlConfig())
@@ -339,7 +338,7 @@ class TestControlPlaneTransport:
         assert run() == run()
 
 
-class TestChromeEvents:
+class TestDecisionLog:
     def make_plane_with_decision(self):
         plane = ControlPlane(ControlConfig())
         bridge = Bridge()
@@ -352,18 +351,9 @@ class TestChromeEvents:
         bridge.finalize()
         return plane
 
-    def test_instant_event_shape(self):
+    def test_decision_shape(self):
         plane = self.make_plane_with_decision()
-        events = plane.chrome_instant_events()
-        assert events
-        ev = events[0]
-        assert ev["ph"] == "i" and ev["s"] == "g"
-        assert ev["cat"] == "control"
-        assert "execution" in ev["name"]
-        assert {"step", "reason", "applied"} <= set(ev["args"])
-
-    def test_events_ride_along_in_chrome_trace(self):
-        plane = self.make_plane_with_decision()
-        extra = plane.chrome_instant_events()
-        trace = chrome_trace([], extra_events=extra)
-        assert [e for e in trace if e.get("ph") == "i"] == extra
+        assert plane.decisions
+        decision = plane.decisions[0]
+        assert decision.governor == "execution"
+        assert {"step", "reason", "applied"} <= set(decision.to_dict())

@@ -29,12 +29,6 @@ class TestEWMA:
             e.update(2.5)
         assert e.value == pytest.approx(2.5)
 
-    def test_reset_forgets(self):
-        e = EWMA()
-        e.update(1.0)
-        e.reset()
-        assert e.value is None
-
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             EWMA(0.0)

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.trace import Trace, diff_traces, replay_trace
-from repro.workloads import GOLDEN_SCENARIOS, record_zoo
+from repro.trace import Trace, replay_trace
+from repro.workloads import record_zoo
+from tests.support import GOLDEN_SCENARIOS, diff_traces
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 

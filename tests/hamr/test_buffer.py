@@ -11,8 +11,8 @@ from repro.hamr.buffer import Buffer
 from repro.hamr.runtime import current_clock, set_active_device
 from repro.hamr.stream import Stream, StreamMode
 from repro.hw.node import VirtualNode, get_node, set_node
-from repro.hw.spec import small_node_spec
 from repro.units import MiB
+from tests.support import small_node_spec
 
 
 class TestAllocate:
@@ -36,16 +36,16 @@ class TestAllocate:
 
     def test_device_allocation_claims_memory(self):
         node = get_node()
-        before = node.devices[1].mem_used
+        before = node.devices[1]._mem_used
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=1)
-        assert node.devices[1].mem_used == before + b.nbytes
+        assert node.devices[1]._mem_used == before + b.nbytes
 
     def test_pinned_host_memory_accounted_on_host(self):
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA_HOST)
         assert b.on_host
-        assert node.host.mem_used == b.nbytes
-        assert all(d.mem_used == 0 for d in node.devices)
+        assert node.host._mem_used == b.nbytes
+        assert all(d._mem_used == 0 for d in node.devices)
 
     def test_oom_propagates(self):
         set_node(VirtualNode(small_node_spec(mem_capacity=MiB)))
@@ -89,7 +89,7 @@ class TestWrap:
         node = get_node()
         ext = np.zeros(1000)
         Buffer.wrap(ext, Allocator.CUDA, device_id=0)
-        assert node.devices[0].mem_used == 0
+        assert node.devices[0]._mem_used == 0
 
     def test_deleter_called_on_free(self):
         """Raw-pointer hand-off: the user-provided deleter runs at free."""
@@ -142,14 +142,14 @@ class TestLifeCycle:
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=0)
         b.free()
-        assert node.devices[0].mem_used == 0
+        assert node.devices[0]._mem_used == 0
 
     def test_free_is_idempotent(self):
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=0)
         b.free()
         b.free()
-        assert node.devices[0].mem_used == 0
+        assert node.devices[0]._mem_used == 0
 
     def test_data_after_free_raises(self):
         b = Buffer.allocate(8, np.float64, Allocator.MALLOC)

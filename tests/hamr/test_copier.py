@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ShapeMismatchError
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 from repro.hamr.buffer import Buffer
-from repro.hamr.copier import copy_into, transfer, transfer_duration
+from repro.hamr.copier import transfer, transfer_duration
 from repro.hamr.runtime import current_clock
 from repro.hamr.stream import StreamMode
 from repro.units import MB
@@ -80,27 +78,6 @@ class TestTransfer:
         ready = src.ready_at
         dst = transfer(src, HOST_DEVICE_ID, pm=PMKind.HOST, mode=StreamMode.ASYNC)
         assert dst.ready_at > ready
-
-
-class TestCopyInto:
-    def test_contents_copied(self):
-        src = _host_buffer([1.0, 2.0, 3.0])
-        dst = Buffer.allocate(3, np.float64, Allocator.CUDA, device_id=0)
-        copy_into(src, dst)
-        np.testing.assert_array_equal(dst.data, [1.0, 2.0, 3.0])
-
-    def test_size_mismatch_rejected(self):
-        src = _host_buffer([1.0, 2.0])
-        dst = Buffer.allocate(3, np.float64, Allocator.MALLOC)
-        with pytest.raises(ShapeMismatchError):
-            copy_into(src, dst)
-
-    def test_dtype_conversion(self):
-        src = Buffer.wrap(np.array([1, 2, 3], dtype=np.int64), Allocator.MALLOC)
-        dst = Buffer.allocate(3, np.float64, Allocator.MALLOC)
-        copy_into(src, dst)
-        assert dst.data.dtype == np.float64
-        np.testing.assert_array_equal(dst.data, [1.0, 2.0, 3.0])
 
 
 class TestDurations:

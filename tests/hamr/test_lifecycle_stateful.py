@@ -137,7 +137,7 @@ class BufferLifecycle(RuleBasedStateMachine):
         from repro.hamr.pool import pool_for
 
         node = get_node()
-        used = sum(r.mem_used for r in node.iter_resources())
+        used = sum(r._mem_used for r in node.iter_resources())
         owned = sum(self.owned.values())
         temps = sum(
             v.buffer.nbytes
@@ -161,7 +161,7 @@ class BufferLifecycle(RuleBasedStateMachine):
     @invariant()
     def no_negative_memory(self):
         for r in get_node().iter_resources():
-            assert 0 <= r.mem_used <= r.mem_capacity
+            assert 0 <= r._mem_used <= r.mem_capacity
 
 
 BufferLifecycle.TestCase.settings = settings(

@@ -11,8 +11,8 @@ from repro.hamr.buffer import Buffer
 from repro.hamr.pool import MemoryPool, pool_for
 from repro.hamr.runtime import current_clock
 from repro.hw.node import VirtualNode, get_node, set_node
-from repro.hw.spec import small_node_spec
 from repro.units import KiB, MiB
+from tests.support import small_node_spec
 
 
 class TestMemoryPool:
@@ -20,13 +20,13 @@ class TestMemoryPool:
         dev = get_node().devices[0]
         pool = pool_for(dev)
         assert pool.acquire(1024) is False  # miss: fresh claim
-        assert dev.mem_used == 1024
+        assert dev._mem_used == 1024
         pool.release(1024)
-        assert dev.mem_used == 1024  # footprint retained
+        assert dev._mem_used == 1024  # footprint retained
         assert pool.pooled_bytes == 1024
         assert pool.acquire(1024) is True  # hit
         assert pool.pooled_bytes == 0
-        assert dev.mem_used == 1024
+        assert dev._mem_used == 1024
 
     def test_size_buckets_are_exact(self):
         dev = get_node().devices[0]
@@ -40,8 +40,8 @@ class TestMemoryPool:
         pool = pool_for(dev)
         pool.acquire(2048)
         pool.release(2048)
-        assert pool.trim() == 2048
-        assert dev.mem_used == 0
+        assert pool.trim_above(0) == 2048
+        assert dev._mem_used == 0
         assert pool.pooled_bytes == 0
 
     def test_hit_miss_counters(self):
@@ -68,7 +68,6 @@ class TestMemoryPool:
         import weakref
 
         from repro.hw.device import VirtualDevice
-        from repro.hw.spec import small_node_spec
 
         dev = VirtualDevice(device_id=7, spec=small_node_spec().device)
         pool = pool_for(dev)
@@ -93,14 +92,14 @@ class TestBufferPoolIntegration:
         node = get_node()
         b = Buffer.allocate(128, np.float64, Allocator.CUDA_ASYNC, device_id=0)
         b.free()
-        assert node.devices[0].mem_used == 1024  # pooled, not released
+        assert node.devices[0]._mem_used == 1024  # pooled, not released
         assert pool_for(node.devices[0]).pooled_bytes == 1024
 
     def test_sync_free_releases_immediately(self):
         node = get_node()
         b = Buffer.allocate(128, np.float64, Allocator.CUDA, device_id=0)
         b.free()
-        assert node.devices[0].mem_used == 0
+        assert node.devices[0]._mem_used == 0
 
     def test_realloc_after_free_is_cheaper(self):
         """The point of stream-ordered allocation: reuse is ~free."""
@@ -119,14 +118,14 @@ class TestBufferPoolIntegration:
         for _ in range(5):
             b = Buffer.allocate(100, np.float64, Allocator.HIP_ASYNC, device_id=2)
             b.free()
-        assert node.devices[2].mem_used == 800  # one block cycling
+        assert node.devices[2]._mem_used == 800  # one block cycling
 
     def test_trim_after_workload(self):
         node = get_node()
         b = Buffer.allocate(64, np.float64, Allocator.CUDA_ASYNC, device_id=1)
         b.free()
-        pool_for(node.devices[1]).trim()
-        assert node.devices[1].mem_used == 0
+        pool_for(node.devices[1]).trim_above(0)
+        assert node.devices[1]._mem_used == 0
 
 
 class TestTrimAbove:
@@ -144,14 +143,14 @@ class TestTrimAbove:
         self.fill(pool, [512, 1024, 2048])
         assert pool.trim_above(0) == 3584
         assert pool.pooled_bytes == 0
-        assert dev.mem_used == 0
+        assert dev._mem_used == 0
 
     def test_empty_pool_is_a_no_op(self):
         dev = get_node().devices[0]
         pool = pool_for(dev)
         assert pool.trim_above(0) == 0
         assert pool.trim_above(4096) == 0
-        assert dev.mem_used == 0
+        assert dev._mem_used == 0
 
     def test_watermark_above_inventory_keeps_everything(self):
         dev = get_node().devices[0]
@@ -212,9 +211,9 @@ class TestTrimAbove:
         # Whatever interleaving happened, claimed memory is exactly the
         # pooled inventory (no block is both trimmed and pooled, none
         # leaked): all blocks were released, so nothing is in use.
-        assert dev.mem_used == pool.pooled_bytes
-        pool.trim()
-        assert dev.mem_used == 0
+        assert dev._mem_used == pool.pooled_bytes
+        pool.trim_above(0)
+        assert dev._mem_used == 0
 
     def test_outstanding_zero_copy_views_survive_trim(self):
         from repro.hamr.allocator import PMKind
@@ -229,11 +228,11 @@ class TestTrimAbove:
         pooled = Buffer.allocate(256, np.float64, Allocator.CUDA_ASYNC, device_id=0)
         pooled.free()  # returns 2 KiB to the pool
         in_use = 128 * 8
-        assert dev.mem_used == in_use + 256 * 8
+        assert dev._mem_used == in_use + 256 * 8
         freed = pool_for(dev).trim_above(0)
         assert freed == 256 * 8
         # Only pooled inventory was released; the viewed block stays.
-        assert dev.mem_used == in_use
+        assert dev._mem_used == in_use
         np.testing.assert_array_equal(view.get(), np.full(128, 7.0))
         view.release()
         held.free()

@@ -48,23 +48,13 @@ class TestEnqueue:
         s1, s2 = Stream(device_id=0), Stream(device_id=0)
         a = s1.enqueue(clk, 5.0, mode=StreamMode.ASYNC)
         b = s2.enqueue(clk, 5.0, mode=StreamMode.ASYNC)
-        assert a.overlaps(b)
+        assert a.start < b.end and b.start < a.end
 
     def test_after_dependency(self):
         clk = SimClock()
         s = Stream(device_id=0)
         ev = s.enqueue(clk, 1.0, mode=StreamMode.ASYNC, after=10.0)
         assert ev.start == 10.0
-
-    def test_wait_event_orders_across_streams(self):
-        """cudaStreamWaitEvent semantics: the stream waits, not the host."""
-        clk = SimClock()
-        producer, consumer = Stream(device_id=0), Stream(device_id=1)
-        ev = producer.enqueue(clk, 2.0, mode=StreamMode.ASYNC)
-        consumer.wait_event(ev)
-        dependent = consumer.enqueue(clk, 1.0, mode=StreamMode.ASYNC)
-        assert dependent.start >= ev.end
-        assert clk.now == 0.0  # the host never blocked
 
     def test_overlap_enables_speedup(self):
         """The point of async mode: overlap two 1s ops in 1s total."""

@@ -62,24 +62,24 @@ class TestTemporaryAccess:
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=0)
         v = accessible_view(b, PMKind.CUDA, 1)
-        used = node.devices[1].mem_used
+        used = node.devices[1]._mem_used
         assert used > 0
         v.release()
-        assert node.devices[1].mem_used == 0
+        assert node.devices[1]._mem_used == 0
 
     def test_context_manager_releases(self):
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=0)
         with accessible_view(b, PMKind.HOST, HOST_DEVICE_ID) as v:
             assert v.get() is not None
-        assert node.host.mem_used == 0
+        assert node.host._mem_used == 0
 
     def test_gc_releases_temporary(self):
         node = get_node()
         b = Buffer.allocate(1000, np.float64, Allocator.CUDA, device_id=0)
         v = accessible_view(b, PMKind.HOST, HOST_DEVICE_ID)
         del v
-        assert node.host.mem_used == 0
+        assert node.host._mem_used == 0
 
     def test_source_synchronize_covers_the_move(self):
         """Paper Listing 3 synchronizes the *source* arrays after access."""

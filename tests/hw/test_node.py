@@ -7,16 +7,14 @@ import pytest
 from repro.errors import LocationError
 from repro.hw.node import (
     VirtualNode,
-    get_device,
     get_node,
-    host_cpu,
     num_devices,
     reset_node,
     set_node,
-    use_node,
 )
-from repro.hw.spec import NodeSpec, small_node_spec
+from repro.hw.spec import NodeSpec
 from repro.units import MB
+from tests.support import small_node_spec
 
 
 class TestVirtualNode:
@@ -94,13 +92,6 @@ class TestGlobalNode:
         assert get_node() is node
         assert num_devices() == 2
 
-    def test_use_node_restores(self):
-        outer = get_node()
-        inner = VirtualNode(small_node_spec(num_devices=1))
-        with use_node(inner):
-            assert get_node() is inner
-        assert get_node() is outer
-
     def test_set_and_reset_seen_from_another_thread(self):
         """``get_node`` reads the slot without the lock: a node installed
         or discarded on one thread is what any thread sees next."""
@@ -127,7 +118,3 @@ class TestGlobalNode:
         reset_node()
         fresh = get_node()
         assert fresh is not other and from_thread() is fresh
-
-    def test_query_helpers(self):
-        assert get_device(0) is get_node().devices[0]
-        assert host_cpu() is get_node().host

@@ -34,10 +34,11 @@ from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.sensei.placement import DevicePlacement
 from repro.svtk.table import TableData
-from repro.trace.harness import canonical_decisions, fresh_substrate
+from repro.trace.harness import fresh_substrate
 from repro.transport.config import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import KiB, gbs, us
+from tests.support import canonical_decisions
 
 M, N = 2, 2  # 4 world ranks
 STEPS = 6

@@ -21,15 +21,29 @@ from repro.errors import (
 )
 from repro.hamr.allocator import Allocator
 from repro.hw.node import VirtualNode, get_node, set_node
-from repro.hw.spec import small_node_spec
 from repro.mpi.comm import run_spmd
 from repro.sensei.backends.binning import BinningAnalysis
-from repro.sensei.backends.callback import CallbackAnalysis
+from repro.sensei.execution import ExecutionMethod
+from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.table import TableData
 from repro.units import KiB, MiB
+from tests.support import small_node_spec
+
+
+class CrashingAnalysis(AnalysisAdaptor):
+    """An analysis whose every step raises."""
+
+    def __init__(self):
+        super().__init__("crashing")
+
+    def acquire(self, data, deep):
+        return None
+
+    def process(self, payload, comm, device_id):
+        raise RuntimeError("bad analysis")
 
 
 def small_device_node(capacity=64 * KiB):
@@ -52,7 +66,7 @@ class TestDeviceOOM:
         node = small_device_node()
         # Fill device 1 almost completely.
         hog = HAMRDataArray.new(
-            "hog", (node.devices[1].mem_available - 100) // 8,
+            "hog", (node.devices[1].mem_capacity - node.devices[1]._mem_used - 100) // 8,
             allocator=Allocator.CUDA, device_id=1,
         )
         analysis = BinningAnalysis("bodies", [AxisSpec("x", 4)])
@@ -64,12 +78,12 @@ class TestDeviceOOM:
     def test_oom_in_async_surfaces_at_finalize(self):
         node = small_device_node()
         hog = HAMRDataArray.new(
-            "hog", (node.devices[2].mem_available - 100) // 8,
+            "hog", (node.devices[2].mem_capacity - node.devices[2]._mem_used - 100) // 8,
             allocator=Allocator.CUDA, device_id=2,
         )
         analysis = BinningAnalysis("bodies", [AxisSpec("x", 4)])
         analysis.set_device_id(2)
-        analysis.set_asynchronous()
+        analysis.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         analysis.execute(make_adaptor(n=5000))  # launch succeeds
         with pytest.raises(ExecutionError):
             analysis.finalize()
@@ -85,27 +99,21 @@ class TestDeviceOOM:
         analysis.set_device_id(0)
         with pytest.raises(BinningError):
             analysis.execute(make_adaptor())
-        assert node.devices[0].mem_used == 0
+        assert node.devices[0]._mem_used == 0
 
 
 class TestAnalysisCrashes:
     def test_lockstep_crash_propagates_immediately(self):
-        def bad(table, step, time, comm, device_id):
-            raise RuntimeError("bad analysis")
-
-        a = CallbackAnalysis("bodies", bad)
+        a = CrashingAnalysis()
         with pytest.raises(RuntimeError):
             a.execute(make_adaptor())
 
     def test_async_crash_does_not_kill_simulation_step(self):
         """The launch returns; the error surfaces at the next interaction."""
-        def bad(table, step, time, comm, device_id):
-            raise RuntimeError("bad analysis")
-
-        a = CallbackAnalysis("bodies", bad)
-        a.set_asynchronous()
+        a = CrashingAnalysis()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.execute(make_adaptor())  # no raise here
-        with pytest.raises(ExecutionError, match="callback"):
+        with pytest.raises(ExecutionError, match="crashing"):
             a.finalize()
 
     def test_crash_in_one_rank_aborts_world(self):

@@ -28,10 +28,11 @@ from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.service import PipelineSpec, ServiceConfig, run_service
 from repro.svtk.table import TableData
-from repro.trace.harness import canonical_decisions, fresh_substrate
+from repro.trace.harness import fresh_substrate
 from repro.transport.config import TransportConfig
 from repro.transport.retry import RetryPolicy
 from repro.units import gbs, us
+from tests.support import canonical_decisions
 
 M, N = 2, 2  # 4 world ranks
 STEPS = 6

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, MPIError, RankMismatchError
+from repro.errors import DeadlockError, MPIError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import (
     CommCostModel,
@@ -53,18 +53,6 @@ class TestPointToPoint:
         out = run_spmd(2, fn)
         assert out[1] == {"a": 7, "b": 3.14}
 
-    def test_send_recv_numpy_buffers(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.Send(np.arange(10.0), dest=1)
-                return None
-            buf = np.empty(10)
-            comm.Recv(buf, source=0)
-            return buf
-
-        out = run_spmd(2, fn)
-        np.testing.assert_array_equal(out[1], np.arange(10.0))
-
     def test_tags_demultiplex(self):
         def fn(comm):
             if comm.rank == 0:
@@ -77,27 +65,6 @@ class TestPointToPoint:
 
         out = run_spmd(2, fn)
         assert out[1] == ("tag5", "tag7")
-
-    def test_isend_irecv(self):
-        def fn(comm):
-            if comm.rank == 0:
-                req = comm.isend([1, 2, 3], dest=1)
-                req.wait()
-                return None
-            req = comm.irecv(source=0)
-            return req.wait()
-
-        out = run_spmd(2, fn)
-        assert out[1] == [1, 2, 3]
-
-    def test_sendrecv_ring(self):
-        def fn(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
-
-        out = run_spmd(3, fn)
-        assert out == [2, 0, 1]
 
     def test_self_message_rejected(self):
         def fn(comm):
@@ -132,19 +99,6 @@ class TestPointToPoint:
 
 
 class TestCollectives:
-    def test_bcast(self):
-        def fn(comm):
-            data = {"key": [1, 2]} if comm.rank == 0 else None
-            return comm.bcast(data, root=0)
-
-        out = run_spmd(4, fn)
-        assert all(o == {"key": [1, 2]} for o in out)
-
-    def test_bcast_nonzero_root(self):
-        out = run_spmd(3, lambda comm: comm.bcast(
-            "payload" if comm.rank == 2 else None, root=2))
-        assert out == ["payload"] * 3
-
     def test_gather(self):
         def fn(comm):
             return comm.gather((comm.rank + 1) ** 2, root=0)
@@ -156,21 +110,6 @@ class TestCollectives:
     def test_allgather(self):
         out = run_spmd(3, lambda comm: comm.allgather(comm.rank))
         assert out == [[0, 1, 2]] * 3
-
-    def test_scatter(self):
-        def fn(comm):
-            objs = [(i + 1) ** 2 for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        assert run_spmd(4, fn) == [1, 4, 9, 16]
-
-    def test_scatter_wrong_length(self):
-        def fn(comm):
-            objs = [0] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        with pytest.raises(MPIError):
-            run_spmd(3, fn)
 
     def test_alltoall(self):
         def fn(comm):
@@ -219,7 +158,7 @@ class TestCollectives:
 
     def test_invalid_root(self):
         with pytest.raises(MPIError):
-            run_spmd(2, lambda comm: comm.bcast(1, root=5))
+            run_spmd(2, lambda comm: comm.gather(1, root=5))
 
     def test_barrier_aligns_clocks(self):
         def fn(comm):
@@ -288,10 +227,8 @@ class TestRecvFallback:
 class TestSelfCommunicator:
     def test_trivial_collectives(self):
         c = SelfCommunicator()
-        assert c.bcast(42) == 42
         assert c.gather("x") == ["x"]
         assert c.allgather("x") == ["x"]
-        assert c.scatter(["only"]) == "only"
         assert c.alltoall(["a"]) == ["a"]
         assert c.allreduce(5) == 5
         assert c.reduce(5) == 5
@@ -303,11 +240,6 @@ class TestSelfCommunicator:
             c.send(1, dest=0)
         with pytest.raises(MPIError):
             c.recv(source=0)
-
-    def test_scatter_validates(self):
-        with pytest.raises(RankMismatchError):
-            SelfCommunicator().scatter([1, 2])
-
 
 class TestCoordinatedAllreduce:
     """The epoch-checked allreduce the cluster governor rounds run on."""

@@ -7,44 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MPIError
-from repro.mpi.partition import block_range, owner_of, slab_bounds
-
-
-class TestBlockRange:
-    def test_even_split(self):
-        assert [block_range(8, 4, r) for r in range(4)] == [
-            (0, 2), (2, 4), (4, 6), (6, 8)
-        ]
-
-    def test_remainder_to_low_ranks(self):
-        assert [block_range(10, 4, r) for r in range(4)] == [
-            (0, 3), (3, 6), (6, 8), (8, 10)
-        ]
-
-    def test_more_ranks_than_items(self):
-        ranges = [block_range(2, 4, r) for r in range(4)]
-        assert ranges == [(0, 1), (1, 2), (2, 2), (2, 2)]
-
-    def test_invalid_args(self):
-        with pytest.raises(MPIError):
-            block_range(10, 0, 0)
-        with pytest.raises(MPIError):
-            block_range(10, 4, 4)
-        with pytest.raises(MPIError):
-            block_range(-1, 4, 0)
-
-    @given(n=st.integers(0, 10_000), size=st.integers(1, 64))
-    def test_partition_properties(self, n, size):
-        """Coverage, disjointness, and balance for any (n, size)."""
-        ranges = [block_range(n, size, r) for r in range(size)]
-        # Coverage and contiguity.
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == n
-        for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
-            assert a1 == b0
-        # Balance within 1.
-        sizes = [b - a for a, b in ranges]
-        assert max(sizes) - min(sizes) <= 1
+from repro.mpi.partition import owner_of, slab_bounds
 
 
 class TestSlabBounds:

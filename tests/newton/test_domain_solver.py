@@ -1,4 +1,4 @@
-"""Tests for domain decomposition, repartitioning, solver, adaptor, io."""
+"""Tests for domain decomposition, repartitioning, solver and adaptor."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ import pytest
 from repro.errors import SolverError
 from repro.hamr.allocator import Allocator
 from repro.mpi.comm import run_spmd
+from repro.mpi.partition import slab_bounds
 from repro.newton.adaptor import NewtonDataAdaptor
 from repro.newton.bodies import Bodies
 from repro.newton.domain import SlabDomain
 from repro.newton.ic import uniform_random
-from repro.newton.io import read_checkpoint, write_checkpoint, write_snapshot
 from repro.newton.solver import NewtonSolver, SolverConfig
 
 
@@ -39,7 +39,7 @@ class TestSlabDomain:
             n_before = comm.allreduce(local.n)
             m_before = comm.allreduce(float(local.mass.sum()))
             local = dom.repartition(local, comm)
-            lo, hi = dom.local_bounds
+            lo, hi = slab_bounds(dom.lo, dom.hi, dom.size, dom.rank)
             inside = ((local.x >= lo) & (local.x < hi)) if comm.rank < comm.size - 1 \
                 else (local.x >= lo)
             n_after = comm.allreduce(local.n)
@@ -146,7 +146,8 @@ class TestNewtonSolver:
             )
             e0 = s.global_energy()
             s.run(12)
-            return s.n_global(), abs((s.global_energy() - e0) / e0)
+            n = comm.allreduce(s.n_local, op="sum")
+            return n, abs((s.global_energy() - e0) / e0)
 
         for n, drift in run_spmd(4, fn):
             assert n == 100
@@ -179,7 +180,7 @@ class TestNewtonSolver:
 
     def test_plummer_ic(self):
         s = NewtonSolver(SolverConfig(n_bodies=100, ic="plummer", box=20.0))
-        assert s.n_global() == 100
+        assert s.n_local == 100
 
 
 class TestNewtonDataAdaptor:
@@ -207,32 +208,3 @@ class TestNewtonDataAdaptor:
         da = NewtonDataAdaptor(NewtonSolver(SolverConfig(n_bodies=4)))
         with pytest.raises(KeyError):
             da.get_mesh("grid")
-
-    def test_release_data_rebuilds(self):
-        s = NewtonSolver(SolverConfig(n_bodies=4))
-        da = NewtonDataAdaptor(s)
-        t1 = da.get_mesh("bodies")
-        da.release_data()
-        t2 = da.get_mesh("bodies")
-        assert t1 is not t2
-
-
-class TestNewtonIO:
-    def test_snapshot_vtk(self, tmp_path):
-        b = uniform_random(10, seed=1)
-        p = write_snapshot(b, tmp_path / "s.vtk")
-        text = p.read_text()
-        assert "POINTS 10 double" in text
-        assert "SCALARS mass double 1" in text
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        b = uniform_random(20, seed=2)
-        p = write_checkpoint(b, tmp_path / "c.npz", step=5, time=0.5)
-        loaded, step, time = read_checkpoint(p)
-        assert step == 5 and time == 0.5
-        np.testing.assert_array_equal(loaded.x, b.x)
-        np.testing.assert_array_equal(loaded.ids, b.ids)
-
-    def test_checkpoint_missing(self, tmp_path):
-        with pytest.raises(SolverError):
-            read_checkpoint(tmp_path / "nope.npz")

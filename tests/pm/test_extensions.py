@@ -39,8 +39,8 @@ class TestSyclAllocators:
     def test_host_usm_accounted_on_host(self):
         node = get_node()
         a = HAMRDataArray.new("x", 1000, allocator=Allocator.SYCL_HOST)
-        assert node.host.mem_used == a.buffer.nbytes
-        assert all(d.mem_used == 0 for d in node.devices)
+        assert node.host._mem_used == a.buffer.nbytes
+        assert all(d._mem_used == 0 for d in node.devices)
 
 
 class TestKokkosAllocator:

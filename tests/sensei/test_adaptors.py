@@ -58,11 +58,6 @@ class TestTableDataAdaptor:
         assert da.time_step == 7
         assert da.time == pytest.approx(0.7)
 
-    def test_release_data(self):
-        da = make_adaptor()
-        da.release_data()
-        assert da.get_mesh_names() == ()
-
 
 class TestAnalysisAdaptorExecution:
     def test_lockstep_acquires_shallow(self):
@@ -75,7 +70,7 @@ class TestAnalysisAdaptorExecution:
 
     def test_async_acquires_deep_and_processes(self):
         a = RecordingAnalysis()
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.set_device_id(2)
         a.execute(make_adaptor(4))
         a.finalize()
@@ -99,7 +94,7 @@ class TestAnalysisAdaptorExecution:
 
     def test_async_actual_filled_after_finalize(self):
         a = RecordingAnalysis()
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.execute(make_adaptor(0))
         assert np.isnan(a.timings[0].actual)
         a.finalize()
@@ -109,14 +104,14 @@ class TestAnalysisAdaptorExecution:
         a = RecordingAnalysis()
         a.set_execution_method("asynchronous")
         assert a.execution_method is ExecutionMethod.ASYNCHRONOUS
-        a.set_asynchronous(False)
+        a.set_execution_method(ExecutionMethod.LOCKSTEP)
         assert a.execution_method is ExecutionMethod.LOCKSTEP
         a.set_device_id(-1)
         assert a.resolve_device() == HOST_DEVICE_ID
         a.set_auto_placement(n_use=1, offset=2)
         assert a.resolve_device() == 2
 
-    def test_set_asynchronous_false_drains_like_set_execution_method(self):
+    def test_lockstep_switch_drains(self):
         """Back to lockstep with a task in flight: wait for it, so the
         next ``process`` neither overtakes it nor runs beside it."""
         gate = threading.Event()
@@ -129,13 +124,13 @@ class TestAnalysisAdaptorExecution:
 
         a = Slow()
         a.set_device_id(HOST_DEVICE_ID)
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.execute(make_adaptor(0))
         assert a._runner.in_flight
         opener = threading.Timer(0.05, gate.set)
         opener.start()
         try:
-            a.set_asynchronous(False)
+            a.set_execution_method(ExecutionMethod.LOCKSTEP)
             assert not a._runner.in_flight
             assert a.processed == [(0, HOST_DEVICE_ID)]
             a.execute(make_adaptor(1))
@@ -168,15 +163,6 @@ class TestBridge:
         b.finalize()
         assert a1.processed and a2.processed
 
-    def test_add_analysis_after_initialize(self):
-        b = Bridge()
-        b.initialize()
-        late = RecordingAnalysis("late")
-        b.add_analysis(late)
-        b.execute(make_adaptor())
-        b.finalize()
-        assert late.processed
-
     def test_double_initialize_rejected(self):
         b = Bridge()
         b.initialize()
@@ -206,6 +192,5 @@ class TestBridge:
 
     def test_lazy_initialize_on_first_execute(self):
         b = Bridge()
-        b.add_analysis(RecordingAnalysis())
-        b.execute(make_adaptor())
+        assert b.execute(make_adaptor())
         b.finalize()

@@ -11,14 +11,10 @@ from repro.binning.reduce import ReductionOp
 from repro.errors import BinningError, ExecutionError
 from repro.hamr.allocator import Allocator
 from repro.mpi.comm import run_spmd
-from repro.sensei.backends import (
-    BinningAnalysis,
-    CallbackAnalysis,
-    HistogramAnalysis,
-    PosthocIO,
-)
+from repro.sensei.backends import BinningAnalysis, HistogramAnalysis, PosthocIO
 from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
+from repro.sensei.execution import ExecutionMethod
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.table import TableData
 
@@ -57,7 +53,7 @@ class TestBinningAnalysis:
 
     def test_async_device(self):
         a = BinningAnalysis("bodies", [AxisSpec("x", 4)], keep_results=True)
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.set_device_id(1)
         for s in range(3):
             a.execute(make_adaptor(step=s, seed=s))
@@ -71,7 +67,7 @@ class TestBinningAnalysis:
             "bodies", [AxisSpec("x", 2, -1, 1)],
             [BinRequest(ReductionOp.SUM, "mass")],
         )
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         a.set_device_id(-1)
         da = make_adaptor(n=50, seed=1)
         table = da.get_mesh("bodies")
@@ -131,7 +127,7 @@ class TestBinningAnalysis:
         """Async analyses reduce over comm.dup(); sim traffic still works."""
         def fn(comm):
             a = BinningAnalysis("bodies", [AxisSpec("x", 4, -1, 1)])
-            a.set_asynchronous()
+            a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
             a.set_device_id(-1)
             a.initialize(comm)
             for s in range(2):
@@ -205,36 +201,6 @@ class TestPosthocIO:
         out = run_spmd(2, fn)
         assert out[0] == ["bodies_000000_r0.csv"]
         assert out[1] == ["bodies_000000_r1.csv"]
-
-
-class TestCallbackAnalysis:
-    def test_callable_invoked_with_context(self):
-        seen = {}
-
-        def probe(table, step, time, comm, device_id):
-            seen["rows"] = table.n_rows
-            seen["step"] = step
-            seen["device"] = device_id
-
-        a = CallbackAnalysis("bodies", probe)
-        a.set_device_id(3)
-        a.execute(make_adaptor(n=42, step=6))
-        a.finalize()
-        assert seen == {"rows": 42, "step": 6, "device": 3}
-
-    def test_non_callable_rejected(self):
-        with pytest.raises(ExecutionError):
-            CallbackAnalysis("bodies", "not a function")  # type: ignore[arg-type]
-
-    def test_async_callback_error_propagates(self):
-        def bad(table, step, time, comm, device_id):
-            raise RuntimeError("analysis blew up")
-
-        a = CallbackAnalysis("bodies", bad)
-        a.set_asynchronous()
-        a.execute(make_adaptor())
-        with pytest.raises(ExecutionError):
-            a.finalize()
 
 
 class TestBridgeIntegration:

@@ -67,9 +67,9 @@ class TestAsyncRunner:
         r = AsyncRunner("t")
         r.launch(lambda: current_clock().advance(0.5), start_time=1.0)
         r.drain()
-        assert r.tasks_run == 1
+        assert r.snapshot()[1] == 1
         assert r.busy_sim_time == pytest.approx(0.5)
-        assert r.last_end_time == pytest.approx(1.5)
+        assert r.snapshot()[2] == pytest.approx(1.5)
 
     def test_caller_does_not_wait_for_fast_task(self):
         clk = current_clock()
@@ -151,16 +151,16 @@ class TestAsyncRunnerAccounting:
         r.launch(lambda: current_clock().advance(0.25), start_time=1.0)
         r.launch(lambda: current_clock().advance(0.75), start_time=2.0)
         r.drain()
-        assert r.tasks_run == 3
+        assert r.snapshot()[1] == 3
         assert r.busy_sim_time == pytest.approx(0.5 + 0.25 + 0.75)
-        assert r.last_end_time == pytest.approx(2.75)
+        assert r.snapshot()[2] == pytest.approx(2.75)
 
     def test_zero_cost_tasks_count_but_add_no_busy_time(self):
         r = AsyncRunner("t")
         for i in range(4):
             r.launch(lambda: None, start_time=float(i))
         r.drain()
-        assert r.tasks_run == 4
+        assert r.snapshot()[1] == 4
         assert r.busy_sim_time == pytest.approx(0.0)
 
     def test_drain_advances_clock_only_when_task_is_late(self):
@@ -188,10 +188,10 @@ class TestAsyncRunnerAccounting:
         # pre-failure accounting is preserved (failed task still counts
         # as run).
         r.drain()
-        assert r.tasks_run == 2
+        assert r.snapshot()[1] == 2
         r.launch(lambda: current_clock().advance(0.5), start_time=2.0)
         r.drain()
-        assert r.tasks_run == 3
+        assert r.snapshot()[1] == 3
         assert r.busy_sim_time == pytest.approx(1.0)
 
     def test_snapshot_is_consistent_triple(self):
@@ -199,6 +199,6 @@ class TestAsyncRunnerAccounting:
         r.launch(lambda: current_clock().advance(0.5), start_time=1.0)
         r.drain()
         busy, tasks, end = r.snapshot()
-        assert busy == pytest.approx(r.busy_sim_time)
-        assert tasks == r.tasks_run
-        assert end == pytest.approx(r.last_end_time)
+        assert busy == pytest.approx(r.busy_sim_time) == pytest.approx(0.5)
+        assert tasks == 1
+        assert end == pytest.approx(1.5)

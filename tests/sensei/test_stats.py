@@ -11,6 +11,7 @@ from repro.mpi.comm import run_spmd
 from repro.sensei.backends.stats import StatisticsAnalysis
 from repro.sensei.configurable import ConfigurableAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
+from repro.sensei.execution import ExecutionMethod
 from repro.svtk.table import TableData
 
 
@@ -106,7 +107,7 @@ class TestDistributedStats:
 class TestAsyncAndXml:
     def test_async_execution(self):
         a = StatisticsAnalysis("bodies")
-        a.set_asynchronous()
+        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
         da = make_adaptor({"v": [1.0, 2.0, 3.0]})
         a.execute(da)
         # Clobber after launch: deep copy must protect the analysis.

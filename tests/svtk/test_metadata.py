@@ -9,7 +9,6 @@ from repro.hamr.allocator import HOST_DEVICE_ID, Allocator
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.mesh import UniformCartesianMesh
 from repro.svtk.metadata import ArrayMetadata, MeshMetadata, metadata_for
-from repro.svtk.multiblock import MultiBlockData
 from repro.svtk.table import TableData
 
 
@@ -27,7 +26,7 @@ class TestTableMetadata:
         assert md.mesh_type == "table"
         assert md.name == "bodies"
         assert md.n_elements == 10
-        assert md.array_names == ("x", "mass")
+        assert [a.name for a in md.arrays] == ["x", "mass"]
 
     def test_residency_recorded(self):
         """The heterogeneous point: metadata says where arrays live."""
@@ -44,7 +43,6 @@ class TestTableMetadata:
 
     def test_missing_array(self):
         md = metadata_for(make_table())
-        assert not md.has_array("vy")
         with pytest.raises(KeyError):
             md.array("vy")
 
@@ -59,15 +57,6 @@ class TestMeshMetadata:
         assert md.dims == (4, 8)
         assert md.bounds == ((0.0, 2.0), (-1.0, 1.0))
         assert md.array("count").centering == "cell"
-
-    def test_multiblock(self):
-        mb = MultiBlockData(4, name="blocks")
-        mb.set_block(1, make_table())
-        md = metadata_for(mb)
-        assert md.mesh_type == "multiblock"
-        assert md.n_blocks == 4
-        assert md.local_blocks == (1,)
-        assert md.n_elements == 10
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):

@@ -9,7 +9,6 @@ from repro.units import (
     GiB,
     KiB,
     MiB,
-    fmt_bytes,
     fmt_time,
     gbs,
     gflops,
@@ -36,12 +35,6 @@ class TestConversions:
 
 
 class TestFormatting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(3 * KiB) == "3.00 KiB"
-        assert fmt_bytes(int(2.5 * MiB)) == "2.50 MiB"
-        assert fmt_bytes(40 * GiB) == "40.00 GiB"
-
     def test_fmt_time_ranges(self):
         assert fmt_time(2.5) == "2.500 s"
         assert fmt_time(0.0035) == "3.500 ms"

@@ -168,11 +168,6 @@ class TestTraceSerialization:
         trace.events = list(reversed(trace.events))
         records = trace.records()
         assert [r["seq"] for r in records[1:3]] == [0, 1]
-
-    def test_rank_events_filters(self):
-        trace = small_trace()
-        assert len(trace.rank_events(0, kinds=("publish",))) == 1
-        assert trace.rank_events(5) == []
         assert trace.ranks == (0,)
 
     def test_nan_rejected(self):

@@ -5,11 +5,12 @@ from __future__ import annotations
 from repro.hamr.stream import Stream, default_stream
 from repro.hw.node import get_node
 from repro.mpi.comm import run_spmd
-from repro.trace.harness import fresh_substrate, rerun
+from repro.trace.harness import fresh_substrate
 from repro.transport.channel import ReliableReceiver, ReliableSender
 from repro.transport.metrics import transport_timelines
 
 from ..transport.test_channel import make_table
+from tests.support import rerun
 
 
 def _registries() -> tuple[int, int]:

@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceFormatError, TraceVersionError
-from repro.trace import (
-    TRACE_VERSION,
-    Trace,
-    diff_traces,
-    fresh_substrate,
-    replay_trace,
-)
-from repro.workloads.zoo import GOLDEN_SCENARIOS, ZOO_WORKLOADS, record_zoo
+from repro.trace import TRACE_VERSION, Trace, fresh_substrate, replay_trace
+from repro.workloads.zoo import record_zoo
+from tests.support import GOLDEN_SCENARIOS, ZOO_WORKLOADS, diff_traces
 
 ALL_SCENARIOS = tuple(ZOO_WORKLOADS) + tuple(GOLDEN_SCENARIOS)
 
@@ -95,26 +90,15 @@ class TestReplaySemantics:
         from repro.trace.format import decode_table
 
         trace, _p, _e = record_zoo("particle", seed=3)
-        publishes = trace.rank_events(0, kinds=("publish",))
+        publishes = [
+            e for e in trace.events if e["rank"] == 0 and e["kind"] == "publish"
+        ]
         assert publishes
         table = decode_table(
             "particles", publishes[0]["meshes"]["particles"]
         )
         assert table.column_names == ("id", "x")
         assert table.column("x").as_numpy_host().dtype == np.float64
-
-    def test_trace_instants_bridge(self):
-        from repro.hw.trace import trace_instants
-
-        trace, _p, _e = record_zoo("stencil", seed=3)
-        instants = trace_instants(trace.records())
-        assert len(instants) == len(trace.events)
-        kinds = {i["cat"] for i in instants}
-        assert "trace.publish" in kinds and "trace.decision" in kinds
-        # Stamped on the rank's track at monotone simulated times.
-        rank0 = [i for i in instants if i["tid"] == 0]
-        ts = [i["ts"] for i in rank0]
-        assert ts == sorted(ts)
 
 
 class TestReplayErrors:

@@ -23,14 +23,12 @@ from repro.transport.wire import (
     SERIALIZE_BANDWIDTH,
     WIRE_VERSION,
     Chunk,
-    Codec,
     StepAssembler,
     ZlibCodec,
     available_codecs,
     decode_step,
     encode_step,
     get_codec,
-    register_codec,
 )
 from repro.svtk.table import TableData
 
@@ -68,18 +66,6 @@ class TestCodecs:
         z = get_codec("zlib")
         assert z.compress_time(1 << 20) > (1 << 20) / SERIALIZE_BANDWIDTH
         assert z.decompress_time(1 << 20) < z.compress_time(1 << 20)
-
-    def test_register_codec(self):
-        class Rot13(Codec):
-            name = "rot13-test"
-
-        try:
-            register_codec(Rot13)
-            assert isinstance(get_codec("rot13-test"), Rot13)
-        finally:
-            from repro.transport import wire
-
-            wire._CODECS.pop("rot13-test", None)
 
 
 class TestEncodeDecode:

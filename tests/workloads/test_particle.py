@@ -16,8 +16,8 @@ from repro.control.plan import ControlConfig, ControlPlane
 from repro.errors import ArrayError
 from repro.hw.node import num_devices
 from repro.mpi import run_spmd
-from repro.trace.harness import rerun
 from repro.workloads import ParticleConfig, ParticleWorkload
+from tests.support import rerun
 
 RANKS = 2
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.trace.harness import rerun
 from repro.workloads import RequestStreamConfig, TenantSpec
+from tests.support import rerun
 
 
 class TestTenantSpec:

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from repro.mpi.comm import ThreadCommunicator
-from repro.workloads.zoo import GOLDEN_SCENARIOS, ZOO_WORKLOADS, record_zoo
+from repro.workloads.zoo import record_zoo
+from tests.support import GOLDEN_SCENARIOS, ZOO_WORKLOADS
 
 
 @pytest.mark.parametrize("name", ZOO_WORKLOADS + GOLDEN_SCENARIOS)

@@ -151,21 +151,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.lint import lint_paths, render
+    from repro.analysis.lint import run
 
-    select = args.select.split(",") if args.select else None
-    try:
-        findings = lint_paths(
-            args.paths,
-            select=select,
-            check_suppressions=args.check_suppressions,
-            jobs=args.jobs,
-        )
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"repro lint: error: {exc}")
-        return 2
-    print(render(findings, args.format))
-    return 1 if findings else 0
+    return run(args)
 
 
 def _resolve_example(target: str):

@@ -173,15 +173,13 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
     )
 
 
-def render(findings: Sequence[Finding], fmt: str) -> str:
-    if fmt == "json":
-        return format_json(findings)
-    return format_text(findings)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the linter; exit 0 on a clean tree, 1 otherwise."""
-    args = build_parser().parse_args(argv)
+    return run(build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """``repro lint`` on parsed arguments; 2 on a usage error."""
     select = args.select.split(",") if args.select else None
     try:
         findings = lint_paths(
@@ -193,5 +191,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: error: {exc}")
         return 2
-    print(render(findings, args.format))
+    print(format_json(findings) if args.format == "json" else format_text(findings))
     return 1 if findings else 0

@@ -96,6 +96,18 @@ def _functions(tree: ast.AST) -> Iterator[ast.AST]:
             yield node
 
 
+def _note_escapes(node: ast.AST, escaped: set[str]) -> None:
+    """Add the names ``node`` hands out of its function (returned or
+    stored on an attribute): freeing them is someone else's job."""
+    if isinstance(node, ast.Return) and node.value is not None:
+        escaped.update(
+            sub.id for sub in ast.walk(node.value) if isinstance(sub, ast.Name)
+        )
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+        if any(isinstance(tgt, ast.Attribute) for tgt in node.targets):
+            escaped.add(node.value.id)
+
+
 # -- HL001 --------------------------------------------------------------------
 
 class RawDataAccessRule(Rule):
@@ -251,14 +263,7 @@ class UnsynchronizedStreamRule(Rule):
                         and tail_name(mode_kw) == "ASYNC"
                     ):
                         async_used.add(stream_kw.id)
-                if isinstance(node, ast.Return) and node.value is not None:
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Name):
-                            escaped.add(sub.id)
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Attribute):
-                            escaped.add(node.value.id)
+                _note_escapes(node, escaped)
             if discharged:
                 continue
             for name in sorted(async_used & set(created) - escaped):
@@ -414,12 +419,12 @@ class SwallowedErrorRule(Rule):
 # -- HL007 --------------------------------------------------------------------
 
 class PoolLeakRule(Rule):
-    """A pool ``acquire`` without a ``release``/``trim`` in scope.
+    """A pool ``acquire`` without a ``release``/``trim_above`` in scope.
 
     Within one function: acquiring a block from a memory pool
     (``pool_for(res).acquire(...)`` or ``pool.acquire(...)`` on a name
-    bound from ``pool_for``) without any ``release``/``trim`` call in
-    the same function leaks the block's footprint — the bytes stay
+    bound from ``pool_for``) without any ``release``/``trim_above`` call
+    in the same function leaks the block's footprint — the bytes stay
     claimed on the device until someone trims.  The acquire is exempt
     when the pool escapes the function (returned, stored on ``self``),
     i.e. when releasing is visibly someone else's responsibility.
@@ -427,10 +432,10 @@ class PoolLeakRule(Rule):
 
     id = "HL007"
     severity = Severity.WARNING
-    title = "pool acquire without release/trim in scope"
+    title = "pool acquire without release/trim_above in scope"
     hint = (
         "pair pool.acquire(nbytes) with pool.release(nbytes) (or a "
-        "trim()) in the same scope, or hand the pool to an owner that "
+        "trim_above(watermark)) in the same scope, or hand the pool to an owner that "
         "frees it; allocation/free layers may suppress with "
         "'# lint: disable=HL007' and a justification"
     )
@@ -461,14 +466,7 @@ class PoolLeakRule(Rule):
                                 pool_names.add(tgt.id)
                             elif isinstance(tgt, ast.Attribute):
                                 escaped.add("")  # stored: escapes
-                if isinstance(node, ast.Return) and node.value is not None:
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Name):
-                            escaped.add(sub.id)
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Attribute):
-                            escaped.add(node.value.id)
+                _note_escapes(node, escaped)
             acquires: list[ast.Call] = []
             discharged = False
             for node in ast.walk(fn):
@@ -480,7 +478,7 @@ class PoolLeakRule(Rule):
                 recv = node.func.value
                 if attr == "acquire" and self._is_pool_receiver(recv, pool_names):
                     acquires.append(node)
-                elif attr in ("release", "trim"):
+                elif attr in ("release", "trim_above"):
                     discharged = True
             if discharged:
                 continue

@@ -208,7 +208,7 @@ class StencilWorkload:
         )
         return table
 
-    def run(self, bridge=None, adaptor=None, mesh: str | None = None) -> dict:
+    def run(self, bridge=None, mesh: str | None = None) -> dict:
         """Run every configured step; optionally publish through a bridge.
 
         With ``bridge`` set, each step's owned rows are published as a
@@ -216,11 +216,10 @@ class StencilWorkload:
         ``bridge.execute`` — the in-transit / service producer path.
         Returns this rank's summary (checksum, busy time, traffic).
         """
-        cfg = self.config
-        if bridge is not None and adaptor is None:
-            from repro.sensei.data_adaptor import TableDataAdaptor
+        from repro.sensei.data_adaptor import TableDataAdaptor
 
-            adaptor = TableDataAdaptor(comm=self.comm)
+        cfg = self.config
+        adaptor = TableDataAdaptor(comm=self.comm)
         for k in range(1, cfg.steps + 1):
             self.step(k)
             if bridge is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro.errors import LocationError
 from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hw.clock import SimClock
 from repro.hw.node import get_node

@@ -14,7 +14,7 @@ zero-cost alias of the original storage.
 
 from __future__ import annotations
 
-from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
+from repro.hamr.allocator import PMKind
 from repro.hamr.buffer import Buffer
 from repro.hamr.copier import transfer
 from repro.hamr.runtime import current_clock

@@ -6,7 +6,7 @@ records them.  Bar "figures" are ASCII, inspectable in CI logs.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.harness.runner import RunResult
 from repro.harness.spec import InSituPlacement, RunSpec

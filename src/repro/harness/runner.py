@@ -47,7 +47,7 @@ from repro.hw.device import HostCPU, VirtualDevice
 from repro.mpi.comm import CommCostModel, run_spmd
 from repro.newton.forces import pair_flops
 from repro.sensei.execution import ExecutionMethod
-from repro.units import ms, us
+from repro.units import us
 
 __all__ = ["RunResult", "simulate", "execute_small"]
 

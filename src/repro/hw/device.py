@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import DeviceOutOfMemoryError
-from repro.hw.clock import EventCategory, Timeline
+from repro.hw.clock import Timeline
 from repro.hw.spec import DeviceSpec, HostSpec
 
 __all__ = ["VirtualDevice", "HostCPU", "ComputeResource"]

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.hw.clock import EventCategory, TimedEvent, Timeline
+from repro.hw.clock import TimedEvent, Timeline
 
 __all__ = [
     "ResourceUtilization",

@@ -17,19 +17,17 @@ Each rank drives one device: by default device ``rank mod n_devices``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hamr.runtime import current_clock
 from repro.hamr.stream import default_stream
 from repro.hamr.stream import StreamMode
 from repro.hw.node import num_devices
 from repro.mpi.comm import Communicator, SelfCommunicator
 from repro.mpi.waits import off_scheduler
-from repro.newton.bodies import Bodies
 from repro.newton.domain import SlabDomain
 from repro.newton.forces import accelerations, pair_flops, total_energy
 from repro.newton.ic import plummer_galaxy, uniform_random

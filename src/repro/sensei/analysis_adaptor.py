@@ -21,7 +21,7 @@ worker thread over a duplicated communicator), device placement via
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ExecutionError
@@ -29,7 +29,7 @@ from repro.hamr.runtime import current_clock
 from repro.mpi.comm import Communicator, SelfCommunicator
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.sensei.execution import AsyncRunner, ExecutionMethod
-from repro.sensei.placement import DevicePlacement, PlacementMode
+from repro.sensei.placement import DevicePlacement
 
 __all__ = ["AnalysisAdaptor", "StepTiming"]
 

@@ -14,12 +14,12 @@ resolved device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.binning.axes import AxisSpec
 from repro.binning.operator import BinRequest, DataBinner
-from repro.errors import BinningError, ExecutionError
+from repro.errors import BinningError
 from repro.mpi.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.data_adaptor import DataAdaptor

@@ -3,7 +3,8 @@
 A data adaptor presents the simulation's current state to analysis
 back-ends on demand: named meshes (here: tables or uniform meshes)
 whose arrays are wrapped zero-copy whenever possible.  The adaptor owns
-nothing.
+nothing; ``release_data`` drops the references taken for the current
+step.
 """
 
 from __future__ import annotations
@@ -96,3 +97,7 @@ class TableDataAdaptor(DataAdaptor):
                 f"data adaptor has no mesh {name!r}; available: "
                 f"{sorted(self._tables)}"
             ) from None
+
+    def release_data(self) -> None:
+        """Drop this step's tables once its analyses have run."""
+        self._tables.clear()

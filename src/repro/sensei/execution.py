@@ -34,7 +34,7 @@ from repro.hamr.runtime import current_clock, use_clock
 from repro.hamr.view import accessible_view
 from repro.hw.clock import SimClock
 from repro.mpi.waits import WaitTable, current_context
-from repro.svtk.data_array import DataArray, HostDataArray
+from repro.svtk.data_array import HostDataArray
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.table import TableData
 

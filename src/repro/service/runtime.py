@@ -230,11 +230,13 @@ class ServiceEndpoint:
         """
         self.flows.receiver(name, producer, self.config.spec(name).transport)
 
-    def _assemble(self, name: str, payloads: list[dict]) -> TableData:
+    def _assemble(self, adaptor, name: str, payloads: list[dict]) -> None:
+        """Hand ``adaptor`` one step's table, its producers' rows joined."""
         spec = self.config.spec(name)
         table = TableData(spec.mesh)
+        adaptor.set_table(spec.mesh, table)
         if not payloads:
-            return table
+            return
         columns = list(payloads[0])
         for payload in payloads[1:]:
             if list(payload) != columns:
@@ -242,7 +244,6 @@ class ServiceEndpoint:
         for column in columns:  # one producer's array is handed over as is
             parts = [p[column] for p in payloads]
             table.add_host_column(column, parts[0] if len(parts) == 1 else np.concatenate(parts))
-        return table
 
     def _drain_control(self) -> tuple[bool, bool]:
         """Returns (made_progress, saw_shutdown)."""
@@ -294,12 +295,14 @@ class ServiceEndpoint:
                     break
                 progress = True
                 step, sim_time, payloads = complete
-                table = self._assemble(name, payloads)
                 adaptor = self._adaptors[name]
-                adaptor.set_table(self.config.spec(name).mesh, table)
+                self._assemble(adaptor, name, payloads)
                 adaptor.set_step(step, sim_time)
                 for analysis in self._analyses[name]:
                     analysis.execute(adaptor)
+                # Hold the step from assembly until its analyses return:
+                # an asynchronous analysis deep-copied what it needs.
+                adaptor.release_data()
                 self.pipeline_steps[name] += 1
         return progress
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import ShapeMismatchError, UninitializedArrayError
 from repro.hamr.allocator import HOST_DEVICE_ID, Allocator, PMKind
 from repro.hamr.buffer import Buffer
-from repro.hamr.runtime import current_clock, get_active_device
+from repro.hamr.runtime import get_active_device
 from repro.hamr.stream import Stream, StreamMode
 from repro.hamr.view import SharedView, accessible_view
 from repro.hw.clock import SimClock

@@ -9,7 +9,7 @@ placement and movement before triggering any transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

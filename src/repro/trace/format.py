@@ -15,8 +15,9 @@ Serialization is one JSON object per line with sorted keys and compact
 separators: the header first, then every rank's event stream in
 ``(rank, seq)`` order, then the per-rank counters, then a footer with
 the record counts.  Floats rely on JSON's shortest-round-trip ``repr``
-so values survive a dump/load cycle bit-exactly; column payloads are
-base64 of the raw little-endian bytes.
+so values survive a dump/load cycle bit-exactly.  A column payload is
+its raw little-endian ``bytes`` in a :class:`Trace`, recorded or
+parsed alike; base64 exists only in the JSONL text.
 
 Canonicalization mirrors the determinism suites' contract:
 
@@ -123,7 +124,7 @@ def canonical_observation(obs) -> dict:
 
 
 def encode_array(values: np.ndarray) -> dict:
-    """One 1-D column as dtype + base64 of its raw bytes (bit-exact)."""
+    """One 1-D column as dtype + its raw little-endian bytes (bit-exact)."""
     arr = np.ascontiguousarray(np.asarray(values))
     if arr.ndim != 1:
         raise TraceFormatError(
@@ -132,7 +133,7 @@ def encode_array(values: np.ndarray) -> dict:
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     return {
         "dtype": str(arr.dtype.name),
-        "data": base64.b64encode(little.tobytes()).decode("ascii"),
+        "data": little.tobytes(),
     }
 
 
@@ -140,17 +141,10 @@ def decode_array(payload: dict) -> np.ndarray:
     """Inverse of :func:`encode_array` (a fresh writable array)."""
     try:
         dtype = np.dtype(payload["dtype"])
-        raw = base64.b64decode(payload["data"], validate=True)
+        little = np.frombuffer(payload["data"], dtype=dtype.newbyteorder("<"))
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad column payload: {exc}") from None
-    if dtype.itemsize and len(raw) % dtype.itemsize:
-        raise TraceFormatError(
-            f"column payload of {len(raw)} bytes is not a multiple of "
-            f"{dtype} items"
-        )
-    return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(
-        dtype, copy=True
-    )
+    return little.astype(dtype, copy=True)
 
 
 def encode_table(table: TableData) -> dict:
@@ -215,10 +209,28 @@ class TraceEvent:
         return out
 
 
+def _b64encode(value) -> str:
+    """``json.dumps`` hook: column bytes become base64 text."""
+    if isinstance(value, bytes):
+        return base64.b64encode(value).decode("ascii")
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _b64decode(record: dict) -> None:
+    """Inverse of :func:`_b64encode` over a parsed record's columns."""
+    try:
+        for mesh in record.get("meshes", {}).values():
+            for column in mesh["columns"].values():
+                column["data"] = base64.b64decode(column["data"], validate=True)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"bad column payload: {exc}") from None
+
+
 def _dump_record(record: dict) -> str:
     try:
         return json.dumps(
             record, sort_keys=True, separators=(",", ":"), allow_nan=False,
+            default=_b64encode,
         )
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(
@@ -315,6 +327,7 @@ class Trace:
                     raise TraceFormatError(
                         f"{kind} record needs integer rank/seq fields"
                     )
+                _b64decode(record)
                 events.append(record)
             elif kind == "counters":
                 counters.append(record)

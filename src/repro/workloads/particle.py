@@ -201,13 +201,12 @@ class ParticleWorkload:
         table.add_host_column("x", self.x[owned].astype(np.float64))
         return table
 
-    def run(self, bridge=None, adaptor=None, mesh: str | None = None) -> dict:
+    def run(self, bridge=None, mesh: str | None = None) -> dict:
         """Run every configured step; optionally publish through a bridge."""
-        cfg = self.config
-        if bridge is not None and adaptor is None:
-            from repro.sensei.data_adaptor import TableDataAdaptor
+        from repro.sensei.data_adaptor import TableDataAdaptor
 
-            adaptor = TableDataAdaptor(comm=self.comm)
+        cfg = self.config
+        adaptor = TableDataAdaptor(comm=self.comm)
         for k in range(1, cfg.steps + 1):
             self.step(k)
             if bridge is not None:

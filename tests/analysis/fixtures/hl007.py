@@ -1,4 +1,4 @@
-"""Fixture: HL007 — pool acquire without release/trim in scope.
+"""Fixture: HL007 — pool acquire without release/trim_above in scope.
 
 Never executed; parsed by the linter in tests/analysis/test_rules.py.
 Lines carrying a violation are marked with a trailing `# expect: HLxxx`
@@ -28,7 +28,8 @@ def balanced(resource, nbytes):
 def trimmed(resource, nbytes):
     pool = pool_for(resource)
     pool.acquire(nbytes)
-    return pool.trim()  # discharge: trim in the same scope
+    pool.trim_above(0)  # discharge: trim in the same scope
+    return nbytes
 
 
 def handed_off(resource, nbytes):

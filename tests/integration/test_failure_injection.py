@@ -126,7 +126,7 @@ class TestAnalysisCrashes:
             a.execute(make_adaptor(seed=comm.rank))
             a.finalize()
 
-        with pytest.raises(MPIError, match="rank 1"):
+        with pytest.raises(MPIError, match="rank 1 died"):
             run_spmd(3, fn)
 
 

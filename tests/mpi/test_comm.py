@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, MPIError
+from repro.errors import DeadlockError, MPIError, RankMismatchError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import (
     CommCostModel,
@@ -34,7 +34,7 @@ class TestRunSpmd:
                 raise ValueError("boom")
             comm.barrier()
 
-        with pytest.raises(MPIError, match="rank 2"):
+        with pytest.raises(MPIError, match=r"rank 2 failed: ValueError\('boom'\)"):
             run_spmd(4, bad)
 
     def test_fresh_clock_per_rank(self):
@@ -70,7 +70,7 @@ class TestPointToPoint:
         def fn(comm):
             comm.send(1, dest=comm.rank)
 
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError, match="self-messaging is not supported"):
             run_spmd(2, fn)
 
     def test_recv_charges_simulated_time(self):
@@ -153,12 +153,14 @@ class TestCollectives:
         np.testing.assert_array_equal(out[1], [1.0, 1.0])
 
     def test_unknown_reduction(self):
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError, match="unknown reduction 'xor'"):
             run_spmd(2, lambda comm: comm.allreduce(1, op="xor"))
 
     def test_invalid_root(self):
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError) as excinfo:
             run_spmd(2, lambda comm: comm.gather(1, root=5))
+        assert isinstance(excinfo.value.__cause__, RankMismatchError)
+        assert "root 5 out of range" in str(excinfo.value)
 
     def test_barrier_aligns_clocks(self):
         def fn(comm):

@@ -277,7 +277,7 @@ class TestInTransitRun:
             bridge.execute(da)
             return 0
 
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError, match="inconsistent column sets"):
             run_in_transit(layout, producer_main, _binning_factory())
 
     def test_bridge_misuse(self):

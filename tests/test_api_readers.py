@@ -13,6 +13,10 @@ reader was deleted surfaces at once. Matching is by bare identifier:
 A name nothing reads may stay only with an entry in :data:`ALLOWLIST`
 whose reason is one of :data:`REASONS`. The allowlist can only shrink:
 an entry whose name is gone or now read fails too.
+
+The same parse also fails by name on an import its module never uses
+(a name read only inside a string annotation counts as used;
+``__init__`` modules and names listed in ``__all__`` are re-exports).
 """
 
 from __future__ import annotations
@@ -210,3 +214,65 @@ def test_scan_sees_an_unread_function_and_a_chain(tmp_path):
     (pkg / "b.py").write_text("from pkg.a import used\n")
     _, unread = scan(pkg, reader_roots=[])
     assert unread == {"pkg.a:orphan", "pkg.a:used"}
+
+
+def _annotation_strings(tree: ast.Module):
+    """Names read inside string annotations (``x: "Trace"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    parsed = ast.parse(sub.value, mode="eval")
+                    yield from (n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of every imported name ``tree`` never uses."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_annotation_strings(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{p.relative_to(SRC.parent)}:{line} {name}"
+        for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"
+        for line, name in unused_imports(_parse(p))
+    ]
+    assert not unused, "imports nothing in their module uses:\n  " + "\n  ".join(unused)
+
+
+def test_unused_import_scan_counts_string_annotations_and_all():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Mapping, Sequence\n"
+        "from a import Trace, exported, dropped\n"
+        "__all__ = ['exported']\n"
+        "def f(x: 'Trace') -> Sequence[int]:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(tree) == [(3, "Mapping"), (4, "dropped")]

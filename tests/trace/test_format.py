@@ -104,13 +104,17 @@ class TestArrayCodec:
         with pytest.raises(TraceFormatError):
             encode_array(np.zeros((2, 2)))
 
+    def test_columns_are_raw_little_endian_bytes(self):
+        payload = encode_array(np.array([1, 2], dtype=">i4"))
+        assert payload == {"dtype": "int32", "data": b"\x01\0\0\0\x02\0\0\0"}
+
     def test_rejects_bad_payloads(self):
         with pytest.raises(TraceFormatError):
-            decode_array({"dtype": "float64", "data": "!!!not-base64!!!"})
+            decode_array({"dtype": "float64", "data": "AAAAAAAAAAA="})  # text
         with pytest.raises(TraceFormatError):
-            decode_array({"dtype": "float64", "data": "AAAA"})  # 3 bytes
+            decode_array({"dtype": "float64", "data": b"\0\0\0"})  # 3 bytes
         with pytest.raises(TraceFormatError):
-            decode_array({"data": "AAAA"})
+            decode_array({"data": b"\0" * 8})
 
     def test_table_round_trip_preserves_column_order(self):
         table = TableData("m")
@@ -176,6 +180,24 @@ class TestTraceSerialization:
         with pytest.raises(TraceFormatError):
             trace.to_jsonl()
 
+    def test_only_bytes_serialize_beyond_json(self):
+        trace = small_trace()
+        trace.events[0]["entry"] = bytearray(b"x")
+        with pytest.raises(TraceFormatError, match="bytearray"):
+            trace.to_jsonl()
+
+    def test_column_bytes_are_base64_in_the_text_only(self):
+        table = TableData("m")
+        table.add_host_column("x", np.arange(3, dtype=np.float64))
+        trace = small_trace()
+        trace.events[0]["meshes"] = {"m": encode_table(table)}
+        text = trace.to_jsonl()
+        assert '"data":"AAAAAAAAAAAAAAAAAADwPwAAAAAAAABA"' in text
+        back = Trace.from_jsonl(text)
+        assert back == trace
+        column = back.events[0]["meshes"]["m"]["columns"]["x"]
+        assert column["data"] == np.arange(3.0).tobytes()
+
 
 class TestTraceValidation:
     def test_bad_json_line(self):
@@ -224,6 +246,15 @@ class TestTraceValidation:
             '"kind":"obs","rank":0', '"kind":"obs","rank":"zero"'
         )
         with pytest.raises(TraceFormatError):
+            Trace.from_jsonl(text)
+
+    def test_column_text_must_be_base64(self):
+        table = TableData("m")
+        table.add_host_column("x", np.zeros(1))
+        trace = small_trace()
+        trace.events[0]["meshes"] = {"m": encode_table(table)}
+        text = trace.to_jsonl().replace("AAAAAAAAAAA=", "!!!not-base64!")
+        with pytest.raises(TraceFormatError, match="bad column payload"):
             Trace.from_jsonl(text)
 
     def test_footer_count_mismatch(self):

@@ -101,6 +101,18 @@ class TestReplaySemantics:
         assert table.column("x").as_numpy_host().dtype == np.float64
 
 
+class TestRecordedColumns:
+    def test_recorded_trace_holds_bytes_and_round_trips_equal(self):
+        trace, _p, _e = record_zoo("particle", seed=3)
+        publishes = [e for e in trace.events if e["kind"] == "publish"]
+        assert publishes
+        for event in publishes:
+            for mesh in event["meshes"].values():
+                for column in mesh["columns"].values():
+                    assert type(column["data"]) is bytes
+        assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
 class TestReplayErrors:
     def test_version_skew_raises_structured(self):
         trace, _p, _e = record_zoo("codec", seed=0)

@@ -9,7 +9,8 @@ transfer bytes/time, compression ratio, device load) are fed to
 primitives (EWMA estimators, hysteresis bands, a skew gate) and retune
 the knobs online through narrow actuator hooks.  All eight speak one
 protocol — ``observe(<signals>)`` then ``decide(step, t=None) ->
-list[Decision]`` — are built from ``<control>`` by
+list[Decision]`` — are built from a
+:class:`~repro.control.plan.ControlConfig` by
 :meth:`ControlPlane.governor <repro.control.plan.ControlPlane.governor>`
 and log through :meth:`ControlPlane.decide
 <repro.control.plan.ControlPlane.decide>`.  None holds a communicator:
@@ -39,10 +40,11 @@ Each class's docstring has the detail; ``quota``/``shard`` and
 
 A :class:`~repro.control.plan.ControlPlane` owns the governors and the
 decision log; every decision is also mirrored to the trace recorder.
-Configuration comes from the ``<control>`` XML element
-(:class:`~repro.control.plan.ControlConfig`) with per-governor
-on/off/freeze.  With no control plane attached, behavior is
-bit-identical to the static configuration.
+Configuration is a :class:`~repro.control.plan.ControlConfig` with
+per-governor on/off/freeze, built directly or from a string dict by
+:meth:`~repro.control.plan.ControlConfig.from_xml_attrs`.  With no
+control plane attached, behavior is bit-identical to the static
+configuration.
 """
 
 from repro.control.governors import (

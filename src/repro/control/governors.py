@@ -4,9 +4,9 @@ Each governor closes one loop: it digests observations through the
 primitives in :mod:`repro.control.policy` and, when the evidence says
 the current setting is wrong, pushes a new one through a narrow
 *actuator* callable.  A frozen governor keeps observing and logging
-decisions but never actuates — the ``<control>`` element's per-governor
-``freeze`` mode, useful for dry-running a policy against a production
-configuration.
+decisions but never actuates — the per-governor ``freeze`` setting of
+:class:`~repro.control.plan.ControlConfig`, useful for dry-running a
+policy against a production configuration.
 
 Every governor speaks one protocol — ``observe(<its signals>)`` then
 ``decide(step, t=None) -> list[Decision]`` — and declares, as class

@@ -8,25 +8,25 @@ configured cadence.  Nothing here runs unless a plane
 is attached — with no control plane, behavior is bit-identical to the
 static configuration.
 
-Configuration is the ``<control>`` element::
+Configuration is a :class:`ControlConfig`, built directly or from
+string dicts by :meth:`ControlConfig.from_xml_attrs`::
 
-    <sensei>
-      <control seed="0" interval="1"
-               codec="on" execution="freeze" placement="off" pool="on"
-               flow="on" quota="off" repartition="off">
-        <flow min_credits="1" max_credits="64"
-              min_chunk="4096" max_chunk="262144"/>
-      </control>
-      ...
-    </sensei>
+    ControlConfig.from_xml_attrs(
+        {"seed": "0", "interval": "1", "codec": "on",
+         "execution": "freeze", "placement": "off", "pool": "on",
+         "flow": "on", "quota": "off", "repartition": "off"},
+        flow_attrs={"min_credits": "1", "max_credits": "64",
+                    "min_chunk": "4096", "max_chunk": "262144"},
+    )
 
-Each governor attribute takes ``on`` (closed loop), ``freeze``
-(observe and log decisions but never actuate — a dry run), or ``off``
-(not even created).  ``flow`` defaults to **off** — the transport
-flow-control governor is opt-in, so static ``max_inflight`` /
-``chunk_bytes`` configurations behave exactly as before; the nested
-``<flow>`` element bounds its actuation range (chunk bounds in bytes,
-stepped on power-of-two rungs).
+Each governor switch takes ``on`` (closed loop), ``freeze`` (observe
+and log decisions but never actuate — a dry run), or ``off`` (not even
+created).  ``flow`` defaults to **off** — the transport flow-control
+governor is opt-in, so static ``max_inflight`` / ``chunk_bytes``
+configurations behave exactly as before; ``flow_bounds``
+(:class:`~repro.control.governors.FlowBounds`, the ``flow_attrs``
+dict) bounds its actuation range (chunk bounds in bytes, stepped on
+power-of-two rungs).
 
 Placement has no coordination switch: whether
 :meth:`ControlPlane.observe_device_loads` is a collective follows from
@@ -108,7 +108,7 @@ _VALUES = {_ON: "on", GovernorSetting(True, True): "freeze"}
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Parsed ``<control>`` element (all attributes optional)."""
+    """The control plane's switches and cadence (all optional)."""
 
     seed: int = 0
     interval: int = 1          # decide (and fold rounds) every N steps
@@ -139,12 +139,12 @@ class ControlConfig:
         attrs: Mapping[str, str],
         flow_attrs: Mapping[str, str] | None = None,
     ) -> "ControlConfig":
-        """Build a config from a ``<control>`` element's attributes.
+        """Build a config from ``<control>``-style string attributes.
 
-        ``flow_attrs`` carries the nested ``<flow>`` element's
-        attributes (``min_credits``/``max_credits`` in credits,
-        ``min_chunk``/``max_chunk`` in bytes), bounding the flow
-        governor's actuation range.
+        ``flow_attrs`` carries the ``<flow>`` bounds
+        (``min_credits``/``max_credits`` in credits,
+        ``min_chunk``/``max_chunk`` in bytes) of the flow governor's
+        actuation range.  Errors name ``<control>`` or ``<flow>``.
         """
         attrs = dict(attrs)
         own = read_attrs("<control>", attrs, cls)

@@ -158,19 +158,11 @@ class Communicator:
     def barrier(self) -> None:
         raise NotImplementedError
 
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        raise NotImplementedError
-
     def allgather(self, obj: Any) -> list[Any]:
         raise NotImplementedError
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         raise NotImplementedError
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any | None:
-        self._check_root(root)
-        out = self._reduction(obj, partial(_fold, self._reducer(op)))
-        return out if self.rank == root else None
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
         return self._reduction(obj, partial(_fold, self._reducer(op)))
@@ -256,12 +248,6 @@ class Communicator:
         raise NotImplementedError
 
     # -- helpers ------------------------------------------------------------------
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise RankMismatchError(
-                f"root {root} out of range for communicator of size {self.size}"
-            )
-
     @staticmethod
     def _reducer(op: str) -> Callable[[Any, Any], Any]:
         try:
@@ -294,10 +280,6 @@ class SelfCommunicator(Communicator):
 
     def barrier(self):
         return None
-
-    def gather(self, obj, root=0):
-        self._check_root(root)
-        return [obj]
 
     def allgather(self, obj):
         return [obj]
@@ -515,11 +497,6 @@ class ThreadCommunicator(Communicator):
         return list(self._rendezvous(
             contribution, self.cost.collective(nbytes, self.size)
         ))
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_root(root)
-        board = self._exchange(obj, _payload_bytes(obj))
-        return board if self.rank == root else None
 
     def allgather(self, obj: Any) -> list[Any]:
         return self._exchange(obj, _payload_bytes(obj))

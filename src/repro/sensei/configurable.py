@@ -28,11 +28,7 @@ from repro.sensei.backends.stats import StatisticsAnalysis
 from repro.sensei.backends.writer import PosthocIO
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.sensei.placement import DevicePlacement, PlacementMode
-from repro.sensei.xml_config import (
-    AnalysisCommon,
-    AnalysisConfig,
-    parse_document,
-)
+from repro.sensei.xml_config import AnalysisCommon, AnalysisConfig, parse_xml
 from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = ["ConfigurableAnalysis", "register_backend"]
@@ -184,16 +180,8 @@ class ConfigurableAnalysis(AnalysisAdaptor):
                 xml = Path(path).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        document = parse_document(xml)
-        #: Parsed ``<transport>`` element, or None — an in transit
-        #: driver reads this to configure the data plane.
-        self.transport = document.transport
-        #: Parsed ``<control>`` element, or None — a harness builds a
-        #: :class:`repro.control.ControlPlane` from this and attaches
-        #: it to the bridge(s) driving the run.
-        self.control = document.control
         self.children: list[AnalysisAdaptor] = []
-        for cfg in document.analyses:
+        for cfg in parse_xml(xml):
             if not cfg.enabled:
                 continue
             factory = _REGISTRY.get(cfg.type)

@@ -3,17 +3,10 @@
 SENSEI selects and configures back-ends at run time from an XML file;
 the paper's evaluation drives all 9 binning operator instances this way
 (Section 4.3) and exposes the new execution/placement controls as
-attributes.  The schema::
+attributes of ``<analysis>``.  The document holds ``<analysis>``
+elements only::
 
     <sensei>
-      <transport compression="zlib" chunk_kib="64" max_inflight="8"
-                 retries="8" partitioner="block"/>
-      <control seed="0" interval="1" codec="on" execution="freeze"
-               placement="off" pool="on" flow="on" quota="off"
-               repartition="off">
-        <flow min_credits="1" max_credits="64"
-              min_chunk="4096" max_chunk="262144"/>
-      </control>
       <analysis type="data_binning" enabled="1" mesh="bodies"
                 axes="x,y" bins="256,256"
                 variables="mass:sum,vx:average"
@@ -24,27 +17,11 @@ attributes.  The schema::
                 frequency="10" format="csv"/>
     </sensei>
 
-At most one ``<transport>`` element configures the in transit data
-plane (see :class:`repro.transport.config.TransportConfig`); it is
-ignored by purely in situ runs.  At most one ``<control>`` element
-configures the adaptive control plane (see
-:class:`repro.control.plan.ControlConfig`) — each governor attribute
-takes ``on``, ``off``, or ``freeze`` (observe and log, never actuate).
-Placement control coordinates across ranks whenever the plane's
-communicator has more than one; there is no switch for it.  Without the
-element no control plane exists and every knob keeps its static setting.
-
-At most one ``<service>`` element declares the multi-pipeline
-in-transit service plane (see
-:class:`repro.service.plan.ServiceConfig`): nested ``<pipeline>``
-elements name each tenant, with per-tenant transport attributes and
-the admission-control knobs (``budget``, ``skew``, ``cooldown``,
-``interval``) on ``<service>`` itself::
-
-    <service budget="32" skew="1.5" interval="4">
-      <pipeline name="hot" weight="8" shard_size="2" compression="zlib"/>
-      <pipeline name="bulk" weight="1" partitioner="cyclic"/>
-    </service>
+Any other child element is a :class:`~repro.errors.ConfigError`.  The
+transport, service and control planes are configured by their
+dataclasses (:class:`~repro.transport.config.TransportConfig`,
+:class:`~repro.service.plan.ServiceConfig`,
+:class:`~repro.control.plan.ControlConfig`), not by this document.
 
 Common attributes (every ``<analysis>``; :class:`AnalysisCommon`):
 
@@ -59,8 +36,8 @@ Common attributes (every ``<analysis>``; :class:`AnalysisCommon`):
   placement (``devices_per_node`` is accepted as a spelling of
   ``n_use``).
 
-They are read like every other element's — through
-:func:`repro.xmlattrs.read_attrs`, typed by the dataclass field — and
+They are read through :func:`repro.xmlattrs.read_attrs`, typed by the
+dataclass field, and
 so is each built-in back-end's own set
 (:mod:`repro.sensei.configurable`), after which anything left over is
 an unknown-attribute :class:`~repro.errors.ConfigError`: a misspelt
@@ -73,27 +50,13 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.sensei.execution import ExecutionMethod
 from repro.sensei.placement import PlacementMode
 from repro.xmlattrs import read_attrs
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.control.plan import ControlConfig
-    from repro.service.plan import ServiceConfig
-    from repro.transport.config import TransportConfig
-
-__all__ = [
-    "AnalysisCommon",
-    "AnalysisConfig",
-    "SenseiConfig",
-    "parse_document",
-    "parse_xml",
-    "parse_file",
-]
+__all__ = ["AnalysisCommon", "AnalysisConfig", "parse_xml"]
 
 
 @dataclass(frozen=True)
@@ -125,54 +88,8 @@ class AnalysisConfig:
     attrs: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SenseiConfig:
-    """A fully parsed ``<sensei>`` document.
-
-    ``transport`` is None when the document has no ``<transport>``
-    element — in situ configurations never need one.  ``control`` is
-    None when there is no ``<control>`` element, in which case no
-    control plane exists and every knob stays at its static setting.
-    """
-
-    analyses: tuple[AnalysisConfig, ...] = ()
-    transport: "TransportConfig | None" = None
-    control: "ControlConfig | None" = None
-    service: "ServiceConfig | None" = None
-
-
-def _parse_plane(elem: ET.Element):
-    """Parse a ``<transport>``, ``<control>`` or ``<service>`` element.
-
-    The config classes are imported here, not at module scope: their
-    packages import :mod:`repro.sensei`.
-    """
-    if elem.tag == "transport":
-        from repro.transport.config import TransportConfig
-
-        return TransportConfig.from_xml_attrs(elem.attrib)
-    if elem.tag == "service":
-        from repro.service.plan import ServiceConfig
-
-        return ServiceConfig.from_xml_element(elem)
-    from repro.control.plan import ControlConfig
-
-    flows = list(elem)
-    for sub in flows:
-        if sub.tag != "flow":
-            raise ConfigError(
-                f"unexpected element <{sub.tag}> inside <control>; "
-                "only <flow> is allowed"
-            )
-    if len(flows) > 1:
-        raise ConfigError("at most one <flow> element is allowed")
-    return ControlConfig.from_xml_attrs(
-        elem.attrib, flow_attrs=dict(flows[0].attrib) if flows else None
-    )
-
-
-def parse_document(text: str) -> SenseiConfig:
-    """Parse a SENSEI XML document: analyses plus the optional planes."""
+def parse_xml(text: str) -> list[AnalysisConfig]:
+    """Parse a SENSEI XML document into its ``<analysis>`` configs."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -180,19 +97,10 @@ def parse_document(text: str) -> SenseiConfig:
     if root.tag != "sensei":
         raise ConfigError(f"root element must be <sensei>, got <{root.tag}>")
     configs: list[AnalysisConfig] = []
-    planes: dict[str, object] = {}  # keyed like SenseiConfig's fields
     for child in root:
-        if child.tag in ("transport", "control", "service"):
-            if child.tag in planes:
-                raise ConfigError(
-                    f"at most one <{child.tag}> element is allowed"
-                )
-            planes[child.tag] = _parse_plane(child)
-            continue
         if child.tag != "analysis":
             raise ConfigError(
-                f"unexpected element <{child.tag}>; only <analysis>, "
-                "<transport>, <control>, and <service> are allowed"
+                f"unexpected element <{child.tag}>; only <analysis> is allowed"
             )
         attrs = dict(child.attrib)
         atype = attrs.pop("type", None)
@@ -206,19 +114,4 @@ def parse_document(text: str) -> SenseiConfig:
         configs.append(
             AnalysisConfig(type=atype, common=common, attrs=attrs, **own)
         )
-    return SenseiConfig(analyses=tuple(configs), **planes)
-
-
-def parse_xml(text: str) -> list[AnalysisConfig]:
-    """Parse a SENSEI XML document into analysis configs."""
-    return list(parse_document(text).analyses)
-
-
-def parse_file(path: str | Path) -> list[AnalysisConfig]:
-    """Parse a SENSEI XML configuration file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_xml(text)
+    return configs

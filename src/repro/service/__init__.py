@@ -9,8 +9,7 @@ package provides that plane on the simulated substrate:
 
 - :class:`~repro.service.plan.PipelineSpec` /
   :class:`~repro.service.plan.ServiceConfig` — the declarative tenant
-  set, parsed from the ``<service>`` XML element alongside
-  ``<transport>`` and ``<control>``;
+  set;
 - :class:`~repro.service.plan.PipelineRegistry` — pipeline name to
   analysis-factory binding;
 - :class:`~repro.service.router.Router` /

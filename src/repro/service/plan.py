@@ -10,30 +10,13 @@ pipelines to endpoint shards that the
 :class:`~repro.control.quota.ShardGovernor` rebalances at step
 boundaries.
 
-Configuration is the ``<service>`` element, parsed through the same
-:mod:`repro.sensei.xml_config` machinery as ``<transport>`` and
-``<control>``::
-
-    <sensei>
-      <service budget="32" min_credits="1" skew="1.5"
-               cooldown="2" interval="4">
-        <pipeline name="hot" mesh="bodies" weight="8" shard_size="2"
-                  compression="zlib" chunk_kib="8" max_inflight="8"/>
-        <pipeline name="bulk" weight="1" collective="false"
-                  partitioner="cyclic"/>
-      </service>
-      ...
-    </sensei>
-
-Unknown ``<pipeline>`` attributes are handed to
-:meth:`repro.transport.config.TransportConfig.from_xml_attrs`, so each
-tenant tunes its wire (codec, chunking, retry, faults) exactly like a
-standalone ``<transport>`` element.
+The transport of each tenant is its :class:`PipelineSpec`'s own
+:class:`~repro.transport.config.TransportConfig`; its producers are
+routed by ``PipelineSpec.partitioner``.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,7 +24,6 @@ from repro.errors import ConfigError
 from repro.transport.config import TransportConfig
 from repro.transport.flows import pipeline_tags
 from repro.transport.partition import get_partitioner
-from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = [
     "PipelineSpec",
@@ -125,13 +107,13 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """The parsed ``<service>`` element: tenants plus admission knobs.
+    """The service plane's tenants plus its admission knobs.
 
     ``budget`` is each endpoint's credit budget the quota governor
     partitions across its tenants; ``min_credits`` the floor parked on
     an idle tenant; ``skew``/``cooldown`` drive shard rebalancing
     (``skew <= 1`` would disable it, so it must be > 1; set the shard
-    governor off via ``<control quota="off">`` instead); ``interval``
+    governor off via ``ControlConfig(quota=...)`` instead); ``interval``
     is the coordination cadence in steps.
     """
 
@@ -144,7 +126,7 @@ class ServiceConfig:
 
     def __post_init__(self):
         if not self.pipelines:
-            raise ConfigError("<service> declares no pipelines")
+            raise ConfigError("ServiceConfig declares no pipelines")
         names = [p.name for p in self.pipelines]
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
@@ -191,46 +173,15 @@ class ServiceConfig:
     def tags(self, name: str) -> tuple[int, int]:
         return pipeline_tags(self.index(name))
 
-    @classmethod
-    def from_xml_element(cls, elem: ET.Element) -> "ServiceConfig":
-        """Parse a ``<service>`` element (nested ``<pipeline>`` children)."""
-        attrs = dict(elem.attrib)
-        own = read_attrs("<service>", attrs, cls)
-        reject_unknown("<service>", attrs)
-        pipelines = []
-        for child in elem:
-            if child.tag != "pipeline":
-                raise ConfigError(
-                    f"unexpected element <{child.tag}> inside <service>; "
-                    "only <pipeline> is allowed"
-                )
-            pipelines.append(cls._parse_pipeline(child.attrib))
-        return cls(pipelines=tuple(pipelines), **own)
-
-    @staticmethod
-    def _parse_pipeline(raw_attrs: Mapping[str, str]) -> PipelineSpec:
-        attrs = dict(raw_attrs)
-        if not attrs.get("name"):
-            raise ConfigError("<pipeline> element missing the 'name' attribute")
-        own = read_attrs(
-            f"<pipeline name={attrs['name']!r}>", attrs, PipelineSpec,
-            skip=("partitioner", "producer_weights"),
-        )
-        # Everything left is transport configuration for this tenant
-        # (including 'partitioner', which TransportConfig validates).
-        transport = TransportConfig.from_xml_attrs(attrs)
-        return PipelineSpec(
-            partitioner=transport.partitioner, transport=transport, **own
-        )
-
 
 class PipelineRegistry:
     """Binds pipeline names to analysis factories.
 
-    The XML declares *what* flows; the registry supplies the *code*
-    each endpoint instantiates for it.  A factory is any zero-argument
-    callable returning a sequence of analysis adaptors; pipelines
-    without a factory get an empty analysis set (pure transport).
+    The :class:`ServiceConfig` declares *what* flows; the registry
+    supplies the *code* each endpoint instantiates for it.  A factory is
+    any zero-argument callable returning a sequence of analysis
+    adaptors; pipelines without a factory get an empty analysis set
+    (pure transport).
     """
 
     def __init__(self, factories: Mapping[str, Callable] | None = None):

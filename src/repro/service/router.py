@@ -14,7 +14,7 @@ boundary with no sender-side handshake.
 keeps the ``initialize`` / ``execute(data_adaptor)`` / ``finalize``
 surface of :class:`repro.sensei.bridge.Bridge`, ships every pipeline
 whose mesh the adaptor publishes, and — when admission control is on
-(``<control quota="on">``) — runs the coordination round at step
+(``ControlConfig.quota`` on) — runs the coordination round at step
 boundaries: demand is allreduced over the producer group, one rank
 decides for the group, every rank applies that, and rank 0 notifies
 endpoints of membership changes over the control tag.
@@ -184,7 +184,7 @@ class ServiceBridge:
         """Attach a :class:`repro.control.ControlPlane`.
 
         Per-sender taps (codec, flow) wire lazily exactly as on the
-        single-pipeline bridge; additionally, ``<control quota="on">``
+        single-pipeline bridge; additionally, ``ControlConfig.quota`` on
         arms the service's own coordination round (quota + shard
         governors) at the plane's decision interval.
         """

@@ -369,7 +369,7 @@ def run_service(
     :class:`~repro.service.plan.PipelineRegistry` or plain mapping of
     pipeline name to factory).  ``control`` (a
     :class:`repro.control.ControlConfig`) attaches a control plane per
-    producer; ``<control quota="on">`` arms per-tenant admission
+    producer; ``ControlConfig.quota`` on arms per-tenant admission
     control and shard rebalancing.  ``load_board`` (a
     :class:`~repro.service.load.LoadBoard`) makes concurrent tenants
     share each endpoint's congestion budget.  ``recorder`` (duck-typed;

@@ -23,8 +23,8 @@ package is the transport plane under :mod:`repro.sensei.intransit`:
 - :mod:`repro.transport.metrics` — per-endpoint transport counters
   recorded as :class:`~repro.hw.clock.TimedEvent`\\ s for the
   Chrome-trace export;
-- :mod:`repro.transport.config` — :class:`TransportConfig`, the
-  ``<transport .../>`` element of the SENSEI XML schema.
+- :mod:`repro.transport.config` — :class:`TransportConfig`, every
+  knob of the data plane in one dataclass.
 """
 
 from __future__ import annotations

@@ -1,20 +1,8 @@
-"""Transport configuration — the ``<transport .../>`` XML element.
-
-Schema (all attributes optional; defaults shown)::
-
-    <sensei>
-      <transport compression="none" chunk_kib="64" max_inflight="8"
-                 retries="8" partitioner="block"
-                 drop="0.0" duplicate="0.0" reorder="0.0"
-                 corrupt="0.0" seed="0" pipelined="false"
-                 congestion_kib="0" congestion_drop="0.0"/>
-      <analysis .../>
-    </sensei>
+"""Transport configuration: the data plane's knobs as one dataclass.
 
 ``drop``/``duplicate``/``reorder``/``corrupt`` are fault-injection
 probabilities applied to the data direction only — they exist so a
-configuration can rehearse lossy-fabric behaviour without code
-changes.
+run can rehearse lossy-fabric behaviour without code changes.
 
 ``compression`` accepts any registered codec name, or ``"adaptive"``
 to delegate the choice to the control plane's per-endpoint codec
@@ -26,15 +14,12 @@ the achievable ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 from repro.errors import ConfigError
 from repro.transport.channel import FaultSpec
 from repro.transport.partition import available_partitioners
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import DEFAULT_CHUNK_BYTES, available_codecs
-from repro.units import KiB
-from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = ["TransportConfig"]
 
@@ -94,28 +79,3 @@ class TransportConfig:
     def with_faults(self, **kwargs) -> "TransportConfig":
         """A copy with fault-injection fields overridden."""
         return replace(self, faults=replace(self.faults, **kwargs))
-
-    @classmethod
-    def from_xml_attrs(cls, attrs: Mapping[str, str]) -> "TransportConfig":
-        """Build a config from a ``<transport>`` element's attributes.
-
-        The element flattens the retry policy and the fault spec into
-        its own attribute list; ``chunk_kib`` / ``congestion_kib`` are
-        KiB spellings and ``retries`` names ``RetryPolicy.max_retries``.
-        """
-        attrs, label = dict(attrs), "<transport>"
-        retry = RetryPolicy(**read_attrs(
-            label, attrs, RetryPolicy, names={"retries": "max_retries"},
-            skip=("max_retries", "backoff_base", "backoff_factor",
-                  "backoff_max", "jitter"),
-        ))
-        faults = FaultSpec(**read_attrs(
-            label, attrs, FaultSpec,
-            names={"congestion_kib": ("congestion_bytes", KiB)},
-            skip=("congestion_bytes",),
-        ))
-        own = read_attrs(
-            label, attrs, cls, names={"chunk_kib": ("chunk_bytes", KiB)}
-        )
-        reject_unknown(label, attrs)
-        return cls(retry=retry, faults=faults, **own)

@@ -34,8 +34,8 @@ class RetryPolicy:
     jitter: float = 0.25  # +/- fraction applied to each backoff
     #: Not a knob: accepted and discarded so ``benchmarks/core``
     #: (frozen) can keep passing the wall stall guard this policy no
-    #: longer has.  Never stored, read, validated, serialised or
-    #: accepted from XML; goes with the next ``[benchmark]`` PR.
+    #: longer has.  Never stored, read, validated or serialised; goes
+    #: with the next ``[benchmark]`` PR.
     ack_timeout: InitVar[float] = 0.0
 
     def __post_init__(self, ack_timeout):

@@ -7,7 +7,7 @@ steps ship ``burst_rows``, with per-tenant transition probabilities.
 Tenants may join late (``join_step``) and leave early (``fin_step``),
 exercising elastic membership, and the wildly skewed per-tenant byte
 rates are exactly what per-tenant admission control
-(``<control quota="on">``) exists to arbitrate.
+(``ControlConfig.quota`` on) exists to arbitrate.
 
 The schedule is *replicated*: every producer rank derives the
 identical per-tenant row sequence from ``random.Random(f"{seed}:{name}")``,

@@ -1,13 +1,13 @@
 """The one typed XML-attribute reader behind every config element.
 
-``<transport>``, ``<control>`` / ``<flow>``, ``<service>``,
-``<pipeline>`` and ``<analysis>`` are all read the same way: an attribute is named like
-the dataclass field it sets, is converted by the field's declared
-type, and — when absent — leaves the field to its dataclass default.
-An element declares only what the fields cannot say: extra spellings
-with a unit (``chunk_kib`` → ``chunk_bytes``), renames (``retries`` →
-``max_retries``), and fields it does not expose.  Adding a config field
-is therefore one line in the dataclass; the XML attribute (and the
+``<analysis>`` (its common set and each built-in back-end's own) and
+the ``<control>`` / ``<flow>`` attribute dicts of
+:meth:`~repro.control.plan.ControlConfig.from_xml_attrs` are all read
+the same way: an attribute is named like the dataclass field it sets,
+is converted by the field's declared type, and — when absent — leaves
+the field to its dataclass default.  A reader declares only extra
+spellings (``devices_per_node`` → ``n_use``).  Adding a config field
+is therefore one line in the dataclass; the attribute (and the
 trace-header entry, see :mod:`repro.trace.configs`) follow from it.
 
 Scalar vocabulary, identical for every element: ``int`` and ``float``
@@ -20,7 +20,7 @@ classmethod (``GovernorSetting``: ``on/off/freeze``).  Every failure is a
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigError
 
@@ -70,41 +70,32 @@ def read_attrs(
     label: str,
     attrs: dict[str, str],
     cls,
-    names: Mapping[str, str | tuple[str, float]] | None = None,
-    skip: Sequence[str] = (),
+    names: Mapping[str, str] | None = None,
 ) -> dict:
     """Pop ``cls``'s fields out of ``attrs``; return constructor kwargs.
 
-    ``names`` adds spellings: ``{"retries": "max_retries"}`` renames,
-    ``{"chunk_kib": ("chunk_bytes", KiB)}`` also scales (the attribute
-    is read as a float, multiplied, then cast to the field's type).
-    ``skip`` lists fields with no attribute of their own name.  A
+    ``names`` adds spellings: ``{"devices_per_node": "n_use"}``.  A
     field set through ``names`` is not read again under its own name,
     so a leftover duplicate is reported by :func:`reject_unknown`.
     """
     hints = get_type_hints(cls)
-    spellings = [  # (attribute, field, unit)
-        (xml_name, *(target if isinstance(target, tuple) else (target, None)))
-        for xml_name, target in (names or {}).items()
-    ] + [
-        (f.name, f.name, None)
-        for f in dataclasses.fields(cls) if f.init and f.name not in skip
+    spellings = list((names or {}).items()) + [
+        (f.name, f.name) for f in dataclasses.fields(cls) if f.init
     ]
     out: dict = {}
-    for xml_name, field, unit in spellings:
+    for xml_name, field in spellings:
         found = _converter(hints[field])
         if found is None or field in out or xml_name not in attrs:
             continue
         convert, noun = found
         raw = attrs.pop(xml_name)
         try:
-            out[field] = convert(raw if unit is None else float(raw) * unit)
+            out[field] = convert(raw)
         except ConfigError as exc:
             raise ConfigError(f"{label}: attribute {xml_name!r}: {exc}") from None
         except ValueError:
             raise ConfigError(
-                f"{label}: attribute {xml_name!r} must be "
-                f"{noun if unit is None else 'a float'}, got {raw!r}"
+                f"{label}: attribute {xml_name!r} must be {noun}, got {raw!r}"
             ) from None
     return out
 

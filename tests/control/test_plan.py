@@ -18,7 +18,6 @@ from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.execution import ExecutionMethod
-from repro.sensei.xml_config import parse_document
 from repro.svtk.table import TableData
 from repro.transport.metrics import TransportMetrics
 from repro.transport.wire import get_codec
@@ -83,31 +82,6 @@ class TestControlConfig:
         """``enabled`` is gone: attach no plane, or switch governors off."""
         with pytest.raises(ConfigError, match=r"unknown attribute.*'enabled'"):
             ControlConfig.from_xml_attrs({"enabled": "maybe"})
-
-
-class TestControlXml:
-    def test_control_element_parsed(self):
-        doc = parse_document(
-            """
-            <sensei>
-              <control seed="3" execution="freeze"/>
-              <analysis type="histogram" mesh="m" array="a"/>
-            </sensei>
-            """
-        )
-        assert doc.control is not None
-        assert doc.control.seed == 3
-        assert doc.control.execution.value == "freeze"
-
-    def test_no_control_element_means_none(self):
-        doc = parse_document(
-            "<sensei><analysis type='histogram' mesh='m' array='a'/></sensei>"
-        )
-        assert doc.control is None
-
-    def test_duplicate_control_rejected(self):
-        with pytest.raises(ConfigError, match="at most one"):
-            parse_document("<sensei><control/><control/></sensei>")
 
 
 def make_adaptor(step, n=256):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, MPIError, RankMismatchError
+from repro.errors import DeadlockError, MPIError
 from repro.hamr.runtime import current_clock
 from repro.mpi.comm import (
     CommCostModel,
@@ -99,14 +99,6 @@ class TestPointToPoint:
 
 
 class TestCollectives:
-    def test_gather(self):
-        def fn(comm):
-            return comm.gather((comm.rank + 1) ** 2, root=0)
-
-        out = run_spmd(4, fn)
-        assert out[0] == [1, 4, 9, 16]
-        assert out[1] is None
-
     def test_allgather(self):
         out = run_spmd(3, lambda comm: comm.allgather(comm.rank))
         assert out == [[0, 1, 2]] * 3
@@ -117,11 +109,6 @@ class TestCollectives:
 
         out = run_spmd(3, fn)
         assert out[1] == ["0->1", "1->1", "2->1"]
-
-    def test_reduce_sum(self):
-        out = run_spmd(4, lambda comm: comm.reduce(comm.rank + 1, op="sum", root=0))
-        assert out[0] == 10
-        assert out[1:] == [None] * 3
 
     def test_allreduce_ops(self):
         def fn(comm):
@@ -155,12 +142,6 @@ class TestCollectives:
     def test_unknown_reduction(self):
         with pytest.raises(MPIError, match="unknown reduction 'xor'"):
             run_spmd(2, lambda comm: comm.allreduce(1, op="xor"))
-
-    def test_invalid_root(self):
-        with pytest.raises(MPIError) as excinfo:
-            run_spmd(2, lambda comm: comm.gather(1, root=5))
-        assert isinstance(excinfo.value.__cause__, RankMismatchError)
-        assert "root 5 out of range" in str(excinfo.value)
 
     def test_barrier_aligns_clocks(self):
         def fn(comm):
@@ -229,11 +210,9 @@ class TestRecvFallback:
 class TestSelfCommunicator:
     def test_trivial_collectives(self):
         c = SelfCommunicator()
-        assert c.gather("x") == ["x"]
         assert c.allgather("x") == ["x"]
         assert c.alltoall(["a"]) == ["a"]
         assert c.allreduce(5) == 5
-        assert c.reduce(5) == 5
         c.barrier()
 
     def test_p2p_rejected(self):
@@ -314,7 +293,7 @@ class TestFoldOnce:
 
         def fn(comm):
             comm.allreduce(np.ones(4))
-            comm.reduce(1.0, op="sum", root=1)
+            comm.allreduce(1.0, op="sum")
             comm.coordinated_allreduce(np.ones(2))
 
         run_spmd(size, fn)
@@ -354,19 +333,13 @@ class TestFoldOnce:
             return (
                 comm.allreduce(vectors[comm.rank], op=op),
                 comm.allreduce(scalars[comm.rank], op=op),
-                comm.reduce(vectors[comm.rank], op=op, root=3),
                 comm.coordinated_allreduce(vectors[comm.rank], op=op),
             )
 
-        out = run_spmd(8, main)
-        for rank, (vec, scalar, reduced, checked) in enumerate(out):
+        for vec, scalar, checked in run_spmd(8, main):
             assert np.array_equal(vec, fold(vectors))
             assert scalar == fold(scalars)
             assert np.array_equal(checked, fold(vectors))
-            if rank == 3:
-                assert np.array_equal(reduced, fold(vectors))
-            else:
-                assert reduced is None
 
     def test_skews_raise_on_every_rank_with_its_rank(self):
         def epoch_skew(comm):

@@ -477,7 +477,7 @@ class Sink(AnalysisAdaptor):
 
 # -- property: small random scripts against a sequential reference -------------
 
-_COLLECTIVES = ("allreduce", "allgather", "gather", "barrier")
+_COLLECTIVES = ("allreduce", "allgather", "barrier")
 
 
 @st.composite
@@ -500,11 +500,10 @@ def scripts(draw):
     return size, programs
 
 
-def _collective_result(kind: str, rank: int, values: list[int]):
+def _collective_result(kind: str, values: list[int]):
     return {
         "allreduce": sum(values),
         "allgather": list(values),
-        "gather": list(values) if rank == 0 else None,
         "barrier": None,
     }[kind]
 
@@ -540,7 +539,7 @@ def reference(size: int, programs):
                     if len(arrived) < size:
                         break
                     values = [arrived[r][1] + r for r in range(size)]
-                    out[rank].append(_collective_result(op[0], rank, values))
+                    out[rank].append(_collective_result(op[0], values))
                     inside[rank] = False
                     joined[rank] += 1
                 pc[rank] += 1
@@ -566,8 +565,6 @@ def execute(size: int, programs):
                 out.append(comm.recv(source=op[1], tag=op[2]))
             elif op[0] == "barrier":
                 out.append(comm.barrier())
-            elif op[0] == "gather":
-                out.append(comm.gather(op[1] + comm.rank, root=0))
             else:
                 out.append(getattr(comm, op[0])(op[1] + comm.rank))
         return out

@@ -54,6 +54,13 @@ class TestParseXml:
         with pytest.raises(ConfigError, match="unexpected"):
             parse_xml("<sensei><backend type='x'/></sensei>")
 
+    @pytest.mark.parametrize("plane", ["transport", "control", "service"])
+    def test_plane_elements_are_rejected(self, plane):
+        """The document configures analyses only: the transport, control
+        and service planes are configured by their dataclasses."""
+        with pytest.raises(ConfigError, match=f"unexpected element <{plane}>"):
+            parse_xml(f"<sensei><{plane}/><analysis type='x'/></sensei>")
+
     def test_missing_type(self):
         with pytest.raises(ConfigError, match="type"):
             parse_xml("<sensei><analysis mesh='m'/></sensei>")

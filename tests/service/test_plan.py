@@ -1,11 +1,10 @@
-"""Tests for the service plan: specs, config, XML, shards, routing."""
+"""Tests for the service plan: specs, config, shards, routing."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sensei.xml_config import parse_document
 from repro.service.plan import (
     PipelineRegistry,
     PipelineSpec,
@@ -97,84 +96,6 @@ class TestServiceConfig:
             cfg.spec("nope")
         with pytest.raises(ConfigError):
             cfg.index("nope")
-
-
-class TestServiceXml:
-    def test_full_document(self):
-        doc = parse_document("""
-        <sensei>
-          <service budget="16" min_credits="2" skew="2.0"
-                   cooldown="3" interval="2">
-            <pipeline name="hot" mesh="bodies" weight="8" shard_size="2"
-                      compression="zlib" chunk_kib="8"/>
-            <pipeline name="bulk" partitioner="cyclic" collective="true"/>
-          </service>
-          <analysis type="histogram" mesh="bodies" array="m" bins="8"/>
-        </sensei>
-        """)
-        svc = doc.service
-        assert svc is not None
-        assert svc.budget == 16 and svc.min_credits == 2
-        assert svc.skew == 2.0 and svc.cooldown == 3 and svc.interval == 2
-        hot = svc.spec("hot")
-        assert hot.mesh == "bodies" and hot.weight == 8.0
-        assert hot.shard_size == 2
-        assert hot.transport.compression == "zlib"
-        assert hot.transport.chunk_bytes == 8 * 1024
-        bulk = svc.spec("bulk")
-        assert bulk.collective and bulk.partitioner == "cyclic"
-        assert len(doc.analyses) == 1
-
-    def test_no_service_element_is_none(self):
-        assert parse_document("<sensei/>").service is None
-
-    def test_rejections(self):
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service/><service/></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service><oops/></service></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service budget='lots'>"
-                "<pipeline name='a'/></service></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service bogus='1'>"
-                "<pipeline name='a'/></service></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service><pipeline/></service></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service><pipeline name='a' collective='maybe'/>"
-                "</service></sensei>"
-            )
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service><pipeline name='a' ranks='x,y'/>"
-                "</service></sensei>"
-            )
-
-    def test_ranks_attribute(self):
-        doc = parse_document(
-            "<sensei><service><pipeline name='a' ranks='2,0'/>"
-            "</service></sensei>"
-        )
-        assert doc.service.spec("a").ranks == (0, 2)
-
-    def test_unknown_pipeline_attr_rejected_by_transport(self):
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><service><pipeline name='a' warp='9'/>"
-                "</service></sensei>"
-            )
 
 
 class TestShardMap:

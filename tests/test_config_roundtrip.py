@@ -1,11 +1,10 @@
 """One attribute reader, one header codec — both derived from the
-config dataclasses, so a field declared once is parsed and recorded."""
+config dataclasses, so a field declared once is read and recorded."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +13,14 @@ from hypothesis import strategies as st
 from repro.control.governors import FlowBounds
 from repro.control.plan import ControlConfig, GovernorSetting
 from repro.errors import ConfigError, TraceFormatError
-from repro.sensei.xml_config import parse_document
+from repro.sensei.xml_config import parse_xml
 from repro.service.plan import PipelineSpec, ServiceConfig
 from repro.trace.configs import decode_config, encode_config
 from repro.transport.channel import FaultSpec
 from repro.transport.config import TransportConfig
 from repro.transport.partition import available_partitioners
 from repro.transport.retry import RetryPolicy
-from repro.units import KiB
-from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
+from repro.xmlattrs import parse_bool, read_attrs
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -174,39 +172,16 @@ class TestHeaderCodec:
         assert err.value.details["section"] == "Throwaway"
 
 
-# -- the XML side ----------------------------------------------------------------
-
-#: RetryPolicy fields the <transport> element does not expose.
-_HIDDEN_RETRY = ("backoff_base", "backoff_factor", "backoff_max", "jitter")
+# -- the attribute side ----------------------------------------------------------
 
 
-def transport_attrs(t: TransportConfig) -> dict[str, str]:
-    out = {
-        f.name: repr(getattr(t, f.name))
-        for f in dataclasses.fields(t) if f.name not in ("retry", "faults")
-    }
-    out.update(compression=t.compression, partitioner=t.partitioner)
-    out.update(retries=repr(t.retry.max_retries))
-    for f in dataclasses.fields(t.faults):
-        out[f.name] = repr(getattr(t.faults, f.name))
-    # Dividing by a power of two is exact, so the KiB spelling is lossless.
-    out["congestion_kib"] = repr(int(out.pop("congestion_bytes")) / KiB)
-    return out
-
-
-def _exposed(t: TransportConfig) -> TransportConfig:
-    """``t`` with the XML-hidden retry fields at their defaults."""
-    return dataclasses.replace(
-        t, retry=RetryPolicy(max_retries=t.retry.max_retries)
-    )
+def _analysis(attrs: dict[str, str]) -> list:
+    """Parse one ``<analysis type="t">`` element carrying ``attrs``."""
+    body = " ".join(f'{k}="{v}"' for k, v in attrs.items())
+    return parse_xml(f'<sensei><analysis type="t" {body}/></sensei>')
 
 
 class TestAttributeReader:
-    @settings(**SETTINGS)
-    @given(config=transports)
-    def test_transport_element_reads_back_every_exposed_field(self, config):
-        assert TransportConfig.from_xml_attrs(transport_attrs(config)) == _exposed(config)
-
     @settings(**SETTINGS)
     @given(config=controls())
     def test_control_element_reads_back_every_field(self, config):
@@ -220,54 +195,18 @@ class TestAttributeReader:
                 for f in dataclasses.fields(FlowBounds)}
         assert ControlConfig.from_xml_attrs(attrs, flow_attrs=flow) == config
 
-    @settings(**SETTINGS)
-    @given(config=services())
-    def test_service_element_reads_back_every_exposed_field(self, config):
-        elem = ET.Element("service", {
-            f.name: repr(getattr(config, f.name))
-            for f in dataclasses.fields(config) if f.name != "pipelines"
-        })
-        expected = []
-        for spec in config.pipelines:
-            attrs = transport_attrs(
-                dataclasses.replace(spec.transport, partitioner=spec.partitioner)
-            )
-            attrs.update(name=spec.name, mesh=spec.mesh, weight=repr(spec.weight),
-                         shard_size=repr(spec.shard_size),
-                         collective="yes" if spec.collective else "off")
-            if spec.ranks is not None:
-                attrs["ranks"] = ",".join(map(str, spec.ranks))
-            ET.SubElement(elem, "pipeline", attrs)
-            # <pipeline> exposes neither producer_weights nor the hidden
-            # retry fields; its partitioner is the transport's.
-            expected.append(dataclasses.replace(
-                spec, producer_weights=None, transport=_exposed(dataclasses.replace(
-                    spec.transport, partitioner=spec.partitioner,
-                )),
-            ))
-        assert ServiceConfig.from_xml_element(elem) == dataclasses.replace(
-            config, pipelines=tuple(expected)
-        )
-
     @pytest.mark.parametrize("raw,value", [
         ("1", True), ("true", True), (" Yes ", True), ("ON", True),
         ("0", False), ("False", False), ("no", False), ("off", False),
     ])
     def test_one_boolean_vocabulary_everywhere(self, raw, value):
         assert parse_bool(raw) is value
-        assert TransportConfig.from_xml_attrs({"pipelined": raw}).pipelined is value
-        doc = parse_document(
-            f'<sensei><service><pipeline name="p" collective="{raw}"/></service>'
-            f'<analysis type="histogram" enabled="{raw}"/></sensei>'
-        )
-        assert doc.service.pipelines[0].collective is value
-        assert doc.analyses[0].enabled is value
+        assert GovernorSetting.parse(raw).enabled is value
+        assert _analysis({"enabled": raw})[0].enabled is value
 
     @pytest.mark.parametrize("build,element,attribute", [
-        (TransportConfig.from_xml_attrs, "<transport>", "no_such_knob"),
         (ControlConfig.from_xml_attrs, "<control>", "no_such_knob"),
         (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "no_such_knob"),
-        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "no_such_knob"),
         # Attributes ``<control>`` once had: an old config fails loudly.
         *((ControlConfig.from_xml_attrs, "<control>", gone) for gone in (
             "enabled", "mode_low", "mode_high", "codec_margin", "overload",
@@ -281,14 +220,10 @@ class TestAttributeReader:
         assert element in str(err.value) and attribute in str(err.value)
 
     @pytest.mark.parametrize("build,element,attribute", [
-        (TransportConfig.from_xml_attrs, "<transport>", "max_inflight"),
-        (TransportConfig.from_xml_attrs, "<transport>", "chunk_kib"),
-        (TransportConfig.from_xml_attrs, "<transport>", "retries"),
         (ControlConfig.from_xml_attrs, "<control>", "interval"),
         (ControlConfig.from_xml_attrs, "<control>", "seed"),
         (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "max_chunk"),
-        (lambda a: ServiceConfig.from_xml_element(ET.Element("service", a)), "<service>", "skew"),
-        (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "ranks"),
+        (_analysis, "<analysis type='t'>", "frequency"),
     ])
     def test_bad_number_names_element_and_attribute(self, build, element, attribute):
         with pytest.raises(ConfigError) as err:
@@ -296,26 +231,12 @@ class TestAttributeReader:
         assert element in str(err.value) and repr(attribute) in str(err.value)
         assert "'many'" in str(err.value)
 
-    @pytest.mark.parametrize("build,element,attribute", [
-        (TransportConfig.from_xml_attrs, "<transport>", "pipelined"),
-        (lambda a: ServiceConfig._parse_pipeline({"name": "p", **a}), "<pipeline name='p'>", "collective"),
-    ])
-    def test_bad_boolean_names_element_and_attribute(self, build, element, attribute):
+    def test_bad_boolean_names_element_and_attribute(self):
         with pytest.raises(ConfigError) as err:
-            build({attribute: "maybe"})
-        assert element in str(err.value) and repr(attribute) in str(err.value)
-        assert "boolean" in str(err.value)
+            _analysis({"enabled": "maybe"})
+        assert "<analysis type='t'>" in str(err.value)
+        assert "'enabled'" in str(err.value) and "boolean" in str(err.value)
 
     def test_bad_governor_setting_names_element_and_attribute(self):
         with pytest.raises(ConfigError, match="<control>: attribute 'codec'.*on/off/freeze"):
             ControlConfig.from_xml_attrs({"codec": "maybe"})
-
-    def test_renamed_fields_have_no_attribute_of_their_own_name(self):
-        for hidden in ("max_retries", "congestion_bytes", *_HIDDEN_RETRY):
-            with pytest.raises(ConfigError, match="unknown attribute"):
-                TransportConfig.from_xml_attrs({hidden: "1"})
-        # chunk_kib wins; a chunk_bytes beside it is left over, so reported.
-        with pytest.raises(ConfigError, match="chunk_bytes"):
-            TransportConfig.from_xml_attrs({"chunk_kib": "4", "chunk_bytes": "9"})
-        assert TransportConfig.from_xml_attrs({"chunk_bytes": "9"}).chunk_bytes == 9
-        reject_unknown("<x>", {})

@@ -1,11 +1,10 @@
-"""TransportConfig, XML parsing, and metrics tests."""
+"""TransportConfig and metrics tests."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sensei.xml_config import parse_document, parse_xml
 from repro.transport.channel import FaultSpec
 from repro.transport.config import TransportConfig
 from repro.transport.metrics import (
@@ -14,7 +13,6 @@ from repro.transport.metrics import (
     reset_transport_timelines,
     transport_timelines,
 )
-from repro.units import KiB
 
 
 class TestTransportConfig:
@@ -43,94 +41,6 @@ class TestTransportConfig:
         cfg = TransportConfig().with_faults(drop=0.2, seed=7)
         assert cfg.faults == FaultSpec(drop=0.2, seed=7)
         assert cfg.compression == "none"
-
-
-class TestFromXmlAttrs:
-    def test_full_attribute_set(self):
-        cfg = TransportConfig.from_xml_attrs(
-            {
-                "compression": "zlib",
-                "chunk_kib": "16",
-                "max_inflight": "4",
-                "retries": "3",
-                "partitioner": "cyclic",
-                "drop": "0.1",
-                "duplicate": "0.05",
-                "seed": "42",
-            }
-        )
-        assert cfg.compression == "zlib"
-        assert cfg.chunk_bytes == 16 * KiB
-        assert cfg.max_inflight == 4
-        assert cfg.retry.max_retries == 3
-        assert cfg.partitioner == "cyclic"
-        assert cfg.faults == FaultSpec(drop=0.1, duplicate=0.05, seed=42)
-
-    def test_unknown_attr_rejected(self):
-        with pytest.raises(ConfigError):
-            TransportConfig.from_xml_attrs({"compresion": "zlib"})
-
-    @pytest.mark.parametrize("gone", ["ack_timeout", "recv_timeout"])
-    def test_removed_wall_clock_attrs_are_unknown(self, gone):
-        """Gone, not silently ignored."""
-        with pytest.raises(ConfigError, match="unknown attribute"):
-            TransportConfig.from_xml_attrs({gone: "0.1"})
-
-    def test_bad_number_rejected(self):
-        with pytest.raises(ConfigError):
-            TransportConfig.from_xml_attrs({"max_inflight": "many"})
-
-
-class TestXmlDocument:
-    XML = """
-    <sensei>
-      <transport compression="zlib" partitioner="weighted" drop="0.2"/>
-      <analysis type="histogram" mesh="bodies" array="mass" bins="64"/>
-    </sensei>
-    """
-
-    def test_parse_document_returns_transport(self):
-        doc = parse_document(self.XML)
-        assert doc.transport is not None
-        assert doc.transport.compression == "zlib"
-        assert doc.transport.partitioner == "weighted"
-        assert doc.transport.faults.drop == 0.2
-        assert len(doc.analyses) == 1
-        assert doc.analyses[0].type == "histogram"
-
-    def test_parse_xml_stays_compatible(self):
-        cfgs = parse_xml(self.XML)
-        assert [c.type for c in cfgs] == ["histogram"]
-
-    def test_no_transport_element_is_none(self):
-        doc = parse_document("<sensei><analysis type='x'/></sensei>")
-        assert doc.transport is None
-
-    def test_two_transport_elements_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_document(
-                "<sensei><transport/><transport/></sensei>"
-            )
-
-    def test_other_elements_still_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_document("<sensei><backend type='x'/></sensei>")
-
-    def test_configurable_analysis_exposes_transport(self):
-        from repro.sensei.configurable import ConfigurableAnalysis
-
-        ca = ConfigurableAnalysis(xml=self.XML)
-        assert ca.transport is not None
-        assert ca.transport.compression == "zlib"
-        assert len(ca.children) == 1
-
-    def test_configurable_analysis_without_transport(self):
-        from repro.sensei.configurable import ConfigurableAnalysis
-
-        ca = ConfigurableAnalysis(
-            xml="<sensei><analysis type='histogram' mesh='m' array='a'/></sensei>"
-        )
-        assert ca.transport is None
 
 
 class TestMetrics:

@@ -7,8 +7,8 @@ per-rank shards in pooled device buffers, ghost rows shipped through
 the reliable transport channel every step.  A cost hotspot on the
 first rows skews the charged load; the
 :class:`~repro.control.repartition.RepartitionGovernor` sees the skew
-in the allreduced busy vector and re-cuts the partition with the
-``chain`` partitioner, shipping shards over the same channel.  The
+in the allreduced busy vector and re-cuts the partition with its
+weighted ``chain`` cut, shipping shards over the same channel.  The
 identical physics then runs a second time with the governor disabled
 to show what the rebalance bought.
 

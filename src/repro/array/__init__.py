@@ -2,8 +2,8 @@
 
 A :class:`DistributedArray` gives SPMD ranks a single global-index
 view (HDArray-style) over per-rank shards held in pooled
-:mod:`repro.hamr` buffers, partitioned by the transport plane's
-block/cyclic/weighted/chain partitioners.  Ghost regions move through
+:mod:`repro.hamr` buffers, laid out in ``block`` or ``cyclic``
+ownership (:class:`ArrayPartition`).  Ghost regions move through
 the reliable transport channel (:class:`HaloExchanger`), and the
 control plane's :class:`~repro.control.repartition.RepartitionGovernor`
 — driven by :class:`ArrayCoordinator` — re-cuts the partition when

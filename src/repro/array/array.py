@@ -151,7 +151,6 @@ class DistributedArray:
         dtype=np.float64,
         partitioner: str = "block",
         block_rows: int | None = None,
-        weights: Sequence[float] | None = None,
         halo: int = 0,
         device_id: int | None = None,
         name: str = "array",
@@ -161,7 +160,6 @@ class DistributedArray:
             length, comm.size,
             partitioner=partitioner,
             block_rows=block_rows,
-            weights=weights,
         )
         return cls(
             comm, partition, dtype=dtype, halo=halo,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
+from repro.control.plan import ControlConfig, ControlPlane
 from repro.control.repartition import RepartitionGovernor
 from repro.control.rounds import coordination_round
 
@@ -57,7 +57,7 @@ class ArrayCoordinator:
             if interval < 1:
                 raise ValueError(f"interval must be >= 1: {interval}")
             plane = ControlPlane(ControlConfig(
-                interval=int(interval), repartition=GovernorSetting(),
+                interval=int(interval), repartition=True,
             ))
         self.array = array
         self.exchanger = exchanger

@@ -123,11 +123,6 @@ class HaloExchanger:
         self._closed = False
 
     # -- flow management --------------------------------------------------------
-    @property
-    def drops_recovered(self) -> int:
-        """Chunk losses recovered across this exchanger's send flows."""
-        return self.flows.sender_totals()["drops_recovered"]
-
     def _next_round(self, peer: int, kind: str) -> int:
         key = (peer, kind)
         self._rounds[key] = self._rounds.get(key, 0) + 1

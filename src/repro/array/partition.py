@@ -2,11 +2,12 @@
 
 An :class:`ArrayPartition` splits a 1-D global index space into
 fixed-size *blocks* (the unit of ownership, migration, and cost
-accounting) and assigns blocks to ranks through the transport plane's
-pluggable partitioners (``block`` / ``cyclic`` / ``weighted`` /
-``chain``).  The partition is a pure value, computed identically on
-every rank from the same inputs — ownership questions never need
-communication.
+accounting) and assigns blocks to ranks: initially in contiguous
+``block`` ranges or round-robin (``cyclic``), later in whatever layout
+a repartition installs (the repartition governor's chain re-cut,
+:func:`~repro.control.repartition.chain_owners`).  The partition is a pure
+value, computed identically on every rank from the same inputs —
+ownership questions never need communication.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ArrayError
-from repro.transport.partition import get_partitioner
+from repro.mpi.partition import block_owners, cyclic_owners
 
 __all__ = ["ArrayPartition"]
+
+#: The initial layouts ``partitioner=`` names.
+_LAYOUTS = {"block": block_owners, "cyclic": cyclic_owners}
 
 
 class ArrayPartition:
@@ -25,7 +29,8 @@ class ArrayPartition:
     ``block_rows`` is the ownership granularity: repartitioning moves
     whole blocks, so more blocks per rank means finer load balancing
     at the price of more halo edges.  The default gives each rank
-    about four blocks.
+    about four blocks.  ``partitioner`` names the initial layout
+    (``block`` or ``cyclic``); ``owners`` gives one explicitly.
     """
 
     def __init__(
@@ -34,9 +39,14 @@ class ArrayPartition:
         ranks: int,
         partitioner: str = "block",
         block_rows: int | None = None,
-        weights: Sequence[float] | None = None,
         owners: Sequence[int] | None = None,
     ):
+        if partitioner not in _LAYOUTS:
+            raise ArrayError(
+                f"unknown initial layout {partitioner!r}; available: "
+                f"{', '.join(sorted(_LAYOUTS))}",
+                details={"partitioner": partitioner},
+            )
         if length < 1:
             raise ArrayError(f"array length must be >= 1: {length}")
         if ranks < 1:
@@ -61,10 +71,7 @@ class ArrayPartition:
         self.nblocks = int(nblocks)
         self.partitioner = str(partitioner)
         if owners is None:
-            owners = get_partitioner(partitioner).assign(
-                nblocks, ranks,
-                list(weights) if weights is not None else None,
-            )
+            owners = _LAYOUTS[partitioner](nblocks, ranks)
         owners = tuple(int(o) for o in owners)
         if len(owners) != nblocks:
             raise ArrayError(

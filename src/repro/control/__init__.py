@@ -41,7 +41,7 @@ Each class's docstring has the detail; ``quota``/``shard`` and
 A :class:`~repro.control.plan.ControlPlane` owns the governors and the
 decision log; every decision is also mirrored to the trace recorder.
 Configuration is a :class:`~repro.control.plan.ControlConfig` with
-per-governor on/off/freeze, built directly or from a string dict by
+one on/off ``bool`` per governor, built directly or from a string dict by
 :meth:`~repro.control.plan.ControlConfig.from_xml_attrs`.  With no
 control plane attached, behavior is bit-identical to the static
 configuration.
@@ -57,7 +57,7 @@ from repro.control.governors import (
     PlacementGovernor,
     PoolTrimGovernor,
 )
-from repro.control.plan import ControlConfig, ControlPlane, GovernorSetting
+from repro.control.plan import ControlConfig, ControlPlane
 from repro.control.policy import EWMA, Hysteresis, SkewGate
 from repro.control.quota import QuotaGovernor, ShardGovernor
 from repro.control.repartition import RepartitionGovernor
@@ -74,7 +74,6 @@ __all__ = [
     "FlowBounds",
     "FlowGovernor",
     "Governor",
-    "GovernorSetting",
     "Hysteresis",
     "PlacementGovernor",
     "PoolTrimGovernor",

@@ -3,10 +3,9 @@
 Each governor closes one loop: it digests observations through the
 primitives in :mod:`repro.control.policy` and, when the evidence says
 the current setting is wrong, pushes a new one through a narrow
-*actuator* callable.  A frozen governor keeps observing and logging
-decisions but never actuates — the per-governor ``freeze`` setting of
-:class:`~repro.control.plan.ControlConfig`, useful for dry-running a
-policy against a production configuration.
+*actuator* callable.  Each is switched on or off as a whole by its
+:class:`~repro.control.plan.ControlConfig` boolean: a governor that
+exists acts.
 
 Every governor speaks one protocol — ``observe(<its signals>)`` then
 ``decide(step, t=None) -> list[Decision]`` — and declares, as class
@@ -53,10 +52,11 @@ __all__ = [
 class Decision:
     """One governor verdict, logged whether or not it was applied.
 
-    ``applied`` is False when the governor is frozen (observe-only) or
-    has no actuator; ``args`` carries the structured context in the
-    same sorted ``(key, value)`` tuple format the analysis findings
-    use, so decision logs and lint/sanitizer reports line up.
+    ``applied`` is False when the governor has no actuator, and for
+    findings that change nothing (placement's crowding report);
+    ``args`` carries the structured context in the same sorted
+    ``(key, value)`` tuple format the analysis findings use, so
+    decision logs and lint/sanitizer reports line up.
     """
 
     governor: str
@@ -84,7 +84,7 @@ class Decision:
 
 
 class Governor:
-    """Base class: the protocol, freeze plumbing, self-description.
+    """Base class: the protocol, actuation, self-description.
 
     A subclass sets ``name`` (the ``Decision.governor`` it logs under)
     and overrides the class attributes below where the defaults do not
@@ -93,8 +93,8 @@ class Governor:
     """
 
     name = "governor"
-    #: ``ControlConfig`` field (a ``GovernorSetting``) switching this
-    #: governor on/freeze/off; None means the field named ``name``.
+    #: ``ControlConfig`` boolean switching this governor on or off;
+    #: None means the field named ``name``.
     switch: str | None = None
     #: True when a trace replay re-executes the path driving this
     #: governor, so its decisions are regenerated rather than re-injected.
@@ -117,17 +117,12 @@ class Governor:
         """The class logging as ``name``; this base class when unknown."""
         return next((k for k in cls.kinds() if k.name == name), cls)
 
-    def __init__(
-        self,
-        actuator: Callable | None = None,
-        frozen: bool = False,
-    ):
+    def __init__(self, actuator: Callable | None = None):
         self.actuator = actuator
-        self.frozen = bool(frozen)
 
     def _actuate(self, *args) -> bool:
-        """Push a setting through the actuator; False when frozen."""
-        if self.frozen or self.actuator is None:
+        """Push a setting through the actuator; False without one."""
+        if self.actuator is None:
             return False
         self.actuator(*args)
         return True
@@ -162,7 +157,7 @@ class Governor:
         """Evaluate the loop over the latest signals.
 
         Returns every verdict of this round — empty when the setting
-        should stay — applied through the actuator unless frozen.
+        should stay — applied through the actuator.
         """
         return []
 
@@ -201,9 +196,8 @@ class CodecGovernor(Governor):
         initial: str = "none",
         margin: float = 1.05,
         alpha: float = 0.5,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         self.codecs = tuple(codecs)
         self.current = str(initial)
         self.margin = float(margin)
@@ -328,9 +322,8 @@ class ExecutionModeGovernor(Governor):
         high: float = 0.15,
         alpha: float = 0.5,
         initial: ExecutionMethod = ExecutionMethod.LOCKSTEP,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         self.mode = initial
         self._band = Hysteresis(
             low, high, state=(initial is ExecutionMethod.ASYNCHRONOUS)
@@ -443,9 +436,8 @@ class PlacementGovernor(Governor):
         rank: int = 0,
         base: DevicePlacement | None = None,
         overload: float = 1.30,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         self.rank = int(rank)
         self.placement = base if base is not None else DevicePlacement.auto()
         self.overload = float(overload)
@@ -614,8 +606,8 @@ class PoolTrimGovernor(Governor):
 
     name = "pool"
 
-    def __init__(self, pool, watermark_bytes: int, frozen: bool = False):
-        super().__init__(pool.trim_above, frozen)
+    def __init__(self, pool, watermark_bytes: int):
+        super().__init__(pool.trim_above)
         if watermark_bytes < 0:
             raise ValueError(f"watermark must be >= 0: {watermark_bytes}")
         self.pool = pool
@@ -626,16 +618,13 @@ class PoolTrimGovernor(Governor):
         pooled = self.pool.pooled_bytes
         if pooled <= self.watermark:
             return []
-        freed = 0
-        applied = not self.frozen
-        if applied:
-            freed = self.actuator(self.watermark)
-            self.trimmed_bytes += freed
+        freed = self.actuator(self.watermark)
+        self.trimmed_bytes += freed
         return [self._decision(
             step, t, f"trim {freed} B",
             f"pooled {pooled} B exceeds watermark {self.watermark} B on "
             f"{self.pool.resource.name}",
-            applied,
+            True,
             pooled=pooled,
             watermark=self.watermark,
             freed=freed,
@@ -723,9 +712,8 @@ class FlowGovernor(Governor):
         latency_slack: float = 1.5,
         alpha: float = 0.5,
         cooldown: int = 2,
-        frozen: bool = False,
     ):
-        super().__init__(None, frozen)
+        super().__init__(None)
         self.window_actuator = window_actuator
         self.chunk_actuator = chunk_actuator
         self.bounds = bounds if bounds is not None else FlowBounds()
@@ -848,16 +836,14 @@ class FlowGovernor(Governor):
                     )
         if new_credits == credits and new_chunk == chunk:
             return []
-        applied = not self.frozen
-        if applied:
-            if new_credits != credits and self.window_actuator is not None:
-                self.window_actuator(new_credits)
-            if new_chunk != chunk and self.chunk_actuator is not None:
-                self.chunk_actuator(new_chunk)
-            self.credits, self.chunk_bytes = new_credits, new_chunk
+        if new_credits != credits and self.window_actuator is not None:
+            self.window_actuator(new_credits)
+        if new_chunk != chunk and self.chunk_actuator is not None:
+            self.chunk_actuator(new_chunk)
+        self.credits, self.chunk_bytes = new_credits, new_chunk
         return [self._decision(
             step, t, f"window={new_credits} chunk={new_chunk}",
-            "; ".join(why), applied,
+            "; ".join(why), True,
             previous_window=credits,
             previous_chunk=chunk,
             retry_rate=round(retry_rate, 6),

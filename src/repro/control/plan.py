@@ -13,17 +13,18 @@ string dicts by :meth:`ControlConfig.from_xml_attrs`::
 
     ControlConfig.from_xml_attrs(
         {"seed": "0", "interval": "1", "codec": "on",
-         "execution": "freeze", "placement": "off", "pool": "on",
+         "execution": "on", "placement": "off", "pool": "on",
          "flow": "on", "quota": "off", "repartition": "off"},
         flow_attrs={"min_credits": "1", "max_credits": "64",
                     "min_chunk": "4096", "max_chunk": "262144"},
     )
 
-Each governor switch takes ``on`` (closed loop), ``freeze`` (observe
-and log decisions but never actuate — a dry run), or ``off`` (not even
-created).  ``flow`` defaults to **off** — the transport flow-control
-governor is opt-in, so static ``max_inflight`` / ``chunk_bytes``
-configurations behave exactly as before; ``flow_bounds``
+Each governor switch is a ``bool``, read with the boolean vocabulary
+of every config element (``on``/``off``, ``true``/``false``, …): on
+runs the closed loop, off creates no governor at all.  ``flow``
+defaults to **off** — the transport flow-control governor is opt-in,
+so static ``max_inflight`` / ``chunk_bytes`` configurations behave
+exactly as before; ``flow_bounds``
 (:class:`~repro.control.governors.FlowBounds`, the ``flow_attrs``
 dict) bounds its actuation range (chunk bounds in bytes, stepped on
 power-of-two rungs).
@@ -38,8 +39,8 @@ steps, so every rank applies the same Eq. 1 re-aim on the same step
 (and crowding — several ranks resolved onto one device while another
 idles — is detected and logged); at one rank there is nothing to fold
 and the same governor decides on its own contribution.  The
-``placement`` setting gates the mechanism (``freeze`` joins every round
-and dry-runs the re-aim, ``off`` builds no governor and runs no round).
+``placement`` setting gates the mechanism (off builds no governor and
+runs no round).
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ from repro.hamr.runtime import current_clock
 from repro.sensei.execution import ExecutionMethod
 from repro.svtk.table import TableData
 from repro.transport.wire import SERIALIZE_BANDWIDTH, available_codecs
-from repro.xmlattrs import parse_bool, read_attrs, reject_unknown
+from repro.xmlattrs import read_attrs, reject_unknown
 
 __all__ = [
-    "GovernorSetting",
     "ControlConfig",
     "ControlPlane",
     "payload_nbytes",
@@ -79,54 +79,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GovernorSetting:
-    """Per-governor switch: on (closed loop), freeze (dry run), off."""
-
-    enabled: bool = True
-    frozen: bool = False
-
-    @classmethod
-    def parse(cls, raw: str) -> "GovernorSetting":
-        if str(raw).strip().lower() in ("freeze", "frozen", "observe"):
-            return cls(enabled=True, frozen=True)
-        try:
-            return cls(enabled=parse_bool(raw), frozen=False)
-        except ValueError:
-            raise ConfigError(
-                f"governor setting must be on/off/freeze, got {raw!r}"
-            ) from None
-
-    @property
-    def value(self) -> str:
-        return _VALUES.get(self, "off")
-
-
-_ON = GovernorSetting(True, False)
-_OFF = GovernorSetting(False, False)
-_VALUES = {_ON: "on", GovernorSetting(True, True): "freeze"}
-
-
-@dataclass(frozen=True)
 class ControlConfig:
     """The control plane's switches and cadence (all optional)."""
 
     seed: int = 0
     interval: int = 1          # decide (and fold rounds) every N steps
-    codec: GovernorSetting = field(default_factory=lambda: _ON)
-    execution: GovernorSetting = field(default_factory=lambda: _ON)
-    placement: GovernorSetting = field(default_factory=lambda: _ON)
-    pool: GovernorSetting = field(default_factory=lambda: _ON)
-    flow: GovernorSetting = field(default_factory=lambda: _OFF)
+    codec: bool = True
+    execution: bool = True
+    placement: bool = True
+    pool: bool = True
+    flow: bool = False
     #: Service-plane admission control (per-tenant endpoint quotas plus
     #: shard rebalancing).  Off by default: only ``run_service`` runs
     #: coordination rounds, and only when this is enabled.
-    quota: GovernorSetting = field(default_factory=lambda: _OFF)
+    quota: bool = False
     #: Distributed-array load balancing: the repartition governor
     #: re-cuts block ownership when per-rank busy time or halo traffic
     #: skews (:mod:`repro.array`).  Off by default — only an
     #: :class:`~repro.array.coordinate.ArrayCoordinator` runs its
     #: rounds, and only when this is enabled.
-    repartition: GovernorSetting = field(default_factory=lambda: _OFF)
+    repartition: bool = False
     flow_bounds: FlowBounds = field(default_factory=FlowBounds)
 
     def __post_init__(self):
@@ -261,20 +233,19 @@ class ControlPlane:
         The one place a governor is constructed, for the plane's own
         taps and for the drivers that run their own rounds (the service
         bridge, the array coordinator) alike: ``cls.switch`` names the
-        ``ControlConfig`` setting (off means None is returned, freeze
-        builds it frozen), and ``wiring()`` returns what only the
-        caller knows — the actuator and the target's initial state — and
-        is called only when the governor is actually built, so a
-        switched-off governor never touches its target.  One governor
+        ``ControlConfig`` switch (off means None is returned), and
+        ``wiring()`` returns what only the caller knows — the actuator
+        and the target's initial state — and is called only when the
+        governor is actually built, so a switched-off governor never
+        touches its target.  One governor
         per (class, target), registered in :attr:`governors`.
         """
-        setting = getattr(self.config, cls.switch or cls.name)
-        if not setting.enabled:
+        if not getattr(self.config, cls.switch or cls.name):
             return None
         state = self._target(target)
         gov = state.governors.get(cls.name)
         if gov is None:
-            gov = cls(**wiring(), frozen=setting.frozen)
+            gov = cls(**wiring())
             state.governors[cls.name] = gov
             self.governors.append(gov)
         return gov
@@ -558,19 +529,6 @@ class ControlPlane:
             count = max(1, min(arr.size, nbytes // max(arr.dtype.itemsize, 1)))
             return np.ascontiguousarray(arr[:count]).tobytes()
         return None
-
-    # -- reporting ---------------------------------------------------------------
-    def summary(self) -> dict:
-        """Decision counts and governor states (reporting aid)."""
-        by_governor: dict[str, int] = {}
-        for d in self.decisions:
-            by_governor[d.governor] = by_governor.get(d.governor, 0) + 1
-        return {
-            "observations": self.observations,
-            "decisions": len(self.decisions),
-            "by_governor": by_governor,
-            "governors": [g.name for g in self.governors],
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

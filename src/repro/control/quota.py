@@ -57,9 +57,8 @@ class QuotaGovernor(Governor):
         budget: int,
         actuator=None,
         min_credits: int = 1,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         if budget < 1:
             raise ValueError(f"budget must be >= 1 credit: {budget}")
         if min_credits < 1:
@@ -166,9 +165,8 @@ class ShardGovernor(Governor):
         actuator=None,
         skew: float = 1.5,
         cooldown: int = 2,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         if endpoints < 1:
             raise ValueError(f"endpoints must be >= 1: {endpoints}")
         self.endpoints = int(endpoints)

@@ -2,9 +2,9 @@
 
 Closes the load-balance loop for :mod:`repro.array`: when per-rank
 busy time (or per-rank halo traffic) skews past a threshold, the
-partition is re-cut with the ``chain`` partitioner using measured
-per-block costs as weights — contiguous spans, so the new layout keeps
-halo surfaces minimal while evening out the summed cost per rank.
+partition is re-cut by :func:`chain_owners` using measured per-block
+costs as weights — contiguous spans, so the new layout keeps halo
+surfaces minimal while evening out the summed cost per rank.
 
 Like the service plane's quota/shard governors, this governor measures
 nothing itself: :class:`repro.array.coordinate.ArrayCoordinator`
@@ -25,9 +25,47 @@ from typing import Sequence
 
 from repro.control.governors import Decision, Governor
 from repro.control.policy import SkewGate
-from repro.transport.partition import get_partitioner
 
-__all__ = ["RepartitionGovernor"]
+__all__ = ["RepartitionGovernor", "chain_owners"]
+
+
+def chain_owners(weights: Sequence[float], n: int) -> list[int]:
+    """Contiguous spans with near-equal weight sums (chains-on-chains).
+
+    The classic 1-D load-balanced decomposition of ``len(weights)``
+    items over ``n`` ranks: walk the items in index order and cut
+    where the weight prefix sum crosses each rank's fair share, keeping
+    every span non-empty.  Skewed weights shift the cuts so each rank's
+    *summed* weight evens out while spatial adjacency — and therefore
+    minimal halo surface for stencil-like consumers — is preserved.
+    Uniform weights give the block layout
+    (:func:`~repro.mpi.partition.block_owners`) only when ``n`` divides
+    the item count: otherwise the fair-share cuts round differently
+    (3 items over 2 ranks are ``[0, 1, 1]`` here, ``[0, 0, 1]`` in
+    blocks).  The weights must be non-negative with a positive sum.
+    """
+    m = len(weights)
+    if n < 1 or n > m:
+        raise ValueError(f"cannot cut {m} items over {n} ranks")
+    total = float(sum(weights))
+    if any(w < 0 for w in weights) or not total > 0.0:
+        raise ValueError("weights must be non-negative with a positive sum")
+    out = [0] * m
+    acc = 0.0
+    e = 0
+    for p in range(m):
+        if e < n - 1 and p > 0 and out[p - 1] == e:
+            # Forced cut: the items left must still cover one rank
+            # each.  Fair-share cut: the running sum (with half of this
+            # item's weight, so a heavy item lands on whichever side it
+            # overlaps most) crossed this rank's boundary.
+            forced = (m - p) == (n - e)
+            crossed = acc + float(weights[p]) / 2.0 >= (e + 1) * total / n
+            if forced or crossed:
+                e += 1
+        out[p] = e
+        acc += float(weights[p])
+    return out
 
 
 class RepartitionGovernor(Governor):
@@ -48,9 +86,8 @@ class RepartitionGovernor(Governor):
         actuator=None,
         skew: float = 1.25,
         cooldown: int = 2,
-        frozen: bool = False,
     ):
-        super().__init__(actuator, frozen)
+        super().__init__(actuator)
         self.gate = SkewGate(skew, cooldown)
         self._round: tuple | None = None
 
@@ -97,9 +134,7 @@ class RepartitionGovernor(Governor):
             return []
         ranks = len(rank_busy)
         new_owners = tuple(
-            get_partitioner("chain").assign(
-                len(block_costs), ranks, [float(c) for c in block_costs]
-            )
+            chain_owners([float(c) for c in block_costs], ranks)
         )
         moved = sum(1 for a, b in zip(owners, new_owners) if a != b)
         if moved == 0:

@@ -142,15 +142,6 @@ class Timeline:
         with self._lock:
             return list(self._events)
 
-    def busy_time(self, category: EventCategory | None = None) -> float:
-        """Total busy duration, optionally restricted to one category."""
-        with self._lock:
-            return sum(
-                e.duration
-                for e in self._events
-                if category is None or e.category is category
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Timeline({self.name!r}, available_at={self.available_at:.6f}, "

@@ -13,8 +13,6 @@ from repro.errors import SolverError
 
 __all__ = ["Bodies"]
 
-_FIELDS = ("x", "y", "z", "vx", "vy", "vz", "mass")
-
 
 class Bodies:
     """``n`` point masses: positions, velocities, masses, and ids."""
@@ -98,20 +96,6 @@ class Bodies:
             np.concatenate([p.mass for p in parts]),
             np.concatenate([p.ids for p in parts]),
         )
-
-    def copy(self) -> "Bodies":
-        return Bodies(
-            self.x.copy(), self.y.copy(), self.z.copy(),
-            self.vx.copy(), self.vy.copy(), self.vz.copy(),
-            self.mass.copy(), self.ids.copy(),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Total storage, as the zero-copy transfer sees it."""
-        return sum(
-            getattr(self, f).nbytes for f in _FIELDS
-        ) + self.ids.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bodies(n={self.n}, total_mass={self.total_mass:.4g})"

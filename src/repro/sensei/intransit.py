@@ -10,9 +10,9 @@ substrate, complementing the on-node placements:
 - ``M`` simulation ranks produce data; ``N`` endpoint ranks consume it
   (``N < M`` typically — the whole point is concentrating analysis on
   fewer resources);
-- an :class:`InTransitLayout` fixes the M-to-N redistribution through a
-  pluggable partitioner (``block`` — the default, ``cyclic``, or
-  ``weighted``; see :mod:`repro.transport.partition`);
+- an :class:`InTransitLayout` fixes the M-to-N redistribution:
+  contiguous blocks of producers per endpoint, so neighbouring ranks
+  share one (:func:`~repro.service.plan.route_producers`);
 - the simulation side instruments exactly like the in situ case —
   :func:`run_in_transit` hands each producer a
   :class:`~repro.service.router.ServiceBridge`, which has the
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.errors import ExecutionError, MPIError
+from repro.errors import ExecutionError
 from repro.mpi.comm import CommCostModel, Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.transport.config import TransportConfig
@@ -53,18 +53,15 @@ __all__ = ["InTransitLayout", "run_in_transit"]
 
 @dataclass(frozen=True)
 class InTransitLayout:
-    """The M-to-N redistribution map inside one world of ``m + n`` ranks.
+    """The M-to-N shape of one world of ``m + n`` ranks.
 
     World ranks ``[0, m)`` are producers (simulation); ``[m, m + n)``
-    are endpoints (analysis).  ``partitioner`` selects the mapping
-    (``block``, ``cyclic``, ``weighted``); ``weights`` feeds the
-    weighted partitioner one expected payload size per producer.
+    are endpoints (analysis), each serving a contiguous block of
+    producers.
     """
 
     m: int
     n: int
-    partitioner: str = "block"
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -74,32 +71,6 @@ class InTransitLayout:
                 f"more endpoints ({self.n}) than producers ({self.m}) "
                 "defeats the purpose of in transit analysis"
             )
-        try:
-            self._routed()
-        except MPIError as exc:
-            raise ExecutionError(str(exc), details=exc.details) from exc
-
-    def _routed(self) -> dict[int, tuple[int, ...]]:
-        """``{endpoint index: producers}``, asked of the service's one
-        routing function so this map cannot disagree with the router."""
-        from repro.service.plan import PipelineSpec, route_producers
-
-        spec = PipelineSpec(
-            name="layout", partitioner=self.partitioner,
-            producer_weights=self.weights,
-        )
-        return route_producers(spec, range(self.n), range(self.m))
-
-    def is_producer(self, world_rank: int) -> bool:
-        return 0 <= world_rank < self.m
-
-    def endpoint_of(self, producer: int) -> int:
-        """World rank of the endpoint serving ``producer``."""
-        if not self.is_producer(producer):
-            raise ExecutionError(f"rank {producer} is not a producer")
-        return self.m + next(
-            e for e, ps in self._routed().items() if producer in ps
-        )
 
 
 def run_in_transit(
@@ -130,7 +101,7 @@ def run_in_transit(
 
     This is :func:`repro.service.run_service` with a single collective
     pipeline: one tenant named ``mesh_name`` sharded over all ``n``
-    endpoints, carrying the layout's partitioner and weights.  The
+    endpoints, its producers routed in contiguous blocks.  The
     single pipeline occupies tag index 0 (``DATA_TAG``/``ACK_TAG``),
     and admission control stays off unless the control config arms it.
 
@@ -144,8 +115,6 @@ def run_in_transit(
         mesh=mesh_name,
         shard_size=layout.n,
         collective=True,
-        partitioner=layout.partitioner,
-        producer_weights=layout.weights,
         transport=transport if transport is not None else TransportConfig(),
     )
     return run_service(

@@ -3,8 +3,8 @@
 The classic in-transit mode (:mod:`repro.sensei.intransit`) couples one
 simulation to one analysis pipeline over dedicated endpoints.  At
 facility scale the endpoints are a *service*: M producer ranks feed
-many named pipelines — each with its own analyses, partitioner, and
-transport tuning — multiplexed over N shared endpoint ranks.  This
+many named pipelines — each with its own analyses and transport
+tuning — multiplexed over N shared endpoint ranks.  This
 package provides that plane on the simulated substrate:
 
 - :class:`~repro.service.plan.PipelineSpec` /

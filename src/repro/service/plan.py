@@ -1,9 +1,9 @@
 """Service-plane configuration: pipelines, shards, and routing.
 
 A *pipeline* is one tenant of the in-transit service: a named stream
-of tables with its own analysis factory, partitioner, and transport
-configuration.  A :class:`ServiceConfig` declares the pipeline set
-plus the admission-control knobs; :class:`PipelineRegistry` binds each
+of tables with its own analysis factory and transport configuration.
+A :class:`ServiceConfig` declares the pipeline set plus the
+admission-control knobs; :class:`PipelineRegistry` binds each
 pipeline name to the analysis factory its endpoints instantiate; a
 :class:`ShardMap` holds the live (mutable, replicated) assignment of
 pipelines to endpoint shards that the
@@ -12,7 +12,7 @@ boundaries.
 
 The transport of each tenant is its :class:`PipelineSpec`'s own
 :class:`~repro.transport.config.TransportConfig`; its producers are
-routed by ``PipelineSpec.partitioner``.
+routed over its shard in contiguous blocks (:func:`route_producers`).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigError
+from repro.mpi.partition import block_owners
 from repro.transport.config import TransportConfig
 from repro.transport.flows import pipeline_tags
-from repro.transport.partition import get_partitioner
 
 __all__ = [
     "PipelineSpec",
@@ -41,9 +41,7 @@ class PipelineSpec:
     the pipeline name); ``weight`` its share in the quota governor's
     weighted-fair split; ``shard_size`` how many endpoints its traffic
     spreads over; ``ranks`` an optional subset of producer ranks that
-    feed it (None: every producer).  ``partitioner`` maps the
-    pipeline's producers over its current shard;
-    ``producer_weights`` feeds the ``weighted`` partitioner.
+    feed it (None: every producer).
 
     ``collective=True`` initializes the pipeline's analyses with the
     full endpoint sub-communicator so reductions span every endpoint —
@@ -58,8 +56,6 @@ class PipelineSpec:
     mesh: str = ""
     weight: float = 1.0
     shard_size: int = 1
-    partitioner: str = "block"
-    producer_weights: tuple[float, ...] | None = None
     ranks: tuple[int, ...] | None = None
     collective: bool = False
     transport: TransportConfig = field(default_factory=TransportConfig)
@@ -197,10 +193,6 @@ class PipelineRegistry:
         self._factories[str(name)] = factory
         return factory
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._factories))
-
     def factory_for(self, name: str) -> Callable:
         return self._factories.get(name, tuple)
 
@@ -215,20 +207,22 @@ def route_producers(
 ) -> dict[int, tuple[int, ...]]:
     """Assign a pipeline's producers over its shard's endpoints.
 
-    Pure function of ``(spec, shard, producers)`` so every rank —
-    producer or endpoint — derives the identical mapping from the
-    replicated shard state.  Returns ``{endpoint_index: (producer
-    ranks...)}`` covering exactly the shard.  A pipeline with fewer
+    Pure function of ``(shard, producers)`` so every rank — producer
+    or endpoint — derives the identical mapping from the replicated
+    shard state; every pipeline routes the same way, so ``spec`` only
+    names whose producers these are.  Returns ``{endpoint_index:
+    (producer ranks...)}`` covering exactly the shard: contiguous
+    blocks of producers, in order
+    (:func:`~repro.mpi.partition.block_owners`).  A pipeline with fewer
     producers than endpoints routes over the shard's lowest-indexed
     endpoints; the rest receive an empty member tuple.
     """
     routed: dict[int, list[int]] = {e: [] for e in shard}
     if producers:
         active = tuple(shard)[:min(len(shard), len(producers))]
-        assignment = get_partitioner(spec.partitioner).assign(
-            len(producers), len(active), spec.producer_weights
-        )
-        for p, slot in zip(producers, assignment):
+        for p, slot in zip(
+            producers, block_owners(len(producers), len(active))
+        ):
             routed[active[slot]].append(p)
     return {e: tuple(sorted(ps)) for e, ps in sorted(routed.items())}
 

@@ -386,7 +386,3 @@ class ServiceBridge:
         if self.router is None:
             raise ExecutionError("initialize the service bridge first")
         return self.router.pipeline_metrics(name)
-
-    @property
-    def total_apparent_time(self) -> float:
-        return sum(self.step_costs)

@@ -188,14 +188,6 @@ class ServiceEndpoint:
         return sum(self.pipeline_steps.values())
 
     @property
-    def producers(self) -> list[int]:
-        """Producer world ranks initially routed to this endpoint."""
-        out: set[int] = set()
-        for members in self._initial_members.values():
-            out.update(members)
-        return sorted(out)
-
-    @property
     def receiver_metrics(self) -> dict:
         return {key: r.metrics for key, r in sorted(self.receivers.items())}
 

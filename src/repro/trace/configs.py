@@ -8,11 +8,12 @@ interconnect cost model, and the control-plane configuration.
 The codec walks the config dataclasses' own fields and declared types,
 so a field added to any of them is recorded and replayed with no edit
 here.  A nested dataclass becomes a nested mapping, ``tuple[X, ...]`` a
-list, ``X | None`` passes ``None`` through, a type that round-trips
-through text (``parse(text)`` classmethod plus ``.value``, e.g.
-``GovernorSetting``) its text, and scalars are coerced to the declared
-type on encode so ``weight=8`` and ``weight=8.0`` record the same
-bytes.  ``encode(decode(x)) == encode(x)`` exactly — the property the
+list, ``X | None`` passes ``None`` through, and scalars are coerced to
+the declared type on encode so ``weight=8`` and ``weight=8.0`` record
+the same bytes (and a governor switch a JSON ``true``/``false``).  On
+decode a scalar must already have its field's JSON type — ``"on"`` or
+``"maybe"`` for a ``bool`` is a malformed header, not a truthy string.
+``encode(decode(x)) == encode(x)`` exactly — the property the
 record→replay→re-record fixpoint rests on.
 """
 
@@ -41,6 +42,10 @@ _SECTIONS = {
     PipelineSpec: "pipeline",
 }
 
+#: The JSON values a scalar field of each declared type decodes from
+#: (``bool`` is an ``int`` to Python, so it is refused separately).
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
 
 def encode_config(config, tp=None):
     """The JSON-ready form of a config (``tp``: the declared type of a
@@ -48,8 +53,6 @@ def encode_config(config, tp=None):
     if config is None:
         return None
     tp, _optional = strip_optional(tp or type(config))
-    if hasattr(tp, "parse"):
-        return config.value
     if dataclasses.is_dataclass(tp):
         hints = get_type_hints(tp)
         return {
@@ -72,17 +75,21 @@ def decode_config(tp, payload, section: str | None = None):
     tp, optional = strip_optional(tp)
     if optional and payload is None:
         return None
-    if hasattr(tp, "parse"):
-        return tp.parse(payload)
     if dataclasses.is_dataclass(tp):
         section = _SECTIONS.get(tp) or section or tp.__name__
         hints = get_type_hints(tp)
+
+        def field(key, raw):
+            try:
+                return decode_config(hints[key], raw, section)
+            except TypeError as exc:
+                raise TypeError(f"{key}: {exc}") from None
+
         try:
             # Unknown keys go to the constructor untouched, which
             # rejects them; the except below makes that structured.
             return tp(**{
-                key: decode_config(hints[key], raw, section)
-                if key in hints else raw
+                key: field(key, raw) if key in hints else raw
                 for key, raw in dict(payload).items()
             })
         except TraceFormatError:
@@ -95,4 +102,9 @@ def decode_config(tp, payload, section: str | None = None):
     if get_origin(tp) is tuple:
         item = get_args(tp)[0]
         return tuple(decode_config(item, raw, section) for raw in payload)
+    allowed = _JSON_TYPES.get(tp, object)
+    if not isinstance(payload, allowed) or (
+        isinstance(payload, bool) and tp is not bool
+    ):
+        raise TypeError(f"expected {tp.__name__}, got {payload!r}")
     return payload

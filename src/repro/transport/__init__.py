@@ -18,8 +18,6 @@ package is the transport plane under :mod:`repro.sensei.intransit`:
 - :mod:`repro.transport.flow` — bounded, run-time *resizable*
   in-flight credit window so producers backpressure instead of
   queueing unboundedly (the flow-control governor's actuator);
-- :mod:`repro.transport.partition` — M-to-N partitioners (``block``,
-  ``cyclic``, ``weighted``);
 - :mod:`repro.transport.metrics` — per-endpoint transport counters
   recorded as :class:`~repro.hw.clock.TimedEvent`\\ s for the
   Chrome-trace export;
@@ -39,7 +37,6 @@ from repro.transport.config import TransportConfig
 from repro.transport.flow import CreditWindow
 from repro.transport.flows import FlowTable
 from repro.transport.metrics import TransportMetrics
-from repro.transport.partition import available_partitioners, get_partitioner
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import (
     Chunk,
@@ -63,9 +60,7 @@ __all__ = [
     "TransportConfig",
     "TransportMetrics",
     "available_codecs",
-    "available_partitioners",
     "decode_step",
     "encode_step",
     "get_codec",
-    "get_partitioner",
 ]

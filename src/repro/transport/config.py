@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.transport.channel import FaultSpec
-from repro.transport.partition import available_partitioners
 from repro.transport.retry import RetryPolicy
 from repro.transport.wire import DEFAULT_CHUNK_BYTES, available_codecs
 
@@ -32,7 +31,6 @@ class TransportConfig:
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     max_inflight: int = 8
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    partitioner: str = "block"
     faults: FaultSpec = field(default_factory=FaultSpec)
     #: Pipelined wire-cost model: the sender charges each chunk
     #: ``latency / in_flight + bytes / bandwidth``, so a deeper credit
@@ -50,11 +48,6 @@ class TransportConfig:
                 f"unknown codec {self.compression!r}; available: "
                 f"{', '.join(available_codecs())} (or 'adaptive' to let "
                 "the control plane's codec governor choose per endpoint)"
-            )
-        if self.partitioner not in available_partitioners():
-            raise ConfigError(
-                f"unknown partitioner {self.partitioner!r}; available: "
-                f"{', '.join(available_partitioners())}"
             )
         if self.chunk_bytes < 1:
             raise ConfigError(f"chunk_bytes must be >= 1: {self.chunk_bytes}")

@@ -13,8 +13,11 @@ trace-header entry, see :mod:`repro.trace.configs`) follow from it.
 Scalar vocabulary, identical for every element: ``int`` and ``float``
 literals; booleans ``1/true/yes/on`` and ``0/false/no/off``; lists
 ``"0,2,5"`` / ``"x, y"``; and any type with a ``parse(text)``
-classmethod (``GovernorSetting``: ``on/off/freeze``).  Every failure is a
-:class:`~repro.errors.ConfigError` naming the element and attribute.
+classmethod (an enum such as ``BinningStrategy``).  The control
+plane's governor switches are plain ``bool`` fields, so ``freeze`` or
+any other word outside the boolean vocabulary is an error.  Every
+failure is a :class:`~repro.errors.ConfigError` naming the element and
+attribute.
 """
 
 from __future__ import annotations

@@ -59,6 +59,13 @@ class TestValidation:
         with pytest.raises(ArrayError):
             ArrayPartition(10, 4, block_rows=8)
 
+    @pytest.mark.parametrize("layout", ["weighted", "chain", "hilbert"])
+    def test_rejects_unknown_initial_layout(self, layout):
+        """Only ``block`` and ``cyclic`` name an initial layout; any
+        other owner map is given as ``owners=``."""
+        with pytest.raises(ArrayError, match="unknown initial layout"):
+            ArrayPartition(64, 2, block_rows=16, partitioner=layout)
+
     def test_rejects_wrong_owner_count(self):
         with pytest.raises(ArrayError):
             ArrayPartition(64, 2, block_rows=16, owners=(0, 1))

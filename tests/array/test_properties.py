@@ -1,7 +1,7 @@
 """Property tests: the distributed array vs a dense numpy reference.
 
 Hypothesis drives arbitrary shapes (length, block granularity, rank
-count, partitioner, halo width 0-3) and arbitrary programs of global
+count, layout, halo width 0-3) and arbitrary programs of global
 slice/scalar assignments.  Every rank applies the identical program
 SPMD-style; the result must match the same program applied to one
 dense numpy array — reads, reductions, and ghost neighborhoods alike.
@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.array import DistributedArray, HaloExchanger
+from repro.array import ArrayPartition, DistributedArray, HaloExchanger
 from repro.mpi import run_spmd
-
-PARTITIONERS = ("block", "cyclic", "weighted")
 
 
 @st.composite
@@ -29,16 +27,16 @@ def geometries(draw):
         # Floor division guarantees ceil(length / block_rows) >= ranks.
         block_rows = max(1, length // ranks)
         nblocks = -(-length // block_rows)
-    partitioner = draw(st.sampled_from(PARTITIONERS))
-    weights = None
-    if partitioner == "weighted":
-        weights = draw(
-            st.lists(
-                st.floats(0.1, 10.0), min_size=nblocks, max_size=nblocks
-            )
-        )
+    # The two initial layouts, or any owner map at all: non-contiguous,
+    # unbalanced, ranks owning nothing (what a repartition may install).
+    layout = draw(st.one_of(
+        st.sampled_from(("block", "cyclic")),
+        st.lists(
+            st.integers(0, ranks - 1), min_size=nblocks, max_size=nblocks
+        ).map(tuple),
+    ))
     halo = draw(st.integers(0, 3))
-    return ranks, length, block_rows, partitioner, weights, halo
+    return ranks, length, block_rows, layout, halo
 
 
 @st.composite
@@ -54,12 +52,16 @@ def programs(draw, length):
 
 
 def build(comm, geometry):
-    _ranks, length, block_rows, partitioner, weights, halo = geometry
-    return DistributedArray.create(
-        comm, length,
-        partitioner=partitioner, block_rows=block_rows,
-        weights=weights, halo=halo, device_id=0,
-    )
+    _ranks, length, block_rows, layout, halo = geometry
+    if isinstance(layout, str):
+        partition = ArrayPartition(
+            length, comm.size, partitioner=layout, block_rows=block_rows
+        )
+    else:
+        partition = ArrayPartition(
+            length, comm.size, block_rows=block_rows, owners=layout
+        )
+    return DistributedArray(comm, partition, halo=halo, device_id=0)
 
 
 common = settings(
@@ -114,7 +116,7 @@ def test_assignments_round_trip_against_dense(data, geometry):
 @common
 @given(geometry=geometries())
 def test_halo_exchange_matches_dense_neighborhood(geometry):
-    ranks, length, _rows, _part, _weights, halo = geometry
+    ranks, length, _rows, _layout, halo = geometry
     dense = np.linspace(-1.0, 1.0, length)
 
     def main(comm):

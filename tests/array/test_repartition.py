@@ -92,13 +92,6 @@ class TestGovernor:
         rebalance(gov, step=16)
         assert len(applied) == 2
 
-    def test_frozen_logs_but_does_not_actuate(self):
-        applied = []
-        gov = RepartitionGovernor(actuator=applied.append, frozen=True)
-        (decision,) = rebalance(gov)
-        assert not decision.applied
-        assert applied == []
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RepartitionGovernor(skew=1.0)
@@ -202,14 +195,14 @@ class TestCoordinator:
         assert all(c.repartitions == 0 for c, _co, _d in out)
         assert all(not d for _c, _co, d in out)
 
-        frozen = ControlConfig.from_xml_attrs(
+        on = ControlConfig.from_xml_attrs(
             {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "freeze", "interval": "4"},
+             "pool": "off", "repartition": "on", "interval": "4"},
         )
-        out = run_loop(2, control=frozen)
+        out = run_loop(2, control=on)
         for coordinator, _contents, decisions in out:
-            assert coordinator.repartitions == 0
-            assert decisions and not any(d["applied"] for d in decisions)
+            assert coordinator.repartitions == 1
+            assert [d["applied"] for d in decisions] == [True]
 
     def test_plane_sets_cadence_governor_sets_thresholds(self):
         cfg = ControlConfig.from_xml_attrs(

@@ -104,16 +104,6 @@ class TestPlacementGovernor:
         busy = gov.contribution()["busy"]
         assert busy[0] > busy[1]  # same busy fraction, but device 0 is shared
 
-    def test_frozen_observes_only(self):
-        rec = Recorder()
-        gov = PlacementGovernor(actuator=rec, rank=0, frozen=True)
-        base = gov.placement
-        gov.observe(0, {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1})
-        (d,) = decide_alone(gov)
-        assert not d.applied
-        assert rec.calls == []
-        assert gov.placement == base
-
     def test_resident_pool_bytes_break_ties_toward_headroom(self):
         gov = PlacementGovernor(rank=0)
         gov.observe(
@@ -200,27 +190,6 @@ class TestClusterGovernor:
         assert len(set(history[1])) == 2  # ... and spread one round later
         # ... and the spread assignment is stable, not a flap.
         assert history[-1] == history[-2] == history[1]
-
-    def test_frozen_governor_dry_runs(self, spmd_control):
-        def body(comm, plane):
-            applied = []
-            gov = PlacementGovernor(
-                actuator=applied.append, rank=comm.rank, base=AIMED_AT_0,
-                frozen=True,
-            )
-            loads, self_load = crowded_loads(comm.size)
-            gov.observe(0, loads, self_load=self_load)
-            decisions = decide_together(comm, gov, 0, 0.0)
-            return gov.placement, decisions, applied
-
-        run = spmd_control(2, body, devices=4)
-        for placement, decisions, applied in run.results:
-            assert placement == AIMED_AT_0
-            assert applied == []
-            reaims = [
-                d for d in decisions if d.action.startswith("placement=")
-            ]
-            assert reaims and not reaims[0].applied
 
     def test_identical_runs_log_identical_decisions(self, spmd_control):
         def body(comm, plane):
@@ -326,19 +295,6 @@ class TestPlaneCoordination:
             assert plane.governors == []
             assert rounds == 0  # no governor, no round
 
-    def test_placement_freeze_dry_runs_coordination(self, spmd_control):
-        run = self.run_plane(
-            spmd_control, placement_config(placement="freeze"), steps=3
-        )
-        for rank, (placement, rounds) in enumerate(run.results):
-            assert placement == AIMED_AT_0
-            assert rounds == 3  # frozen still joins every round
-            reaims = [
-                d for d in run.decisions(rank)
-                if d.action.startswith("placement=")
-            ]
-            assert reaims and not any(d.applied for d in reaims)
-
     def test_interval_gates_rounds(self, spmd_control):
         """Rounds run on the plane's one cadence, ``interval``."""
         run = self.run_plane(
@@ -381,7 +337,7 @@ class TestPlaneCoordination:
         run = spmd_control(2, body, config=ControlConfig())
         assert run.results == [(2, 0), (3, 0)]
         for plane in run.planes:
-            assert "placement" in plane.summary()["governors"]
+            assert "placement" in [g.name for g in plane.governors]
 
     def test_every_flow_governor_takes_the_node_means(self, spmd_control):
         """Two flow-governed senders per plane: the device-load round's

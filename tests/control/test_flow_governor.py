@@ -120,15 +120,6 @@ class TestChunkRungs:
 
 
 class TestGovernorPlumbing:
-    def test_frozen_logs_but_never_actuates(self):
-        gov, calls = make_gov(frozen=True)
-        gov.observe(0, ack_latency=1e-4, retries=5, chunks=10,
-                    inflight_peak=4)
-        (d,) = gov.decide(0)
-        assert not d.applied
-        assert calls["window"] == [] and calls["chunk"] == []
-        assert gov.credits == 4  # frozen: internal state holds too
-
     def test_no_decision_before_first_observation(self):
         gov, _ = make_gov()
         assert gov.decide(0) == []

@@ -1,5 +1,5 @@
-"""Tests for the codec, execution-mode and pool governors: decisions,
-actuation, freeze.  (Placement: ``test_cluster.py``; flow:
+"""Tests for the codec, execution-mode and pool governors: decisions
+and actuation.  (Placement: ``test_cluster.py``; flow:
 ``test_flow_governor.py``.)"""
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ class TestCodecGovernor:
                     sample=b"\x01" * 4096)
         assert clk.now > before  # adaptivity is not free
 
-    def test_frozen_logs_but_does_not_actuate(self):
-        rec = Recorder()
-        gov = CodecGovernor(actuator=rec, frozen=True)
-        feed_codec(gov, bandwidth=gbs(0.05))
-        (d,) = gov.decide(4)
-        assert not d.applied
-        assert rec.calls == []
-        assert gov.current == "none"  # state untouched in a dry run
-
-
 class TestExecutionModeGovernor:
     def test_heavy_insitu_goes_asynchronous(self):
         rec = Recorder()
@@ -137,17 +127,6 @@ class TestExecutionModeGovernor:
                     copy_estimate=99.0)
         assert gov._copy.value == pytest.approx(0.2)
 
-    def test_frozen_never_switches(self):
-        rec = Recorder()
-        gov = ExecutionModeGovernor(actuator=rec, frozen=True)
-        gov.observe(0, sim_time=1.0, insitu_time=0.8, apparent_time=0.8,
-                    copy_estimate=0.0)
-        (d,) = gov.decide(0)
-        assert not d.applied
-        assert rec.calls == []
-        assert gov.mode is ExecutionMethod.LOCKSTEP
-
-
 class TestPoolTrimGovernor:
     def _pooled(self, nbytes):
         pool = pool_for(get_node().devices[0])
@@ -169,14 +148,6 @@ class TestPoolTrimGovernor:
         gov = PoolTrimGovernor(pool, int(1 * KiB))
         assert gov.decide(0) == []
         assert pool.pooled_bytes == 512
-
-    def test_frozen_reports_without_trimming(self):
-        pool = self._pooled(int(4 * KiB))
-        gov = PoolTrimGovernor(pool, 0, frozen=True)
-        (d,) = gov.decide(0)
-        assert not d.applied
-        assert pool.pooled_bytes == int(4 * KiB)
-        assert gov.trimmed_bytes == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

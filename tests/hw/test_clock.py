@@ -12,6 +12,7 @@ from repro.hw.clock import (
     Timeline,
     merge_events,
 )
+from repro.hw.trace import utilization
 
 
 class TestSimClock:
@@ -108,9 +109,10 @@ class TestTimeline:
         tl = Timeline("r")
         tl.schedule(0.0, 1.0, category=EventCategory.COMPUTE)
         tl.schedule(0.0, 2.0, category=EventCategory.COPY)
-        assert tl.busy_time() == pytest.approx(3.0)
-        assert tl.busy_time(EventCategory.COMPUTE) == pytest.approx(1.0)
-        assert tl.busy_time(EventCategory.COPY) == pytest.approx(2.0)
+        use = utilization(tl)
+        assert use.busy == pytest.approx(3.0)
+        assert use.by_category["compute"] == pytest.approx(1.0)
+        assert use.by_category["copy"] == pytest.approx(2.0)
 
     def test_event_overlap_predicate(self):
         tl = Timeline("r")

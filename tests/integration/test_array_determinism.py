@@ -53,7 +53,7 @@ def rank_main(comm):
     )
     summary = workload.run()
     field = workload.u[:]
-    drops = workload.exchanger.drops_recovered
+    drops = workload.exchanger.flows.sender_totals()["drops_recovered"]
     workload.close()
     return [d.to_dict() for d in plane.decisions], summary, field, drops
 

@@ -7,7 +7,7 @@ beats block and cyclic under skew (HDArray, PAPERS.md); weighted-fair
 admission protects the high-priority tenant on shared endpoints (the
 NekRS-on-SENSEI fan-in regime); codec and execution mode within 1.05x
 of the best static choice; governed placement spreads a crowded node
-by round 1.  A frozen governor (``<control NAME="freeze">``) fails.
+by round 1.  A governor switched off (``<control NAME="off">``) fails.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def ship_quantized(codec: str, bandwidth: float, m=2, n=1, rows=8000, steps=56):
         x = np.round(rng.standard_normal(rows), 2)
         for step in range(steps):
             publish(bridge, step, x=x, mass=np.full(rows, 0.01))
-        return bridge.total_apparent_time, decision_log(bridge)
+        return sum(bridge.step_costs), decision_log(bridge)
 
     results, endpoints = in_transit(
         m, n, producer_main, 5.0, bandwidth,

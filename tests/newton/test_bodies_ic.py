@@ -52,17 +52,6 @@ class TestBodies:
     def test_concatenate_nothing(self):
         assert Bodies.concatenate([]).n == 0
 
-    def test_copy_is_deep(self):
-        a = uniform_random(3)
-        c = a.copy()
-        c.mass[0] = 99.0
-        assert a.mass[0] != 99.0
-
-    def test_nbytes(self):
-        b = uniform_random(10)
-        assert b.nbytes == 7 * 80 + 80  # 7 float64 + 1 int64 column
-
-
 class TestUniformRandom:
     def test_deterministic_by_seed(self):
         a, b = uniform_random(50, seed=7), uniform_random(50, seed=7)

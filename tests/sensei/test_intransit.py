@@ -10,33 +10,49 @@ from repro.binning.operator import BinRequest
 from repro.binning.reduce import ReductionOp
 from repro.errors import ExecutionError
 from repro.mpi.comm import run_spmd
+from repro.mpi.partition import block_owners
 from repro.newton.adaptor import NewtonDataAdaptor
 from repro.newton.solver import NewtonSolver, SolverConfig
 from repro.sensei.backends.binning import BinningAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
+from repro.service.plan import PipelineSpec, route_producers
 from repro.svtk.table import TableData
 
 
+def routed(lay: InTransitLayout) -> dict[int, tuple[int, ...]]:
+    """``{endpoint world rank: producers}`` as ``run_in_transit`` routes
+    them: one pipeline sharded over every endpoint."""
+    spec = PipelineSpec(name="bodies", shard_size=lay.n, collective=True)
+    return {
+        lay.m + e: producers
+        for e, producers in route_producers(
+            spec, range(lay.n), range(lay.m)
+        ).items()
+    }
+
+
 def served_by(lay: InTransitLayout, endpoint: int) -> list[int]:
-    """The producers ``endpoint`` serves, read through ``endpoint_of``."""
-    return [p for p in range(lay.m) if lay.endpoint_of(p) == endpoint]
+    """The producers the endpoint of world rank ``endpoint`` serves."""
+    return list(routed(lay)[endpoint])
 
 
 class TestLayout:
     def test_roles(self):
+        """Producers are world ranks ``[0, m)``, endpoints ``[m, m + n)``."""
         lay = InTransitLayout(m=4, n=2)
-        assert [lay.is_producer(r) for r in range(6)] == [True] * 4 + [False] * 2
+        route = routed(lay)
+        assert sorted(route) == [4, 5]
+        assert sorted(p for ps in route.values() for p in ps) == [0, 1, 2, 3]
 
     def test_block_mapping(self):
         lay = InTransitLayout(m=4, n=2)
-        assert [lay.endpoint_of(p) for p in range(4)] == [4, 4, 5, 5]
         assert served_by(lay, 4) == [0, 1]
         assert served_by(lay, 5) == [2, 3]
 
     def test_uneven_mapping_covers_all_producers(self):
         lay = InTransitLayout(m=5, n=2)
-        assert {lay.endpoint_of(p) for p in range(5)} == {5, 6}
+        assert served_by(lay, 5) + served_by(lay, 6) == [0, 1, 2, 3, 4]
 
     def test_m_to_one(self):
         lay = InTransitLayout(m=3, n=1)
@@ -48,11 +64,6 @@ class TestLayout:
         with pytest.raises(ExecutionError):
             InTransitLayout(m=2, n=3)
 
-    def test_role_validation(self):
-        lay = InTransitLayout(m=2, n=1)
-        with pytest.raises(ExecutionError):
-            lay.endpoint_of(2)
-
 
 class TestLayoutEdgeCases:
     @pytest.mark.parametrize("m,n", [(5, 2), (7, 3), (9, 4), (10, 3)])
@@ -63,28 +74,18 @@ class TestLayoutEdgeCases:
         assert sum(counts) == m
         assert set(counts) <= {m // n, -(-m // n)}
 
-    @pytest.mark.parametrize("partitioner", ["block", "cyclic", "weighted"])
-    @pytest.mark.parametrize("m,n", [(4, 2), (5, 2), (8, 3)])
-    def test_endpoint_of_producers_of_round_trip(self, partitioner, m, n):
-        """Every producer maps into the endpoint ranks, and every
-        endpoint serves at least one producer."""
-        lay = InTransitLayout(m=m, n=n, partitioner=partitioner)
-        assert {lay.endpoint_of(p) for p in range(m)} == set(range(m, m + n))
-
-    def test_weighted_layout_balances_heavy_producer(self):
-        lay = InTransitLayout(
-            m=4, n=2, partitioner="weighted", weights=(10.0, 1.0, 1.0, 1.0)
-        )
-        heavy_ep = lay.endpoint_of(0)
-        assert all(lay.endpoint_of(p) != heavy_ep for p in (1, 2, 3))
-
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(ExecutionError):
-            InTransitLayout(m=4, n=2, partitioner="hilbert")
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ExecutionError):
-            InTransitLayout(m=4, n=2, partitioner="weighted", weights=(1.0,))
+    @pytest.mark.parametrize("m,n", [(4, 2), (5, 2), (8, 3), (7, 7)])
+    def test_routing_is_block_owners(self, m, n):
+        """Producer ``p`` goes to endpoint ``m + block_owners(m, n)[p]``,
+        and every endpoint serves at least one producer."""
+        lay = InTransitLayout(m=m, n=n)
+        endpoint_of = {
+            p: e for e, producers in routed(lay).items() for p in producers
+        }
+        assert [endpoint_of[p] for p in range(m)] == [
+            m + e for e in block_owners(m, n)
+        ]
+        assert set(endpoint_of.values()) == set(range(m, m + n))
 
     def test_layouts_with_equal_fields_compare_equal(self):
         assert InTransitLayout(m=4, n=2) == InTransitLayout(m=4, n=2)
@@ -236,9 +237,8 @@ class TestInTransitRun:
         )
         # Each endpoint's local table holds only its producers' bodies;
         # locally they bin fewer than 100 rows, globally exactly 100
-        # (already checked above).  Confirm work was split:
-        assert len(endpoints) == 2
-        assert all(r.producers for r in endpoints)
+        # (already checked above).  Confirm work was split, in blocks:
+        assert [sorted(r.receivers) for r in endpoints] == [[0, 1], [2, 3]]
 
     def test_producer_ship_cost_recorded(self):
         layout = InTransitLayout(m=2, n=1)
@@ -253,7 +253,7 @@ class TestInTransitRun:
             )
             adaptor = NewtonDataAdaptor(solver)
             solver.run(2, bridge=bridge, adaptor=adaptor)
-            costs.append(bridge.total_apparent_time)
+            costs.append(sum(bridge.step_costs))
             return 0
 
         run_in_transit(layout, producer_main, _binning_factory())

@@ -111,15 +111,6 @@ class TestQuotaGovernor:
         assert by_name["bulk"].args_dict["active"] is False
         assert len(grants) == 2
 
-    def test_frozen_logs_without_actuating(self):
-        grants = []
-        gov = self._gov(grants, frozen=True)
-        decisions = admit(
-            gov, 0, {}, {"hot": True, "bulk": True}, {"hot": (0,), "bulk": (0,)}
-        )
-        assert decisions and all(not d.applied for d in decisions)
-        assert grants == []
-
     def test_disabled_is_silent(self):
         # ``quota`` is off by default: the plane builds no governor.
         plane = ControlPlane(ControlConfig())
@@ -197,14 +188,6 @@ class TestShardGovernor:
     def test_single_endpoint_never_migrates(self):
         gov = ShardGovernor(endpoints=1)
         assert rebalance(gov, 0, {"a": 9}, {"a": (0,)}) == []
-
-    def test_frozen_logs_but_does_not_move(self):
-        moves = []
-        gov = self._gov(moves, frozen=True)
-        shards = {"a": (0,), "c": (0,)}
-        (decision,) = rebalance(gov, 0, {"a": 100, "c": 1000}, shards)
-        assert not decision.applied
-        assert moves == []
 
     def test_offered_loads_spread_over_shard(self):
         loads = ShardGovernor.offered_loads(

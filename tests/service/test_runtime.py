@@ -527,20 +527,3 @@ class TestAdmissionDecidedOnce:
         assert {msg[1] for _rank, msg in notices} == {s + 1 for s in migrated}
         assert all(ep.pipeline_steps["c"] > 0 for ep in endpoints)
 
-    def test_freeze_actuates_nothing_on_any_rank(self, monkeypatch):
-        from repro.service.router import Router, ServiceBridge
-
-        calls = []
-        monkeypatch.setattr(
-            Router, "grant", lambda self, *a: calls.append(("grant", a))
-        )
-        monkeypatch.setattr(
-            ServiceBridge, "_migrate", lambda self, *a: calls.append(a)
-        )
-        out, _eps, _rounds, deciders, notices = self._run(
-            monkeypatch, quota="freeze"
-        )
-        assert len(deciders) == 4
-        assert calls == [] and notices == []
-        for log, _states in out:
-            assert log and not any(d.applied for d in log)

@@ -5,20 +5,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.governors import FlowBounds
-from repro.control.plan import ControlConfig, GovernorSetting
+from repro.control.plan import ControlConfig
 from repro.errors import ConfigError, TraceFormatError
 from repro.sensei.xml_config import parse_xml
 from repro.service.plan import PipelineSpec, ServiceConfig
 from repro.trace.configs import decode_config, encode_config
 from repro.transport.channel import FaultSpec
 from repro.transport.config import TransportConfig
-from repro.transport.partition import available_partitioners
 from repro.transport.retry import RetryPolicy
 from repro.xmlattrs import parse_bool, read_attrs
 
@@ -29,7 +29,6 @@ SETTINGS = dict(max_examples=40, deadline=None)
 _prob = st.floats(min_value=0.0, max_value=1.0)
 _pos = st.floats(min_value=1e-6, max_value=1e3)
 _count = st.integers(min_value=1, max_value=1 << 20)
-_settings = st.sampled_from(["on", "off", "freeze"]).map(GovernorSetting.parse)
 _names = st.text("abcdefghij_", min_size=1, max_size=6)
 
 
@@ -53,8 +52,7 @@ transports = st.builds(
     TransportConfig,
     compression=st.sampled_from(["none", "zlib", "adaptive"]),
     chunk_bytes=_count, max_inflight=st.integers(1, 256), retry=retries(),
-    partitioner=st.sampled_from(available_partitioners()), faults=faults,
-    pipelined=st.booleans(),
+    faults=faults, pipelined=st.booleans(),
 )
 
 
@@ -71,9 +69,10 @@ def flow_bounds(draw):
 def controls(draw):
     return ControlConfig(
         seed=draw(st.integers(0, 1 << 30)), interval=draw(st.integers(1, 64)),
-        codec=draw(_settings), execution=draw(_settings),
-        placement=draw(_settings), pool=draw(_settings), flow=draw(_settings),
-        quota=draw(_settings), repartition=draw(_settings),
+        codec=draw(st.booleans()), execution=draw(st.booleans()),
+        placement=draw(st.booleans()), pool=draw(st.booleans()),
+        flow=draw(st.booleans()), quota=draw(st.booleans()),
+        repartition=draw(st.booleans()),
         flow_bounds=draw(flow_bounds()),
     )
 
@@ -84,8 +83,6 @@ def pipelines(draw, name):
         name=name, mesh=draw(st.just("") | _names),
         weight=draw(st.floats(min_value=0.01, max_value=64.0)),
         shard_size=draw(st.integers(1, 8)),
-        partitioner=draw(st.sampled_from(available_partitioners())),
-        producer_weights=draw(st.none() | st.lists(_pos, min_size=1, max_size=4).map(tuple)),
         ranks=draw(st.none() | st.lists(st.integers(0, 31), min_size=1, max_size=4).map(tuple)),
         collective=False, transport=draw(transports),
     )
@@ -117,7 +114,7 @@ class Throwaway:
     """A config nobody told ``repro.trace`` or ``repro.xmlattrs`` about."""
 
     gain: float = 0.5
-    mode: GovernorSetting = GovernorSetting()
+    mode: bool = True
     inner: Inner = Inner()
     brand_new_field: tuple[int, ...] | None = None
 
@@ -152,24 +149,53 @@ class TestHeaderCodec:
 
     def test_new_field_round_trips_with_no_edit_under_trace(self):
         config = Throwaway(
-            gain=2, mode=GovernorSetting.parse("freeze"),
+            gain=2, mode=False,
             inner=Inner(depth=3, label="x"), brand_new_field=(4, 5),
         )
         payload = json.loads(_wire(encode_config(config)))
         assert payload == {
-            "gain": 2.0, "mode": "freeze",
+            "gain": 2.0, "mode": False,
             "inner": {"depth": 3, "label": "x"}, "brand_new_field": [4, 5],
         }
         assert decode_config(Throwaway, payload) == config
-        attrs = {"gain": "2", "mode": "freeze", "brand_new_field": "4,5"}
+        attrs = {"gain": "2", "mode": "off", "brand_new_field": "4,5"}
         assert read_attrs("<t>", attrs, Throwaway) == {
-            "gain": 2.0, "mode": GovernorSetting.parse("freeze"),
+            "gain": 2.0, "mode": False,
             "brand_new_field": (4, 5),
         }
         assert attrs == {}
         with pytest.raises(TraceFormatError) as err:
             decode_config(Throwaway, {"inner": {"depth": 1, "bogus": 2}})
         assert err.value.details["section"] == "Throwaway"
+
+    @pytest.mark.parametrize("switch", ["on", "maybe", 1, None])
+    def test_switch_that_is_not_a_json_boolean_is_refused(self, switch):
+        """A recorded header's governor switches are JSON booleans; any
+        other value is a malformed ``control`` section, not a truthy one."""
+        golden = Path(__file__).parent / "golden" / "codec.jsonl"
+        header = json.loads(golden.read_text().splitlines()[0])
+        assert header["control"]["codec"] is True
+        header["control"]["codec"] = switch
+        with pytest.raises(TraceFormatError, match="codec: expected bool") as err:
+            decode_config(ControlConfig | None, header["control"])
+        assert err.value.details["section"] == "control"
+
+    @pytest.mark.parametrize("tp,payload,section", [
+        (ControlConfig, {"interval": "2"}, "control"),
+        (ControlConfig, {"seed": True}, "control"),
+        (FlowBounds, {"max_chunk": 1.5}, "FlowBounds"),
+        (TransportConfig, {"compression": 0}, "transport"),
+        (TransportConfig, {"faults": {"drop": "0.1"}}, "transport"),
+        (PipelineSpec, {"name": "p", "ranks": [0, "1"]}, "pipeline"),
+    ])
+    def test_scalar_of_the_wrong_json_type_is_refused(self, tp, payload, section):
+        with pytest.raises(TraceFormatError, match="expected") as err:
+            decode_config(tp, payload)
+        assert err.value.details["section"] == section
+
+    def test_int_payload_decodes_into_a_float_field(self):
+        assert decode_config(FlowBounds, {"min_credits": 2}).min_credits == 2
+        assert decode_config(FaultSpec, {"drop": 0}) == FaultSpec(drop=0.0)
 
 
 # -- the attribute side ----------------------------------------------------------
@@ -190,7 +216,7 @@ class TestAttributeReader:
             value = getattr(config, f.name)
             if f.name == "flow_bounds":
                 continue
-            attrs[f.name] = value.value if isinstance(value, GovernorSetting) else repr(value)
+            attrs[f.name] = repr(value)
         flow = {f.name: repr(getattr(config.flow_bounds, f.name))
                 for f in dataclasses.fields(FlowBounds)}
         assert ControlConfig.from_xml_attrs(attrs, flow_attrs=flow) == config
@@ -201,7 +227,9 @@ class TestAttributeReader:
     ])
     def test_one_boolean_vocabulary_everywhere(self, raw, value):
         assert parse_bool(raw) is value
-        assert GovernorSetting.parse(raw).enabled is value
+        assert getattr(
+            ControlConfig.from_xml_attrs({"codec": raw}), "codec"
+        ) is value
         assert _analysis({"enabled": raw})[0].enabled is value
 
     @pytest.mark.parametrize("build,element,attribute", [
@@ -238,5 +266,8 @@ class TestAttributeReader:
         assert "'enabled'" in str(err.value) and "boolean" in str(err.value)
 
     def test_bad_governor_setting_names_element_and_attribute(self):
-        with pytest.raises(ConfigError, match="<control>: attribute 'codec'.*on/off/freeze"):
+        with pytest.raises(
+            ConfigError,
+            match="<control>: attribute 'codec' must be a boolean, got 'maybe'",
+        ):
             ControlConfig.from_xml_attrs({"codec": "maybe"})

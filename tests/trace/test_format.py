@@ -222,12 +222,15 @@ class TestTraceValidation:
 
     def test_previous_version_is_refused_by_number(self):
         """Version 3 headers carried nine ``control`` keys this build's
-        config no longer has; refuse them up front, naming both."""
-        trace = small_trace()
-        trace.header["version"] = 3
-        with pytest.raises(TraceVersionError, match="3.*4") as e:
-            Trace.from_jsonl(trace.to_jsonl())
-        assert e.value.details == {"found": 3, "supported": 4}
+        config no longer has, version 4 headers ``on``/``off``/``freeze``
+        switch strings and three partitioner keys; refuse both up front,
+        naming found and supported versions."""
+        for old in (3, 4):
+            trace = small_trace()
+            trace.header["version"] = old
+            with pytest.raises(TraceVersionError, match=f"{old}.*5") as e:
+                Trace.from_jsonl(trace.to_jsonl())
+            assert e.value.details == {"found": old, "supported": 5}
 
     def test_missing_footer(self):
         text = small_trace().to_jsonl()

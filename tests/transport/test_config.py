@@ -19,17 +19,12 @@ class TestTransportConfig:
     def test_defaults(self):
         cfg = TransportConfig()
         assert cfg.compression == "none"
-        assert cfg.partitioner == "block"
         assert cfg.max_inflight == 8
         assert cfg.faults == FaultSpec()  # the clean channel
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigError):
             TransportConfig(compression="snappy")
-
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(ConfigError):
-            TransportConfig(partitioner="hilbert")
 
     def test_bounds(self):
         with pytest.raises(ConfigError):

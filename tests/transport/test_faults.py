@@ -62,7 +62,7 @@ def expected_columns(runner, step):
         name: np.concatenate(
             [
                 producer_table(p, step).column(name).as_numpy_host()
-                for p in runner.producers
+                for p in sorted(runner.receivers)
             ]
         )
         for name in ("x", "mass")
@@ -132,15 +132,3 @@ class TestFaultInjectionAcceptance:
         # vanishes from the byte-rate signal.
         assert bytes_in > wire_bytes
 
-    def test_cyclic_partitioner_end_to_end(self):
-        layout = InTransitLayout(m=5, n=2, partitioner="cyclic")
-        assert [layout.endpoint_of(p) for p in range(5)] == [5, 6, 5, 6, 5]
-
-        _, endpoints = run_in_transit(
-            layout, producer_main, lambda: [CaptureAnalysis()]
-        )
-        for runner in endpoints:
-            assert runner.steps_processed == N_STEPS
-            for step, cols in runner.analyses[0].seen:
-                for name, arr in expected_columns(runner, step).items():
-                    assert cols[name].tobytes() == arr.tobytes()

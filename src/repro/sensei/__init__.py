@@ -43,7 +43,7 @@ from repro.sensei.placement import (
 from repro.sensei.execution import ExecutionMethod
 from repro.sensei.bridge import Bridge
 from repro.sensei.configurable import ConfigurableAnalysis
-from repro.sensei.backends import BinningAnalysis, HistogramAnalysis, PosthocIO
+from repro.sensei.backends import BinningAnalysis
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "Bridge",
     "ConfigurableAnalysis",
     "BinningAnalysis",
-    "HistogramAnalysis",
-    "PosthocIO",
     "InTransitLayout",
     "run_in_transit",
 ]

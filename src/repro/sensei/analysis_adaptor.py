@@ -60,7 +60,6 @@ class AnalysisAdaptor(ABC):
         self._async_comm: Communicator | None = None
         self._placement = DevicePlacement.auto()
         self._method = ExecutionMethod.LOCKSTEP
-        self._frequency = 1
         self._runner: AsyncRunner | None = None
         self._initialized = False
         self._finalized = False
@@ -110,21 +109,6 @@ class AnalysisAdaptor(ABC):
     def placement(self) -> DevicePlacement:
         return self._placement
 
-    def set_frequency(self, frequency: int) -> None:
-        """Run only every ``frequency``-th time step (1 = every step).
-
-        The paper's runs analyze every iteration; production SENSEI
-        deployments commonly thin the cadence, so the control lives in
-        the base class alongside the heterogeneous extensions.
-        """
-        if frequency < 1:
-            raise ExecutionError(f"frequency must be >= 1: {frequency}")
-        self._frequency = int(frequency)
-
-    @property
-    def frequency(self) -> int:
-        return self._frequency
-
     def resolve_device(self) -> int:
         """The device this rank's analysis runs on (-1 = host)."""
         return self._placement.resolve(self._comm.rank)
@@ -152,8 +136,6 @@ class AnalysisAdaptor(ABC):
             self.initialize(data.get_comm())
         if self._finalized:
             raise ExecutionError(f"analysis {self.name!r} already finalized")
-        if data.time_step % self._frequency:
-            return True  # off-cadence step: skip (no timing entry)
         clock = current_clock()
         device_id = self.resolve_device()
         t0 = clock.now

@@ -1,19 +1,19 @@
-"""ConfigurableAnalysis: XML-driven back-end selection and dispatch.
+"""ConfigurableAnalysis: XML-driven analysis configuration and dispatch.
 
 The paper's runs configure 9 data-binning operator instances (one per
 coordinate system) through SENSEI's XML feature and let SENSEI
 orchestrate them sequentially.  :class:`ConfigurableAnalysis`
-reproduces that: it parses the XML, instantiates each enabled back-end
-from the registry, applies the common execution/placement attributes
-via the base-class control API, and fans each ``execute`` out to the
-children in document order.
+reproduces that: it parses the XML, builds a
+:class:`~repro.sensei.backends.binning.BinningAnalysis` for each enabled
+``<analysis type="data_binning">``, applies the common
+execution/placement attributes via the base-class control API, and fans
+each ``execute`` out to the children in document order.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Callable
 
 from repro.binning.axes import AxisSpec
 from repro.binning.operator import BinRequest
@@ -23,23 +23,19 @@ from repro.errors import ConfigError
 from repro.mpi.comm import Communicator
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.backends.binning import BinningAnalysis
-from repro.sensei.backends.histogram import HistogramAnalysis
-from repro.sensei.backends.stats import StatisticsAnalysis
-from repro.sensei.backends.writer import PosthocIO
 from repro.sensei.data_adaptor import DataAdaptor
 from repro.sensei.placement import DevicePlacement, PlacementMode
 from repro.sensei.xml_config import AnalysisCommon, AnalysisConfig, parse_xml
 from repro.xmlattrs import read_attrs, reject_unknown
 
-__all__ = ["ConfigurableAnalysis", "register_backend"]
-
-
-# One dataclass per built-in back-end: its attributes beyond the common
-# set, typed by field.  A field without a default is required.
+__all__ = ["ConfigurableAnalysis"]
 
 
 @dataclass(frozen=True)
 class _DataBinning:
+    """``data_binning``'s attributes beyond the common set, typed by
+    field.  A field without a default is required."""
+
     mesh: str
     axes: tuple[str, ...] = ()
     bins: tuple[int, ...] = ()
@@ -49,29 +45,17 @@ class _DataBinning:
     strategy: BinningStrategy | None = None
 
 
-@dataclass(frozen=True)
-class _Histogram:
-    mesh: str
-    array: str
-    bins: int = 10
-    low: float | None = None
-    high: float | None = None
-
-
-@dataclass(frozen=True)
-class _Statistics:
-    mesh: str
-    columns: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class _PosthocIO:
-    mesh: str
-    output_dir: str
-    format: str = "vtk"
-
-
-def _build_data_binning(a: _DataBinning, name: str) -> AnalysisAdaptor:
+def _build_data_binning(cfg: AnalysisConfig) -> BinningAnalysis:
+    """Read :class:`_DataBinning` off the element, reject whatever neither
+    it nor the common set names, and build the analysis."""
+    label = f"<analysis type={cfg.type!r}>"
+    attrs = dict(cfg.attrs)
+    own = read_attrs(label, attrs, _DataBinning)
+    reject_unknown(label, attrs)
+    for f in fields(_DataBinning):
+        if f.default is MISSING and f.name not in own:
+            raise ConfigError(f"{label} requires attribute {f.name!r}")
+    a = _DataBinning(**own)
     n_axes = len(a.axes)
     if not n_axes:
         raise ConfigError("data_binning requires axes=\"col[,col...]\"")
@@ -93,71 +77,16 @@ def _build_data_binning(a: _DataBinning, name: str) -> AnalysisAdaptor:
             )
         var, op = spec.rsplit(":", 1)
         requests.append(BinRequest(ReductionOp.parse(op), var.strip()))
-    analysis = BinningAnalysis(a.mesh, axes, requests, name=name)
+    analysis = BinningAnalysis(a.mesh, axes, requests, name=cfg.common.name)
     if a.strategy is not None:
         analysis.binner.device_strategy = a.strategy
     return analysis
-
-
-def _build_histogram(a: _Histogram, name: str) -> AnalysisAdaptor:
-    return HistogramAnalysis(
-        a.mesh, a.array, bins=a.bins, low=a.low, high=a.high, name=name
-    )
-
-
-def _build_statistics(a: _Statistics, name: str) -> AnalysisAdaptor:
-    return StatisticsAnalysis(
-        a.mesh, columns=list(a.columns) or None, name=name
-    )
-
-
-def _build_posthoc_io(a: _PosthocIO, name: str) -> AnalysisAdaptor:
-    # The write cadence is the common ``frequency`` attribute.
-    return PosthocIO(a.mesh, a.output_dir, fmt=a.format, name=name)
-
-
-def _builtin(schema, build) -> Callable[[AnalysisConfig], AnalysisAdaptor]:
-    """A registry factory that reads ``schema`` off the element, rejects
-    whatever neither it nor the common set names, then builds."""
-
-    def factory(cfg: AnalysisConfig) -> AnalysisAdaptor:
-        label = f"<analysis type={cfg.type!r}>"
-        attrs = dict(cfg.attrs)
-        own = read_attrs(label, attrs, schema)
-        reject_unknown(label, attrs)
-        for f in fields(schema):
-            if f.default is MISSING and f.name not in own:
-                raise ConfigError(f"{label} requires attribute {f.name!r}")
-        return build(schema(**own), cfg.common.name)
-
-    return factory
-
-
-_REGISTRY: dict[str, Callable[[AnalysisConfig], AnalysisAdaptor]] = {
-    "data_binning": _builtin(_DataBinning, _build_data_binning),
-    "histogram": _builtin(_Histogram, _build_histogram),
-    "statistics": _builtin(_Statistics, _build_statistics),
-    "posthoc_io": _builtin(_PosthocIO, _build_posthoc_io),
-}
-
-
-def register_backend(
-    type_name: str, factory: Callable[[AnalysisConfig], AnalysisAdaptor]
-) -> None:
-    """Register a custom back-end type for XML configuration.
-
-    ``factory(cfg)`` gets the element's attributes beyond the common
-    set raw, in ``cfg.attrs``; reading and validating them is its job.
-    """
-    _REGISTRY[str(type_name)] = factory
 
 
 def _apply_common_controls(analysis: AnalysisAdaptor, c: AnalysisCommon) -> None:
     """Apply the paper's execution/placement attributes to a back-end."""
     if c.execution is not None:
         analysis.set_execution_method(c.execution)
-    if c.frequency is not None:
-        analysis.set_frequency(c.frequency)
     if c.placement is PlacementMode.HOST:
         analysis.set_placement(DevicePlacement.host())
     elif c.placement is PlacementMode.MANUAL:
@@ -184,13 +113,12 @@ class ConfigurableAnalysis(AnalysisAdaptor):
         for cfg in parse_xml(xml):
             if not cfg.enabled:
                 continue
-            factory = _REGISTRY.get(cfg.type)
-            if factory is None:
+            if cfg.type != "data_binning":
                 raise ConfigError(
-                    f"unknown analysis type {cfg.type!r}; registered: "
-                    f"{sorted(_REGISTRY)}"
+                    f"unknown analysis type {cfg.type!r}; data_binning is "
+                    f"the only type supported"
                 )
-            analysis = factory(cfg)
+            analysis = _build_data_binning(cfg)
             _apply_common_controls(analysis, cfg.common)
             self.children.append(analysis)
 

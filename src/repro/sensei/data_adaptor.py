@@ -56,16 +56,6 @@ class DataAdaptor(ABC):
     def get_mesh(self, name: str):
         """The named mesh for the current step (zero-copy wrapped)."""
 
-    def get_mesh_metadata(self, name: str):
-        """Structure/residency of the named mesh, without touching data.
-
-        Back-ends use this to plan placement and movement (which arrays
-        exist, where they live) before requesting anything.
-        """
-        from repro.svtk.metadata import metadata_for
-
-        return metadata_for(self.get_mesh(name), name)
-
 
 class TableDataAdaptor(DataAdaptor):
     """A data adaptor over in-memory tables (the common particle case).

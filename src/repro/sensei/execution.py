@@ -130,7 +130,6 @@ class AsyncRunner:
         self._task_end_sim: float = 0.0
         self._error: BaseException | None = None
         self._busy_sim_time: float = 0.0
-        self._tasks_run: int = 0
         self._lock = threading.Lock()
 
     # -- statistics -----------------------------------------------------------
@@ -139,16 +138,6 @@ class AsyncRunner:
         """Total simulated time spent inside tasks so far."""
         with self._lock:
             return self._busy_sim_time
-
-    def snapshot(self) -> tuple[float, int, float]:
-        """Atomic ``(busy_sim_time, tasks_run, last_end_time)`` triple.
-
-        Read under one lock, so a control-plane tap never sees a torn
-        view (a task completing between two reads).  Deltas fed to
-        governors should come from one snapshot.
-        """
-        with self._lock:
-            return self._busy_sim_time, self._tasks_run, self._task_end_sim
 
     # -- execution ---------------------------------------------------------------
     def launch(self, fn: Callable[[], None], start_time: float | None = None) -> float:
@@ -175,7 +164,6 @@ class AsyncRunner:
                 with self._lock:
                     self._task_end_sim = max(self._task_end_sim, task_clock.now)
                     self._busy_sim_time += task_clock.now - start_time
-                    self._tasks_run += 1
 
         caller = current_context()
         if caller is None:

@@ -12,9 +12,8 @@ elements only::
                 variables="mass:sum,vx:average"
                 execution="asynchronous"
                 placement="auto" n_use="1" stride="1" offset="3"/>
-      <analysis type="histogram" mesh="bodies" array="mass" bins="64"/>
-      <analysis type="posthoc_io" mesh="bodies" output_dir="./out"
-                frequency="10" format="csv"/>
+      <analysis type="data_binning" mesh="bodies" axes="vx,vy" bins="64"
+                variables="mass:sum" placement="host"/>
     </sensei>
 
 Any other child element is a :class:`~repro.errors.ConfigError`.  The
@@ -25,11 +24,10 @@ dataclasses (:class:`~repro.transport.config.TransportConfig`,
 
 Common attributes (every ``<analysis>``; :class:`AnalysisCommon`):
 
-- ``type`` (required) — back-end registry key;
+- ``type`` (required) — the back-end; ``data_binning`` is the only one;
 - ``enabled`` — "1"/"0" (default enabled);
 - ``name`` — the instance's name in timings and reports;
 - ``execution`` — ``lockstep`` (default) or ``asynchronous``;
-- ``frequency`` — run every N-th step (default every step);
 - ``placement`` — ``auto`` (default), ``host``, or ``manual``;
 - ``device`` — device ordinal for manual placement;
 - ``n_use`` / ``stride`` / ``offset`` — Eq. 1 parameters for auto
@@ -37,13 +35,10 @@ Common attributes (every ``<analysis>``; :class:`AnalysisCommon`):
   ``n_use``).
 
 They are read through :func:`repro.xmlattrs.read_attrs`, typed by the
-dataclass field, and
-so is each built-in back-end's own set
+dataclass field, and so is the back-end's own set
 (:mod:`repro.sensei.configurable`), after which anything left over is
 an unknown-attribute :class:`~repro.errors.ConfigError`: a misspelt
-``exection=`` cannot silently run lockstep.  A back-end added through
-``register_backend`` receives its leftovers raw in
-:attr:`AnalysisConfig.attrs`.
+``exection=`` cannot silently run lockstep.
 """
 
 from __future__ import annotations
@@ -62,11 +57,10 @@ __all__ = ["AnalysisCommon", "AnalysisConfig", "parse_xml"]
 @dataclass(frozen=True)
 class AnalysisCommon:
     """The attributes every ``<analysis>`` takes: the paper's
-    execution/placement controls plus the instance name and cadence."""
+    execution/placement controls plus the instance name."""
 
     name: str = ""
     execution: ExecutionMethod | None = None
-    frequency: int | None = None
     placement: PlacementMode | None = None
     device: int | None = None
     n_use: int | None = None

@@ -16,8 +16,8 @@ Datasets:
 - :class:`~repro.svtk.mesh.UniformCartesianMesh` — a uniform Cartesian
   mesh with cell-centered arrays; the output shape of data binning.
 
-Writers in :mod:`repro.svtk.writer` consume any of the above through
-host-accessible views only — they are the ``libB`` of the paper's
+The writer in :mod:`repro.svtk.writer` consumes a mesh's arrays through
+host-accessible views only — it is the ``libB`` of the paper's
 Listing 4.
 """
 
@@ -25,12 +25,7 @@ from repro.svtk.data_array import DataArray, HostDataArray
 from repro.svtk.hamr_array import HAMRDataArray, HAMRDoubleArray
 from repro.svtk.table import TableData
 from repro.svtk.mesh import UniformCartesianMesh
-from repro.svtk.writer import (
-    write_csv_table,
-    write_vtk_image,
-    write_vtk_particles,
-)
-from repro.svtk.metadata import ArrayMetadata, MeshMetadata, metadata_for
+from repro.svtk.writer import write_vtk_image
 
 __all__ = [
     "DataArray",
@@ -39,10 +34,5 @@ __all__ = [
     "HAMRDoubleArray",
     "TableData",
     "UniformCartesianMesh",
-    "write_csv_table",
     "write_vtk_image",
-    "write_vtk_particles",
-    "ArrayMetadata",
-    "MeshMetadata",
-    "metadata_for",
 ]

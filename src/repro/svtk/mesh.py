@@ -75,11 +75,6 @@ class UniformCartesianMesh:
             (o, o + s * d) for o, s, d in zip(self.origin, self.spacing, self.dims)
         )
 
-    def cell_edges(self, axis: int) -> np.ndarray:
-        """Cell-edge coordinates along ``axis`` (``dims[axis]+1`` values)."""
-        o, s, d = self.origin[axis], self.spacing[axis], self.dims[axis]
-        return o + s * np.arange(d + 1)
-
     # -- cell data -----------------------------------------------------------------
     def add_cell_array(self, array: DataArray) -> None:
         """Attach a cell-centered array (one tuple per cell)."""

@@ -1,31 +1,25 @@
-"""Host-only writers — the ``libB`` of the paper's Listing 4.
+"""A host-only writer — the ``libB`` of the paper's Listing 4.
 
-Writers consume any data array through :meth:`get_host_accessible`
-only: "Any host-device data movement is handled automatically and
-invisibly to libB if it is needed."  They never inspect allocators or
-device ordinals, demonstrating PM/location-agnostic consumption.
+It consumes every data array through :meth:`get_host_accessible` only:
+"Any host-device data movement is handled automatically and invisibly
+to libB if it is needed."  It never inspects allocators or device
+ordinals, demonstrating PM/location-agnostic consumption.
 
-Formats:
-
-- legacy-ASCII VTK ``STRUCTURED_POINTS`` for uniform meshes (loadable
-  by ParaView/VisIt for post hoc visualization);
-- legacy-ASCII VTK ``POLYDATA`` point clouds for particle data
-  (Newton++'s "VTK compatible output format");
-- CSV for tables.
+The format is legacy-ASCII VTK ``STRUCTURED_POINTS`` for uniform meshes
+(loadable by ParaView/VisIt for post hoc visualization).
 """
 
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from repro.svtk.data_array import DataArray
 from repro.svtk.mesh import UniformCartesianMesh
-from repro.svtk.table import TableData
 
-__all__ = ["write_vtk_image", "write_vtk_particles", "write_csv_table"]
+__all__ = ["write_vtk_image"]
 
 
 def _host_values(array: DataArray) -> np.ndarray:
@@ -61,59 +55,6 @@ def write_vtk_image(mesh: UniformCartesianMesh, path: str | os.PathLike) -> None
             f.write(f"SCALARS {_sanitize(name)} {vtk_type} {arr.n_components}\n")
             f.write("LOOKUP_TABLE default\n")
             _write_values(f, values)
-
-
-def write_vtk_particles(
-    positions: Iterable[DataArray], path: str | os.PathLike,
-    attributes: Iterable[DataArray] = (),
-) -> None:
-    """Write particles as legacy-ASCII VTK POLYDATA.
-
-    ``positions`` supplies 1-3 coordinate arrays (x, y, z); missing axes
-    are zero-filled.  ``attributes`` become POINT_DATA scalars.
-    """
-    coords = [_host_values(p) for p in positions]
-    if not 1 <= len(coords) <= 3:
-        raise ValueError(f"positions must supply 1-3 axes, got {len(coords)}")
-    n = coords[0].size
-    for c in coords[1:]:
-        if c.size != n:
-            raise ValueError("coordinate arrays must be equally long")
-    while len(coords) < 3:
-        coords.append(np.zeros(n))
-    xyz = np.column_stack(coords)
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("particles\n")
-        f.write("ASCII\n")
-        f.write("DATASET POLYDATA\n")
-        f.write(f"POINTS {n} double\n")
-        for row in xyz:
-            f.write(f"{row[0]:.10g} {row[1]:.10g} {row[2]:.10g}\n")
-        attrs = list(attributes)
-        if attrs:
-            f.write(f"POINT_DATA {n}\n")
-            for arr in attrs:
-                values = _host_values(arr)
-                if values.size != n:
-                    raise ValueError(
-                        f"attribute {arr.name!r} has {values.size} values, "
-                        f"expected {n}"
-                    )
-                f.write(f"SCALARS {_sanitize(arr.name)} {_vtk_type(values.dtype)} 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                _write_values(f, values)
-
-
-def write_csv_table(table: TableData, path: str | os.PathLike) -> None:
-    """Write a table as CSV (header row of column names)."""
-    names = table.column_names
-    columns = [_host_values(table.column(c)) for c in names]
-    with open(path, "w", encoding="ascii") as f:
-        f.write(",".join(names) + "\n")
-        if columns:
-            for row in zip(*columns):
-                f.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 def _vtk_type(dtype: np.dtype) -> str:

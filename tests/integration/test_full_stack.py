@@ -34,8 +34,6 @@ class TestXmlDrivenPipeline:
                 variables="mass:sum" placement="host" name="xy"/>
       <analysis type="data_binning" mesh="bodies" axes="x,vx" bins="8,8"
                 variables="mass:average" placement="auto" name="xvx"/>
-      <analysis type="histogram" mesh="bodies" array="mass" bins="16"
-                placement="host" name="hist"/>
     </sensei>
     """
 
@@ -54,7 +52,7 @@ class TestXmlDrivenPipeline:
             }
 
         for counts in run_spmd(4, fn):
-            assert counts == {"xy": 160.0, "xvx": 160.0, "hist": 160.0}
+            assert counts == {"xy": 160.0, "xvx": 160.0}
 
     def test_xml_asynchronous_with_placement(self):
         xml = """

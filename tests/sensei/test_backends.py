@@ -8,10 +8,10 @@ import pytest
 from repro.binning.axes import AxisSpec
 from repro.binning.operator import BinRequest
 from repro.binning.reduce import ReductionOp
-from repro.errors import BinningError, ExecutionError
+from repro.errors import BinningError
 from repro.hamr.allocator import Allocator
 from repro.mpi.comm import run_spmd
-from repro.sensei.backends import BinningAnalysis, HistogramAnalysis, PosthocIO
+from repro.sensei.backends import BinningAnalysis
 from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.execution import ExecutionMethod
@@ -139,83 +139,19 @@ class TestBinningAnalysis:
         assert run_spmd(3, fn) == [30.0] * 3
 
 
-class TestHistogramAnalysis:
-    def test_counts_and_edges(self):
-        h = HistogramAnalysis("bodies", "mass", bins=16, low=0.5, high=1.5)
-        h.set_device_id(-1)
-        h.execute(make_adaptor(n=500))
-        h.finalize()
-        counts = h.counts()
-        assert counts.sum() == 500
-        edges = h.edges()
-        assert len(edges) == 17
-        assert edges[0] == 0.5 and edges[-1] == 1.5
-
-    def test_empty_before_first_step(self):
-        h = HistogramAnalysis("bodies", "mass")
-        assert h.counts().size == 0
-        assert h.edges().size == 0
-
-    def test_matches_numpy_histogram(self):
-        da = make_adaptor(n=300, seed=5)
-        vals = da.get_mesh("bodies")["mass"].as_numpy_host()
-        h = HistogramAnalysis("bodies", "mass", bins=12, low=0.0, high=2.0)
-        h.set_device_id(-1)
-        h.execute(da)
-        h.finalize()
-        ref, _ = np.histogram(vals, bins=12, range=(0.0, 2.0))
-        np.testing.assert_array_equal(h.counts(), ref)
-
-
-class TestPosthocIO:
-    def test_writes_vtk_at_frequency(self, tmp_path):
-        w = PosthocIO("bodies", tmp_path, frequency=2)
-        for s in range(4):
-            w.execute(make_adaptor(step=s))
-        w.finalize()
-        names = sorted(p.name for p in w.files_written)
-        assert names == ["bodies_000000_r0.vtk", "bodies_000002_r0.vtk"]
-        assert "POINTS 100 double" in w.files_written[0].read_text()
-
-    def test_writes_csv(self, tmp_path):
-        w = PosthocIO("bodies", tmp_path, fmt="csv")
-        w.execute(make_adaptor(n=5))
-        w.finalize()
-        text = w.files_written[0].read_text()
-        assert text.splitlines()[0] == "x,y,z,mass"
-
-    def test_invalid_config(self, tmp_path):
-        with pytest.raises(ExecutionError):
-            PosthocIO("bodies", tmp_path, frequency=0)
-        with pytest.raises(ExecutionError):
-            PosthocIO("bodies", tmp_path, fmt="hdf5")
-
-    def test_per_rank_files(self, tmp_path):
-        def fn(comm):
-            w = PosthocIO("bodies", tmp_path, fmt="csv")
-            w.initialize(comm)
-            w.execute(make_adaptor(n=3, comm=comm))
-            w.finalize()
-            return [p.name for p in w.files_written]
-
-        out = run_spmd(2, fn)
-        assert out[0] == ["bodies_000000_r0.csv"]
-        assert out[1] == ["bodies_000000_r1.csv"]
-
-
 class TestBridgeIntegration:
-    def test_multiple_backends_one_bridge(self, tmp_path):
+    def test_multiple_backends_one_bridge(self):
         bin_a = BinningAnalysis("bodies", [AxisSpec("x", 8)], keep_results=True)
         bin_a.set_device_id(-1)
-        hist = HistogramAnalysis("bodies", "mass", bins=8)
-        hist.set_device_id(-1)
-        io = PosthocIO("bodies", tmp_path, frequency=2, fmt="csv")
+        bin_b = BinningAnalysis(
+            "bodies", [AxisSpec("mass", 8)], name="mass_hist", keep_results=True
+        )
+        bin_b.set_device_id(-1)
         b = Bridge()
-        b.initialize(analyses=[bin_a, hist, io])
+        b.initialize(analyses=[bin_a, bin_b])
         for s in range(4):
             b.execute(make_adaptor(step=s, seed=s))
         b.finalize()
-        assert len(bin_a.results) == 4
-        assert hist.counts().sum() == 100
-        assert len(io.files_written) == 2
+        assert len(bin_a.results) == len(bin_b.results) == 4
+        assert bin_b.latest.cell_array_as_grid("count").sum() == 100
         assert b.total_apparent_time > 0

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.binning.reduce import ReductionOp
+from repro.binning.strategies import BinningStrategy
 from repro.errors import ConfigError
 from repro.hamr.allocator import HOST_DEVICE_ID
-from repro.sensei.analysis_adaptor import AnalysisAdaptor
 from repro.sensei.backends.binning import BinningAnalysis
-from repro.sensei.configurable import ConfigurableAnalysis, register_backend
+from repro.sensei.configurable import ConfigurableAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.execution import ExecutionMethod
 from repro.sensei.placement import PlacementMode
@@ -31,15 +32,15 @@ class TestParseXml:
         cfgs = parse_xml(
             """
             <sensei>
-              <analysis type="histogram" mesh="bodies" array="mass" bins="16"/>
-              <analysis type="posthoc_io" enabled="0" mesh="bodies" output_dir="o"/>
+              <analysis type="data_binning" mesh="bodies" axes="mass" bins="16"/>
+              <analysis type="data_binning" enabled="0" mesh="bodies"/>
             </sensei>
             """
         )
         assert len(cfgs) == 2
-        assert cfgs[0].type == "histogram"
+        assert cfgs[0].type == "data_binning"
         assert cfgs[0].enabled
-        assert cfgs[0].attrs == {"mesh": "bodies", "array": "mass", "bins": "16"}
+        assert cfgs[0].attrs == {"mesh": "bodies", "axes": "mass", "bins": "16"}
         assert not cfgs[1].enabled
 
     def test_malformed_xml(self):
@@ -74,11 +75,11 @@ class TestParseXml:
         (``cfg.attrs``); the hand-rolled typed getters are gone."""
         cfg = parse_xml(
             "<sensei><analysis type='t' name='n' execution='async' "
-            "frequency='3' placement='auto' devices_per_node='2' stride='2' "
+            "placement='auto' devices_per_node='2' stride='2' "
             "a='1' c='x, y ,z'/></sensei>"
         )[0]
         assert cfg.common == AnalysisCommon(
-            name="n", execution=ExecutionMethod.ASYNCHRONOUS, frequency=3,
+            name="n", execution=ExecutionMethod.ASYNCHRONOUS,
             placement=PlacementMode.AUTO, n_use=2, stride=2,
         )
         assert cfg.attrs == {"a": "1", "c": "x, y ,z"}
@@ -106,7 +107,7 @@ class TestConfigurableAnalysis:
     def test_disabled_analyses_skipped(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" enabled="0" mesh="m" array="a"/>
+              <analysis type="data_binning" enabled="0" mesh="m"/>
             </sensei>
         """)
         assert ca.children == []
@@ -114,7 +115,7 @@ class TestConfigurableAnalysis:
     def test_execution_and_placement_attributes_applied(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" mesh="bodies" array="mass"
+              <analysis type="data_binning" mesh="bodies" axes="mass" bins="8"
                         execution="asynchronous" placement="auto"
                         n_use="1" offset="3"/>
             </sensei>
@@ -127,7 +128,7 @@ class TestConfigurableAnalysis:
     def test_devices_per_node_alias(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" mesh="m" array="a"
+              <analysis type="data_binning" mesh="m" axes="a" bins="8"
                         placement="auto" devices_per_node="2"/>
             </sensei>
         """)
@@ -136,7 +137,7 @@ class TestConfigurableAnalysis:
     def test_manual_placement(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" mesh="m" array="a"
+              <analysis type="data_binning" mesh="m" axes="a" bins="8"
                         placement="manual" device="2"/>
             </sensei>
         """)
@@ -146,7 +147,7 @@ class TestConfigurableAnalysis:
         with pytest.raises(ConfigError, match="device"):
             ConfigurableAnalysis(xml="""
                 <sensei>
-                  <analysis type="histogram" mesh="m" array="a"
+                  <analysis type="data_binning" mesh="m" axes="a" bins="8"
                             placement="manual"/>
                 </sensei>
             """)
@@ -154,29 +155,30 @@ class TestConfigurableAnalysis:
     def test_host_placement(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" mesh="m" array="a" placement="host"/>
+              <analysis type="data_binning" mesh="m" axes="a" bins="8" placement="host"/>
             </sensei>
         """)
         assert ca.children[0].resolve_device() == HOST_DEVICE_ID
 
     def test_misspelt_common_attribute_rejected(self):
         """It used to parse and silently run lockstep."""
-        with pytest.raises(ConfigError, match="histogram.*exection"):
+        with pytest.raises(ConfigError, match="data_binning.*exection"):
             ConfigurableAnalysis(xml="""
                 <sensei>
-                  <analysis type="histogram" mesh="bodies" array="mass"
+                  <analysis type="data_binning" mesh="bodies" axes="mass" bins="8"
                             exection="asynchronous"/>
                 </sensei>
             """)
 
     @pytest.mark.parametrize("xml, match", [
-        ('type="histogram" mesh="m" array="a" binz="4"', "unknown.*binz"),
-        ('type="histogram" mesh="m" array="a" bins="many"', "'bins'.*int"),
-        ('type="histogram" array="a"', "requires attribute 'mesh'"),
+        ('type="data_binning" mesh="m" axes="x" binz="4"', "unknown.*binz"),
+        ('type="data_binning" mesh="m" axes="x" low="zero"', "'low'.*float"),
+        ('type="data_binning" axes="x"', "requires attribute 'mesh'"),
         ('type="data_binning" mesh="m" axes="x" bins="4,x"', "'bins'.*int list"),
-        ('type="posthoc_io" mesh="m"', "requires attribute 'output_dir'"),
-        ('type="statistics" mesh="m" n_use="2" devices_per_node="2"',
+        ('type="data_binning" mesh="m" n_use="2" devices_per_node="2"',
          "unknown.*n_use"),
+        ('type="data_binning" mesh="m" axes="x" frequency="2"',
+         "unknown.*frequency"),
     ])
     def test_backend_attribute_errors_name_element_and_attribute(
         self, xml, match
@@ -188,23 +190,47 @@ class TestConfigurableAnalysis:
     def test_backend_attributes_reach_the_backend_typed(self):
         ca = ConfigurableAnalysis(xml="""
             <sensei>
-              <analysis type="histogram" mesh="m" array="a" bins="7"
-                        low="-1.5" high="2" name="h" frequency="3"/>
-              <analysis type="statistics" mesh="m" columns="x, y"/>
-              <analysis type="posthoc_io" mesh="m" output_dir="o"
-                        format="csv" frequency="10"/>
+              <analysis type="data_binning" mesh="m" axes="x, y" bins="7"
+                        low="-1.5,0" high="2,1e3" name="b" strategy="sorted"
+                        variables="mass:sum, vx : max"/>
             </sensei>
         """)
-        hist, stats, writer = ca.children
-        (axis,) = hist.binner.axes
-        assert (hist.name, hist.bins) == ("h", 7)
-        assert (axis.low, axis.high) == (-1.5, 2.0)
-        assert hist.frequency == 3 and writer.frequency == 10
-        assert stats.columns == ["x", "y"] and writer.fmt == "csv"
+        (binning,) = ca.children
+        ax, ay = binning.binner.axes
+        assert binning.name == "b"
+        assert (ax.column, ax.n_bins, ax.low, ax.high) == ("x", 7, -1.5, 2.0)
+        assert (ay.column, ay.n_bins, ay.low, ay.high) == ("y", 7, 0.0, 1e3)
+        assert binning.binner.device_strategy is BinningStrategy.SORTED
+        assert [(r.op, r.variable) for r in binning.binner.requests] == [
+            (ReductionOp.COUNT, None), (ReductionOp.SUM, "mass"),
+            (ReductionOp.MAX, "vx"),
+        ]
 
     def test_unknown_type(self):
         with pytest.raises(ConfigError, match="unknown analysis type"):
             ConfigurableAnalysis(xml="<sensei><analysis type='nope'/></sensei>")
+
+    def test_other_backend_types_name_the_type_and_the_one_supported(self):
+        with pytest.raises(
+            ConfigError, match="'histogram'.*data_binning is the only type"
+        ):
+            ConfigurableAnalysis(xml="""
+                <sensei>
+                  <analysis type="histogram" mesh="m" array="a" bins="8"/>
+                </sensei>
+            """)
+
+    def test_frequency_is_not_an_attribute(self):
+        """Every step is analysed; there is no cadence to configure."""
+        with pytest.raises(
+            ConfigError, match="<analysis type='data_binning'>.*'frequency'"
+        ):
+            ConfigurableAnalysis(xml="""
+                <sensei>
+                  <analysis type="data_binning" mesh="m" axes="x" bins="8"
+                            frequency="2"/>
+                </sensei>
+            """)
 
     def test_binning_validation_errors(self):
         with pytest.raises(ConfigError, match="axes"):
@@ -223,8 +249,6 @@ class TestConfigurableAnalysis:
             """)
 
     def test_binning_strategy_attribute(self):
-        from repro.binning.strategies import BinningStrategy
-
         ca = ConfigurableAnalysis(xml="""
             <sensei>
               <analysis type="data_binning" mesh="m" axes="x" bins="8"
@@ -261,33 +285,6 @@ class TestConfigurableAnalysis:
         with pytest.raises(ConfigError):
             ConfigurableAnalysis(xml="<sensei/>", path=p)
         assert ConfigurableAnalysis(path=p).children == []
-
-    def test_custom_backend_registration(self):
-        built = {}
-
-        class Custom(AnalysisAdaptor):
-            def acquire(self, data, deep):
-                return None
-
-            def process(self, payload, comm, device_id):
-                built["ran"] = True
-
-        def factory(cfg):
-            built["attrs"] = cfg.attrs
-            return Custom(cfg.common.name)
-
-        register_backend("custom_probe", factory)
-        ca = ConfigurableAnalysis(
-            xml="<sensei><analysis type='custom_probe' name='c' knob='7' "
-                "execution='asynchronous'/></sensei>"
-        )
-        ca.execute(make_adaptor())
-        ca.finalize()
-        assert built["ran"]
-        # Its own attributes arrive raw and unvalidated; the common set
-        # was read (and applied) for it.
-        assert built["attrs"] == {"knob": "7"}
-        assert ca.children[0].execution_method is ExecutionMethod.ASYNCHRONOUS
 
     def test_paper_nine_coordinate_systems(self):
         """The evaluation's layout: 9 binning operator instances, each a

@@ -1,13 +1,14 @@
-"""Tests for the analysis cadence (frequency) control."""
+"""Tests for the analysis cadence: the paper analyses every step.
+
+There is no cadence control; ``frequency=`` on an ``<analysis>`` is an
+unknown attribute (``tests/sensei/test_configurable.py``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.errors import ExecutionError
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
-from repro.sensei.configurable import ConfigurableAnalysis
 from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.svtk.table import TableData
 
@@ -39,42 +40,4 @@ class TestFrequency:
             a.execute(adaptor_at(s))
         a.finalize()
         assert a.steps_run == [0, 1, 2, 3]
-
-    def test_every_third_step(self):
-        a = CountingAnalysis()
-        a.set_frequency(3)
-        for s in range(7):
-            a.execute(adaptor_at(s))
-        a.finalize()
-        assert a.steps_run == [0, 3, 6]
-
-    def test_skipped_steps_record_no_timing(self):
-        a = CountingAnalysis()
-        a.set_frequency(2)
-        for s in range(4):
-            a.execute(adaptor_at(s))
-        a.finalize()
-        assert len(a.timings) == 2
-
-    def test_skipped_steps_return_true(self):
-        a = CountingAnalysis()
-        a.set_frequency(5)
-        assert a.execute(adaptor_at(1)) is True
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ExecutionError):
-            CountingAnalysis().set_frequency(0)
-
-    def test_xml_frequency_attribute(self):
-        ca = ConfigurableAnalysis(xml="""
-            <sensei>
-              <analysis type="histogram" mesh="bodies" array="x"
-                        placement="host" frequency="4"/>
-            </sensei>
-        """)
-        child = ca.children[0]
-        assert child.frequency == 4
-        for s in range(5):
-            ca.execute(adaptor_at(s))
-        ca.finalize()
-        assert len(child.timings) == 2  # steps 0 and 4
+        assert [t.time_step for t in a.timings] == [0, 1, 2, 3]

@@ -74,12 +74,6 @@ class TestUniformCartesianMesh:
         assert m.n_cells == 8
         assert m.bounds == ((0.0, 2.0), (-1.0, 1.0))
 
-    def test_cell_centers_and_edges(self):
-        m = UniformCartesianMesh((4,), origin=(0.0,), spacing=(1.0,))
-        edges = m.cell_edges(0)
-        np.testing.assert_array_equal(edges, [0, 1, 2, 3, 4])
-        np.testing.assert_array_equal((edges[:-1] + edges[1:]) / 2, [0.5, 1.5, 2.5, 3.5])
-
     def test_default_origin_spacing(self):
         m = UniformCartesianMesh((2, 2, 2))
         assert m.origin == (0.0, 0.0, 0.0)

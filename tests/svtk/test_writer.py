@@ -1,22 +1,19 @@
-"""Tests for the host-only writers (paper Listing 4 pattern).
+"""Tests for the host-only writer (paper Listing 4 pattern).
 
-Each writer's bytes are checked directly: one small case of each is
-pinned to its exact text, and the value lines of larger cases are
-parsed back with ``np.loadtxt``.
+The writer's bytes are checked directly: one small case is pinned to
+its exact text, and the value lines of larger cases are parsed back
+with ``np.loadtxt``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hamr.allocator import Allocator
-from repro.svtk.data_array import HostDataArray
 from repro.svtk.hamr_array import HAMRDataArray
 from repro.svtk.mesh import UniformCartesianMesh
-from repro.svtk.table import TableData
-from repro.svtk.writer import write_csv_table, write_vtk_image, write_vtk_particles
+from repro.svtk.writer import write_vtk_image
 
 
 def _scalars(text: str, name: str) -> np.ndarray:
@@ -30,14 +27,6 @@ def _scalars(text: str, name: str) -> np.ndarray:
         len(lines),
     )
     return np.loadtxt([" ".join(lines[start:stop])], ndmin=1)
-
-
-def _points(text: str) -> np.ndarray:
-    """The ``POINTS`` rows as an ``(n, 3)`` array."""
-    lines = text.splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("POINTS "))
-    n = int(lines[i].split()[1])
-    return np.loadtxt(lines[i + 1 : i + 1 + n], ndmin=2)
 
 
 class TestVtkImage:
@@ -163,139 +152,3 @@ def test_image_values_parse_back(dims, seed, tmp_path_factory):
         rtol=1e-9, atol=1e-12,
     )
 
-
-class TestVtkParticles:
-    def test_exact_text(self, tmp_path):
-        x = HostDataArray("x", np.array([0.0, 1.5]))
-        y = HostDataArray("y", np.array([2.0, -3.0]))
-        m = HostDataArray("mass", np.array([0.25, 20.0]))
-        p = tmp_path / "pts.vtk"
-        write_vtk_particles([x, y], p, attributes=[m])
-        assert p.read_text() == (
-            "# vtk DataFile Version 3.0\n"
-            "particles\n"
-            "ASCII\n"
-            "DATASET POLYDATA\n"
-            "POINTS 2 double\n"
-            "0 2 0\n"
-            "1.5 -3 0\n"
-            "POINT_DATA 2\n"
-            "SCALARS mass double 1\n"
-            "LOOKUP_TABLE default\n"
-            "0.25 20\n"
-        )
-
-    def test_positions_and_attributes_parse_back(self, tmp_path):
-        rng = np.random.default_rng(2)
-        cols = {n: rng.normal(size=7) for n in ("x", "y", "z", "mass", "vx")}
-        p = tmp_path / "pts.vtk"
-        write_vtk_particles(
-            [HostDataArray(n, cols[n]) for n in ("x", "y", "z")],
-            p,
-            attributes=[HostDataArray(n, cols[n]) for n in ("mass", "vx")],
-        )
-        text = p.read_text()
-        np.testing.assert_allclose(
-            _points(text), np.column_stack([cols["x"], cols["y"], cols["z"]]),
-            rtol=1e-9,
-        )
-        for n in ("mass", "vx"):
-            np.testing.assert_allclose(_scalars(text, n), cols[n], rtol=1e-9)
-
-    def test_positions_only(self, tmp_path):
-        p = tmp_path / "pts.vtk"
-        write_vtk_particles([HostDataArray("x", np.array([1.0, 2.0]))], p)
-        text = p.read_text()
-        assert "POINT_DATA" not in text
-        np.testing.assert_array_equal(_points(text), [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-
-    def test_newton_bodies_layout(self, tmp_path):
-        """Newton++'s bodies as a point cloud: positions, then mass."""
-        from repro.newton.ic import uniform_random
-
-        b = uniform_random(20, seed=3)
-        p = tmp_path / "snap.vtk"
-        write_vtk_particles(
-            [HostDataArray(n, getattr(b, n)) for n in ("x", "y", "z")],
-            p,
-            attributes=[HostDataArray("mass", b.mass)],
-        )
-        text = p.read_text()
-        assert "POINTS 20 double" in text
-        assert "SCALARS mass double 1" in text
-        np.testing.assert_allclose(
-            _points(text), np.column_stack([b.x, b.y, b.z]), rtol=1e-9
-        )
-        np.testing.assert_allclose(_scalars(text, "mass"), b.mass, rtol=1e-9)
-
-    def test_points_and_attributes(self, tmp_path):
-        x = HostDataArray("x", np.array([0.0, 1.0]))
-        y = HostDataArray("y", np.array([2.0, 3.0]))
-        z = HostDataArray("z", np.array([4.0, 5.0]))
-        m = HostDataArray("mass", np.array([10.0, 20.0]))
-        p = tmp_path / "pts.vtk"
-        write_vtk_particles([x, y, z], p, attributes=[m])
-        text = p.read_text()
-        assert "POINTS 2 double" in text
-        assert "0 2 4" in text
-        assert "POINT_DATA 2" in text
-        assert "SCALARS mass double 1" in text
-
-    def test_missing_axes_zero_filled(self, tmp_path):
-        x = HostDataArray("x", np.array([1.0]))
-        p = tmp_path / "pts.vtk"
-        write_vtk_particles([x], p)
-        assert "1 0 0" in p.read_text()
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        x = HostDataArray("x", np.zeros(2))
-        y = HostDataArray("y", np.zeros(3))
-        with pytest.raises(ValueError):
-            write_vtk_particles([x, y], tmp_path / "bad.vtk")
-
-    def test_attribute_length_mismatch_rejected(self, tmp_path):
-        x = HostDataArray("x", np.zeros(2))
-        a = HostDataArray("a", np.zeros(3))
-        with pytest.raises(ValueError):
-            write_vtk_particles([x], tmp_path / "bad.vtk", attributes=[a])
-
-    def test_name_sanitization(self, tmp_path):
-        x = HostDataArray("x", np.zeros(1))
-        a = HostDataArray("my attr", np.zeros(1))
-        write_vtk_particles([x], tmp_path / "p.vtk", attributes=[a])
-        assert "SCALARS my_attr" in (tmp_path / "p.vtk").read_text()
-
-
-class TestCsvTable:
-    def test_exact_text(self, tmp_path):
-        t = TableData()
-        t.add_host_column("a", np.array([1.5, -2.0]))
-        t.add_host_column("b", np.array([0.0, 1e-12]))
-        p = tmp_path / "t.csv"
-        write_csv_table(t, p)
-        assert p.read_text() == "a,b\n1.5,0\n-2,1e-12\n"
-
-    def test_round_trip(self, tmp_path):
-        t = TableData()
-        t.add_host_column("x", np.array([1.5, 2.5]))
-        t.add_host_column("y", np.array([-1.0, -2.0]))
-        p = tmp_path / "t.csv"
-        write_csv_table(t, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "x,y"
-        assert lines[1] == "1.5,-1"
-        assert len(lines) == 3
-
-    def test_device_column(self, tmp_path):
-        t = TableData()
-        col = HAMRDataArray.new("m", 2, allocator=Allocator.HIP, device_id=0)
-        col.fill(4.0)
-        t.add_column(col)
-        p = tmp_path / "t.csv"
-        write_csv_table(t, p)
-        assert p.read_text().strip().splitlines()[1] == "4"
-
-    def test_empty_table(self, tmp_path):
-        p = tmp_path / "e.csv"
-        write_csv_table(TableData(), p)
-        assert p.read_text() == "\n"

@@ -52,11 +52,6 @@ ALLOWLIST = {
         "paper: svtkStream interop, hand a stream to PM-native code (DESIGN.md §1)",
     "repro.hamr.stream:Stream.from_native":
         "paper: svtkStream interop, adopt a PM-native stream (DESIGN.md §1, §5)",
-    "repro.sensei.data_adaptor:DataAdaptor.get_mesh_metadata":
-        "design: metadata queries before any data movement (DESIGN.md §3.1)",
-    "repro.sensei.configurable:register_backend":
-        "design: custom back-end types for the XML configuration (DESIGN.md "
-        "§5, 'Adding a config field')",
     "repro.control.plan:ControlPlane.observe_device_loads":
         "design: the placement round, one of the plane's three drivers "
         "(DESIGN.md §3.2)",

@@ -251,7 +251,7 @@ class TestAttributeReader:
         (ControlConfig.from_xml_attrs, "<control>", "interval"),
         (ControlConfig.from_xml_attrs, "<control>", "seed"),
         (lambda a: ControlConfig.from_xml_attrs({}, flow_attrs=a), "<flow>", "max_chunk"),
-        (_analysis, "<analysis type='t'>", "frequency"),
+        (_analysis, "<analysis type='t'>", "stride"),
     ])
     def test_bad_number_names_element_and_attribute(self, build, element, attribute):
         with pytest.raises(ConfigError) as err:

@@ -45,13 +45,14 @@ class _DataBinning:
     strategy: BinningStrategy | None = None
 
 
-def _build_data_binning(cfg: AnalysisConfig) -> BinningAnalysis:
+def _build_data_binning(cfg: AnalysisConfig) -> BinningAnalysis | None:
     """Read :class:`_DataBinning` off the element, reject whatever neither
-    it nor the common set names, and build the analysis."""
-    label = f"<analysis type={cfg.type!r}>"
-    attrs = dict(cfg.attrs)
+    it nor the common set names, and build it if enabled (else ``None``)."""
+    label, attrs = f"<analysis type={cfg.type!r}>", dict(cfg.attrs)
     own = read_attrs(label, attrs, _DataBinning)
     reject_unknown(label, attrs)
+    if not cfg.enabled:
+        return None
     for f in fields(_DataBinning):
         if f.default is MISSING and f.name not in own:
             raise ConfigError(f"{label} requires attribute {f.name!r}")
@@ -111,14 +112,14 @@ class ConfigurableAnalysis(AnalysisAdaptor):
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
         self.children: list[AnalysisAdaptor] = []
         for cfg in parse_xml(xml):
-            if not cfg.enabled:
-                continue
             if cfg.type != "data_binning":
                 raise ConfigError(
                     f"unknown analysis type {cfg.type!r}; data_binning is "
                     f"the only type supported"
                 )
             analysis = _build_data_binning(cfg)
+            if analysis is None:
+                continue
             _apply_common_controls(analysis, cfg.common)
             self.children.append(analysis)
 

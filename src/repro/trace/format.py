@@ -131,20 +131,21 @@ def encode_array(values: np.ndarray) -> dict:
             f"trace columns are 1-D; got shape {arr.shape}"
         )
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return {
-        "dtype": str(arr.dtype.name),
-        "data": little.tobytes(),
-    }
+    data = little.base  # a decoded column re-records as its own bytes
+    if type(data) is not bytes or len(data) != little.nbytes:
+        data = little.tobytes()
+    return {"dtype": str(arr.dtype.name), "data": data}
 
 
 def decode_array(payload: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array` (a fresh writable array)."""
+    """Inverse of :func:`encode_array`: a read-only view of the payload's
+    ``bytes`` (a copy only on a big-endian host)."""
     try:
         dtype = np.dtype(payload["dtype"])
         little = np.frombuffer(payload["data"], dtype=dtype.newbyteorder("<"))
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad column payload: {exc}") from None
-    return little.astype(dtype, copy=True)
+    return little.astype(dtype, copy=False)
 
 
 def encode_table(table: TableData) -> dict:
@@ -216,16 +217,6 @@ def _b64encode(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _b64decode(record: dict) -> None:
-    """Inverse of :func:`_b64encode` over a parsed record's columns."""
-    try:
-        for mesh in record.get("meshes", {}).values():
-            for column in mesh["columns"].values():
-                column["data"] = base64.b64decode(column["data"], validate=True)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad column payload: {exc}") from None
-
-
 def _dump_record(record: dict) -> str:
     try:
         return json.dumps(
@@ -286,23 +277,34 @@ class Trace:
 
         Raises :class:`~repro.errors.TraceFormatError` on malformed
         content and :class:`~repro.errors.TraceVersionError` on a
-        version-skewed header.
+        version-skewed header.  A line ends at LF only; it is parsed,
+        and its columns base64-decoded, before the next is cut.
         """
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        records, start, lineno = [], 0, 0
+        while start < len(text):
+            end = text.find("\n", start)
+            end = len(text) if end < 0 else end
+            line, start, lineno = text[start:end], end + 1, lineno + 1
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"line {lineno}: invalid JSON: {exc}"
-                ) from None
+                raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+            del line  # the record holds its own copy of the column text
             if not isinstance(record, dict) or "kind" not in record:
                 raise TraceFormatError(
                     f"line {lineno}: trace records are objects with a "
                     f"'kind' field"
                 )
+            try:  # inverse of _b64encode over the record's columns
+                for mesh in record.get("meshes", {}).values():
+                    for col in mesh["columns"].values():
+                        col["data"] = base64.b64decode(col["data"], validate=True)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(
+                    f"line {lineno}: bad column payload: {exc}"
+                ) from None
             records.append(record)
         if not records or records[0]["kind"] != "header":
             raise TraceFormatError("trace must begin with a header record")
@@ -321,21 +323,17 @@ class Trace:
         for record in records[1:-1]:
             kind = record["kind"]
             if kind in EVENT_KINDS:
-                if not isinstance(record.get("rank"), int) or not isinstance(
-                    record.get("seq"), int
-                ):
+                if not all(isinstance(record.get(k), int) for k in ("rank", "seq")):
                     raise TraceFormatError(
                         f"{kind} record needs integer rank/seq fields"
                     )
-                _b64decode(record)
                 events.append(record)
             elif kind == "counters":
                 counters.append(record)
             else:
                 raise TraceFormatError(f"unknown record kind {kind!r}")
-        if footer.get("events") != len(events) or footer.get(
-            "counters"
-        ) != len(counters):
+        counts = (footer.get("events"), footer.get("counters"))
+        if counts != (len(events), len(counters)):
             raise TraceFormatError(
                 "footer counts do not match the record stream "
                 f"(footer {footer}, found {len(events)} events / "

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +18,7 @@ from repro.newton.forces import (
 )
 from repro.newton.ic import uniform_random
 from repro.newton.integrator import leapfrog_step
+from tests.support import traced_peak
 
 
 class TestAccelerations:
@@ -202,12 +201,7 @@ def test_scratch_stays_bounded():
     b = uniform_random(512, seed=12)
     t, s, m = b.positions[:256].copy(), b.positions, b.mass
     accelerations(t, s, m)  # warm numpy's lazy state outside the window
-    tracemalloc.start()
-    try:
-        accelerations(t, s, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: accelerations(t, s, m))
     assert peak <= 1.5 * 2**20, peak
 
 

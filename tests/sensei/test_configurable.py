@@ -220,6 +220,17 @@ class TestConfigurableAnalysis:
                 </sensei>
             """)
 
+    @pytest.mark.parametrize("xml, match", [
+        ('type="histgram" enabled="0" binz="4"', "'histgram'.*only type"),
+        ('type="data_binning" enabled="0" mesh="m" exection="lockstep"',
+         "unknown.*exection"),
+    ])
+    def test_a_disabled_element_is_checked_too(self, xml, match):
+        """A typo fails when the document is read, not on the day the
+        element is enabled."""
+        with pytest.raises(ConfigError, match=match):
+            ConfigurableAnalysis(xml=f"<sensei><analysis {xml}/></sensei>")
+
     def test_frequency_is_not_an_attribute(self):
         """Every step is analysed; there is no cadence to configure."""
         with pytest.raises(

@@ -7,8 +7,6 @@ k+1 never overlaps a still-referenced step k.
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
@@ -16,6 +14,7 @@ from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
 from repro.transport.config import TransportConfig
+from tests.support import traced_peak
 
 MESH = "field"
 ROWS = 512 * 1024  # float64: 4 MiB a step
@@ -71,11 +70,6 @@ def test_endpoint_peak_is_below_two_decoded_steps():
     transport = TransportConfig(
         compression="zlib", chunk_bytes=64 * 1024, max_inflight=8
     )
-    tracemalloc.start()
-    try:
-        _producers, endpoints = _run(fields, transport)
-        _now, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (_producers, endpoints), peak = traced_peak(lambda: _run(fields, transport))
     assert endpoints[0].analyses[0].rows == 3 * ROWS
     assert peak < 2 * STEP_BYTES, f"peak {peak / 2**20:.1f} MiB"

@@ -5,6 +5,7 @@ They live here, not in ``src/repro``, because only tests call them.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 from repro.hw.spec import DeviceSpec, NodeSpec
@@ -36,6 +37,22 @@ def rerun(scenario, times: int = 2, name: str = "determinism") -> list:
         fresh_substrate(name)
         out.append(scenario())
     return out
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc; return ``(its result, peak bytes)``.
+
+    The peak counts only what the call allocates (memory already held
+    when it starts is not traced), so a bound on it is a bound on the
+    call's own residency.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def canonical_decisions(decisions) -> list:

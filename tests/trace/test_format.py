@@ -95,10 +95,20 @@ class TestArrayCodec:
             assert out.dtype == arr.dtype
             np.testing.assert_array_equal(out, arr)
 
-    def test_decoded_array_is_writable(self):
-        out = decode_array(encode_array(np.arange(3, dtype=np.float64)))
-        out[0] = 99.0
-        assert out[0] == 99.0
+    def test_decoded_array_is_a_read_only_view_of_the_payload(self):
+        payload = encode_array(np.arange(3, dtype=np.float64))
+        out = decode_array(payload)
+        assert np.shares_memory(out, np.frombuffer(payload["data"], np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 99.0
+
+    def test_a_decoded_column_re_encodes_as_its_own_bytes(self):
+        payload = encode_array(np.arange(4, dtype=np.int32))
+        out = decode_array(payload)
+        assert encode_array(out)["data"] is payload["data"]
+        part = encode_array(out[1:])  # a view of part of the bytes: a copy
+        assert part["data"] == payload["data"][4:]
+        assert type(part["data"]) is bytes
 
     def test_rejects_2d(self):
         with pytest.raises(TraceFormatError):
@@ -259,6 +269,43 @@ class TestTraceValidation:
         text = trace.to_jsonl().replace("AAAAAAAAAAA=", "!!!not-base64!")
         with pytest.raises(TraceFormatError, match="bad column payload"):
             Trace.from_jsonl(text)
+
+    def test_a_bad_record_names_its_line(self):
+        table = TableData("m")
+        table.add_host_column("x", np.zeros(1))
+        trace = small_trace()
+        trace.events[0]["meshes"] = {"m": encode_table(table)}
+        lines = trace.to_jsonl().splitlines(keepends=True)
+        for bad, match in [
+            ("not json\n", "line 4: invalid JSON"),
+            ("[1, 2]\n", "line 4: trace records are objects"),
+            (lines[1].replace("AAAAAAAAAAA=", "!!!"), "line 4: bad column"),
+        ]:
+            text = "".join([lines[0], "\n", "  \n", bad, *lines[2:]])
+            with pytest.raises(TraceFormatError, match=match):
+                Trace.from_jsonl(text)
+
+    def test_blank_lines_and_a_missing_final_newline_parse(self):
+        trace = small_trace()
+        text = trace.to_jsonl()
+        for variant in (
+            text.replace("\n", "\n\n"),
+            "\n \t\n" + text + "   \n\n",
+            text.rstrip("\n"),
+        ):
+            assert Trace.from_jsonl(variant) == trace
+
+    def test_crlf_lines_parse_and_a_lone_cr_ends_no_line(self):
+        """A line ends at LF; the CR of a CRLF is JSON whitespace, so such
+        a trace parses to the same records and counts lines the same."""
+        trace = small_trace()
+        text = trace.to_jsonl()
+        assert Trace.from_jsonl(text.replace("\n", "\r\n")) == trace
+        crlf = text.replace("\n", "\r\n").replace('"kind":"obs"', "x", 1)
+        with pytest.raises(TraceFormatError, match="line 3: invalid JSON"):
+            Trace.from_jsonl(crlf)
+        with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
+            Trace.from_jsonl(text.replace("\n", "\r"))
 
     def test_footer_count_mismatch(self):
         trace = small_trace()

@@ -12,9 +12,22 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceFormatError, TraceVersionError
-from repro.trace import TRACE_VERSION, Trace, fresh_substrate, replay_trace
+from repro.svtk.table import TableData
+from repro.trace import (
+    TRACE_VERSION,
+    Trace,
+    TraceEvent,
+    encode_table,
+    fresh_substrate,
+    replay_trace,
+)
 from repro.workloads.zoo import record_zoo
-from tests.support import GOLDEN_SCENARIOS, ZOO_WORKLOADS, diff_traces
+from tests.support import (
+    GOLDEN_SCENARIOS,
+    ZOO_WORKLOADS,
+    diff_traces,
+    traced_peak,
+)
 
 ALL_SCENARIOS = tuple(ZOO_WORKLOADS) + tuple(GOLDEN_SCENARIOS)
 
@@ -111,6 +124,53 @@ class TestRecordedColumns:
                 for column in mesh["columns"].values():
                     assert type(column["data"]) is bytes
         assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
+def column_bytes(trace: Trace) -> dict:
+    """Every publish column's payload, keyed by where it sits."""
+    return {
+        (e["rank"], e["seq"], mesh, name): column["data"]
+        for e in trace.events if e["kind"] == "publish"
+        for mesh, table in e["meshes"].items()
+        for name, column in table["columns"].items()
+    }
+
+
+class TestReplayResidency:
+    """A replay holds each column's bytes once: parse, replay and
+    re-record share the parsed trace's ``bytes`` objects."""
+
+    def test_re_recorded_columns_are_the_parsed_bytes(self):
+        recorded, _p, _e = record_zoo("particle", seed=3)
+        parsed = Trace.from_jsonl(recorded.to_jsonl())
+        fresh_substrate()
+        replayed = column_bytes(replay_trace(parsed).trace)
+        columns = column_bytes(parsed)
+        assert columns and replayed.keys() == columns.keys()
+        assert all(replayed[key] is data for key, data in columns.items())
+
+    def test_parse_peak_is_the_columns_plus_one_line(self):
+        """Four steps of a 2 MiB column parse at 13.3 MiB peak: the 8 MiB
+        of columns plus the last line in flight (its base64 text and the
+        ASCII copy ``b64decode`` makes of it, 2.67 MiB each).  Cutting the
+        whole text into lines first and decoding the base64 after the
+        last line peaked at 21.3 MiB."""
+        step = 2 * 2**20
+        table = TableData("m")
+        table.add_host_column("x", np.arange(step // 8, dtype=np.float64))
+        meshes = {"m": encode_table(table)}
+        events = [
+            TraceEvent("publish", rank=0, seq=i, body=(
+                ("entry", 0.0), ("meshes", meshes), ("step", i),
+            )).to_dict()
+            for i in range(4)
+        ]
+        header = {"kind": "header", "version": TRACE_VERSION}
+        text = Trace(header=header, events=events, counters=[]).to_jsonl()
+        del table, meshes, events
+        parsed, peak = traced_peak(lambda: Trace.from_jsonl(text))
+        assert len(column_bytes(parsed)) == 4
+        assert peak < 7 * step, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestReplayErrors:

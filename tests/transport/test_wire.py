@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -31,6 +30,7 @@ from repro.transport.wire import (
     get_codec,
 )
 from repro.svtk.table import TableData
+from tests.support import traced_peak
 
 
 def make_table(n=1000, seed=0):
@@ -215,15 +215,12 @@ class TestStreamingCodec:
         t.add_host_column("rho", np.round(rng.normal(size=1 << 20) * 64) / 64)
         raw = 8 * 2**20
         decode_step(encode_step(make_table(n=64), 0, 0.0, codec))  # warm up
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             chunks = encode_step(t, 0, 0.0, codec)
-            compressed = sum(len(c.payload) for c in chunks)
-            _, _, columns = decode_step(chunks)
-            del chunks
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return sum(len(c.payload) for c in chunks), decode_step(chunks)[2]
+
+        (compressed, columns), peak = traced_peak(round_trip)
         np.testing.assert_array_equal(columns["rho"], t.column("rho").as_numpy_host())
         bound = raw + 2 * compressed if codec == "zlib" else 2.25 * raw
         assert peak <= bound, (peak, bound)

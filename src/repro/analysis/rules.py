@@ -419,24 +419,24 @@ class SwallowedErrorRule(Rule):
 # -- HL007 --------------------------------------------------------------------
 
 class PoolLeakRule(Rule):
-    """A pool ``acquire`` without a ``release``/``trim_above`` in scope.
+    """A pool ``acquire`` without a ``release`` in scope.
 
     Within one function: acquiring a block from a memory pool
     (``pool_for(res).acquire(...)`` or ``pool.acquire(...)`` on a name
-    bound from ``pool_for``) without any ``release``/``trim_above`` call
-    in the same function leaks the block's footprint — the bytes stay
-    claimed on the device until someone trims.  The acquire is exempt
+    bound from ``pool_for``) without any ``release`` call in the same
+    function leaks the block: it stays in use, never back in the pool
+    for the next acquire to hit.  The acquire is exempt
     when the pool escapes the function (returned, stored on ``self``),
     i.e. when releasing is visibly someone else's responsibility.
     """
 
     id = "HL007"
     severity = Severity.WARNING
-    title = "pool acquire without release/trim_above in scope"
+    title = "pool acquire without release in scope"
     hint = (
-        "pair pool.acquire(nbytes) with pool.release(nbytes) (or a "
-        "trim_above(watermark)) in the same scope, or hand the pool to an owner that "
-        "frees it; allocation/free layers may suppress with "
+        "pair pool.acquire(nbytes) with pool.release(nbytes) in the same "
+        "scope, or hand the pool to an owner that releases it; "
+        "allocation/free layers may suppress with "
         "'# lint: disable=HL007' and a justification"
     )
 
@@ -478,7 +478,7 @@ class PoolLeakRule(Rule):
                 recv = node.func.value
                 if attr == "acquire" and self._is_pool_receiver(recv, pool_names):
                     acquires.append(node)
-                elif attr in ("release", "trim_above"):
+                elif attr == "release":
                     discharged = True
             if discharged:
                 continue
@@ -489,8 +489,7 @@ class PoolLeakRule(Rule):
                 yield self.finding(
                     ctx,
                     call,
-                    "pool block acquired but never released or trimmed "
-                    "in this scope",
+                    "pool block acquired but never released in this scope",
                     details={"pool": recv_name or "pool_for(...)"},
                 )
 

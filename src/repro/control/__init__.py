@@ -1,31 +1,30 @@
 """repro.control — the adaptive runtime control plane.
 
-The paper exposes its execution-model knobs — lockstep vs.
-asynchronous execution, the Eq. 1 placement parameters, the transport
-codec — as static, user-supplied configuration.  This package closes
-the loop: per-step observations (solver time, in situ busy time,
-transfer bytes/time, compression ratio, device load) are fed to
-*governors*, which digest them through their own controller
+The paper exposes its execution-model knobs as static, user-supplied
+configuration, and they stay static here: the execution method and
+the Eq. 1 placement are ``<analysis>`` attributes chosen per run.
+This package closes the loop on the knobs this reproduction adds
+around them — the transport codec and flow window, per-tenant
+endpoint budgets, array block ownership: per-step observations
+(transfer bytes/time, compression ratio, retries, per-rank load) are
+fed to *governors*, which digest them through their own controller
 primitives (EWMA estimators, hysteresis bands, a skew gate) and retune
-the knobs online through narrow actuator hooks.  All eight speak one
+the knobs online through narrow actuator hooks.  All five speak one
 protocol — ``observe(<signals>)`` then ``decide(step, t=None) ->
 list[Decision]`` — are built from a
 :class:`~repro.control.plan.ControlConfig` by
 :meth:`ControlPlane.governor <repro.control.plan.ControlPlane.governor>`
-and log through :meth:`ControlPlane.decide
-<repro.control.plan.ControlPlane.decide>`.  None holds a communicator:
-the four that act on node-wide sums (placement, quota/shard,
-repartition) are handed them by the three drivers that call
-:func:`~repro.control.rounds.coordination_round` — the plane, the
-service bridge, the array coordinator:
+and log through :meth:`ControlPlane.log
+<repro.control.plan.ControlPlane.log>`.  None holds a communicator:
+the three that act on node-wide sums (quota/shard, repartition) are
+handed them by the two drivers that call
+:func:`~repro.control.rounds.coordination_round` — the service
+bridge and the array coordinator:
 
 ===========  ===========  ===============================  ===================
 governor     switch       decides                          actuator
 ===========  ===========  ===============================  ===================
 codec        codec        wire codec per sender            ``set_codec``
-execution    execution    lockstep vs. asynchronous        ``set_execution_method``
-placement    placement    node-consistent Eq. 1 re-aim     ``set_placement``
-pool         pool         pool trim above a watermark      ``trim_above``
 flow         flow         credit window + chunk (AIMD)     ``set_window``, ``set_chunk_bytes``
 quota        quota        per-tenant endpoint budgets      ``Router.grant``
 shard        quota        migrate a tenant off a hot       ``ShardMap.set_shard``
@@ -35,7 +34,7 @@ repartition  repartition  re-cut array block ownership     ``DistributedArray.re
 
 Each class's docstring has the detail; ``quota``/``shard`` and
 ``repartition`` live in :mod:`~repro.control.quota` and
-:mod:`~repro.control.repartition`, the rest in
+:mod:`~repro.control.repartition`, codec and flow in
 :mod:`~repro.control.governors`.
 
 A :class:`~repro.control.plan.ControlPlane` owns the governors and the
@@ -50,12 +49,9 @@ configuration.
 from repro.control.governors import (
     CodecGovernor,
     Decision,
-    ExecutionModeGovernor,
     FlowBounds,
     FlowGovernor,
     Governor,
-    PlacementGovernor,
-    PoolTrimGovernor,
 )
 from repro.control.plan import ControlConfig, ControlPlane
 from repro.control.policy import EWMA, Hysteresis, SkewGate
@@ -70,13 +66,10 @@ __all__ = [
     "ControlPlane",
     "Decision",
     "EWMA",
-    "ExecutionModeGovernor",
     "FlowBounds",
     "FlowGovernor",
     "Governor",
     "Hysteresis",
-    "PlacementGovernor",
-    "PoolTrimGovernor",
     "QuotaGovernor",
     "RepartitionGovernor",
     "ShardGovernor",

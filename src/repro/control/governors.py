@@ -1,4 +1,4 @@
-"""Governors: feedback controllers wired to the paper's runtime knobs.
+"""Governors: feedback controllers wired to the transport's knobs.
 
 Each governor closes one loop: it digests observations through the
 primitives in :mod:`repro.control.policy` and, when the evidence says
@@ -14,25 +14,18 @@ which ``ControlConfig`` setting switches it and how the trace plane
 treats its decisions.  No governor holds a communicator or blocks in
 ``decide``: one that acts on node-wide sums exposes its per-rank
 ``contribution()`` and is handed the folded sums by the driver that
-owns the round.  The package
-docstring (:mod:`repro.control`) tabulates all eight; the five here
-turn the paper's own knobs, the service and array governors live in
-their own modules.
+owns the round.  The package docstring (:mod:`repro.control`)
+tabulates all five; the two here (codec, flow) act on one sender, the
+service and array governors live in their own modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro.control.policy import EWMA, Hysteresis
 from repro.hamr.runtime import current_clock
-from repro.hw.contention import ContentionModel, SharedResource
-from repro.hw.node import num_devices
-from repro.sensei.execution import ExecutionMethod
-from repro.sensei.placement import DevicePlacement, reaim
 from repro.transport.wire import SERIALIZE_BANDWIDTH, get_codec
 from repro.units import KiB
 
@@ -40,9 +33,6 @@ __all__ = [
     "Decision",
     "Governor",
     "CodecGovernor",
-    "ExecutionModeGovernor",
-    "PlacementGovernor",
-    "PoolTrimGovernor",
     "FlowBounds",
     "FlowGovernor",
 ]
@@ -52,8 +42,7 @@ __all__ = [
 class Decision:
     """One governor verdict, logged whether or not it was applied.
 
-    ``applied`` is False when the governor has no actuator, and for
-    findings that change nothing (placement's crowding report);
+    ``applied`` is False when the governor has no actuator;
     ``args`` carries the structured context in the same sorted
     ``(key, value)`` tuple format the analysis findings use, so
     decision logs and lint/sanitizer reports line up.
@@ -299,338 +288,6 @@ class CodecGovernor(Governor):
         )]
 
 
-class ExecutionModeGovernor(Governor):
-    """Switches lockstep ↔ asynchronous on the in situ / solver ratio.
-
-    The controlled signal is ``(insitu - copy) / sim``: the busy time
-    asynchronous execution could hide, net of the deep copy it cannot
-    (``deep_copy_table`` charges the snapshot to the simulation — the
-    paper's "apparent" asynchronous cost), relative to the solver's
-    step time.  The signal passes through a hysteresis band so one
-    noisy step cannot flap the mode.  The copy-cost estimate prefers
-    measurement (the apparent time of an asynchronous step *is* the
-    copy charge) and falls back to the analytic estimate supplied by
-    the caller until the first asynchronous step provides one.
-    """
-
-    name = "execution"
-
-    def __init__(
-        self,
-        actuator: Callable[[ExecutionMethod], None] | None = None,
-        low: float = 0.05,
-        high: float = 0.15,
-        alpha: float = 0.5,
-        initial: ExecutionMethod = ExecutionMethod.LOCKSTEP,
-    ):
-        super().__init__(actuator)
-        self.mode = initial
-        self._band = Hysteresis(
-            low, high, state=(initial is ExecutionMethod.ASYNCHRONOUS)
-        )
-        self._sim = EWMA(alpha)
-        self._insitu = EWMA(alpha)
-        self._copy = EWMA(alpha)
-        self._copy_measured = False
-        self.last_ratio: float | None = None
-
-    def observe(
-        self,
-        step: int,
-        sim_time: float,
-        insitu_time: float,
-        apparent_time: float,
-        copy_estimate: float | None = None,
-    ) -> None:
-        if sim_time > 0:
-            self._sim.update(sim_time)
-        if insitu_time > 0:
-            self._insitu.update(insitu_time)
-        if self.mode is ExecutionMethod.ASYNCHRONOUS and apparent_time > 0:
-            # Under async the simulation only pays the deep copy.
-            self._copy.update(apparent_time)
-            self._copy_measured = True
-        elif not self._copy_measured and copy_estimate is not None \
-                and copy_estimate > 0:
-            self._copy.update(copy_estimate)
-
-    def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        sim = self._sim.value
-        insitu = self._insitu.value
-        if not sim or insitu is None:
-            return []
-        copy = self._copy.get(0.0)
-        ratio = (insitu - copy) / sim
-        self.last_ratio = ratio
-        want_async = self._band.update(ratio)
-        target = (
-            ExecutionMethod.ASYNCHRONOUS if want_async
-            else ExecutionMethod.LOCKSTEP
-        )
-        if target is self.mode:
-            return []
-        applied = self._actuate(target)
-        previous = self.mode
-        if applied:
-            self.mode = target
-        return [self._decision(
-            step, t, f"execution={target.value}",
-            f"(insitu-copy)/sim = ({insitu:.3g}-{copy:.3g})/{sim:.3g} = "
-            f"{ratio:.3f} crossed the [{self._band.low}, {self._band.high}] "
-            "band",
-            applied,
-            previous=previous.value,
-            ratio=round(ratio, 4),
-            insitu=insitu,
-            copy=copy,
-            sim=sim,
-        )]
-
-
-class PlacementGovernor(Governor):
-    """Re-aims Eq. 1's ``n_use``/``stride``/``offset`` from node-wide sums.
-
-    A rank that judges device load from its own view alone has a blind
-    spot: two ranks on one node can independently "flee" an overloaded
-    device to the *same* calm one and crowd it — each local view says
-    the move is good, and neither can see the other deciding the same
-    thing.  So this governor decides on sums over every governed rank,
-    and leaves the summing to whoever drives it:
-
-    1. :meth:`contribution` is this rank's named fields — the node's
-       busy fractions dilated by contention sharers, its own share of
-       its current device, resident pool bytes, and a one-hot of the
-       device Eq. 1 currently resolves to for it;
-    2. the driver (:meth:`ControlPlane.observe_device_loads
-       <repro.control.plan.ControlPlane.observe_device_loads>`) folds
-       the fields over the communicator it was wired on — or, at one
-       rank, folds nothing — and hands the sums to :meth:`ingest`;
-    3. :meth:`decide` derives the external-load picture (node busy
-       minus what the governed ranks themselves contribute — the load
-       that will not move when they do), detects **crowding** (>= 2
-       ranks resolved to one device while another sits idle), and, when
-       triggered, re-aims through :func:`repro.sensei.placement.reaim`
-       — new Eq. 1 parameters whose rank image spreads the participants
-       over the calmest devices.
-
-    The trigger and the re-aim are pure functions of the ingested sums,
-    so every rank fed the same sums applies the identical
-    :class:`~repro.sensei.placement.DevicePlacement` on the same step —
-    per-rank Eq. 1 resolution then fans the ranks out across the target
-    set instead of piling them onto one device.  Crowding findings are
-    logged as decisions even when no re-aim results.  ``overload`` is
-    the re-aim trigger relative to the node-mean external load.
-    """
-
-    name = "placement"
-
-    #: The dilation model device loads are scored with.
-    CONTENTION = ContentionModel()
-    #: Weight folding resident pool bytes into the device score (a
-    #: device whose pool hoards memory is a worse target even when idle).
-    RESIDENT_WEIGHT = 0.25
-
-    def __init__(
-        self,
-        actuator: Callable[[DevicePlacement], None] | None = None,
-        rank: int = 0,
-        base: DevicePlacement | None = None,
-        overload: float = 1.30,
-    ):
-        super().__init__(actuator)
-        self.rank = int(rank)
-        self.placement = base if base is not None else DevicePlacement.auto()
-        self.overload = float(overload)
-        self.n_devices = num_devices()
-        self._loads: dict[int, float] = {}
-        self._parties: dict[int, int] = {}
-        self._resident: dict[int, int] = {}
-        self._self_load = 0.0
-        self._total: dict[str, np.ndarray] | None = None
-        #: Crowding finding of the latest decision (reporting access).
-        self.last_crowding: Decision | None = None
-
-    # -- sensors ---------------------------------------------------------------
-    def observe(
-        self,
-        step: int,
-        loads: Mapping[int, float],
-        parties: Mapping[int, int] | None = None,
-        self_load: float = 0.0,
-        resident_bytes: Mapping[int, int] | None = None,
-    ) -> None:
-        """This rank's latest per-device measurements.
-
-        ``loads`` are node-wide busy fractions as this rank sees them
-        (``parties`` optional sharer counts); ``self_load`` is the
-        slice of its *own* current device's busy fraction this rank
-        itself produced (the load that moves with it);
-        ``resident_bytes`` is per-device resident pool footprint.
-        """
-        self._loads = {int(d): float(v) for d, v in loads.items()}
-        self._parties = (
-            {int(d): int(v) for d, v in parties.items()} if parties else {}
-        )
-        self._self_load = max(0.0, float(self_load))
-        self._resident = (
-            {int(d): int(v) for d, v in resident_bytes.items()}
-            if resident_bytes
-            else {}
-        )
-
-    def dilation(self, device: int) -> float:
-        """Slowdown of ``device`` under its observed sharer count."""
-        sharers = max(0, self._parties.get(device, 1) - 1)
-        return self.CONTENTION.dilation(SharedResource.GPU_COMPUTE, sharers)
-
-    # -- the round ---------------------------------------------------------------
-    def contribution(self) -> dict[str, list[float]]:
-        """This rank's fields of a round, ``n_devices`` slots per device field.
-
-        ``busy`` is the dilated node load, ``own`` this rank's slice of
-        its current device, ``aimed`` a one-hot of that device, ``ranks``
-        the participation count.
-        """
-        n = self.n_devices
-        fields = {
-            name: [0.0] * n for name in ("busy", "own", "resident", "aimed")
-        }
-        fields["ranks"] = [1.0]
-        for d in range(n):
-            fields["busy"][d] = self._loads.get(d, 0.0) * self.dilation(d)
-            fields["resident"][d] = float(self._resident.get(d, 0))
-        current = self.placement.resolve(self.rank, n_available=n)
-        if 0 <= current < n:
-            fields["own"][current] = self._self_load * self.dilation(current)
-            fields["aimed"][current] = 1.0
-        return fields
-
-    def ingest(self, total: Mapping[str, Sequence[float]]) -> None:
-        """Take the round's folded sums back — at one rank, simply this
-        rank's own :meth:`contribution`."""
-        self._total = {
-            name: np.asarray(values, dtype=np.float64)
-            for name, values in total.items()
-        }
-
-    def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        """A crowding finding and/or a re-aim from the ingested sums."""
-        total = self._total
-        if total is None:
-            return []
-        ranks_total = int(round(total["ranks"][0]))
-        if ranks_total < 1:
-            return []
-        n = self.n_devices
-        counts = total["aimed"]
-        resident = total["resident"]
-        # External load: what stays on a device when the governed ranks
-        # move off it.  Resident pool bytes tip ties toward devices
-        # with headroom.
-        external = np.maximum(0.0, total["busy"] / ranks_total - total["own"])
-        resident_total = float(resident.sum())
-        score = external + (
-            self.RESIDENT_WEIGHT * resident / resident_total
-            if resident_total > 0
-            else 0.0
-        )
-
-        decisions: list[Decision] = []
-        crowded = [
-            (d, int(round(counts[d]))) for d in range(n) if counts[d] >= 2
-        ]
-        idle = [d for d in range(n) if counts[d] == 0]
-        self.last_crowding = None
-        if crowded and idle:
-            self.last_crowding = self._decision(
-                step,
-                t,
-                "crowding",
-                f"devices {[d for d, _c in crowded]} carry >=2 ranks each "
-                f"while {idle} sit idle",
-                applied=False,
-                crowded=tuple(crowded),
-                idle=tuple(idle),
-                counts=tuple(int(round(c)) for c in counts),
-            )
-            decisions.append(self.last_crowding)
-
-        mean_score = float(score.mean())
-        occupied = [d for d in range(n) if counts[d] > 0]
-        overloaded = [
-            d for d in occupied if mean_score > 0
-            and score[d] > self.overload * mean_score
-        ]
-        if not (crowded and idle) and not overloaded:
-            return decisions
-        k = min(ranks_total, n)
-        order = sorted(range(n), key=lambda d: (score[d], d))
-        targets = order[:k]
-        proposal = reaim(targets, n_available=n)
-        if proposal == self.placement:
-            return decisions
-        applied = self._actuate(proposal)
-        previous = self.placement
-        if applied:
-            self.placement = proposal
-        decisions.append(
-            self._decision(
-                step,
-                t,
-                f"placement=auto(n_use={proposal.n_use}, "
-                f"stride={proposal.stride}, offset={proposal.offset})",
-                f"re-aim over {ranks_total} ranks: targets "
-                f"{targets} (external loads "
-                f"{[round(float(s), 3) for s in score]})",
-                applied,
-                previous=(
-                    f"auto(n_use={previous.n_use}, stride={previous.stride}, "
-                    f"offset={previous.offset})"
-                ),
-                targets=tuple(targets),
-                ranks=ranks_total,
-                crowding=bool(crowded and idle),
-            )
-        )
-        return decisions
-
-
-class PoolTrimGovernor(Governor):
-    """Trims a stream-ordered memory pool above a high watermark.
-
-    Pooled bytes stay claimed on the device (the OOM footprint the
-    paper worries about); this governor releases them back whenever
-    the pool's idle inventory exceeds ``watermark_bytes``, via
-    :meth:`repro.hamr.pool.MemoryPool.trim_above`.
-    """
-
-    name = "pool"
-
-    def __init__(self, pool, watermark_bytes: int):
-        super().__init__(pool.trim_above)
-        if watermark_bytes < 0:
-            raise ValueError(f"watermark must be >= 0: {watermark_bytes}")
-        self.pool = pool
-        self.watermark = int(watermark_bytes)
-        self.trimmed_bytes = 0
-
-    def decide(self, step: int, t: float | None = None) -> list[Decision]:
-        pooled = self.pool.pooled_bytes
-        if pooled <= self.watermark:
-            return []
-        freed = self.actuator(self.watermark)
-        self.trimmed_bytes += freed
-        return [self._decision(
-            step, t, f"trim {freed} B",
-            f"pooled {pooled} B exceeds watermark {self.watermark} B on "
-            f"{self.pool.resource.name}",
-            True,
-            pooled=pooled,
-            watermark=self.watermark,
-            freed=freed,
-        )]
-
-
 @dataclass(frozen=True)
 class FlowBounds:
     """Actuation limits for :class:`FlowGovernor`.
@@ -684,10 +341,7 @@ class FlowGovernor(Governor):
 
     Shrinks actuate through :meth:`ReliableSender.set_window`, whose
     deferred-shrink semantics guarantee in-flight credits are never
-    stranded.  When the plane folds device loads over more than one
-    rank, this rank's EWMAs ride that round as :meth:`contribution` and
-    :meth:`ingest_node` overrides the local signals with the node means,
-    so every rank converges on the same window.
+    stranded.
     """
 
     name = "flow"
@@ -698,9 +352,6 @@ class FlowGovernor(Governor):
     RETRY_BAND = (0.01, 0.10)
     #: Credits added per additive-increase step.
     GROW = 1
-    #: What a rank with no flow governor puts in a round's flow fields,
-    #: so layouts match whichever ranks govern their transport.
-    ABSENT = {"ack": [0.0], "retry": [0.0]}
 
     def __init__(
         self,
@@ -732,8 +383,6 @@ class FlowGovernor(Governor):
         self._last_peak = 0
         self._last_shrink: int | None = None
         self._samples = 0
-        self._node_retry: float | None = None
-        self._node_ack: float | None = None
 
     # -- sensors ---------------------------------------------------------------
     def observe(
@@ -752,42 +401,15 @@ class FlowGovernor(Governor):
         self._last_peak = int(inflight_peak)
         self._samples += 1
 
-    def contribution(self) -> dict[str, list[float]]:
-        """This rank's fields of a round: its own retry/ACK EWMAs."""
-        return {
-            "ack": [self._ack.get(0.0)], "retry": [self._retry.get(0.0)],
-        }
-
-    def ingest_node(self, retry_rate: float, ack_latency: float) -> None:
-        """Override local signals with node means (coordinated mode).
-
-        Every rank feeding its governor identical node means drives all
-        windows through identical decisions — the node-consistent
-        window without a second collective.
-        """
-        self._node_retry = float(retry_rate)
-        self._node_ack = float(ack_latency)
-
-    @property
-    def coordinated(self) -> bool:
-        """True once node-mean signals have been ingested."""
-        return self._node_retry is not None
-
     @property
     def retry_rate(self) -> float:
         """The retry-rate signal the next decision will act on."""
-        return (
-            self._node_retry if self._node_retry is not None
-            else self._retry.get(0.0)
-        )
+        return self._retry.get(0.0)
 
     @property
     def ack_estimate(self) -> float:
         """The ACK-latency signal the next decision will act on."""
-        return (
-            self._node_ack if self._node_ack is not None
-            else self._ack.get(0.0)
-        )
+        return self._ack.get(0.0)
 
     # -- the loop ---------------------------------------------------------------
     def decide(self, step: int, t: float | None = None) -> list[Decision]:
@@ -849,5 +471,4 @@ class FlowGovernor(Governor):
             retry_rate=round(retry_rate, 6),
             ack_latency=round(ack, 9),
             inflight_peak=self._last_peak,
-            coordinated=self._node_retry is not None,
         )]

@@ -1,11 +1,12 @@
 """Per-step observations: the control plane's sensor layer.
 
-Signals are sampled where the work happens — :class:`repro.sensei.bridge.Bridge`
-taps solver/in situ time, :class:`repro.service.router.ServiceBridge`
-taps transport counters — as one :class:`StepObservation` per step,
-which the plane counts and the trace recorder mirrors.  Governors do
-not read observations back: the taps feed each governor's ``observe``
-directly and the governors keep their own estimators (EWMAs,
+Signals are sampled where the work happens — the transport tap
+:meth:`~repro.control.plan.ControlPlane.observe_transport_step`, which
+a :class:`repro.service.router.ServiceBridge` calls per sender per
+step, reads the sender's counters — as one :class:`StepObservation`
+per step, which the plane counts and the trace recorder mirrors.
+Governors do not read observations back: the tap feeds each governor's
+``observe`` directly and the governors keep their own estimators (EWMAs,
 hysteresis bands), which is what stops a single noisy step from
 flipping a knob.
 """
@@ -19,18 +20,14 @@ __all__ = ["StepObservation"]
 
 @dataclass(frozen=True)
 class StepObservation:
-    """One step's worth of measurements (simulated seconds/bytes).
+    """One sender's measurements for one step (simulated seconds/bytes).
 
-    Not every tap fills every field: a purely in situ bridge leaves the
-    transport fields at their defaults, a transport tap leaves the
-    solver fields at theirs.  ``t`` is the simulated time the sample
-    was taken, which orders decisions on the trace.
+    ``t`` is the simulated time the sample was taken, which orders
+    decisions on the trace.
     """
 
     step: int
     t: float
-    sim_time: float = 0.0        # solver work since the previous step
-    insitu_time: float = 0.0     # analysis busy time attributed to this step
     apparent_time: float = 0.0   # time the simulation observed blocked
     payload_bytes: int = 0       # raw bytes published/shipped this step
     wire_bytes: int = 0          # bytes that hit the wire this step

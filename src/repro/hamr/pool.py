@@ -6,7 +6,7 @@ freed blocks return to a per-device pool instead of the OS/driver, and
 subsequent same-size allocations are satisfied from the pool at a
 fraction of a fresh allocation's cost.  The trade-off is footprint —
 pooled memory still counts against the device (the OOM concern that
-motivates zero-copy transfer), until the pool is trimmed.
+motivates zero-copy transfer) for as long as the node lives.
 
 :class:`MemoryPool` reproduces that behaviour on the simulated
 substrate with size-bucketed free lists; the buffer layer consults the
@@ -33,9 +33,7 @@ class MemoryPool:
     - ``acquire(nbytes)`` → True if served from the pool (no new device
       memory claimed), False if a fresh claim was made on the resource;
     - ``release(nbytes)`` returns a block to the pool: the bytes stay
-      claimed on the resource (the footprint the paper worries about);
-    - ``trim_above(watermark_bytes)`` returns pooled bytes above the
-      watermark to the device, like ``cudaMemPoolTrimTo``.
+      claimed on the resource (the footprint the paper worries about).
     """
 
     def __init__(self, resource: ComputeResource):
@@ -77,35 +75,6 @@ class MemoryPool:
         with self._lock:
             self._buckets[nbytes] += 1
             self._pooled_bytes += nbytes
-
-    def trim_above(self, watermark_bytes: int) -> int:
-        """Trim pooled inventory down to ``watermark_bytes``; returns freed.
-
-        ``cudaMemPoolAttrReleaseThreshold`` semantics: largest
-        buckets go first so the fewest blocks are evicted, and the pool
-        keeps up to the watermark for future hits.  The control plane's
-        pool governor drives this.
-        """
-        watermark_bytes = int(watermark_bytes)
-        if watermark_bytes < 0:
-            raise ValueError(
-                f"watermark_bytes must be >= 0: {watermark_bytes}"
-            )
-        freed = 0
-        with self._lock:
-            for nbytes in sorted(self._buckets, reverse=True):
-                while (
-                    self._buckets[nbytes] > 0
-                    and self._pooled_bytes > watermark_bytes
-                ):
-                    self._buckets[nbytes] -= 1
-                    self._pooled_bytes -= nbytes
-                    freed += nbytes
-                if self._buckets[nbytes] == 0:
-                    del self._buckets[nbytes]
-        if freed:
-            self.resource.release_memory(freed)
-        return freed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

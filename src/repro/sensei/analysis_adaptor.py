@@ -69,8 +69,7 @@ class AnalysisAdaptor(ABC):
     def set_execution_method(self, method: ExecutionMethod | str) -> None:
         """Select lockstep or asynchronous execution.
 
-        Callable at any step boundary (the control plane's mode
-        governor does): switching to lockstep first drains any
+        Callable at any step boundary: switching to lockstep first drains any
         in-flight asynchronous task so results stay ordered; switching
         to asynchronous defers worker/communicator setup to the next
         ``execute``.
@@ -84,10 +83,6 @@ class AnalysisAdaptor(ABC):
         ):
             self._runner.drain()
         self._method = method
-
-    @property
-    def execution_method(self) -> ExecutionMethod:
-        return self._method
 
     def set_placement(self, placement: DevicePlacement) -> None:
         self._placement = placement
@@ -147,8 +142,7 @@ class AnalysisAdaptor(ABC):
         else:
             if self._runner is None:
                 # The method was switched to asynchronous after
-                # initialize (e.g. by the control plane's mode
-                # governor): set up the worker lane on first use.
+                # initialize: set up the worker lane on first use.
                 self._async_comm = self._comm.dup()
                 self._runner = AsyncRunner(self.name)
             payload = self.acquire(data, deep=True)
@@ -193,8 +187,8 @@ class AnalysisAdaptor(ABC):
     @property
     def total_actual_time(self) -> float:
         if self._runner is not None:
-            # Mixed-mode runs (the control plane switches methods at
-            # step boundaries) count lockstep steps too.
+            # Mixed-mode runs (methods switched at step boundaries)
+            # count lockstep steps too.
             return self.insitu_busy_time
         return sum(t.actual for t in self.timings)
 
@@ -204,8 +198,8 @@ class AnalysisAdaptor(ABC):
 
         Unlike :attr:`total_actual_time` — whose async portion is only
         distributed into the timings on ``finalize`` — this counter is
-        monotone while the run is still going, so the control plane can
-        take per-step deltas from it.  It sums the lockstep steps'
+        monotone while the run is still going, so a caller can take
+        per-step deltas from it.  It sums the lockstep steps'
         actual times with the async runner's accumulated busy time
         (which lags in-flight work by one step — the price of not
         blocking on it).

@@ -9,10 +9,10 @@ A simulation instruments itself once::
     ...
     bridge.finalize()
 
-and gains run-time switching between any number of analysis back-ends.
-The bridge also keeps per-step apparent-cost records so harness code
-can produce the paper's Figure 3 decomposition without instrumenting
-the simulation further.
+and every configured analysis runs each step under its own execution
+method and placement.  The bridge also keeps per-step apparent-cost
+records so harness code can produce the paper's Figure 3 decomposition
+without instrumenting the simulation further.
 """
 
 from __future__ import annotations
@@ -36,30 +36,12 @@ class Bridge:
         self._comm: Communicator = SelfCommunicator()
         self._initialized = False
         self._finalized = False
-        self._control = None
         #: Apparent in situ cost per executed step (simulated seconds).
         self.step_costs: list[float] = []
-
-    def attach_control(self, plane) -> None:
-        """Attach a :class:`repro.control.ControlPlane` to this bridge.
-
-        Once attached, every ``execute`` feeds the plane one
-        observation (solver time since the last step, in situ busy
-        time, apparent cost, payload size) and the plane's governors
-        may retune the analyses' execution method and placement.  With
-        no plane attached this bridge's behavior is bit-identical to
-        the static configuration.
-        """
-        self._control = plane
 
     @property
     def analyses(self) -> tuple[AnalysisAdaptor, ...]:
         return tuple(self._analyses)
-
-    @property
-    def control_plane(self):
-        """The attached control plane, or None (reporting access)."""
-        return self._control
 
     def initialize(
         self,
@@ -94,12 +76,7 @@ class Bridge:
         ok = True
         for a in self._analyses:
             ok = bool(a.execute(data)) and ok
-        apparent = clock.now - t0
-        self.step_costs.append(apparent)
-        if self._control is not None:
-            self._control.observe_bridge_step(
-                self, data, t_start=t0, apparent=apparent
-            )
+        self.step_costs.append(clock.now - t0)
         return ok
 
     def finalize(self) -> None:

@@ -26,7 +26,7 @@ from repro.errors import PlacementError
 from repro.hamr.allocator import HOST_DEVICE_ID
 from repro.hw.node import num_devices
 
-__all__ = ["PlacementMode", "DevicePlacement", "select_device", "reaim"]
+__all__ = ["PlacementMode", "DevicePlacement", "select_device"]
 
 
 def select_device(
@@ -64,61 +64,6 @@ def select_device(
         raise PlacementError(f"rank must be >= 0, got {rank}")
     # Eq. 1 with C precedence: ((r % n_u) * s + d_0) % n_a.
     return (rank % n_use * stride + offset) % n_available
-
-
-def reaim(
-    targets: "list[int] | tuple[int, ...] | set[int]",
-    n_available: int | None = None,
-) -> "DevicePlacement":
-    """Translate a target device set back into Eq. 1 parameters.
-
-    The placement governor decides *which* devices a node's ranks
-    should occupy; ``reaim`` expresses that
-    decision as an automatic placement — ``(n_use, stride, offset)``
-    such that Eq. 1's rank image ``{(i*s + d_0) mod n_a : i < n_u}``
-    lies entirely within ``targets`` — so a re-aim stays inside the
-    paper's placement mechanism instead of bypassing it.
-
-    Among the candidates the choice maximizes coverage (largest
-    ``n_use``), then prefers the smallest stride, then the smallest
-    offset: a deterministic rule every rank reaches independently from
-    the same target set, which is what makes a coordinated re-aim
-    node-consistent.  Target sets that no single arithmetic
-    progression covers (e.g. ``{0, 1, 3}`` of 4) degrade gracefully to
-    the largest coverable subset; a singleton always works
-    (``n_use=1, stride=1, offset=d``).
-    """
-    if n_available is None:
-        n_available = num_devices()
-    if n_available < 1:
-        raise PlacementError("no devices available on this node")
-    wanted = sorted({int(d) for d in targets})
-    if not wanted:
-        raise PlacementError("reaim needs at least one target device")
-    for d in wanted:
-        if not 0 <= d < n_available:
-            raise PlacementError(
-                f"target device {d} outside [0, {n_available})"
-            )
-    target_set = set(wanted)
-    best: tuple[int, int, int] | None = None  # (-n_use, stride, offset)
-    for stride in range(1, n_available + 1):
-        for offset in wanted:
-            covered: set[int] = set()
-            for i in range(n_available):
-                d = (i * stride + offset) % n_available
-                if d in covered or d not in target_set:
-                    break
-                covered.add(d)
-            if not covered:
-                continue
-            key = (-len(covered), stride, offset)
-            if best is None or key < best:
-                best = key
-    assert best is not None  # offset in wanted always yields n_use >= 1
-    return DevicePlacement.auto(
-        n_use=-best[0], stride=best[1], offset=best[2]
-    )
 
 
 class PlacementMode(enum.Enum):

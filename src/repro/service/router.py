@@ -183,10 +183,10 @@ class ServiceBridge:
     def attach_control(self, plane) -> None:
         """Attach a :class:`repro.control.ControlPlane`.
 
-        Per-sender taps (codec, flow) wire lazily exactly as on the
-        single-pipeline bridge; additionally, ``ControlConfig.quota`` on
-        arms the service's own coordination round (quota + shard
-        governors) at the plane's decision interval.
+        Per-sender taps wire the codec and flow governors lazily on
+        each sender's first step; ``ControlConfig.quota`` on arms the
+        service's own coordination round (quota + shard governors) at
+        the plane's decision interval.
         """
         self._control = plane
 

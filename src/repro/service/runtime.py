@@ -383,7 +383,7 @@ def run_service(
             if control is not None:
                 from repro.control.plan import ControlPlane
 
-                bridge.attach_control(ControlPlane(control, comm=sim_comm))
+                bridge.attach_control(ControlPlane(control))
             bridge.initialize(comm, sim_comm)
             if recorder is not None:
                 bridge = recorder.bind(sim_comm.rank, bridge)

@@ -64,7 +64,7 @@ __all__ = [
 #: Format version stamped into every header; bumped on any change to
 #: the record schema.  Loading a trace with a different version raises
 #: :class:`~repro.errors.TraceVersionError`.
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 #: Per-rank stream record kinds, in the order they may appear.
 EVENT_KINDS = ("publish", "fin", "obs", "decision")

@@ -75,8 +75,8 @@ class RankSink:
     def on_decision(self, decision) -> None:
         self.emit("decision", **canonical_decision(decision))
 
-    def on_observation(self, obs, origin: str = "transport") -> None:
-        self.emit("obs", origin=str(origin), **canonical_observation(obs))
+    def on_observation(self, obs) -> None:
+        self.emit("obs", **canonical_observation(obs))
 
     # -- end-of-run counters ----------------------------------------------------
     def add_counters(self, pipeline: str, metrics: dict) -> None:
@@ -128,8 +128,8 @@ class RecordingBridge:
         """Re-emit a scripted record into this rank's stream.
 
         The replayer uses this for events the replay cannot regenerate
-        live — workload-side decisions and in situ observations (the
-        workload itself does not run under replay); the event lands at
+        live — workload-side decisions (the workload itself does not
+        run under replay); the event lands at
         this rank's current ``seq``, restoring the recorded
         interleaving.
         """

@@ -97,13 +97,13 @@ def _producer_scripts(trace: Trace, m: int) -> dict[int, list]:
     thread, so a malformed trace fails as a :class:`TraceFormatError`
     before any producer launches — not as a wrapped SPMD rank failure.
 
-    Events the live replay re-emits itself are left out: transport
-    observations, and decisions of governors whose class says the
-    replay re-executes the path driving them (``Governor.replayed``:
-    the per-step transport tap, the service bridge's coordination
-    rounds).  Everything else is driven by workload-side state that
-    does not run under replay (in situ bridges, pools, device loads,
-    array repartitioning) and is re-injected from the script.
+    Events the live replay re-emits itself are left out: every
+    observation (each comes from the transport tap), and decisions of
+    governors whose class says the replay re-executes the path driving
+    them (``Governor.replayed``: the per-step transport tap, the
+    service bridge's coordination rounds).  The rest are decisions
+    driven by workload-side state that does not run under replay
+    (array repartitioning) and are re-injected from the script.
     """
     scripts: dict[int, list] = {rank: [] for rank in range(m)}
     for event in sorted(trace.events, key=lambda e: (e["rank"], e["seq"])):
@@ -125,7 +125,7 @@ def _producer_scripts(trace: Trace, m: int) -> dict[int, list]:
                 _field(event, "sim_time", float),
                 {m_: decode_table(m_, meshes[m_]) for m_ in sorted(meshes)},
             )
-        elif kind == "obs" and event.get("origin", "transport") == "transport":
+        elif kind == "obs":
             continue
         elif kind == "decision" and Governor.named(
             _field(event, "governor", _name)

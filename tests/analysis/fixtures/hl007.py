@@ -1,4 +1,4 @@
-"""Fixture: HL007 — pool acquire without release/trim_above in scope.
+"""Fixture: HL007 — pool acquire without release in scope.
 
 Never executed; parsed by the linter in tests/analysis/test_rules.py.
 Lines carrying a violation are marked with a trailing `# expect: HLxxx`
@@ -27,8 +27,8 @@ def balanced(resource, nbytes):
 
 def trimmed(resource, nbytes):
     pool = pool_for(resource)
-    pool.acquire(nbytes)
-    pool.trim_above(0)  # discharge: trim in the same scope
+    pool.acquire(nbytes)  # expect: HL007
+    pool.trim_above(0)  # not a discharge: only release returns the block
     return nbytes
 
 

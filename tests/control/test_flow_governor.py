@@ -124,19 +124,6 @@ class TestGovernorPlumbing:
         gov, _ = make_gov()
         assert gov.decide(0) == []
 
-    def test_ingest_node_overrides_local_signals(self):
-        gov, calls = make_gov()
-        gov.observe(0, ack_latency=1e-4, retries=5, chunks=10,
-                    inflight_peak=4)  # local view: lossy
-        gov.ingest_node(retry_rate=0.0, ack_latency=1e-4)
-        assert gov.coordinated
-        gov.decide(0)
-        # Node mean says the link is clean: grow, don't shrink.
-        assert calls["window"] == [5]
-        # Local EWMAs stay intact as this rank's collective contribution.
-        assert gov.contribution()["retry"] == [pytest.approx(0.5)]
-        assert sorted(gov.contribution()) == sorted(gov.ABSENT)
-
     def test_decisions_deterministic_across_reruns(self):
         def run():
             gov, _ = make_gov()

@@ -1,26 +1,22 @@
-"""Tests for ControlConfig parsing and the ControlPlane wiring/taps."""
+"""Tests for ControlConfig parsing and the ControlPlane wiring/tap."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.control.plan import (
-    ControlConfig,
-    ControlPlane,
-    estimate_deep_copy_time,
-    payload_nbytes,
-)
+from repro.control.plan import ControlConfig, ControlPlane
 from repro.errors import ConfigError
 from repro.hamr.runtime import current_clock
+from repro.mpi.comm import CommCostModel
 from repro.sensei.analysis_adaptor import AnalysisAdaptor
-from repro.sensei.bridge import Bridge
 from repro.sensei.data_adaptor import TableDataAdaptor
-from repro.sensei.execution import ExecutionMethod
+from repro.sensei.intransit import InTransitLayout, run_in_transit
 from repro.svtk.table import TableData
+from repro.trace.harness import fresh_substrate
 from repro.transport.metrics import TransportMetrics
 from repro.transport.wire import get_codec
-from repro.units import MiB, gbs
+from repro.units import MiB, gbs, us
 
 
 class TestGovernorSetting:
@@ -53,7 +49,7 @@ class TestControlConfig:
         assert cfg.interval == 1 and cfg.seed == 0
         assert cfg.codec is True and cfg.flow is False
         switches = [v for v in vars(cfg).values() if isinstance(v, bool)]
-        assert len(switches) == 7
+        assert len(switches) == 4
 
     @pytest.mark.parametrize("kwargs", [{"interval": 0}])
     def test_validation(self, kwargs):
@@ -66,12 +62,24 @@ class TestControlConfig:
                 "seed": "7",
                 "interval": "2",
                 "codec": "off",
-                "placement": "off",
+                "flow": "on",
             }
         )
         assert cfg.seed == 7 and cfg.interval == 2
-        assert cfg.codec is False and cfg.placement is False
-        assert cfg.execution is True  # unmentioned: default on
+        assert cfg.codec is False and cfg.flow is True
+        assert cfg.quota is False  # unmentioned: its default
+
+    @pytest.mark.parametrize("name", ["execution", "placement", "pool"])
+    def test_retired_switch_may_only_be_off(self, name):
+        """The execution, placement and pool governors are gone: their
+        switches still parse as off, and on names the removed governor."""
+        for raw in ("off", "0", "False", "no"):
+            assert ControlConfig.from_xml_attrs({name: raw}) == ControlConfig()
+        for raw in ("on", "1", "true", "maybe"):
+            with pytest.raises(
+                ConfigError, match=rf"<control>: the {name} governor was removed"
+            ):
+                ControlConfig.from_xml_attrs({name: raw})
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ConfigError, match="unknown attribute"):
@@ -87,119 +95,62 @@ class TestControlConfig:
             ControlConfig.from_xml_attrs({"enabled": "maybe"})
 
 
-def make_adaptor(step, n=256):
-    t = TableData("bodies")
-    t.add_host_column("x", np.zeros(n))
-    da = TableDataAdaptor({"bodies": t})
-    da.set_step(step, 0.1 * step)
-    return da
+class Sink(AnalysisAdaptor):
+    """An endpoint analysis that does nothing."""
 
-
-class TestPayloadHelpers:
-    def test_payload_nbytes_counts_table_columns(self):
-        assert payload_nbytes(make_adaptor(0, n=256)) == 256 * 8
-
-    def test_copy_estimate_positive_and_scales(self):
-        small = estimate_deep_copy_time(make_adaptor(0, n=64))
-        large = estimate_deep_copy_time(make_adaptor(0, n=4096))
-        assert 0 < small < large
-
-
-class HeavyAnalysis(AnalysisAdaptor):
-    """In situ work that costs ``cost`` simulated seconds per step."""
-
-    def __init__(self, cost=0.5):
-        super().__init__("heavy")
-        self.cost = cost
+    def __init__(self):
+        super().__init__("sink")
+        self.set_device_id(-1)
 
     def acquire(self, data, deep):
-        return data.time_step
+        return None
 
     def process(self, payload, comm, device_id):
-        current_clock().advance(self.cost)
+        pass
 
 
 #: Every governor switched off: the plane still observes, builds nothing.
-ALL_OFF = ControlConfig.from_xml_attrs(
-    {"codec": "off", "execution": "off", "placement": "off", "pool": "off"}
-)
+ALL_OFF = ControlConfig.from_xml_attrs({"codec": "off"})
 
 
 class TestControlPlaneBridge:
-    """Single-rank bridge scenarios on the shared ``spmd_control`` fixture.
+    """A plane attached to an in transit producer's bridge."""
 
-    Each scenario runs as a 1-rank SPMD program: the fixture supplies
-    the communicator, a fresh seeded clock, and the rank's control
-    plane, exactly as the multi-rank coordination tests do.
-    """
+    def run_bridge(self, config, steps=6):
+        """Elapsed simulated time and the plane (None without one) of a
+        producer shipping ``steps`` compressible steps over a slow link."""
+        fresh_substrate("plane-bridge")
 
-    def run_bridge(self, spmd_control, config, steps=6, cost=0.5):
-        def body(comm, plane):
-            bridge = Bridge()
-            heavy = HeavyAnalysis(cost=cost)
-            bridge.initialize(analyses=[heavy])
-            if plane is not None:
-                bridge.attach_control(plane)
+        def producer_main(sim_comm, bridge):
             clk = current_clock()
             start = clk.now
             for step in range(steps):
                 clk.advance(1.0)  # the solver
-                bridge.execute(make_adaptor(step))
-            bridge.finalize()
-            return heavy, clk.now - start
+                table = TableData("bodies")
+                table.add_host_column("x", np.zeros(4096))
+                adaptor = TableDataAdaptor({"bodies": table})
+                adaptor.set_step(step, 0.1 * step)
+                bridge.execute(adaptor)
+            return clk.now - start, bridge.control_plane
 
-        return spmd_control(1, body, config=config)
+        results, _ = run_in_transit(
+            InTransitLayout(m=1, n=1), producer_main, lambda: [Sink()],
+            cost=CommCostModel(latency=us(5.0), bandwidth=gbs(0.02)),
+            control=config,
+        )
+        return results[0]
 
-    def test_heavy_insitu_flips_to_asynchronous(self, spmd_control):
-        run = self.run_bridge(spmd_control, ControlConfig())
-        heavy, _ = run.results[0]
-        plane = run.planes[0]
-        assert heavy.execution_method is ExecutionMethod.ASYNCHRONOUS
-        assert "execution=asynchronous" in run.actions(0)
-        assert plane.observations == 6
-        assert any(d.governor == "execution" for d in plane.decisions)
-
-    def test_light_insitu_stays_lockstep(self, spmd_control):
-        run = self.run_bridge(spmd_control, ControlConfig(), cost=0.001)
-        heavy, _ = run.results[0]
-        assert heavy.execution_method is ExecutionMethod.LOCKSTEP
-        assert not [d for d in run.decisions(0) if d.governor == "execution"]
-
-    def test_disabled_plane_is_inert(self, spmd_control):
-        run = self.run_bridge(spmd_control, ALL_OFF)
-        heavy, _ = run.results[0]
-        plane = run.planes[0]
-        assert heavy.execution_method is ExecutionMethod.LOCKSTEP
+    def test_disabled_plane_is_inert(self):
+        _, live = self.run_bridge(ControlConfig())
+        assert live.decisions  # the link is one the codec governor acts on
+        _, plane = self.run_bridge(ALL_OFF)
         assert plane.observations == 6  # still observing
         assert plane.decisions == [] and plane.governors == []
 
-    def test_disabled_plane_matches_no_plane_bit_identically(self, spmd_control):
-        t_without = None
-        for config in (None, ALL_OFF):
-            run = self.run_bridge(spmd_control, config)
-            _, elapsed = run.results[0]
-            if t_without is None:
-                t_without = elapsed
-            else:
-                assert elapsed == t_without
-
-    def test_placement_governor_follows_device_loads(self, spmd_control):
-        def body(comm, plane):
-            bridge = Bridge()
-            bridge.initialize(analyses=[HeavyAnalysis(cost=0.01)])
-            bridge.attach_control(plane)
-            bridge.execute(make_adaptor(0))
-            plane.observe_device_loads(0, {0: 0.95, 1: 0.1, 2: 0.1, 3: 0.1})
-            bridge.finalize()
-            return bridge.analyses[0].placement
-
-        run = spmd_control(1, body, config=ControlConfig())
-        placement = run.results[0]
-        placed = [d for d in run.decisions(0) if d.governor == "placement"]
-        assert len(placed) == 1
-        assert placed[0].applied
-        # One rank, one device: the calmest.
-        assert (placement.n_use, placement.offset) == (1, 1)
+    def test_disabled_plane_matches_no_plane_bit_identically(self):
+        without, _ = self.run_bridge(None)
+        with_off, _ = self.run_bridge(ALL_OFF)
+        assert with_off == without
 
 
 class FakeSender:
@@ -239,7 +190,7 @@ class LatestObservation:
     def on_decision(self, decision):
         pass
 
-    def on_observation(self, obs, origin):
+    def on_observation(self, obs):
         self.latest = obs
 
 
@@ -308,21 +259,10 @@ class TestControlPlaneTransport:
 
 
 class TestDecisionLog:
-    def make_plane_with_decision(self):
-        plane = ControlPlane(ControlConfig())
-        bridge = Bridge()
-        bridge.initialize(analyses=[HeavyAnalysis(cost=0.5)])
-        bridge.attach_control(plane)
-        clk = current_clock()
-        for step in range(3):
-            clk.advance(1.0)
-            bridge.execute(make_adaptor(step))
-        bridge.finalize()
-        return plane
-
     def test_decision_shape(self):
-        plane = self.make_plane_with_decision()
+        plane = ControlPlane(ControlConfig())
+        TestControlPlaneTransport().drive(plane, bandwidth=gbs(0.02))
         assert plane.decisions
         decision = plane.decisions[0]
-        assert decision.governor == "execution"
+        assert decision.governor == "codec"
         assert {"step", "reason", "applied"} <= set(decision.to_dict())

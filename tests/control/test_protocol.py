@@ -27,26 +27,15 @@ from repro.control import (
 )
 from repro.control.governors import Decision
 from repro.errors import MPIError
-from repro.hamr.pool import pool_for
-from repro.hw.node import get_node
 from repro.mpi import run_spmd
 from repro.service import PipelineSpec, ServiceConfig, run_service
 from repro.trace.format import canonical_decision
 from repro.trace.recorder import RankSink
-from repro.units import KiB, MiB, gbs
+from repro.units import MiB, gbs
 
 from tests.service.test_runtime import Recorder, _adaptor, _table
 
 KINDS = Governor.kinds()
-HOT_DEVICE = {0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1}
-
-
-def _pool(pooled: int):
-    pool = pool_for(get_node().devices[0])
-    if pooled:
-        pool.acquire(pooled)
-        pool.release(pooled)
-    return pool
 
 
 def _codec(gov):
@@ -60,20 +49,6 @@ def _codec(gov):
 #: make the next ``decide`` emit at least one decision).
 SCENARIOS = {
     "codec": (lambda act: dict(actuator=act), _codec),
-    "execution": (
-        lambda act: dict(actuator=act),
-        lambda gov: gov.observe(0, 1.0, 0.8, 0.8, copy_estimate=0.0),
-    ),
-    "placement": (
-        lambda act: dict(actuator=act, rank=0),
-        lambda gov: (
-            gov.observe(0, HOT_DEVICE), gov.ingest(gov.contribution())
-        ),
-    ),
-    "pool": (
-        lambda act: dict(pool=_pool(0), watermark_bytes=0),
-        lambda gov: _pool(int(4 * KiB)),
-    ),
     "flow": (
         lambda act: dict(
             window_actuator=act, chunk_actuator=act, credits=4,
@@ -102,16 +77,13 @@ SCENARIOS = {
 
 def build(cls, calls, **extra):
     kwargs, feed = SCENARIOS[cls.name]
-    gov = cls(**kwargs(lambda *args: calls.append(args)), **extra)
-    if cls.name == "pool":  # its actuator is the pool's own trim
-        gov.actuator = lambda *args: calls.append(args) or 0
-    return gov, feed
+    return cls(**kwargs(lambda *args: calls.append(args)), **extra), feed
 
 
 class TestConformance:
     def test_names_are_unique(self):
         names = [cls.name for cls in KINDS]
-        assert len(names) == len(set(names)) == 8
+        assert len(names) == len(set(names)) == 5
 
     @pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.name)
     def test_switch_and_knobs_are_config_fields(self, cls):
@@ -134,8 +106,8 @@ class TestConformance:
 
 class TestGovernorsArePure:
     """No governor module can reach a communicator or run a round, so
-    no ``decide()`` can park a thread: collectives live in the three
-    drivers (plane, service bridge, array coordinator)."""
+    no ``decide()`` can park a thread: collectives live in the two
+    drivers (service bridge, array coordinator)."""
 
     @pytest.mark.parametrize("module", ["governors", "quota", "repartition"])
     def test_module_imports_no_mpi_and_no_round(self, module):
@@ -244,7 +216,7 @@ def test_a_tenth_governor_needs_no_edit_elsewhere():
 
     class EchoGovernor(Governor):
         name = "echo"
-        switch = "pool"  # rides an existing setting
+        switch = "quota"  # rides an existing setting
         replayed = True
         measured_args = ("jitter",)
 
@@ -268,11 +240,11 @@ def test_a_tenth_governor_needs_no_edit_elsewhere():
     target, heard = object(), []
     wiring = lambda: dict(actuator=heard.append, limit=2.5)
 
-    off = ControlPlane(ControlConfig.from_xml_attrs({"pool": "off"}))
+    off = ControlPlane(ControlConfig.from_xml_attrs({"quota": "off"}))
     assert off.governor(EchoGovernor, target, wiring) is None
     assert off.governors == []
 
-    plane = ControlPlane(ControlConfig.from_xml_attrs({"pool": "on"}))
+    plane = ControlPlane(ControlConfig.from_xml_attrs({"quota": "on"}))
     sink = RankSink(0)
     plane.attach_recorder(sink)
     gov = plane.governor(EchoGovernor, target, wiring)

@@ -35,15 +35,6 @@ class TestMemoryPool:
         pool.release(512)
         assert pool.acquire(1024) is False  # different size: miss
 
-    def test_trim_returns_memory(self):
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        pool.acquire(2048)
-        pool.release(2048)
-        assert pool.trim_above(0) == 2048
-        assert dev._mem_used == 0
-        assert pool.pooled_bytes == 0
-
     def test_hit_miss_counters(self):
         pool = pool_for(get_node().devices[1])
         pool.acquire(64)
@@ -119,120 +110,3 @@ class TestBufferPoolIntegration:
             b = Buffer.allocate(100, np.float64, Allocator.HIP_ASYNC, device_id=2)
             b.free()
         assert node.devices[2]._mem_used == 800  # one block cycling
-
-    def test_trim_after_workload(self):
-        node = get_node()
-        b = Buffer.allocate(64, np.float64, Allocator.CUDA_ASYNC, device_id=1)
-        b.free()
-        pool_for(node.devices[1]).trim_above(0)
-        assert node.devices[1]._mem_used == 0
-
-
-class TestTrimAbove:
-    """Edge cases of the watermark trim the pool governor drives."""
-
-    def fill(self, pool, sizes):
-        for nbytes in sizes:
-            pool.acquire(nbytes)
-        for nbytes in sizes:
-            pool.release(nbytes)
-
-    def test_watermark_zero_equals_full_trim(self):
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        self.fill(pool, [512, 1024, 2048])
-        assert pool.trim_above(0) == 3584
-        assert pool.pooled_bytes == 0
-        assert dev._mem_used == 0
-
-    def test_empty_pool_is_a_no_op(self):
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        assert pool.trim_above(0) == 0
-        assert pool.trim_above(4096) == 0
-        assert dev._mem_used == 0
-
-    def test_watermark_above_inventory_keeps_everything(self):
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        self.fill(pool, [1024])
-        assert pool.trim_above(4096) == 0
-        assert pool.pooled_bytes == 1024
-        assert pool.acquire(1024) is True  # inventory kept serving hits
-
-    def test_largest_buckets_evicted_first(self):
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        self.fill(pool, [256, 4096])
-        freed = pool.trim_above(256)
-        assert freed == 4096
-        assert pool.pooled_bytes == 256
-        assert pool.acquire(256) is True  # the small block survived
-
-    def test_negative_watermark_rejected(self):
-        pool = pool_for(get_node().devices[0])
-        with pytest.raises(ValueError):
-            pool.trim_above(-1)
-
-    def test_trim_racing_acquire_release_keeps_accounting(self):
-        """Concurrent async-mode traffic vs. trim_above stays consistent."""
-        import threading
-
-        dev = get_node().devices[0]
-        pool = pool_for(dev)
-        block = 1024
-        rounds = 200
-        errors = []
-
-        def churn():
-            try:
-                for _ in range(rounds):
-                    pool.acquire(block)
-                    pool.release(block)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def trimmer():
-            try:
-                for _ in range(rounds):
-                    freed = pool.trim_above(block)
-                    assert freed >= 0
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=churn) for _ in range(2)]
-        threads.append(threading.Thread(target=trimmer))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert pool.pooled_bytes >= 0
-        # Whatever interleaving happened, claimed memory is exactly the
-        # pooled inventory (no block is both trimmed and pooled, none
-        # leaked): all blocks were released, so nothing is in use.
-        assert dev._mem_used == pool.pooled_bytes
-        pool.trim_above(0)
-        assert dev._mem_used == 0
-
-    def test_outstanding_zero_copy_views_survive_trim(self):
-        from repro.hamr.allocator import PMKind
-        from repro.hamr.view import accessible_view
-
-        node = get_node()
-        dev = node.devices[0]
-        held = Buffer.allocate(128, np.float64, Allocator.CUDA_ASYNC, device_id=0)
-        held.data[:] = 7.0
-        view = accessible_view(held, PMKind.CUDA, 0)
-        assert not view.is_temporary  # zero-copy: aliases the buffer
-        pooled = Buffer.allocate(256, np.float64, Allocator.CUDA_ASYNC, device_id=0)
-        pooled.free()  # returns 2 KiB to the pool
-        in_use = 128 * 8
-        assert dev._mem_used == in_use + 256 * 8
-        freed = pool_for(dev).trim_above(0)
-        assert freed == 256 * 8
-        # Only pooled inventory was released; the viewed block stays.
-        assert dev._mem_used == in_use
-        np.testing.assert_array_equal(view.get(), np.full(128, 7.0))
-        view.release()
-        held.free()

@@ -103,9 +103,11 @@ class TestAnalysisAdaptorExecution:
     def test_control_api_switches(self):
         a = RecordingAnalysis()
         a.set_execution_method("asynchronous")
-        assert a.execution_method is ExecutionMethod.ASYNCHRONOUS
+        a.execute(make_adaptor(0))
+        assert a.timings[-1].method is ExecutionMethod.ASYNCHRONOUS
         a.set_execution_method(ExecutionMethod.LOCKSTEP)
-        assert a.execution_method is ExecutionMethod.LOCKSTEP
+        a.execute(make_adaptor(1))
+        assert a.timings[-1].method is ExecutionMethod.LOCKSTEP
         a.set_device_id(-1)
         assert a.resolve_device() == HOST_DEVICE_ID
         a.set_auto_placement(n_use=1, offset=2)

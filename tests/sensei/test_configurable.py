@@ -121,9 +121,11 @@ class TestConfigurableAnalysis:
             </sensei>
         """)
         child = ca.children[0]
-        assert child.execution_method is ExecutionMethod.ASYNCHRONOUS
         assert child.placement.mode is PlacementMode.AUTO
         assert child.resolve_device() == 3
+        ca.execute(make_adaptor())
+        ca.finalize()
+        assert child.timings[0].method is ExecutionMethod.ASYNCHRONOUS
 
     def test_devices_per_node_alias(self):
         ca = ConfigurableAnalysis(xml="""

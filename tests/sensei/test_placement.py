@@ -12,7 +12,6 @@ from repro.hw.spec import NodeSpec
 from repro.sensei.placement import (
     DevicePlacement,
     PlacementMode,
-    reaim,
     select_device,
 )
 
@@ -168,53 +167,3 @@ class TestPlacementProperties:
         d = p.resolve(r, n_available=n_a)
         assert d == select_device(r, n_a, n_u, s, d0)
         assert 0 <= d < n_a
-
-
-class TestReaimProperties:
-    """The coordinated re-aim must stay inside Eq. 1's semantics."""
-
-    @given(n_a=st.integers(1, 12), data=st.data())
-    def test_image_within_targets(self, n_a, data):
-        targets = data.draw(
-            st.sets(st.integers(0, n_a - 1), min_size=1), label="targets"
-        )
-        p = reaim(targets, n_available=n_a)
-        assert p.mode is PlacementMode.AUTO
-        assert p.n_use >= 1 and p.stride >= 1
-        image = {p.resolve(r, n_available=n_a) for r in range(p.n_use)}
-        assert image <= targets
-        # n_use distinct ranks map to n_use distinct devices.
-        assert len(image) == p.n_use
-
-    @given(n_a=st.integers(1, 12), data=st.data())
-    def test_result_ignores_target_order(self, n_a, data):
-        targets = data.draw(
-            st.lists(
-                st.integers(0, n_a - 1), min_size=1, max_size=n_a, unique=True
-            ),
-            label="targets",
-        )
-        assert reaim(targets, n_available=n_a) == reaim(
-            list(reversed(targets)), n_available=n_a
-        )
-
-    @given(d=st.integers(0, 11), n_extra=st.integers(0, 4))
-    def test_singleton_target_is_exact(self, d, n_extra):
-        n_a = d + 1 + n_extra
-        assert reaim({d}, n_available=n_a) == DevicePlacement.auto(
-            n_use=1, stride=1, offset=d
-        )
-
-    @given(k=st.integers(1, 8), n_extra=st.integers(0, 4))
-    def test_contiguous_targets_fully_covered(self, k, n_extra):
-        n_a = k + n_extra
-        p = reaim(range(k), n_available=n_a)
-        assert p == DevicePlacement.auto(n_use=k, stride=1, offset=0)
-
-    def test_rejects_out_of_range_targets(self):
-        with pytest.raises(PlacementError):
-            reaim({4}, n_available=4)
-        with pytest.raises(PlacementError):
-            reaim({-1}, n_available=4)
-        with pytest.raises(PlacementError):
-            reaim(set(), n_available=4)

@@ -52,13 +52,6 @@ ALLOWLIST = {
         "paper: svtkStream interop, hand a stream to PM-native code (DESIGN.md §1)",
     "repro.hamr.stream:Stream.from_native":
         "paper: svtkStream interop, adopt a PM-native stream (DESIGN.md §1, §5)",
-    "repro.control.plan:ControlPlane.observe_device_loads":
-        "design: the placement round, one of the plane's three drivers "
-        "(DESIGN.md §3.2)",
-    "repro.control.plan:ControlPlane.wire_pool":
-        "design: the pool governor acts only on pools handed here (DESIGN.md "
-        "§3.2); the frozen benchmarks/core/workloads.py passes pool=off, so "
-        "whether it stays belongs to ROADMAP item 1's [benchmark] PR",
     "repro.harness.scaling:strong_scaling":
         "design: the strong-scaling study (DESIGN.md §3, §4), pinned in "
         "tests/harness/paper_golden.json",

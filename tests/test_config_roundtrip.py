@@ -69,9 +69,7 @@ def flow_bounds(draw):
 def controls(draw):
     return ControlConfig(
         seed=draw(st.integers(0, 1 << 30)), interval=draw(st.integers(1, 64)),
-        codec=draw(st.booleans()), execution=draw(st.booleans()),
-        placement=draw(st.booleans()), pool=draw(st.booleans()),
-        flow=draw(st.booleans()), quota=draw(st.booleans()),
+        codec=draw(st.booleans()), flow=draw(st.booleans()), quota=draw(st.booleans()),
         repartition=draw(st.booleans()),
         flow_bounds=draw(flow_bounds()),
     )

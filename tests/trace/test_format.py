@@ -233,14 +233,16 @@ class TestTraceValidation:
     def test_previous_version_is_refused_by_number(self):
         """Version 3 headers carried nine ``control`` keys this build's
         config no longer has, version 4 headers ``on``/``off``/``freeze``
-        switch strings and three partitioner keys; refuse both up front,
-        naming found and supported versions."""
-        for old in (3, 4):
+        switch strings and three partitioner keys, version 5 headers the
+        ``execution``/``placement``/``pool`` switches and ``obs`` events
+        an ``origin``; refuse all three up front, naming found and
+        supported versions."""
+        for old in (3, 4, 5):
             trace = small_trace()
             trace.header["version"] = old
-            with pytest.raises(TraceVersionError, match=f"{old}.*5") as e:
+            with pytest.raises(TraceVersionError, match=f"{old}.*6") as e:
                 Trace.from_jsonl(trace.to_jsonl())
-            assert e.value.details == {"found": old, "supported": 5}
+            assert e.value.details == {"found": old, "supported": 6}
 
     def test_missing_footer(self):
         text = small_trace().to_jsonl()

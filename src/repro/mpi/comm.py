@@ -332,7 +332,8 @@ class _World:
         self.size = len(self.members)
         self.cost = cost
         self.label = label
-        # Mailboxes: (dest, source, tag) -> (payload, sent_at) in order.
+        # Mailboxes: (dest, source, tag) -> (payload, sent_at, nbytes) in
+        # order; nbytes is None for a message sent uncharged.
         self.boxes: defaultdict[tuple[int, int, int], deque] = defaultdict(deque)
         #: Messages ever addressed to each rank (the idle-wait counter).
         self.arrivals = [0] * self.size
@@ -387,11 +388,13 @@ class ThreadCommunicator(Communicator):
     ) -> None:
         self._check_peer(dest)
         clk = current_clock()
+        nbytes = None  # sized once, here or at a charged delivery
         if charge:
-            clk.advance(self.cost.message(_payload_bytes(obj)))
+            nbytes = _payload_bytes(obj)
+            clk.advance(self.cost.message(nbytes))
         w = self._world
         with w.table.lock:
-            w.boxes[(dest, self.rank, tag)].append((obj, clk.now))
+            w.boxes[(dest, self.rank, tag)].append((obj, clk.now, nbytes))
             w.arrivals[dest] += 1
             w.table.wake((w, dest, self.rank, tag))
             w.table.wake((w, dest))
@@ -423,14 +426,16 @@ class ThreadCommunicator(Communicator):
             message = box.popleft()
         return True, self._deliver(message, charge)
 
-    def _deliver(self, message: tuple[Any, float], charge: bool) -> Any:
-        obj, sent_at = message
+    def _deliver(self, message: tuple[Any, float, int | None], charge: bool) -> Any:
+        obj, sent_at, nbytes = message
         if charge:
             # The message cannot be received before it was sent
             # (simulated time).
             clk = current_clock()
             clk.wait_for(sent_at)
-            clk.advance(self.cost.message(_payload_bytes(obj)))
+            if nbytes is None:
+                nbytes = _payload_bytes(obj)
+            clk.advance(self.cost.message(nbytes))
         return obj
 
     def wait_arrival(self, seen: int) -> int:

@@ -20,13 +20,11 @@ with the lowest ``(simulated clock, spawn order)`` — spawn order is
 rank id for ranks, then asynchronous tasks in creation order — and
 only that context is notified.  A context making a pure call
 (:func:`off_scheduler`) gives up the baton and keeps its place in that
-order.  Sent *away* (the default), it runs the call at once while the
-baton moves on; if it is the lowest, nobody runs until it is back.
-With ``away=False`` it waits for its turn and runs the call holding
-the baton, which is cheaper when the call is too short for the overlap
-to pay for moving it.  The heap and its keys are the same either way,
-so the order never depends on the flag or on thread timing, and
-contexts never convoy on the interpreter lock.  Contexts run pinned to
+order: it runs the call at once, away, while the baton moves on; if it
+is the lowest, nobody runs until it is back.  So the order never
+depends on thread timing, and contexts never convoy on the interpreter
+lock.  A call too short for the overlap to pay for moving it is simply
+made holding the baton, with no scheduling point.  Contexts run pinned to
 one CPU (handing the baton to a thread on another core costs more than
 the work between handoffs).  A context away runs on the other CPUs
 while someone holds the baton, and on all of them while nobody does,
@@ -286,18 +284,15 @@ class WaitTable:
 
 
 @contextlib.contextmanager
-def off_scheduler(away: bool = True):
+def off_scheduler():
     """Run a pure call — one that reads and writes nothing another
-    context sees, and charges no clock — giving up the baton but
-    keeping the caller's ``(now, order)`` place, as a park would.
+    context sees, and charges no clock — away from the baton, keeping
+    the caller's ``(now, order)`` place, as a park would.
 
-    ``away``, the call runs at once on the other CPUs beside the next
-    holder, and the caller waits for its turn after.  Otherwise it
-    waits first and runs the call holding the baton: no pin, no second
-    pass, no notify if it is already the lowest.  The heap and its keys
-    are the same either way, so the order of holders depends neither on
-    the flag nor on when the call returns.  Outside a run it is a plain
-    block.
+    The call runs at once on the other CPUs beside the next holder, and
+    the caller waits for its turn after; if it is the lowest, nobody
+    runs until it is back, so the order of holders does not depend on
+    when the call returns.  Outside a run it is a plain block.
     """
     ctx = current_context()
     if ctx is None:
@@ -307,14 +302,8 @@ def off_scheduler(away: bool = True):
     with table.lock:
         ctx.now = current_clock().now
         heapq.heappush(table._ready, (ctx.now, ctx.order, ctx))
-        if away:
-            table._away.add(ctx)
+        table._away.add(ctx)
         table._pass()
-        if not away:
-            table._await_baton(ctx)
-    if not away:
-        yield
-        return
     try:
         yield
     finally:

@@ -67,21 +67,15 @@ class AnalysisAdaptor(ABC):
 
     # -- the extension control API ---------------------------------------------------
     def set_execution_method(self, method: ExecutionMethod | str) -> None:
-        """Select lockstep or asynchronous execution.
-
-        Callable at any step boundary: switching to lockstep first drains any
-        in-flight asynchronous task so results stay ordered; switching
-        to asynchronous defers worker/communicator setup to the next
-        ``execute``.
-        """
+        """Select lockstep or asynchronous execution, before ``initialize``
+        (the method is a static attribute of the run)."""
+        if self._initialized:
+            raise ExecutionError(
+                f"analysis {self.name!r}: set the execution method "
+                "before initialize"
+            )
         if isinstance(method, str):
             method = ExecutionMethod.parse(method)
-        if (
-            method is ExecutionMethod.LOCKSTEP
-            and self._runner is not None
-            and self._runner.in_flight
-        ):
-            self._runner.drain()
         self._method = method
 
     def set_placement(self, placement: DevicePlacement) -> None:
@@ -140,14 +134,8 @@ class AnalysisAdaptor(ABC):
             apparent = clock.now - t0
             actual = apparent
         else:
-            if self._runner is None:
-                # The method was switched to asynchronous after
-                # initialize: set up the worker lane on first use.
-                self._async_comm = self._comm.dup()
-                self._runner = AsyncRunner(self.name)
             payload = self.acquire(data, deep=True)
             step_comm = self._async_comm
-            busy0 = self._runner.busy_sim_time
             self._runner.launch(
                 lambda: self.process(payload, step_comm, device_id),
                 start_time=clock.now,
@@ -187,29 +175,8 @@ class AnalysisAdaptor(ABC):
     @property
     def total_actual_time(self) -> float:
         if self._runner is not None:
-            # Mixed-mode runs (methods switched at step boundaries)
-            # count lockstep steps too.
-            return self.insitu_busy_time
+            return self._runner.busy_sim_time
         return sum(t.actual for t in self.timings)
-
-    @property
-    def insitu_busy_time(self) -> float:
-        """Cumulative analysis busy time, valid mid-run under any mode.
-
-        Unlike :attr:`total_actual_time` — whose async portion is only
-        distributed into the timings on ``finalize`` — this counter is
-        monotone while the run is still going, so a caller can take
-        per-step deltas from it.  It sums the lockstep steps'
-        actual times with the async runner's accumulated busy time
-        (which lags in-flight work by one step — the price of not
-        blocking on it).
-        """
-        lockstep = sum(
-            t.actual for t in self.timings
-            if t.method is ExecutionMethod.LOCKSTEP
-        )
-        runner = self._runner.busy_sim_time if self._runner is not None else 0.0
-        return lockstep + runner
 
     # -- back-end hooks ------------------------------------------------------------------
     @abstractmethod

@@ -125,8 +125,7 @@ class ConfigurableAnalysis(AnalysisAdaptor):
 
     # ConfigurableAnalysis delegates whole-sale; the acquire/process
     # split of a leaf back-end does not apply.  The control API fans
-    # out to the children so a control-plane actuator aimed at this
-    # adaptor retunes every back-end it orchestrates.
+    # out to the children, so setting it here sets every back-end.
     def set_execution_method(self, method) -> None:
         super().set_execution_method(method)
         for child in self.children:
@@ -167,10 +166,6 @@ class ConfigurableAnalysis(AnalysisAdaptor):
     @property
     def total_apparent_time(self) -> float:
         return sum(child.total_apparent_time for child in self.children)
-
-    @property
-    def insitu_busy_time(self) -> float:
-        return sum(child.insitu_busy_time for child in self.children)
 
     def acquire(self, data: DataAdaptor, deep: bool):  # pragma: no cover
         raise NotImplementedError("ConfigurableAnalysis delegates to children")

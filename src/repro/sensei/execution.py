@@ -183,7 +183,7 @@ class AsyncRunner:
         end only if the task finished *later* than the caller — i.e.
         only when the simulation genuinely had to wait.
         """
-        if self._join is not None:
+        if self.in_flight:
             self._join()
             self._join = None
             clock = current_clock()

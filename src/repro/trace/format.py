@@ -211,22 +211,42 @@ class TraceEvent:
 
 
 def _b64encode(value) -> str:
-    """``json.dumps`` hook: column bytes become base64 text."""
+    """``json`` hook: column bytes become base64 text."""
     if isinstance(value, bytes):
         return base64.b64encode(value).decode("ascii")
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _dump_record(record: dict) -> str:
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False,
+    default=_b64encode,
+)
+
+
+def _dump_record(record) -> str:
     try:
-        return json.dumps(
-            record, sort_keys=True, separators=(",", ":"), allow_nan=False,
-            default=_b64encode,
-        )
+        return _ENCODER.encode(record)
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(
             f"trace record is not canonically serializable: {exc}"
         ) from None
+
+
+def _write_value(value, out: list) -> None:
+    """Append ``value``'s canonical JSON to ``out``, writing a column's
+    base64 between quotes with no escape pass (base64 never needs one);
+    a plain dict with string keys is walked, anything else encoded."""
+    if isinstance(value, bytes):
+        out += ('"', _b64encode(value), '"')
+    elif type(value) is dict and all(type(k) is str for k in value):
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + _ENCODER.encode(key) + ":")
+            _write_value(value[key], out)
+            sep = ","
+        out.append("}" if value else "{}")
+    else:
+        out.append(_dump_record(value))
 
 
 @dataclass
@@ -269,7 +289,14 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """The canonical byte representation (newline-terminated)."""
-        return "".join(_dump_record(r) + "\n" for r in self.records())
+        out: list[str] = []  # one flat list of pieces, joined once
+        for record in self.records():
+            if "meshes" in record:  # a publish record: column bytes
+                _write_value(record, out)
+            else:
+                out.append(_dump_record(record))
+            out.append("\n")
+        return "".join(out)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":

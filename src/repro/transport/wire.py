@@ -127,12 +127,13 @@ AWAY_MIN_BYTES = MiB
 
 def _codec_call(codec: Codec, nbytes: int):
     """Where a codec call on ``nbytes`` raw bytes runs: a real codec is
-    pure and releases the interpreter lock, so it takes its turn off
-    the scheduler, away beside other ranks once it is big enough; its
-    simulated charge is a function of byte counts alone."""
-    if codec.name == "none":
+    pure and releases the interpreter lock, so a big call goes off the
+    scheduler, away beside other ranks; a smaller one, or codec
+    ``none``, runs inline holding the baton.  Its simulated charge is a
+    function of byte counts alone, so the place changes no result."""
+    if codec.name == "none" or nbytes < AWAY_MIN_BYTES:
         return nullcontext()
-    return off_scheduler(away=nbytes >= AWAY_MIN_BYTES)
+    return off_scheduler()
 
 
 def available_codecs() -> tuple[str, ...]:

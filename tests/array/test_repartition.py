@@ -166,8 +166,7 @@ class TestCoordinator:
 
         monkeypatch.setattr(RepartitionGovernor, "decide", spy)
         cfg = ControlConfig.from_xml_attrs(
-            {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "on", "interval": "2"},
+            {"codec": "off", "repartition": "on", "interval": "2"},
         )
         out = run_loop(4, control=cfg)
         assert calls == [1, 2, 4, 6, 8]  # warmup, then every interval
@@ -188,16 +187,14 @@ class TestCoordinator:
 
     def test_plane_config_disables_and_logs(self):
         off = ControlConfig.from_xml_attrs(
-            {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "off"},
+            {"codec": "off", "repartition": "off"},
         )
         out = run_loop(2, control=off)
         assert all(c.repartitions == 0 for c, _co, _d in out)
         assert all(not d for _c, _co, d in out)
 
         on = ControlConfig.from_xml_attrs(
-            {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "on", "interval": "4"},
+            {"codec": "off", "repartition": "on", "interval": "4"},
         )
         out = run_loop(2, control=on)
         for coordinator, _contents, decisions in out:
@@ -206,8 +203,7 @@ class TestCoordinator:
 
     def test_plane_sets_cadence_governor_sets_thresholds(self):
         cfg = ControlConfig.from_xml_attrs(
-            {"execution": "off", "codec": "off", "placement": "off",
-             "pool": "off", "repartition": "on", "interval": "2"},
+            {"codec": "off", "repartition": "on", "interval": "2"},
         )
 
         def main(comm):

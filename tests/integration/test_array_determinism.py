@@ -39,8 +39,7 @@ CONFIG = StencilConfig(
 )
 
 CONTROL = ControlConfig.from_xml_attrs(
-    {"execution": "off", "codec": "off", "placement": "off",
-     "pool": "off", "repartition": "on", "interval": "4"},
+    {"codec": "off", "repartition": "on", "interval": "4"},
 )
 
 SLOW_FABRIC = CommCostModel(latency=us(20.0), bandwidth=gbs(0.5))

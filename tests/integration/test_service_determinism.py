@@ -60,8 +60,7 @@ CONFIG = ServiceConfig(
 # depend on how well each rank's column *contents* compress, which is
 # legitimately rank-divergent and would defeat the replicated-log check.
 CONTROL = ControlConfig.from_xml_attrs(
-    {"execution": "off", "codec": "off", "placement": "off",
-     "pool": "off", "flow": "off", "quota": "on", "interval": "2"},
+    {"codec": "off", "flow": "off", "quota": "on", "interval": "2"},
 )
 SLOW_FABRIC = CommCostModel(latency=us(5.0), bandwidth=gbs(0.5))
 

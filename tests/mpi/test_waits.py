@@ -400,11 +400,9 @@ class TestBaton:
         )
         return pins
 
-    @pytest.mark.parametrize("away", [True, False])
-    def test_only_an_away_call_pins_or_joins_the_away_set(self, pins, away):
+    def test_only_an_away_call_pins_or_joins_the_away_set(self, pins):
         """Rank 0 comes second, so rank 1 holds the baton during the
-        call: away (the default), rank 0 moves to the away CPUs; on the
-        baton it stays home and never enters ``_away``."""
+        call: rank 0 joins the away set and moves to the away CPUs."""
         seen = {}
 
         def fn(comm):
@@ -413,58 +411,14 @@ class TestBaton:
             ctx = current_context()
             current_clock().advance(1.0)
             before = len(pins)
-            with off_scheduler() if away else off_scheduler(away=False):
+            with off_scheduler():
                 seen["in_away"] = ctx in ctx.table._away
                 seen["pins"] = [m for t, m in pins[before:] if t == ctx.tid]
 
         run_spmd(2, fn)
-        assert seen["in_away"] is away
-        # Away, a second pin (to all CPUs) follows once rank 1 is done.
-        assert seen["pins"][:1] == ([frozenset({1})] if away else [])
-
-    def test_away_and_on_baton_calls_hand_the_baton_in_one_order(
-        self, monkeypatch
-    ):
-        """The same program, every pure block away or every one on the
-        baton, gives the baton to the same contexts in the same order,
-        both where the caller is the lowest and where it is not."""
-        raw: list[str | None] = []
-        outcomes = set()
-        pass_ = WaitTable._pass
-
-        def spy(self):
-            pass_(self)
-            raw.append(self.holder.name if self.holder else None)
-
-        monkeypatch.setattr(WaitTable, "_pass", spy)
-
-        def fn(comm, away):
-            name = current_context().name
-            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
-            for step in range(6):
-                current_clock().advance(0.1 * (1 + (comm.rank * 2 + step) % 3))
-                # The first call usually lets a peer go first; the
-                # second, at the same clock, finds the caller lowest.
-                for _ in range(2):
-                    before = len(raw)
-                    with off_scheduler(away=away):
-                        zlib.compress(bytes(4096))
-                        if not away:
-                            outcomes.add(all(h == name for h in raw[before:]))
-                comm.send(step, dest=right)
-                comm.recv(source=left)
-            return comm.allreduce(comm.rank)
-
-        def holders(away):
-            raw.clear()
-            assert run_spmd(3, fn, away) == [3, 3, 3]
-            seq = [h for h in raw if h is not None]
-            return [h for i, h in enumerate(seq) if i == 0 or h != seq[i - 1]]
-
-        on_baton = holders(False)
-        assert outcomes == {True, False}  # lowest, and not the lowest
-        assert holders(True) == on_baton
-        assert len(on_baton) > 20
+        assert seen["in_away"] is True
+        # A second pin (to all CPUs) follows once rank 1 is done.
+        assert seen["pins"][:1] == [frozenset({1})]
 
 
 class Sink(AnalysisAdaptor):

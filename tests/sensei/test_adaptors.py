@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -101,46 +99,21 @@ class TestAnalysisAdaptorExecution:
         assert not np.isnan(a.timings[0].actual)
 
     def test_control_api_switches(self):
+        """The method is fixed once the analysis is initialized; the
+        device placement stays settable."""
         a = RecordingAnalysis()
         a.set_execution_method("asynchronous")
         a.execute(make_adaptor(0))
         assert a.timings[-1].method is ExecutionMethod.ASYNCHRONOUS
-        a.set_execution_method(ExecutionMethod.LOCKSTEP)
+        with pytest.raises(ExecutionError, match="before initialize"):
+            a.set_execution_method(ExecutionMethod.LOCKSTEP)
         a.execute(make_adaptor(1))
-        assert a.timings[-1].method is ExecutionMethod.LOCKSTEP
+        assert a.timings[-1].method is ExecutionMethod.ASYNCHRONOUS
         a.set_device_id(-1)
         assert a.resolve_device() == HOST_DEVICE_ID
         a.set_auto_placement(n_use=1, offset=2)
         assert a.resolve_device() == 2
-
-    def test_lockstep_switch_drains(self):
-        """Back to lockstep with a task in flight: wait for it, so the
-        next ``process`` neither overtakes it nor runs beside it."""
-        gate = threading.Event()
-
-        class Slow(RecordingAnalysis):
-            def process(self, payload, comm, device_id):
-                if payload == 0:
-                    assert gate.wait(10), "the gate was never opened"
-                super().process(payload, comm, device_id)
-
-        a = Slow()
-        a.set_device_id(HOST_DEVICE_ID)
-        a.set_execution_method(ExecutionMethod.ASYNCHRONOUS)
-        a.execute(make_adaptor(0))
-        assert a._runner.in_flight
-        opener = threading.Timer(0.05, gate.set)
-        opener.start()
-        try:
-            a.set_execution_method(ExecutionMethod.LOCKSTEP)
-            assert not a._runner.in_flight
-            assert a.processed == [(0, HOST_DEVICE_ID)]
-            a.execute(make_adaptor(1))
-            assert [step for step, _device in a.processed] == [0, 1]
-        finally:
-            gate.set()
-            opener.join(10)
-            a.finalize()
+        a.finalize()
 
     def test_placement_resolution_uses_rank(self):
         def fn(comm):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.control.governors import Decision
 from repro.control.signals import StepObservation
@@ -207,6 +210,126 @@ class TestTraceSerialization:
         assert back == trace
         column = back.events[0]["meshes"]["m"]["columns"]["x"]
         assert column["data"] == np.arange(3.0).tobytes()
+
+
+def _b64_hook(value):
+    if isinstance(value, bytes):
+        return base64.b64encode(value).decode("ascii")
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def dumps_per_record(trace: Trace) -> str:
+    """The writer's previous form, the oracle: one ``json.dumps`` per
+    record, base64 through the ``default`` hook and the escape pass."""
+    return "".join(
+        json.dumps(
+            r, sort_keys=True, separators=(",", ":"), allow_nan=False,
+            default=_b64_hook,
+        ) + "\n"
+        for r in trace.records()
+    )
+
+
+def assert_same_text_or_both_refuse(trace: Trace) -> None:
+    try:
+        expected = dumps_per_record(trace)
+    except (TypeError, ValueError):
+        with pytest.raises(TraceFormatError):
+            trace.to_jsonl()
+    else:
+        assert trace.to_jsonl() == expected
+
+
+def with_meshes(meshes, **extra) -> Trace:
+    trace = small_trace()
+    trace.events[0].update(meshes=meshes, **extra)
+    return trace
+
+
+def column(data: bytes, dtype: str = "uint8") -> dict:
+    return {"dtype": dtype, "data": data}
+
+
+ODD_NAMES = ['q"uote', "back\\slash", "ünï€", "ctl\x00\x1f\n\t", "\u2028", ""]
+
+_names = st.text(max_size=6)
+_columns = st.dictionaries(
+    _names,
+    st.fixed_dictionaries({
+        "dtype": st.sampled_from(["uint8", "float64", "int32"]),
+        "data": st.binary(max_size=24),
+    }),
+    max_size=3,
+)
+_meshes = st.dictionaries(
+    _names,
+    _columns.map(lambda cols: {"order": sorted(cols), "columns": cols}),
+    max_size=3,
+)
+
+
+class TestWriterBytes:
+    """``to_jsonl`` writes column base64 without the escape pass, and
+    every line is still exactly what ``json.dumps`` gives."""
+
+    @pytest.mark.parametrize("meshes", [
+        {},
+        {"m": {"order": [], "columns": {}}},
+        {"m": {"order": ["x"], "columns": {"x": column(b"")}}},
+        {
+            "a": {"order": ["x", "y"], "columns": {
+                "y": column(np.arange(3.0).tobytes(), "float64"),
+                "x": column(b"\x00\xff" * 7),
+            }},
+            "b": {"order": ["z"], "columns": {"z": column(b"\x01")}},
+        },
+        {
+            name: {"order": ODD_NAMES, "columns": {
+                col: column(col.encode("utf-8")) for col in ODD_NAMES
+            }}
+            for name in ODD_NAMES
+        },
+        {"m": {"order": ["x"], "columns": {"x": column(b"1")}, "note": [b"2"]}},
+        {1: {"order": [], "columns": {}}},
+    ], ids=[
+        "empty", "no-columns", "zero-length-column", "several-meshes",
+        "odd-names", "extra-keys", "int-key",
+    ])
+    def test_publish_record_matches_json_dumps(self, meshes):
+        assert_same_text_or_both_refuse(with_meshes(meshes))
+
+    def test_records_without_meshes_match_json_dumps(self):
+        trace = small_trace()
+        trace.events[1]["odd"] = {name: name for name in ODD_NAMES}
+        assert_same_text_or_both_refuse(trace)
+
+    @pytest.mark.parametrize("bad", [
+        {"entry": float("nan")},
+        {"entry": float("inf")},
+        {"meshes": {"m": {"order": [], "columns": {}, "t": float("-inf")}}},
+        {"meshes": {"m": {"order": ["x"], "columns": {
+            "x": column(bytearray(b"x")),
+        }}}},
+        {"meshes": {"m": object()}},
+        {"meshes": {1: {}, "a": {}}},
+    ], ids=["nan", "inf", "nested-inf", "bytearray", "object", "mixed-keys"])
+    def test_unserializable_publish_records_are_refused(self, bad):
+        trace = with_meshes({})
+        trace.events[0].update(bad)
+        with pytest.raises(TraceFormatError, match="not canonically"):
+            trace.to_jsonl()
+        with pytest.raises((TypeError, ValueError)):
+            dumps_per_record(trace)
+
+    @given(
+        meshes=_meshes,
+        entry=st.floats(allow_nan=True, allow_infinity=True),
+        name=_names,
+    )
+    def test_any_publish_record_matches_json_dumps(self, meshes, entry, name):
+        assert_same_text_or_both_refuse(
+            with_meshes(meshes, entry=entry, pipeline=name)
+        )
 
 
 class TestTraceValidation:

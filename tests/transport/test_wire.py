@@ -375,40 +375,44 @@ class TestStepAssembler:
 
 
 class TestWhereCodecCallsRun:
-    """Small codec calls take their turn on the baton; big ones go away."""
+    """Small codec calls run inline holding the baton; big ones go away."""
 
     @pytest.fixture
     def aways(self, monkeypatch):
-        """The ``away`` flag of every real-codec call, in call order."""
-        flags: list[bool] = []
+        """One entry per codec call sent off the scheduler."""
+        calls: list[str] = []
 
-        def spy(away=True):
-            flags.append(away)
-            return off_scheduler(away=away)
+        def spy():
+            calls.append("away")
+            return off_scheduler()
 
         monkeypatch.setattr(wire, "off_scheduler", spy)
-        return flags
+        return calls
 
     def test_a_seeded_run_records_the_same_trace_either_way(
         self, monkeypatch, aways
     ):
+        """Where a codec call runs moves no simulated result: every call
+        of a request stream inline, or every one away, records the same
+        bytes."""
         from repro.workloads import record_zoo
 
         def record() -> str:
             aways.clear()
             return record_zoo("request-stream", seed=7, quick=True)[0].to_jsonl()
 
-        on_baton = record()
-        assert aways and not any(aways)  # every chunk set is small
+        inline = record()
+        assert aways == []  # every chunk set is small
         monkeypatch.setattr(wire, "AWAY_MIN_BYTES", 0)
         away = record()
-        assert aways and all(aways)
-        assert away == on_baton
+        assert aways
+        assert away == inline
 
     def test_a_large_step_still_goes_away(self, monkeypatch, aways):
         """The overlap a bulk transfer relies on: a step of
-        AWAY_MIN_BYTES is encoded and decoded beside the baton holder,
-        one byte less on it."""
+        AWAY_MIN_BYTES is encoded and decoded beside the baton holder;
+        one byte less runs inline, holding the baton, with no scheduling
+        point."""
         seen = []
 
         def watched(method):
@@ -436,5 +440,5 @@ class TestWhereCodecCallsRun:
                 decode_step(encode_step(t, 0, 0.0, codec="zlib"))
 
         run_spmd(2, fn)
-        assert aways == [True, True, False, False]
+        assert aways == ["away", "away"]
         assert seen == ["away", "away", "baton", "baton"]

@@ -147,8 +147,7 @@ class TestParticleWorkload:
 
 class TestParticleAdaptivity:
     CONTROL = ControlConfig.from_xml_attrs(
-        {"execution": "off", "codec": "off", "placement": "off",
-         "pool": "off", "repartition": "on", "interval": "2"},
+        {"codec": "off", "repartition": "on", "interval": "2"},
     )
 
     def test_skewed_load_triggers_repartition(self):

@@ -26,23 +26,12 @@ table each step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.array.array import DistributedArray
-from repro.array.coordinate import ArrayCoordinator
-from repro.array.halo import HaloExchanger
-from repro.array.partition import ArrayPartition
+from repro.array.coordinate import ArrayWorkload
 from repro.errors import ArrayError
-from repro.hamr.runtime import current_clock
-from repro.hw.node import num_devices
 from repro.svtk.table import TableData
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control.plan import ControlPlane
-    from repro.mpi.comm import Communicator
-    from repro.transport.config import TransportConfig
 
 __all__ = ["StencilConfig", "StencilWorkload", "stencil_producer"]
 
@@ -95,56 +84,20 @@ class StencilConfig:
         return int(lo * self.length), int(hi * self.length)
 
 
-class StencilWorkload:
-    """One rank's view of the stencil run (construct SPMD-identically).
+class StencilWorkload(ArrayWorkload):
+    """One rank's view of the stencil run; the array is ``u``."""
 
-    ``adaptive`` arms the repartition loop: an
-    :class:`~repro.array.coordinate.ArrayCoordinator` allreduces the
-    per-block charges every ``interval`` steps and re-cuts the
-    partition when the governor fires.  ``plane`` routes the decisions
-    into a shared control-plane log (and supplies skew/cooldown/cadence
-    configuration when given).
-    """
+    default_name = "stencil"
 
-    def __init__(
-        self,
-        comm: "Communicator",
-        config: StencilConfig,
-        transport: "TransportConfig | None" = None,
-        plane: "ControlPlane | None" = None,
-        adaptive: bool = False,
-        interval: int = 4,
-        name: str = "stencil",
-    ):
-        self.comm = comm
-        self.config = config
-        self.name = str(name)
-        partition = ArrayPartition(
-            config.length, comm.size,
-            partitioner=config.partitioner,
-            block_rows=config.block_rows,
-        )
-        device_id = config.device_id
-        if device_id is not None:
-            device_id = (int(device_id) + comm.rank) % max(1, num_devices())
-        self.u = DistributedArray(
-            comm, partition, dtype=np.float64, halo=1,
-            device_id=device_id, name=name,
-        )
-        self.exchanger = HaloExchanger(comm, transport, name=name)
-        self.coordinator: ArrayCoordinator | None = None
-        if adaptive:
-            self.coordinator = ArrayCoordinator(
-                self.u, self.exchanger, plane=plane, interval=interval,
-            )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.u = self.array
         # Deterministic initial condition: one full sine period, zero
         # at both Dirichlet edges.
-        x = np.arange(config.length, dtype=np.float64)
-        self.u[:] = np.sin(2.0 * np.pi * x / config.length)
-        self.busy_time = 0.0
-        self.steps_run = 0
-        self._swept: tuple = (None, [])
-        self._closed = False
+        length = self.config.length
+        x = np.arange(length, dtype=np.float64)
+        self.u[:] = np.sin(2.0 * np.pi * x / length)
+        self._swept: tuple = (None,)
 
     def _block_cost(self, start: int, stop: int, live: bool) -> float:
         """Charged seconds for one block's update (``live``: hotspot on)."""
@@ -157,37 +110,35 @@ class StencilWorkload:
             cost += hot * cfg.hotspot_cost / cfg.compute_rate
         return cost
 
-    def _sweep(self) -> list[tuple]:
-        """``(block, left, mid, right, cold_cost, hot_cost)`` per owned
-        block, rebuilt only when a repartition installs a new partition."""
+    def _sweep(self) -> tuple[list, list, list]:
+        """Per owned block, in block order: the ``(left, mid, right)``
+        views and the ``(block, seconds)`` charges with the hotspot off
+        and on — rebuilt only when a repartition installs a new
+        partition."""
         u = self.u
         if self._swept[0] is not u.partition:
-            self._swept = (u.partition, [(
-                b, s.padded[:s.rows], s.padded[1:-1], s.padded[2:],
-                self._block_cost(s.start, s.stop, False),
-                self._block_cost(s.start, s.stop, True),
-            ) for b, s in sorted(u.shards.items())])
-        return self._swept[1]
+            shards = sorted(u.shards.items())
+            self._swept = (
+                u.partition,
+                [(s.padded[:s.rows], s.padded[1:-1], s.padded[2:])
+                 for _b, s in shards],
+                [(b, self._block_cost(s.start, s.stop, False))
+                 for b, s in shards],
+                [(b, self._block_cost(s.start, s.stop, True))
+                 for b, s in shards],
+            )
+        return self._swept[1:]
 
-    def step(self, step: int) -> dict[int, float]:
-        """One Jacobi sweep; returns the per-block charged seconds."""
-        if self._closed:
-            raise ArrayError("stencil workload already closed")
+    def _advance(self, step: int) -> list[tuple[int, float]]:
+        """One Jacobi sweep over the owned blocks."""
         cfg = self.config
-        self.exchanger.exchange(self.u, step)
-        clock = current_clock()
-        hot = step >= cfg.hotspot_from
-        block_busy: dict[int, float] = {}
-        for b, left, mid, right, cold_cost, hot_cost in self._sweep():
+        views, cold, hot = self._sweep()
+        for left, mid, right in views:
             mid[:] = mid + cfg.alpha * (left - 2.0 * mid + right)
-            cost = hot_cost if hot else cold_cost
-            clock.advance(cost)
-            block_busy[b] = cost
-            self.busy_time += cost
-        if self.coordinator is not None:
-            self.coordinator.observe(step, block_busy, t=step * cfg.dt)
-        self.steps_run += 1
-        return block_busy
+        return hot if step >= cfg.hotspot_from else cold
+
+    def _checksums(self) -> dict:
+        return {"checksum": self.u.reduce("sum"), "peak": self.u.reduce("max")}
 
     def table(self) -> TableData:
         """The owned rows as a table (``index`` + ``u`` columns)."""
@@ -208,77 +159,7 @@ class StencilWorkload:
         )
         return table
 
-    def run(self, bridge=None, mesh: str | None = None) -> dict:
-        """Run every configured step; optionally publish through a bridge.
 
-        With ``bridge`` set, each step's owned rows are published as a
-        table under ``mesh`` (default: the workload name) through
-        ``bridge.execute`` — the in-transit / service producer path.
-        Returns this rank's summary (checksum, busy time, traffic).
-        """
-        from repro.sensei.data_adaptor import TableDataAdaptor
-
-        cfg = self.config
-        adaptor = TableDataAdaptor(comm=self.comm)
-        for k in range(1, cfg.steps + 1):
-            self.step(k)
-            if bridge is not None:
-                adaptor.set_table(mesh or self.name, self.table())
-                adaptor.set_step(k, k * cfg.dt)
-                bridge.execute(adaptor)
-        return self.summary()
-
-    def summary(self) -> dict:
-        """Collective: checksum plus this rank's cost/traffic counters."""
-        c = self.coordinator
-        return {
-            "steps": self.steps_run,
-            "checksum": self.u.reduce("sum"),
-            "peak": self.u.reduce("max"),
-            "busy_time": self.busy_time,
-            "halo_bytes": self.exchanger.halo_bytes_moved,
-            "handoff_bytes": self.exchanger.handoff_bytes_moved,
-            "repartitions": c.repartitions if c is not None else 0,
-            "blocks_moved": c.blocks_moved if c is not None else 0,
-            "owners": tuple(self.u.partition.owners),
-        }
-
-    def close(self) -> None:
-        """Collective: drain the exchanger's flows, free the shards."""
-        if self._closed:
-            return
-        self.exchanger.close()
-        self.u.close()
-        self._closed = True
-
-
-def stencil_producer(
-    config: StencilConfig,
-    transport: "TransportConfig | None" = None,
-    adaptive: bool = False,
-    interval: int = 4,
-    mesh: str = "stencil",
-):
-    """A ``producer_main`` for ``run_in_transit`` / ``run_service``.
-
-    Each producer rank advances the shared stencil and ships its owned
-    rows through the bridge every step; the returned callable closes
-    the workload (draining halo flows) before the bridge finalizes.
-    When the bridge carries a control plane, repartition decisions are
-    routed into the shared plane log (and onto any attached trace
-    recorder) rather than a workload-local list.
-    """
-
-    def producer_main(sim_comm, bridge):
-        workload = StencilWorkload(
-            sim_comm, config, transport=transport,
-            plane=getattr(bridge, "control_plane", None),
-            adaptive=adaptive, interval=interval, name=mesh,
-        )
-        try:
-            result = workload.run(bridge=bridge, mesh=mesh)
-        finally:
-            workload.close()
-        return result
-
-    return producer_main
+#: A ``producer_main`` factory for ``run_in_transit`` / ``run_service``
+#: (see :meth:`ArrayWorkload.producer`; the mesh defaults to "stencil").
+stencil_producer = StencilWorkload.producer

@@ -2,8 +2,8 @@
 
 Two governors close the "heavy traffic" loop for
 :func:`repro.service.run_service`, reusing the
-:class:`~repro.control.governors.Decision` plumbing of the four
-existing governors:
+:class:`~repro.control.governors.Decision` plumbing every governor
+shares:
 
 - :class:`QuotaGovernor` partitions each shared endpoint's credit
   budget across the pipelines (tenants) assigned to it: **weighted
@@ -22,8 +22,8 @@ existing governors:
 
 Neither governor measures anything itself: the service's coordination
 round allreduces per-pipeline demand over the producer group (the same
-epoch-checked collective the placement round uses), one rank's pair
-decides on the node-wide vectors, and every rank adopts that pair's
+epoch-checked collective the array coordinator's round uses), one
+rank's pair decides on the node-wide vectors, and every rank adopts that pair's
 state and applies its decisions on the same step.  Inputs are deterministic
 byte counts — never wall-jittery retry or latency signals — so seeded
 reruns produce bit-identical decision logs.

@@ -1,7 +1,7 @@
 """The coordination round: the one collective every coordinated
-governor (placement, quota/shard admission, array repartition) has
-its per-rank signals folded through — by its driver (the control plane,
-the service bridge, the array coordinator), never by the governor."""
+governor (quota/shard admission, array repartition) has its per-rank
+signals folded through — by its driver (the service bridge, the array
+coordinator), never by the governor."""
 
 from __future__ import annotations
 

@@ -36,7 +36,7 @@ from repro.sensei.data_adaptor import TableDataAdaptor
 from repro.service.plan import ServiceConfig
 from repro.trace.configs import decode_config
 from repro.trace.format import Trace, decode_table
-from repro.trace.recorder import TraceRecorder
+from repro.trace.recorder import record_service_run
 
 __all__ = ["SinkAnalysis", "ReplayResult", "replay_trace"]
 
@@ -193,20 +193,10 @@ def replay_trace(trace, registry=None) -> ReplayResult:
             f"trace header carries a non-mapping meta: {meta!r}",
             details={"section": "meta"},
         )
-    recorder = TraceRecorder(trace.name, meta=dict(meta))
-    recorder.describe(config, m, n, cost=cost, control=control)
-    from repro.service.runtime import run_service
-
-    producers, endpoints = run_service(
-        config,
-        producer_main,
-        registry,
-        m=m,
-        n=n,
-        cost=cost,
-        control=control,
-        recorder=recorder,
+    replayed, producers, endpoints = record_service_run(
+        trace.name, config, producer_main, registry,
+        m=m, n=n, cost=cost, control=control, meta=dict(meta),
     )
     return ReplayResult(
-        trace=recorder.trace(), producers=producers, endpoints=endpoints
+        trace=replayed, producers=producers, endpoints=endpoints
     )

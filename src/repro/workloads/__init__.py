@@ -2,10 +2,10 @@
 
 Every workload here is deterministic by construction (seeded
 ``random.Random`` state machines, replicated numpy float64 numerics,
-simulated clocks) and runs three ways: standalone, as a service
-producer through :func:`repro.service.run_service`, and — where the
-workload owns a distributed array — under the array plane's adaptive
-repartitioner.  The zoo (:mod:`repro.workloads.zoo`) names canonical
+simulated clocks) and runs as a service producer through
+:func:`repro.service.run_service`; a workload that owns a distributed
+array (an :class:`~repro.array.coordinate.ArrayWorkload`) also runs
+standalone and under the array plane's adaptive repartitioner.  The zoo (:mod:`repro.workloads.zoo`) names canonical
 configurations of each for trace recording and the golden-trace CI
 gate.
 

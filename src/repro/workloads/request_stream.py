@@ -14,8 +14,8 @@ identical per-tenant row sequence from ``random.Random(f"{seed}:{name}")``,
 so membership events and payload sizes are bit-identical across ranks
 and runs — the property the trace recorder's golden gate pins down.
 
-Runs standalone (:func:`RequestStreamConfig.run`) or as a service
-producer (:func:`request_stream_producer`).
+It runs as a service producer: :func:`request_stream_producer` under
+:meth:`RequestStreamConfig.service_config`.
 """
 
 from __future__ import annotations
@@ -156,18 +156,6 @@ class RequestStreamConfig:
                 )
                 for t in self.tenants
             ),
-        )
-
-    def run(self, m: int = 2, n: int = 2, transport=None, cost=None,
-            control=None, registry=None):
-        """Standalone launch: returns ``(producer_results, endpoints)``."""
-        from repro.service.runtime import run_service
-
-        return run_service(
-            self.service_config(transport),
-            request_stream_producer(self),
-            registry,
-            m=m, n=n, cost=cost, control=control,
         )
 
 

@@ -99,8 +99,7 @@ class TestGovernor:
             RepartitionGovernor(cooldown=-1)
 
 
-def run_loop(size, *, control=None, steps=8, interval=4, warmup=1,
-             hot_cost=8.0):
+def run_loop(size, *, control=None, steps=8, interval=4, hot_cost=8.0):
     """Drive a coordinator loop: block 0's charges dominate."""
 
     def main(comm):
@@ -111,8 +110,7 @@ def run_loop(size, *, control=None, steps=8, interval=4, warmup=1,
         array[:] = np.arange(64, dtype=np.float64)
         exchanger = HaloExchanger(comm)
         coordinator = ArrayCoordinator(
-            array, exchanger, plane=plane,
-            interval=interval, warmup=warmup,
+            array, exchanger, plane=plane, interval=interval,
         )
         for step in range(1, steps + 1):
             busy = {
@@ -133,12 +131,12 @@ class TestCoordinator:
     def test_warmup_then_cadence(self):
         def main(comm):
             array = DistributedArray.create(comm, 64, block_rows=8)
-            c = ArrayCoordinator(array, None, interval=4, warmup=2)
+            c = ArrayCoordinator(array, None, interval=4)
             due = [s for s in range(1, 13) if c.due(s)]
             array.close()
             return due
 
-        assert run_spmd(1, main) == [[2, 4, 8, 12]]
+        assert run_spmd(1, main) == [[1, 4, 8, 12]]
 
     def test_skewed_charges_trigger_one_coordinated_recut(self):
         out = run_loop(2)
@@ -223,9 +221,8 @@ class TestCoordinator:
     def test_parameter_validation(self):
         def main(comm):
             array = DistributedArray.create(comm, 64, block_rows=8)
-            for kwargs in ({"interval": 0}, {"warmup": 0}):
-                with pytest.raises(ValueError):
-                    ArrayCoordinator(array, None, **kwargs)
+            with pytest.raises(ValueError):
+                ArrayCoordinator(array, None, interval=0)
             array.close()
             return True
 

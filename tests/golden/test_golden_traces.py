@@ -1,7 +1,9 @@
 """The golden-trace regression gate.
 
 Each fixture under ``tests/golden/`` is the canonical JSONL trace of
-one small single-governor zoo scenario, recorded at a pinned seed.
+one small zoo scenario, recorded at a pinned seed: a single-governor
+scenario (``codec``, ``flow``, ``repartition``) or the ``particle``
+workload, which no other fixture pins.
 The gate re-records every scenario from a fresh substrate and demands
 the bytes match the committed fixture exactly — any drift in decision
 logs, retry schedules, payload bytes, or simulated timestamps fails

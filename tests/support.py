@@ -17,7 +17,12 @@ from repro.units import GiB
 ZOO_WORKLOADS = ("newton", "stencil", "particle", "request-stream")
 
 #: The scenarios whose traces are pinned under ``tests/golden/``.
-GOLDEN_SCENARIOS = ("codec", "flow", "repartition")
+GOLDEN_SCENARIOS = ("codec", "flow", "repartition", "particle")
+
+#: Every scenario the zoo records, each named once.
+ALL_SCENARIOS = ZOO_WORKLOADS + tuple(
+    name for name in GOLDEN_SCENARIOS if name not in ZOO_WORKLOADS
+)
 
 
 def small_node_spec(num_devices: int = 4, mem_capacity: int = GiB) -> NodeSpec:

@@ -23,13 +23,11 @@ from repro.trace import (
 )
 from repro.workloads.zoo import record_zoo
 from tests.support import (
-    GOLDEN_SCENARIOS,
+    ALL_SCENARIOS,
     ZOO_WORKLOADS,
     diff_traces,
     traced_peak,
 )
-
-ALL_SCENARIOS = tuple(ZOO_WORKLOADS) + tuple(GOLDEN_SCENARIOS)
 
 
 def decisions_of(trace: Trace) -> list:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads import RequestStreamConfig, TenantSpec
+from repro.service import run_service
+from repro.workloads import (
+    RequestStreamConfig,
+    TenantSpec,
+    request_stream_producer,
+)
 from tests.support import rerun
 
 
@@ -113,7 +118,10 @@ class TestRequestStreamRun:
     CONFIG = RequestStreamConfig(steps=6, seed=11)
 
     def _run(self):
-        producers, endpoints = self.CONFIG.run(m=2, n=2)
+        cfg = self.CONFIG
+        producers, endpoints = run_service(
+            cfg.service_config(), request_stream_producer(cfg), m=2, n=2,
+        )
         steps = {}
         for tenant in self.CONFIG.tenants:
             steps[tenant.name] = sum(

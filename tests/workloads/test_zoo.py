@@ -10,10 +10,10 @@ import pytest
 
 from repro.mpi.comm import ThreadCommunicator
 from repro.workloads.zoo import record_zoo
-from tests.support import GOLDEN_SCENARIOS, ZOO_WORKLOADS
+from tests.support import ALL_SCENARIOS
 
 
-@pytest.mark.parametrize("name", ZOO_WORKLOADS + GOLDEN_SCENARIOS)
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_wall_jitter_in_send_and_recv_cannot_move_a_trace(name, monkeypatch):
     """The experiment ``benchmarks/core/README.md`` describes: seeded
     0-3 ms sleeps in every ``send``/``recv`` used to earn a late
